@@ -602,7 +602,7 @@ func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, points []
 	// and its vehicle set is exactly the ingested set, each slot's word
 	// equals the streamed symbols and the incremental decoder's Finalize
 	// is bit-identical to DecodeBatch on it (stream.go).
-	if ri := s.pendingIngest; ri != nil && len(slots) == s.slots && ri.matches(ids) {
+	if ri := s.pendingIngest; ri != nil && len(slots) == s.slots && ri.matches(ids) && ri.flush() {
 		s.pendingIngest = nil
 		s.finalizeIngest(ri, outcomes, slots, len(ids))
 		return
@@ -633,16 +633,7 @@ func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, points []
 	}
 	s.aggBatch = batch
 	results, errs, stats := dec.DecodeBatch(batch, s.batchSrc, s.workers)
-	s.BatchRecovered += stats.Recovered
-	s.BatchFallbacks += stats.Fallbacks
-	if s.obs.TraceEnabled() {
-		s.obs.Emit("core.batch_group",
-			obs.F("slots", len(slots)),
-			obs.F("present", len(ids)),
-			obs.F("recovered", stats.Recovered),
-			obs.F("fallbacks", stats.Fallbacks),
-			obs.F("combined_ok", stats.CombinedOK))
-	}
+	s.recordGroup(len(slots), len(ids), stats)
 	for t, j := range slots {
 		if errs[t] != nil {
 			outcomes[j].failed = true
@@ -651,6 +642,21 @@ func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, points []
 		for _, idx := range results[t].ErrorPositions {
 			outcomes[j].flagged = append(outcomes[j].flagged, ids[idx])
 		}
+	}
+}
+
+// recordGroup adds one decoded presence group's split to the round's
+// tallies and, when tracing, emits its core.batch_group event.
+func (s *Scheme) recordGroup(slots, present int, stats reedsolomon.BatchStats) {
+	s.BatchRecovered += stats.Recovered
+	s.BatchFallbacks += stats.Fallbacks
+	if s.obs.TraceEnabled() {
+		s.obs.Emit("core.batch_group",
+			obs.F("slots", slots),
+			obs.F("present", present),
+			obs.F("recovered", stats.Recovered),
+			obs.F("fallbacks", stats.Fallbacks),
+			obs.F("combined_ok", stats.CombinedOK))
 	}
 }
 

@@ -136,3 +136,94 @@ func TestObsDisabledSchemeUnchanged(t *testing.T) {
 		t.Fatalf("legacy fields broken without obs: failures=%d recovered=%d", s.DecodeFailures, s.BatchRecovered)
 	}
 }
+
+// TestObsStreamedAdversarialRounds pins the ledger on the streamed path
+// when the decoder has to relocate errors: each AggregateStreamed is one
+// rs.batch event and one core.batch_group event — the shared recovery
+// behind Finalize adds none of its own — and the rs.batch.* and
+// core.batch_* counters equal the sums of those events' fields, which is
+// what tracereport -check-metrics reconciles.
+func TestObsStreamedAdversarialRounds(t *testing.T) {
+	ref := refFeatures(t, 8*4)
+	reg := obs.NewRegistry()
+	var buf bytes.Buffer
+	clk := &obs.ManualClock{}
+	o := obs.New(reg, obs.NewTracer(&buf, clk), clk)
+	const v = 40
+	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: 8, Degree: 2, Seed: 17, Workers: 2, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := polyActivationModel(t, 2, 5)
+	rounds := []struct {
+		liars, absent []int
+		fallbacks     int
+	}{
+		{[]int{0, 1, 2}, nil, s.Slots()},              // first lie, in the Newton basis: every slot relocated
+		{[]int{0, 1, 2}, nil, 0},                      // on record: ingested last, candidate accepted
+		{[]int{0, 1, 2, 3}, []int{38, 39}, s.Slots()}, // a new liar on a strict subset: relocated on a sub-decoder
+	}
+	var wantRecov, wantFall int
+	for i, r := range rounds {
+		ups := roundUploads(t, s, model, nil)
+		lieWholesale(ups, r.liars)
+		for _, id := range r.absent {
+			ups[id] = nil
+		}
+		order := make([]int, v)
+		for id := range order {
+			order[id] = id // liars hold the lowest IDs, so they arrive first
+		}
+		streamedAggregate(t, s, ups, order)
+		if s.BatchFallbacks != r.fallbacks || !equalIDs(s.SuspectedMalicious(), r.liars) {
+			t.Fatalf("round %d: %d slots rejected, flagged %v; want %d, %v",
+				i, s.BatchFallbacks, s.SuspectedMalicious(), r.fallbacks, r.liars)
+		}
+		wantRecov += s.BatchRecovered
+		wantFall += s.BatchFallbacks
+	}
+
+	if err := o.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]map[string]int64{"rs.batch": {}, "core.batch_group": {}}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		sum, ok := sums[rec["ev"].(string)]
+		if !ok {
+			continue
+		}
+		sum["events"]++
+		for _, f := range []string{"words", "recovered", "fallbacks"} {
+			if x, ok := rec[f].(float64); ok {
+				sum[f] += int64(x)
+			}
+		}
+	}
+	words := int64(len(rounds) * s.Slots())
+	checks := []struct {
+		name      string
+		got, want int64
+	}{
+		{"rs.batch events", sums["rs.batch"]["events"], int64(len(rounds))},
+		{"rs.batch words", sums["rs.batch"]["words"], words},
+		{"rs.batch recovered", sums["rs.batch"]["recovered"], int64(wantRecov)},
+		{"rs.batch fallbacks", sums["rs.batch"]["fallbacks"], int64(wantFall)},
+		{"core.batch_group events", sums["core.batch_group"]["events"], int64(len(rounds))},
+		{"core.batch_group recovered", sums["core.batch_group"]["recovered"], int64(wantRecov)},
+		{"core.batch_group fallbacks", sums["core.batch_group"]["fallbacks"], int64(wantFall)},
+		{"counter rs.batch.words", reg.Counter("rs.batch.words").Value(), words},
+		{"counter rs.batch.recovered", reg.Counter("rs.batch.recovered").Value(), int64(wantRecov)},
+		{"counter rs.batch.fallbacks", reg.Counter("rs.batch.fallbacks").Value(), int64(wantFall)},
+		{"counter core.batch_recovered", reg.Counter("core.batch_recovered").Value(), int64(wantRecov)},
+		{"counter core.batch_fallbacks", reg.Counter("core.batch_fallbacks").Value(), int64(wantFall)},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}

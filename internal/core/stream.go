@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fl"
-	"repro/internal/obs"
 	"repro/internal/reedsolomon"
 )
 
@@ -22,6 +21,13 @@ import (
 // every group that does not exactly match the ingested set falls back to
 // the ordinary batch path, so AggregateStreamed(sink, uploads) ==
 // Aggregate(uploads) bit for bit, always.
+//
+// Vehicles the previous Aggregate flagged are ingested last, whatever
+// their arrival order: the decoder's candidate is interpolated from its
+// first K arrivals, and a persistent liar kept out of them is a mere
+// mismatch of an accepted candidate instead of the reason every slot is
+// rejected and its errors located again. The decoder's result does not
+// depend on arrival order, so the reordering cannot change an aggregate.
 
 // RoundIngest absorbs one round's uploads incrementally. It implements
 // fl.UploadSink; build it with Scheme.BeginIngest and consume it with
@@ -32,6 +38,17 @@ type RoundIngest struct {
 	present []bool // ingested vehicles (full verification words only)
 	count   int
 	syms    []field.Element // per-Add scratch, one symbol per slot
+	// suspect is the previous Aggregate's DetectedMalicious (Aggregate
+	// replaces that slice, never writes into it, so holding it is a
+	// snapshot); deferred holds, in arrival order, the flagged vehicles'
+	// uploads until flush.
+	suspect  []int
+	deferred []deferredUpload
+}
+
+type deferredUpload struct {
+	id  int
+	row []float64
 }
 
 // BeginIngest starts a round's incremental ingest. One sink per round;
@@ -42,6 +59,7 @@ func (s *Scheme) BeginIngest() fl.UploadSink {
 		inc:     s.dec.NewIncremental(s.slots),
 		present: make([]bool, s.cfg.NumVehicles),
 		syms:    make([]field.Element, s.slots),
+		suspect: s.DetectedMalicious,
 	}
 }
 
@@ -70,18 +88,37 @@ func (r *RoundIngest) Add(vehicleID int, upload []float64) error {
 			return nil
 		}
 	}
-	for j := 0; j < s.slots; j++ {
-		r.syms[j] = floatsToSymbol(upload[2*j], upload[2*j+1])
-	}
-	// The decoder's points are coder.Points(), indexed by vehicle ID, so
-	// the ingest position IS the vehicle ID (and error positions come
-	// back in vehicle-ID space).
-	if err := r.inc.Ingest(vehicleID, r.syms); err != nil {
+	if len(r.suspect) > 0 && r.suspect[vehicleID] > 0 {
+		r.deferred = append(r.deferred, deferredUpload{vehicleID, upload})
+	} else if err := r.ingest(vehicleID, upload); err != nil {
 		return err
 	}
 	r.present[vehicleID] = true
 	r.count++
 	return nil
+}
+
+// ingest streams one validated upload's verification symbols into the
+// decoder. The decoder's points are coder.Points(), indexed by vehicle
+// ID, so the ingest position IS the vehicle ID (and error positions come
+// back in vehicle-ID space).
+func (r *RoundIngest) ingest(vehicleID int, upload []float64) error {
+	for j := range r.syms {
+		r.syms[j] = floatsToSymbol(upload[2*j], upload[2*j+1])
+	}
+	return r.inc.Ingest(vehicleID, r.syms)
+}
+
+// flush ingests the deferred uploads, after everyone else's. Add already
+// validated them, so a failure is a bug; it is reported so the caller
+// leaves the streamed state unused rather than finalising a short word.
+func (r *RoundIngest) flush() bool {
+	for _, d := range r.deferred {
+		if r.ingest(d.id, d.row) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // matches reports whether the ingested vehicle set equals the given
@@ -111,22 +148,14 @@ func (s *Scheme) AggregateStreamed(sink fl.UploadSink, uploads [][]float64) ([]f
 
 // finalizeIngest consumes the streamed state for one presence group. The
 // caller (decodeGroup) has already established that the group covers all
-// S slots and its vehicle set equals the ingested set, so each slot's
-// word is exactly the ingested symbols and Finalize's outcome is
-// bit-identical to DecodeBatch on the gathered words. Error positions
-// arrive in vehicle-ID space directly — no ids[idx] remap.
+// S slots and its vehicle set equals the ingested set, and has flushed
+// the deferred uploads into the decoder, so each slot's word is exactly
+// the ingested symbols and Finalize's outcome is bit-identical to
+// DecodeBatch on the gathered words. Error positions arrive in
+// vehicle-ID space directly — no ids[idx] remap.
 func (s *Scheme) finalizeIngest(ri *RoundIngest, outcomes []slotOutcome, slots []int, present int) {
 	results, errs, stats := ri.inc.Finalize(s.workers)
-	s.BatchRecovered += stats.Recovered
-	s.BatchFallbacks += stats.Fallbacks
-	if s.obs.TraceEnabled() {
-		s.obs.Emit("core.batch_group",
-			obs.F("slots", len(slots)),
-			obs.F("present", present),
-			obs.F("recovered", stats.Recovered),
-			obs.F("fallbacks", stats.Fallbacks),
-			obs.F("combined_ok", stats.CombinedOK))
-	}
+	s.recordGroup(len(slots), present, stats)
 	for t, j := range slots {
 		if errs[t] != nil {
 			outcomes[j].failed = true

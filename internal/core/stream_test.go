@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,3 +169,116 @@ func (*dummySink) Add(int, []float64) error { return nil }
 
 // The scheme must satisfy the fl.StreamingAggregator contract.
 var _ fl.StreamingAggregator = (*Scheme)(nil)
+
+// lieWholesale overwrites every scalar of the given vehicles' uploads,
+// verification symbols included — the paper's wholesale liar.
+func lieWholesale(ups [][]float64, ids []int) {
+	for _, id := range ids {
+		for j := range ups[id] {
+			ups[id][j] = ups[id][j]*2 + 7
+		}
+	}
+}
+
+// TestAggregateStreamedCleanRecordOrder drives one scheme through a
+// session in which the liar set keeps changing, ingesting each round in
+// an order chosen to hurt — suspects and liars first. Every round must
+// equal the plain Aggregate of a twin scheme bit for bit, with the same
+// vehicles flagged; and the split of the streamed decode must show the
+// clean-record ordering at work: a vehicle's first lie costs one rejected
+// round, and from then on its uploads are ingested last and the streamed
+// candidate is accepted whatever the arrival order.
+func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
+	ref := refFeatures(t, 8*4) // S = 4 slots
+	const v, m, degree = 40, 8, 2
+	model := polyActivationModel(t, degree, 29)
+	for _, workers := range []int{1, 8} {
+		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: workers, Seed: 13}
+		streamed, err := NewScheme(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewScheme(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		S, K := streamed.Slots(), streamed.RecoverThreshold()
+		many := make([]int, streamed.MaxMalicious()) // vehicles 0..E-1
+		reversed := make([]int, len(many))
+		for i := range many {
+			many[i] = i
+			reversed[len(many)-1-i] = i
+		}
+		absent := make([]int, v-len(many)-(K-1)) // leaves K-1 vehicles that were never flagged
+		for i := range absent {
+			absent[i] = v - 1 - i
+		}
+		rounds := []struct {
+			name      string
+			liars     []int // lie this round
+			first     []int // arrive first, in this order; the rest follow by ID
+			absent    []int
+			halfDrop  int // vehicle with one dropped verification half, or -1
+			fallbacks int // rejected slots expected of the streamed decode; -1 when it is not the path taken or not determined
+		}{
+			{"first-time liars in the basis", []int{3, 7, 11}, []int{11, 3, 7}, nil, -1, S},
+			{"persistent liars arrive first", []int{3, 7, 11}, []int{7, 11, 3}, nil, -1, 0},
+			{"persistent liars arrive last", []int{3, 7, 11}, nil, nil, -1, 0},
+			{"a liar turned honest", []int{3, 11}, []int{3, 7, 11}, nil, -1, 0},
+			{"a first-time liar joins", []int{3, 11, 20}, []int{20, 3, 11}, nil, -1, S},
+			{"suspect with a dropped half", []int{3, 11, 20}, []int{3, 11, 20}, nil, 11, -1},
+			{"liars at the budget", many, many, nil, -1, S},
+			{"K-1 clean arrivals, an honest suspect completes the basis", []int{0, 1}, reversed, absent, -1, 0},
+			{"liars at the budget again", many, many, nil, -1, S},
+			{"K-1 clean arrivals, a lying suspect completes the basis", []int{0, 1}, many, absent, -1, S},
+			{"liars at the budget once more", many, many, nil, -1, S},
+			{"suspects turned honest complete the basis", nil, many, absent, -1, 0},
+		}
+		for _, r := range rounds {
+			label := fmt.Sprintf("workers=%d %q", workers, r.name)
+			ups := roundUploads(t, streamed, model, nil)
+			lieWholesale(ups, r.liars)
+			for _, id := range r.absent {
+				ups[id] = nil
+			}
+			if r.halfDrop >= 0 {
+				ups[r.halfDrop][1] = fl.Dropped
+			}
+			order := append([]int(nil), r.first...)
+			isFirst := make(map[int]bool)
+			for _, id := range r.first {
+				isFirst[id] = true
+			}
+			for id := 0; id < v; id++ {
+				if !isFirst[id] {
+					order = append(order, id)
+				}
+			}
+			gotT := streamedAggregate(t, streamed, ups, order)
+			wantT, err := plain.Aggregate(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range wantT {
+				if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
+					t.Fatalf("%s: target[%d]: streamed %g, plain %g", label, j, gotT[j], wantT[j])
+				}
+			}
+			if streamed.DecodeFailures != plain.DecodeFailures {
+				t.Fatalf("%s: DecodeFailures: streamed %d, plain %d", label, streamed.DecodeFailures, plain.DecodeFailures)
+			}
+			if got, want := streamed.SuspectedMalicious(), plain.SuspectedMalicious(); !equalIDs(got, want) {
+				t.Fatalf("%s: SuspectedMalicious: streamed %v, plain %v", label, got, want)
+			}
+			if got := streamed.SuspectedMalicious(); r.halfDrop < 0 && !equalIDs(got, r.liars) {
+				t.Fatalf("%s: flagged %v, want the liars %v", label, got, r.liars)
+			}
+			if r.fallbacks >= 0 && streamed.BatchFallbacks != r.fallbacks {
+				t.Fatalf("%s: %d slots rejected by the streamed decode, want %d", label, streamed.BatchFallbacks, r.fallbacks)
+			}
+			if streamed.BatchRecovered+streamed.BatchFallbacks != S {
+				t.Fatalf("%s: split %d+%d does not cover %d slots", label, streamed.BatchRecovered, streamed.BatchFallbacks, S)
+			}
+		}
+	}
+}

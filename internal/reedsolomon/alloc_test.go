@@ -81,3 +81,57 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		t.Errorf("DecodeBatch allocates %.1f times per call, want <= 25", avg)
 	}
 }
+
+// TestFinalizeRelocateAllocs pins the streamed path at its worst: liars
+// fill the Newton basis, so every slot's candidate is rejected and the
+// sub-words go through the shared error location. One round — begin,
+// ingest, finalize — allocates the decoder's own state (8), the outcome
+// slices, the rejected list, the gathered sub-words and the batch
+// recovery's slabs: ~30 measured, where one per-slot Decode per rejected
+// slot would add three allocations for each of the S slots.
+func TestFinalizeRelocateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(13))
+	const n, k, S = 64, 16, 48
+	e := 19
+	xs, words := batchWords(rng, n, k, S, 0, true)
+	for _, w := range words {
+		for p := 0; p < e; p++ {
+			w[p] = w[p].Add(field.One) // positions 0..e-1 lie and arrive first
+		}
+	}
+	d, err := NewDecoder(xs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := make([][]field.Element, n)
+	for p := range syms {
+		syms[p] = make([]field.Element, S)
+		for s, w := range words {
+			syms[p][s] = w[p]
+		}
+	}
+	round := func() {
+		inc := d.NewIncremental(S)
+		for p := range syms {
+			if err := inc.Ingest(p, syms[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results, _, stats := inc.Finalize(1)
+		if want := (BatchStats{CombinedOK: true, Fallbacks: S}); stats != want {
+			t.Fatalf("stats %+v, want %+v", stats, want)
+		}
+		if len(results[S-1].ErrorPositions) != e {
+			t.Fatalf("located %d errors, want %d", len(results[S-1].ErrorPositions), e)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the decoder's scratch pools
+		round()
+	}
+	if avg := testing.AllocsPerRun(30, round); avg > 45 {
+		t.Errorf("adversarial ingest+Finalize allocates %.1f times per round, want <= 45", avg)
+	}
+}

@@ -27,8 +27,9 @@ import (
 // any slot that fails that check falls back to the per-slot Decode. The
 // random combination only governs how often the fast path is taken.
 
-// BatchStats reports how a DecodeBatch call split its work, for
-// benchmarks and tests asserting the fast path engaged.
+// BatchStats reports how a DecodeBatch or IncrementalDecoder.Finalize
+// call split its work, for benchmarks and tests asserting the fast path
+// engaged.
 type BatchStats struct {
 	// CombinedOK records whether the shared-locator decode of the random
 	// linear combination succeeded. When false every slot fell back.
@@ -38,6 +39,12 @@ type BatchStats struct {
 	Recovered int
 	// Fallbacks counts slots that re-ran the full per-slot Decode.
 	Fallbacks int
+	// SlotDecodes counts the full per-slot Decode runs behind the call,
+	// the locator decode of the combination not included. For DecodeBatch
+	// it equals Fallbacks. Finalize gives the other two fields its own
+	// meaning (see there) and reports here how many of its rejected slots
+	// the shared error location did not settle.
+	SlotDecodes int
 }
 
 // DecodeBatch decodes many received words that share the decoder's
@@ -53,25 +60,36 @@ type BatchStats struct {
 // any worker count.
 func (d *Decoder) DecodeBatch(words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
 	results, errs, stats := d.decodeBatch(words, src, workers)
-	if d.obs.Enabled() {
-		d.cBatchWords.Add(int64(len(words)))
-		d.cBatchRecov.Add(int64(stats.Recovered))
-		d.cBatchFallback.Add(int64(stats.Fallbacks))
-		if stats.CombinedOK {
-			d.cCombinedOK.Inc()
-		} else {
-			d.cCombinedFail.Inc()
-		}
-		if d.obs.TraceEnabled() {
-			d.obs.Emit("rs.batch",
-				obs.F("words", len(words)),
-				obs.F("points", len(d.xs)),
-				obs.F("combined_ok", stats.CombinedOK),
-				obs.F("recovered", stats.Recovered),
-				obs.F("fallbacks", stats.Fallbacks))
-		}
-	}
+	stats.SlotDecodes = stats.Fallbacks
+	d.recordBatch(len(words), len(d.xs), stats)
 	return results, errs, stats
+}
+
+// recordBatch counts one DecodeBatch or Finalize call on the rs.batch.*
+// counters and, when tracing, emits its rs.batch event. Exactly one call
+// per entry keeps counter totals equal to the event sums, which
+// tracereport -check-metrics reconciles.
+func (d *Decoder) recordBatch(words, points int, stats BatchStats) {
+	if !d.obs.Enabled() {
+		return
+	}
+	d.cBatchWords.Add(int64(words))
+	d.cBatchRecov.Add(int64(stats.Recovered))
+	d.cBatchFallback.Add(int64(stats.Fallbacks))
+	if stats.CombinedOK {
+		d.cCombinedOK.Inc()
+	} else {
+		d.cCombinedFail.Inc()
+	}
+	if d.obs.TraceEnabled() {
+		d.obs.Emit("rs.batch",
+			obs.F("words", words),
+			obs.F("points", points),
+			obs.F("combined_ok", stats.CombinedOK),
+			obs.F("recovered", stats.Recovered),
+			obs.F("fallbacks", stats.Fallbacks),
+			obs.F("slot_decodes", stats.SlotDecodes))
+	}
 }
 
 // batchScratch holds the internal (never caller-visible) buffers of one
@@ -222,20 +240,20 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 		eligible++
 	}
 
-	fallback := func(s int) {
-		results[s], errs[s] = d.Decode(words[s])
+	fallbackAll := func() ([]*Result, []error, BatchStats) {
+		for s := range words {
+			if sc.ok[s] {
+				results[s], errs[s] = d.Decode(words[s])
+				stats.Fallbacks++
+			}
+		}
+		return results, errs, stats
 	}
 
 	// A single word gains nothing from combination: the locator decode IS
 	// a full decode of that word.
 	if eligible < 2 {
-		for s := range words {
-			if sc.ok[s] {
-				fallback(s)
-				stats.Fallbacks++
-			}
-		}
-		return results, errs, stats
+		return fallbackAll()
 	}
 
 	// Locate the shared error positions: decode Σ_s r_s·y_s with random
@@ -255,13 +273,7 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 		// The union of corrupted positions exceeds the budget (or the
 		// slots disagree on the message polynomial's degree support in a
 		// way no single word does). Decode each slot on its own.
-		for s := range words {
-			if sc.ok[s] {
-				fallback(s)
-				stats.Fallbacks++
-			}
-		}
-		return results, errs, stats
+		return fallbackAll()
 	}
 	stats.CombinedOK = true
 

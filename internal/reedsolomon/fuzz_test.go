@@ -87,3 +87,99 @@ func FuzzDecodeBatchAgreement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIncrementalIngest drives an IncrementalDecoder with an arbitrary
+// operation script — two bytes per step: a position (shifted so both
+// sides of the valid range are reachable) and what to do with it: ingest
+// it, ingest it with the wrong symbol count, or finalize early and keep
+// going. Nothing may panic; every duplicate, out-of-range position,
+// miscounted symbol slice and ingest-after-finalize must be rejected
+// with an error and every other ingest accepted; and Finalize over the
+// accepted arrivals, in whatever order the script produced them, must
+// agree with DecodeBatch on the same sub-words.
+func FuzzIncrementalIngest(f *testing.F) {
+	f.Add(uint64(1), []byte{2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0})                                         // clean prefix
+	f.Add(uint64(2), []byte{13, 0, 12, 0, 11, 0, 10, 0, 9, 0, 8, 0, 7, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0}) // all points, reversed
+	f.Add(uint64(3), []byte{2, 0, 2, 0, 0, 0, 200, 0, 3, 1, 3, 0})                                       // duplicate, both range ends, short symbols
+	f.Add(uint64(4), []byte{2, 0, 3, 0, 4, 0, 5, 0, 9, 2, 6, 0, 7, 0})                                   // ingest after finalize
+	f.Add(uint64(5), []byte{2, 0, 3, 0})                                                                 // fewer than k arrivals
+	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
+		const n, k, S = 12, 4, 3
+		xs := make([]field.Element, n)
+		for i := range xs {
+			xs[i] = field.New(uint64(i + 1))
+		}
+		dec, err := NewDecoder(xs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Positions 0..liars-1 lie in every slot; the seed picks how many,
+		// from none to one past the full-presence budget.
+		gen := field.NewSeededSource(int64(seed%1_000_003) + 1)
+		liars := int(seed % uint64(MaxErrors(n, k)+2))
+		words := make([][]field.Element, S)
+		for s := range words {
+			coeffs := make([]field.Element, k)
+			for i := range coeffs {
+				coeffs[i] = field.Rand(gen)
+			}
+			words[s] = poly.New(coeffs...).EvalMany(xs)
+			for p := 0; p < liars; p++ {
+				words[s][p] = words[s][p].Add(field.RandNonZero(gen))
+			}
+		}
+
+		inc := dec.NewIncremental(S)
+		seen := make(map[int]bool)
+		var accepted []int
+		var results []*Result
+		var errs []error
+		finalized := false
+		finalize := func() {
+			results, errs, _ = inc.Finalize(2)
+			finalized = true
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			pos, op := int(script[i])-2, script[i+1]%3
+			if op == 2 {
+				if !finalized {
+					finalize()
+				}
+				continue
+			}
+			syms := make([]field.Element, S, S+1)
+			for s := range syms {
+				syms[s] = words[s][((pos%n)+n)%n]
+			}
+			if op == 1 {
+				syms = syms[:S-1+2*(pos&1)] // one short or one long
+			}
+			valid := !finalized && op == 0 && pos >= 0 && pos < n && !seen[pos]
+			err := inc.Ingest(pos, syms)
+			if valid != (err == nil) {
+				t.Fatalf("step %d: Ingest(%d, %d symbols) after finalize=%v: err = %v, want accepted=%v",
+					i/2, pos, len(syms), finalized, err, valid)
+			}
+			if valid {
+				seen[pos] = true
+				accepted = append(accepted, pos)
+			}
+		}
+		if !finalized {
+			finalize()
+		}
+		if got := inc.Arrived(); got != len(accepted) {
+			t.Fatalf("Arrived() = %d, want %d", got, len(accepted))
+		}
+		if len(accepted) < k {
+			for s := range errs {
+				if errs[s] == nil || results[s] != nil {
+					t.Fatalf("slot %d decoded from %d < k arrivals", s, len(accepted))
+				}
+			}
+			return
+		}
+		wantRes, wantErrs := incRef(t, dec, words, accepted, 2)
+		assertSameOutcomes(t, "finalize vs batch", results, wantRes, errs, wantErrs)
+	})
+}

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/field"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/poly"
 )
 
@@ -25,12 +23,14 @@ import (
 // Correctness never rests on arrival order. An accepted candidate is a
 // polynomial of degree ≤ K−1 that disagrees with the ingested word in at
 // most E = ⌊(m−K)/2⌋ positions, which by unique decoding pins it to
-// exactly what Decode would return for that word; a slot whose candidate
-// fails that check (for example because an erroneous upload landed among
-// the first K arrivals) falls back to the authoritative per-slot Decode
-// on the ingested sub-word. Arrival order can therefore shift work
-// between the fast and slow paths, but never change a result — the same
-// argument, and the same verification, as DecodeBatch (§9).
+// exactly what Decode would return for that word; the slots whose
+// candidate fails that check (for example because an erroneous upload
+// landed among the first K arrivals) are decoded from their ingested
+// sub-words by the shared error location of DecodeBatch (§9): one locator
+// decode for all of them, each slot verified against its own word, the
+// authoritative per-slot Decode for a slot that disagrees. Arrival order
+// can therefore shift work between the fast and slow paths, but never
+// change a result.
 
 // IncrementalDecoder accumulates one round's uploads position by
 // position and decodes all slots over exactly the ingested positions.
@@ -50,10 +50,11 @@ type IncrementalDecoder struct {
 	// coefficients per slot; the valid prefix has min(arrivals, k) terms.
 	coeffs []field.Element
 	// words stores the ingested symbols slot-major by parent position, so
-	// Finalize can rebuild any slot's sub-word for the fallback decode.
+	// Finalize can rebuild the sub-word of a slot whose candidate failed.
 	words []field.Element
 	// mismatch collects, per slot, the parent positions (in arrival
-	// order) whose symbol disagreed with the slot's candidate.
+	// order) whose symbol disagreed with the slot's candidate, up to
+	// MaxErrors(n, k)+1 of them: one more than any Finalize accepts.
 	mismatch  [][]int
 	finalized bool
 }
@@ -73,6 +74,11 @@ func (d *Decoder) NewIncremental(slots int) *IncrementalDecoder {
 		mismatch: make([][]int, slots),
 	}
 	inc.nodal[0] = field.One // N = 1 before the first arrival
+	width := d.MaxErrors() + 1
+	slab := make([]int, slots*width)
+	for s := range inc.mismatch {
+		inc.mismatch[s] = slab[s*width : s*width : (s+1)*width]
+	}
 	return inc
 }
 
@@ -117,7 +123,14 @@ func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 		}
 		inc.nodal[0] = inc.nodal[0].Mul(x.Neg())
 	} else {
+		// A slot with more than MaxErrors(n, k) mismatches is dead: the
+		// budget MaxErrors(m, k) of any Finalize is no larger, so its
+		// candidate cannot verify and further evaluations are wasted.
+		dead := inc.d.MaxErrors() + 1
 		for s, y := range syms {
+			if len(inc.mismatch[s]) == dead {
+				continue
+			}
 			row := inc.coeffs[s*k : (s+1)*k]
 			if poly.Poly(row).Eval(x) != y {
 				inc.mismatch[s] = append(inc.mismatch[s], pos)
@@ -141,35 +154,18 @@ func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 // L-CoFL scheme are vehicle IDs). CombinedOK in the returned stats
 // records whether the shared interpolation state was usable (at least k
 // arrivals); Recovered counts slots whose streamed candidate verified,
-// Fallbacks slots that re-ran the per-slot decode.
+// Fallbacks slots whose candidate was rejected (a wasted streamed
+// attempt), and SlotDecodes how many of those the shared error location
+// left to a per-slot Decode.
 func (inc *IncrementalDecoder) Finalize(workers int) ([]*Result, []error, BatchStats) {
 	results, errs, stats := inc.finalize(workers)
-	d := inc.d
-	if d.obs.Enabled() {
-		d.cBatchWords.Add(int64(inc.slots))
-		d.cBatchRecov.Add(int64(stats.Recovered))
-		d.cBatchFallback.Add(int64(stats.Fallbacks))
-		if stats.CombinedOK {
-			d.cCombinedOK.Inc()
-		} else {
-			d.cCombinedFail.Inc()
-		}
-		if d.obs.TraceEnabled() {
-			d.obs.Emit("rs.batch",
-				obs.F("words", inc.slots),
-				obs.F("points", len(inc.order)),
-				obs.F("combined_ok", stats.CombinedOK),
-				obs.F("recovered", stats.Recovered),
-				obs.F("fallbacks", stats.Fallbacks))
-		}
-	}
+	inc.d.recordBatch(inc.slots, len(inc.order), stats)
 	return results, errs, stats
 }
 
 func (inc *IncrementalDecoder) finalize(workers int) ([]*Result, []error, BatchStats) {
 	inc.finalized = true
-	d := inc.d
-	n, k, S := len(d.xs), d.k, inc.slots
+	k, S := inc.d.k, inc.slots
 	m := len(inc.order)
 	results := make([]*Result, S)
 	errs := make([]error, S)
@@ -182,20 +178,46 @@ func (inc *IncrementalDecoder) finalize(workers int) ([]*Result, []error, BatchS
 	}
 	stats.CombinedOK = true
 	maxE := MaxErrors(m, k)
-	sorted := append([]int(nil), inc.order...)
-	sort.Ints(sorted)
-
-	// Decide each slot's path up front (a length comparison), so the
-	// fallback sub-decoder is built exactly once and only when needed.
-	needFallback := false
+	var rejected []int
 	for s := 0; s < S; s++ {
 		if len(inc.mismatch[s]) > maxE {
-			needFallback = true
-			break
+			rejected = append(rejected, s)
+			continue
 		}
+		// The streamed candidate is a valid decoding: degree ≤ k−1 by
+		// construction and at most E disagreements with the ingested
+		// word (the interpolated positions agree exactly), so unique
+		// decoding pins it to the per-slot Decode result.
+		out := make(poly.Poly, k)
+		copy(out, inc.coeffs[s*k:(s+1)*k])
+		var errPos []int
+		if len(inc.mismatch[s]) > 0 {
+			errPos = append([]int(nil), inc.mismatch[s]...)
+			sort.Ints(errPos)
+		}
+		results[s] = &Result{Poly: coeffsToPoly(out), ErrorPositions: errPos}
 	}
-	subDec := d
-	if needFallback && m != n {
+	stats.Recovered, stats.Fallbacks = S-len(rejected), len(rejected)
+	if len(rejected) > 0 {
+		stats.SlotDecodes = inc.relocate(rejected, results, errs, workers)
+	}
+	return results, errs, stats
+}
+
+// relocate decodes the slots whose streamed candidate was rejected. Their
+// ingested sub-words, over the sorted arrival positions, go through
+// decodeBatch — the one shared-location recovery (§9): errors located once
+// on a random combination, every slot recovered at the unflagged positions
+// and verified against its own word, per-slot Decode for a slot that
+// disagrees — and error positions are mapped back to parent space. It
+// returns how many per-slot Decodes that took.
+func (inc *IncrementalDecoder) relocate(rejected []int, results []*Result, errs []error, workers int) int {
+	d := inc.d
+	n, m := len(d.xs), len(inc.order)
+	sorted := append([]int(nil), inc.order...)
+	sort.Ints(sorted)
+	sub := d
+	if m != n {
 		subXs := make([]field.Element, m)
 		for t, pos := range sorted {
 			subXs[t] = d.xs[pos]
@@ -203,63 +225,31 @@ func (inc *IncrementalDecoder) finalize(workers int) ([]*Result, []error, BatchS
 		// The points are a subset of the validated parent points, so the
 		// construction cannot fail.
 		var err error
-		subDec, err = NewDecoder(subXs, k)
-		if err != nil {
-			for s := range errs {
+		if sub, err = NewDecoder(subXs, d.k); err != nil {
+			for _, s := range rejected {
 				errs[s] = err
 			}
-			return results, errs, stats
+			return 0
 		}
 	}
-
-	slot := func(s int) error {
-		if len(inc.mismatch[s]) <= maxE {
-			// The streamed candidate is a valid decoding: degree ≤ k−1 by
-			// construction and at most E disagreements with the ingested
-			// word (the interpolated positions agree exactly), so unique
-			// decoding pins it to the per-slot Decode result.
-			out := make(poly.Poly, k)
-			copy(out, inc.coeffs[s*k:(s+1)*k])
-			var errPos []int
-			if len(inc.mismatch[s]) > 0 {
-				errPos = append([]int(nil), inc.mismatch[s]...)
-				sort.Ints(errPos)
-			}
-			results[s] = &Result{Poly: coeffsToPoly(out), ErrorPositions: errPos}
-			return nil
+	words := make([][]field.Element, len(rejected))
+	slab := make([]field.Element, len(rejected)*m)
+	for t, s := range rejected {
+		words[t] = slab[t*m : (t+1)*m]
+		for i, pos := range sorted {
+			words[t][i] = inc.words[s*n+pos]
 		}
-		ys := make([]field.Element, m)
-		for t, pos := range sorted {
-			ys[t] = inc.words[s*n+pos]
-		}
-		res, err := subDec.Decode(ys)
-		if err != nil {
-			errs[s] = err
-			return nil
-		}
-		var errPos []int
-		if len(res.ErrorPositions) > 0 {
-			errPos = make([]int, len(res.ErrorPositions))
-			for i, idx := range res.ErrorPositions {
-				errPos[i] = sorted[idx]
+	}
+	// The combination coefficients select which path computes a slot, never
+	// what it returns (§9), so a fixed private seed is as good as any.
+	res, es, st := sub.decodeBatch(words, field.NewSeededSource(int64(m)), workers)
+	for t, s := range rejected {
+		results[s], errs[s] = res[t], es[t]
+		if res[t] != nil {
+			for i, idx := range res[t].ErrorPositions {
+				res[t].ErrorPositions[i] = sorted[idx]
 			}
 		}
-		results[s] = &Result{Poly: res.Poly, ErrorPositions: errPos}
-		return nil
 	}
-	if w := parallel.Workers(workers); w <= 1 {
-		for s := 0; s < S; s++ {
-			_ = slot(s)
-		}
-	} else {
-		_ = parallel.ForEach(w, S, slot)
-	}
-	for s := 0; s < S; s++ {
-		if len(inc.mismatch[s]) <= maxE {
-			stats.Recovered++
-		} else {
-			stats.Fallbacks++
-		}
-	}
-	return results, errs, stats
+	return st.Fallbacks
 }
