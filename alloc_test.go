@@ -12,13 +12,12 @@ import (
 )
 
 // TestAggregateAllocs pins the fusion centre's steady-state allocation
-// budget on the BenchmarkAggregateBatch workload (V=40, M=8, degree 2,
-// S=32 slots, adversaries at the full eq. 6 budget). The ISSUE 7
-// acceptance bar is a >= 10x cut from the 1209 allocs/op baseline
-// (<= 120); after the scratch-reuse pass the measured steady state is
-// ~35 (uploads gather, batch decode slabs, per-round DetectedMalicious
-// and targets). The bound leaves headroom for a GC clearing the decoder
-// scratch pools mid-measurement.
+// budget at V=40, M=8, degree 2, S=32 slots, adversaries at the full
+// eq. 6 budget. The ISSUE 7 acceptance bar is a >= 10x cut from the 1209
+// allocs/op baseline (<= 120); after the scratch-reuse pass the measured
+// steady state is ~35 (uploads gather, batch decode slabs, per-round
+// DetectedMalicious and targets). The bound leaves headroom for a GC
+// clearing the decoder scratch pools mid-measurement.
 func TestAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -63,8 +62,8 @@ func TestAggregateAllocs(t *testing.T) {
 
 const allocVehicles = 40
 
-// allocScheme builds the BenchmarkAggregateBatch scheme (V=40, M=8,
-// degree 2, S=32 slots) with a round begun, and the model it broadcast.
+// allocScheme builds the pinned scheme (V=40, M=8, degree 2, S=32 slots)
+// with a round begun, and the model it broadcast.
 func allocScheme(t *testing.T) (*core.Scheme, *nn.Network) {
 	t.Helper()
 	const m, degree, slots = 8, 2, 32

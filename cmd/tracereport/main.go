@@ -89,8 +89,6 @@ func run(args []string, w io.Writer) error {
 // mirrors a registry counter (crossCheck pins the pairing).
 type decodeSummary struct {
 	SlotFailures   int64 `json:"slot_failures"`
-	BWAttempts     int64 `json:"bw_attempts"`
-	BWWins         int64 `json:"bw_wins"`
 	BatchGroups    int64 `json:"batch_groups"`
 	BatchWords     int64 `json:"batch_words"`
 	BatchRecovered int64 `json:"batch_recovered"`
@@ -341,11 +339,6 @@ func summarize(r io.Reader) (*summary, error) {
 			sum.Chaos.Crashes++
 		case "core.slot_fail":
 			sum.Decode.SlotFailures++
-		case "rs.bw_attempt":
-			sum.Decode.BWAttempts++
-			if ok, _ := rec["ok"].(bool); ok {
-				sum.Decode.BWWins++
-			}
 		case "rs.batch":
 			sum.Decode.BatchGroups++
 			w, _ := num(rec, "words")
@@ -465,8 +458,6 @@ func crossCheck(sum *summary, metricsPath string) error {
 		{"node.recv_errors", sum.RecvErrors},
 		{"node.stragglers", sum.Stragglers},
 		{"core.decode_failures", sum.Decode.SlotFailures},
-		{"rs.bw.attempts", sum.Decode.BWAttempts},
-		{"rs.bw.wins", sum.Decode.BWWins},
 		{"rs.batch.words", sum.Decode.BatchWords},
 		{"rs.batch.recovered", sum.Decode.BatchRecovered},
 		{"rs.batch.fallbacks", sum.Decode.BatchFallbacks},
@@ -539,9 +530,8 @@ func writeText(w io.Writer, sum *summary) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "trace: %d events, %d runs, %d fl rounds, %d node rounds\n",
 		sum.Events, sum.Runs, sum.FLRounds, sum.NodeRounds)
-	fmt.Fprintf(&b, "decode: %d slot failures, %d/%d BW attempts won, %d batch groups (%d words, %d recovered, %d fallbacks)\n",
-		sum.Decode.SlotFailures, sum.Decode.BWWins, sum.Decode.BWAttempts,
-		sum.Decode.BatchGroups, sum.Decode.BatchWords, sum.Decode.BatchRecovered, sum.Decode.BatchFallbacks)
+	fmt.Fprintf(&b, "decode: %d slot failures, %d batch groups (%d words, %d recovered, %d fallbacks)\n",
+		sum.Decode.SlotFailures, sum.Decode.BatchGroups, sum.Decode.BatchWords, sum.Decode.BatchRecovered, sum.Decode.BatchFallbacks)
 	if sum.RecvErrors > 0 || sum.Stragglers > 0 {
 		fmt.Fprintf(&b, "node: %d receive errors, %d straggler timeouts\n", sum.RecvErrors, sum.Stragglers)
 	}

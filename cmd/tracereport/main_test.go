@@ -16,8 +16,6 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"fl.vehicle","t_ns":160,"round":2,"vehicle":0,"train_ns":700}
 {"ev":"fl.vehicle","t_ns":170,"round":1,"vehicle":3,"train_ns":900}
 {"ev":"core.slot_fail","t_ns":200,"slot":4}
-{"ev":"rs.bw_attempt","t_ns":210,"budget":1,"ok":false}
-{"ev":"rs.bw_attempt","t_ns":220,"budget":2,"ok":true}
 {"ev":"rs.batch","t_ns":230,"words":8,"points":20,"recovered":6,"fallbacks":2,"combined_ok":true}
 {"ev":"transport.send","t_ns":240,"peer":"vehicle-0","kind":"round","bytes":100}
 {"ev":"transport.send","t_ns":250,"peer":"vehicle-0","kind":"round","bytes":60}
@@ -62,7 +60,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 46 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
+	if sum.Events != 44 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
 		t.Fatalf("headline counts wrong: %+v", sum)
 	}
 	if sum.RecvErrors != 1 || sum.Stragglers != 1 {
@@ -111,8 +109,7 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("session s2 stats wrong: %+v", sum.Sessions["s2"])
 	}
 	d := sum.Decode
-	if d.SlotFailures != 1 || d.BWAttempts != 2 || d.BWWins != 1 ||
-		d.BatchGroups != 1 || d.BatchWords != 8 || d.BatchRecovered != 6 || d.BatchFallbacks != 2 {
+	if d.SlotFailures != 1 || d.BatchGroups != 1 || d.BatchWords != 8 || d.BatchRecovered != 6 || d.BatchFallbacks != 2 {
 		t.Fatalf("decode summary wrong: %+v", d)
 	}
 	fr := sum.Stages["fl.round"]
@@ -186,7 +183,7 @@ func TestCrossCheck(t *testing.T) {
 	}
 	good := `{"counters":{"fl.rounds":2,"node.rounds":2,"node.recv_errors":1,"node.stragglers":1,
 		"node.early_closes":1,
-		"core.decode_failures":1,"rs.bw.attempts":2,"rs.bw.wins":1,
+		"core.decode_failures":1,
 		"rs.batch.words":8,"rs.batch.recovered":6,"rs.batch.fallbacks":2,
 		"node.corrupt_frames":2,"node.retransmits":1,"node.rejoins":1,"node.reconnects":1,
 		"node.degraded_rounds":1,"node.client_corrupt_frames":1,
@@ -264,7 +261,7 @@ func TestRunJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
 	}
-	if sum.FLRounds != 2 || sum.Decode.BWAttempts != 2 {
+	if sum.FLRounds != 2 || sum.Decode.BatchWords != 8 {
 		t.Fatalf("JSON summary wrong: %+v", sum)
 	}
 }
@@ -277,7 +274,7 @@ func TestRunText(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"2 fl rounds", "1/2 BW attempts won", "vehicle-0", "stage latencies",
+		"2 fl rounds", "1 batch groups (8 words, 6 recovered, 2 fallbacks)", "vehicle-0", "stage latencies",
 		"chaos: 1 drops, 2 corrupts, 1 delays, 1 crashes injected",
 		"recovery: 2 corrupt frames (1 client-side), 1 retransmits, 1 rejoins, 1 reconnects, 1 degraded rounds",
 		"pipeline: 2 pipelined rounds, 1 early closes, overlap ratio 0.375",

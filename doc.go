@@ -4,7 +4,7 @@
 //
 // The library lives under internal/ (see DESIGN.md for the system
 // inventory), runnable examples under examples/, and the experiment CLI
-// under cmd/lcofl. The root package only anchors the module and the
-// benchmark harness (bench_test.go), which regenerates every figure of
-// the paper's evaluation as a testing.B benchmark.
+// under cmd/lcofl, and the end-to-end benchmark under benchmark/ (declared
+// in BENCHMARK.json). The root package only anchors the module and the
+// fusion-centre allocation pins (alloc_test.go).
 package repro

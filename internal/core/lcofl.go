@@ -17,7 +17,8 @@
 //     samples.
 //   - Step 3: honest verification symbols are exact evaluations of ONE
 //     composed polynomial C(H(z)) of degree deg(C)·(M−1) over GF(p), so
-//     the Gao/Berlekamp–Welch Reed–Solomon decoder reconstructs it and
+//     the Gao Reed–Solomon decoder (equivalent to the Berlekamp–Welch
+//     decoder the paper names) reconstructs it and
 //     pinpoints every erroneous upload whenever
 //     (M−1)·deg(C) + 2E + 1 ≤ V (eq. 6) — with equality, no thresholds,
 //     and bit-exact honesty checks. Vehicles caught lying are excluded,
@@ -80,11 +81,6 @@ type SchemeConfig struct {
 	// are bit-identical at any worker count: slots are independent and the
 	// per-slot outcomes are merged in slot order.
 	Workers int
-	// DisableBatchDecode forces Aggregate's verification decodes down the
-	// per-slot path instead of the shared-locator batch fast path. The two
-	// paths produce bit-identical results (DESIGN.md §9); the knob exists
-	// for A/B benchmarks and as an escape hatch.
-	DisableBatchDecode bool
 	// Obs attaches the observability layer (metrics + tracing) to the
 	// scheme, its Lagrange coder and its Reed–Solomon decoders. Nil (the
 	// default) disables all instrumentation at near-zero cost.
@@ -132,20 +128,21 @@ type Scheme struct {
 	// Aggregate's verification decodes.
 	DetectedMalicious []int
 	// BatchRecovered and BatchFallbacks count how the last Aggregate's
-	// verification decodes split between the shared-locator fast path and
-	// the per-slot fallback (both stay zero under DisableBatchDecode).
+	// verification decodes split: slots settled by the fast path (the
+	// streamed candidate, or the shared-locator recovery of a batch decode)
+	// against slots that path had to hand on (BatchStats, summed over the
+	// round's presence groups). They feed the core.aggregate span; the
+	// cumulative totals are the decoder's rs.batch.* counters.
 	BatchRecovered int
 	BatchFallbacks int
 
 	// Observability handles, resolved once in NewScheme. The cumulative
-	// counters core.decode_failures / core.batch_recovered /
-	// core.batch_fallbacks mirror the per-round fields above: after every
-	// Aggregate the round's deltas are added, so counter totals equal the
-	// sum of the field values across rounds (asserted in obs_test.go).
+	// counters core.decode_failures / core.flagged_vehicles mirror the
+	// per-round report above: after every Aggregate the round's deltas are
+	// added, so counter totals equal the sum of the field values across
+	// rounds (asserted in obs_test.go).
 	obs             *obs.Obs
 	cDecodeFailures *obs.Counter
-	cBatchRecovered *obs.Counter
-	cBatchFallbacks *obs.Counter
 	cAggregates     *obs.Counter
 	cFlagged        *obs.Counter
 	hAggregateNs    *obs.Histogram
@@ -265,8 +262,6 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		sch.obs = o
 		dec.SetObs(o)
 		sch.cDecodeFailures = o.Counter("core.decode_failures")
-		sch.cBatchRecovered = o.Counter("core.batch_recovered")
-		sch.cBatchFallbacks = o.Counter("core.batch_fallbacks")
 		sch.cAggregates = o.Counter("core.aggregates")
 		sch.cFlagged = o.Counter("core.flagged_vehicles")
 		sch.hAggregateNs = o.Histogram("core.aggregate_ns", obs.LatencyBuckets())
@@ -401,7 +396,6 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	s.DetectedMalicious = make([]int, s.cfg.NumVehicles)
 	s.BatchRecovered = 0
 	s.BatchFallbacks = 0
-	points := s.coder.Points()
 
 	// Gather each slot's received word and the IDs of the vehicles present
 	// in it. Slots are independent, so the gather fans out; each writes
@@ -434,38 +428,7 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		outcomes[j].failed = false
 		outcomes[j].flagged = outcomes[j].flagged[:0]
 	}
-	if s.cfg.DisableBatchDecode {
-		_ = parallel.ForEach(s.workers, s.slots, func(j int) error {
-			w := words[j]
-			if len(w.ids) < s.k {
-				outcomes[j].failed = true
-				return nil
-			}
-			// The common case — every vehicle present — reuses the cached
-			// decoder; straggler rounds fall back to the one-shot path.
-			var res *reedsolomon.Result
-			var err error
-			if len(w.ids) == s.cfg.NumVehicles {
-				res, err = s.dec.Decode(w.ys)
-			} else {
-				xs := make([]field.Element, len(w.ids))
-				for t, i := range w.ids {
-					xs[t] = points[i]
-				}
-				res, err = reedsolomon.Decode(xs, w.ys, s.k)
-			}
-			if err != nil {
-				outcomes[j].failed = true
-				return nil
-			}
-			for _, idx := range res.ErrorPositions {
-				outcomes[j].flagged = append(outcomes[j].flagged, w.ids[idx])
-			}
-			return nil
-		})
-	} else {
-		s.aggregateBatch(words, outcomes, points)
-	}
+	s.aggregateBatch(words, outcomes)
 	// The merge runs sequentially in slot order, so slot_fail events land
 	// in the trace deterministically even when the decodes fanned out.
 	for j, o := range outcomes {
@@ -482,10 +445,8 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	}
 	if s.obs.Enabled() {
 		// Cumulative counters mirror the per-round fields: add this round's
-		// deltas so totals stay in lock-step with the legacy ints.
+		// deltas so totals stay in lock-step with them.
 		s.cDecodeFailures.Add(int64(s.DecodeFailures))
-		s.cBatchRecovered.Add(int64(s.BatchRecovered))
-		s.cBatchFallbacks.Add(int64(s.BatchFallbacks))
 		s.cFlagged.Add(int64(len(s.SuspectedMalicious())))
 	}
 
@@ -550,9 +511,9 @@ type slotOutcome struct {
 // batch decoder requires one common point set, so slots are grouped by
 // presence mask (in first-appearance order, deterministically) and each
 // group decoded as one batch. The common case is a single full-presence
-// group reusing the cached decoder; straggler masks amortise one decoder
-// construction across their slots.
-func (s *Scheme) aggregateBatch(words []slotWord, outcomes []slotOutcome, points []field.Element) {
+// group on the cached decoder's own points; straggler masks amortise one
+// sub-decoder construction (inside DecodeBatchAt) across their slots.
+func (s *Scheme) aggregateBatch(words []slotWord, outcomes []slotOutcome) {
 	eligible := s.aggEligible[:0]
 	for j := range words {
 		if len(words[j].ids) < s.k {
@@ -577,7 +538,7 @@ func (s *Scheme) aggregateBatch(words []slotWord, outcomes []slotOutcome, points
 		}
 	}
 	if uniform {
-		s.decodeGroup(words, outcomes, points, eligible)
+		s.decodeGroup(words, outcomes, eligible)
 		return
 	}
 	groups := make(map[string][]int)
@@ -590,58 +551,41 @@ func (s *Scheme) aggregateBatch(words []slotWord, outcomes []slotOutcome, points
 		groups[key] = append(groups[key], j)
 	}
 	for _, key := range order {
-		s.decodeGroup(words, outcomes, points, groups[key])
+		s.decodeGroup(words, outcomes, groups[key])
 	}
 }
 
 // decodeGroup batch-decodes one presence group (slot indices sharing a
-// vehicle set), writing outcomes in place.
-func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, points []field.Element, slots []int) {
+// vehicle set), writing outcomes in place. The decoder's points are
+// indexed by vehicle ID, so either entry reports error positions as
+// vehicle IDs.
+func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, slots []int) {
 	ids := words[slots[0]].ids
+	var results []*reedsolomon.Result
+	var errs []error
+	var stats reedsolomon.BatchStats
 	// Streamed fast path: when this group spans every verification slot
 	// and its vehicle set is exactly the ingested set, each slot's word
 	// equals the streamed symbols and the incremental decoder's Finalize
-	// is bit-identical to DecodeBatch on it (stream.go).
+	// is bit-identical to DecodeBatchAt on it (stream.go).
 	if ri := s.pendingIngest; ri != nil && len(slots) == s.slots && ri.matches(ids) && ri.flush() {
 		s.pendingIngest = nil
-		s.finalizeIngest(ri, outcomes, slots, len(ids))
-		return
-	}
-	dec := s.dec
-	if len(ids) != s.cfg.NumVehicles {
-		xs := make([]field.Element, len(ids))
-		for t, i := range ids {
-			xs[t] = points[i]
+		results, errs, stats = ri.inc.Finalize(s.workers)
+	} else {
+		batch := s.aggBatch[:0]
+		for _, j := range slots {
+			batch = append(batch, words[j].ys)
 		}
-		var err error
-		dec, err = reedsolomon.NewDecoder(xs, s.k)
-		if err == nil && s.obs.Enabled() {
-			dec.SetObs(s.obs)
-		}
-		if err != nil {
-			// Unreachable given the scheme's invariants (k ≥ 1, enough
-			// distinct points); treat the group as undecodable.
-			for _, j := range slots {
-				outcomes[j].failed = true
-			}
-			return
-		}
+		s.aggBatch = batch
+		results, errs, stats = s.dec.DecodeBatchAt(ids, batch, s.batchSrc, s.workers)
 	}
-	batch := s.aggBatch[:0]
-	for _, j := range slots {
-		batch = append(batch, words[j].ys)
-	}
-	s.aggBatch = batch
-	results, errs, stats := dec.DecodeBatch(batch, s.batchSrc, s.workers)
 	s.recordGroup(len(slots), len(ids), stats)
 	for t, j := range slots {
 		if errs[t] != nil {
 			outcomes[j].failed = true
 			continue
 		}
-		for _, idx := range results[t].ErrorPositions {
-			outcomes[j].flagged = append(outcomes[j].flagged, ids[idx])
-		}
+		outcomes[j].flagged = append(outcomes[j].flagged, results[t].ErrorPositions...)
 	}
 }
 

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/approx"
+	"repro/internal/field"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/reedsolomon"
 	"repro/internal/traffic"
 )
 
@@ -630,59 +634,107 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// newSchemePair builds two schemes with identical parameters (hence
-// identical encoding elements and shares), one on the batch decode path
-// and one forced down the per-slot path.
-func newSchemePair(t *testing.T, ref [][]float64, cfg SchemeConfig) (batch, perslot *Scheme) {
+// perSlotReference is the oracle the batch and streamed decode paths are
+// pinned to: gather each verification slot's word the way Aggregate does,
+// decode it on its own with the one-shot reedsolomon.Decode at the present
+// vehicles' points, tally failures and flagged vehicles, and form the
+// targets from that verdict (verified mean, or the all-vehicle median once
+// more than half the slots are undecodable).
+func perSlotReference(t *testing.T, s *Scheme, ups [][]float64) (targets []float64, failures int, detected []int) {
 	t.Helper()
-	batch, err := NewScheme(ref, cfg)
-	if err != nil {
-		t.Fatal(err)
+	points := s.coder.Points()
+	detected = make([]int, s.cfg.NumVehicles)
+	for j := 0; j < s.slots; j++ {
+		var xs, ys []field.Element
+		var ids []int
+		for i, up := range ups {
+			if up == nil || fl.IsDropped(up[2*j]) || fl.IsDropped(up[2*j+1]) {
+				continue
+			}
+			xs = append(xs, points[i])
+			ys = append(ys, floatsToSymbol(up[2*j], up[2*j+1]))
+			ids = append(ids, i)
+		}
+		if len(ids) < s.k {
+			failures++
+			continue
+		}
+		res, err := reedsolomon.Decode(xs, ys, s.k)
+		if err != nil {
+			if !errors.Is(err, reedsolomon.ErrTooManyErrors) {
+				t.Fatalf("reference slot %d: %v", j, err)
+			}
+			failures++
+			continue
+		}
+		for _, idx := range res.ErrorPositions {
+			detected[ids[idx]]++
+		}
 	}
-	cfg.DisableBatchDecode = true
-	perslot, err = NewScheme(ref, cfg)
-	if err != nil {
-		t.Fatal(err)
+	degraded := 2*failures > s.slots
+	offset := 2 * s.slots
+	targets = make([]float64, len(s.refX))
+	for j := range targets {
+		var vals []float64
+		var sum float64
+		for i, up := range ups {
+			if up == nil || fl.IsDropped(up[offset+j]) || (!degraded && detected[i] > 0) {
+				continue
+			}
+			vals = append(vals, up[offset+j])
+			sum += up[offset+j]
+		}
+		switch {
+		case len(vals) == 0:
+			targets[j] = fl.Dropped
+		case degraded:
+			targets[j] = median(vals)
+		default:
+			targets[j] = sum / float64(len(vals))
+		}
 	}
-	return batch, perslot
+	return targets, failures, detected
 }
 
-// assertAggregateEquivalent feeds the same uploads to both schemes and
-// requires bit-identical outcomes: targets (via Float64bits, so NaN
-// fallbacks compare too), DecodeFailures and DetectedMalicious.
-func assertAggregateEquivalent(t *testing.T, batch, perslot *Scheme, ups [][]float64) []float64 {
+// assertAggregateEquivalent feeds the same uploads to the scheme's two
+// entries — AggregateStreamed (uploads ingested in vehicle-ID order) and
+// then Aggregate, whose per-round fields the caller goes on to inspect —
+// and requires each to match the per-slot reference bit for bit: targets
+// (via Float64bits, so NaN fallbacks compare too), DecodeFailures and
+// DetectedMalicious.
+func assertAggregateEquivalent(t *testing.T, s *Scheme, ups [][]float64) []float64 {
 	t.Helper()
-	gotT, err := batch.Aggregate(ups)
+	wantT, wantFailures, wantDetected := perSlotReference(t, s, ups)
+	check := func(entry string, gotT []float64) {
+		t.Helper()
+		for j := range wantT {
+			if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
+				t.Fatalf("target[%d]: %s %g, per-slot %g (not bit-identical)", j, entry, gotT[j], wantT[j])
+			}
+		}
+		if s.DecodeFailures != wantFailures {
+			t.Fatalf("DecodeFailures: %s %d, per-slot %d", entry, s.DecodeFailures, wantFailures)
+		}
+		if !slices.Equal(s.DetectedMalicious, wantDetected) {
+			t.Fatalf("DetectedMalicious: %s %v, per-slot %v", entry, s.DetectedMalicious, wantDetected)
+		}
+	}
+	order := make([]int, len(ups))
+	for id := range order {
+		order[id] = id
+	}
+	check("streamed", streamedAggregate(t, s, ups, order))
+	gotT, err := s.Aggregate(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantT, err := perslot.Aggregate(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range wantT {
-		if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
-			t.Fatalf("target[%d]: batch %g, per-slot %g (not bit-identical)", j, gotT[j], wantT[j])
-		}
-	}
-	if batch.DecodeFailures != perslot.DecodeFailures {
-		t.Fatalf("DecodeFailures: batch %d, per-slot %d", batch.DecodeFailures, perslot.DecodeFailures)
-	}
-	for i := range perslot.DetectedMalicious {
-		if batch.DetectedMalicious[i] != perslot.DetectedMalicious[i] {
-			t.Fatalf("DetectedMalicious[%d]: batch %d, per-slot %d",
-				i, batch.DetectedMalicious[i], perslot.DetectedMalicious[i])
-		}
-	}
-	if perslot.BatchRecovered != 0 || perslot.BatchFallbacks != 0 {
-		t.Fatalf("per-slot path recorded batch stats %d/%d", perslot.BatchRecovered, perslot.BatchFallbacks)
-	}
+	check("batch", gotT)
 	return gotT
 }
 
 func TestSchemeBatchEquivalence(t *testing.T) {
-	// The tentpole guarantee: batch and per-slot verification decoding are
-	// bit-identical across worker counts and adversary fractions from zero
+	// The batch-decode guarantee: batch and per-slot verification decoding
+	// are bit-identical across worker counts and adversary fractions from zero
 	// through the eq. 6 budget and beyond it (median-fallback regime).
 	ref := refFeatures(t, 8*4) // S = 4 slots
 	const v, m, degree = 40, 8, 2
@@ -690,7 +742,10 @@ func TestSchemeBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, workers := range []int{1, 2, 8} {
 		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: workers, Seed: 3}
-		batch, perslot := newSchemePair(t, ref, cfg)
+		batch, err := NewScheme(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		maxE := batch.MaxMalicious()
 		for _, e := range []int{0, 1, maxE / 2, maxE, maxE + 5} {
 			ups := roundUploads(t, batch, model, nil)
@@ -699,7 +754,7 @@ func TestSchemeBatchEquivalence(t *testing.T) {
 					ups[id][j] = ups[id][j]*2 + 7
 				}
 			}
-			assertAggregateEquivalent(t, batch, perslot, ups)
+			assertAggregateEquivalent(t, batch, ups)
 			if e <= maxE {
 				if batch.DecodeFailures != 0 {
 					t.Fatalf("workers=%d e=%d: %d decode failures within budget", workers, e, batch.DecodeFailures)
@@ -721,7 +776,10 @@ func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
 	model := polyActivationModel(t, degree, 23)
 	rng := rand.New(rand.NewSource(24))
 	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 2, Seed: 5}
-	batch, perslot := newSchemePair(t, ref, cfg)
+	batch, err := NewScheme(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 5; trial++ {
 		ups := roundUploads(t, batch, model, nil)
 		for _, id := range rng.Perm(v)[:3] {
@@ -742,7 +800,7 @@ func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
 				ups[id][j] = ups[id][j]*2 + 7
 			}
 		}
-		assertAggregateEquivalent(t, batch, perslot, ups)
+		assertAggregateEquivalent(t, batch, ups)
 	}
 }
 
@@ -755,7 +813,10 @@ func TestPropertyPartialSlotCorruptionFlagged(t *testing.T) {
 	model := polyActivationModel(t, degree, 31)
 	rng := rand.New(rand.NewSource(32))
 	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 3, Seed: 9}
-	batch, perslot := newSchemePair(t, ref, cfg)
+	batch, err := NewScheme(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	maxE := batch.MaxMalicious()
 	for trial := 0; trial < 10; trial++ {
 		ups := roundUploads(t, batch, model, nil)
@@ -770,7 +831,7 @@ func TestPropertyPartialSlotCorruptionFlagged(t *testing.T) {
 			}
 			planted[id] = nSlots
 		}
-		targets := assertAggregateEquivalent(t, batch, perslot, ups)
+		targets := assertAggregateEquivalent(t, batch, ups)
 		if batch.DecodeFailures != 0 {
 			t.Fatalf("trial %d: %d decode failures within budget", trial, batch.DecodeFailures)
 		}

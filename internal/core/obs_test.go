@@ -71,8 +71,6 @@ func TestObsCountersMirrorLegacyFields(t *testing.T) {
 		want int64
 	}{
 		{"core.decode_failures", int64(wantFail)},
-		{"core.batch_recovered", int64(wantRecov)},
-		{"core.batch_fallbacks", int64(wantFall)},
 		{"core.flagged_vehicles", int64(wantFlagged)},
 		{"core.aggregates", 3},
 	}
@@ -140,9 +138,9 @@ func TestObsDisabledSchemeUnchanged(t *testing.T) {
 // TestObsStreamedAdversarialRounds pins the ledger on the streamed path
 // when the decoder has to relocate errors: each AggregateStreamed is one
 // rs.batch event and one core.batch_group event — the shared recovery
-// behind Finalize adds none of its own — and the rs.batch.* and
-// core.batch_* counters equal the sums of those events' fields, which is
-// what tracereport -check-metrics reconciles.
+// behind Finalize adds none of its own — and the rs.batch.* counters
+// equal the sums of those events' fields, which is what tracereport
+// -check-metrics reconciles.
 func TestObsStreamedAdversarialRounds(t *testing.T) {
 	ref := refFeatures(t, 8*4)
 	reg := obs.NewRegistry()
@@ -218,8 +216,6 @@ func TestObsStreamedAdversarialRounds(t *testing.T) {
 		{"counter rs.batch.words", reg.Counter("rs.batch.words").Value(), words},
 		{"counter rs.batch.recovered", reg.Counter("rs.batch.recovered").Value(), int64(wantRecov)},
 		{"counter rs.batch.fallbacks", reg.Counter("rs.batch.fallbacks").Value(), int64(wantFall)},
-		{"counter core.batch_recovered", reg.Counter("core.batch_recovered").Value(), int64(wantRecov)},
-		{"counter core.batch_fallbacks", reg.Counter("core.batch_fallbacks").Value(), int64(wantFall)},
 	}
 	for _, c := range checks {
 		if c.got != c.want {

@@ -17,7 +17,7 @@ import (
 // Aggregate, except that the one presence group whose vehicle set equals
 // the ingested set is finalised from the streamed state instead of
 // re-decoded from scratch. The incremental decoder is bit-identical to
-// DecodeBatch over the same positions (reedsolomon/incremental.go), and
+// DecodeBatchAt over the same positions (reedsolomon/incremental.go), and
 // every group that does not exactly match the ingested set falls back to
 // the ordinary batch path, so AggregateStreamed(sink, uploads) ==
 // Aggregate(uploads) bit for bit, always.
@@ -139,30 +139,9 @@ func (r *RoundIngest) matches(ids []int) bool {
 // the streamed state consumed where it applies. Results are bit-identical
 // to Aggregate(uploads) for any ingest subset and arrival order.
 func (s *Scheme) AggregateStreamed(sink fl.UploadSink, uploads [][]float64) ([]float64, error) {
-	if ri, ok := sink.(*RoundIngest); ok && ri.s == s && !s.cfg.DisableBatchDecode {
+	if ri, ok := sink.(*RoundIngest); ok && ri.s == s {
 		s.pendingIngest = ri
 		defer func() { s.pendingIngest = nil }()
 	}
 	return s.Aggregate(uploads)
-}
-
-// finalizeIngest consumes the streamed state for one presence group. The
-// caller (decodeGroup) has already established that the group covers all
-// S slots and its vehicle set equals the ingested set, and has flushed
-// the deferred uploads into the decoder, so each slot's word is exactly
-// the ingested symbols and Finalize's outcome is bit-identical to
-// DecodeBatch on the gathered words. Error positions arrive in
-// vehicle-ID space directly — no ids[idx] remap.
-func (s *Scheme) finalizeIngest(ri *RoundIngest, outcomes []slotOutcome, slots []int, present int) {
-	results, errs, stats := ri.inc.Finalize(s.workers)
-	s.recordGroup(len(slots), present, stats)
-	for t, j := range slots {
-		if errs[t] != nil {
-			outcomes[j].failed = true
-			continue
-		}
-		for _, id := range results[t].ErrorPositions {
-			outcomes[j].flagged = append(outcomes[j].flagged, id)
-		}
-	}
 }

@@ -13,14 +13,12 @@
 // C applied by every worker then yields evaluations of C(H(z)), which the
 // fusion centre decodes with package reedsolomon.
 //
-// Two parallel implementations are provided: exact encoding over GF(p) for
-// the error-corrected path, and float64 encoding (with the Σ|p_m| ≤ D
-// element-selection rule of paper eq. 9) for the real-valued FL pipeline.
+// Encoding is exact over GF(p); real-valued data enters through package
+// fixedpoint, whose range check is the paper's eq. 9 precondition.
 package lagrange
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -344,194 +342,4 @@ func (c *Coder) EvalAtNodes(batches []field.Element, targets []field.Element) ([
 		}
 	})
 	return out, nil
-}
-
-// RealCoder is the float64 counterpart of Coder, used on the FL pipeline
-// where model evaluations are real-valued. It additionally reports the
-// redundancy bound D = max_i Σ_m |p_m(ρ_i)| from paper eq. 9, which
-// callers compare against the approximation domain.
-type RealCoder struct {
-	nodes   []float64
-	points  []float64
-	denom   []float64
-	weights [][]float64 // weights[i][m] = p_m(ρ_i), cached at construction
-	redund  float64     // D = max_i Σ_m |p_m(ρ_i)|, cached at construction
-}
-
-// NewRealCoder validates distinctness/disjointness and returns the coder.
-func NewRealCoder(nodes, points []float64) (*RealCoder, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("lagrange: need at least one batch node")
-	}
-	all := append(append([]float64(nil), nodes...), points...)
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[i] == all[j] {
-				return nil, fmt.Errorf("lagrange: nodes and points must be distinct (duplicate %g)", all[i])
-			}
-		}
-	}
-	denom := make([]float64, len(nodes))
-	for m := range nodes {
-		d := 1.0
-		for n := range nodes {
-			if n != m {
-				d *= nodes[m] - nodes[n]
-			}
-		}
-		denom[m] = d
-	}
-	c := &RealCoder{
-		nodes:  append([]float64(nil), nodes...),
-		points: append([]float64(nil), points...),
-		denom:  denom,
-	}
-	// Mirror of the GF(p) coder: the worker points are fixed, so the
-	// float weight matrix and the eq. 9 redundancy bound are computed
-	// once here instead of per encode/Redundancy call.
-	c.weights = make([][]float64, len(c.points))
-	for i, pt := range c.points {
-		c.weights[i] = c.WeightsAt(pt)
-		var s float64
-		for _, w := range c.weights[i] {
-			s += math.Abs(w)
-		}
-		if s > c.redund {
-			c.redund = s
-		}
-	}
-	return c, nil
-}
-
-// NumBatches returns M.
-func (c *RealCoder) NumBatches() int { return len(c.nodes) }
-
-// NumWorkers returns V.
-func (c *RealCoder) NumWorkers() int { return len(c.points) }
-
-// Nodes returns a copy of the batch nodes.
-func (c *RealCoder) Nodes() []float64 { return append([]float64(nil), c.nodes...) }
-
-// Points returns a copy of the worker points.
-func (c *RealCoder) Points() []float64 { return append([]float64(nil), c.points...) }
-
-// WeightsAt returns the basis weights p_m(z).
-func (c *RealCoder) WeightsAt(z float64) []float64 {
-	w := make([]float64, len(c.nodes))
-	prefix := make([]float64, len(c.nodes)+1)
-	prefix[0] = 1
-	for m, node := range c.nodes {
-		prefix[m+1] = prefix[m] * (z - node)
-	}
-	suffix := 1.0
-	for m := len(c.nodes) - 1; m >= 0; m-- {
-		w[m] = prefix[m] * suffix / c.denom[m]
-		suffix *= z - c.nodes[m]
-	}
-	return w
-}
-
-// WorkerWeights returns a copy of the cached weights p_m(ρ_i) for worker i.
-func (c *RealCoder) WorkerWeights(i int) []float64 {
-	return append([]float64(nil), c.weights[i]...)
-}
-
-// Redundancy returns D = max over workers of Σ_m |p_m(ρ_i)|: the factor by
-// which encoding can expand data normalised to [-1, 1] (paper eq. 9).
-// The bound is precomputed at construction.
-func (c *RealCoder) Redundancy() float64 { return c.redund }
-
-// EncodeScalars returns X̃_i = Σ_m p_m(ρ_i)·X_m for every worker.
-func (c *RealCoder) EncodeScalars(batches []float64) ([]float64, error) {
-	if len(batches) != len(c.nodes) {
-		return nil, fmt.Errorf("lagrange: got %d batches, coder has %d nodes", len(batches), len(c.nodes))
-	}
-	out := make([]float64, len(c.points))
-	for i := range c.points {
-		var s float64
-		for m, x := range batches {
-			s += c.weights[i][m] * x
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// EncodeVectors encodes equal-length vector batches for every worker.
-func (c *RealCoder) EncodeVectors(batches [][]float64) ([][]float64, error) {
-	if len(batches) != len(c.nodes) {
-		return nil, fmt.Errorf("lagrange: got %d batches, coder has %d nodes", len(batches), len(c.nodes))
-	}
-	width := len(batches[0])
-	for m, b := range batches {
-		if len(b) != width {
-			return nil, fmt.Errorf("lagrange: batch %d has length %d, want %d", m, len(b), width)
-		}
-	}
-	out := make([][]float64, len(c.points))
-	for i := range c.points {
-		w := c.weights[i]
-		enc := make([]float64, width)
-		for m, b := range batches {
-			for j, x := range b {
-				enc[j] += w[m] * x
-			}
-		}
-		out[i] = enc
-	}
-	return out, nil
-}
-
-// ChebyshevNodes returns n Chebyshev points of the first kind on [lo, hi],
-// ordered ascending. Using Chebyshev points as batch nodes minimises the
-// Lebesgue constant and therefore the redundancy bound D of eq. 9 —
-// this is the element-selection heuristic ablated in the benchmarks.
-func ChebyshevNodes(n int, lo, hi float64) []float64 {
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		theta := math.Pi * (2*float64(k) + 1) / (2 * float64(n))
-		x := math.Cos(theta) // descending in k
-		out[n-1-k] = (lo+hi)/2 + (hi-lo)/2*x
-	}
-	return out
-}
-
-// EquispacedNodes returns n uniformly spaced points on [lo, hi] inclusive.
-// The naive alternative to ChebyshevNodes; its Lebesgue constant grows
-// exponentially in n, which the ablation benchmarks demonstrate.
-func EquispacedNodes(n int, lo, hi float64) []float64 {
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = (lo + hi) / 2
-		return out
-	}
-	for k := 0; k < n; k++ {
-		out[k] = lo + (hi-lo)*float64(k)/float64(n-1)
-	}
-	return out
-}
-
-// InteriorPoints returns v worker points on (lo, hi) that avoid every node
-// in nodes: it subdivides the interval uniformly with an offset and nudges
-// any collision. Keeping ρ_i inside the node interval keeps Σ|p_m(ρ_i)|
-// small, satisfying the Σ|p_m| ≤ D selection rule of eq. 9.
-func InteriorPoints(v int, lo, hi float64, nodes []float64) []float64 {
-	avoid := make(map[float64]struct{}, len(nodes))
-	for _, n := range nodes {
-		avoid[n] = struct{}{}
-	}
-	out := make([]float64, 0, v)
-	step := (hi - lo) / float64(v+1)
-	for k := 1; len(out) < v; k++ {
-		x := lo + step*float64(k)
-		for {
-			if _, hit := avoid[x]; !hit {
-				break
-			}
-			x += step * 1e-3
-		}
-		avoid[x] = struct{}{}
-		out = append(out, x)
-	}
-	return out
 }

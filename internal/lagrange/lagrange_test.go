@@ -1,7 +1,6 @@
 package lagrange
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -188,159 +187,6 @@ func TestPropertyEncodingLinear(t *testing.T) {
 	}
 }
 
-// --- RealCoder ---
-
-func TestRealCoderPartitionOfUnity(t *testing.T) {
-	nodes := ChebyshevNodes(8, -1, 1)
-	points := InteriorPoints(20, -1, 1, nodes)
-	c, err := NewRealCoder(nodes, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < c.NumWorkers(); i++ {
-		var s float64
-		for _, w := range c.WorkerWeights(i) {
-			s += w
-		}
-		if math.Abs(s-1) > 1e-9 {
-			t.Fatalf("Σ p_m(ρ_%d) = %g, want 1", i, s)
-		}
-	}
-}
-
-func TestRealEncodeMatchesInterpolation(t *testing.T) {
-	nodes := ChebyshevNodes(5, -1, 1)
-	points := InteriorPoints(7, -1, 1, nodes)
-	c, err := NewRealCoder(nodes, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	batches := make([]float64, len(nodes))
-	for i := range batches {
-		batches[i] = rng.NormFloat64()
-	}
-	h, err := poly.InterpolateReal(nodes, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := c.EncodeScalars(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range points {
-		if math.Abs(enc[i]-h.Eval(p)) > 1e-8 {
-			t.Fatalf("enc[%d] = %g, want H(ρ)=%g", i, enc[i], h.Eval(p))
-		}
-	}
-}
-
-func TestRedundancyChebyshevBeatsEquispaced(t *testing.T) {
-	// The eq. 9 selection rule: Chebyshev nodes keep D small.
-	const m, v = 16, 100
-	cheb, err := NewRealCoder(ChebyshevNodes(m, -1, 1), InteriorPoints(v, -1, 1, ChebyshevNodes(m, -1, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqNodes := EquispacedNodes(m, -1, 1)
-	equi, err := NewRealCoder(eqNodes, InteriorPoints(v, -0.999, 0.999, eqNodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, de := cheb.Redundancy(), equi.Redundancy()
-	if dc >= de {
-		t.Errorf("Chebyshev redundancy %g not below equispaced %g", dc, de)
-	}
-	if dc < 1 {
-		t.Errorf("redundancy %g below 1: Σ|p_m| ≥ |Σ p_m| = 1 must hold", dc)
-	}
-}
-
-func TestRealCoderValidation(t *testing.T) {
-	if _, err := NewRealCoder(nil, []float64{1}); err == nil {
-		t.Error("empty nodes accepted")
-	}
-	if _, err := NewRealCoder([]float64{1, 1}, nil); err == nil {
-		t.Error("duplicate nodes accepted")
-	}
-	if _, err := NewRealCoder([]float64{1}, []float64{1}); err == nil {
-		t.Error("node/point collision accepted")
-	}
-}
-
-func TestRealEncodeVectors(t *testing.T) {
-	nodes := ChebyshevNodes(3, -1, 1)
-	points := InteriorPoints(4, -1, 1, nodes)
-	c, err := NewRealCoder(nodes, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	enc, err := c.EncodeVectors(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range enc {
-		w := c.WorkerWeights(i)
-		want0 := w[0] + w[2]
-		want1 := w[1] + w[2]
-		if math.Abs(enc[i][0]-want0) > 1e-12 || math.Abs(enc[i][1]-want1) > 1e-12 {
-			t.Fatalf("enc[%d] = %v, want [%g %g]", i, enc[i], want0, want1)
-		}
-	}
-	if _, err := c.EncodeVectors([][]float64{{1}, {2}}); err == nil {
-		t.Error("batch count mismatch accepted")
-	}
-}
-
-func TestChebyshevNodes(t *testing.T) {
-	nodes := ChebyshevNodes(4, -2, 2)
-	if len(nodes) != 4 {
-		t.Fatalf("len = %d", len(nodes))
-	}
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i] <= nodes[i-1] {
-			t.Errorf("nodes not ascending: %v", nodes)
-		}
-	}
-	for _, n := range nodes {
-		if n < -2 || n > 2 {
-			t.Errorf("node %g outside [-2,2]", n)
-		}
-	}
-}
-
-func TestEquispacedNodes(t *testing.T) {
-	nodes := EquispacedNodes(3, 0, 2)
-	want := []float64{0, 1, 2}
-	for i := range want {
-		if math.Abs(nodes[i]-want[i]) > 1e-12 {
-			t.Errorf("nodes = %v, want %v", nodes, want)
-		}
-	}
-	if got := EquispacedNodes(1, 0, 2); got[0] != 1 {
-		t.Errorf("single node = %g, want midpoint 1", got[0])
-	}
-}
-
-func TestInteriorPointsAvoidNodes(t *testing.T) {
-	nodes := EquispacedNodes(5, -1, 1)
-	pts := InteriorPoints(10, -1, 1, nodes)
-	if len(pts) != 10 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for _, p := range pts {
-		for _, n := range nodes {
-			if p == n {
-				t.Errorf("point %g collides with node", p)
-			}
-		}
-		if p <= -1 || p >= 1 {
-			t.Errorf("point %g outside open interval", p)
-		}
-	}
-}
-
 func BenchmarkEncodeScalarsM16V100(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	nodes := field.RandDistinct(rng, 16, nil)
@@ -470,40 +316,6 @@ func TestWorkerWeightsCachedMatchRecurrence(t *testing.T) {
 		if want := c.WeightsAt(c.points[i])[0]; enc[i] != want {
 			t.Fatalf("worker %d: cache corrupted by WorkerWeights mutation (enc %v, want %v)", i, enc[i], want)
 		}
-	}
-}
-
-// TestRealCoderCachedWeightsAndRedundancy mirrors the cache pinning for
-// the float coder: cached rows match the recurrence, the returned slice
-// is a copy, and the precomputed redundancy equals the direct maximum.
-func TestRealCoderCachedWeightsAndRedundancy(t *testing.T) {
-	nodes := ChebyshevNodes(8, -1, 1)
-	points := InteriorPoints(20, -1, 1, nodes)
-	c, err := NewRealCoder(nodes, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := range points {
-		want := c.WeightsAt(points[i])
-		got := c.WorkerWeights(i)
-		var s float64
-		for m := range want {
-			if got[m] != want[m] {
-				t.Fatalf("worker %d weight %d: cached %g, recurrence %g", i, m, got[m], want[m])
-			}
-			s += math.Abs(want[m])
-		}
-		if s > worst {
-			worst = s
-		}
-		got[0] += 1 // must not corrupt the cache
-	}
-	if c.Redundancy() != worst {
-		t.Fatalf("cached Redundancy = %g, direct maximum %g", c.Redundancy(), worst)
-	}
-	if c.weights[0][0] != c.WeightsAt(points[0])[0] {
-		t.Fatal("cache corrupted by WorkerWeights mutation")
 	}
 }
 

@@ -394,77 +394,6 @@ func BenchmarkLeastSquares100x8(b *testing.B) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := a.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !near(prod.At(i, j), want, 1e-12) {
-				t.Errorf("A·A⁻¹[%d][%d] = %g", i, j, prod.At(i, j))
-			}
-		}
-	}
-	if _, err := NewMatrix(2, 3).Inverse(); err == nil {
-		t.Error("non-square inverse accepted")
-	}
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := sing.Inverse(); err == nil {
-		t.Error("singular inverse accepted")
-	}
-}
-
-func TestInverseRandomRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(10)
-		a := randomMatrix(rng, n, n)
-		inv, err := a.Inverse()
-		if err != nil {
-			continue // singular draw
-		}
-		prod, err := a.Mul(inv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := prod.Sub(Identity(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.FrobeniusNorm() > 1e-8 {
-			t.Fatalf("trial %d: ‖A·A⁻¹ − I‖ = %g", trial, d.FrobeniusNorm())
-		}
-	}
-}
-
-func TestQuadraticForm(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
-	got, err := a.QuadraticForm([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// [1 2]·A·[1 2]ᵀ = 2 + 2 + 2 + 12 = 18
-	if !near(got, 18, 1e-12) {
-		t.Errorf("QuadraticForm = %g", got)
-	}
-	if _, err := NewMatrix(2, 3).QuadraticForm([]float64{1, 2}); err == nil {
-		t.Error("non-square accepted")
-	}
-	if _, err := a.QuadraticForm([]float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestRidgeLeastSquares(t *testing.T) {
 	// Collinear columns: plain QR fails, ridge succeeds and keeps the
 	// coefficients small.

@@ -235,76 +235,6 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial pivoting,
-// or an error for singular matrices.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("linalg: inverse needs square matrix, got %dx%d", m.rows, m.cols)
-	}
-	n := m.rows
-	a := m.Clone()
-	inv := Identity(n)
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best < 1e-300 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
-		}
-		if pivot != col {
-			a.swapRows(pivot, col)
-			inv.swapRows(pivot, col)
-		}
-		p := 1 / a.At(col, col)
-		for c := 0; c < n; c++ {
-			a.Set(col, c, a.At(col, c)*p)
-			inv.Set(col, c, inv.At(col, c)*p)
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for c := 0; c < n; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(col, c))
-				inv.Set(r, c, inv.At(r, c)-f*inv.At(col, c))
-			}
-		}
-	}
-	return inv, nil
-}
-
-// QuadraticForm returns xᵀ·m·x for a square matrix m.
-func (m *Matrix) QuadraticForm(x []float64) (float64, error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("linalg: quadratic form needs square matrix, got %dx%d", m.rows, m.cols)
-	}
-	if len(x) != m.rows {
-		return 0, fmt.Errorf("linalg: quadratic form length %d, want %d", len(x), m.rows)
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var inner float64
-		for j, v := range row {
-			inner += v * x[j]
-		}
-		s += xi * inner
-	}
-	return s, nil
-}
-
 func (m *Matrix) swapRows(i, j int) {
 	ri := m.data[i*m.cols : (i+1)*m.cols]
 	rj := m.data[j*m.cols : (j+1)*m.cols]

@@ -13,9 +13,9 @@ import (
 // on a real sleeper). The lock-step engine waits for the full fleet each
 // round, so every round pays the straggler tail; the pipelined engine
 // with WaitBudget=-1 closes collection at the recover threshold and the
-// tail overlaps the next round. scripts/bench.sh runs the pair as the
-// "pipeline" suite and benchreport gates the pipelined_vs_lockstep
-// ratio against BENCH_pipeline.json.
+// tail overlaps the next round. Run the pair by hand (go test -bench
+// Round ./internal/node); the gated measurement of the budget close is
+// the straggle-v32-budget workload of go run ./benchmark.
 
 const (
 	benchVehicles  = 10 // K = 8, so the budget excludes exactly the 2 stragglers

@@ -21,10 +21,10 @@ import (
 // Gathering trades per-frame upstream overhead for a parked-upload
 // window, and because the engine waits for the full fleet each round the
 // window should cost ~nothing: the shard's last upload releases the
-// batch exactly when the round needed it. scripts/bench.sh runs the trio
-// as the "fleet" suite and benchreport derives fleet_gather_vs_relay
-// (relay ns / gather ns) from the matched pair, gating that gathering
-// never collapses fan-in latency.
+// batch exactly when the round needed it. Run the trio by hand (go test
+// -bench FleetFanIn ./internal/node) and compare relay ns to gather ns;
+// it is the only flat/relay/gather measurement until go run ./benchmark
+// gains a fan-in workload (ROADMAP 4(c)).
 const (
 	fanInVehicles = 16
 	fanInRounds   = 2

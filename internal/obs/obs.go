@@ -7,8 +7,9 @@
 //   - Zero cost when disabled. Every instrumented hot path holds a nil
 //     *Obs (or nil *Counter/*Histogram) by default; all methods are
 //     nil-receiver safe no-ops, so "observability off" costs one pointer
-//     comparison and no allocation. scripts/bench.sh gates this with the
-//     obs-overhead benchmark suite (BenchmarkAggregateObs).
+//     comparison and no allocation. The root alloc_test.go pins the
+//     untraced allocation count; go run ./benchmark reports the traced
+//     cost as obs.trace_overhead_frac.
 //   - Deterministic traces under test. Timestamps come from an injected
 //     monotonic Clock, never from the wall clock directly; tests drive a
 //     ManualClock and obtain byte-identical traces. NewRealClock is the

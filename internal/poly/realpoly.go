@@ -8,7 +8,7 @@ import (
 
 // Real is a dense polynomial over float64, constant term first.
 // It carries activation-function approximations (package approx) into the
-// neural network and supports the real-valued decoding path.
+// neural network and the fixed-point verification model.
 type Real []float64
 
 // NewReal returns a copy of coeffs as a polynomial, trimming trailing
@@ -152,36 +152,4 @@ func (p Real) String() string {
 		}
 	}
 	return b.String()
-}
-
-// InterpolateReal returns the polynomial of degree < len(xs) through the
-// points (xs[i], ys[i]) using Newton divided differences. The nodes must
-// be pairwise distinct.
-func InterpolateReal(xs, ys []float64) (Real, error) {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("poly: interpolate length mismatch %d != %d", len(xs), len(ys)))
-	}
-	n := len(xs)
-	if n == 0 {
-		return nil, nil
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if xs[i] == xs[j] {
-				return nil, fmt.Errorf("poly: duplicate interpolation node %g", xs[i])
-			}
-		}
-	}
-	coef := make([]float64, n)
-	copy(coef, ys)
-	for j := 1; j < n; j++ {
-		for i := n - 1; i >= j; i-- {
-			coef[i] = (coef[i] - coef[i-1]) / (xs[i] - xs[i-j])
-		}
-	}
-	result := NewReal(coef[n-1])
-	for i := n - 2; i >= 0; i-- {
-		result = result.Mul(NewReal(-xs[i], 1)).Add(NewReal(coef[i]))
-	}
-	return result, nil
 }

@@ -2,7 +2,6 @@ package poly
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -53,43 +52,6 @@ func TestRealDerivative(t *testing.T) {
 		if !almostEqual(got.Coeff(i), want.Coeff(i), 1e-12) {
 			t.Errorf("Derivative coeff %d = %g, want %g", i, got.Coeff(i), want.Coeff(i))
 		}
-	}
-}
-
-func TestInterpolateReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		deg := rng.Intn(6)
-		want := make(Real, deg+1)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		want = want.normalize()
-		n := len(want)
-		if n == 0 {
-			continue
-		}
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(i) - float64(n)/2 // distinct, well-spread
-			ys[i] = want.Eval(xs[i])
-		}
-		got, err := InterpolateReal(xs, ys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if !almostEqual(got.Coeff(i), want.Coeff(i), 1e-8) {
-				t.Fatalf("trial %d coeff %d: got %g want %g", trial, i, got.Coeff(i), want.Coeff(i))
-			}
-		}
-	}
-}
-
-func TestInterpolateRealDuplicate(t *testing.T) {
-	if _, err := InterpolateReal([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("expected duplicate-node error")
 	}
 }
 

@@ -166,8 +166,8 @@ func TestBinaryWireBytesRatio(t *testing.T) {
 
 // BenchmarkWireCodec measures encode+decode ns and bytes for the bulk
 // Broadcast message at realistic parameter counts, JSON against binary.
-// scripts/bench.sh --matrix feeds these entries to benchreport's
-// binary_vs_json ratio gate.
+// The size half of the comparison is gated by the wire-ratio test above;
+// the timings are for reading by hand.
 func BenchmarkWireCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{100, 1000} {

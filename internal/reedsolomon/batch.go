@@ -65,10 +65,71 @@ func (d *Decoder) DecodeBatch(words [][]field.Element, src field.Source, workers
 	return results, errs, stats
 }
 
-// recordBatch counts one DecodeBatch or Finalize call on the rs.batch.*
-// counters and, when tracing, emits its rs.batch event. Exactly one call
-// per entry keeps counter totals equal to the event sums, which
-// tracereport -check-metrics reconciles.
+// DecodeBatchAt is DecodeBatch for words received at a subset of the
+// decoder's points — the straggler case, where every word misses the same
+// positions. positions is a strictly increasing list of point indices and
+// words[s][t] the symbol received at point positions[t]. Each slot's
+// outcome is bit-identical to Decode on that sub-word at those points,
+// with ErrorPositions reported in the decoder's own index space (for the
+// L-CoFL scheme, vehicle IDs). The call is recorded on d like DecodeBatch,
+// with the number of positions as its point count.
+func (d *Decoder) DecodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
+	results, errs, stats := d.decodeBatchAt(positions, words, src, workers)
+	stats.SlotDecodes = stats.Fallbacks
+	d.recordBatch(len(words), len(positions), stats)
+	return results, errs, stats
+}
+
+// decodeBatchAt is DecodeBatchAt without the observability wrapper, shared
+// with IncrementalDecoder.Finalize. It is the one place a decoder over a
+// subset of another decoder's points is built: all points present reuses
+// d (and its pooled scratch), a strict subset batch-decodes on a one-call
+// sub-decoder; either way error positions are mapped back through
+// positions (the identity when all are present).
+func (d *Decoder) decodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
+	sub, err := d.subDecoder(positions)
+	if err != nil {
+		errs := make([]error, len(words))
+		for s := range errs {
+			errs[s] = err
+		}
+		return make([]*Result, len(words)), errs, BatchStats{}
+	}
+	results, errs, stats := sub.decodeBatch(words, src, workers)
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		for i, idx := range res.ErrorPositions {
+			res.ErrorPositions[i] = positions[idx]
+		}
+	}
+	return results, errs, stats
+}
+
+// subDecoder returns a decoder over the points at the given strictly
+// increasing positions: d itself when that is every point.
+func (d *Decoder) subDecoder(positions []int) (*Decoder, error) {
+	n := len(d.xs)
+	for t, pos := range positions {
+		if pos < 0 || pos >= n || (t > 0 && pos <= positions[t-1]) {
+			return nil, fmt.Errorf("reedsolomon: positions must be strictly increasing within [0, %d)", n)
+		}
+	}
+	if len(positions) == n {
+		return d, nil
+	}
+	xs := make([]field.Element, len(positions))
+	for t, pos := range positions {
+		xs[t] = d.xs[pos]
+	}
+	return NewDecoder(xs, d.k)
+}
+
+// recordBatch counts one DecodeBatch, DecodeBatchAt or Finalize call on
+// the rs.batch.* counters and, when tracing, emits its rs.batch event.
+// Exactly one call per entry keeps counter totals equal to the event
+// sums, which tracereport -check-metrics reconciles.
 func (d *Decoder) recordBatch(words, points int, stats BatchStats) {
 	if !d.obs.Enabled() {
 		return

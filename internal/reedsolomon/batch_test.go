@@ -1,11 +1,15 @@
 package reedsolomon
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/obs"
 	"repro/internal/poly"
 )
 
@@ -211,6 +215,99 @@ func TestDecodeBatchZeroWords(t *testing.T) {
 		}
 	}
 	assertBatchMatchesPerSlot(t, d, words, results, errs)
+}
+
+// TestDecodeBatchAt pins the shared sub-decoder routine behind both
+// DecodeBatchAt and Finalize's relocation. For every point, a prefix of
+// the points and a scattered subset of exactly K+2E of them, E liars
+// planted inside the subset are corrected and reported at their PARENT
+// positions, exactly as the per-slot Decode of each sub-word says; one
+// liar more makes every slot an error, never a wrong polynomial; and
+// Finalize over the same arrivals (liars first, so every slot is
+// relocated) returns the identical results. Each call is recorded once,
+// on the parent decoder.
+func TestDecodeBatchAt(t *testing.T) {
+	const n, k, S = 24, 8, 5
+	rng := rand.New(rand.NewSource(61))
+	xs := field.RandDistinct(rng, n, nil)
+	d, err := NewDecoder(xs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d.SetObs(obs.New(reg, nil, nil))
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	scattered := append([]int(nil), rng.Perm(n)[:k+2*3]...)
+	sort.Ints(scattered)
+	calls := 0
+	for _, tc := range []struct {
+		name      string
+		positions []int
+	}{
+		{"all", all},
+		{"prefix", all[:16]},
+		{"scattered K+2E", scattered},
+	} {
+		maxE := MaxErrors(len(tc.positions), k)
+		for _, e := range []int{maxE, maxE + 1} {
+			label := fmt.Sprintf("%s e=%d", tc.name, e)
+			liars := make([]int, e)
+			for i, idx := range rng.Perm(len(tc.positions))[:e] {
+				liars[i] = tc.positions[idx]
+			}
+			sort.Ints(liars)
+			words := liarWords(rng, xs, k, S, func(int) []int { return liars })
+			wantRes, wantErrs := perSlotRef(d, words, tc.positions)
+			_, _, subWords := subProblem(d, words, tc.positions)
+
+			results, errs, stats := d.DecodeBatchAt(tc.positions, subWords, field.NewSeededSource(3), 2)
+			assertSameOutcomes(t, label, results, wantRes, errs, wantErrs)
+			for s := range words {
+				if e > maxE {
+					if results[s] != nil || !errors.Is(errs[s], ErrTooManyErrors) {
+						t.Fatalf("%s slot %d: %v / %v, want ErrTooManyErrors", label, s, results[s], errs[s])
+					}
+				} else if errs[s] != nil || !slices.Equal(results[s].ErrorPositions, liars) {
+					t.Fatalf("%s slot %d: located %v (err %v), want the liars %v", label, s, results[s], errs[s], liars)
+				}
+			}
+			if stats.Recovered+stats.Fallbacks != S || stats.SlotDecodes != stats.Fallbacks {
+				t.Fatalf("%s: stats %+v do not cover %d slots", label, stats, S)
+			}
+
+			inc := d.NewIncremental(S)
+			ingestAll(t, inc, words, liarsFirst(rng, tc.positions, liars))
+			finRes, finErrs, _ := inc.Finalize(2)
+			assertSameOutcomes(t, label+" finalize", finRes, results, finErrs, errs)
+			calls += 2
+		}
+	}
+	if got, want := reg.Counter("rs.batch.words").Value(), int64(calls*S); got != want {
+		t.Errorf("rs.batch.words = %d, want %d: one record per call, on the parent", got, want)
+	}
+
+	// Malformed position lists are every slot's error, not a panic.
+	_, _, subWords := subProblem(d, liarWords(rng, xs, k, S, func(int) []int { return nil }), all[:k])
+	for name, positions := range map[string][]int{
+		"unsorted":     {1, 0, 2, 3, 4, 5, 6, 7},
+		"duplicate":    {0, 1, 1, 3, 4, 5, 6, 7},
+		"out of range": {0, 1, 2, 3, 4, 5, 6, n},
+		"negative":     {-1, 1, 2, 3, 4, 5, 6, 7},
+		"fewer than k": all[:k-1],
+	} {
+		results, errs, stats := d.DecodeBatchAt(positions, subWords, field.NewSeededSource(3), 1)
+		for s := range subWords {
+			if results[s] != nil || errs[s] == nil {
+				t.Fatalf("%s slot %d: %v / %v, want an error", name, s, results[s], errs[s])
+			}
+		}
+		if stats != (BatchStats{}) {
+			t.Fatalf("%s: stats %+v, want zero", name, stats)
+		}
+	}
 }
 
 func TestDecodeBatchManySeeds(t *testing.T) {

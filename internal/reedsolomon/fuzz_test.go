@@ -2,6 +2,7 @@ package reedsolomon
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -81,7 +82,7 @@ func FuzzDecodeBatchAgreement(f *testing.F) {
 			if !single.Poly.Equal(batchRes[s].Poly) {
 				t.Fatalf("slot %d: polynomials disagree:\n single: %v\n  batch: %v", s, single.Poly, batchRes[s].Poly)
 			}
-			if !equalInts(single.ErrorPositions, batchRes[s].ErrorPositions) {
+			if !slices.Equal(single.ErrorPositions, batchRes[s].ErrorPositions) {
 				t.Fatalf("slot %d: error positions disagree: %v vs %v", s, single.ErrorPositions, batchRes[s].ErrorPositions)
 			}
 		}

@@ -206,32 +206,15 @@ func (inc *IncrementalDecoder) finalize(workers int) ([]*Result, []error, BatchS
 
 // relocate decodes the slots whose streamed candidate was rejected. Their
 // ingested sub-words, over the sorted arrival positions, go through
-// decodeBatch — the one shared-location recovery (§9): errors located once
-// on a random combination, every slot recovered at the unflagged positions
-// and verified against its own word, per-slot Decode for a slot that
-// disagrees — and error positions are mapped back to parent space. It
-// returns how many per-slot Decodes that took.
+// decodeBatchAt — the one shared-location recovery (§9): errors located
+// once on a random combination, every slot recovered at the unflagged
+// positions and verified against its own word, per-slot Decode for a slot
+// that disagrees, error positions in parent space. It returns how many
+// per-slot Decodes that took.
 func (inc *IncrementalDecoder) relocate(rejected []int, results []*Result, errs []error, workers int) int {
-	d := inc.d
-	n, m := len(d.xs), len(inc.order)
+	n, m := len(inc.d.xs), len(inc.order)
 	sorted := append([]int(nil), inc.order...)
 	sort.Ints(sorted)
-	sub := d
-	if m != n {
-		subXs := make([]field.Element, m)
-		for t, pos := range sorted {
-			subXs[t] = d.xs[pos]
-		}
-		// The points are a subset of the validated parent points, so the
-		// construction cannot fail.
-		var err error
-		if sub, err = NewDecoder(subXs, d.k); err != nil {
-			for _, s := range rejected {
-				errs[s] = err
-			}
-			return 0
-		}
-	}
 	words := make([][]field.Element, len(rejected))
 	slab := make([]field.Element, len(rejected)*m)
 	for t, s := range rejected {
@@ -242,14 +225,9 @@ func (inc *IncrementalDecoder) relocate(rejected []int, results []*Result, errs 
 	}
 	// The combination coefficients select which path computes a slot, never
 	// what it returns (§9), so a fixed private seed is as good as any.
-	res, es, st := sub.decodeBatch(words, field.NewSeededSource(int64(m)), workers)
+	res, es, st := inc.d.decodeBatchAt(sorted, words, field.NewSeededSource(int64(m)), workers)
 	for t, s := range rejected {
 		results[s], errs[s] = res[t], es[t]
-		if res[t] != nil {
-			for i, idx := range res[t].ErrorPositions {
-				res[t].ErrorPositions[i] = sorted[idx]
-			}
-		}
 	}
 	return st.Fallbacks
 }

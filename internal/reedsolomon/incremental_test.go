@@ -11,19 +11,15 @@ import (
 	"repro/internal/poly"
 )
 
-// incRef decodes the ingested sub-word the authoritative way: a fresh
-// decoder over the sorted ingested positions, DecodeBatch on the
-// sub-words, error positions mapped back to parent space. The property
-// tests pin IncrementalDecoder to this reference for every arrival order.
+// incRef decodes the ingested sub-word through the batch entry:
+// DecodeBatchAt over the sorted ingested positions, error positions in
+// parent space. The property tests pin IncrementalDecoder to this
+// reference for every arrival order; TestDecodeBatchAt pins the reference
+// itself to the per-slot Decode.
 func incRef(t *testing.T, d *Decoder, words [][]field.Element, positions []int, workers int) ([]*Result, []error) {
 	t.Helper()
-	sorted, subXs, subWords := subProblem(d, words, positions)
-	sub, err := NewDecoder(subXs, d.k)
-	if err != nil {
-		t.Fatalf("sub decoder: %v", err)
-	}
-	results, errs, _ := sub.DecodeBatch(subWords, field.NewSeededSource(7), workers)
-	toParent(results, sorted)
+	sorted, _, subWords := subProblem(d, words, positions)
+	results, errs, _ := d.DecodeBatchAt(sorted, subWords, field.NewSeededSource(7), workers)
 	return results, errs
 }
 

@@ -7,38 +7,38 @@
 //
 //	K + 2E ≤ V        (equivalently paper eq. 6 with K-1 = (M-1)·deg(C))
 //
-// Three decoders are provided:
+// Decoding is exact over GF(p) and has three entries, all resting on
+// Gao's extended-Euclidean formulation of Reed–Solomon decoding
+// (equivalent to Berlekamp–Welch, but branch-free and easier to verify):
 //
-//   - Decode: exact error correction over GF(p) using Gao's
-//     extended-Euclidean formulation of Reed–Solomon decoding (equivalent
-//     to Berlekamp–Welch, but branch-free and easier to verify). Used on
-//     the fixed-point coded-inference path where honest results are exact.
-//   - DecodeErasures: interpolation-only decoding when results are merely
-//     missing (stragglers), the first decoding assumption in the paper.
-//   - DecodeRealRobust: real-valued decoding for the FL pipeline, where
-//     honest results carry small model-heterogeneity noise and malicious
-//     results are gross errors. Consensus is found by trimmed least
-//     squares and the polynomial refit on the inliers.
+//   - Decode / Decoder.Decode: one received word, errors located and
+//     corrected up to the budget.
+//   - Decoder.DecodeBatch / DecodeBatchAt: many words at the same points
+//     (or at the same subset of them), errors located once on a random
+//     combination and every word verified against itself (batch.go).
+//   - IncrementalDecoder (Ingest / Finalize): the batch decode fed one
+//     position at a time as uploads arrive (incremental.go).
+//
+// Missing results (stragglers, the paper's first decoding assumption)
+// need no entry of their own: the batch and incremental entries decode
+// over exactly the positions that arrived.
 //
 // The paper's §IV Step 3 also names Forney's algorithm; Forney computes
 // error VALUES in syndrome-based decoding of BCH-view Reed–Solomon codes,
 // which requires evaluation points that are consecutive powers of a
 // primitive root. L-CoFL's evaluation points ρ_i are arbitrary distinct
 // field elements (a generalized Reed–Solomon code), so this package uses
-// the interpolation-view decoders — Gao's extended-Euclidean formulation
-// and the Berlekamp–Welch linear system — which subsume the error-value
-// computation.
+// the interpolation-view decoder, which subsumes the error-value
+// computation. The Berlekamp–Welch linear system itself lives on as the
+// test suite's independent oracle for the Gao path.
 package reedsolomon
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/field"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/poly"
 )
@@ -341,504 +341,4 @@ func (d *Decoder) Decode(ys []field.Element) (*Result, error) {
 	res, err := gaoEuclidInto(sc, d.xs, ys, d.k, d.g0, g1)
 	d.gaoPool.Put(sc)
 	return res, err
-}
-
-// DecodeErasures reconstructs the degree ≤ k-1 polynomial from a subset of
-// correct evaluations (straggler case: values missing, none wrong). At
-// least k present values are required; present[i] marks availability.
-func DecodeErasures(xs, ys []field.Element, present []bool, k int) (poly.Poly, error) {
-	n := len(xs)
-	if len(ys) != n || len(present) != n {
-		return nil, fmt.Errorf("reedsolomon: inconsistent input lengths %d/%d/%d", n, len(ys), len(present))
-	}
-	var px, py []field.Element
-	for i := 0; i < n; i++ {
-		if present[i] {
-			px = append(px, xs[i])
-			py = append(py, ys[i])
-		}
-	}
-	if len(px) < k {
-		return nil, fmt.Errorf("reedsolomon: %d evaluations present, need at least k=%d", len(px), k)
-	}
-	// Interpolating through exactly k points pins the polynomial; using
-	// all present points and checking the degree detects silent errors.
-	f, err := poly.Interpolate(px, py)
-	if err != nil {
-		return nil, err
-	}
-	if f.Degree() > k-1 {
-		return nil, fmt.Errorf("reedsolomon: present evaluations are inconsistent with degree bound %d (degree %d): data is corrupted, not just missing", k-1, f.Degree())
-	}
-	return f, nil
-}
-
-// RealOptions configures DecodeRealRobust.
-type RealOptions struct {
-	// InlierThreshold is the absolute residual below which a worker result
-	// counts as honest. Honest results differ from the consensus
-	// polynomial by local-training heterogeneity; malicious results are
-	// gross outliers. Zero selects an adaptive threshold from the robust
-	// scale (median absolute deviation) of the residuals.
-	InlierThreshold float64
-	// Iterations bounds the trim-and-refit loop (default 64).
-	Iterations int
-	// CountFactor loosens the error-counting cutoff relative to the fit
-	// threshold (default 2.5). Honest results in the noise tail between
-	// threshold and CountFactor·threshold are excluded from the refit but
-	// still counted as consistent for the eq. 6 error budget — they are
-	// noisy, not erroneous. Only points beyond the counting cutoff are
-	// treated as errors (Outliers).
-	CountFactor float64
-	// Seed is kept for API stability; the trimmed-least-squares decoder
-	// is fully deterministic and ignores it.
-	Seed int64
-}
-
-// RealResult reports a robust real decode.
-type RealResult struct {
-	// Poly is the consensus polynomial of degree ≤ K-1 refit on the
-	// inliers, in the Chebyshev basis (numerically stable at the
-	// composed degrees L-CoFL reaches, ≈45 at paper scale).
-	Poly poly.Cheb
-	// Inliers and Outliers partition the worker indices; Outliers are the
-	// suspected malicious results.
-	Inliers  []int
-	Outliers []int
-	// Threshold is the residual cutoff actually used.
-	Threshold float64
-}
-
-// DecodeRealRobust reconstructs the degree ≤ k-1 polynomial underlying the
-// received real-valued evaluations by trimmed least squares: fit all
-// points in the Chebyshev basis, discard the points whose residuals sit
-// far above the robust scale (median absolute deviation) of the rest,
-// refit, and iterate to a fixed point. Gross (malicious) errors carry the
-// dominant residuals at every stage, so they are peeled off while honest
-// heterogeneity noise is retained and averaged by the fit.
-//
-// Success requires the surviving consensus to contain at least
-// k + ⌊(n-k)/2⌋ points — the real-arithmetic analogue of the eq. 6 unique
-// decoding bound; otherwise ErrTooManyErrors is returned. (A sampling
-// RANSAC is hopeless in this regime: a random k-subset of V=100 points
-// with 30% corruption is all-honest with probability ≈ 0.7^31 ≈ 1e-5.)
-func DecodeRealRobust(xs, ys []float64, k int, opts RealOptions) (*RealResult, error) {
-	n := len(xs)
-	if len(ys) != n {
-		return nil, fmt.Errorf("reedsolomon: %d points but %d values", n, len(ys))
-	}
-	if k < 1 || n < k {
-		return nil, fmt.Errorf("reedsolomon: need n >= k >= 1, got n=%d k=%d", n, k)
-	}
-	iters := opts.Iterations
-	if iters <= 0 {
-		iters = 64
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if lo == hi && n > 1 {
-		return nil, fmt.Errorf("reedsolomon: degenerate points (all at x=%g)", lo)
-	}
-	if lo == hi {
-		hi = lo + 1 // single-point domain; fit is the constant
-	}
-	minKeep := k + MaxErrors(n, k)
-
-	// Precompute the Chebyshev design row of every point once.
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = make([]float64, k)
-		poly.ChebDesignRow(rows[i], xs[i], lo, hi)
-	}
-	const ridgeLambda = 1e-10
-
-	fit := func(active []int) (poly.Cheb, error) {
-		design := linalg.NewMatrix(len(active), k)
-		rhs := make([]float64, len(active))
-		for r, i := range active {
-			for c, v := range rows[i] {
-				design.Set(r, c, v)
-			}
-			rhs[r] = ys[i]
-		}
-		coef, err := linalg.RidgeLeastSquares(design, rhs, ridgeLambda)
-		if err != nil {
-			return poly.Cheb{}, err
-		}
-		return poly.Cheb{Lo: lo, Hi: hi, Coef: coef}, nil
-	}
-
-	// leverages returns the hat-matrix diagonal h_ii = a_iᵀ(AᵀA+λI)⁻¹a_i
-	// for every point (zero for points outside the active design). A
-	// gross error at a high-leverage position is interpolated by the fit
-	// — raw residual ≈ 0 — so trimming must rank by the leave-one-out
-	// residual r_i/(1−h_ii), which explodes for exactly those points.
-	leverages := func(active []int) ([]float64, error) {
-		ata := linalg.NewMatrix(k, k)
-		for _, i := range active {
-			for a := 0; a < k; a++ {
-				va := rows[i][a]
-				if va == 0 {
-					continue
-				}
-				for b := 0; b < k; b++ {
-					ata.Set(a, b, ata.At(a, b)+va*rows[i][b])
-				}
-			}
-		}
-		for d := 0; d < k; d++ {
-			ata.Set(d, d, ata.At(d, d)+ridgeLambda)
-		}
-		// Invert once, then h_ii = a_iᵀ·(AᵀA+λI)⁻¹·a_i per active point.
-		inv, err := ata.Inverse()
-		if err != nil {
-			return nil, err
-		}
-		hat := make([]float64, n)
-		for _, i := range active {
-			h, err := inv.QuadraticForm(rows[i])
-			if err != nil {
-				return nil, err
-			}
-			hat[i] = h
-		}
-		return hat, nil
-	}
-
-	// Least-trimmed-squares concentration: fit, keep the h points with the
-	// smallest residuals, refit, repeat until the kept set is stable. Each
-	// step cannot increase the trimmed sum of squares, so the iteration
-	// converges; with an honest majority of exact (or lightly noisy)
-	// polynomial evaluations the h-set concentrates onto honest points.
-	// Soft 3σ̂ trimming stalls here: a degree-(k-1) fit has enough freedom
-	// to partially absorb gross errors, so residuals never separate.
-	h := minKeep
-	resid := make([]float64, n)
-	order := make([]int, n)
-	// looRelax discounts the leave-one-out residual in the trimming score.
-	// For a point the fit interpolates (leverage ≈ 1) the raw residual is
-	// uninformative, but its LOO residual r/(1−h) equals exactly the
-	// deviation from the fit computed without it: a gross error parked at
-	// a high-leverage position scores its full lie magnitude, while an
-	// honest high-leverage point scores only the fit's extrapolation
-	// error there. Dividing by looRelax keeps that honest extrapolation
-	// error (amplified numerics, not data corruption) from evicting
-	// honest edge points.
-	const looRelax = 20.0
-	looResid := make([]float64, n)
-	score := make([]float64, n)
-	// computeResiduals fills resid and looResid for the given fit/active.
-	computeResiduals := func(cheb poly.Cheb, active []int) error {
-		hat, err := leverages(active)
-		if err != nil {
-			return fmt.Errorf("reedsolomon: leverage computation failed: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			resid[i] = math.Abs(cheb.Eval(xs[i]) - ys[i])
-			denom := 1 - hat[i]
-			if denom < 1e-9 {
-				denom = 1e-9
-			}
-			looResid[i] = resid[i] / denom
-		}
-		return nil
-	}
-	concentrate := func(start []int) ([]int, poly.Cheb, float64, error) {
-		active := start
-		var cheb poly.Cheb
-		for it := 0; it < iters; it++ {
-			var err error
-			cheb, err = fit(active)
-			if err != nil {
-				return nil, poly.Cheb{}, 0, fmt.Errorf("reedsolomon: trimmed fit failed: %w", err)
-			}
-			if err := computeResiduals(cheb, active); err != nil {
-				return nil, poly.Cheb{}, 0, err
-			}
-			for i := 0; i < n; i++ {
-				score[i] = math.Max(resid[i], looResid[i]/looRelax)
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				ra, rb := score[order[a]], score[order[b]]
-				if ra != rb {
-					return ra < rb
-				}
-				return order[a] < order[b]
-			})
-			next := append([]int(nil), order[:h]...)
-			sort.Ints(next)
-			if equalInts(next, active) {
-				break
-			}
-			active = next
-		}
-		var ssq float64
-		for _, i := range active {
-			ssq += resid[i] * resid[i]
-		}
-		return active, cheb, ssq, nil
-	}
-
-	// Deterministic multi-start to escape poisoned local optima. The
-	// primary start comes from a local-median filter: honest evaluations
-	// of the smooth consensus polynomial agree with their x-neighbours,
-	// while gross errors stand out locally regardless of the polynomial's
-	// degree — exactly the regime (degree ≈ 45, 30 % corruption) where a
-	// fit on the full set can absorb the errors and never separate them.
-	// The concentration step re-selects from all points every iteration,
-	// so a start merely has to be honest-dominated, and the trimmed-SSQ
-	// comparison picks the honest optimum (its SSQ is near zero).
-	all := make([]int, n)
-	evens := make([]int, 0, (n+1)/2)
-	odds := make([]int, 0, n/2)
-	for i := range all {
-		all[i] = i
-		if i%2 == 0 {
-			evens = append(evens, i)
-		} else {
-			odds = append(odds, i)
-		}
-	}
-	var starts [][]int
-	if filtered := localMedianStart(xs, ys, opts.InlierThreshold); len(filtered) >= k {
-		starts = append(starts, filtered)
-	}
-	starts = append(starts, all)
-	if n/2 >= h && h >= k {
-		starts = append(starts, all[:n/2], all[n-n/2:])
-	}
-	if len(evens) >= k {
-		starts = append(starts, evens)
-	}
-	if len(odds) >= k {
-		starts = append(starts, odds)
-	}
-	// Select the winner by consensus size — the number of points the fit
-	// explains within the classification threshold — with trimmed SSQ as
-	// the tie-break. Pure SSQ selection is ambiguous here: a flexible fit
-	// that spikes through one gross error while matching h-1 honest
-	// points ties the honest fit at SSQ ≈ 0, but explains fewer points.
-	bestCount := -1
-	bestSSQ := math.Inf(1)
-	var bestActive []int
-	var bestCheb poly.Cheb
-	classifyThreshold := func(kept []int) float64 {
-		if opts.InlierThreshold > 0 {
-			return opts.InlierThreshold
-		}
-		keptResid := make([]float64, len(kept))
-		for j, i := range kept {
-			keptResid[j] = resid[i]
-		}
-		return math.Max(4*1.4826*medianOf(keptResid), 1e-9)
-	}
-	for _, start := range starts {
-		active, cheb, ssq, err := concentrate(start)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			resid[i] = math.Abs(cheb.Eval(xs[i]) - ys[i])
-		}
-		thr := classifyThreshold(active)
-		count := 0
-		for _, r := range resid {
-			if r <= thr {
-				count++
-			}
-		}
-		if count > bestCount || (count == bestCount && ssq < bestSSQ) {
-			bestCount, bestSSQ, bestActive, bestCheb = count, ssq, active, cheb
-		}
-		// With an explicit threshold a consensus of size ≥ minKeep is the
-		// unique codeword within the eq. 6 budget — no other start can
-		// legitimately beat it, so skip the remaining restarts.
-		if opts.InlierThreshold > 0 && count >= minKeep {
-			break
-		}
-	}
-	if bestActive == nil {
-		return nil, ErrTooManyErrors
-	}
-	for i := 0; i < n; i++ {
-		resid[i] = math.Abs(bestCheb.Eval(xs[i]) - ys[i])
-	}
-
-	// Hull expansion. The h-limited concentration may have excluded
-	// consistent points at the hull edges, where the refit then
-	// extrapolates and inflates their residuals artificially. Greedily
-	// re-admit every point within the classification threshold and refit;
-	// each pass extends the fitted hull by roughly one point spacing, so
-	// edge blocks rejoin step by step. Gross errors never re-enter: their
-	// deviation is data corruption, not extrapolation error.
-	expandThreshold := opts.InlierThreshold
-	if expandThreshold <= 0 {
-		keptResid := make([]float64, len(bestActive))
-		for j, i := range bestActive {
-			keptResid[j] = resid[i]
-		}
-		expandThreshold = math.Max(4*1.4826*medianOf(keptResid), 1e-9)
-	}
-	inActive := make([]bool, n)
-	for _, i := range bestActive {
-		inActive[i] = true
-	}
-	for pass := 0; pass < n; pass++ {
-		grew := false
-		for i := 0; i < n; i++ {
-			if !inActive[i] && resid[i] <= expandThreshold {
-				inActive[i] = true
-				bestActive = append(bestActive, i)
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-		sort.Ints(bestActive)
-		var err error
-		bestCheb, err = fit(bestActive)
-		if err != nil {
-			return nil, fmt.Errorf("reedsolomon: expansion refit failed: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			resid[i] = math.Abs(bestCheb.Eval(xs[i]) - ys[i])
-		}
-	}
-
-	// Final acceptance: classify every point against the caller's
-	// threshold when given (it encodes the known honest noise floor and
-	// thereby rejects majority-garbage words), else against 4σ̂ of the
-	// robust scale over ALL residuals — the eq. 6 model guarantees a
-	// sub-half error fraction, so the overall median is outlier-safe and,
-	// unlike the concentrated set's own residuals, not biased small by
-	// selection. The floor absorbs the ridge regulariser's bias on exact
-	// data.
-	finalThreshold := opts.InlierThreshold
-	if finalThreshold <= 0 {
-		absY := make([]float64, n)
-		for i := range ys {
-			absY[i] = math.Abs(ys[i])
-		}
-		floor := 1e-6 * (1 + medianOf(absY))
-		finalThreshold = math.Max(4*1.4826*medianOf(resid), floor)
-	}
-	countFactor := opts.CountFactor
-	if countFactor <= 0 {
-		countFactor = 2.5
-	}
-	if countFactor < 1 {
-		countFactor = 1
-	}
-	countThreshold := countFactor * finalThreshold
-	var inliers, outliers []int
-	consistent := 0
-	for i, r := range resid {
-		if r <= finalThreshold {
-			inliers = append(inliers, i)
-		}
-		if r <= countThreshold {
-			consistent++
-		} else {
-			outliers = append(outliers, i)
-		}
-	}
-	// eq. 6 analogue: more suspected errors than the budget means the
-	// consensus is not unique — refuse rather than return a guess. The
-	// budget is charged only for gross errors beyond the counting cutoff,
-	// not for honest results in the noise tail.
-	if consistent < minKeep || len(inliers) < k {
-		return nil, ErrTooManyErrors
-	}
-	cheb, err := fit(inliers)
-	if err != nil {
-		return nil, fmt.Errorf("reedsolomon: final refit failed: %w", err)
-	}
-	return &RealResult{
-		Poly:      cheb,
-		Inliers:   inliers,
-		Outliers:  outliers,
-		Threshold: finalThreshold,
-	}, nil
-}
-
-// localMedianStart returns the indices whose value agrees with the median
-// of their 11 nearest x-neighbours within a cut of max(threshold, 3σ̂ of
-// the deviations). Honest evaluations of one smooth polynomial track their
-// neighbourhood; gross errors do not — independent of the polynomial
-// degree, which makes this a reliable honest-dominated starting set for
-// the trimmed-least-squares concentration.
-func localMedianStart(xs, ys []float64, threshold float64) []int {
-	n := len(xs)
-	const half = 5
-	if n < 2*half+1 {
-		return nil
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
-	dev := make([]float64, n)
-	window := make([]float64, 0, 2*half+1)
-	for pos, i := range order {
-		lo := pos - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + 2*half
-		if hi >= n {
-			hi = n - 1
-			lo = hi - 2*half
-		}
-		window = window[:0]
-		for p := lo; p <= hi; p++ {
-			window = append(window, ys[order[p]])
-		}
-		dev[i] = math.Abs(ys[i] - medianOf(window))
-	}
-	cut := 3 * 1.4826 * medianOf(dev)
-	if threshold > cut {
-		cut = threshold
-	}
-	if cut <= 0 {
-		cut = 1e-9
-	}
-	var keep []int
-	for i, d := range dev {
-		if d <= cut {
-			keep = append(keep, i)
-		}
-	}
-	return keep
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// medianOf returns the median of vals without modifying the input.
-func medianOf(vals []float64) float64 {
-	tmp := append([]float64(nil), vals...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
 }

@@ -2,7 +2,6 @@ package reedsolomon
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -165,181 +164,6 @@ func TestDecodeValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeErasures(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	f, xs, ys := randomCodeword(rng, 15, 6)
-	present := make([]bool, 15)
-	for _, i := range rng.Perm(15)[:8] { // 8 ≥ k=6 present
-		present[i] = true
-	}
-	got, err := DecodeErasures(xs, ys, present, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(f) {
-		t.Fatalf("erasure decode mismatch")
-	}
-}
-
-func TestDecodeErasuresTooFew(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	_, xs, ys := randomCodeword(rng, 10, 6)
-	present := make([]bool, 10)
-	present[0], present[1] = true, true
-	if _, err := DecodeErasures(xs, ys, present, 6); err == nil {
-		t.Error("under-determined erasure decode accepted")
-	}
-}
-
-func TestDecodeErasuresDetectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	_, xs, ys := randomCodeword(rng, 10, 4)
-	present := make([]bool, 10)
-	for i := range present {
-		present[i] = true
-	}
-	ys[3] = ys[3].Add(field.One) // silent corruption
-	if _, err := DecodeErasures(xs, ys, present, 4); err == nil {
-		t.Error("corrupted erasure decode accepted")
-	}
-}
-
-func TestDecodeErasuresValidation(t *testing.T) {
-	if _, err := DecodeErasures(nil, nil, []bool{true}, 1); err == nil {
-		t.Error("inconsistent lengths accepted")
-	}
-}
-
-// --- real-valued robust decoding ---
-
-func realCodeword(rng *rand.Rand, n, k int) (poly.Real, []float64, []float64) {
-	coefs := make([]float64, k)
-	for i := range coefs {
-		coefs[i] = rng.NormFloat64()
-	}
-	f := poly.NewReal(coefs...)
-	// Use spread points in [-1, 1] to keep the Vandermonde well-behaved.
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = -1 + 2*float64(i)/float64(n-1) + 1e-3*rng.Float64()
-	}
-	ys := make([]float64, n)
-	for i := range ys {
-		ys[i] = f.Eval(xs[i])
-	}
-	return f, xs, ys
-}
-
-func TestDecodeRealRobustClean(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f, xs, ys := realCodeword(rng, 30, 5)
-	res, err := DecodeRealRobust(xs, ys, 5, RealOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outliers) != 0 {
-		t.Errorf("clean word flagged outliers %v", res.Outliers)
-	}
-	for _, x := range []float64{-0.9, -0.3, 0, 0.4, 0.9} {
-		if math.Abs(res.Poly.Eval(x)-f.Eval(x)) > 1e-8 {
-			t.Errorf("p(%g) = %g, want %g", x, res.Poly.Eval(x), f.Eval(x))
-		}
-	}
-}
-
-func TestDecodeRealRobustWithGrossErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	f, xs, ys := realCodeword(rng, 40, 6)
-	// Honest small noise + 8 gross errors (budget is (40-6)/2 = 17).
-	for i := range ys {
-		ys[i] += 1e-6 * rng.NormFloat64()
-	}
-	bad := rng.Perm(40)[:8]
-	for _, i := range bad {
-		ys[i] += 5 + rng.Float64()*10
-	}
-	res, err := DecodeRealRobust(xs, ys, 6, RealOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	badSet := map[int]bool{}
-	for _, i := range bad {
-		badSet[i] = true
-	}
-	if len(res.Outliers) != len(bad) {
-		t.Fatalf("flagged %d outliers, want %d (flagged=%v)", len(res.Outliers), len(bad), res.Outliers)
-	}
-	for _, i := range res.Outliers {
-		if !badSet[i] {
-			t.Errorf("false positive outlier %d", i)
-		}
-	}
-	for _, x := range []float64{-0.8, -0.2, 0.1, 0.6, 0.95} {
-		if math.Abs(res.Poly.Eval(x)-f.Eval(x)) > 1e-4 {
-			t.Errorf("p(%g) = %g, want %g", x, res.Poly.Eval(x), f.Eval(x))
-		}
-	}
-}
-
-func TestDecodeRealRobustTooManyErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	_, xs, ys := realCodeword(rng, 20, 10)
-	// Corrupt 60% of points with dispersed values: no consensus survives.
-	// The explicit threshold encodes the caller's knowledge of the honest
-	// noise floor (≈0 here) — required to detect majority garbage.
-	for _, i := range rng.Perm(20)[:12] {
-		ys[i] = rng.NormFloat64() * 100
-	}
-	if _, err := DecodeRealRobust(xs, ys, 10, RealOptions{InlierThreshold: 0.5}); err == nil {
-		t.Error("expected failure beyond real error budget")
-	}
-}
-
-func TestDecodeRealRobustValidation(t *testing.T) {
-	if _, err := DecodeRealRobust([]float64{1}, []float64{1, 2}, 1, RealOptions{}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := DecodeRealRobust([]float64{1}, []float64{1}, 0, RealOptions{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := DecodeRealRobust([]float64{1}, []float64{1}, 2, RealOptions{}); err == nil {
-		t.Error("n<k accepted")
-	}
-}
-
-func TestDecodeRealRobustDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	_, xs, ys := realCodeword(rng, 25, 4)
-	for _, i := range rng.Perm(25)[:5] {
-		ys[i] += 50
-	}
-	a, err := DecodeRealRobust(xs, ys, 4, RealOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeRealRobust(xs, ys, 4, RealOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Poly.Coef {
-		if a.Poly.Coef[i] != b.Poly.Coef[i] {
-			t.Fatal("same seed produced different decodes")
-		}
-	}
-}
-
-func TestMedianOf(t *testing.T) {
-	if got := medianOf([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %g", got)
-	}
-	if got := medianOf([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("even median = %g", got)
-	}
-	if got := medianOf(nil); got != 0 {
-		t.Errorf("empty median = %g", got)
-	}
-}
-
 func BenchmarkDecodeV100K46E27(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	_, xs, ys := randomCodeword(rng, 100, 46)
@@ -347,20 +171,6 @@ func BenchmarkDecodeV100K46E27(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(xs, ys, 46); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRealRobustV100(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	_, xs, ys := realCodeword(rng, 100, 16)
-	for _, i := range rng.Perm(100)[:20] {
-		ys[i] += 100
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRealRobust(xs, ys, 16, RealOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
