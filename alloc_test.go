@@ -2,13 +2,20 @@ package repro
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/approx"
 	"repro/internal/core"
+	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/traffic"
+	"repro/internal/transport"
 )
 
 // TestAggregateAllocs pins the fusion centre's steady-state allocation
@@ -172,4 +179,243 @@ func TestAggregateStreamedAllocs(t *testing.T) {
 	if persistent > 160 {
 		t.Errorf("streamed round with persistent liars allocates %.1f times, want <= 160", persistent)
 	}
+}
+
+// The pins below hold the vehicle side and the fit of a round to the
+// allocation-free steady state (DESIGN.md §13.2), at the shape of the
+// benchmark's train-v16-pipe workload: degree-1 activation, 16 features,
+// 192 reference rows in M = 8 batches, 240 local rows x 5 epochs.
+
+const (
+	roundBatches  = 8
+	roundRefRows  = 192
+	roundVehicles = 16
+)
+
+// roundModel returns a single-layer model with the degree-1 least-squares
+// activation and the fit's coefficients.
+func roundModel(t *testing.T) (*nn.Network, []float64) {
+	t.Helper()
+	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.New(nn.Config{
+		LayerSizes: []int{traffic.NumFeatures, 1},
+		Activation: approx.FromPolynomial("ls", p),
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, p
+}
+
+func roundData(t *testing.T, rows int, seed int64) *traffic.Dataset {
+	t.Helper()
+	ds, err := traffic.Generate(traffic.GenConfig{Rows: rows, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestTrainSGDAllocs: eq. 1 local SGD was 6 001 allocations a call (one
+// shuffle order plus five slices per sample step); on the network's own
+// scratch a call on a network that has trained before makes none, and
+// the first call on a fresh clone builds the scratch in 6.
+func TestTrainSGDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _ := roundModel(t)
+	samples := roundData(t, 240, 11).Samples
+	rng := rand.New(rand.NewSource(2))
+	train := func(n *nn.Network) {
+		if _, err := n.TrainSGD(samples, 0.2, 5, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train(net)
+	if avg := testing.AllocsPerRun(5, func() { train(net) }); avg != 0 {
+		t.Errorf("TrainSGD on a warm network allocates %.1f times per call, want 0", avg)
+	}
+	cold := testing.AllocsPerRun(5, func() { train(net.Clone()) })
+	clone := testing.AllocsPerRun(5, func() { net.Clone() })
+	if cold-clone > 8 {
+		t.Errorf("first TrainSGD on a clone allocates %.1f times beyond the clone's %.1f, want <= 8", cold-clone, clone)
+	}
+}
+
+// TestEstimateClampedAllocs: the learning-channel estimate (two slices per
+// reference row through Forward before) allocates nothing on the
+// single-layer shape.
+func TestEstimateClampedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _ := roundModel(t)
+	x := roundData(t, 1, 12).Features()[0]
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := net.EstimateClamped(x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("EstimateClamped allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestUploadAllocs: a vehicle's BeginRound + Upload was 399 allocations at
+// 192 reference rows; now it is the parameter copy BeginRound quantises
+// from and the upload vector the caller keeps.
+func TestUploadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _ := roundModel(t)
+	s, err := core.NewScheme(roundData(t, roundRefRows, 13).Features(), core.SchemeConfig{
+		NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 3, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if err := s.BeginRound(net); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Upload(5, net); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(50, round); avg > 4 {
+		t.Errorf("BeginRound + Upload allocate %.1f times per round, want <= 4", avg)
+	}
+}
+
+// TestDistillAllocs: the fusion centre's closed-form fit was 398
+// allocations at 192 rows (two per row in Loss -> Forward); what is left
+// are its per-call matrices (design matrix, normal equations, solve).
+func TestDistillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _ := roundModel(t)
+	ds := roundData(t, roundRefRows, 14)
+	samples := make([]nn.Sample, roundRefRows)
+	for i, x := range ds.Features() {
+		samples[i] = nn.Sample{X: x, Y: ds.Slowness[i]}
+	}
+	cfg := fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 1, LocalRate: 0.2,
+		DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := fl.Distill(net, cfg, samples); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 24 {
+		t.Errorf("Distill allocates %.1f times per call, want <= 24", avg)
+	}
+}
+
+// TestFrameAllocs: one binary Upload frame written and read over a reused
+// TCP connection was 7 allocations (body, escaping header, read header,
+// read body, and the message's three parts); with per-connection frame
+// buffers only the message the receiver keeps is left.
+func TestFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ln, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := transport.DialTCP(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	transport.SetWireVersion(a, protocol.Version)
+	msg := &protocol.Message{Upload: &protocol.Upload{Round: 7, VehicleID: 3, Values: make([]float64, 2*roundRefRows/roundBatches+roundRefRows)}}
+	frame := func() {
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil || got.Upload == nil || len(got.Upload.Values) != len(msg.Upload.Values) {
+			t.Fatalf("received %+v, %v", got, err)
+		}
+	}
+	frame()
+	if avg := testing.AllocsPerRun(50, frame); avg > 4 {
+		t.Errorf("an Upload frame's write + read allocate %.1f times, want <= 4", avg)
+	}
+}
+
+// TestRoundAllocs pins the whole round: a V = 16 session over pipes —
+// fusion centre and vehicles in this process, as the benchmark runs them —
+// made ~103 k allocations a round; the steady state is ~150 (what a
+// round's messages, upload vectors, ingest state and fit matrices keep).
+// Measured as the Mallocs difference between a long and a short session
+// of the same inputs, so set-up cancels.
+func TestRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, coeffs := roundModel(t)
+	refX := roundData(t, roundRefRows, 15).Features()
+	parts, err := roundData(t, roundVehicles*240, 16).PartitionIID(roundVehicles, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(rounds int) uint64 {
+		srv, err := node.NewServer(node.ServerConfig{
+			FL: fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
+				DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5, Seed: 18},
+			Scheme:           core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 19},
+			RefX:             refX,
+			ActivationCoeffs: coeffs,
+			Rounds:           rounds,
+			RoundTimeout:     30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fusion := make([]transport.Conn, roundVehicles)
+		var vehicles sync.WaitGroup
+		for id := range fusion {
+			serverEnd, vehicleEnd := transport.Pipe()
+			fusion[id] = serverEnd
+			vehicles.Add(1)
+			go func() {
+				defer vehicles.Done()
+				if err := node.RunVehicle(vehicleEnd, node.ClientConfig{VehicleID: id, Data: parts[id], Seed: int64(100 + id)}); err != nil {
+					t.Errorf("vehicle %d: %v", id, err)
+				}
+			}()
+		}
+		report, err := srv.Run(fusion)
+		vehicles.Wait()
+		runtime.ReadMemStats(&after)
+		if err != nil || report.Rounds != rounds || report.DegradedRounds != 0 {
+			t.Fatalf("session of %d rounds: %+v, %v", rounds, report, err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 5, 45
+	session(short) // warm pools and lazily built state
+	perRound := float64(session(long)-session(short)) / (long - short)
+	if perRound > 600 {
+		t.Errorf("a V=%d pipe round allocates %.0f times, want <= 600", roundVehicles, perRound)
+	}
+	t.Logf("%.1f allocations per round", perRound)
 }

@@ -39,34 +39,50 @@ func maxFracBitsFor(degree int) uint {
 // newFPModel quantises the model. The activation polynomial's degree sets
 // the composed-degree budget; deg is the configured ceiling.
 func newFPModel(codec *fixedpoint.Codec, w []float64, b float64, act poly.Real, deg int) (*fpModel, error) {
+	m := &fpModel{codec: codec, deg: deg}
+	if err := m.quantise(w, b, act); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// quantise (re)loads the model from real-valued weights, reusing the
+// element slices when the shape is unchanged — the per-round case. On
+// error the model is partly overwritten and must not be evaluated.
+func (m *fpModel) quantise(w []float64, b float64, act poly.Real) error {
+	codec, deg := m.codec, m.deg
 	if act.Degree() > deg {
-		return nil, fmt.Errorf("core: activation degree %d exceeds configured %d", act.Degree(), deg)
+		return fmt.Errorf("core: activation degree %d exceeds configured %d", act.Degree(), deg)
 	}
 	if act.Degree() < 1 {
-		return nil, fmt.Errorf("core: activation must be a non-constant polynomial")
+		return fmt.Errorf("core: activation must be a non-constant polynomial")
 	}
 	if bits := (2*uint(deg) + 1) * codec.FracBits(); bits > 50 {
-		return nil, fmt.Errorf("core: %d fractional bits at degree %d need %d bits, exceeding field headroom (max FracBits %d)",
+		return fmt.Errorf("core: %d fractional bits at degree %d need %d bits, exceeding field headroom (max FracBits %d)",
 			codec.FracBits(), deg, bits, maxFracBitsFor(deg))
 	}
-	m := &fpModel{codec: codec, deg: deg}
-	var err error
-	if m.w, err = codec.EncodeVec(w); err != nil {
-		return nil, fmt.Errorf("core: weights: %w", err)
+	if len(m.w) != len(w) {
+		m.w = make([]field.Element, len(w))
+	}
+	if err := codec.EncodeVecInto(m.w, w); err != nil {
+		return fmt.Errorf("core: weights: %w", err)
 	}
 	// The bias joins the pre-activation sum at 2·frac bits.
+	var err error
 	if m.b, err = codec.Encode(b * math.Ldexp(1, int(codec.FracBits()))); err != nil {
-		return nil, fmt.Errorf("core: bias: %w", err)
+		return fmt.Errorf("core: bias: %w", err)
 	}
-	m.act = make([]field.Element, act.Degree()+1)
+	if len(m.act) != act.Degree()+1 {
+		m.act = make([]field.Element, act.Degree()+1)
+	}
 	for i := range m.act {
 		e, err := codec.Encode(act.Coeff(i))
 		if err != nil {
-			return nil, fmt.Errorf("core: activation coeff %d: %w", i, err)
+			return fmt.Errorf("core: activation coeff %d: %w", i, err)
 		}
 		m.act[i] = e
 	}
-	return m, nil
+	return nil
 }
 
 // Eval computes act(w·x + b) for a quantised input vector. The result

@@ -125,7 +125,8 @@ type Scheme struct {
 	// error budget in the last Aggregate.
 	DecodeFailures int
 	// DetectedMalicious holds per-vehicle error counts from the last
-	// Aggregate's verification decodes.
+	// Aggregate's verification decodes. Aggregate rewrites it in place:
+	// copy it to keep a round's counts past the next Aggregate.
 	DetectedMalicious []int
 	// BatchRecovered and BatchFallbacks count how the last Aggregate's
 	// verification decodes split: slots settled by the fast path (the
@@ -303,12 +304,15 @@ func (s *Scheme) FracBits() uint { return s.codec.FracBits() }
 // BeginRound implements fl.Scheme: it quantises the broadcast model every
 // honest vehicle uses on the verification channel this round. The model
 // must be single-layer with a polynomial activation of degree ≤ Degree
-// (the L-CoFL requirement from §IV Step 2).
+// (the L-CoFL requirement from §IV Step 2). It is only read, and only
+// during the call: callers pass their live model, no clone.
 func (s *Scheme) BeginRound(shared *nn.Network) error {
 	if shared == nil {
 		return fmt.Errorf("core: nil shared model")
 	}
-	if len(shared.Sizes()) != 2 || shared.OutputSize() != 1 {
+	// in weights + 1 bias: only the shape [in, 1] has that few parameters
+	// (Sizes() would say the same but allocates, once a round).
+	if shared.NumParams() != shared.InputSize()+1 {
 		return fmt.Errorf("core: verification requires a single-nonlinear-layer model, got layers %v", shared.Sizes())
 	}
 	actPoly := shared.Activation().Poly
@@ -319,12 +323,17 @@ func (s *Scheme) BeginRound(shared *nn.Network) error {
 	if shared.InputSize() != features {
 		return fmt.Errorf("core: model input %d, reference features %d", shared.InputSize(), features)
 	}
+	// Re-quantise into the previous round's model: same shape every round,
+	// so nothing is allocated past the parameter copy. Upload only runs
+	// between BeginRounds, never during one.
+	if s.fpm == nil {
+		s.fpm = &fpModel{codec: s.codec, deg: s.cfg.Degree}
+	}
 	params := shared.Params() // [w… b] for a single layer
-	fpm, err := newFPModel(s.codec, params[:features], params[features], actPoly, s.cfg.Degree)
-	if err != nil {
+	if err := s.fpm.quantise(params[:features], params[features], actPoly); err != nil {
+		s.fpm = nil // partly overwritten: Upload must refuse it
 		return err
 	}
-	s.fpm = fpm
 	return nil
 }
 
@@ -383,7 +392,7 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 				obs.F("decode_failures", s.DecodeFailures),
 				obs.F("batch_recovered", s.BatchRecovered),
 				obs.F("batch_fallbacks", s.BatchFallbacks),
-				obs.F("flagged", len(s.SuspectedMalicious())),
+				obs.F("flagged", s.flaggedCount()),
 			}
 			if p := s.spanParent; p.Valid() {
 				span := obs.DeriveSpan(p.Trace, "core.aggregate", p.Span)
@@ -393,7 +402,10 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		}()
 	}
 	s.DecodeFailures = 0
-	s.DetectedMalicious = make([]int, s.cfg.NumVehicles)
+	if len(s.DetectedMalicious) != s.cfg.NumVehicles {
+		s.DetectedMalicious = make([]int, s.cfg.NumVehicles)
+	}
+	clear(s.DetectedMalicious)
 	s.BatchRecovered = 0
 	s.BatchFallbacks = 0
 
@@ -447,7 +459,7 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		// Cumulative counters mirror the per-round fields: add this round's
 		// deltas so totals stay in lock-step with them.
 		s.cDecodeFailures.Add(int64(s.DecodeFailures))
-		s.cFlagged.Add(int64(len(s.SuspectedMalicious())))
+		s.cFlagged.Add(int64(s.flaggedCount()))
 	}
 
 	n := len(s.refX)
@@ -643,15 +655,30 @@ func median(vals []float64) float64 {
 
 // SuspectedMalicious returns the vehicles flagged on at least one
 // verification slot in the last Aggregate — the fusion centre's
-// malicious-vehicle report.
+// malicious-vehicle report (nil when none; a fresh slice otherwise).
 func (s *Scheme) SuspectedMalicious() []int {
-	var out []int
+	n := s.flaggedCount()
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for id, cnt := range s.DetectedMalicious {
 		if cnt > 0 {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// flaggedCount is len(SuspectedMalicious()) without building the list.
+func (s *Scheme) flaggedCount() int {
+	n := 0
+	for _, cnt := range s.DetectedMalicious {
+		if cnt > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // verify interface compliance.

@@ -374,6 +374,19 @@ func TestSchemeUploadValidation(t *testing.T) {
 	if err := s.BeginRound(nil); err == nil {
 		t.Error("nil shared model accepted")
 	}
+	for _, sizes := range [][]int{
+		{traffic.NumFeatures, 3, 1}, // hidden layer
+		{traffic.NumFeatures, 2},    // two outputs
+		{traffic.NumFeatures + 1, 1},
+	} {
+		wrong, err := nn.New(nn.Config{LayerSizes: sizes, Activation: model.Activation(), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BeginRound(wrong); err == nil {
+			t.Errorf("model of shape %v accepted", sizes)
+		}
+	}
 	if err := s.BeginRound(model); err != nil {
 		t.Fatal(err)
 	}

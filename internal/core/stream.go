@@ -38,9 +38,11 @@ type RoundIngest struct {
 	present []bool // ingested vehicles (full verification words only)
 	count   int
 	syms    []field.Element // per-Add scratch, one symbol per slot
-	// suspect is the previous Aggregate's DetectedMalicious (Aggregate
-	// replaces that slice, never writes into it, so holding it is a
-	// snapshot); deferred holds, in arrival order, the flagged vehicles'
+	// suspect aliases the scheme's DetectedMalicious, which holds the
+	// previous Aggregate's counts until this round's Aggregate rewrites
+	// it — after every Add, since the sink is handed over with that call.
+	// It only orders the ingest, so even a stale read could not change a
+	// result. deferred holds, in arrival order, the flagged vehicles'
 	// uploads until flush.
 	suspect  []int
 	deferred []deferredUpload

@@ -90,14 +90,26 @@ func (c *Codec) DecodeScaled(e field.Element, times uint) float64 {
 // EncodeVec quantises a vector, failing on the first unrepresentable entry.
 func (c *Codec) EncodeVec(xs []float64) ([]field.Element, error) {
 	out := make([]field.Element, len(xs))
+	if err := c.EncodeVecInto(out, xs); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EncodeVecInto is EncodeVec into a caller-owned slice of the same
+// length; on error dst holds the entries before the failing one.
+func (c *Codec) EncodeVecInto(dst []field.Element, xs []float64) error {
+	if len(dst) != len(xs) {
+		return fmt.Errorf("fixedpoint: destination length %d, want %d", len(dst), len(xs))
+	}
 	for i, x := range xs {
 		e, err := c.Encode(x)
 		if err != nil {
-			return nil, fmt.Errorf("fixedpoint: index %d: %w", i, err)
+			return fmt.Errorf("fixedpoint: index %d: %w", i, err)
 		}
-		out[i] = e
+		dst[i] = e
 	}
-	return out, nil
+	return nil
 }
 
 // DecodeVec recovers a vector of residues at the codec's base scale.

@@ -137,6 +137,18 @@ func TestEncodeVecDecodeVec(t *testing.T) {
 	if _, err := c.EncodeVec([]float64{math.NaN()}); err == nil {
 		t.Error("vec with NaN accepted")
 	}
+	into := make([]field.Element, len(xs))
+	if err := c.EncodeVecInto(into, xs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range es {
+		if into[i] != es[i] {
+			t.Errorf("EncodeVecInto[%d] = %v, EncodeVec gives %v", i, into[i], es[i])
+		}
+	}
+	if c.EncodeVecInto(into[:2], xs) == nil {
+		t.Error("short destination accepted")
+	}
 }
 
 func TestHeadroomDegree(t *testing.T) {

@@ -238,7 +238,8 @@ type Scheme interface {
 	// Name identifies the scheme in experiment output.
 	Name() string
 	// BeginRound hands the scheme the broadcast shared model at the start
-	// of every round (a private clone). Coded schemes use it for the
+	// of every round — the caller's live model, to be read during the call
+	// and neither kept nor modified. Coded schemes use it for the
 	// verification channel: every honest vehicle evaluates this same
 	// model on its encoded share, so honest verification uploads are
 	// exact evaluations of one polynomial.
@@ -304,7 +305,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		rs.RoundStart()
 	}
 	sharedParams := s.shared.Params()
-	if err := scheme.BeginRound(s.shared.Clone()); err != nil {
+	if err := scheme.BeginRound(s.shared); err != nil {
 		return nil, fmt.Errorf("fl: scheme begin round: %w", err)
 	}
 

@@ -105,6 +105,46 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestViewsAndMulVecInto: the aliasing constructor and row view share
+// storage with their source, and MulVecInto is MulVec into a caller's
+// slice with both lengths checked.
+func TestViewsAndMulVecInto(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	m := MatrixOver(2, 3, data)
+	if m.At(1, 0) != 4 {
+		t.Errorf("MatrixOver layout: At(1,0) = %g", m.At(1, 0))
+	}
+	m.RowView(1)[2] = 60
+	if data[5] != 60 || m.At(1, 2) != 60 {
+		t.Error("RowView write did not reach the backing slice")
+	}
+	data[0] = 10
+	if m.At(0, 0) != 10 {
+		t.Error("MatrixOver copied its data")
+	}
+	x := []float64{1, 0, 1}
+	want, err := m.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 2)
+	if err := m.MulVecInto(dst, x); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0] != want[0] || dst[1] != want[1] || dst[0] != 13 || dst[1] != 64 {
+		t.Errorf("MulVecInto = %v, MulVec = %v", dst, want)
+	}
+	if m.MulVecInto(dst[:1], x) == nil || m.MulVecInto(dst, x[:2]) == nil {
+		t.Error("length mismatch accepted")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MatrixOver accepted data of the wrong length")
+		}
+	}()
+	MatrixOver(2, 2, data)
+}
+
 func TestAddSubScale(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{4, 3}, {2, 1}})

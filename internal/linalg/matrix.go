@@ -30,6 +30,17 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// MatrixOver returns a rows×cols matrix that aliases data (row-major,
+// len rows*cols) instead of copying it: writes through either are seen by
+// both. Package nn lays every layer of a network over one flat parameter
+// vector this way. It panics on a shape/length mismatch like NewMatrix.
+func MatrixOver(rows, cols int, data []float64) *Matrix {
+	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("linalg: %d values cannot back shape %dx%d", len(data), rows, cols))
+	}
+	return &Matrix{rows: rows, cols: cols, data: data}
+}
+
 // FromRows builds a matrix from row slices, which must be equal length.
 func FromRows(rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {
@@ -71,6 +82,12 @@ func (m *Matrix) Row(i int) []float64 {
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
 	return out
+}
+
+// RowView returns row i as a slice aliasing the matrix: no copy, and
+// writes land in the matrix. Hot loops use it instead of At/Set.
+func (m *Matrix) RowView(i int) []float64 {
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
 // Col returns a copy of column j.
@@ -157,19 +174,30 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 
 // MulVec returns m·x for a vector x of length Cols.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("linalg: mulvec length %d, want %d", len(x), m.cols)
-	}
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
+	if err := m.MulVecInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// MulVecInto writes m·x into dst (length Rows) without allocating; dst
+// must not alias x.
+func (m *Matrix) MulVecInto(dst, x []float64) error {
+	if len(x) != m.cols {
+		return fmt.Errorf("linalg: mulvec length %d, want %d", len(x), m.cols)
+	}
+	if len(dst) != m.rows {
+		return fmt.Errorf("linalg: mulvec destination length %d, want %d", len(dst), m.rows)
+	}
+	for i := range dst {
+		var s float64
+		for j, v := range m.RowView(i) {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+	return nil
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

@@ -1,0 +1,297 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/approx"
+)
+
+// referenceNet is the straight-line SGD the in-place kernels replaced,
+// kept as the oracle they are pinned to: per-layer weights as plain rows,
+// every step allocating its own activations, the proximal pull and the L1
+// projection going through a flattened copy, the loss taken every epoch.
+type referenceNet struct {
+	w         [][][]float64 // w[l][i][j]
+	b         [][]float64
+	act       approx.Activation
+	weightCap float64
+}
+
+func newReferenceNet(n *Network) *referenceNet {
+	r := &referenceNet{act: n.Activation(), weightCap: n.WeightCap()}
+	sizes := n.Sizes()
+	for l := 0; l+1 < len(sizes); l++ {
+		rows := make([][]float64, sizes[l+1])
+		for i := range rows {
+			rows[i] = make([]float64, sizes[l])
+		}
+		r.w = append(r.w, rows)
+		r.b = append(r.b, make([]float64, sizes[l+1]))
+	}
+	r.setParams(n.Params())
+	return r
+}
+
+func (r *referenceNet) params() []float64 {
+	var out []float64
+	for l := range r.w {
+		for _, row := range r.w[l] {
+			out = append(out, row...)
+		}
+		out = append(out, r.b[l]...)
+	}
+	return out
+}
+
+func (r *referenceNet) setParams(p []float64) {
+	k := 0
+	for l := range r.w {
+		for _, row := range r.w[l] {
+			k += copy(row, p[k:])
+		}
+		k += copy(r.b[l], p[k:])
+	}
+}
+
+func (r *referenceNet) step(s Sample, rho float64) float64 {
+	L := len(r.w)
+	as := make([][]float64, L+1)
+	zs := make([][]float64, L)
+	as[0] = append([]float64(nil), s.X...)
+	for l := 0; l < L; l++ {
+		z := make([]float64, len(r.w[l]))
+		for i, row := range r.w[l] {
+			var sum float64
+			for j, v := range row {
+				sum += v * as[l][j]
+			}
+			z[i] = sum
+		}
+		for i := range z {
+			z[i] += r.b[l][i]
+		}
+		zs[l] = z
+		a := make([]float64, len(z))
+		for i := range z {
+			a[i] = r.act.F(z[i])
+		}
+		as[l+1] = a
+	}
+	pi := clampProb((1 + as[L][0]) / 2)
+	loss := -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
+	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
+	delta := []float64{clipDelta(dLdPi * 0.5 * r.act.DF(zs[L-1][0]))}
+	for l := L - 1; l >= 0; l-- {
+		var next []float64
+		if l > 0 {
+			next = make([]float64, len(as[l]))
+			for j := range next {
+				var sum float64
+				for i := range delta {
+					sum += r.w[l][i][j] * delta[i]
+				}
+				next[j] = sum * r.act.DF(zs[l-1][j])
+			}
+		}
+		for i := range delta {
+			for j := range as[l] {
+				r.w[l][i][j] = r.w[l][i][j] - rho*delta[i]*as[l][j]
+			}
+			r.b[l][i] -= rho * delta[i]
+		}
+		delta = next
+	}
+	return loss
+}
+
+func (r *referenceNet) trainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand, mu float64, anchor []float64) float64 {
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	var lastLoss float64
+	for e := 0; e < epochs; e++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var total float64
+		for _, idx := range order {
+			total += r.step(samples[idx], rho)
+			if mu > 0 {
+				params := r.params()
+				for i := range params {
+					params[i] -= rho * mu * (params[i] - anchor[i])
+				}
+				r.setParams(params)
+			}
+			if r.weightCap > 0 {
+				params := r.params()
+				var l1 float64
+				for _, p := range params {
+					l1 += math.Abs(p)
+				}
+				if l1 > r.weightCap {
+					scale := r.weightCap / l1
+					for i := range params {
+						params[i] *= scale
+					}
+					r.setParams(params)
+				}
+			}
+		}
+		lastLoss = total / float64(len(samples))
+	}
+	return lastLoss
+}
+
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTrainSGDMatchesReferenceStep pins the in-place kernels to the
+// reference bit for bit — parameters and returned loss — over random
+// shapes (no, one or two hidden layers), both activation families, the
+// L1 cap on and off and the proximal term on and off. Two TrainSGD calls
+// per case cover the reused scratch as well as the freshly built one.
+func TestTrainSGDMatchesReferenceStep(t *testing.T) {
+	poly, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := []approx.Activation{approx.SymmetricSigmoid(), approx.FromPolynomial("ls3", poly)}
+	rng := rand.New(rand.NewSource(77))
+	for c := 0; c < 120; c++ {
+		sizes := []int{1 + rng.Intn(6)}
+		for h := rng.Intn(3); h > 0; h-- {
+			sizes = append(sizes, 1+rng.Intn(5))
+		}
+		sizes = append(sizes, 1)
+		n, err := New(Config{LayerSizes: sizes, Activation: acts[c%2], Seed: int64(c)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c%4 >= 2 {
+			// Tight enough that most steps project.
+			if err := n.SetWeightCap(0.5 + rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mu float64
+		if c%3 == 0 {
+			mu = 0.05 + rng.Float64()
+		}
+		anchor := n.Params()
+		samples := make([]Sample, 1+rng.Intn(20))
+		for i := range samples {
+			x := make([]float64, sizes[0])
+			for j := range x {
+				x[j] = 2*rng.Float64() - 1
+			}
+			samples[i] = Sample{X: x, Y: float64(rng.Intn(2))}
+		}
+		rho := 0.05 + rng.Float64()
+		epochs := 1 + rng.Intn(3)
+		ref := newReferenceNet(n)
+		seed := rng.Int63()
+		gotRNG, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for call := 0; call < 2; call++ {
+			got, err := n.TrainSGDProximal(samples, rho, epochs, gotRNG, mu, anchor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.trainSGD(samples, rho, epochs, wantRNG, mu, anchor)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d sizes %v call %d: loss %v, reference %v", c, sizes, call, got, want)
+			}
+			if !sameFloatBits(n.Params(), ref.params()) {
+				t.Fatalf("case %d sizes %v cap %g mu %g call %d: parameters diverged from the reference step",
+					c, sizes, n.WeightCap(), mu, call)
+			}
+		}
+	}
+}
+
+// TestEstimateMatchesForward pins the allocation-free single-layer
+// estimate to the general Forward path it short-cuts.
+func TestEstimateMatchesForward(t *testing.T) {
+	n, err := New(testConfig(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		x := make([]float64, 5)
+		for j := range x {
+			x[j] = 4*rng.Float64() - 2
+		}
+		out, err := n.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.Estimate(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (1 + out[0]) / 2; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Estimate = %v, Forward gives %v", got, want)
+		}
+	}
+	if _, err := n.Estimate([]float64{1}); err == nil {
+		t.Error("wrong input length accepted")
+	}
+}
+
+// TestEstimateClampedConcurrentReaders: fl.System fans vehicles out over
+// a worker pool and schemes estimate on shared models from there, so the
+// read path must carry no shared scratch. Eight goroutines estimating on
+// one Network — one that has trained, so its training scratch exists —
+// agree with the serial result; -race checks the rest.
+func TestEstimateClampedConcurrentReaders(t *testing.T) {
+	n, err := New(testConfig(6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	xs := make([][]float64, 256)
+	samples := make([]Sample, len(xs))
+	for i := range xs {
+		xs[i] = make([]float64, 6)
+		for j := range xs[i] {
+			xs[i][j] = 2*rng.Float64() - 1
+		}
+		samples[i] = Sample{X: xs[i], Y: float64(i % 2)}
+	}
+	if _, err := n.TrainSGD(samples, 0.1, 1, rng); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(xs))
+	for i, x := range xs {
+		if want[i], err = n.EstimateClamped(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, x := range xs {
+				got, err := n.EstimateClamped(x)
+				if err != nil || math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("row %d: concurrent estimate %v (%v), serial %v", i, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

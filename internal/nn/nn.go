@@ -35,7 +35,12 @@ type Config struct {
 
 // Network is a fully-connected multi-layer perceptron.
 type Network struct {
-	sizes   []int
+	sizes []int
+	// params is the flat parameter vector in Params layout (layer by
+	// layer: weights row-major, then biases). weights and biases are views
+	// onto it, so whole-vector updates — the proximal pull, the L1
+	// projection, Params/SetParams — are single loops in Params order.
+	params  []float64
 	weights []*linalg.Matrix // weights[l]: sizes[l+1] × sizes[l]
 	biases  [][]float64      // biases[l]: sizes[l+1]
 	act     approx.Activation
@@ -46,6 +51,37 @@ type Network struct {
 	// [-1, 1] capping ‖params‖₁ keeps |w·x + b| inside that interval —
 	// projected SGD, the standard constrained-training device.
 	weightCap float64
+	// train is the SGD working set, built by the first TrainSGD call and
+	// reused by every later one. Training rewrites the parameters, so it
+	// already needs the network to itself; the read paths (Forward,
+	// Estimate, Loss, Gradient) never touch the scratch and stay legal
+	// for concurrent callers of one Network.
+	train *trainScratch
+}
+
+// newNetwork lays zeroed weights and biases for the given layer sizes
+// over one flat parameter vector.
+func newNetwork(sizes []int, act approx.Activation, weightCap float64) *Network {
+	total := 0
+	for l := 0; l+1 < len(sizes); l++ {
+		total += sizes[l+1] * (sizes[l] + 1)
+	}
+	n := &Network{
+		sizes:     append([]int(nil), sizes...),
+		params:    make([]float64, total),
+		weights:   make([]*linalg.Matrix, 0, len(sizes)-1),
+		biases:    make([][]float64, 0, len(sizes)-1),
+		act:       act,
+		weightCap: weightCap,
+	}
+	rest := n.params
+	for l := 0; l+1 < len(sizes); l++ {
+		in, out := sizes[l], sizes[l+1]
+		n.weights = append(n.weights, linalg.MatrixOver(out, in, rest[:out*in]))
+		n.biases = append(n.biases, rest[out*in:out*in+out:out*in+out])
+		rest = rest[out*in+out:]
+	}
+	return n
 }
 
 // New builds a network with Xavier-style uniform initialisation.
@@ -62,21 +98,14 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("nn: activation with F and DF is required")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := &Network{
-		sizes: append([]int(nil), cfg.LayerSizes...),
-		act:   cfg.Activation,
-	}
-	for l := 0; l+1 < len(cfg.LayerSizes); l++ {
-		in, out := cfg.LayerSizes[l], cfg.LayerSizes[l+1]
-		w := linalg.NewMatrix(out, in)
-		bound := math.Sqrt(6.0 / float64(in+out))
-		for i := 0; i < out; i++ {
-			for j := 0; j < in; j++ {
+	n := newNetwork(cfg.LayerSizes, cfg.Activation, 0)
+	for _, w := range n.weights {
+		bound := math.Sqrt(6.0 / float64(w.Cols()+w.Rows()))
+		for i := 0; i < w.Rows(); i++ {
+			for j := 0; j < w.Cols(); j++ {
 				w.Set(i, j, (2*rng.Float64()-1)*bound)
 			}
 		}
-		n.weights = append(n.weights, w)
-		n.biases = append(n.biases, make([]float64, out))
 	}
 	return n, nil
 }
@@ -123,33 +152,23 @@ func (n *Network) projectWeightCap() {
 	if n.weightCap <= 0 {
 		return
 	}
-	params := n.Params()
 	var l1 float64
-	for _, p := range params {
+	for _, p := range n.params {
 		l1 += math.Abs(p)
 	}
 	if l1 <= n.weightCap {
 		return
 	}
 	scale := n.weightCap / l1
-	for i := range params {
-		params[i] *= scale
+	for i := range n.params {
+		n.params[i] *= scale
 	}
-	// SetParams cannot fail here: the layout is the network's own.
-	_ = n.SetParams(params)
 }
 
 // Clone returns an independent deep copy sharing no state.
 func (n *Network) Clone() *Network {
-	out := &Network{
-		sizes:     append([]int(nil), n.sizes...),
-		act:       n.act,
-		weightCap: n.weightCap,
-	}
-	for l := range n.weights {
-		out.weights = append(out.weights, n.weights[l].Clone())
-		out.biases = append(out.biases, linalg.Clone(n.biases[l]))
-	}
+	out := newNetwork(n.sizes, n.act, n.weightCap)
+	copy(out.params, n.params)
 	return out
 }
 
@@ -181,6 +200,16 @@ func (n *Network) Forward(x []float64) ([]float64, error) {
 func (n *Network) Estimate(x []float64) (float64, error) {
 	if n.OutputSize() != 1 {
 		return 0, fmt.Errorf("nn: Estimate requires a single output, network has %d", n.OutputSize())
+	}
+	if len(n.weights) == 1 {
+		// The single-layer shape L-CoFL requires: Forward's dot product,
+		// bias add and activation in locals only — no allocation and no
+		// shared scratch, so concurrent estimates on one Network stay legal.
+		if len(x) != n.InputSize() {
+			return 0, fmt.Errorf("nn: input length %d, want %d", len(x), n.InputSize())
+		}
+		z := linalg.Dot(n.weights[0].RowView(0), x) + n.biases[0][0]
+		return (1 + n.act.F(z)) / 2, nil
 	}
 	out, err := n.Forward(x)
 	if err != nil {
@@ -293,30 +322,27 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 	if mu > 0 && len(anchor) != n.NumParams() {
 		return 0, fmt.Errorf("nn: anchor length %d, want %d", len(anchor), n.NumParams())
 	}
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
+	sc := n.scratch(len(samples))
+	swap := func(i, j int) { sc.order[i], sc.order[j] = sc.order[j], sc.order[i] }
 	var lastLoss float64
 	for e := 0; e < epochs; e++ {
 		if rng != nil {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			rng.Shuffle(len(sc.order), swap)
 		}
+		// Only the final epoch's mean loss is returned, so only the final
+		// epoch pays for the two logarithms per sample.
+		final := e == epochs-1
 		var total float64
-		for _, idx := range order {
-			loss, err := n.step(samples[idx], rho)
+		for _, idx := range sc.order {
+			loss, err := n.step(sc, samples[idx], rho, final)
 			if err != nil {
 				return 0, err
 			}
 			total += loss
 			if mu > 0 {
 				// Proximal pull: w ← w − ρ·μ·(w − anchor).
-				params := n.Params()
-				for i := range params {
-					params[i] -= rho * mu * (params[i] - anchor[i])
-				}
-				if err := n.SetParams(params); err != nil {
-					return 0, err
+				for i, p := range n.params {
+					n.params[i] = p - rho*mu*(p-anchor[i])
 				}
 			}
 			n.projectWeightCap()
@@ -326,28 +352,69 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 	return lastLoss, nil
 }
 
-// step backpropagates one sample and applies the gradient in place.
-func (n *Network) step(s Sample, rho float64) (float64, error) {
+// trainScratch is the working set of one SGD step, sized once per
+// network: per-layer activations, pre-activations and deltas, and the
+// epoch's shuffled sample order.
+type trainScratch struct {
+	as     [][]float64 // as[0] aliases the sample's X; as[l+1]: layer l's activations
+	zs     [][]float64 // zs[l]: layer l's pre-activations
+	deltas [][]float64 // deltas[l]: loss gradient at layer l's pre-activations
+	order  []int
+}
+
+// scratch returns the network's training scratch with order reset to the
+// identity over the given sample count.
+func (n *Network) scratch(samples int) *trainScratch {
+	sc := n.train
+	if sc == nil {
+		L := len(n.weights)
+		sc = &trainScratch{
+			as:     make([][]float64, L+1),
+			zs:     make([][]float64, L),
+			deltas: make([][]float64, L),
+		}
+		units := 0
+		for _, width := range n.sizes[1:] {
+			units += width
+		}
+		slab := make([]float64, 3*units)
+		for l := 0; l < L; l++ {
+			width := n.sizes[l+1]
+			sc.as[l+1], sc.zs[l], sc.deltas[l] = slab[:width], slab[width:2*width], slab[2*width:3*width]
+			slab = slab[3*width:]
+		}
+		n.train = sc
+	}
+	if cap(sc.order) < samples {
+		sc.order = make([]int, samples)
+	}
+	sc.order = sc.order[:samples]
+	for i := range sc.order {
+		sc.order[i] = i
+	}
+	return sc
+}
+
+// step backpropagates one sample and applies the gradient in place,
+// returning the sample's loss when wantLoss is set (0 otherwise).
+func (n *Network) step(sc *trainScratch, s Sample, rho float64, wantLoss bool) (float64, error) {
 	if len(s.X) != n.InputSize() {
 		return 0, fmt.Errorf("nn: sample length %d, want %d", len(s.X), n.InputSize())
 	}
 	L := len(n.weights)
-	// Forward pass caching pre-activations z and activations a.
-	as := make([][]float64, L+1)
-	zs := make([][]float64, L)
-	as[0] = linalg.Clone(s.X)
+	// Forward pass caching pre-activations z and activations a. The sample
+	// is read, never written, so as[0] aliases it.
+	as, zs := sc.as, sc.zs
+	as[0] = s.X
 	for l := 0; l < L; l++ {
-		z, err := n.weights[l].MulVec(as[l])
-		if err != nil {
+		z, a := zs[l], as[l+1]
+		if err := n.weights[l].MulVecInto(z, as[l]); err != nil {
 			return 0, err
 		}
 		linalg.VecAddInPlace(z, n.biases[l])
-		zs[l] = z
-		a := make([]float64, len(z))
 		for i := range z {
 			a[i] = n.act.F(z[i])
 		}
-		as[l+1] = a
 	}
 
 	// Loss and output-layer delta.
@@ -356,30 +423,36 @@ func (n *Network) step(s Sample, rho float64) (float64, error) {
 	// dL/dπ = -(y/π) + (1-y)/(1-π); dπ/df = 1/2.
 	out := as[L][0]
 	pi := clampProb((1 + out) / 2)
-	loss := -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
+	var loss float64
+	if wantLoss {
+		loss = -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
+	}
 	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
-	delta := []float64{clipDelta(dLdPi * 0.5 * n.act.DF(zs[L-1][0]))}
+	delta := sc.deltas[L-1]
+	delta[0] = clipDelta(dLdPi * 0.5 * n.act.DF(zs[L-1][0]))
 
 	// Backward pass: propagate each layer's delta with the pre-update
-	// weights, then apply the gradient step.
+	// weights, then apply the gradient step to the weight rows in place.
 	for l := L - 1; l >= 0; l-- {
+		w := n.weights[l]
 		var next []float64
 		if l > 0 {
-			next = make([]float64, len(as[l]))
+			next = sc.deltas[l-1]
 			for j := range next {
 				var s float64
 				for i := range delta {
-					s += n.weights[l].At(i, j) * delta[i]
+					s += w.At(i, j) * delta[i]
 				}
 				next[j] = s * n.act.DF(zs[l-1][j])
 			}
 		}
 		prev := as[l]
-		for i := range delta {
+		for i, d := range delta {
+			row := w.RowView(i)
 			for j := range prev {
-				n.weights[l].Set(i, j, n.weights[l].At(i, j)-rho*delta[i]*prev[j])
+				row[j] -= rho * d * prev[j]
 			}
-			n.biases[l][i] -= rho * delta[i]
+			n.biases[l][i] -= rho * d
 		}
 		delta = next
 	}
@@ -483,59 +556,27 @@ func (n *Network) TrainFullBatch(samples []Sample, rate float64, epochs int) (fl
 			total += loss
 			linalg.VecAddInPlace(acc, g)
 		}
-		params := n.Params()
-		linalg.AXPYInPlace(params, -rate/float64(len(samples)), acc)
-		if err := n.SetParams(params); err != nil {
-			return 0, err
-		}
+		linalg.AXPYInPlace(n.params, -rate/float64(len(samples)), acc)
 		n.projectWeightCap()
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil
 }
 
-// Params flattens all weights and biases into one vector, layer by layer
-// (weights row-major, then biases). SetParams accepts the same layout.
-func (n *Network) Params() []float64 {
-	var out []float64
-	for l := range n.weights {
-		w := n.weights[l]
-		for i := 0; i < w.Rows(); i++ {
-			out = append(out, w.Row(i)...)
-		}
-		out = append(out, n.biases[l]...)
-	}
-	return out
-}
+// Params returns a copy of the flat parameter vector: all weights and
+// biases, layer by layer (weights row-major, then biases). SetParams
+// accepts the same layout.
+func (n *Network) Params() []float64 { return linalg.Clone(n.params) }
 
 // NumParams returns the flat parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for l := range n.weights {
-		total += n.weights[l].Rows()*n.weights[l].Cols() + len(n.biases[l])
-	}
-	return total
-}
+func (n *Network) NumParams() int { return len(n.params) }
 
 // SetParams installs a flat parameter vector produced by Params.
 func (n *Network) SetParams(p []float64) error {
-	if len(p) != n.NumParams() {
-		return fmt.Errorf("nn: parameter vector length %d, want %d", len(p), n.NumParams())
+	if len(p) != len(n.params) {
+		return fmt.Errorf("nn: parameter vector length %d, want %d", len(p), len(n.params))
 	}
-	k := 0
-	for l := range n.weights {
-		w := n.weights[l]
-		for i := 0; i < w.Rows(); i++ {
-			for j := 0; j < w.Cols(); j++ {
-				w.Set(i, j, p[k])
-				k++
-			}
-		}
-		for i := range n.biases[l] {
-			n.biases[l][i] = p[k]
-			k++
-		}
-	}
+	copy(n.params, p)
 	return nil
 }
 

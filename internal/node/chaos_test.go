@@ -18,8 +18,18 @@ import (
 // wrapped by the injector. Vehicles in retry run under RunVehicleRetry
 // with a redial that rejoins the fusion centre over a fresh pipe — the
 // restart-and-rejoin process fault, end to end.
+//
+// When the spec plants crashes, the first vehicle outside retry sends
+// through a rejoinGate, which makes "the crashed vehicle's upload is in
+// its crash round's aggregate" a property of the run instead of a race
+// (see rejoinGate).
 func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool) *Report {
 	t.Helper()
+	gated := -1
+	if len(inj.Spec().Crashes) > 0 {
+		for gated = 0; retry[gated]; gated++ {
+		}
+	}
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)
@@ -46,9 +56,13 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 			}(i)
 			continue
 		}
+		conn := inj.Wrap(i, s.vconns[i])
+		if i == gated {
+			conn = &rejoinGate{t: t, inner: conn, server: s.server, crashes: inj.Spec().Crashes}
+		}
 		go func(i int) {
 			defer wg.Done()
-			if err := RunVehicle(inj.Wrap(i, s.vconns[i]), s.clients[i]); err != nil {
+			if err := RunVehicle(conn, s.clients[i]); err != nil {
 				t.Errorf("vehicle %d: %v", i, err)
 			}
 		}(i)
@@ -60,6 +74,53 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 	wg.Wait()
 	return report
 }
+
+// rejoinGate holds one healthy vehicle's upload for a round in which
+// another vehicle crashes until the fusion centre has revived every
+// vehicle crashed so far (Status().Rejoins). Both engines close a round
+// as soon as nobody alive still owes an upload — a dead vehicle is not
+// waited for — so without the gate the crashed vehicle's resend makes its
+// crash round only if Server.Rejoin wins a race against the other
+// vehicles' uploads; when it loses, that round averages the learning
+// channel over one vehicle fewer (or the session ends before the rejoin)
+// and the run is no longer comparable bit for bit. With the gate the
+// round stays open, the rejoin re-arms the crashed vehicle as
+// outstanding, and the round closes on both uploads.
+type rejoinGate struct {
+	t       *testing.T
+	inner   transport.Conn
+	server  *Server
+	crashes []chaos.Crash
+}
+
+func (g *rejoinGate) Send(m *protocol.Message) error {
+	if m.Upload != nil {
+		crashRound, want := false, 0
+		for _, c := range g.crashes {
+			if c.Round == m.Upload.Round {
+				crashRound = true
+			}
+			if c.Round <= m.Upload.Round {
+				want++
+			}
+		}
+		// Poll: the server exposes no rejoin event. Bounded so a crash that
+		// never rejoins fails the test instead of hanging it.
+		for waited := 0; crashRound && g.server.Status().Rejoins < want; waited++ {
+			if waited == 100000 {
+				g.t.Errorf("round %d: %d of %d rejoins after 20 s", m.Upload.Round, g.server.Status().Rejoins, want)
+				break
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	return g.inner.Send(m)
+}
+
+func (g *rejoinGate) Recv() (*protocol.Message, error) { return g.inner.Recv() }
+func (g *rejoinGate) Close() error                     { return g.inner.Close() }
+func (g *rejoinGate) Flush() error                     { return transport.Flush(g.inner) }
+func (g *rejoinGate) SetWireVersion(v int)             { transport.SetWireVersion(g.inner, v) }
 
 // sameBits reports bit-identity of two float64 vectors.
 func sameBits(a, b []float64) bool {
@@ -82,11 +143,12 @@ func sameBits(a, b []float64) bool {
 // counters across worker counts.
 func TestChaosRecoveryBitIdentical(t *testing.T) {
 	const vehicles, rounds = 20, 3
-	// before-upload crash: the upload is only ever delivered through the
-	// rejoin resend, so every counter (not just the aggregate) is a pure
-	// function of seed+spec. (after-upload crashes race the original
-	// upload against the rejoin re-broadcast — covered, with the weaker
-	// bit-identity-only guarantee, in TestChaosCrashAfterUpload.)
+	// before-upload crash: the upload reaches the fusion centre through
+	// the rejoin resend, and chaosRun's rejoinGate keeps round 2 open until
+	// that rejoin has happened, so every counter (not just the aggregate)
+	// is a pure function of seed+spec. (after-upload crashes race the
+	// original upload against the rejoin re-broadcast — covered, with the
+	// weaker bit-identity-only guarantee, in TestChaosCrashAfterUpload.)
 	const spec = "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2"
 
 	baseline := buildSessionFull(t, vehicles, rounds, 0, nil, 1).run(t)

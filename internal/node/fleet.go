@@ -253,6 +253,8 @@ func (f *Fleet) handshake(conn transport.Conn) {
 		h, ver, err := recvHello(conn)
 		ch <- helloResult{h, ver, err}
 	}()
+	timeout := time.NewTimer(f.cfg.HandshakeTimeout)
+	defer timeout.Stop()
 	select {
 	case r := <-ch:
 		if r.err != nil {
@@ -261,7 +263,7 @@ func (f *Fleet) handshake(conn transport.Conn) {
 			return
 		}
 		f.admit(conn, r.h, r.ver)
-	case <-time.After(f.cfg.HandshakeTimeout):
+	case <-timeout.C:
 		// Closing the conn unblocks the reader goroutine's Recv.
 		f.noteHandshakeFail(fmt.Errorf("node: hello timeout"))
 		_ = conn.Close()

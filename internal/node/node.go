@@ -588,13 +588,23 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	pendingBc := make(map[int]*protocol.Message) // withheld broadcasts, latest only
 
 	// Per-round state, hoisted so the rejoin handler (a closure shared by
-	// every round's collect loop) sees the current round's values.
+	// every round's collect loop) sees the current round's values — and
+	// so the buffers are allocated once: each round clears and refills
+	// uploads, outstanding, retrans and distill instead of rebuilding
+	// them. Nothing keeps them past its round (the streamed ingest holds
+	// upload rows, never the uploads slice itself).
 	var (
 		round       int
 		bc          *protocol.Message
-		uploads     [][]float64
-		outstanding map[int]bool
+		uploads     = make([][]float64, v)
+		outstanding = make(map[int]bool, v)
+		retrans     = make(map[int]int)
+		distill     = make([]nn.Sample, 0, len(s.cfg.RefX))
 	)
+	// One deadline timer for the whole session, re-armed every round: a
+	// time.After per round would stay live until it fired.
+	deadline := time.NewTimer(s.cfg.RoundTimeout)
+	defer deadline.Stop()
 
 	// noteUpload records an upload's arrival — current round or stale —
 	// as proof of life: the in-flight window tracks the vehicle's latest
@@ -679,7 +689,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			roundFields = append(roundFields, obs.CtxFields(roundCtx, 0)...)
 		}
 		roundSpan := s.obs.Start("node.round", roundFields...)
-		if err := s.scheme.BeginRound(s.shared.Clone()); err != nil {
+		if err := s.scheme.BeginRound(s.shared); err != nil {
 			return nil, fmt.Errorf("node: round %d: %w", round, err)
 		}
 		bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: round, Params: s.shared.Params()}}
@@ -708,14 +718,14 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			}
 		}
 
-		uploads = make([][]float64, v)
-		outstanding = make(map[int]bool, v)
+		clear(uploads)
+		clear(outstanding)
+		clear(retrans)
 		for id := range byID {
 			if !dead[id] && pendingBc[id] == nil {
 				outstanding[id] = true
 			}
 		}
-		retrans := make(map[int]int)
 
 		// Streaming ingest: each accepted upload flows into the scheme's
 		// incremental decoder immediately, so most of the decode work is
@@ -754,7 +764,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			st.Outstanding = len(outstanding)
 			st.Behind = sortedFlagged(behind)
 		})
-		deadline := time.After(s.cfg.RoundTimeout)
+		rearm(deadline, s.cfg.RoundTimeout)
 		// The round closes when every outstanding upload has arrived —
 		// but if connection loss empties the outstanding set while the
 		// round is still below the decode threshold K, the window stays
@@ -865,7 +875,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 				}
 			case req := <-s.rejoin:
 				handleRejoin(req)
-			case <-deadline:
+			case <-deadline.C:
 				closedBy = "timeout"
 				break collect // stragglers: leave their uploads nil
 			}
@@ -936,10 +946,11 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node: round %d aggregate: %w", round, err)
 		}
-		for _, id := range s.scheme.SuspectedMalicious() {
+		suspects := s.scheme.SuspectedMalicious()
+		for _, id := range suspects {
 			flagged[id] = true
 		}
-		distill := make([]nn.Sample, 0, len(targets))
+		distill = distill[:0]
 		for j, target := range targets {
 			if fl.IsDropped(target) {
 				continue
@@ -956,7 +967,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		roundSpan.End(
 			obs.F("stragglers", roundStragglers),
 			obs.F("decode_failures", s.scheme.DecodeFailures),
-			obs.F("flagged", len(s.scheme.SuspectedMalicious())))
+			obs.F("flagged", len(suspects)))
 	}
 
 	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: report.Rounds}}
@@ -978,6 +989,19 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	sort.Ints(report.SuspectedMalicious)
 	report.FinalParams = s.shared.Params()
 	return report, nil
+}
+
+// rearm points a timer that may be running, stopped or already fired at
+// d from now. The module's go 1.22 line keeps the pre-1.23 timer rules: a
+// Reset is only sound on a stopped timer whose channel is drained.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // sendFlush sends m and pushes it onto the wire; on a buffered fabric an
@@ -1317,9 +1341,9 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 		if err := s.local.SetParams(bc.Params); err != nil {
 			return fmt.Errorf("node: vehicle %d: %w", id, err)
 		}
-		// The verification channel needs the broadcast model as received.
-		sharedCopy := s.local.Clone()
-		if err := s.scheme.BeginRound(sharedCopy); err != nil {
+		// The verification channel needs the broadcast model as received:
+		// BeginRound quantises it here, before training moves s.local on.
+		if err := s.scheme.BeginRound(s.local); err != nil {
 			return fmt.Errorf("node: vehicle %d: %w", id, err)
 		}
 		tTrain := s.o.Now()

@@ -46,7 +46,6 @@ func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep, m
 // pipelined engine produces bit-identical FinalParams — and identical
 // recovery counters — to the lock-step engine forced by DisablePipeline.
 func TestPipelineBitIdentical(t *testing.T) {
-	const vehicles, rounds = 12, 3
 	cases := []pipelineCase{
 		// One silently dropped upload: a timeout-closed round with a
 		// straggler, recovered next round.
@@ -54,13 +53,34 @@ func TestPipelineBitIdentical(t *testing.T) {
 		// Injected upload delays (recorded, not slept, so schedules stay
 		// deterministic) exercise the arrival-order machinery.
 		{name: "delay", spec: "seed=4;delay.upload=0.5:10ms"},
-		// Corrupt frames with bounded retransmits plus a crash-and-rejoin
-		// whose upload is only ever delivered through the rejoin resend.
-		{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2",
-			retry: map[int]bool{4: true}},
+		crashCase,
 	}
+	comparePipelineToLockstep(t, cases, []bool{false, true})
+}
+
+// crashCase: corrupt frames with bounded retransmits plus a
+// crash-and-rejoin. Vehicle 4's round-2 upload arrives through the rejoin
+// resend, inside round 2 because chaosRun gates that round's close on the
+// rejoin (rejoinGate).
+var crashCase = pipelineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2",
+	retry: map[int]bool{4: true}}
+
+// TestCrashRejoinBitIdentical is the crash cell of TestPipelineBitIdentical
+// on its own, mixed wire versions only: no timeout-closed round, so it is
+// fast enough for CI to repeat a hundred times under the race detector —
+// the rate at which the rejoin race this cell once lost would show.
+func TestCrashRejoinBitIdentical(t *testing.T) {
+	comparePipelineToLockstep(t, []pipelineCase{crashCase}, []bool{true})
+}
+
+// comparePipelineToLockstep runs every case x wire mix on the lock-step
+// engine and on the pipelined engine at 1, 2 and 8 workers, and requires
+// bit-identical FinalParams and identical recovery counters.
+func comparePipelineToLockstep(t *testing.T, cases []pipelineCase, mixes []bool) {
+	t.Helper()
+	const vehicles, rounds = 12, 3
 	for _, tc := range cases {
-		for _, mixed := range []bool{false, true} {
+		for _, mixed := range mixes {
 			base := runPipelineSession(t, vehicles, rounds, 1, true, mixed, tc)
 			if base.Rounds != rounds {
 				t.Fatalf("%s mixed=%v: lock-step rounds = %d", tc.name, mixed, base.Rounds)
@@ -159,31 +179,51 @@ func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, win
 
 // TestPipelineEarlyClose pins the wait-budget close: with the last two
 // vehicles always a round late and WaitBudget=2 (close at K+2 — exactly
-// the punctual fleet), every round closes by budget with the same two
-// vehicles excluded, so the outcome is deterministic: bit-identical
-// FinalParams across worker counts, stragglers = 2 per round, and
-// node.early_closes = rounds.
+// the punctual fleet), the same two vehicles are excluded from every
+// round, so the outcome is deterministic: bit-identical FinalParams across
+// worker counts, stragglers = 2 per round, no degraded round.
+//
+// It runs at the default in-flight window (0: what every binary uses) and
+// with the window set to the session length. Only the second pins
+// node.early_closes = rounds. At the default of 2 the count is rounds or
+// rounds-1 by scheduling: rounds 1 and 2 always close by budget, but if
+// the late pair's round-1 uploads are first seen after round 3's
+// broadcast, that broadcast is withheld from them and round 3 has nobody
+// left to close early on (closed_by "all"; about 1 run in 60). The model
+// and the straggler count are the same either way.
 func TestPipelineEarlyClose(t *testing.T) {
 	const vehicles, rounds = 12, 3 // K = 8, punctual fleet = 10 = K+2
-	reg := obs.NewRegistry()
-	o := obs.New(reg, nil, nil)
-	base := runDeferredSession(t, vehicles, rounds, 1, 2, 0, o)
-	if got := reg.Counter("node.early_closes").Value(); got != rounds {
-		t.Errorf("node.early_closes = %d, want %d", got, rounds)
-	}
-	if base.Stragglers != 2*rounds {
-		t.Errorf("stragglers = %d, want %d", base.Stragglers, 2*rounds)
-	}
-	if base.DegradedRounds != 0 {
-		t.Errorf("degraded rounds = %d", base.DegradedRounds)
-	}
-	for _, workers := range []int{2, 8} {
-		rep := runDeferredSession(t, vehicles, rounds, workers, 2, 0, nil)
-		if !sameBits(rep.FinalParams, base.FinalParams) {
-			t.Errorf("workers=%d: budget-closed run not deterministic", workers)
+	var first *Report
+	for _, window := range []int{0, rounds} {
+		reg := obs.NewRegistry()
+		o := obs.New(reg, nil, nil)
+		base := runDeferredSession(t, vehicles, rounds, 1, 2, window, o)
+		got := reg.Counter("node.early_closes").Value()
+		if window == 0 && (got < rounds-1 || got > rounds) {
+			t.Errorf("window=default: node.early_closes = %d, want %d or %d", got, rounds-1, rounds)
 		}
-		if rep.Stragglers != base.Stragglers {
-			t.Errorf("workers=%d: stragglers %d, want %d", workers, rep.Stragglers, base.Stragglers)
+		if window == rounds && got != rounds {
+			t.Errorf("window=%d: node.early_closes = %d, want %d", window, got, rounds)
+		}
+		if base.Stragglers != 2*rounds {
+			t.Errorf("window=%d: stragglers = %d, want %d", window, base.Stragglers, 2*rounds)
+		}
+		if base.DegradedRounds != 0 {
+			t.Errorf("window=%d: degraded rounds = %d", window, base.DegradedRounds)
+		}
+		if first == nil {
+			first = base
+		} else if !sameBits(base.FinalParams, first.FinalParams) {
+			t.Errorf("window=%d: FinalParams differ from the default window's", window)
+		}
+		for _, workers := range []int{2, 8} {
+			rep := runDeferredSession(t, vehicles, rounds, workers, 2, window, nil)
+			if !sameBits(rep.FinalParams, base.FinalParams) {
+				t.Errorf("window=%d workers=%d: budget-closed run not deterministic", window, workers)
+			}
+			if rep.Stragglers != base.Stragglers {
+				t.Errorf("window=%d workers=%d: stragglers %d, want %d", window, workers, rep.Stragglers, base.Stragglers)
+			}
 		}
 	}
 }

@@ -282,6 +282,10 @@ func (r *Relay) park(u *protocol.Upload, up transport.Conn) {
 // vanished shard member never stalls the uploads that did arrive.
 func (r *Relay) flusher() {
 	defer r.wg.Done()
+	// One window timer for the relay's lifetime; timer is its channel
+	// while a partial shard is waiting on it and nil otherwise.
+	window := time.NewTimer(r.window)
+	defer window.Stop()
 	var timer <-chan time.Time
 	for {
 		select {
@@ -291,7 +295,8 @@ func (r *Relay) flusher() {
 			if r.maybeFlush(false) {
 				timer = nil
 			} else if r.pendingCount() > 0 && timer == nil {
-				timer = time.After(r.window)
+				rearm(window, r.window)
+				timer = window.C
 			}
 		case <-timer:
 			timer = nil

@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -42,6 +44,68 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(m, got) {
 			t.Fatalf("binary round trip changed the message: %+v -> %+v", m, got)
 		}
+	}
+}
+
+// TestFrameBuffersReused: AppendFrame into a kept buffer writes the bytes
+// WriteVersion writes, and ReadBuffered through one kept buffer returns
+// messages that do not alias it — across a frame that regrows the
+// buffer, a JSON frame and a corrupt one.
+func TestFrameBuffersReused(t *testing.T) {
+	big := make([]float64, 10000)
+	for i := range big {
+		big[i] = float64(i)
+	}
+	msgs := []*Message{
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{1, 2, 3}}},
+		{Broadcast: &Broadcast{Round: 2, Params: big}},
+		{Finished: &Finished{Rounds: 2}},
+		{Upload: &Upload{Round: 3, VehicleID: 4, Values: []float64{4, 5}}},
+	}
+	var stream bytes.Buffer
+	var frame []byte
+	for _, m := range msgs {
+		var err error
+		if frame, err = AppendFrame(frame[:0], m, Version); err != nil {
+			t.Fatal(err)
+		}
+		var whole bytes.Buffer
+		if err := WriteVersion(&whole, m, Version); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, whole.Bytes()) {
+			t.Fatalf("AppendFrame and WriteVersion disagree on a %s frame", m.Kind())
+		}
+		stream.Write(frame)
+	}
+	if err := WriteCorrupt(&stream, msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	stream.Write(frame) // the last upload once more, after the corrupt frame
+
+	var buf []byte
+	var got []*Message
+	for range msgs {
+		m, err := ReadBuffered(&stream, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xFF // a later read must not show through earlier messages
+		}
+	}
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("buffered reads changed the messages:\n got %+v\nwant %+v", got, msgs)
+	}
+	if _, err := ReadBuffered(&stream, &buf); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("corrupt frame read as %v", err)
+	}
+	if m, err := ReadBuffered(&stream, &buf); err != nil || !reflect.DeepEqual(m, msgs[3]) {
+		t.Fatalf("stream out of sync after the corrupt frame: %+v, %v", m, err)
+	}
+	if _, err := ReadBuffered(&stream, &buf); err != io.EOF {
+		t.Fatalf("end of stream read as %v, want io.EOF", err)
 	}
 }
 

@@ -53,6 +53,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the protocol revision carried in Hello messages. Revision 2
@@ -656,34 +657,19 @@ func readFloats(b []byte, count int) []float64 {
 // Write frames and writes one message in JSON form — the encoding every
 // protocol revision accepts.
 func Write(w io.Writer, m *Message) error {
-	return writeFrame(w, m, 0)
+	return WriteVersion(w, m, 0)
 }
 
 // WriteVersion frames and writes one message under a negotiated protocol
 // version: bulk messages (Broadcast, Upload) go out as binary bodies
 // when the peer negotiated version >= 3, everything else (and every
-// message to an older peer) as JSON.
+// message to an older peer) as JSON. Header and body leave in one Write.
 func WriteVersion(w io.Writer, m *Message, version int) error {
-	if !binaryEligible(m, version) {
-		return writeFrame(w, m, 0)
-	}
-	if err := m.Validate(); err != nil {
+	frame, err := AppendFrame(nil, m, version)
+	if err != nil {
 		return err
 	}
-	body := appendBinary(make([]byte, 0, binaryBodyLen(m)), m)
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
-	}
-	var header [headerLen]byte
-	binary.BigEndian.PutUint32(header[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(header[4:], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("protocol: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("protocol: write body: %w", err)
-	}
-	return nil
+	return writeWhole(w, frame)
 }
 
 // WriteCorrupt frames and writes one message with a deliberately wrong
@@ -692,32 +678,56 @@ func WriteVersion(w io.Writer, m *Message, version int) error {
 // (internal/chaos via transport's Faulter): end-to-end tests exercise the
 // real detection path instead of simulating it.
 func WriteCorrupt(w io.Writer, m *Message) error {
-	return writeFrame(w, m, 1)
-}
-
-// writeFrame marshals, frames, and writes m; crcFlip is XORed into the
-// checksum (0 for an honest frame).
-func writeFrame(w io.Writer, m *Message, crcFlip uint32) error {
-	if err := m.Validate(); err != nil {
+	frame, err := appendFrame(nil, m, 0, 1)
+	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("protocol: marshal %s: %w", m.kind(), err)
-	}
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
-	}
-	var header [headerLen]byte
-	binary.BigEndian.PutUint32(header[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(header[4:], crc32.ChecksumIEEE(body)^crcFlip)
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("protocol: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("protocol: write body: %w", err)
+	return writeWhole(w, frame)
+}
+
+func writeWhole(w io.Writer, frame []byte) error {
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("protocol: write frame: %w", err)
 	}
 	return nil
+}
+
+// AppendFrame appends the complete frame WriteVersion would write —
+// header, then body — to dst and returns the extended slice. A
+// connection that keeps dst between sends frames its steady-state
+// (binary) traffic without allocating.
+func AppendFrame(dst []byte, m *Message, version int) ([]byte, error) {
+	return appendFrame(dst, m, version, 0)
+}
+
+// appendFrame is AppendFrame with crcFlip XORed into the checksum (0 for
+// an honest frame).
+func appendFrame(dst []byte, m *Message, version int, crcFlip uint32) ([]byte, error) {
+	start := len(dst)
+	if err := m.Validate(); err != nil {
+		return dst, err
+	}
+	bin := binaryEligible(m, version)
+	if bin {
+		dst = slices.Grow(dst, headerLen+binaryBodyLen(m))
+	}
+	dst = append(dst, make([]byte, headerLen)...) // filled in below
+	if bin {
+		dst = appendBinary(dst, m)
+	} else {
+		body, err := json.Marshal(m)
+		if err != nil {
+			return dst[:start], fmt.Errorf("protocol: marshal %s: %w", m.kind(), err)
+		}
+		dst = append(dst, body...)
+	}
+	body := dst[start+headerLen:]
+	if len(body) > MaxMessageSize {
+		return dst[:start], fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body)^crcFlip)
+	return dst, nil
 }
 
 // Read reads and validates one framed message, accepting every body
@@ -733,8 +743,26 @@ func Read(r io.Reader) (*Message, error) {
 // frame-local error (the frame is fully consumed, the stream stays in
 // sync) instead of attempting to parse it.
 func ReadVersion(r io.Reader, version int) (*Message, error) {
-	var header [headerLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	var buf []byte
+	return readFrame(r, version, &buf)
+}
+
+// ReadBuffered is Read through a caller-owned frame buffer: header and
+// body are read into *buf, grown to the largest frame seen and left
+// there for the next call, so a connection's steady-state reads allocate
+// only the message they return. The message never aliases the buffer
+// (both decoders copy what they keep), so a caller may drop or shrink
+// *buf between calls to bound what it retains.
+func ReadBuffered(r io.Reader, buf *[]byte) (*Message, error) {
+	return readFrame(r, Version, buf)
+}
+
+func readFrame(r io.Reader, version int, buf *[]byte) (*Message, error) {
+	if cap(*buf) < headerLen {
+		*buf = make([]byte, headerLen, 512)
+	}
+	header := (*buf)[:headerLen]
+	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
 	size := binary.BigEndian.Uint32(header[:4])
@@ -742,7 +770,10 @@ func ReadVersion(r io.Reader, version int) (*Message, error) {
 	if size > MaxMessageSize {
 		return nil, fmt.Errorf("protocol: incoming frame of %d bytes exceeds limit", size)
 	}
-	body := make([]byte, size)
+	if int(size) > cap(*buf) {
+		*buf = make([]byte, size)
+	}
+	body := (*buf)[:size]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("protocol: read body: %w", err)
 	}

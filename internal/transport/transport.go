@@ -203,18 +203,18 @@ func (c *pipeConn) Close() error {
 
 // --- TCP fabric ---
 
-// Options tunes the TCP fabric. The zero value reproduces the legacy
-// behaviour exactly: unbuffered writes (one syscall per Send) and
-// unbuffered reads.
+// Options tunes the TCP fabric. The zero value writes each frame with
+// one syscall per Send and reads through a default-sized buffer.
 type Options struct {
 	// WriteBuffer > 0 attaches a write buffer of that many bytes, so
 	// consecutive Sends coalesce in memory until Flush (or Close) pushes
 	// them out as one write. Callers that enable it own the flush
 	// barriers; an unflushed frame is never delivered.
 	WriteBuffer int
-	// ReadBuffer > 0 attaches a read buffer, which additionally makes
-	// Pending meaningful: a relay can tell whether the next frame is
-	// already in memory and keep coalescing its forwarded burst.
+	// ReadBuffer > 0 sizes the read buffer every connection has (a frame's
+	// header and body arrive in one read where the kernel has both; Pending
+	// reports what is already in memory, so a relay can keep coalescing
+	// its forwarded burst). 0 selects 4 KiB.
 	ReadBuffer int
 }
 
@@ -226,11 +226,15 @@ type tcpConn struct {
 	// bw is nil when unbuffered. The pointer is set once at construction
 	// and never reassigned; the buffer's mutable state is only touched
 	// under sendMu (Send/SendCorrupt/Flush) or best-effort in Close.
-	bw     *bufio.Writer
-	recvMu sync.Mutex // serializes frame reads on conn
-	// br is nil when unbuffered; set once at construction, state touched
-	// under recvMu (Recv/Pending).
+	bw *bufio.Writer
+	// sendBuf is the frame under construction, kept between Sends so
+	// steady-state framing allocates nothing; guarded by sendMu.
+	sendBuf []byte
+	recvMu  sync.Mutex // serializes frame reads on conn
+	// br is set once at construction; its state and recvBuf (the frame
+	// being read, kept between Recvs) are touched under recvMu.
 	br      *bufio.Reader
+	recvBuf []byte
 	closeMu sync.Mutex // guards closed
 	closed  bool       // guarded by closeMu
 }
@@ -243,24 +247,22 @@ func newTCPConn(c net.Conn, opts Options) *tcpConn {
 	if opts.WriteBuffer > 0 {
 		t.bw = bufio.NewWriterSize(c, opts.WriteBuffer)
 	}
-	if opts.ReadBuffer > 0 {
-		t.br = bufio.NewReaderSize(c, opts.ReadBuffer)
+	readBuffer := opts.ReadBuffer
+	if readBuffer <= 0 {
+		readBuffer = defaultReadBuffer
 	}
+	t.br = bufio.NewReaderSize(c, readBuffer)
 	return t
 }
+
+// defaultReadBuffer is bufio's own default: room for a steady-state frame
+// of a few hundred values, header included.
+const defaultReadBuffer = 4096
 
 // writer returns the frame destination; callers hold sendMu.
 func (c *tcpConn) writer() io.Writer {
 	if c.bw != nil {
 		return c.bw
-	}
-	return c.conn
-}
-
-// reader returns the frame source; callers hold recvMu.
-func (c *tcpConn) reader() io.Reader {
-	if c.br != nil {
-		return c.br
 	}
 	return c.conn
 }
@@ -272,11 +274,28 @@ func (c *tcpConn) reader() io.Reader {
 // already blocked across a mid-session negotiation correct.
 func (c *tcpConn) SetWireVersion(v int) { c.version.Store(int32(v)) }
 
-// Send implements Conn.
+// maxKeptFrameBuf bounds the frame buffer a connection retains in each
+// direction; a larger frame (a Setup carrying the reference set) gets a
+// buffer that is dropped after it, so it does not pin its size for the
+// connection's life.
+const maxKeptFrameBuf = 64 << 10
+
+// Send implements Conn: the frame is built in the connection's buffer
+// and leaves in one Write.
 func (c *tcpConn) Send(m *protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return protocol.WriteVersion(c.writer(), m, int(c.version.Load()))
+	frame, err := protocol.AppendFrame(c.sendBuf[:0], m, int(c.version.Load()))
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= maxKeptFrameBuf {
+		c.sendBuf = frame
+	}
+	if _, err := c.writer().Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
 }
 
 // SendCorrupt implements Faulter: the frame goes out with a flipped
@@ -301,14 +320,15 @@ func (c *tcpConn) Flush() error {
 func (c *tcpConn) Recv() (*protocol.Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	return protocol.Read(c.reader())
+	m, err := protocol.ReadBuffered(c.br, &c.recvBuf)
+	if cap(c.recvBuf) > maxKeptFrameBuf {
+		c.recvBuf = nil
+	}
+	return m, err
 }
 
 // Pending implements Pender.
 func (c *tcpConn) Pending() bool {
-	if c.br == nil {
-		return false
-	}
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	return c.br.Buffered() > 0

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the single verification gate: formatting, go vet, the
-# repo-specific invariant linter (cmd/lcofl-lint), a full build, and the
-# test suite under the race detector. CI runs exactly this script, so a
-# clean local run means a clean CI run.
+# repo-specific invariant linter (cmd/lcofl-lint), a full build, the
+# test suite under the race detector, and the allocation pins in a plain
+# build. CI runs exactly this script, so a clean local run means a clean
+# CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,5 +35,16 @@ echo "== go test -race -count=2 (scheduling-sensitive packages)"
 # deterministic-fault invariants; a second run flushes out
 # order-dependent state the first run happened to miss.
 go test -race -count=2 ./internal/node ./internal/chaos
+
+echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin bit-identity)"
+# The crash cell of the engine bit-identity matrix once lost a rejoin
+# race about one run in ten (four in ten under -race); a hundred
+# repetitions make a return of that rate certain to show.
+go test -race -count=100 -run 'TestCrashRejoin' ./internal/node
+
+echo "== go test -run Allocs (plain build)"
+# Every AllocsPerRun pin skips itself under the race detector, so the
+# -race runs above never execute them; this step does.
+go test -run 'Allocs' ./...
 
 echo "== all checks passed"
