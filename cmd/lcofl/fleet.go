@@ -129,10 +129,10 @@ func runFleetScenario(dial func(session string, vehicle int) (transport.Conn, er
 // cmdSoak runs the fleet-scale soak in one process: many concurrent
 // sessions behind one listener (in-memory pipes by default, TCP loopback
 // with -tcp), vehicles optionally reaching the fusion centre through
-// per-session edge relays (-shards) that gather their shard's uploads
-// into combined frames, session s0 optionally under a -chaos fault
-// schedule. This is what the CI soak-smoke gate drives; tracereport
-// -check-metrics then cross-checks the admission and gather ledgers.
+// per-session edge relays (-shards), session s0 optionally under a
+// -chaos fault schedule. This is what the CI soak-smoke gate drives;
+// tracereport -check-metrics then cross-checks the admission and relay
+// ledgers.
 func cmdSoak(args []string) (retErr error) {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	sessions := fs.Int("sessions", 3, "concurrent sessions")
@@ -143,7 +143,6 @@ func cmdSoak(args []string) (retErr error) {
 	maxConns := fs.Int("max-conns", 0, "global connection budget, reserved in session-sized chunks (0 = unlimited)")
 	queueDepth := fs.Int("queue-depth", 0, "handshaked connections parked when the budget is exhausted (0 = reject with a retry hint)")
 	shards := fs.Int("shards", 0, "edge relays per session; vehicles are striped across them (0 = dial the fusion centre directly)")
-	gatherWindow := fs.Duration("gather-window", 0, "relay gather window for partial shards (0 = default, negative = forward without gathering)")
 	useTCP := fs.Bool("tcp", false, "run over TCP loopback sockets instead of in-memory pipes")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-round upload deadline")
 	retries := fs.Int("retries", 8, "per-vehicle consecutive failed connection attempts before giving up")
@@ -203,10 +202,8 @@ func cmdSoak(args []string) (retErr error) {
 		}
 	}()
 
-	// The relay tree: -shards edge relays per session, each gathering its
-	// stripe's uploads into combined frames before the fusion hop. Relays
-	// are per-session — a gather frame batches uploads for exactly one
-	// session's engine.
+	// The relay tree: -shards edge relays per session, each forwarding
+	// its stripe's vehicles to the fusion centre link by link.
 	dial := func(session string, vehicle int) (transport.Conn, error) { return dialFusion() }
 	var relays []*node.Relay
 	var relayGroup parallel.Group
@@ -227,10 +224,9 @@ func cmdSoak(args []string) (retErr error) {
 					return err
 				}
 				relay, err := node.NewRelayWith(node.RelayConfig{
-					Listener:     rln,
-					Dial:         dialFusion,
-					GatherWindow: *gatherWindow,
-					Obs:          ob,
+					Listener: rln,
+					Dial:     dialFusion,
+					Obs:      ob,
 				})
 				if err != nil {
 					return err

@@ -843,7 +843,6 @@ func cmdDist(args []string) (retErr error) {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-round upload deadline (dropped uploads surface as stragglers after this)")
 	retries := fs.Int("retries", 5, "per-vehicle consecutive failed connection attempts before giving up")
 	shards := fs.Int("shards", 0, "edge relays between the fleet and the fusion centre; vehicles are striped across them (0 = direct pipes)")
-	gatherWindow := fs.Duration("gather-window", 0, "relay gather window for partial shards (0 = default, negative = forward without gathering)")
 	pipeline := addPipelineFlags(fs)
 	buildChaos := addChaosFlag(fs)
 	observe := addObsFlags(fs, true)
@@ -926,10 +925,10 @@ func cmdDist(args []string) (retErr error) {
 	}
 	var report *node.Report
 	if *shards > 0 {
-		// Aggregation tree: vehicles dial their stripe's relay, each relay
-		// gathers its shard's uploads into combined frames and forwards
-		// them over per-link upstream legs. The fusion centre accepts the
-		// initial legs, then feeds later ones (crash redials) to Rejoin.
+		// Relay tree: vehicles dial their stripe's relay, each relay
+		// forwards every frame over that vehicle's own upstream leg. The
+		// fusion centre accepts the initial legs, then feeds later ones
+		// (crash redials) to Rejoin.
 		ufab := transport.NewPipeFabric(2 * *vehicles)
 		rfabs := make([]*transport.PipeFabric, *shards)
 		relays := make([]*node.Relay, *shards)
@@ -959,10 +958,9 @@ func cmdDist(args []string) (retErr error) {
 		for k := range rfabs {
 			rfabs[k] = transport.NewPipeFabric(0)
 			relay, err := node.NewRelayWith(node.RelayConfig{
-				Listener:     rfabs[k],
-				Dial:         ufab.Dial,
-				GatherWindow: *gatherWindow,
-				Obs:          ob,
+				Listener: rfabs[k],
+				Dial:     ufab.Dial,
+				Obs:      ob,
 			})
 			if err != nil {
 				return err

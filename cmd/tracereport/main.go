@@ -141,12 +141,10 @@ type fleetSummary struct {
 	HandshakeFails  int64 `json:"handshake_fails"`
 }
 
-// relaySummary aggregates the edge-relay aggregation-tree events.
-// GatheredUploads sums each relay.gather event's uploads field, matching
-// the relay.gathered_uploads counter's batched Add.
+// relaySummary aggregates the edge-relay events; Links counts the
+// vehicle connections the relays paired with an upstream leg.
 type relaySummary struct {
-	Gathers          int64 `json:"gathers"`
-	GatheredUploads  int64 `json:"gathered_uploads"`
+	Links            int64 `json:"links"`
 	DialErrors       int64 `json:"dial_errors"`
 	CorruptForwarded int64 `json:"corrupt_forwarded"`
 }
@@ -321,10 +319,8 @@ func summarize(r io.Reader) (*summary, error) {
 			}
 		case "fleet.handshake_fail":
 			sum.Fleet.HandshakeFails++
-		case "relay.gather":
-			sum.Relay.Gathers++
-			u, _ := num(rec, "uploads")
-			sum.Relay.GatheredUploads += u
+		case "relay.link":
+			sum.Relay.Links++
 		case "relay.dial_error":
 			sum.Relay.DialErrors++
 		case "relay.corrupt_forward":
@@ -478,8 +474,7 @@ func crossCheck(sum *summary, metricsPath string) error {
 		{"fleet.sessions_started", sum.Fleet.SessionsStarted},
 		{"fleet.sessions_done", sum.Fleet.SessionsDone},
 		{"fleet.handshake_fails", sum.Fleet.HandshakeFails},
-		{"relay.gathers", sum.Relay.Gathers},
-		{"relay.gathered_uploads", sum.Relay.GatheredUploads},
+		{"relay.links", sum.Relay.Links},
 		{"relay.dial_errors", sum.Relay.DialErrors},
 		{"relay.corrupt_forwarded", sum.Relay.CorruptForwarded},
 	}
@@ -554,8 +549,8 @@ func writeText(w io.Writer, sum *summary) error {
 			sum.Fleet.SessionsDone, sum.Fleet.SessionsStarted)
 	}
 	if sum.Relay != (relaySummary{}) {
-		fmt.Fprintf(&b, "relay: %d gathers batching %d uploads, %d dial errors, %d corrupt frames re-signalled\n",
-			sum.Relay.Gathers, sum.Relay.GatheredUploads, sum.Relay.DialErrors, sum.Relay.CorruptForwarded)
+		fmt.Fprintf(&b, "relay: %d links, %d dial errors, %d corrupt frames re-signalled\n",
+			sum.Relay.Links, sum.Relay.DialErrors, sum.Relay.CorruptForwarded)
 	}
 
 	if len(sum.Sessions) > 0 {

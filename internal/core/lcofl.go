@@ -409,7 +409,7 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	s.BatchRecovered = 0
 	s.BatchFallbacks = 0
 
-	// Gather each slot's received word and the IDs of the vehicles present
+	// Collect each slot's received word and the IDs of the vehicles present
 	// in it. Slots are independent, so the gather fans out; each writes
 	// only its own index. The words live in round-over-round scratch:
 	// every slot's ys/ids restart at length zero with retained capacity.

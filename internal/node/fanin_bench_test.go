@@ -3,35 +3,28 @@ package node
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/transport"
 )
 
-// The fleet fan-in benchmark trio measures end-to-end session latency
-// for one 16-vehicle session under three upload topologies:
+// The fleet fan-in benchmark pair measures end-to-end session latency
+// for one 16-vehicle session under the two upload topologies:
 //
-//	mode=flat   — every vehicle holds its own direct leg to the fusion
-//	              centre (the pre-relay deployment).
-//	mode=relay  — vehicles dial two edge relays that forward every frame
-//	              as-is (gathering disabled), paying the extra hop.
-//	mode=gather — the same tree, but each relay combines its shard's
-//	              uploads into one Gather frame per round burst.
+//	mode=flat  — every vehicle holds its own direct leg to the fusion
+//	             centre.
+//	mode=relay — vehicles dial two edge relays that forward every frame
+//	             as-is, paying the extra hop.
 //
-// Gathering trades per-frame upstream overhead for a parked-upload
-// window, and because the engine waits for the full fleet each round the
-// window should cost ~nothing: the shard's last upload releases the
-// batch exactly when the round needed it. Run the trio by hand (go test
-// -bench FleetFanIn ./internal/node) and compare relay ns to gather ns;
-// it is the only flat/relay/gather measurement until go run ./benchmark
-// gains a fan-in workload (ROADMAP 4(c)).
+// Run it by hand (go test -bench FleetFanIn ./internal/node); it is the
+// only flat/relay measurement until go run ./benchmark gains a fan-in
+// workload (ROADMAP 1(d)).
 const (
 	fanInVehicles = 16
 	fanInRounds   = 2
 	fanInShards   = 2
 )
 
-func benchFanIn(b *testing.B, shards int, window time.Duration) {
+func benchFanIn(b *testing.B, shards int) {
 	cfgs, clients := soakScenario(b, []string{"s0"}, fanInVehicles, fanInRounds, 1)
 	cfg, cc := cfgs["s0"], clients["s0"]
 	for i := 0; i < b.N; i++ {
@@ -46,7 +39,7 @@ func benchFanIn(b *testing.B, shards int, window time.Duration) {
 		serveErr := make(chan error, shards)
 		for k := 0; k < shards; k++ {
 			rfab := transport.NewPipeFabric(0)
-			relay, err := NewRelayWith(RelayConfig{Listener: rfab, Dial: ufab.Dial, GatherWindow: window})
+			relay, err := NewRelay(rfab, ufab.Dial)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,7 +101,6 @@ func benchFanIn(b *testing.B, shards int, window time.Duration) {
 }
 
 func BenchmarkFleetFanIn(b *testing.B) {
-	b.Run("mode=flat", func(b *testing.B) { benchFanIn(b, 0, 0) })
-	b.Run("mode=relay", func(b *testing.B) { benchFanIn(b, fanInShards, -1) })
-	b.Run("mode=gather", func(b *testing.B) { benchFanIn(b, fanInShards, 0) })
+	b.Run("mode=flat", func(b *testing.B) { benchFanIn(b, 0) })
+	b.Run("mode=relay", func(b *testing.B) { benchFanIn(b, fanInShards) })
 }

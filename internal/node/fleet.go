@@ -18,8 +18,7 @@ type FleetConfig struct {
 	// round engine — behind the one shared listener.
 	Sessions map[string]ServerConfig
 	// DefaultSession names the session joined by a hello without a
-	// session ID (every v<=4 vehicle, plus v5 vehicles that omit it).
-	// Empty means such hellos are rejected.
+	// session ID. Empty means such hellos are rejected.
 	DefaultSession string
 	// MaxConns is the global connection budget. The fleet reserves it in
 	// session-sized chunks: a session only begins gathering connections
@@ -53,8 +52,8 @@ type SessionResult struct {
 type sessionState int
 
 const (
-	// sessionGathering: waiting for the full vehicle complement.
-	sessionGathering sessionState = iota
+	// sessionFilling: waiting for the full vehicle complement.
+	sessionFilling sessionState = iota
 	// sessionRunning: Server.Run is live; new conns are rejoins.
 	sessionRunning
 	// sessionDone: finished (or failed); reconnects answered Finished.
@@ -63,7 +62,7 @@ const (
 
 func (s sessionState) String() string {
 	switch s {
-	case sessionGathering:
+	case sessionFilling:
 		return "gathering"
 	case sessionRunning:
 		return "running"
@@ -91,7 +90,6 @@ type fleetSession struct {
 type pendingConn struct {
 	conn  transport.Conn
 	hello *protocol.Hello
-	ver   int
 }
 
 // Fleet runs many concurrent FL sessions behind one listener: session
@@ -245,13 +243,12 @@ func (f *Fleet) handshake(conn transport.Conn) {
 	defer f.wg.Done()
 	type helloResult struct {
 		h   *protocol.Hello
-		ver int
 		err error
 	}
 	ch := make(chan helloResult, 1)
 	go func() {
-		h, ver, err := recvHello(conn)
-		ch <- helloResult{h, ver, err}
+		h, err := recvHello(conn)
+		ch <- helloResult{h, err}
 	}()
 	timeout := time.NewTimer(f.cfg.HandshakeTimeout)
 	defer timeout.Stop()
@@ -262,7 +259,7 @@ func (f *Fleet) handshake(conn transport.Conn) {
 			_ = conn.Close()
 			return
 		}
-		f.admit(conn, r.h, r.ver)
+		f.admit(conn, r.h)
 	case <-timeout.C:
 		// Closing the conn unblocks the reader goroutine's Recv.
 		f.noteHandshakeFail(fmt.Errorf("node: hello timeout"))
@@ -288,14 +285,14 @@ const (
 	decideReject
 	decideQueue
 	decideFinished
-	decideGather
+	decideSeat
 	decideRejoin
 )
 
 // admit routes a handshaked connection: to its session (gathering or as
 // a rejoin), into the admission queue, or to an explicit rejection. It
 // re-runs for queued connections when a completing session frees budget.
-func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello, ver int) {
+func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 	f.mu.Lock()
 	id := h.SessionID
 	if id == "" {
@@ -334,7 +331,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello, ver int) {
 		// always fill and run to completion.
 		if !sess.reserved && f.cfg.MaxConns > 0 && f.committed+sess.expect > f.cfg.MaxConns {
 			if len(f.queue) < f.cfg.QueueDepth {
-				f.queue = append(f.queue, pendingConn{conn: conn, hello: h, ver: ver})
+				f.queue = append(f.queue, pendingConn{conn: conn, hello: h})
 				f.queuedTotal++
 				decision = decideQueue
 			} else {
@@ -346,7 +343,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello, ver int) {
 			sess.reserved = true
 			f.committed += sess.expect
 		}
-		decision = decideGather
+		decision = decideSeat
 		f.live++
 		f.admitted++
 		wrapped := f.wrap(h, conn)
@@ -375,7 +372,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello, ver int) {
 
 	switch decision {
 	case decideReject:
-		f.sendReject(conn, ver, reason, retry)
+		f.sendReject(conn, reason, retry)
 		if f.obs != nil {
 			f.cRejected.Inc()
 			f.obs.Emit("fleet.reject",
@@ -389,23 +386,19 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello, ver int) {
 			f.cQueued.Inc()
 			f.obs.Emit("fleet.queue", obs.F("session", id), obs.F("vehicle", h.VehicleID))
 		}
-		// Only v5 peers understand the explicit queue answer; older ones
-		// simply wait silently for Setup, which is also correct.
-		if ver >= protocol.FleetVersion {
-			_ = sendFlush(conn, &protocol.Message{Admission: &protocol.Admission{
-				Queued: true, Reason: "fleet at connection budget",
-			}})
-		}
+		_ = sendFlush(conn, &protocol.Message{Admission: &protocol.Admission{
+			Queued: true, Reason: "fleet at connection budget",
+		}})
 	case decideFinished:
 		_ = sendFlush(conn, &protocol.Message{Finished: &protocol.Finished{Rounds: finRounds}})
 		_ = conn.Close()
-	case decideGather, decideRejoin:
+	case decideSeat, decideRejoin:
 		if f.obs != nil {
 			f.cAdmitted.Inc()
 			f.obs.Emit("fleet.admit",
 				obs.F("session", id),
 				obs.F("vehicle", h.VehicleID),
-				obs.F("version", ver),
+				obs.F("version", negotiated(h)),
 				obs.F("rejoin", decision == decideRejoin))
 		}
 		if decision == decideRejoin {
@@ -434,15 +427,10 @@ func (f *Fleet) wrap(h *protocol.Hello, conn transport.Conn) transport.Conn {
 	})
 }
 
-// sendReject answers a rejected handshake in the newest dialect the peer
-// speaks: an Admission with the retry hint at v5, the Error message every
-// older revision already handles otherwise.
-func (f *Fleet) sendReject(conn transport.Conn, ver int, reason string, retry bool) {
-	if ver >= protocol.FleetVersion {
-		_ = sendFlush(conn, &protocol.Message{Admission: &protocol.Admission{Reason: reason, Retry: retry}})
-	} else {
-		_ = sendFlush(conn, &protocol.Message{Error: &protocol.Error{Reason: reason}})
-	}
+// sendReject answers a rejected handshake with an Admission carrying the
+// reason and the retry hint, then closes the connection.
+func (f *Fleet) sendReject(conn transport.Conn, reason string, retry bool) {
+	_ = sendFlush(conn, &protocol.Message{Admission: &protocol.Admission{Reason: reason, Retry: retry}})
 	_ = conn.Close()
 }
 
@@ -516,7 +504,7 @@ func (f *Fleet) drainQueue() {
 	f.updateGauges(f.live, 0)
 	f.mu.Unlock()
 	for _, p := range parked {
-		f.admit(p.conn, p.hello, p.ver)
+		f.admit(p.conn, p.hello)
 	}
 }
 
@@ -556,7 +544,7 @@ func (f *Fleet) Close() error {
 		err = l.Close()
 	}
 	for _, p := range parked {
-		f.sendReject(p.conn, p.ver, "fleet shutting down", true)
+		f.sendReject(p.conn, "fleet shutting down", true)
 	}
 	return err
 }
@@ -643,14 +631,4 @@ func (f *Fleet) Status() FleetStatus {
 		})
 	}
 	return st
-}
-
-// Session exposes one session's Server (for evaluation after the fleet
-// finishes); nil when the ID is unknown.
-func (f *Fleet) Session(id string) *Server {
-	sess := f.sessions[id]
-	if sess == nil {
-		return nil
-	}
-	return sess.srv
 }

@@ -102,21 +102,18 @@ func runFleetVehicles(fab *transport.PipeFabric, clients map[string][]ClientConf
 }
 
 // TestFleetMultiSessionRouting: three concurrent sessions behind one
-// fabric, one of them reached through the default-session route by a
-// vehicle pinned to wire revision 2. Every session completes, and the
-// routed session's final parameters are bit-identical to the same
-// session run solo on a dedicated server.
+// fabric, one of them reached through the default-session route. Every
+// session completes, and the routed session's final parameters are
+// bit-identical to the same session run solo on a dedicated server.
 func TestFleetMultiSessionRouting(t *testing.T) {
 	ids := []string{"alpha", "beta", "gamma"}
 	const vehicles, rounds = 3, 2
 	cfgs, clients := fleetScenario(t, ids, vehicles, rounds)
-	// Session gamma is the default: its vehicles omit the session ID, and
-	// one of them speaks the pre-fleet JSON dialect.
+	// Session gamma is the default: its vehicles omit the session ID.
 	gc := clients["gamma"]
 	for i := range gc {
 		gc[i].SessionID = ""
 	}
-	gc[0].ForceVersion = 2
 
 	fleet, err := NewFleet(FleetConfig{Sessions: cfgs, DefaultSession: "gamma"})
 	if err != nil {
@@ -230,8 +227,8 @@ func dialHello(t *testing.T, fab *transport.PipeFabric, ver int, sessionID strin
 }
 
 // TestFleetAdmissionRejectedCleanly: every rejection class is answered
-// with an explicit frame in the newest dialect the peer speaks — never a
-// silent hang or a bare connection reset.
+// with an explicit Admission frame — never a silent hang or a bare
+// connection reset.
 func TestFleetAdmissionRejectedCleanly(t *testing.T) {
 	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
 	fleet, err := NewFleet(FleetConfig{Sessions: cfgs})
@@ -242,7 +239,7 @@ func TestFleetAdmissionRejectedCleanly(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 
-	// Unknown session at v5: Admission with a reason, no retry hint.
+	// Unknown session: Admission with a reason, no retry hint.
 	conn := dialHello(t, fab, protocol.Version, "nope", 0)
 	m, err := conn.Recv()
 	if err != nil || m.Admission == nil {
@@ -253,12 +250,11 @@ func TestFleetAdmissionRejectedCleanly(t *testing.T) {
 	}
 	_ = conn.Close()
 
-	// A v4 peer with no default session configured: the Error message its
-	// revision already understands.
-	conn = dialHello(t, fab, protocol.FleetVersion-1, "", 0)
+	// No session ID and no default session configured.
+	conn = dialHello(t, fab, protocol.Version, "", 0)
 	m, err = conn.Recv()
-	if err != nil || m.Error == nil || m.Error.Reason == "" {
-		t.Fatalf("v4 reject answer = %+v, %v", m, err)
+	if err != nil || m.Admission == nil || m.Admission.Retry || m.Admission.Reason == "" {
+		t.Fatalf("no-default-session answer = %+v, %v", m, err)
 	}
 	_ = conn.Close()
 
@@ -351,7 +347,7 @@ func TestFleetBudgetQueueing(t *testing.T) {
 
 // TestFleetBudgetRejectsWhenQueueDisabled: with no queue, a session that
 // cannot reserve budget is refused with the retry hint, and the refusal
-// is the explicit v5 Admission frame.
+// is the explicit Admission frame.
 func TestFleetBudgetRejectsWhenQueueDisabled(t *testing.T) {
 	cfgs, _ := fleetScenario(t, []string{"s0", "s1"}, 2, 1)
 	fleet, err := NewFleet(FleetConfig{Sessions: cfgs, MaxConns: 2})

@@ -69,7 +69,7 @@ type ServerConfig struct {
 	// DisablePipeline forces the legacy lock-step engine: no streaming
 	// ingest into the incremental decoder, no early round closes, no
 	// broadcast withholding. The pipelined engine produces bit-identical
-	// FinalParams for any schedule, worker count and wire-version mix
+	// FinalParams for any schedule and worker count
 	// (DESIGN.md §14, pinned by TestPipelineBitIdentical); the knob exists
 	// for A/B benchmarks and as an escape hatch.
 	DisablePipeline bool
@@ -292,7 +292,7 @@ func (s *Server) Shared() *nn.Network { return s.shared }
 // with Finished and closed, so a retrying vehicle terminates cleanly.
 func (s *Server) Rejoin(conn transport.Conn) {
 	go func() {
-		h, ver, err := readHello(conn, s.cfg.Scheme.NumVehicles)
+		h, err := readHello(conn, s.cfg.Scheme.NumVehicles)
 		if err != nil {
 			_ = conn.Close()
 			return
@@ -301,6 +301,7 @@ func (s *Server) Rejoin(conn transport.Conn) {
 		if s.obs.TraceEnabled() {
 			helloNs = int64(s.obs.Now())
 		}
+		ver := negotiated(h)
 		transport.SetWireVersion(conn, ver)
 		s.mu.Lock()
 		if !s.done {
@@ -338,62 +339,60 @@ func (s *Server) finish(rounds int) {
 	}
 }
 
-// minWireVersion is the oldest protocol revision the fusion centre still
-// speaks: revision 2, the JSON-only encoding that predates the v3 binary
-// bulk bodies.
-const minWireVersion = 2
-
-// recvHello consumes and version-validates a peer's opening hello,
-// returning the hello itself and the negotiated wire version for the
-// connection: min(our protocol.Version, the peer's announced revision).
-// A peer older than revision 2 is rejected; a newer one is clamped down
-// to ours. The vehicle-ID range is NOT checked here — a fleet routes the
-// hello to a session first and validates the ID against that session's
-// scheme (see readHello).
-func recvHello(conn transport.Conn) (*protocol.Hello, int, error) {
+// recvHello consumes and version-checks a peer's opening hello. A peer
+// announcing less than protocol.Version — the floor — is answered with an
+// Error frame naming the reason before the caller closes the connection,
+// so an old build learns why instead of redialling into EOFs. The
+// vehicle-ID range is NOT checked here — a fleet routes the hello to a
+// session first and validates the ID against that session's scheme (see
+// readHello).
+func recvHello(conn transport.Conn) (*protocol.Hello, error) {
 	m, err := conn.Recv()
 	if err != nil {
-		return nil, 0, fmt.Errorf("node: hello: %w", err)
+		return nil, fmt.Errorf("node: hello: %w", err)
 	}
 	if m.Hello == nil {
-		return nil, 0, fmt.Errorf("node: connection opened with %s, want hello", m.Kind())
+		return nil, fmt.Errorf("node: connection opened with %s, want hello", m.Kind())
 	}
-	if m.Hello.Version < minWireVersion {
-		return nil, 0, fmt.Errorf("node: peer speaks version %d, want >= %d", m.Hello.Version, minWireVersion)
+	if m.Hello.Version < protocol.Version {
+		reason := fmt.Sprintf("protocol revision %d too old, need ≥ %d", m.Hello.Version, protocol.Version)
+		_ = sendFlush(conn, &protocol.Message{Error: &protocol.Error{Reason: reason}})
+		return nil, fmt.Errorf("node: hello refused: %s", reason)
 	}
-	ver := m.Hello.Version
-	if ver > protocol.Version {
-		ver = protocol.Version
-	}
-	return m.Hello, ver, nil
+	return m.Hello, nil
 }
 
+// negotiated is the wire revision of a connection whose peer sent h:
+// min(ours, theirs), a newer peer being clamped down to ours. With
+// recvHello's floor that is protocol.Version itself; it is still computed
+// per connection, echoed in Setup.WireVersion and handed to
+// transport.SetWireVersion, so that a later revision finds the
+// negotiation in place.
+func negotiated(h *protocol.Hello) int { return min(h.Version, protocol.Version) }
+
 // readHello is recvHello plus the single-session vehicle-ID range check.
-func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, int, error) {
-	h, ver, err := recvHello(conn)
+func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, error) {
+	h, err := recvHello(conn)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if id := h.VehicleID; id < 0 || id >= vehicles {
-		return nil, 0, fmt.Errorf("node: vehicle ID %d out of range", id)
+		return nil, fmt.Errorf("node: vehicle ID %d out of range", id)
 	}
-	return h, ver, nil
+	return h, nil
 }
 
 // result is one event from a connection's receiver goroutine: an upload,
-// a detected corrupt frame, or a terminal receive error. conn identifies
-// the connection it came from, so errors from a connection that has
-// already been replaced by a rejoin are discarded. gathered marks an
-// upload unpacked from a relay's combined Gather frame — such uploads
-// arrive on whichever shard connection the relay flushed, so the
-// conn-identity staleness check does not apply to them.
+// a detected corrupt frame, or a terminal receive error. vehicleID is the
+// vehicle that handshaked conn — an upload is attributed by the
+// connection it arrived on, never by the ID it names — and conn lets the
+// round loop discard events from a connection a rejoin has replaced.
 type result struct {
 	vehicleID int
 	conn      transport.Conn
 	round     int
 	values    []float64
 	span      string // propagated upload span ID ("" when absent)
-	gathered  bool
 	corrupt   bool
 	err       error
 }
@@ -431,7 +430,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	vers := make(map[int]int, v)
 	helloNs := make(map[int]int64, v)
 	for i, conn := range conns {
-		h, ver, err := readHello(conn, v)
+		h, err := readHello(conn, v)
 		if err != nil {
 			return nil, fmt.Errorf("node: conn %d: %w", i, err)
 		}
@@ -440,6 +439,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			return nil, fmt.Errorf("node: duplicate vehicle ID %d", id)
 		}
 		byID[id] = conn
+		ver := negotiated(h)
 		vers[id] = ver
 		transport.SetWireVersion(conn, ver)
 		// Relabel the instrumented connection now that the peer has
@@ -527,22 +527,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 					}
 					results <- result{vehicleID: id, conn: conn, err: err}
 					return
-				}
-				if m.Gather != nil {
-					// A relay combined its shard's uploads into one frame
-					// (DESIGN §16). Unpack each into the same result stream a
-					// direct upload feeds; the channel capacity argument above
-					// is unchanged because gathering redistributes uploads
-					// across connections without increasing their total.
-					for i := range m.Gather.Uploads {
-						up := &m.Gather.Uploads[i]
-						if up.VehicleID < 0 || up.VehicleID >= v {
-							results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("gathered upload for out-of-range vehicle %d", up.VehicleID)}
-							return
-						}
-						results <- result{vehicleID: up.VehicleID, conn: conn, round: up.Round, values: up.Values, span: up.SpanID, gathered: true}
-					}
-					continue
 				}
 				if m.Upload == nil {
 					results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("unexpected %s", m.Kind())}
@@ -681,7 +665,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		s.obs.Emit("node.round_start", obs.F("round", round))
 		// The round span's ID is derived, not random, so every process
 		// computes the same value and the merged timeline can nest
-		// vehicle-side spans under it even across JSON-only (v2) hops.
+		// vehicle-side spans under it even when a frame carries no context.
 		var roundCtx obs.SpanContext
 		roundFields := []obs.Field{obs.F("round", round)}
 		if traced {
@@ -818,11 +802,8 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 				case u.round != round:
 					// Stale upload from a previous round's straggler:
 					// discard; the vehicle still owes the current round,
-					// but the arrival is proof of life for the window. A
-					// gathered upload skips the conn-identity check — the
-					// relay flushes its shard's uploads on whichever leg
-					// absorbed the burst's last frame.
-					if !dead[u.vehicleID] && (u.gathered || byID[u.vehicleID] == u.conn) {
+					// but the arrival is proof of life for the window.
+					if !dead[u.vehicleID] && byID[u.vehicleID] == u.conn {
 						noteUpload(u.vehicleID, u.round)
 					}
 				case outstanding[u.vehicleID]:
@@ -838,7 +819,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 						// The ingest event parents under the upload span the
 						// vehicle propagated (network vs. compute attribution
 						// in the merged waterfall); an upload without context
-						// — an old-build vehicle — parents under the round.
+						// — an untraced vehicle — parents under the round.
 						ingest := obs.SpanContext{
 							Trace: s.trace,
 							Span:  obs.DeriveSpan(s.trace, "node.ingest", uint64(round), uint64(u.vehicleID)),
@@ -1052,9 +1033,9 @@ func clamp01(v float64) float64 {
 type ClientConfig struct {
 	// VehicleID is the vehicle's identity (0..V-1).
 	VehicleID int
-	// SessionID names the FL session to join on a multi-session fleet
-	// (protocol revision 5). Empty joins the fleet's default session; a
-	// single-session fusion centre ignores it either way.
+	// SessionID names the FL session to join on a multi-session fleet.
+	// Empty joins the fleet's default session; a single-session fusion
+	// centre ignores it either way.
 	SessionID string
 	// Data is the private local dataset.
 	Data []nn.Sample
@@ -1063,10 +1044,6 @@ type ClientConfig struct {
 	// Corrupt optionally turns the vehicle malicious: every uploaded
 	// scalar is rewritten by the behaviour before sending.
 	Corrupt adversary.Behavior
-	// ForceVersion caps the protocol revision the vehicle announces in
-	// its hello (0 means protocol.Version). Mixed-version tests pin it to
-	// 2 to stand in for a fleet member running the JSON-only build.
-	ForceVersion int
 }
 
 // transientError marks connection-level failures that RunVehicleRetry
@@ -1116,7 +1093,7 @@ type vehicleSession struct {
 	lastUpload []float64
 
 	// trace is the session trace adopted from Setup.TraceID (or derived
-	// from the scheme seed when the fusion centre predates propagation);
+	// from the scheme seed when the fusion centre runs untraced);
 	// parentSpan is the current round's fusion-side span, the propagated
 	// parent of this round's train/encode/upload spans. Both zero with
 	// tracing off; single-goroutine like lastRound.
@@ -1200,12 +1177,8 @@ func (s *vehicleSession) install(setup *protocol.Setup) error {
 // and may be retried on a fresh connection with the same session.
 func (s *vehicleSession) run(conn transport.Conn) error {
 	id := s.cfg.VehicleID
-	announce := protocol.Version
-	if s.cfg.ForceVersion > 0 {
-		announce = s.cfg.ForceVersion
-	}
 	traced := s.o.TraceEnabled()
-	hello := &protocol.Hello{Version: announce, VehicleID: id, SessionID: s.cfg.SessionID}
+	hello := &protocol.Hello{Version: protocol.Version, VehicleID: id, SessionID: s.cfg.SessionID}
 	if traced && s.trace != 0 {
 		// Reconnecting mid-session: announce the already-adopted session
 		// trace so the fusion centre can tie the rejoin to it.
@@ -1249,30 +1222,31 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 				return fmt.Errorf("node: vehicle %d admission rejected: %s", id, ad.Reason)
 			}
 		}
+		if m.Error != nil {
+			// The handshake was refused — our protocol revision is below
+			// the fusion centre's floor. Redialling cannot change that.
+			return fmt.Errorf("node: vehicle %d refused: %s", id, m.Error.Reason)
+		}
 		if m.Setup == nil {
 			return fmt.Errorf("node: expected setup, got %s", m.Kind())
 		}
 		setup = m.Setup
 		t1 = s.o.Now()
 	}
-	// Adopt the version the fusion centre negotiated for this connection.
-	// Absent (0) means a revision-2 fusion centre that predates the
-	// field; never rise above what we announced.
-	wire := setup.WireVersion
-	if wire < minWireVersion {
-		wire = minWireVersion
+	// Setup names the revision the fusion centre negotiated for this
+	// connection. Less than ours (absent included) is an older build,
+	// outside the one revision this build speaks.
+	if setup.WireVersion < protocol.Version {
+		return fmt.Errorf("node: fusion centre speaks protocol revision %d, need ≥ %d", setup.WireVersion, protocol.Version)
 	}
-	if wire > announce {
-		wire = announce
-	}
-	transport.SetWireVersion(conn, wire)
+	transport.SetWireVersion(conn, setup.WireVersion)
 	if err := s.install(setup); err != nil {
 		return err
 	}
 	if traced {
 		// Adopt the session trace: from Setup when the fusion centre
 		// propagates one, else derived from the scheme seed — both sides
-		// compute the same ID, so pre-propagation peers still converge.
+		// compute the same ID, so a vehicle traced alone still converges.
 		if tr := obs.ParseID(setup.TraceID); tr != 0 {
 			s.trace = tr
 		} else if s.trace == 0 {
@@ -1318,7 +1292,7 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 		if traced && s.trace != 0 {
 			// The broadcast carries the fusion round span — the parent for
 			// this round's train/encode/upload spans. A context-free
-			// broadcast (old fusion centre) falls back to the derived
+			// broadcast (untraced fusion centre) falls back to the derived
 			// round span, which is the same value the server computes.
 			if p := obs.ParseID(bc.SpanID); p != 0 {
 				s.parentSpan = p

@@ -1,7 +1,13 @@
 package node
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,16 +181,17 @@ func TestDistributedMaliciousSession(t *testing.T) {
 	}
 }
 
-func TestDistributedOverTCP(t *testing.T) {
-	s := buildSession(t, 10, 3, 0)
+// runOverTCP runs the session over loopback TCP and returns the server
+// report. Vehicle i runs RunVehicle on a dialled connection, unless
+// byHand[i] is set: then that function is given the bare socket and
+// plays the vehicle frame by frame.
+func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn)) *Report {
+	t.Helper()
 	l, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-
-	// Replace the pipes with real TCP connections.
-	serverConns := make([]transport.Conn, len(s.clients))
 	accepted := make(chan transport.Conn, len(s.clients))
 	go func() {
 		for range s.clients {
@@ -197,18 +204,31 @@ func TestDistributedOverTCP(t *testing.T) {
 	}()
 	var wg sync.WaitGroup
 	for i := range s.clients {
+		wg.Add(1)
+		if play := byHand[i]; play != nil {
+			sock, err := net.Dial("tcp", l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				defer wg.Done()
+				defer sock.Close()
+				play(sock)
+			}()
+			continue
+		}
 		conn, err := transport.DialTCP(l.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int, conn transport.Conn) {
+		go func(i int) {
 			defer wg.Done()
 			if err := RunVehicle(conn, s.clients[i]); err != nil {
 				t.Errorf("vehicle %d: %v", i, err)
 			}
-		}(i, conn)
+		}(i)
 	}
+	serverConns := make([]transport.Conn, len(s.clients))
 	for i := range serverConns {
 		select {
 		case serverConns[i] = <-accepted:
@@ -221,8 +241,218 @@ func TestDistributedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if report.Rounds != 3 {
+	return report
+}
+
+func TestDistributedOverTCP(t *testing.T) {
+	if report := runOverTCP(t, buildSession(t, 10, 3, 0), nil); report.Rounds != 3 {
 		t.Errorf("rounds = %d", report.Rounds)
+	}
+}
+
+// relabelConn rewrites the vehicle ID every upload names.
+type relabelConn struct {
+	transport.Conn
+	as int
+}
+
+func (c relabelConn) Send(m *protocol.Message) error {
+	if m.Upload != nil {
+		up := *m.Upload
+		up.VehicleID = c.as
+		m = &protocol.Message{Upload: &up}
+	}
+	return c.Conn.Send(m)
+}
+
+// TestUploadAttributedToItsConnection: an upload counts for the vehicle
+// that handshaked the connection it arrived on and for nobody else. The
+// connection of vehicle 0 (i) sends a frame of the retired gather kind
+// (binary kind 5) packing an upload for every vehicle, (ii) sends the
+// same as a JSON {"gather":…} envelope, (iii) uploads honestly but names
+// vehicle 3. (i) and (ii) cost that connection — one receive error, the
+// model of the same session with vehicle 0 crashed, nobody flagged — and
+// (iii) fills vehicle 0's own slot: the model of the all-honest session.
+func TestUploadAttributedToItsConnection(t *testing.T) {
+	const vehicles, rounds = 10, 2
+	fresh := func() *session { return buildSession(t, vehicles, rounds, 0) }
+	// playVehicle0 handshakes as vehicle 0 and reads up to round 1's
+	// broadcast; then forged (nil: nothing) is written and the socket
+	// closed.
+	playVehicle0 := func(forged []byte) map[int]func(net.Conn) {
+		return map[int]func(net.Conn){0: func(sock net.Conn) {
+			hello := &protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: 0}}
+			if err := protocol.Write(sock, hello); err != nil {
+				t.Errorf("vehicle 0 hello: %v", err)
+				return
+			}
+			for {
+				m, err := protocol.Read(sock)
+				if err != nil {
+					t.Errorf("vehicle 0 awaiting broadcast: %v", err)
+					return
+				}
+				if m.Broadcast != nil {
+					break
+				}
+			}
+			if _, err := sock.Write(forged); err != nil {
+				t.Errorf("vehicle 0 forged frame: %v", err)
+			}
+		}}
+	}
+	frame := func(body []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+		return append(out, body...)
+	}
+
+	crashed := runOverTCP(t, fresh(), playVehicle0(nil))
+	if crashed.RecvErrors != 1 || crashed.Rounds != rounds {
+		t.Fatalf("crashed-vehicle baseline: %+v", crashed)
+	}
+
+	// One forged upload per vehicle, of the right length, all lying.
+	lie := make([]float64, fresh().server.scheme.UploadLen())
+	for i := range lie {
+		lie[i] = 5
+	}
+	kind5 := binary.LittleEndian.AppendUint32([]byte{0xB3, 5}, vehicles)
+	var uploads []string
+	for id := 0; id < vehicles; id++ {
+		kind5 = binary.LittleEndian.AppendUint32(kind5, 1) // round
+		kind5 = binary.LittleEndian.AppendUint32(kind5, uint32(id))
+		kind5 = binary.LittleEndian.AppendUint32(kind5, uint32(len(lie)))
+		for _, v := range lie {
+			kind5 = binary.LittleEndian.AppendUint64(kind5, math.Float64bits(v))
+		}
+		values, _ := json.Marshal(lie)
+		uploads = append(uploads, fmt.Sprintf(`{"round":1,"vehicle_id":%d,"values":%s}`, id, values))
+	}
+	envelope := []byte(`{"gather":{"uploads":[` + strings.Join(uploads, ",") + `]}}`)
+	for name, forged := range map[string][]byte{"binary kind 5": frame(kind5), "JSON envelope": frame(envelope)} {
+		got := runOverTCP(t, fresh(), playVehicle0(forged))
+		if got.RecvErrors != 1 {
+			t.Errorf("%s: RecvErrors = %d, want the forged frame to be the connection's one terminal error", name, got.RecvErrors)
+		}
+		if got.Rounds != rounds || got.Stragglers != 0 || len(got.SuspectedMalicious) != 0 {
+			t.Errorf("%s: session not clean: %+v", name, got)
+		}
+		if !sameBits(got.FinalParams, crashed.FinalParams) {
+			t.Errorf("%s: FinalParams differ from the session with vehicle 0 crashed — a forged upload was filed", name)
+		}
+	}
+
+	honest := fresh().run(t)
+	relabelled := fresh()
+	relabelled.vconns[0] = relabelConn{relabelled.vconns[0], 3}
+	got := relabelled.run(t)
+	if got.RecvErrors != 0 || got.Stragglers != 0 || len(got.SuspectedMalicious) != 0 {
+		t.Errorf("upload naming vehicle 3: session not clean: %+v", got)
+	}
+	if !sameBits(got.FinalParams, honest.FinalParams) {
+		t.Error("upload naming vehicle 3: FinalParams differ from the honest session's — it was not filed under its own connection")
+	}
+}
+
+// oldBuild makes the vehicle behind it announce the previous protocol
+// revision.
+type oldBuild struct{ transport.Conn }
+
+func (c oldBuild) Send(m *protocol.Message) error {
+	if m.Hello != nil {
+		h := *m.Hello
+		h.Version = protocol.Version - 1
+		m = &protocol.Message{Hello: &h}
+	}
+	return c.Conn.Send(m)
+}
+
+// TestRefusedHandshakeAnswered: a hello below protocol.Version is answered
+// with an Error frame saying so on all three handshake paths —
+// Server.Run, Server.Rejoin, a Fleet — and a vehicle that gets that
+// answer gives up at once instead of redialling.
+func TestRefusedHandshakeAnswered(t *testing.T) {
+	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
+	cfg := cfgs["main"]
+	cfg.RoundTimeout = 200 * time.Millisecond
+	reason := fmt.Sprintf("protocol revision %d too old, need ≥ %d", protocol.Version-1, protocol.Version)
+	refused := func(path string, conn transport.Conn) {
+		t.Helper()
+		if m, err := conn.Recv(); err != nil || m.Error == nil || m.Error.Reason != reason {
+			t.Errorf("%s answered an old hello with %+v, %v; want Error %q", path, m, err, reason)
+		}
+	}
+	oldHello := func(conn transport.Conn) {
+		t.Helper()
+		if err := conn.Send(&protocol.Message{Hello: &protocol.Hello{Version: protocol.Version - 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fusionEnd, vehicleEnd := transport.Pipe()
+	oldHello(vehicleEnd)
+	otherEnd, other := transport.Pipe()
+	if err := other.Send(&protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Run([]transport.Conn{fusionEnd, otherEnd}); err == nil || !strings.Contains(err.Error(), reason) {
+		t.Errorf("Run with an old peer returned %v", err)
+	}
+	refused("Server.Run", vehicleEnd)
+
+	fusionEnd, vehicleEnd = transport.Pipe()
+	oldHello(vehicleEnd)
+	srv.Rejoin(fusionEnd)
+	refused("Server.Rejoin", vehicleEnd)
+
+	fleet, err := NewFleet(FleetConfig{Sessions: map[string]ServerConfig{"main": cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := transport.NewPipeFabric(0)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- fleet.Serve(fab) }()
+	// The whole complement dials before any answer is read, so that a
+	// fleet which admits old hellos starts the session and says so.
+	var old []transport.Conn
+	for id := range clients["main"] {
+		old = append(old, dialHello(t, fab, protocol.Version-1, "main", id))
+	}
+	for _, conn := range old {
+		refused("Fleet", conn)
+	}
+
+	var wg sync.WaitGroup
+	for _, cc := range clients["main"] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dials := 0
+			err := RunVehicleRetry(cc, RetryConfig{
+				Dial: func() (transport.Conn, error) {
+					dials++
+					c, err := fab.Dial()
+					return oldBuild{c}, err
+				},
+				Sleeper: &obs.ManualSleeper{},
+			})
+			if err == nil || IsTransient(err) || !strings.Contains(err.Error(), reason) || dials != 1 {
+				t.Errorf("old-build vehicle %d: %d dials, error %v; want one dial and a permanent error carrying %q",
+					cc.VehicleID, dials, err, reason)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := fleet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve after close: %v", err)
 	}
 }
 

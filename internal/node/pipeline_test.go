@@ -20,31 +20,22 @@ type pipelineCase struct {
 }
 
 // runPipelineSession executes one chaos session and returns its report.
-// lockstep selects the legacy engine; mixed pins every even vehicle to
-// wire version 2 (the JSON-only build) so the fleet negotiates per
-// connection.
-func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep, mixed bool, tc pipelineCase) *Report {
+// lockstep selects the legacy engine.
+func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep bool, tc pipelineCase) *Report {
 	t.Helper()
 	s := buildSessionFull(t, vehicles, rounds, 0, nil, workers)
 	s.server.cfg.DisablePipeline = lockstep
 	if tc.timeout > 0 {
 		s.server.cfg.RoundTimeout = tc.timeout
 	}
-	if mixed {
-		for i := range s.clients {
-			if i%2 == 0 {
-				s.clients[i].ForceVersion = 2
-			}
-		}
-	}
 	inj := chaos.New(mustChaosSpec(t, tc.spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
 	return chaosRun(t, s, inj, tc.retry)
 }
 
 // TestPipelineBitIdentical pins the tentpole invariant: for every
-// schedule (chaos spec), worker count and wire-version mix, the
-// pipelined engine produces bit-identical FinalParams — and identical
-// recovery counters — to the lock-step engine forced by DisablePipeline.
+// schedule (chaos spec) and worker count, the pipelined engine produces
+// bit-identical FinalParams — and identical recovery counters — to the
+// lock-step engine forced by DisablePipeline.
 func TestPipelineBitIdentical(t *testing.T) {
 	cases := []pipelineCase{
 		// One silently dropped upload: a timeout-closed round with a
@@ -55,7 +46,7 @@ func TestPipelineBitIdentical(t *testing.T) {
 		{name: "delay", spec: "seed=4;delay.upload=0.5:10ms"},
 		crashCase,
 	}
-	comparePipelineToLockstep(t, cases, []bool{false, true})
+	comparePipelineToLockstep(t, cases)
 }
 
 // crashCase: corrupt frames with bounded retransmits plus a
@@ -66,52 +57,49 @@ var crashCase = pipelineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max
 	retry: map[int]bool{4: true}}
 
 // TestCrashRejoinBitIdentical is the crash cell of TestPipelineBitIdentical
-// on its own, mixed wire versions only: no timeout-closed round, so it is
-// fast enough for CI to repeat a hundred times under the race detector —
-// the rate at which the rejoin race this cell once lost would show.
+// on its own: no timeout-closed round, so it is fast enough for CI to
+// repeat a hundred times under the race detector — the rate at which the
+// rejoin race this cell once lost would show.
 func TestCrashRejoinBitIdentical(t *testing.T) {
-	comparePipelineToLockstep(t, []pipelineCase{crashCase}, []bool{true})
+	comparePipelineToLockstep(t, []pipelineCase{crashCase})
 }
 
-// comparePipelineToLockstep runs every case x wire mix on the lock-step
-// engine and on the pipelined engine at 1, 2 and 8 workers, and requires
+// comparePipelineToLockstep runs every case on the lock-step engine and
+// on the pipelined engine at 1, 2 and 8 workers, and requires
 // bit-identical FinalParams and identical recovery counters.
-func comparePipelineToLockstep(t *testing.T, cases []pipelineCase, mixes []bool) {
+func comparePipelineToLockstep(t *testing.T, cases []pipelineCase) {
 	t.Helper()
 	const vehicles, rounds = 12, 3
 	for _, tc := range cases {
-		for _, mixed := range mixes {
-			base := runPipelineSession(t, vehicles, rounds, 1, true, mixed, tc)
-			if base.Rounds != rounds {
-				t.Fatalf("%s mixed=%v: lock-step rounds = %d", tc.name, mixed, base.Rounds)
+		base := runPipelineSession(t, vehicles, rounds, 1, true, tc)
+		if base.Rounds != rounds {
+			t.Fatalf("%s: lock-step rounds = %d", tc.name, base.Rounds)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			rep := runPipelineSession(t, vehicles, rounds, workers, false, tc)
+			if !sameBits(rep.FinalParams, base.FinalParams) {
+				t.Errorf("%s workers=%d: pipelined FinalParams diverged from lock-step", tc.name, workers)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				rep := runPipelineSession(t, vehicles, rounds, workers, false, mixed, tc)
-				if !sameBits(rep.FinalParams, base.FinalParams) {
-					t.Errorf("%s mixed=%v workers=%d: pipelined FinalParams diverged from lock-step",
-						tc.name, mixed, workers)
-				}
-				// RecvErrors is compared only for crash-free specs: whether
-				// the fusion centre's receiver observes a killed conn's EOF
-				// before the rejoin replaces it is a scheduling race in BOTH
-				// engines (TestChaosRecoveryBitIdentical omits it likewise).
-				if tc.retry == nil && rep.RecvErrors != base.RecvErrors {
-					t.Errorf("%s mixed=%v workers=%d: recv errors %d, lock-step %d",
-						tc.name, mixed, workers, rep.RecvErrors, base.RecvErrors)
-				}
-				if rep.Rounds != base.Rounds ||
-					rep.Stragglers != base.Stragglers ||
-					rep.CorruptFrames != base.CorruptFrames ||
-					rep.Retransmits != base.Retransmits ||
-					rep.Rejoins != base.Rejoins ||
-					rep.DegradedRounds != base.DegradedRounds {
-					t.Errorf("%s mixed=%v workers=%d: recovery counters diverged:\npipelined %+v\nlock-step %+v",
-						tc.name, mixed, workers, rep, base)
-				}
-				if len(rep.SuspectedMalicious) != len(base.SuspectedMalicious) {
-					t.Errorf("%s mixed=%v workers=%d: flagged %v, lock-step %v",
-						tc.name, mixed, workers, rep.SuspectedMalicious, base.SuspectedMalicious)
-				}
+			// RecvErrors is compared only for crash-free specs: whether
+			// the fusion centre's receiver observes a killed conn's EOF
+			// before the rejoin replaces it is a scheduling race in BOTH
+			// engines (TestChaosRecoveryBitIdentical omits it likewise).
+			if tc.retry == nil && rep.RecvErrors != base.RecvErrors {
+				t.Errorf("%s workers=%d: recv errors %d, lock-step %d",
+					tc.name, workers, rep.RecvErrors, base.RecvErrors)
+			}
+			if rep.Rounds != base.Rounds ||
+				rep.Stragglers != base.Stragglers ||
+				rep.CorruptFrames != base.CorruptFrames ||
+				rep.Retransmits != base.Retransmits ||
+				rep.Rejoins != base.Rejoins ||
+				rep.DegradedRounds != base.DegradedRounds {
+				t.Errorf("%s workers=%d: recovery counters diverged:\npipelined %+v\nlock-step %+v",
+					tc.name, workers, rep, base)
+			}
+			if len(rep.SuspectedMalicious) != len(base.SuspectedMalicious) {
+				t.Errorf("%s workers=%d: flagged %v, lock-step %v",
+					tc.name, workers, rep.SuspectedMalicious, base.SuspectedMalicious)
 			}
 		}
 	}

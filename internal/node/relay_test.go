@@ -103,118 +103,10 @@ func TestDistributedSessionThroughRelay(t *testing.T) {
 	if len(report.SuspectedMalicious) != 0 {
 		t.Errorf("honest relayed session flagged %v", report.SuspectedMalicious)
 	}
-}
-
-// TestRelayGatherCombinesShard: at protocol revision 5 the relay absorbs
-// its shard's uploads into combined Gather frames, and the session's
-// final parameters stay bit-identical to the same session run with
-// direct connections — the aggregation tree re-groups frames, never
-// payloads.
-func TestRelayGatherCombinesShard(t *testing.T) {
-	const vehicles, rounds = 4, 2
-	cfgs, clients := fleetScenario(t, []string{"g"}, vehicles, rounds)
-	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	clk := &obs.ManualClock{}
-	o := obs.New(reg, obs.NewTracer(&buf, clk), clk)
-
-	fabUp := transport.NewPipeFabric(0)
-	fabDown := transport.NewPipeFabric(0)
-	relay, err := NewRelayWith(RelayConfig{
-		Listener: fabDown,
-		Dial:     fabUp.Dial,
-		// A full shard flushes immediately; the huge window pins every
-		// flush to the complete-shard path so the counters are exact.
-		GatherWindow: time.Hour,
-		Obs:          o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if err := relay.Serve(); err != nil {
-			t.Errorf("relay serve: %v", err)
-		}
-	}()
-	defer relay.Close()
-
-	srv, err := NewServer(cfgs["g"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < vehicles; i++ {
-		conn, err := fabDown.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, conn transport.Conn) {
-			defer wg.Done()
-			defer conn.Close()
-			if err := RunVehicle(conn, clients["g"][i]); err != nil {
-				t.Errorf("vehicle %d: %v", i, err)
-			}
-		}(i, conn)
-	}
-	conns := make([]transport.Conn, vehicles)
-	for i := range conns {
-		c, err := fabUp.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-	report, err := srv.Run(conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if report.Rounds != rounds {
-		t.Fatalf("rounds = %d, want %d", report.Rounds, rounds)
-	}
-	gathers := reg.Counter("relay.gathers").Value()
-	gathered := reg.Counter("relay.gathered_uploads").Value()
-	if gathers < 1 {
-		t.Fatal("relay never combined a shard burst into a Gather frame")
-	}
-	if gathered != gathers*vehicles {
-		t.Fatalf("gathered %d uploads over %d gathers, want full shards of %d", gathered, gathers, vehicles)
-	}
-
-	// Direct-connection baseline: bit-identical final parameters.
-	solo, err := NewServer(cfgs["g"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sconns []transport.Conn
-	var swg sync.WaitGroup
-	for i := 0; i < vehicles; i++ {
-		sv, vc := transport.Pipe()
-		sconns = append(sconns, sv)
-		cc := clients["g"][i]
-		swg.Add(1)
-		go func() {
-			defer swg.Done()
-			defer vc.Close()
-			if err := RunVehicle(vc, cc); err != nil {
-				t.Errorf("solo vehicle %d: %v", cc.VehicleID, err)
-			}
-		}()
-	}
-	soloReport, err := solo.Run(sconns)
-	swg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.FinalParams) != len(soloReport.FinalParams) {
-		t.Fatalf("param length %d vs direct %d", len(report.FinalParams), len(soloReport.FinalParams))
-	}
-	for i := range report.FinalParams {
-		if report.FinalParams[i] != soloReport.FinalParams[i] {
-			t.Fatalf("param %d: relayed %v vs direct %v — gathering altered the aggregate",
-				i, report.FinalParams[i], soloReport.FinalParams[i])
-		}
+	// The relay forwards frames, never payloads of its own: the same
+	// session over direct connections ends on the same model, bit for bit.
+	if direct := buildSession(t, 12, 3, 0).run(t); !sameBits(report.FinalParams, direct.FinalParams) {
+		t.Error("relayed FinalParams differ from the direct session's")
 	}
 }
 
@@ -432,70 +324,114 @@ func TestRelayCrashVehiclesRecoverDirect(t *testing.T) {
 	<-rejoinsDone
 }
 
-// TestRelayCloseDrainsParkedUploads: regression for the shutdown race
+// bufferedLeg stands in for a buffered connection on which more input is
+// always about to arrive: Send only queues the frame, Flush delivers what
+// is queued, and Pending is always true — which is when the relay defers
+// its own flush. A frame nobody flushes never reaches the peer.
+type bufferedLeg struct {
+	transport.Conn
+	mu     sync.Mutex          // guards queued
+	queued []*protocol.Message // guarded by mu
+}
+
+func (c *bufferedLeg) Send(m *protocol.Message) error {
+	c.mu.Lock()
+	c.queued = append(c.queued, m)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *bufferedLeg) Flush() error {
+	c.mu.Lock()
+	queued := c.queued
+	c.queued = nil
+	c.mu.Unlock()
+	for _, m := range queued {
+		if err := c.Conn.Send(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *bufferedLeg) Pending() bool { return true }
+
+func (c *bufferedLeg) queuedFrames() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queued)
+}
+
+// bufferedListener wraps every accepted connection in a bufferedLeg and
+// reports it on legs.
+type bufferedListener struct {
+	transport.Listener
+	legs chan *bufferedLeg
+}
+
+func (l bufferedListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	leg := &bufferedLeg{Conn: c}
+	l.legs <- leg
+	return leg, nil
+}
+
+// TestRelayCloseFlushesForwardedFrames: regression for the shutdown race
 // where Relay.Close's best-effort flush could drop frames the relay had
-// already accepted. A parked (gathered but unflushed) upload must reach
-// the fusion centre before the connections are torn down.
-func TestRelayCloseDrainsParkedUploads(t *testing.T) {
+// already accepted. A frame forwarded into a leg's send buffer but not
+// yet flushed must reach its destination before the connections are torn
+// down, on the upstream leg and on the downstream one.
+func TestRelayCloseFlushesForwardedFrames(t *testing.T) {
 	fabUp := transport.NewPipeFabric(0)
 	fabDown := transport.NewPipeFabric(0)
-	relay, err := NewRelayWith(RelayConfig{
-		Listener:     fabDown,
-		Dial:         fabUp.Dial,
-		GatherWindow: time.Hour, // nothing flushes on its own
+	legs := make(chan *bufferedLeg, 2)
+	relay, err := NewRelay(bufferedListener{fabDown, legs}, func() (transport.Conn, error) {
+		c, err := fabUp.Dial()
+		if err != nil {
+			return nil, err
+		}
+		leg := &bufferedLeg{Conn: c}
+		legs <- leg
+		return leg, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = relay.Serve() }()
 
-	// Two links so one parked upload stays below the full-shard flush
-	// threshold.
-	v1, err := fabDown.Dial()
+	vehicle, err := fabDown.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	u1, err := fabUp.Accept()
+	fusion, err := fabUp.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := fabDown.Dial()
-	if err != nil {
+	defer vehicle.Close()
+	defer fusion.Close()
+	if err := vehicle.Send(&protocol.Message{Upload: &protocol.Upload{Round: 1, Values: []float64{42}}}); err != nil {
 		t.Fatal(err)
 	}
-	u2, err := fabUp.Accept()
-	if err != nil {
+	if err := fusion.Send(&protocol.Message{Broadcast: &protocol.Broadcast{Round: 1, Params: []float64{7}}}); err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	defer u2.Close()
-
-	// The fusion centre negotiates revision 5 on link 1; the relay's
-	// upstream pipe now parks uploads instead of forwarding them.
-	if err := u1.Send(&protocol.Message{Setup: &protocol.Setup{WireVersion: protocol.FleetVersion}}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := v1.Recv(); err != nil || m.Setup == nil {
-		t.Fatalf("vehicle setup = %+v, %v", m, err)
-	}
-	if err := v1.Send(&protocol.Message{Upload: &protocol.Upload{Round: 1, VehicleID: 0, Values: []float64{42}}}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the upload is parked in the gatherer (not forwarded, not
-	// dropped), then close the relay: the drain must put it on the wire.
-	for relay.pendingCount() == 0 {
-		runtime.Gosched()
+	// Wait until each frame sits in the relay's send buffer on the far
+	// leg (forwarded, not flushed, not dropped), then close the relay.
+	for _, leg := range []*bufferedLeg{<-legs, <-legs} {
+		for leg.queuedFrames() == 0 {
+			runtime.Gosched()
+		}
 	}
 	if err := relay.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := u1.Recv()
-	if err != nil {
-		t.Fatalf("parked upload lost at close: %v", err)
+	if m, err := fusion.Recv(); err != nil || m.Upload == nil || m.Upload.Values[0] != 42 {
+		t.Fatalf("forwarded upload lost at close: %+v, %v", m, err)
 	}
-	if m.Upload == nil || m.Upload.Round != 1 || m.Upload.Values[0] != 42 {
-		t.Fatalf("drained frame = %+v, want the parked upload", m)
+	if m, err := vehicle.Recv(); err != nil || m.Broadcast == nil || m.Broadcast.Params[0] != 7 {
+		t.Fatalf("forwarded broadcast lost at close: %+v, %v", m, err)
 	}
-	_ = v1.Close()
-	_ = u1.Close()
 }

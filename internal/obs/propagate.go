@@ -20,7 +20,7 @@ import "strconv"
 //     every process and across reruns.
 //
 // IDs travel on the wire as canonical 16-digit lowercase hex strings in
-// JSON frames and as raw little-endian u64 in the v4 binary frames (see
+// JSON frames and as raw little-endian u64 in the binary bulk frames (see
 // internal/protocol); zero is "no context" and is never emitted.
 
 // SpanContext names one span within a session trace. The zero value

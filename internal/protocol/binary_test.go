@@ -2,13 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -30,11 +30,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := buf.Bytes()[headerLen]; got != binaryMagic {
-			t.Fatalf("v3 bulk frame body starts with %#x, want binary magic", got)
+			t.Fatalf("bulk frame body starts with %#x, want binary magic", got)
 		}
 		if want := EncodedSizeVersion(m, Version) + 4; buf.Len() != want {
-			// EncodedSizeVersion counts 4 length bytes but not the CRC,
-			// matching EncodedSize's convention.
+			// EncodedSizeVersion counts the 4 length bytes but not the CRC.
 			t.Fatalf("frame is %d bytes, EncodedSizeVersion promises %d", buf.Len(), want)
 		}
 		got, err := Read(bytes.NewReader(buf.Bytes()))
@@ -123,70 +122,6 @@ func TestBinaryPreservesNaNBits(t *testing.T) {
 	if bits := math.Float64bits(got.Upload.Values[0]); bits != 0x7ff8_dead_beef_0001 {
 		t.Fatalf("NaN bits changed: %016x", bits)
 	}
-	// The JSON path cannot carry this value at all — the binary encoding
-	// is strictly more faithful, not differently lossy.
-	if err := Write(&buf, m); err == nil {
-		t.Fatal("JSON encoding of NaN unexpectedly succeeded")
-	}
-}
-
-func TestWriteVersionFallsBackToJSON(t *testing.T) {
-	cases := []*Message{
-		{Hello: &Hello{Version: Version, VehicleID: 1}},                  // non-bulk
-		{Finished: &Finished{Rounds: 2}},                                 // non-bulk
-		{Broadcast: &Broadcast{Round: -1, Params: []float64{1}}},         // round outside u32
-		{Upload: &Upload{Round: 1, VehicleID: -5, Values: []float64{1}}}, // id outside u32
-	}
-	for _, m := range cases {
-		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Bytes()[headerLen] == binaryMagic {
-			t.Fatalf("%s unexpectedly encoded in binary", m.Kind())
-		}
-		got, err := ReadVersion(bytes.NewReader(buf.Bytes()), 2)
-		if err != nil {
-			t.Fatalf("v2 reader rejected the JSON fallback: %v", err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Fatalf("fallback round trip changed the message: %+v -> %+v", m, got)
-		}
-	}
-	// A v2-negotiated writer never emits binary, whatever the message.
-	var buf bytes.Buffer
-	bulk := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2}}}
-	if err := WriteVersion(&buf, bulk, 2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[headerLen] == binaryMagic {
-		t.Fatal("v2-negotiated write emitted a binary body")
-	}
-}
-
-func TestV2ReaderRejectsBinaryFrameCleanly(t *testing.T) {
-	m := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2, 3}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
-		t.Fatal(err)
-	}
-	// Append a JSON frame behind the binary one: the v2 reader must
-	// consume the rejected frame entirely and stay in sync.
-	tail := &Message{Finished: &Finished{Rounds: 4}}
-	if err := Write(&buf, tail); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(buf.Bytes())
-	if _, err := ReadVersion(r, 2); err == nil || !strings.Contains(err.Error(), "binary frame") {
-		t.Fatalf("v2 read of a binary frame: err=%v, want a binary-frame rejection", err)
-	}
-	got, err := ReadVersion(r, 2)
-	if err != nil {
-		t.Fatalf("stream out of sync after rejected binary frame: %v", err)
-	}
-	if got.Finished == nil || got.Finished.Rounds != 4 {
-		t.Fatalf("wrong trailing message: %+v", got)
-	}
 }
 
 func TestParseBinaryRejectsMalformed(t *testing.T) {
@@ -197,6 +132,9 @@ func TestParseBinaryRejectsMalformed(t *testing.T) {
 		"count mismatch":   {binaryMagic, binaryKindBroadcast, 1, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
 		"upload short":     {binaryMagic, binaryKindUpload, 1, 0, 0, 0, 2, 0, 0, 0},
 		"excess payload":   append([]byte{binaryMagic, binaryKindUpload, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 16)...),
+		// A well-formed body of the retired gather kind (5): one upload,
+		// round 1, vehicle 2, no values.
+		"retired gather": {binaryMagic, 5, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for name, body := range cases {
 		if _, err := parseBinary(body); err == nil {
@@ -205,33 +143,32 @@ func TestParseBinaryRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBinaryWireBytesRatio pins the bandwidth win that motivates the v3
-// encoding: at 1k parameters the binary Broadcast frame must be at least
-// 2.2x smaller than its JSON form. (A >= 3x cut is information-
+// TestBinaryWireBytesRatio pins what the binary body buys: at 1k
+// parameters the Broadcast frame must be at least 2.2x smaller than the
+// same payload as decimal-text JSON. (A >= 3x cut is information-
 // theoretically out of reach: the binary payload is already at the
 // 8-byte-per-float floor, while JSON spends ~20 bytes on a decimal
-// float64 — see DESIGN.md §13.)
+// float64 — see DESIGN.md §13.3.)
 func TestBinaryWireBytesRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	params := make([]float64, 1000)
 	for i := range params {
 		params[i] = rng.NormFloat64()
 	}
-	m := &Message{Broadcast: &Broadcast{Round: 1, Params: params}}
-	jsonBytes := EncodedSize(m)
-	binBytes := EncodedSizeVersion(m, Version)
-	if binBytes >= jsonBytes {
-		t.Fatalf("binary (%d B) not smaller than JSON (%d B)", binBytes, jsonBytes)
+	text, err := json.Marshal(map[string]any{"broadcast": map[string]any{"round": 1, "params": params}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	jsonBytes := 4 + len(text)
+	binBytes := EncodedSizeVersion(&Message{Broadcast: &Broadcast{Round: 1, Params: params}}, Version)
 	if ratio := float64(jsonBytes) / float64(binBytes); ratio < 2.2 {
 		t.Errorf("wire ratio %.2fx (json %d B / binary %d B), want >= 2.2x", ratio, jsonBytes, binBytes)
 	}
 }
 
 // BenchmarkWireCodec measures encode+decode ns and bytes for the bulk
-// Broadcast message at realistic parameter counts, JSON against binary.
-// The size half of the comparison is gated by the wire-ratio test above;
-// the timings are for reading by hand.
+// Broadcast message at realistic parameter counts; the timings are for
+// reading by hand.
 func BenchmarkWireCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{100, 1000} {
@@ -240,24 +177,19 @@ func BenchmarkWireCodec(b *testing.B) {
 			params[i] = rng.NormFloat64()
 		}
 		m := &Message{Broadcast: &Broadcast{Round: 5, Params: params}}
-		for _, enc := range []struct {
-			name    string
-			version int
-		}{{"json", 2}, {"binary", Version}} {
-			b.Run(fmt.Sprintf("params=%d/enc=%s", n, enc.name), func(b *testing.B) {
-				var buf bytes.Buffer
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					if err := WriteVersion(&buf, m, enc.version); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := ReadVersion(&buf, enc.version); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("params=%d", n), func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WriteVersion(&buf, m, Version); err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(int64(EncodedSizeVersion(m, enc.version)))
-			})
-		}
+				if _, err := Read(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(EncodedSizeVersion(m, Version)))
+		})
 	}
 }

@@ -2,113 +2,9 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
-
-// TestGatherBinaryRoundTrip: a context-free gather at the fleet version
-// travels as one binary frame and round-trips exactly, NaN bit patterns
-// included.
-func TestGatherBinaryRoundTrip(t *testing.T) {
-	want := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 4, VehicleID: 1, Values: []float64{1.5, -2.25}},
-		{Round: 4, VehicleID: 3, Values: nil},
-		{Round: 3, VehicleID: 9, Values: []float64{math.NaN(), math.Inf(-1), 0}},
-	}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, want, FleetVersion); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); len(b) < 10 || b[8] != binaryMagic || b[9] != binaryKindGather {
-		t.Fatalf("frame not binary gather: % x", b[:min(len(b), 12)])
-	}
-	if got, want := buf.Len(), 4+4+binaryBodyLen(want); got != want {
-		t.Fatalf("frame length %d, want %d", got, want)
-	}
-	if got := EncodedSizeVersion(want, FleetVersion); got != 4+binaryBodyLen(want) {
-		t.Fatalf("EncodedSizeVersion = %d, want %d", got, 4+binaryBodyLen(want))
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Gather == nil || len(got.Gather.Uploads) != 3 {
-		t.Fatalf("decoded %+v", got)
-	}
-	for i := range want.Gather.Uploads {
-		w, g := want.Gather.Uploads[i], got.Gather.Uploads[i]
-		if g.Round != w.Round || g.VehicleID != w.VehicleID || len(g.Values) != len(w.Values) {
-			t.Fatalf("upload %d = %+v, want %+v", i, g, w)
-		}
-		for j := range w.Values {
-			if math.Float64bits(g.Values[j]) != math.Float64bits(w.Values[j]) {
-				t.Fatalf("upload %d value %d bits differ", i, j)
-			}
-		}
-	}
-}
-
-// TestGatherFallsBackToJSON: below the fleet version, or when any inner
-// upload carries trace context, the gather goes out as JSON — which
-// round-trips the context byte-for-byte.
-func TestGatherFallsBackToJSON(t *testing.T) {
-	plain := &Message{Gather: &Gather{Uploads: []Upload{{Round: 1, VehicleID: 0, Values: []float64{1}}}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, plain, FleetVersion-1); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); b[8] == binaryMagic {
-		t.Fatal("gather emitted in binary below the fleet version")
-	}
-	buf.Reset()
-	traced := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 0, Values: []float64{1},
-			TraceID: "00000000000000ab", SpanID: "00000000000000cd"},
-	}}}
-	if err := WriteVersion(&buf, traced, FleetVersion); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); b[8] == binaryMagic {
-		t.Fatal("context-bearing gather emitted in binary")
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, traced) {
-		t.Fatalf("round trip = %+v, want %+v", got, traced)
-	}
-}
-
-// TestGatherBinaryRejectsMalformed: truncated and over-counted gather
-// bodies are frame-local errors, never panics or misparses.
-func TestGatherBinaryRejectsMalformed(t *testing.T) {
-	good := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 2, Values: []float64{3}},
-		{Round: 1, VehicleID: 4, Values: []float64{5, 6}},
-	}}}
-	body := appendBinary(nil, good)
-	cases := map[string][]byte{
-		"no count":        body[:4],
-		"truncated entry": body[:10],
-		"truncated tail":  body[:len(body)-1],
-		"trailing bytes":  append(append([]byte{}, body...), 0),
-	}
-	overCount := append([]byte{}, body...)
-	overCount[2] = 200 // count u32 LE low byte
-	cases["over-counted"] = overCount
-	for name, b := range cases {
-		if _, err := parseBinary(b); err == nil {
-			t.Errorf("%s: malformed gather accepted", name)
-		}
-	}
-	if m, err := parseBinary(body); err != nil || !reflect.DeepEqual(m, good) {
-		t.Fatalf("control round trip failed: %v %+v", err, m)
-	}
-}
 
 // TestAdmissionRoundTrip: admission answers are plain JSON frames and
 // survive the codec in both queue and reject shapes.
@@ -119,7 +15,7 @@ func TestAdmissionRoundTrip(t *testing.T) {
 		{Admission: &Admission{Reason: "budget exhausted", Retry: true}},
 	} {
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, want, FleetVersion); err != nil {
+		if err := Write(&buf, want); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Read(&buf)
@@ -133,17 +29,10 @@ func TestAdmissionRoundTrip(t *testing.T) {
 }
 
 // TestHelloSessionIDWireCompat: the session ID rides Hello as an
-// optional key — absent it the encoded bytes are identical to the v4
-// wire, so v<=4 peers and golden traces are unaffected.
+// optional key and survives the codec. (That a hello without one
+// serializes no such key is part of the golden-bytes pin in
+// TestCtxAbsentKeepsV3WireBytes.)
 func TestHelloSessionIDWireCompat(t *testing.T) {
-	plain := &Message{Hello: &Hello{Version: Version, VehicleID: 2}}
-	body, err := json.Marshal(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(body), "session_id") {
-		t.Fatalf("empty session ID serialized: %s", body)
-	}
 	var buf bytes.Buffer
 	routed := &Message{Hello: &Hello{Version: Version, VehicleID: 2, SessionID: "s1"}}
 	if err := Write(&buf, routed); err != nil {

@@ -20,27 +20,28 @@ func encodeSeed(f *testing.F, m *Message) []byte {
 	return buf.Bytes()
 }
 
-// encodeSeedV3 frames m under the v3 negotiated encoding, yielding
-// binary bodies for the bulk messages.
-func encodeSeedV3(f *testing.F, m *Message) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
+// rawFrame wraps an arbitrary body in a CRC-valid frame, so it reaches
+// the body parsers instead of stopping at the checksum.
+func rawFrame(body []byte) []byte {
+	frame := make([]byte, 8, 8+len(body))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	return append(frame, body...)
 }
 
 // FuzzFrameCodec feeds arbitrary bytes to the frame decoder. Read must
 // never panic — a malicious or corrupted peer controls this input — and
 // any frame it accepts must re-encode and re-decode to the same message
-// (decode∘encode is the identity on accepted frames).
+// (decode∘encode is the identity on accepted frames), with bulk messages
+// only ever out of binary bodies and control messages out of JSON ones.
+// testdata/fuzz/FuzzFrameCodec/seed-10 is a well-formed frame of the
+// retired gather kind (binary kind 5): a must-reject seed.
 func FuzzFrameCodec(f *testing.F) {
 	variants := []*Message{
 		{Hello: &Hello{Version: Version, VehicleID: 3}},
 		{Setup: &Setup{InputSize: 4, LocalEpochs: 2, LocalRate: 0.05,
 			RefX: [][]float64{{1, 2}}, SchemeVehicles: 6, SchemeBatches: 2,
-			SchemeDegree: 1, SchemeSeed: 99}},
+			SchemeDegree: 1, SchemeSeed: 99, WireVersion: Version}},
 		{Broadcast: &Broadcast{Round: 1, Params: []float64{0.5, -0.25}}},
 		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{1, 2, 3}}},
 		{Finished: &Finished{Rounds: 5}},
@@ -49,37 +50,31 @@ func FuzzFrameCodec(f *testing.F) {
 	for _, m := range variants {
 		f.Add(encodeSeed(f, m))
 	}
-	// v3 binary-body frames for the bulk messages, including the float
-	// payloads JSON cannot carry at all (NaN bit patterns, infinities).
-	f.Add(encodeSeedV3(f, variants[2]))
-	f.Add(encodeSeedV3(f, variants[3]))
-	f.Add(encodeSeedV3(f, &Message{Broadcast: &Broadcast{Round: 2,
+	// JSON bodies naming a bulk variant: well-formed, must be rejected.
+	f.Add(rawFrame([]byte(`{"broadcast":{"round":1,"params":[0.5,-0.25]}}`)))
+	f.Add(rawFrame([]byte(`{"upload":{"round":1,"vehicle_id":2,"values":[1,2,3]}}`)))
+	// Float payloads only a binary body can carry (NaN bit patterns,
+	// infinities), and an empty upload.
+	f.Add(encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 2,
 		Params: []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1)}}}))
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 7, VehicleID: 1}}))
-	// v4 context-bearing binary frames (kinds 3/4), including a NaN
-	// payload so the ctx kinds' bit-exact float path is exercised.
-	f.Add(encodeSeedV3(f, &Message{Broadcast: &Broadcast{Round: 2,
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 7, VehicleID: 1}}))
+	// Context-bearing binary frames (kinds 3/4), including a NaN payload
+	// so the ctx kinds' bit-exact float path is exercised.
+	f.Add(encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 2,
 		Params:  []float64{math.NaN(), 1.5},
 		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 2, VehicleID: 3,
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 2, VehicleID: 3,
 		Values:  []float64{-0.5},
 		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
-	// Non-canonical context rides the JSON fallback; the fuzzer mutates
-	// from here into the interesting mixed region.
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 1, VehicleID: 1,
-		Values: []float64{2}, TraceID: "ABC", SpanID: "def"}}))
-	// v5 fleet frames: a session-routed hello, an admission answer, and
-	// gathers in both encodings (binary kind 5, JSON with context).
+	// A JSON upload with non-canonical context, which once was the
+	// fallback encoding: must be rejected like any JSON bulk body.
+	f.Add(rawFrame([]byte(`{"upload":{"round":1,"vehicle_id":1,"values":[2],"trace_id":"ABC","span_id":"def"}}`)))
+	// Fleet frames: a session-routed hello and both admission answers.
 	f.Add(encodeSeed(f, &Message{Hello: &Hello{Version: Version, VehicleID: 1, SessionID: "s1"}}))
 	f.Add(encodeSeed(f, &Message{Admission: &Admission{Queued: true, Reason: "budget"}}))
-	f.Add(encodeSeedV3(f, &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 0, Values: []float64{math.NaN(), 2}},
-		{Round: 1, VehicleID: 5},
-	}}}))
-	f.Add(encodeSeedV3(f, &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 2, VehicleID: 3, Values: []float64{1},
-			TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"},
-	}}}))
+	f.Add(encodeSeed(f, &Message{Admission: &Admission{Reason: "fleet at connection budget", Retry: true}}))
+	// An envelope with two variants: Validate must refuse it.
+	f.Add(rawFrame([]byte(`{"hello":{"version":5,"vehicle_id":1},"finished":{"rounds":1}}`)))
 	// Malformed shapes the decoder must reject without panicking.
 	corrupt := encodeSeed(f, variants[0])
 	corrupt[len(corrupt)-1] ^= 0xff // body flip: CRC mismatch
@@ -103,28 +98,18 @@ func FuzzFrameCodec(f *testing.F) {
 		{0xB3, 0x03, 1, 2, 3, 4},
 		{0xB3, 0x04, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 			1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
-		// gather kind: bare header, zero count, over-counted entries,
-		// and a truncated inner upload.
-		{0xB3, 0x05},
-		{0xB3, 0x05, 0, 0, 0, 0},
-		{0xB3, 0x05, 9, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
-		{0xB3, 0x05, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 2},
+		// kind 0; an upload whose count overflows the frame limit; a ctx
+		// broadcast with a full prefix but no round; an upload carrying
+		// one payload byte too many.
+		{0xB3, 0x00, 1, 0, 0, 0, 0, 0, 0, 0},
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
+		{0xB3, 0x03, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 	} {
-		frame := make([]byte, 8, 8+len(body))
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-		f.Add(append(frame, body...))
+		f.Add(rawFrame(body))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A v2-only decoder fed the same stream must fail cleanly on v3
-		// binary frames — no panic, no misparse — before we even look at
-		// what the current decoder makes of it.
-		if m, err := ReadVersion(bytes.NewReader(data), 2); err == nil {
-			if err := m.Validate(); err != nil {
-				t.Fatalf("v2 read returned an invalid message: %v", err)
-			}
-		}
 		m, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is fine; panics and hangs are not
@@ -132,10 +117,12 @@ func FuzzFrameCodec(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("Read returned an invalid message: %v", err)
 		}
-		// Round trip through the negotiated v3 encoder and compare the
-		// re-encodings byte for byte: unlike a JSON comparison this stays
-		// meaningful for payloads JSON cannot marshal (NaN), which the
-		// binary path round-trips bit-exactly.
+		if bulk, binaryBody := m.Broadcast != nil || m.Upload != nil, data[8] == 0xB3; bulk != binaryBody {
+			t.Fatalf("%s message read out of a body starting %#x", m.Kind(), data[8])
+		}
+		// Round trip through the encoder and compare the re-encodings
+		// byte for byte, which stays meaningful for the NaN payloads a
+		// binary body round-trips bit-exactly.
 		var buf bytes.Buffer
 		if err := WriteVersion(&buf, m, Version); err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)

@@ -2,47 +2,30 @@
 // centre and the vehicles when L-CoFL runs as an actual distributed system
 // (package transport carries them; package node speaks them).
 //
-// Messages are length-prefixed, checksummed JSON: a 4-byte big-endian
-// length, a 4-byte CRC-32 (IEEE) of the body, then a JSON envelope
-// {type, payload}. JSON keeps the wire debuggable and the stdlib-only
-// constraint satisfied; the framing bounds message size so a malformed or
-// malicious peer cannot force unbounded allocation, and the checksum turns
-// channel corruption into a *detected*, frame-local error: Read consumes
-// the corrupted frame entirely and returns ErrCorruptFrame, so the stream
-// stays in sync and the caller can keep reading subsequent frames instead
-// of tearing the connection down (package node counts these and prompts a
-// retransmit; see DESIGN.md §11).
+// Every message travels in one frame: a 4-byte big-endian body length, a
+// 4-byte CRC-32 (IEEE) of the body, then the body. The length bounds
+// message size so a malformed or malicious peer cannot force unbounded
+// allocation, and the checksum turns channel corruption into a
+// *detected*, frame-local error: Read consumes the corrupted frame
+// entirely and returns ErrCorruptFrame, so the stream stays in sync and
+// the caller can keep reading subsequent frames instead of tearing the
+// connection down (package node counts these and prompts a retransmit;
+// see DESIGN.md §11).
 //
-// Protocol revision 3 adds a binary body encoding for the two bulk
-// messages (Broadcast and Upload): raw little-endian float64 payloads
-// inside the same length+CRC frame, roughly 2.5x smaller than their
-// decimal-text JSON form at realistic parameter counts (DESIGN.md §13).
-// The encoding is negotiated per connection via the Hello version, so v2
-// JSON-only peers interoperate: WriteVersion only emits binary bodies
-// when the negotiated version is >= 3, and the binary marker byte cannot
-// begin a JSON value, so a mis-delivered binary frame fails cleanly in a
-// v2 decoder.
+// A body has exactly one of two forms, told apart by its first byte
+// (DESIGN.md §13.3). The control messages — Hello, Setup, Admission,
+// Finished, Error — are a JSON envelope {type: payload}, which keeps the
+// handshake debuggable and lets optional keys come and go. The two bulk
+// messages, Broadcast and Upload, are a binary body: a magic byte that
+// cannot open a JSON value, a kind byte, fixed-width integers and raw
+// little-endian float64 bits, with or without a (trace, span) context
+// prefix. A bulk message has no JSON form and a control message no binary
+// one, on the write side and on the read side.
 //
-// Protocol revision 4 adds trace-context propagation (DESIGN.md §15):
-// Hello/Setup establish the session trace and exchange the handshake
-// clock readings used for offset estimation, and Broadcast/Upload carry
-// the round span context. All context fields are optional — absent with
-// tracing off, ignored by older peers (unknown JSON keys) — so the
-// tracing-off wire is byte-identical to revision 3. Bulk messages WITH
-// context use two new binary kinds (3, 4) emitted only at negotiated
-// version >= 4; at version 3 a context-bearing bulk message falls back
-// to JSON, which preserves the context for a v4 peer while a v2/v3 peer
-// simply skips the unknown keys.
-//
-// Protocol revision 5 is the fleet revision (DESIGN.md §16): Hello gains
-// an optional session ID so one listener can route connections to many
-// concurrent FL sessions, Admission lets a fleet answer a handshake with
-// an explicit queue/reject decision before any Setup exists, and Gather
-// lets an edge relay combine its shard's uploads into one upstream frame
-// (binary kind 5 for context-free payloads). All three degrade liberally:
-// a v<=4 peer never receives Admission or Gather (rejections fall back to
-// Error, gathering stays off on its legs) and its Hello simply lacks a
-// session ID, which routes it to the fleet's default session.
+// There is one wire revision, Version. The Hello/Setup handshake still
+// carries revision numbers so that a later revision can be introduced: a
+// peer announcing less than Version is refused with an Error frame, a
+// peer announcing more is answered at Version (package node, recvHello).
 package protocol
 
 import (
@@ -56,19 +39,9 @@ import (
 	"slices"
 )
 
-// Version is the protocol revision carried in Hello messages. Revision 2
-// added the per-frame CRC-32 to the framing; revision 3 adds the binary
-// body encoding for Broadcast and Upload; revision 4 adds trace-context
-// propagation (binary kinds 3/4 and the optional JSON context fields);
-// revision 5 adds the fleet messages (session routing, Admission,
-// Gather).
+// Version is the one protocol revision this build speaks, carried in
+// Hello messages and echoed in Setup.WireVersion.
 const Version = 5
-
-// FleetVersion is the first revision that understands the fleet
-// messages: Hello.SessionID routing, Admission handshake answers, and
-// relay Gather frames. Senders gate all three on the peer's negotiated
-// version being at least this.
-const FleetVersion = 5
 
 // ErrCorruptFrame reports a frame whose body failed its CRC-32 check. The
 // frame has been fully consumed when Read returns it, so the connection
@@ -82,13 +55,13 @@ var ErrCorruptFrame = errors.New("protocol: corrupt frame (checksum mismatch)")
 const MaxMessageSize = 16 << 20
 
 // Message is the union of all wire messages. Exactly one pointer field is
-// non-nil.
+// non-nil. The bulk variants are invisible to the JSON envelope: they
+// travel only as binary bodies.
 type Message struct {
 	Hello     *Hello     `json:"hello,omitempty"`
 	Setup     *Setup     `json:"setup,omitempty"`
-	Broadcast *Broadcast `json:"broadcast,omitempty"`
-	Upload    *Upload    `json:"upload,omitempty"`
-	Gather    *Gather    `json:"gather,omitempty"`
+	Broadcast *Broadcast `json:"-"`
+	Upload    *Upload    `json:"-"`
 	Admission *Admission `json:"admission,omitempty"`
 	Finished  *Finished  `json:"finished,omitempty"`
 	Error     *Error     `json:"error,omitempty"`
@@ -106,9 +79,8 @@ type Hello struct {
 	// vehicle runs untraced.
 	TraceID string `json:"trace_id,omitempty"`
 	// SessionID names the FL session this connection joins on a
-	// multi-session fleet (revision 5). Empty — including every hello
-	// from a v<=4 build, which has no such field — selects the fleet's
-	// default session; a single-session fusion centre ignores it.
+	// multi-session fleet. Empty selects the fleet's default session; a
+	// single-session fusion centre ignores it.
 	SessionID string `json:"session_id,omitempty"`
 }
 
@@ -134,9 +106,8 @@ type Setup struct {
 	SchemeSeed     int64 `json:"scheme_seed"`
 	// WireVersion is the protocol revision the fusion centre negotiated
 	// for this connection: min(its own Version, the vehicle's Hello
-	// version). Absent (0) means revision 2, the JSON-only encoding —
-	// which is also how a revision-2 fusion centre, ignorant of the
-	// field, is correctly interpreted.
+	// version), which the handshake floor makes Version itself today. A
+	// vehicle refuses a Setup that names less (an older fusion centre).
 	WireVersion int `json:"wire_version,omitempty"`
 	// TraceID is the session trace every process joins (derived from
 	// SchemeSeed on both sides; carried explicitly so a vehicle adopts
@@ -156,51 +127,37 @@ type Setup struct {
 // Broadcast starts a round: the shared model parameters.
 type Broadcast struct {
 	// Round is the 1-based round number.
-	Round int `json:"round"`
+	Round int
 	// Params is the shared model's flat parameter vector.
-	Params []float64 `json:"params"`
+	Params []float64
 	// TraceID/SpanID carry the fusion centre's round span context so
 	// vehicle-side train/encode/upload spans can parent under it. Both
 	// canonical 16-digit hex; empty when tracing is off.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID string
+	SpanID  string
 }
 
 // Upload carries a vehicle's round contribution.
 type Upload struct {
 	// Round echoes the broadcast round.
-	Round int `json:"round"`
-	// VehicleID identifies the sender.
-	VehicleID int `json:"vehicle_id"`
+	Round int
+	// VehicleID names the sender. The fusion centre attributes an upload
+	// to the vehicle that handshaked the connection it arrived on, never
+	// to this field.
+	VehicleID int
 	// Values is the scheme-defined upload vector.
-	Values []float64 `json:"values"`
+	Values []float64
 	// TraceID/SpanID carry the vehicle's upload span context so the
 	// fusion centre's ingest event can parent under the send that
 	// produced it. Empty when tracing is off.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID string
+	SpanID  string
 }
 
-// Gather is an edge relay's combined upstream frame (revision 5): the
-// uploads of several vehicles in the relay's shard, gathered into one
-// frame so the fusion centre pays one read per shard burst instead of
-// one per vehicle. Each inner upload is byte-equivalent to the frame the
-// vehicle sent — round, sender and trace context included — so the
-// fusion centre processes a gathered upload exactly like a direct one.
-// Relays only emit Gather on connections whose negotiated version is
-// >= FleetVersion; on older legs they stay transparent pipes.
-type Gather struct {
-	// Uploads holds the combined shard contributions, in the order the
-	// relay absorbed them.
-	Uploads []Upload `json:"uploads"`
-}
-
-// Admission answers a Hello on a fleet-scale fusion centre (revision 5)
-// when Setup cannot follow immediately: the connection was queued behind
-// the fleet's connection budget, or rejected outright. Acceptance is
-// implied by Setup itself, so an admitted vehicle never waits on an
-// extra frame. A v<=4 peer never sees Admission — rejections fall back
-// to the Error message it already understands.
+// Admission answers a Hello on a fleet-scale fusion centre when Setup
+// cannot follow immediately: the connection was queued behind the
+// fleet's connection budget, or rejected outright. Acceptance is implied
+// by Setup itself, so an admitted vehicle never waits on an extra frame.
 type Admission struct {
 	// Queued reports the connection is parked in the fleet's admission
 	// queue; the vehicle should keep waiting for Setup.
@@ -246,25 +203,21 @@ func (m *Message) TraceContext() (trace, span string) {
 	return "", ""
 }
 
-// EncodedSize returns the exact on-wire size of the message in bytes
-// (4-byte length prefix plus JSON body), or 0 when it cannot marshal.
-// The instrumented transport uses it to account bytes per connection.
-func EncodedSize(m *Message) int {
+// EncodedSizeVersion returns the size WriteVersion's frame for m is
+// accounted at — the 4-byte length prefix plus the body, the CRC left
+// out — or 0 when a control message cannot marshal. For the bulk
+// messages it is pure arithmetic; a control message is marshalled to be
+// measured. The instrumented transport uses it to account bytes per
+// connection. version is unused for the reason AppendFrame gives.
+func EncodedSizeVersion(m *Message, version int) int {
+	if m.Broadcast != nil || m.Upload != nil {
+		return 4 + binaryBodyLen(m)
+	}
 	body, err := json.Marshal(m)
 	if err != nil {
 		return 0
 	}
 	return 4 + len(body)
-}
-
-// EncodedSizeVersion is EncodedSize under a negotiated protocol version:
-// for messages WriteVersion would emit in binary form the size is pure
-// arithmetic (no marshalling), otherwise it defers to EncodedSize.
-func EncodedSizeVersion(m *Message, version int) int {
-	if !binaryEligible(m, version) {
-		return EncodedSize(m)
-	}
-	return 4 + binaryBodyLen(m)
 }
 
 // kind returns the message discriminator for validation and errors.
@@ -278,8 +231,6 @@ func (m *Message) kind() string {
 		return "broadcast"
 	case m.Upload != nil:
 		return "upload"
-	case m.Gather != nil:
-		return "gather"
 	case m.Admission != nil:
 		return "admission"
 	case m.Finished != nil:
@@ -295,7 +246,7 @@ func (m *Message) Validate() error {
 	count := 0
 	for _, set := range []bool{
 		m.Hello != nil, m.Setup != nil, m.Broadcast != nil,
-		m.Upload != nil, m.Gather != nil, m.Admission != nil,
+		m.Upload != nil, m.Admission != nil,
 		m.Finished != nil, m.Error != nil,
 	} {
 		if set {
@@ -311,106 +262,53 @@ func (m *Message) Validate() error {
 // headerLen is the frame header size: 4-byte length + 4-byte CRC-32.
 const headerLen = 8
 
-// Binary body encoding (protocol revision 3, DESIGN.md §13). The body
-// replaces the JSON envelope inside the unchanged length+CRC frame:
+// Binary body of the bulk messages (DESIGN.md §13.3):
 //
 //	byte 0: binaryMagic (0xB3)
-//	byte 1: kind (1 = broadcast, 2 = upload)
-//	broadcast: round u32 LE, count u32 LE, count x 8-byte LE float64 bits
-//	upload:    round u32 LE, vehicle u32 LE, count u32 LE, count x 8 bytes
+//	byte 1: kind
+//	broadcast:     round u32, count u32, count x 8-byte float64 bits
+//	upload:        round u32, vehicle u32, count u32, count x 8 bytes
+//	broadcast+ctx: trace u64, span u64, then as broadcast
+//	upload+ctx:    trace u64, span u64, then as upload
 //
-// 0xB3 cannot open a JSON value, so a v2 decoder handed a binary frame
-// fails with an ordinary unmarshal error — never a panic, never a
-// misparse — and the stream stays in sync (the frame was length-consumed).
-// Floats travel as IEEE 754 bit patterns, bit-exact round trips included
-// for NaN payloads that JSON cannot represent at all.
+// all little-endian. 0xB3 cannot open a JSON value, so the first byte
+// decides the body form. Floats travel as IEEE 754 bit patterns, NaN
+// payloads included. The context kinds prefix the trace and span IDs; a
+// context kind with either ID zero is rejected, so every accepted frame
+// re-encodes to identical bytes.
 const binaryMagic = 0xB3
 
-// Revision 4 adds context-bearing variants of the two bulk kinds
-// (DESIGN.md §15): the same layout prefixed with the trace and span IDs
-// as little-endian u64. A context kind with either ID zero is rejected —
-// partial context never rides the binary path, so every accepted frame
-// re-encodes to identical bytes.
-//
-//	broadcast+ctx: trace u64 LE, span u64 LE, round u32, count u32, floats
-//	upload+ctx:    trace u64 LE, span u64 LE, round u32, vehicle u32, count u32, floats
-//
-// Revision 5 adds the gather kind: a shard's context-free uploads packed
-// back to back. Context-bearing gathers fall back to JSON — the traced
-// path is diagnostic, not hot — so the binary layout stays flat:
-//
-//	gather: count u32, then per upload: round u32, vehicle u32, n u32,
-//	        n x 8-byte LE float64 bits
 const (
 	binaryKindBroadcast    = 1
 	binaryKindUpload       = 2
 	binaryKindBroadcastCtx = 3
 	binaryKindUploadCtx    = 4
-	binaryKindGather       = 5
 )
 
 // maxBinaryValues caps the float count so a binary body respects
 // MaxMessageSize even under the largest (upload+ctx) header.
 const maxBinaryValues = (MaxMessageSize - 30) / 8
 
-// binaryEligible reports whether WriteVersion encodes m as a binary body
-// under the given negotiated version: bulk messages only, with integer
-// fields that fit the fixed-width wire layout (anything else falls back
-// to JSON, which both sides always accept). Trace context additionally
-// requires version >= 4 and a canonical, complete (trace, span) pair —
-// non-canonical IDs fall back to JSON, which round-trips any string
-// byte-for-byte instead of silently rewriting it.
-func binaryEligible(m *Message, version int) bool {
-	if version < 3 {
-		return false
+// bulkEncodable reports whether a bulk message fits the binary body: its
+// integer fields the fixed-width layout, its payload the frame limit, and
+// its trace context ctxEncodable.
+func bulkEncodable(m *Message) bool {
+	if b := m.Broadcast; b != nil {
+		return fitsUint32(b.Round) && len(b.Params) <= maxBinaryValues &&
+			ctxEncodable(b.TraceID, b.SpanID)
 	}
-	switch {
-	case m.Broadcast != nil:
-		b := m.Broadcast
-		if !fitsUint32(b.Round) || len(b.Params) > maxBinaryValues {
-			return false
-		}
-		return ctxEligible(b.TraceID, b.SpanID, version)
-	case m.Upload != nil:
-		u := m.Upload
-		if !fitsUint32(u.Round) || !fitsUint32(u.VehicleID) || len(u.Values) > maxBinaryValues {
-			return false
-		}
-		return ctxEligible(u.TraceID, u.SpanID, version)
-	case m.Gather != nil:
-		if version < FleetVersion || len(m.Gather.Uploads) == 0 {
-			return false
-		}
-		size := 6 // magic, kind, count u32
-		for i := range m.Gather.Uploads {
-			u := &m.Gather.Uploads[i]
-			// Any trace context sends the whole gather to JSON: the
-			// binary layout has no per-upload context slot.
-			if u.TraceID != "" || u.SpanID != "" {
-				return false
-			}
-			if !fitsUint32(u.Round) || !fitsUint32(u.VehicleID) {
-				return false
-			}
-			size += 12 + 8*len(u.Values)
-			if size > MaxMessageSize {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	u := m.Upload
+	return fitsUint32(u.Round) && fitsUint32(u.VehicleID) && len(u.Values) <= maxBinaryValues &&
+		ctxEncodable(u.TraceID, u.SpanID)
 }
 
-// ctxEligible reports whether a (trace, span) pair fits a binary body at
-// the negotiated version: absent entirely (the pre-v4 kinds), or — at
-// version >= 4 — a complete pair of canonical nonzero IDs.
-func ctxEligible(trace, span string, version int) bool {
+// ctxEncodable reports whether a (trace, span) pair fits a binary body:
+// absent entirely, or a complete pair of canonical nonzero IDs. Anything
+// else has no encoding — the fixed-width slots could only carry it
+// rewritten.
+func ctxEncodable(trace, span string) bool {
 	if trace == "" && span == "" {
 		return true
-	}
-	if version < 4 {
-		return false
 	}
 	t, okT := canonicalID(trace)
 	s, okS := canonicalID(span)
@@ -455,19 +353,12 @@ func formatID16(id uint64) string {
 
 func fitsUint32(v int) bool { return v >= 0 && int64(v) <= math.MaxUint32 }
 
-// binaryBodyLen returns the body length of a binary-eligible message.
+// binaryBodyLen returns the body length of a bulk message.
 func binaryBodyLen(m *Message) int {
 	if b := m.Broadcast; b != nil {
 		n := 10 + 8*len(b.Params)
 		if b.TraceID != "" {
 			n += 16
-		}
-		return n
-	}
-	if g := m.Gather; g != nil {
-		n := 6
-		for i := range g.Uploads {
-			n += 12 + 8*len(g.Uploads[i].Values)
 		}
 		return n
 	}
@@ -479,7 +370,7 @@ func binaryBodyLen(m *Message) int {
 	return n
 }
 
-// appendBinary encodes a binary-eligible message into dst.
+// appendBinary encodes a bulk message that is bulkEncodable into dst.
 func appendBinary(dst []byte, m *Message) []byte {
 	if b := m.Broadcast; b != nil {
 		if b.TraceID == "" {
@@ -495,20 +386,6 @@ func appendBinary(dst []byte, m *Message) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Params)))
 		for _, v := range b.Params {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst
-	}
-	if g := m.Gather; g != nil {
-		dst = append(dst, binaryMagic, binaryKindGather)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.Uploads)))
-		for i := range g.Uploads {
-			u := &g.Uploads[i]
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Round))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(u.VehicleID))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(u.Values)))
-			for _, v := range u.Values {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
 		}
 		return dst
 	}
@@ -552,9 +429,9 @@ func parseBinary(body []byte) (*Message, error) {
 		return v
 	}
 	// readCtx consumes the trace/span prefix of a context kind. Partial
-	// or zero context is a frame-local error: only complete contexts ride
-	// the binary path (see ctxEligible), so every accepted frame
-	// re-encodes to identical bytes.
+	// or zero context is a frame-local error: only complete contexts are
+	// ever written (see ctxEncodable), so every accepted frame re-encodes
+	// to identical bytes.
 	readCtx := func(kindName string) (trace, span uint64, err error) {
 		trace = readU64()
 		span = readU64()
@@ -611,34 +488,6 @@ func parseBinary(body []byte) (*Message, error) {
 		}
 		up.Values = readFloats(rest, int(count))
 		return &Message{Upload: up}, nil
-	case binaryKindGather:
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("protocol: binary gather header truncated (%d bytes)", len(rest))
-		}
-		count := readU32()
-		if count == 0 || count > MaxMessageSize/12 {
-			return nil, fmt.Errorf("protocol: binary gather declares %d uploads", count)
-		}
-		g := &Gather{Uploads: make([]Upload, 0, count)}
-		for i := uint32(0); i < count; i++ {
-			if len(rest) < 12 {
-				return nil, fmt.Errorf("protocol: binary gather upload %d truncated (%d bytes)", i, len(rest))
-			}
-			var u Upload
-			u.Round = int(readU32())
-			u.VehicleID = int(readU32())
-			n := readU32()
-			if n > maxBinaryValues || len(rest) < 8*int(n) {
-				return nil, fmt.Errorf("protocol: binary gather upload %d declares %d values in %d payload bytes", i, n, len(rest))
-			}
-			u.Values = readFloats(rest, int(n))
-			rest = rest[8*int(n):]
-			g.Uploads = append(g.Uploads, u)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("protocol: binary gather leaves %d trailing bytes", len(rest))
-		}
-		return &Message{Gather: g}, nil
 	}
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
@@ -654,16 +503,14 @@ func readFloats(b []byte, count int) []float64 {
 	return out
 }
 
-// Write frames and writes one message in JSON form — the encoding every
-// protocol revision accepts.
+// Write frames and writes one message at Version.
 func Write(w io.Writer, m *Message) error {
-	return WriteVersion(w, m, 0)
+	return WriteVersion(w, m, Version)
 }
 
-// WriteVersion frames and writes one message under a negotiated protocol
-// version: bulk messages (Broadcast, Upload) go out as binary bodies
-// when the peer negotiated version >= 3, everything else (and every
-// message to an older peer) as JSON. Header and body leave in one Write.
+// WriteVersion frames and writes one message for a connection that
+// negotiated the given revision (see AppendFrame). Header and body leave
+// in one Write.
 func WriteVersion(w io.Writer, m *Message, version int) error {
 	frame, err := AppendFrame(nil, m, version)
 	if err != nil {
@@ -678,7 +525,7 @@ func WriteVersion(w io.Writer, m *Message, version int) error {
 // (internal/chaos via transport's Faulter): end-to-end tests exercise the
 // real detection path instead of simulating it.
 func WriteCorrupt(w io.Writer, m *Message) error {
-	frame, err := appendFrame(nil, m, 0, 1)
+	frame, err := appendFrame(nil, m, 1)
 	if err != nil {
 		return err
 	}
@@ -692,29 +539,35 @@ func writeWhole(w io.Writer, frame []byte) error {
 	return nil
 }
 
-// AppendFrame appends the complete frame WriteVersion would write —
-// header, then body — to dst and returns the extended slice. A
-// connection that keeps dst between sends frames its steady-state
-// (binary) traffic without allocating.
+// AppendFrame appends the complete frame for m — header, then body — to
+// dst and returns the extended slice. A connection that keeps dst between
+// sends frames its steady-state (binary) traffic without allocating. A
+// bulk message that does not fit the binary body (bulkEncodable) is an
+// error: there is no other encoding to fall back to.
+//
+// version is the revision the connection negotiated. The handshake admits
+// exactly one, Version, so nothing is selected by it today; it stays in
+// the signature as the place a later revision's encoding would be gated.
 func AppendFrame(dst []byte, m *Message, version int) ([]byte, error) {
-	return appendFrame(dst, m, version, 0)
+	return appendFrame(dst, m, 0)
 }
 
 // appendFrame is AppendFrame with crcFlip XORed into the checksum (0 for
 // an honest frame).
-func appendFrame(dst []byte, m *Message, version int, crcFlip uint32) ([]byte, error) {
+func appendFrame(dst []byte, m *Message, crcFlip uint32) ([]byte, error) {
 	start := len(dst)
 	if err := m.Validate(); err != nil {
 		return dst, err
 	}
-	bin := binaryEligible(m, version)
-	if bin {
+	if m.Broadcast != nil || m.Upload != nil {
+		if !bulkEncodable(m) {
+			return dst, fmt.Errorf("protocol: %s does not fit the binary body (round or vehicle outside 32 bits, more than %d values, or a trace context that is not two canonical nonzero IDs)", m.kind(), maxBinaryValues)
+		}
 		dst = slices.Grow(dst, headerLen+binaryBodyLen(m))
-	}
-	dst = append(dst, make([]byte, headerLen)...) // filled in below
-	if bin {
+		dst = append(dst, make([]byte, headerLen)...) // filled in below
 		dst = appendBinary(dst, m)
 	} else {
+		dst = append(dst, make([]byte, headerLen)...)
 		body, err := json.Marshal(m)
 		if err != nil {
 			return dst[:start], fmt.Errorf("protocol: marshal %s: %w", m.kind(), err)
@@ -730,21 +583,12 @@ func appendFrame(dst []byte, m *Message, version int, crcFlip uint32) ([]byte, e
 	return dst, nil
 }
 
-// Read reads and validates one framed message, accepting every body
-// encoding the current protocol revision knows. A checksum mismatch
+// Read reads and validates one framed message. A checksum mismatch
 // returns an error wrapping ErrCorruptFrame with the frame fully
 // consumed, so the caller may continue reading the stream.
 func Read(r io.Reader) (*Message, error) {
-	return ReadVersion(r, Version)
-}
-
-// ReadVersion is Read restricted to the body encodings of the given
-// protocol version: a v2 reader handed a v3 binary frame returns a
-// frame-local error (the frame is fully consumed, the stream stays in
-// sync) instead of attempting to parse it.
-func ReadVersion(r io.Reader, version int) (*Message, error) {
 	var buf []byte
-	return readFrame(r, version, &buf)
+	return ReadBuffered(r, &buf)
 }
 
 // ReadBuffered is Read through a caller-owned frame buffer: header and
@@ -754,10 +598,6 @@ func ReadVersion(r io.Reader, version int) (*Message, error) {
 // (both decoders copy what they keep), so a caller may drop or shrink
 // *buf between calls to bound what it retains.
 func ReadBuffered(r io.Reader, buf *[]byte) (*Message, error) {
-	return readFrame(r, Version, buf)
-}
-
-func readFrame(r io.Reader, version int, buf *[]byte) (*Message, error) {
 	if cap(*buf) < headerLen {
 		*buf = make([]byte, headerLen, 512)
 	}
@@ -781,18 +621,10 @@ func readFrame(r io.Reader, version int, buf *[]byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d-byte frame, checksum %08x want %08x", ErrCorruptFrame, size, got, sum)
 	}
 	if len(body) > 0 && body[0] == binaryMagic {
-		if version < 3 {
-			return nil, fmt.Errorf("protocol: binary frame not supported at negotiated version %d", version)
-		}
-		m, err := parseBinary(body)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return parseBinary(body)
 	}
+	// A JSON body naming a bulk variant (or anything else the envelope
+	// does not know) unmarshals to no variant at all and fails Validate.
 	var m Message
 	if err := json.Unmarshal(body, &m); err != nil {
 		return nil, fmt.Errorf("protocol: unmarshal: %w", err)

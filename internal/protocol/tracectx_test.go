@@ -2,29 +2,20 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
+	"encoding/hex"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
-
-// reframe wraps a raw body in a valid length+CRC frame.
-func reframe(t *testing.T, body []byte) []byte {
-	t.Helper()
-	frame := make([]byte, headerLen, headerLen+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	return append(frame, body...)
-}
 
 const (
 	testTrace = "00000000deadbeef"
 	testSpan  = "00000000cafef00d"
 )
 
-// TestCtxBinaryRoundTrip: at the negotiated v4 encoding, context-bearing
-// bulk messages ride the new binary kinds and round-trip exactly.
+// TestCtxBinaryRoundTrip: context-bearing bulk messages ride the context
+// kinds and round-trip exactly.
 func TestCtxBinaryRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Broadcast: &Broadcast{Round: 3, Params: []float64{1.5, -2.25},
@@ -39,7 +30,7 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 		}
 		body := buf.Bytes()[headerLen:]
 		if body[0] != binaryMagic {
-			t.Fatalf("%s with ctx should encode binary at v%d, got body %q", m.Kind(), Version, body)
+			t.Fatalf("%s with ctx should encode binary, got body %q", m.Kind(), body)
 		}
 		if k := body[1]; k != binaryKindBroadcastCtx && k != binaryKindUploadCtx {
 			t.Fatalf("%s with ctx used kind %d, want a ctx kind", m.Kind(), k)
@@ -48,90 +39,82 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j1, _ := json.Marshal(m)
-		j2, _ := json.Marshal(got)
-		if !bytes.Equal(j1, j2) {
-			t.Fatalf("ctx round trip changed the message:\n sent: %s\n got:  %s", j1, j2)
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("ctx round trip changed the message:\n sent: %+v\n got:  %+v", m, got)
 		}
 	}
 }
 
-// TestCtxFallsBackToJSONAtV3: a v3 peer does not know the ctx kinds, so
-// a context-bearing bulk message must go out as JSON — preserving the
-// context for a v4 reader while a v3/v2 reader skips the unknown keys.
-func TestCtxFallsBackToJSONAtV3(t *testing.T) {
-	m := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{4},
-		TraceID: testTrace, SpanID: testSpan}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, 3); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()[headerLen:]
-	if body[0] == binaryMagic {
-		t.Fatalf("ctx upload must fall back to JSON at v3, got binary kind %d", body[1])
-	}
-	if !strings.Contains(string(body), testTrace) {
-		t.Fatalf("JSON fallback dropped the trace ID: %s", body)
-	}
-	got, err := ReadVersion(bytes.NewReader(buf.Bytes()), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Upload.TraceID != testTrace || got.Upload.SpanID != testSpan {
-		t.Fatalf("context lost through the JSON fallback: %+v", got.Upload)
-	}
-}
-
-// TestCtxAbsentKeepsV3WireBytes: with tracing off no context fields are
-// set, and the v4 encoder must produce byte-identical frames to the v3
-// encoder — propagation can never tax an untraced session.
+// TestCtxAbsentKeepsV3WireBytes is the golden-bytes pin of revision 5: a
+// context-free and a context-bearing Broadcast and Upload, a Hello
+// without a session ID and a Setup, byte for byte. A change to any of
+// these bytes is a new protocol revision, not a refactor.
 func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
-	msgs := []*Message{
-		{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}}},
-		{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}}},
-		{Hello: &Hello{Version: Version, VehicleID: 4}},
-		{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 3}},
+	golden := []struct {
+		m     *Message
+		frame string
+	}{
+		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}}},
+			"0000002299cd9084b3010200000003000000000000000000e03f000000000000f03f0000000000000040"},
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}}},
+			"000000160ee1ee39b3020200000004000000010000000000000000001c40"},
+		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}, TraceID: testTrace, SpanID: testSpan}},
+			"00000032ce859759b303efbeadde000000000df0feca000000000200000003000000000000000000e03f000000000000f03f0000000000000040"},
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}, TraceID: testTrace, SpanID: testSpan}},
+			"000000265a64139db304efbeadde000000000df0feca000000000200000004000000010000000000000000001c40"},
+		{&Message{Hello: &Hello{Version: 5, VehicleID: 4}},
+			hex.EncodeToString([]byte("\x00\x00\x00\x26\x66\x45\x93\x34" + `{"hello":{"version":5,"vehicle_id":4}}`))},
+		{&Message{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 5}},
+			hex.EncodeToString([]byte("\x00\x00\x00\xa1\x9a\x5b\xe7\xa1" +
+				`{"setup":{"input_size":3,"local_epochs":0,"local_rate":0,"ref_x":null,"scheme_vehicles":4,` +
+				`"scheme_batches":0,"scheme_degree":0,"scheme_seed":9,"wire_version":5}}`))},
 	}
-	for _, m := range msgs {
-		var v3, v4 bytes.Buffer
-		if err := WriteVersion(&v3, m, 3); err != nil {
+	for _, g := range golden {
+		var buf bytes.Buffer
+		if err := WriteVersion(&buf, g.m, Version); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteVersion(&v4, m, 4); err != nil {
-			t.Fatal(err)
+		if got := hex.EncodeToString(buf.Bytes()); got != g.frame {
+			t.Errorf("%s frame changed:\n got %s\nwant %s", g.m.Kind(), got, g.frame)
 		}
-		if !bytes.Equal(v3.Bytes(), v4.Bytes()) {
-			t.Fatalf("ctx-free %s differs between v3 and v4 encodings:\nv3: %x\nv4: %x",
-				m.Kind(), v3.Bytes(), v4.Bytes())
+		if n := EncodedSizeVersion(g.m, Version); n != len(g.frame)/2-4 {
+			t.Errorf("%s accounted at %d bytes, frame less CRC is %d", g.m.Kind(), n, len(g.frame)/2-4)
 		}
 	}
 }
 
-// TestCtxNonCanonicalFallsBackToJSON: only canonical 16-digit lowercase
-// hex IDs ride the fixed-width binary layout; anything else must take
-// the JSON path so the string round-trips byte-for-byte.
-func TestCtxNonCanonicalFallsBackToJSON(t *testing.T) {
-	for _, ctx := range []struct{ trace, span string }{
-		{"abc", "def"},                         // short
-		{strings.ToUpper(testTrace), testSpan}, // uppercase
-		{testTrace, ""},                        // partial
-		{"0000000000000000", testSpan},         // zero trace
+// TestBulkHasNoJSONForm: a bulk message that does not fit the binary
+// body — non-canonical or partial trace context, an integer outside the
+// fixed-width fields — is refused by the writer, which has no other
+// encoding to fall back to, and a JSON body naming a bulk variant (or
+// the retired gather variant) is refused by the reader.
+func TestBulkHasNoJSONForm(t *testing.T) {
+	for _, m := range []*Message{
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1}, TraceID: "abc", SpanID: "def"}},                         // short
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1}, TraceID: strings.ToUpper(testTrace), SpanID: testSpan}}, // uppercase
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1}, TraceID: testTrace}},                                    // partial
+		{Upload: &Upload{Round: 1, Values: []float64{1}, TraceID: "0000000000000000", SpanID: testSpan}},               // zero trace
+		{Broadcast: &Broadcast{Round: -1, Params: []float64{1}}},                                                       // round outside u32
+		{Upload: &Upload{Round: 1, VehicleID: -5, Values: []float64{1}}},                                               // id outside u32
 	} {
-		m := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1},
-			TraceID: ctx.trace, SpanID: ctx.span}}
-		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
-			t.Fatal(err)
+		kept := []byte("kept")
+		out, err := AppendFrame(kept, m, Version)
+		if err == nil {
+			t.Errorf("unencodable %s %+v framed as % x", m.Kind(), m, out[len(kept):])
 		}
-		if buf.Bytes()[headerLen] == binaryMagic {
-			t.Fatalf("non-canonical ctx %+v must not ride the binary path", ctx)
+		if string(out) != "kept" {
+			t.Errorf("refused %s left %q in the caller's buffer", m.Kind(), out)
 		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Broadcast.TraceID != ctx.trace || got.Broadcast.SpanID != ctx.span {
-			t.Fatalf("non-canonical ctx rewritten: sent %+v got %+v", ctx, got.Broadcast)
+	}
+	for _, body := range []string{
+		`{"broadcast":{"round":1,"params":[1,2]}}`,
+		`{"upload":{"round":1,"vehicle_id":2,"values":[3]}}`,
+		`{"gather":{"uploads":[{"round":1,"vehicle_id":2,"values":[3]}]}}`,
+	} {
+		if m, err := Read(bytes.NewReader(rawFrame([]byte(body)))); err == nil {
+			t.Errorf("JSON body %s read as %+v", body, m)
+		} else if errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("JSON body %s misreported as a corrupt frame: %v", body, err)
 		}
 	}
 }
@@ -152,7 +135,7 @@ func TestCtxBinaryRejectsZeroIDs(t *testing.T) {
 	for i := 10; i < 18; i++ {
 		body[i] = 0
 	}
-	reframed := reframe(t, body)
+	reframed := rawFrame(body)
 	if _, err := Read(bytes.NewReader(reframed)); err == nil {
 		t.Fatal("ctx frame with zero span ID must be rejected")
 	}

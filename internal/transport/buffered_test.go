@@ -44,7 +44,7 @@ func bufferedPair(t *testing.T, opts Options) (Conn, Conn) {
 // as one write, after which the receiver sees the second frame as
 // locally Pending once it has read the first.
 func TestBufferedCoalesceAndPending(t *testing.T) {
-	client, server := bufferedPair(t, Options{WriteBuffer: 64 << 10, ReadBuffer: 64 << 10})
+	client, server := bufferedPair(t, Options{WriteBuffer: 64 << 10})
 	SetWireVersion(client, protocol.Version)
 
 	m1 := &protocol.Message{Broadcast: &protocol.Broadcast{Round: 1, Params: []float64{1, 2, 3}}}

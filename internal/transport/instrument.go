@@ -31,7 +31,7 @@ func Instrument(c Conn, o *obs.Obs, peer string) Conn {
 		return c
 	}
 	ic := &instrumentedConn{inner: c, o: o, peer: peer}
-	ic.version.Store(2)
+	ic.version.Store(protocol.Version)
 	ic.cSendMsgs = o.Counter("transport.send_msgs")
 	ic.cSendBytes = o.Counter("transport.send_bytes")
 	ic.cSendErrors = o.Counter("transport.send_errors")
@@ -91,8 +91,7 @@ func (c *instrumentedConn) Flush() error { return Flush(c.inner) }
 // Pending implements Pender by delegation.
 func (c *instrumentedConn) Pending() bool { return Pending(c.inner) }
 
-// SendCorrupt implements Faulter when the wrapped fabric does; corrupted
-// frames are JSON-encoded, so they count at the version-2 size.
+// SendCorrupt implements Faulter when the wrapped fabric does.
 func (c *instrumentedConn) SendCorrupt(m *protocol.Message) error {
 	f, ok := c.inner.(Faulter)
 	if !ok {
@@ -104,7 +103,7 @@ func (c *instrumentedConn) SendCorrupt(m *protocol.Message) error {
 		c.cSendErrors.Inc()
 		return err
 	}
-	bytes := int64(protocol.EncodedSize(m))
+	bytes := int64(protocol.EncodedSizeVersion(m, int(c.version.Load())))
 	c.stats.sentMsgs.Add(1)
 	c.stats.sentBytes.Add(bytes)
 	c.cSendMsgs.Inc()

@@ -41,7 +41,7 @@ func TestInstrumentCountsTraffic(t *testing.T) {
 	wantBytes := int64(0)
 	for i := 0; i < n; i++ {
 		m := stressMsg(i)
-		wantBytes += int64(protocol.EncodedSize(m))
+		wantBytes += int64(protocol.EncodedSizeVersion(m, protocol.Version))
 		if err := ia.Send(m); err != nil {
 			t.Fatal(err)
 		}

@@ -45,10 +45,12 @@ type Flusher interface {
 	Flush() error
 }
 
-// WireVersioner is the optional negotiated-encoding face: after the
-// handshake, node code raises (or pins down) the framing version so both
-// ends agree on whether protocol v3 binary bodies are legal on this
-// connection.
+// WireVersioner is the optional negotiated-revision face: after the
+// handshake, node code records the revision it negotiated on the
+// connection. Every encoding fabric starts at protocol.Version, the only
+// revision the handshake admits, so the call changes nothing today; it is
+// kept as the hook a later revision needs (and because wrappers outside
+// this package learn the revision through it).
 type WireVersioner interface {
 	SetWireVersion(v int)
 }
@@ -71,7 +73,7 @@ func Flush(c Conn) error {
 
 // SetWireVersion records the negotiated protocol version on c. A no-op
 // on fabrics that do not encode frames (the in-memory pipe passes
-// message pointers, so every version is trivially supported).
+// message pointers).
 func SetWireVersion(c Conn, v int) {
 	if w, ok := c.(WireVersioner); ok {
 		w.SetWireVersion(v)
@@ -204,24 +206,19 @@ func (c *pipeConn) Close() error {
 // --- TCP fabric ---
 
 // Options tunes the TCP fabric. The zero value writes each frame with
-// one syscall per Send and reads through a default-sized buffer.
+// one syscall per Send.
 type Options struct {
 	// WriteBuffer > 0 attaches a write buffer of that many bytes, so
 	// consecutive Sends coalesce in memory until Flush (or Close) pushes
 	// them out as one write. Callers that enable it own the flush
 	// barriers; an unflushed frame is never delivered.
 	WriteBuffer int
-	// ReadBuffer > 0 sizes the read buffer every connection has (a frame's
-	// header and body arrive in one read where the kernel has both; Pending
-	// reports what is already in memory, so a relay can keep coalescing
-	// its forwarded burst). 0 selects 4 KiB.
-	ReadBuffer int
 }
 
 // tcpConn frames protocol messages over a net.Conn.
 type tcpConn struct {
 	conn    net.Conn
-	version atomic.Int32 // negotiated wire version for framing (starts at 2)
+	version atomic.Int32 // negotiated wire version for framing (starts at protocol.Version)
 	sendMu  sync.Mutex   // serializes frame writes on conn
 	// bw is nil when unbuffered. The pointer is set once at construction
 	// and never reassigned; the buffer's mutable state is only touched
@@ -240,23 +237,19 @@ type tcpConn struct {
 }
 
 func newTCPConn(c net.Conn, opts Options) *tcpConn {
-	t := &tcpConn{conn: c}
-	// Until the Hello/Setup handshake negotiates otherwise, frame at the
-	// JSON-only revision 2 that every peer accepts.
-	t.version.Store(2)
+	t := &tcpConn{conn: c, br: bufio.NewReaderSize(c, defaultReadBuffer)}
+	t.version.Store(protocol.Version)
 	if opts.WriteBuffer > 0 {
 		t.bw = bufio.NewWriterSize(c, opts.WriteBuffer)
 	}
-	readBuffer := opts.ReadBuffer
-	if readBuffer <= 0 {
-		readBuffer = defaultReadBuffer
-	}
-	t.br = bufio.NewReaderSize(c, readBuffer)
 	return t
 }
 
-// defaultReadBuffer is bufio's own default: room for a steady-state frame
-// of a few hundred values, header included.
+// defaultReadBuffer sizes the read buffer every connection has: bufio's
+// own default, room for a steady-state frame of a few hundred values,
+// header included. A frame's header and body arrive in one read where the
+// kernel has both, and Pending reports what is already in memory, so a
+// relay can keep coalescing its forwarded burst.
 const defaultReadBuffer = 4096
 
 // writer returns the frame destination; callers hold sendMu.
@@ -267,11 +260,7 @@ func (c *tcpConn) writer() io.Writer {
 	return c.conn
 }
 
-// SetWireVersion implements WireVersioner: subsequent Sends may frame
-// bulk messages in the v3 binary encoding when v >= 3. Only the send
-// side is governed — Recv always accepts every revision this build
-// understands (liberal in what we accept), which also keeps a Recv
-// already blocked across a mid-session negotiation correct.
+// SetWireVersion implements WireVersioner: subsequent Sends frame at v.
 func (c *tcpConn) SetWireVersion(v int) { c.version.Store(int32(v)) }
 
 // maxKeptFrameBuf bounds the frame buffer a connection retains in each

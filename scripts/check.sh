@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the single verification gate: formatting, go vet, the
 # repo-specific invariant linter (cmd/lcofl-lint), a full build, the
-# test suite under the race detector, and the allocation pins in a plain
-# build. CI runs exactly this script, so a clean local run means a clean
-# CI run.
+# test suite under the race detector, the allocation pins in a plain
+# build, and the per-package line counts. CI runs exactly this script, so
+# a clean local run means a clean CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,5 +46,21 @@ echo "== go test -run Allocs (plain build)"
 # Every AllocsPerRun pin skips itself under the race detector, so the
 # -race runs above never execute them; this step does.
 go test -run 'Allocs' ./...
+
+echo "== lines of Go per package (non-test / test)"
+# Non-test LOC is tracked like a benchmark (ROADMAP, north star); a
+# simplicity PR quotes this table before and after.
+total_src=0
+total_test=0
+for dir in $(go list -f '{{.Dir}}' ./...); do
+    rel=${dir#"$PWD"}
+    rel=${rel#/}
+    src=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+    tst=$(find "$dir" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l)
+    printf '%-28s %6d %6d\n' "${rel:-.}" "$src" "$tst"
+    total_src=$((total_src + src))
+    total_test=$((total_test + tst))
+done
+printf '%-28s %6d %6d\n' total "$total_src" "$total_test"
 
 echo "== all checks passed"
