@@ -54,14 +54,19 @@ func SymmetricSigmoid() Activation {
 }
 
 // FromPolynomial wraps a polynomial as an Activation, the replacement the
-// vehicles install into their local models (paper §IV Step 2).
+// vehicles install into their local models (paper §IV Step 2). F and DF
+// evaluate the activation's own copy, so F(x) is Poly.Eval(x) and DF(x) is
+// Poly.Derivative().Eval(x) bit for bit whatever the caller does with p
+// afterwards — consumers of Poly (nn's single-layer kernels, core's
+// fixed-point channel) evaluate it in place of the closures.
 func FromPolynomial(name string, p poly.Real) Activation {
+	p = p.Clone()
 	dp := p.Derivative()
 	return Activation{
 		Name: name,
 		F:    p.Eval,
 		DF:   dp.Eval,
-		Poly: p.Clone(),
+		Poly: p,
 	}
 }
 

@@ -44,6 +44,38 @@ func TestFromPolynomial(t *testing.T) {
 	}
 }
 
+// TestFromPolynomialClosuresArePoly pins the invariant the consumers of
+// Activation.Poly rely on (nn's single-layer kernels, core's fixed-point
+// channel): F and DF are exactly Poly and its derivative, bit for bit on
+// a probe grid reaching well outside the fit interval — and stay so when
+// the caller goes on to edit the polynomial it passed in.
+func TestFromPolynomialClosuresArePoly(t *testing.T) {
+	polys := []poly.Real{poly.NewReal(0.25)} // degree 0: an empty derivative
+	for degree := 1; degree <= 5; degree++ {
+		p, err := LeastSquares{SamplePoints: 21}.Fit(SymmetricSigmoid().F, -2, 2, degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polys = append(polys, p)
+	}
+	for degree, p := range polys {
+		a := FromPolynomial("ls", p)
+		for i := range p {
+			p[i] += 1
+		}
+		dp := a.Poly.Derivative()
+		for i := -400; i <= 400; i++ {
+			x := float64(i) / 40
+			if got, want := a.F(x), a.Poly.Eval(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("degree %d: F(%g) = %v, Poly.Eval gives %v", degree, x, got, want)
+			}
+			if got, want := a.DF(x), dp.Eval(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("degree %d: DF(%g) = %v, Poly.Derivative().Eval gives %v", degree, x, got, want)
+			}
+		}
+	}
+}
+
 func TestLeastSquaresPaperSetting(t *testing.T) {
 	// The paper's configuration: 21 uniform points on [-2, 2].
 	act := SymmetricSigmoid()

@@ -115,6 +115,8 @@ type Scheme struct {
 	aggOutcomes []slotOutcome
 	aggEligible []int
 	aggBatch    [][]field.Element
+	aggCounts   []int     // verified mean: vehicles summed into each target
+	aggVals     []float64 // median fallback: one sample's present values
 
 	// pendingIngest, when non-nil, is the round's streamed decode state
 	// (stream.go): set by AggregateStreamed for the duration of one
@@ -324,12 +326,12 @@ func (s *Scheme) BeginRound(shared *nn.Network) error {
 		return fmt.Errorf("core: model input %d, reference features %d", shared.InputSize(), features)
 	}
 	// Re-quantise into the previous round's model: same shape every round,
-	// so nothing is allocated past the parameter copy. Upload only runs
-	// between BeginRounds, never during one.
+	// so nothing is allocated. Upload only runs between BeginRounds, never
+	// during one.
 	if s.fpm == nil {
 		s.fpm = &fpModel{codec: s.codec, deg: s.cfg.Degree}
 	}
-	params := shared.Params() // [w… b] for a single layer
+	params := shared.ParamsView() // [w… b] for a single layer
 	if err := s.fpm.quantise(params[:features], params[features], actPoly); err != nil {
 		s.fpm = nil // partly overwritten: Upload must refuse it
 		return err
@@ -354,12 +356,9 @@ func (s *Scheme) Upload(vehicleID int, model *nn.Network) ([]float64, error) {
 		hi, lo := symbolToFloats(s.fpm.Eval(s.shares[vehicleID][j]))
 		out = append(out, hi, lo)
 	}
-	for j, x := range s.refX {
-		pi, err := model.EstimateClamped(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: vehicle %d learning sample %d: %w", vehicleID, j, err)
-		}
-		out = append(out, pi)
+	out, err := model.EstimateClampedAppend(out, s.refX)
+	if err != nil {
+		return nil, fmt.Errorf("core: vehicle %d learning channel: %w", vehicleID, err)
 	}
 	return out, nil
 }
@@ -468,13 +467,14 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	if 2*s.DecodeFailures > s.slots {
 		// Verification unusable: robust fallback without exclusions.
 		for j := 0; j < n; j++ {
-			var vals []float64
+			vals := s.aggVals[:0]
 			for _, up := range uploads {
 				if up == nil || fl.IsDropped(up[offset+j]) {
 					continue
 				}
 				vals = append(vals, up[offset+j])
 			}
+			s.aggVals = vals
 			if len(vals) == 0 {
 				targets[j] = fl.Dropped
 				continue
@@ -484,22 +484,32 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		return targets, nil
 	}
 
-	// Learning: average the verified vehicles' estimations per sample.
-	for j := 0; j < n; j++ {
-		var sum float64
-		count := 0
-		for i, up := range uploads {
-			if up == nil || s.DetectedMalicious[i] > 0 || fl.IsDropped(up[offset+j]) {
-				continue
-			}
-			sum += up[offset+j]
-			count++
-		}
-		if count == 0 {
-			targets[j] = fl.Dropped
+	// Learning: average the verified vehicles' estimations per sample,
+	// walking each upload once. Every target still sums the same vehicles
+	// in ascending ID from zero, so it is the float the sample-by-sample
+	// walk gave (perSlotReference in lcofl_test.go keeps that walk).
+	if len(s.aggCounts) != n {
+		s.aggCounts = make([]int, n)
+	}
+	counts := s.aggCounts
+	clear(counts)
+	for i, up := range uploads {
+		if up == nil || s.DetectedMalicious[i] > 0 {
 			continue
 		}
-		targets[j] = sum / float64(count)
+		for j, v := range up[offset:] {
+			if !fl.IsDropped(v) {
+				targets[j] += v
+				counts[j]++
+			}
+		}
+	}
+	for j, c := range counts {
+		if c == 0 {
+			targets[j] = fl.Dropped
+		} else {
+			targets[j] /= float64(c)
+		}
 	}
 	return targets, nil
 }
@@ -640,17 +650,17 @@ func maskKey(ids []int, numVehicles int) string {
 	return string(mask)
 }
 
+// median sorts vals in place and returns its median (NaN when empty).
 func median(vals []float64) float64 {
 	n := len(vals)
 	if n == 0 {
 		return math.NaN()
 	}
-	tmp := append([]float64(nil), vals...)
-	sort.Float64s(tmp)
+	sort.Float64s(vals)
 	if n%2 == 1 {
-		return tmp[n/2]
+		return vals[n/2]
 	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // SuspectedMalicious returns the vehicles flagged on at least one

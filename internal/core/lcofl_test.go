@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/adversary"
@@ -640,10 +641,11 @@ func TestMedian(t *testing.T) {
 	if got := median([]float64{7}); got != 7 {
 		t.Errorf("single median = %g, want 7", got)
 	}
-	in := []float64{3, 1, 2}
-	_ = median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Errorf("median mutated its input: %v", in)
+	// It sorts its argument in place (Aggregate hands it scratch): asking
+	// again of the sorted slice gives the same answer.
+	in := []float64{3, 1, 4, 2}
+	if first, again := median(in), median(in); first != 2.5 || again != first || !sort.Float64sAreSorted(in) {
+		t.Errorf("median = %g, then %g on the sorted slice %v", first, again, in)
 	}
 }
 
@@ -877,6 +879,133 @@ func TestPropertyPartialSlotCorruptionFlagged(t *testing.T) {
 			want /= float64(count)
 			if math.Abs(targets[j]-want) > 1e-12 {
 				t.Fatalf("trial %d: target[%d] = %g, want honest mean %g", trial, j, targets[j], want)
+			}
+		}
+	}
+}
+
+// heterogeneousLocals returns one single-layer model per vehicle, the
+// shared model's parameters moved by a different random offset each — far
+// enough that some estimates clamp — so that no two vehicles upload the
+// same learning value and the order a mean sums them in shows in its bits.
+func heterogeneousLocals(t *testing.T, shared *nn.Network, v int, rng *rand.Rand) []*nn.Network {
+	t.Helper()
+	locals := make([]*nn.Network, v)
+	for i := range locals {
+		locals[i] = shared.Clone()
+		params := locals[i].Params()
+		for k := range params {
+			params[k] += 2 * (rng.Float64() - 0.5)
+		}
+		if err := locals[i].SetParams(params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return locals
+}
+
+// TestUploadLearningChannelIsPerRowEstimate: Upload fills the learning
+// channel with one batch estimate; it must hold, after the 2·S
+// verification floats, exactly EstimateClamped of every reference row.
+func TestUploadLearningChannelIsPerRowEstimate(t *testing.T) {
+	ref := refFeatures(t, 8*6)
+	s, err := NewScheme(ref, SchemeConfig{NumVehicles: 12, NumBatches: 8, Degree: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := polyActivationModel(t, 1, 41)
+	locals := heterogeneousLocals(t, shared, 12, rand.New(rand.NewSource(42)))
+	clamped := 0
+	for i, up := range roundUploads(t, s, shared, locals) {
+		if len(up) != s.UploadLen() {
+			t.Fatalf("vehicle %d uploaded %d values, want %d", i, len(up), s.UploadLen())
+		}
+		for j, x := range ref {
+			want, err := locals[i].EstimateClamped(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := up[2*s.Slots()+j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("vehicle %d sample %d: uploaded %v, EstimateClamped %v", i, j, got, want)
+			}
+			if want == 0 || want == 1 {
+				clamped++
+			}
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no estimate clamped: the offsets no longer reach outside [0, 1]")
+	}
+}
+
+// TestAggregateMeanMatchesColumnMajor pins the verified mean — Aggregate
+// walks it upload by upload — to perSlotReference's sample-by-sample walk
+// bit for bit, on rounds where the order of summation shows: every
+// vehicle's learning values differ, some uploads are nil, some vehicles
+// lie wholesale and are flagged, learning scalars are dropped at random,
+// one sample is dropped by everyone and one by everyone who is not
+// flagged (both come out as fl.Dropped). A final leg puts the liars over
+// the eq. 6 budget so the per-sample median, on its reused scratch, is
+// compared the same way.
+func TestAggregateMeanMatchesColumnMajor(t *testing.T) {
+	const v, m, degree = 24, 4, 1 // K = 4, E = 10
+	ref := refFeatures(t, m*6)
+	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := polyActivationModel(t, degree, 51)
+	rng := rand.New(rand.NewSource(52))
+	locals := heterogeneousLocals(t, shared, v, rng)
+	offset := 2 * s.Slots()
+	// Two uploads are nil in every in-budget round, which costs one error
+	// of the budget: (V − 2 − K)/2 = MaxMalicious − 1.
+	for _, liars := range []int{0, 3, s.MaxMalicious() - 1, v - 2} {
+		for trial := 0; trial < 4; trial++ {
+			ups := roundUploads(t, s, shared, locals)
+			perm := rng.Perm(v)
+			lying := perm[:liars]
+			lieWholesale(ups, lying)
+			if liars < v-2 {
+				ups[perm[v-1]], ups[perm[v-2]] = nil, nil
+			} else {
+				// lieWholesale is one affine map, so a majority of such liars
+				// agree on a codeword of their own; make each lie differ.
+				for _, id := range lying {
+					for j := range ups[id] {
+						ups[id][j] += float64(id)
+					}
+				}
+			}
+			for d := 0; d < 40; d++ {
+				if up := ups[rng.Intn(v)]; up != nil {
+					up[offset+rng.Intn(len(ref))] = fl.Dropped
+				}
+			}
+			for i, up := range ups {
+				if up == nil {
+					continue
+				}
+				up[offset+3] = fl.Dropped
+				if !slices.Contains(lying, i) {
+					up[offset+7] = fl.Dropped
+				}
+			}
+			targets := assertAggregateEquivalent(t, s, ups)
+			degraded := 2*s.DecodeFailures > s.Slots()
+			if degraded != (liars == v-2) {
+				t.Fatalf("%d liars: %d of %d slots undecodable", liars, s.DecodeFailures, s.Slots())
+			}
+			if !degraded && len(s.SuspectedMalicious()) != liars {
+				t.Fatalf("%d liars: flagged %v", liars, s.SuspectedMalicious())
+			}
+			if !fl.IsDropped(targets[3]) {
+				t.Fatalf("%d liars: sample 3 dropped by every vehicle, target %v", liars, targets[3])
+			}
+			// Sample 7 is held by the liars alone: nothing once they are
+			// excluded, their median when verification is unusable.
+			if fl.IsDropped(targets[7]) != (!degraded || liars == 0) {
+				t.Fatalf("%d liars (degraded %v): sample 7 target %v", liars, degraded, targets[7])
 			}
 		}
 	}

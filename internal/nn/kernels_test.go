@@ -157,47 +157,80 @@ func sameFloatBits(a, b []float64) bool {
 	return true
 }
 
-// TestTrainSGDMatchesReferenceStep pins the in-place kernels to the
-// reference bit for bit — parameters and returned loss — over random
-// shapes (no, one or two hidden layers), both activation families, the
-// L1 cap on and off and the proximal term on and off. Two TrainSGD calls
-// per case cover the reused scratch as well as the freshly built one.
-func TestTrainSGDMatchesReferenceStep(t *testing.T) {
-	poly, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 3)
+// lsActivation is the least-squares polynomial fit of the symmetric
+// sigmoid on [-2, 2] at the given degree, as the vehicles install it.
+func lsActivation(t *testing.T, degree int) approx.Activation {
+	t.Helper()
+	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, degree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := []approx.Activation{approx.SymmetricSigmoid(), approx.FromPolynomial("ls3", poly)}
+	return approx.FromPolynomial("ls", p)
+}
+
+func randomSamples(rng *rand.Rand, count, in int, softLabels bool) []Sample {
+	samples := make([]Sample, count)
+	for i := range samples {
+		x := make([]float64, in)
+		for j := range x {
+			x[j] = 2*rng.Float64() - 1
+		}
+		samples[i] = Sample{X: x, Y: float64(rng.Intn(2))}
+		if softLabels {
+			samples[i].Y = rng.Float64()
+		}
+	}
+	return samples
+}
+
+// TestTrainSGDMatchesReferenceStep pins the in-place kernels — the fused
+// single-layer step and the general one — to the reference bit for bit,
+// parameters and returned loss. Even cases are the single-layer shape at
+// the widths the binaries run (1–32 inputs, every fourth one the traffic
+// application's 16), odd ones have one or two hidden layers; across them
+// the exact sigmoid and the degree 1–3 polynomial fits, the L1 cap on and
+// off, the proximal term on and off, binary and soft labels. Two calls
+// per case cover the reused scratch as well as the freshly built one.
+func TestTrainSGDMatchesReferenceStep(t *testing.T) {
+	acts := []approx.Activation{approx.SymmetricSigmoid(), lsActivation(t, 1), lsActivation(t, 2), lsActivation(t, 3)}
 	rng := rand.New(rand.NewSource(77))
-	for c := 0; c < 120; c++ {
-		sizes := []int{1 + rng.Intn(6)}
-		for h := rng.Intn(3); h > 0; h-- {
-			sizes = append(sizes, 1+rng.Intn(5))
+	var fusedPlain, fusedConstrained, general int
+	for c := 0; c < 240; c++ {
+		sizes := []int{1 + rng.Intn(32)}
+		if c%8 == 0 {
+			sizes[0] = 16
+		}
+		if c%2 == 1 {
+			sizes[0] = 1 + rng.Intn(6)
+			for h := 1 + rng.Intn(2); h > 0; h-- {
+				sizes = append(sizes, 1+rng.Intn(5))
+			}
 		}
 		sizes = append(sizes, 1)
-		n, err := New(Config{LayerSizes: sizes, Activation: acts[c%2], Seed: int64(c)})
+		n, err := New(Config{LayerSizes: sizes, Activation: acts[(c/2)%len(acts)], Seed: int64(c)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c%4 >= 2 {
+		if (c/8)%2 == 1 {
 			// Tight enough that most steps project.
 			if err := n.SetWeightCap(0.5 + rng.Float64()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var mu float64
-		if c%3 == 0 {
+		if (c/16)%2 == 1 {
 			mu = 0.05 + rng.Float64()
 		}
-		anchor := n.Params()
-		samples := make([]Sample, 1+rng.Intn(20))
-		for i := range samples {
-			x := make([]float64, sizes[0])
-			for j := range x {
-				x[j] = 2*rng.Float64() - 1
-			}
-			samples[i] = Sample{X: x, Y: float64(rng.Intn(2))}
+		switch {
+		case !n.singleLayer():
+			general++
+		case mu == 0 && n.WeightCap() == 0:
+			fusedPlain++
+		default:
+			fusedConstrained++
 		}
+		anchor := n.Params()
+		samples := randomSamples(rng, 1+rng.Intn(20), sizes[0], c%5 == 0)
 		rho := 0.05 + rng.Float64()
 		epochs := 1 + rng.Intn(3)
 		ref := newReferenceNet(n)
@@ -210,12 +243,112 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 			}
 			want := ref.trainSGD(samples, rho, epochs, wantRNG, mu, anchor)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("case %d sizes %v call %d: loss %v, reference %v", c, sizes, call, got, want)
+				t.Fatalf("case %d sizes %v act %s call %d: loss %v, reference %v", c, sizes, n.act.Name, call, got, want)
 			}
 			if !sameFloatBits(n.Params(), ref.params()) {
-				t.Fatalf("case %d sizes %v cap %g mu %g call %d: parameters diverged from the reference step",
-					c, sizes, n.WeightCap(), mu, call)
+				t.Fatalf("case %d sizes %v act %s cap %g mu %g call %d: parameters diverged from the reference step",
+					c, sizes, n.act.Name, n.WeightCap(), mu, call)
 			}
+		}
+	}
+	if fusedPlain < 20 || fusedConstrained < 20 || general < 20 {
+		t.Fatalf("cases reached the fused step %d times bare and %d times with cap or mu, the general step %d times: want each >= 20",
+			fusedPlain, fusedConstrained, general)
+	}
+}
+
+// TestSetActivationRefreshesDerivative: the fused step evaluates a
+// derivative polynomial cached beside the activation. Train, swap the
+// activation for one of another degree (and then for the exact sigmoid,
+// which has none), train again: every leg matches a reference that was
+// handed the same activation.
+func TestSetActivationRefreshesDerivative(t *testing.T) {
+	n, err := New(Config{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 3), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	samples := randomSamples(rng, 40, 16, false)
+	ref := newReferenceNet(n)
+	gotRNG, wantRNG := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	for leg, act := range []approx.Activation{n.Activation(), lsActivation(t, 1), approx.SymmetricSigmoid(), lsActivation(t, 2)} {
+		if err := n.SetActivation(act); err != nil {
+			t.Fatal(err)
+		}
+		ref.act = act
+		got, err := n.TrainSGD(samples, 0.2, 2, gotRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.trainSGD(samples, 0.2, 2, wantRNG, 0, nil)
+		if math.Float64bits(got) != math.Float64bits(want) || !sameFloatBits(n.Params(), ref.params()) {
+			t.Fatalf("leg %d (%s): loss %v vs reference %v, or parameters diverged", leg, act.Name, got, want)
+		}
+		if clone := n.Clone(); !sameFloatBits(clone.dact, n.dact) {
+			t.Fatalf("leg %d: clone carries derivative %v, original %v", leg, clone.dact, n.dact)
+		}
+	}
+}
+
+// TestEstimateClampedAppendMatchesPerRow pins the batch estimate to the
+// per-row EstimateClamped bit for bit: single-layer with either activation
+// family (the hoisted loop) and a hidden layer (row by row), over rows
+// scaled so that some estimates clamp at 0 and some at 1, appended after
+// existing contents.
+func TestEstimateClampedAppendMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for c, cfg := range []Config{
+		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 1), Seed: 1},
+		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 3), Seed: 2},
+		{LayerSizes: []int{7, 1}, Activation: approx.SymmetricSigmoid(), Seed: 3},
+		{LayerSizes: []int{16, 4, 1}, Activation: lsActivation(t, 2), Seed: 4},
+	} {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := n.Params() // New leaves the biases at zero
+		for i := range params {
+			params[i] += rng.Float64() - 0.5
+		}
+		if err := n.SetParams(params); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, 300)
+		for i := range rows {
+			rows[i] = make([]float64, cfg.LayerSizes[0])
+			for j := range rows[i] {
+				rows[i][j] = (2*rng.Float64() - 1) * float64(1+i%12)
+			}
+		}
+		got, err := n.EstimateClampedAppend([]float64{-7}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rows)+1 || got[0] != -7 {
+			t.Fatalf("case %d: appended to %d values starting %v, want %d after the existing one", c, len(got), got[0], len(rows))
+		}
+		var atZero, atOne int
+		for i, x := range rows {
+			want, err := n.EstimateClamped(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got[i+1]) != math.Float64bits(want) {
+				t.Fatalf("case %d row %d: batch %v, per-row %v", c, i, got[i+1], want)
+			}
+			if want == 0 {
+				atZero++
+			} else if want == 1 {
+				atOne++
+			}
+		}
+		if cfg.Activation.Poly != nil && (atZero == 0 || atOne == 0) {
+			t.Fatalf("case %d: %d rows clamped at 0 and %d at 1, want both", c, atZero, atOne)
+		}
+		rows[5] = rows[5][:len(rows[5])-1]
+		if out, err := n.EstimateClampedAppend(nil, rows); err == nil || len(out) != 5 {
+			t.Fatalf("case %d: short row 5 gave %d values and error %v", c, len(out), err)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/linalg"
+	"repro/internal/poly"
 )
 
 // Config describes a network. LayerSizes runs input → hidden… → output;
@@ -44,6 +45,10 @@ type Network struct {
 	weights []*linalg.Matrix // weights[l]: sizes[l+1] × sizes[l]
 	biases  [][]float64      // biases[l]: sizes[l+1]
 	act     approx.Activation
+	// dact is act.Poly's derivative (nil for an exact activation), kept so
+	// the single-layer kernels run both Horner loops inline. Never written
+	// after it is set, so clones share it.
+	dact poly.Real
 	// weightCap, when positive, bounds the L1 norm of the flat parameter
 	// vector: every training step projects back onto the L1 ball.
 	// Polynomial activations are only faithful on a bounded
@@ -99,6 +104,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := newNetwork(cfg.LayerSizes, cfg.Activation, 0)
+	n.dact = cfg.Activation.Poly.Derivative()
 	for _, w := range n.weights {
 		bound := math.Sqrt(6.0 / float64(w.Cols()+w.Rows()))
 		for i := 0; i < w.Rows(); i++ {
@@ -116,6 +122,23 @@ func (n *Network) InputSize() int { return n.sizes[0] }
 // OutputSize returns the output-vector length.
 func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
 
+// singleLayer reports the shape [in, 1]: one nonlinear layer, one output.
+// It is the only shape L-CoFL admits (core.Scheme.BeginRound), and the
+// one with its own kernels (stepSingle, EstimateClampedAppend).
+func (n *Network) singleLayer() bool { return len(n.sizes) == 2 && n.sizes[1] == 1 }
+
+// preActivation is a single-layer model's w·x + b in the one order every
+// path computes it: 0 + w₀x₀ + w₁x₁ + … accumulated by index, then + b.
+// len(x) must be len(w).
+func preActivation(w, x []float64, b float64) float64 {
+	x = x[:len(w)]
+	var z float64
+	for j, v := range w {
+		z += v * x[j]
+	}
+	return z + b
+}
+
 // Activation returns the network's current activation.
 func (n *Network) Activation() approx.Activation { return n.act }
 
@@ -126,7 +149,7 @@ func (n *Network) SetActivation(a approx.Activation) error {
 	if a.F == nil || a.DF == nil {
 		return fmt.Errorf("nn: activation with F and DF is required")
 	}
-	n.act = a
+	n.act, n.dact = a, a.Poly.Derivative()
 	return nil
 }
 
@@ -168,6 +191,7 @@ func (n *Network) projectWeightCap() {
 // Clone returns an independent deep copy sharing no state.
 func (n *Network) Clone() *Network {
 	out := newNetwork(n.sizes, n.act, n.weightCap)
+	out.dact = n.dact
 	copy(out.params, n.params)
 	return out
 }
@@ -208,8 +232,8 @@ func (n *Network) Estimate(x []float64) (float64, error) {
 		if len(x) != n.InputSize() {
 			return 0, fmt.Errorf("nn: input length %d, want %d", len(x), n.InputSize())
 		}
-		z := linalg.Dot(n.weights[0].RowView(0), x) + n.biases[0][0]
-		return (1 + n.act.F(z)) / 2, nil
+		in := n.sizes[0]
+		return (1 + n.act.F(preActivation(n.params[:in], x, n.params[in]))) / 2, nil
 	}
 	out, err := n.Forward(x)
 	if err != nil {
@@ -236,6 +260,47 @@ func (n *Network) EstimateClamped(x []float64) (float64, error) {
 		return 1, nil
 	}
 	return pi, nil
+}
+
+// EstimateClampedAppend appends EstimateClamped(x) for every row to dst —
+// the learning channel's whole reference set in one call. On the
+// single-layer shape the weights, bias and activation are loaded once and
+// each row is the same dot product, bias add, activation and clamp as
+// Estimate, in the same order, in locals only (concurrent callers stay
+// legal); other shapes go row by row.
+func (n *Network) EstimateClampedAppend(dst []float64, rows [][]float64) ([]float64, error) {
+	if !n.singleLayer() {
+		for i, x := range rows {
+			pi, err := n.EstimateClamped(x)
+			if err != nil {
+				return dst, fmt.Errorf("nn: row %d: %w", i, err)
+			}
+			dst = append(dst, pi)
+		}
+		return dst, nil
+	}
+	in := n.sizes[0]
+	w, b, p, f := n.params[:in], n.params[in], n.act.Poly, n.act.F
+	for i, x := range rows {
+		if len(x) != in {
+			return dst, fmt.Errorf("nn: row %d: input length %d, want %d", i, len(x), in)
+		}
+		z := preActivation(w, x, b)
+		var a float64
+		if p != nil {
+			a = p.Eval(z)
+		} else {
+			a = f(z)
+		}
+		pi := (1 + a) / 2
+		if pi < 0 {
+			pi = 0
+		} else if pi > 1 {
+			pi = 1
+		}
+		dst = append(dst, pi)
+	}
+	return dst, nil
 }
 
 // clampProb keeps π inside (ε, 1-ε) so the cross-entropy loss and its
@@ -322,8 +387,17 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 	if mu > 0 && len(anchor) != n.NumParams() {
 		return 0, fmt.Errorf("nn: anchor length %d, want %d", len(anchor), n.NumParams())
 	}
+	// Checked once here, so the single-layer kernel below runs without a
+	// per-sample error path (and a bad sample fails the call before any
+	// step has moved the parameters).
+	for i := range samples {
+		if len(samples[i].X) != n.InputSize() {
+			return 0, fmt.Errorf("nn: sample %d length %d, want %d", i, len(samples[i].X), n.InputSize())
+		}
+	}
 	sc := n.scratch(len(samples))
 	swap := func(i, j int) { sc.order[i], sc.order[j] = sc.order[j], sc.order[i] }
+	single := n.singleLayer()
 	var lastLoss float64
 	for e := 0; e < epochs; e++ {
 		if rng != nil {
@@ -333,23 +407,87 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 		// epoch pays for the two logarithms per sample.
 		final := e == epochs-1
 		var total float64
-		for _, idx := range sc.order {
-			loss, err := n.step(sc, samples[idx], rho, final)
-			if err != nil {
-				return 0, err
+		switch {
+		case single && mu == 0 && n.weightCap <= 0:
+			// What every vehicle of a node session runs: nothing between
+			// one sample's step and the next.
+			for _, idx := range sc.order {
+				total += n.stepSingle(samples[idx], rho, final)
 			}
-			total += loss
-			if mu > 0 {
-				// Proximal pull: w ← w − ρ·μ·(w − anchor).
-				for i, p := range n.params {
-					n.params[i] = p - rho*mu*(p-anchor[i])
+		case single:
+			for _, idx := range sc.order {
+				total += n.stepSingle(samples[idx], rho, final)
+				n.constrain(rho, mu, anchor)
+			}
+		default:
+			for _, idx := range sc.order {
+				loss, err := n.step(sc, samples[idx], rho, final)
+				if err != nil {
+					return 0, err
 				}
+				total += loss
+				n.constrain(rho, mu, anchor)
 			}
-			n.projectWeightCap()
 		}
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil
+}
+
+// constrain applies what follows every sample's gradient step: the
+// proximal pull w ← w − ρ·μ·(w − anchor) when mu > 0, then the L1
+// projection when the cap is on.
+func (n *Network) constrain(rho, mu float64, anchor []float64) {
+	if mu > 0 {
+		for i, p := range n.params {
+			n.params[i] = p - rho*mu*(p-anchor[i])
+		}
+	}
+	n.projectWeightCap()
+}
+
+// stepSingle is step on the single-layer shape, fused: the dot product,
+// activation, loss gradient and row update of one sample on the flat
+// parameter vector [w… b], with no scratch and no error path (the caller
+// has checked len(s.X)). Every float operation is step's, in step's
+// order — the pre-activation is 0 + w₀x₀ + … in index order and then + b,
+// the activation and its derivative are Horner from a zero accumulator
+// (poly.Real.Eval, called directly so it inlines) or the F/DF closures of
+// an exact activation, nothing is re-associated or fused — so the two are
+// bit-identical; kernels_test.go pins both to one reference.
+func (n *Network) stepSingle(s Sample, rho float64, wantLoss bool) float64 {
+	in := len(n.params) - 1
+	w, x := n.params[:in], s.X[:in]
+	z := preActivation(w, x, n.params[in])
+	var f, df float64
+	if p := n.act.Poly; p != nil {
+		f, df = p.Eval(z), n.dact.Eval(z)
+	} else {
+		f, df = n.act.F(z), n.act.DF(z)
+	}
+	pi := clampProb((1 + f) / 2)
+	var loss float64
+	if wantLoss {
+		// With a binary label one of eq. 11's two products is ∓0·ln(…), a
+		// signed zero that adds nothing to the other (both logarithms are
+		// finite and negative inside clampProb's range): skip its
+		// logarithm. Same float, half the logarithms.
+		switch s.Y {
+		case 1:
+			loss = -math.Log(pi)
+		case 0:
+			loss = -math.Log(1 - pi)
+		default:
+			loss = -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
+		}
+	}
+	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
+	rd := rho * clipDelta(dLdPi*0.5*df)
+	for j := range w {
+		w[j] -= rd * x[j]
+	}
+	n.params[in] -= rd
+	return loss
 }
 
 // trainScratch is the working set of one SGD step, sized once per
@@ -396,11 +534,9 @@ func (n *Network) scratch(samples int) *trainScratch {
 }
 
 // step backpropagates one sample and applies the gradient in place,
-// returning the sample's loss when wantLoss is set (0 otherwise).
+// returning the sample's loss when wantLoss is set (0 otherwise). It is
+// the general path: any depth, the caller having checked len(s.X).
 func (n *Network) step(sc *trainScratch, s Sample, rho float64, wantLoss bool) (float64, error) {
-	if len(s.X) != n.InputSize() {
-		return 0, fmt.Errorf("nn: sample length %d, want %d", len(s.X), n.InputSize())
-	}
 	L := len(n.weights)
 	// Forward pass caching pre-activations z and activations a. The sample
 	// is read, never written, so as[0] aliases it.
@@ -567,6 +703,12 @@ func (n *Network) TrainFullBatch(samples []Sample, rate float64, epochs int) (fl
 // biases, layer by layer (weights row-major, then biases). SetParams
 // accepts the same layout.
 func (n *Network) Params() []float64 { return linalg.Clone(n.params) }
+
+// ParamsView returns the live flat parameter vector in Params layout
+// without copying it, for callers that only read it before the network
+// next changes: it must not be written, and its contents move with every
+// training call, SetParams and ProjectWeights.
+func (n *Network) ParamsView() []float64 { return n.params }
 
 // NumParams returns the flat parameter count.
 func (n *Network) NumParams() int { return len(n.params) }
