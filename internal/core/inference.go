@@ -71,8 +71,7 @@ func NewInference(cfg InferenceConfig, activationDegree int) (*Inference, error)
 			cfg.FracBits, activationDegree, bits, maxFracBitsFor(activationDegree))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	nodes := field.RandDistinct(rng, cfg.NumBatches+cfg.PrivacyT, nil)
-	points := field.RandDistinct(rng, cfg.NumVehicles, nodes)
+	nodes, points := encodingElements(rng, cfg.NumBatches+cfg.PrivacyT, cfg.NumVehicles)
 	coder, err := lagrange.NewCoder(nodes, points)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

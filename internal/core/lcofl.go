@@ -1,9 +1,11 @@
 // Package core implements L-CoFL, the paper's primary contribution: the
 // first Lagrange-coded federated-learning model (paper §IV).
 //
-// Scheme is the FL pipeline plugged into package fl. Every global round it
-// runs the paper's Steps 1–3 as a coded VERIFICATION channel plus a
-// learning channel:
+// Scheme is the FL pipeline plugged into package fl, and the fusion
+// centre's side of a distributed session; Share (share.go) is a vehicle's
+// side, holding that vehicle's encoded share and nothing that grows with
+// V. Every global round runs the paper's Steps 1–3 as a coded VERIFICATION
+// channel plus a learning channel:
 //
 //   - Step 1: the fusion centre partitions its reference feature set into
 //     M batches, quantises it into GF(p) (package fixedpoint), and fixes
@@ -47,7 +49,6 @@ import (
 	"sort"
 
 	"repro/internal/field"
-	"repro/internal/fixedpoint"
 	"repro/internal/fl"
 	"repro/internal/lagrange"
 	"repro/internal/nn"
@@ -89,16 +90,13 @@ type SchemeConfig struct {
 
 // Scheme is the L-CoFL upload/aggregate strategy; it implements fl.Scheme.
 type Scheme struct {
-	cfg     SchemeConfig
-	codec   *fixedpoint.Codec
-	coder   *lagrange.Coder
-	refX    [][]float64         // original reference order (learning channel)
-	shares  [][][]field.Element // [V][S][F] encoded verification shares
-	slots   int                 // S: verification slots per vehicle
-	k       int                 // recover threshold K = Degree·(M-1) + 1
-	dec     *reedsolomon.Decoder
-	fpm     *fpModel // broadcast model, quantised per round
-	workers int      // resolved parallelism for slot-level fan-out
+	evaluator // reference set, codec, quantised model: shared with Share
+	cfg       SchemeConfig
+	coder     *lagrange.Coder
+	shares    [][][]field.Element // [V][S][F] encoded verification shares
+	k         int                 // recover threshold K = Degree·(M-1) + 1
+	dec       *reedsolomon.Decoder
+	workers   int // resolved parallelism for slot-level fan-out
 
 	// batchSrc supplies the random combination coefficients for batch
 	// decoding; seeded from cfg.Seed, and immaterial to results (the batch
@@ -165,36 +163,11 @@ func (s *Scheme) SetSpanParent(ctx obs.SpanContext) { s.spanParent = ctx }
 // (use TrimToMultiple), and every feature must fit the fixed-point range
 // (features normalised to [-1, 1] always do — the eq. 9 precondition).
 func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
-	if cfg.NumVehicles < 1 {
-		return nil, fmt.Errorf("core: need at least one vehicle, got %d", cfg.NumVehicles)
-	}
-	if cfg.NumBatches < 2 {
-		return nil, fmt.Errorf("core: need at least two batches, got %d", cfg.NumBatches)
-	}
-	if cfg.Degree < 1 {
-		return nil, fmt.Errorf("core: degree %d must be >= 1", cfg.Degree)
-	}
-	if len(refX) == 0 || len(refX)%cfg.NumBatches != 0 {
-		return nil, fmt.Errorf("core: reference size %d is not a positive multiple of M=%d", len(refX), cfg.NumBatches)
-	}
-	k := cfg.Degree*(cfg.NumBatches-1) + 1
-	if k > cfg.NumVehicles {
-		return nil, fmt.Errorf("core: recover threshold K=%d exceeds V=%d (eq. 6 unsatisfiable even with zero errors)", k, cfg.NumVehicles)
-	}
-	frac := cfg.FracBits
-	if frac == 0 {
-		frac = maxFracBitsFor(cfg.Degree)
-		if frac > 16 {
-			frac = 16
-		}
-	}
-	codec, err := fixedpoint.New(frac)
+	ev, k, err := newEvaluator(refX, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	nodes := field.RandDistinct(rng, cfg.NumBatches, nil)
-	points := field.RandDistinct(rng, cfg.NumVehicles, nodes)
+	nodes, points := encodingElements(rand.New(rand.NewSource(cfg.Seed)), cfg.NumBatches, cfg.NumVehicles)
 	coder, err := lagrange.NewCoder(nodes, points)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -202,16 +175,6 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 	// Attach obs before the one-time reference-share encode below so the
 	// construction cost shows up in lagrange.encode_* too.
 	coder.SetObs(cfg.Obs)
-
-	s := len(refX) / cfg.NumBatches
-	features := len(refX[0])
-	refCopy := make([][]float64, len(refX))
-	for i, r := range refX {
-		if len(r) != features {
-			return nil, fmt.Errorf("core: reference sample %d has %d features, want %d", i, len(r), features)
-		}
-		refCopy[i] = append([]float64(nil), r...)
-	}
 
 	// Quantise and Lagrange-encode the verification shares once: for slot
 	// j, the M batch rows {refX[m·S+j]}_m are combined per vehicle. Slots
@@ -221,16 +184,12 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 	workers := parallel.Workers(cfg.Workers)
 	shares := make([][][]field.Element, cfg.NumVehicles)
 	for v := range shares {
-		shares[v] = make([][]field.Element, s)
+		shares[v] = make([][]field.Element, ev.slots)
 	}
-	encErr := parallel.ForEach(workers, s, func(j int) error {
-		rows := make([][]field.Element, cfg.NumBatches)
-		for m := 0; m < cfg.NumBatches; m++ {
-			enc, err := codec.EncodeVec(refX[m*s+j])
-			if err != nil {
-				return fmt.Errorf("core: reference batch %d slot %d: %w", m, j, err)
-			}
-			rows[m] = enc
+	encErr := parallel.ForEach(workers, ev.slots, func(j int) error {
+		rows, err := ev.quantiseSlot(j)
+		if err != nil {
+			return err
 		}
 		perVehicle, err := coder.EncodeVectors(rows)
 		if err != nil {
@@ -249,16 +208,14 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	sch := &Scheme{
-		cfg:      cfg,
-		codec:    codec,
-		coder:    coder,
-		refX:     refCopy,
-		shares:   shares,
-		slots:    s,
-		k:        k,
-		dec:      dec,
-		workers:  workers,
-		batchSrc: field.NewSeededSource(cfg.Seed),
+		evaluator: ev,
+		cfg:       cfg,
+		coder:     coder,
+		shares:    shares,
+		k:         k,
+		dec:       dec,
+		workers:   workers,
+		batchSrc:  field.NewSeededSource(cfg.Seed),
 	}
 	if cfg.Obs.Enabled() {
 		o := cfg.Obs
@@ -292,75 +249,14 @@ func (s *Scheme) MaxMalicious() int {
 	return reedsolomon.MaxErrors(s.cfg.NumVehicles, s.k)
 }
 
-// Slots returns S, the number of verification slots per vehicle.
-func (s *Scheme) Slots() int { return s.slots }
-
-// UploadLen returns the total upload size: 2·S verification floats (each
-// field symbol travels as two exact 32-bit halves) plus len(refX)
-// learning estimations.
-func (s *Scheme) UploadLen() int { return 2*s.slots + len(s.refX) }
-
-// FracBits returns the verification channel's fixed-point resolution.
-func (s *Scheme) FracBits() uint { return s.codec.FracBits() }
-
-// BeginRound implements fl.Scheme: it quantises the broadcast model every
-// honest vehicle uses on the verification channel this round. The model
-// must be single-layer with a polynomial activation of degree ≤ Degree
-// (the L-CoFL requirement from §IV Step 2). It is only read, and only
-// during the call: callers pass their live model, no clone.
-func (s *Scheme) BeginRound(shared *nn.Network) error {
-	if shared == nil {
-		return fmt.Errorf("core: nil shared model")
-	}
-	// in weights + 1 bias: only the shape [in, 1] has that few parameters
-	// (Sizes() would say the same but allocates, once a round).
-	if shared.NumParams() != shared.InputSize()+1 {
-		return fmt.Errorf("core: verification requires a single-nonlinear-layer model, got layers %v", shared.Sizes())
-	}
-	actPoly := shared.Activation().Poly
-	if actPoly == nil {
-		return fmt.Errorf("core: shared model's activation %q is not a polynomial approximation", shared.Activation().Name)
-	}
-	features := len(s.refX[0])
-	if shared.InputSize() != features {
-		return fmt.Errorf("core: model input %d, reference features %d", shared.InputSize(), features)
-	}
-	// Re-quantise into the previous round's model: same shape every round,
-	// so nothing is allocated. Upload only runs between BeginRounds, never
-	// during one.
-	if s.fpm == nil {
-		s.fpm = &fpModel{codec: s.codec, deg: s.cfg.Degree}
-	}
-	params := shared.ParamsView() // [w… b] for a single layer
-	if err := s.fpm.quantise(params[:features], params[features], actPoly); err != nil {
-		s.fpm = nil // partly overwritten: Upload must refuse it
-		return err
-	}
-	return nil
-}
-
-// Upload implements fl.Scheme. The first 2·S scalars are the verification
-// channel: the quantised broadcast model evaluated on the vehicle's
-// encoded shares, each field symbol split into two exact float halves.
-// The remaining scalars are the learning channel: the locally-trained
-// model's estimations of every raw reference sample.
+// Upload implements fl.Scheme: vehicle vehicleID's upload vector (see
+// evaluator.upload for its layout), from the share the fusion side holds
+// for it.
 func (s *Scheme) Upload(vehicleID int, model *nn.Network) ([]float64, error) {
 	if vehicleID < 0 || vehicleID >= s.cfg.NumVehicles {
 		return nil, fmt.Errorf("core: vehicle ID %d outside [0, %d)", vehicleID, s.cfg.NumVehicles)
 	}
-	if s.fpm == nil {
-		return nil, fmt.Errorf("core: BeginRound must run before Upload")
-	}
-	out := make([]float64, 0, s.UploadLen())
-	for j := 0; j < s.slots; j++ {
-		hi, lo := symbolToFloats(s.fpm.Eval(s.shares[vehicleID][j]))
-		out = append(out, hi, lo)
-	}
-	out, err := model.EstimateClampedAppend(out, s.refX)
-	if err != nil {
-		return nil, fmt.Errorf("core: vehicle %d learning channel: %w", vehicleID, err)
-	}
-	return out, nil
+	return s.upload(vehicleID, s.shares[vehicleID], model)
 }
 
 // Aggregate implements fl.Scheme. Per verification slot it decodes the

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestShareUploadBitIdentical pins the split: over a matrix of shapes,
+// every vehicle's Share — built from the arguments alone, as a vehicle
+// builds it from Setup — uploads exactly what the fusion side's Scheme
+// computes for that vehicle after the same BeginRound, and a full round of
+// Share uploads verifies at the Scheme with nobody flagged.
+func TestShareUploadBitIdentical(t *testing.T) {
+	const slots = 2
+	for _, v := range []int{8, 33, 256} {
+		for _, m := range []int{2, 8, 16} {
+			for degree := 1; degree <= 3; degree++ {
+				if degree*(m-1)+1 > v {
+					continue // K > V: TestNewShareValidation's side
+				}
+				for _, frac := range []uint{0, 6} {
+					for _, seed := range []int64{3, 1 << 40} {
+						cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, FracBits: frac, Seed: seed, Workers: 1}
+						t.Run(fmt.Sprintf("V%d/M%d/d%d/frac%d/seed%d", v, m, degree, frac, seed), func(t *testing.T) {
+							checkSharesMatchScheme(t, refFeatures(t, m*slots), cfg)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkSharesMatchScheme(t *testing.T, ref [][]float64, cfg SchemeConfig) {
+	scheme, err := NewScheme(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := polyActivationModel(t, cfg.Degree, cfg.Seed)
+	local := polyActivationModel(t, cfg.Degree, cfg.Seed+1)
+	if err := scheme.BeginRound(shared); err != nil {
+		t.Fatal(err)
+	}
+	uploads := make([][]float64, cfg.NumVehicles)
+	for i := range uploads {
+		share, err := NewShare(ref, cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if share.UploadLen() != scheme.UploadLen() || share.Slots() != scheme.Slots() || share.FracBits() != scheme.FracBits() {
+			t.Fatalf("vehicle %d: share shape (%d, %d, %d) differs from the scheme's (%d, %d, %d)", i,
+				share.UploadLen(), share.Slots(), share.FracBits(), scheme.UploadLen(), scheme.Slots(), scheme.FracBits())
+		}
+		if _, err := share.Upload(local); err == nil {
+			t.Fatalf("vehicle %d: Upload before BeginRound accepted", i)
+		}
+		if err := share.BeginRound(shared); err != nil {
+			t.Fatal(err)
+		}
+		got, err := share.Upload(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scheme.Upload(i, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("vehicle %d: share uploads %d values, scheme %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("vehicle %d value %d: share %v, scheme %v", i, j, got[j], want[j])
+			}
+		}
+		uploads[i] = got
+	}
+	if _, err := scheme.Aggregate(uploads); err != nil {
+		t.Fatal(err)
+	}
+	if scheme.DecodeFailures != 0 || scheme.SuspectedMalicious() != nil {
+		t.Fatalf("honest Share uploads: %d decode failures, flagged %v", scheme.DecodeFailures, scheme.SuspectedMalicious())
+	}
+}
+
+// TestNewShareValidation: NewShare refuses what NewScheme refuses, with
+// the same error, and additionally an ID the scheme has no point for.
+func TestNewShareValidation(t *testing.T) {
+	ref := refFeatures(t, 32)
+	ragged := append([][]float64(nil), ref...)
+	ragged[5] = ragged[5][:3]
+	outOfRange := append([][]float64(nil), ref...)
+	outOfRange[9] = append([]float64(nil), ref[9]...)
+	outOfRange[9][2] = 1e15
+	ok := SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1}
+	for _, tc := range []struct {
+		name string
+		ref  [][]float64
+		cfg  SchemeConfig
+	}{
+		{"zero vehicles", ref, SchemeConfig{NumVehicles: 0, NumBatches: 4, Degree: 1}},
+		{"one batch", ref, SchemeConfig{NumVehicles: 10, NumBatches: 1, Degree: 1}},
+		{"zero degree", ref, SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 0}},
+		{"K exceeds V", ref, SchemeConfig{NumVehicles: 5, NumBatches: 4, Degree: 3}},
+		{"ref not multiple", ref, SchemeConfig{NumVehicles: 10, NumBatches: 5, Degree: 1}},
+		{"empty ref", nil, ok},
+		{"ragged rows", ragged, ok},
+		{"feature out of range", outOfRange, ok},
+		{"fraction bits beyond the codec", ref, SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1, FracBits: 63}},
+	} {
+		_, want := NewScheme(tc.ref, tc.cfg)
+		_, got := NewShare(tc.ref, tc.cfg, 0)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: NewShare says %v, NewScheme says %v", tc.name, got, want)
+		}
+	}
+	for _, id := range []int{-1, ok.NumVehicles} {
+		if _, err := NewShare(ref, ok, id); err == nil {
+			t.Errorf("vehicle ID %d accepted for V=%d", id, ok.NumVehicles)
+		}
+	}
+	if _, err := NewShare(ref, ok, ok.NumVehicles-1); err != nil {
+		t.Errorf("last vehicle refused: %v", err)
+	}
+}
+
+// TestShareOwnsItsReference: like NewScheme, NewShare copies the reference
+// set, so a caller reusing its rows (a transport buffer, the next Setup)
+// cannot move a later upload.
+func TestShareOwnsItsReference(t *testing.T) {
+	ref := refFeatures(t, 8)
+	cfg := SchemeConfig{NumVehicles: 6, NumBatches: 4, Degree: 1, Seed: 5}
+	share, err := NewShare(ref, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := polyActivationModel(t, 1, 9)
+	if err := share.BeginRound(model); err != nil {
+		t.Fatal(err)
+	}
+	before, err := share.Upload(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, row := range ref {
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+	}
+	after, err := share.Upload(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range before {
+		if math.Float64bits(before[j]) != math.Float64bits(after[j]) {
+			t.Fatalf("value %d moved from %v to %v when the caller's rows changed", j, before[j], after[j])
+		}
+	}
+}

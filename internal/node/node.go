@@ -7,9 +7,10 @@
 // but each vehicle holds only its own state and the fusion centre only
 // the shared model, so the deployment is faithful to Fig. 1: vehicles
 // never exchange raw data, and the fusion centre never sees local
-// datasets. Vehicles rebuild the deterministic L-CoFL scheme from the
-// Setup message, so their Lagrange-encoded shares match the fusion
-// centre's without shipping any encoding matrices.
+// datasets. Each vehicle derives its own Lagrange-encoded share
+// (core.Share: one evaluation of the encoding polynomial, nothing that
+// grows with V) from the Setup message's seed and its ID, so it matches
+// the fusion centre's without shipping any encoding matrices.
 //
 // The layer is chaos-hardened (DESIGN.md §11): a vehicle that misses a
 // round deadline is a straggler, which the coded aggregation already
@@ -611,7 +612,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 
 	// handleRejoin revives a reconnected vehicle mid-round: the
 	// connection is swapped in (the stale one closed), Setup is resent so
-	// a restarted process can rebuild its scheme, and if the vehicle
+	// a restarted process can rebuild its share, and if the vehicle
 	// still owes this round's upload the broadcast is resent too.
 	handleRejoin := func(req rejoinReq) {
 		id := req.id
@@ -1067,7 +1068,7 @@ func IsTransient(err error) bool {
 }
 
 // vehicleSession is a vehicle's state across connections: the local
-// model, the rebuilt scheme, the SGD shuffle stream, and the last upload.
+// model, its encoded share, the SGD shuffle stream, and the last upload.
 // Keeping it outside the per-connection loop is what makes reconnection
 // exact — a resumed session resends the cached upload instead of
 // retraining, so its randomness stream (and therefore every subsequent
@@ -1085,9 +1086,9 @@ type vehicleSession struct {
 	hEncode *obs.Histogram
 	hUpload *obs.Histogram
 
-	local  *nn.Network
-	scheme *core.Scheme
-	rng    *rand.Rand
+	local *nn.Network
+	share *core.Share
+	rng   *rand.Rand
 
 	lastRound  int
 	lastUpload []float64
@@ -1101,7 +1102,7 @@ type vehicleSession struct {
 	parentSpan uint64
 }
 
-// newVehicleSession validates the config; the model and scheme are built
+// newVehicleSession validates the config; the model and share are built
 // lazily from the first Setup message.
 func newVehicleSession(cfg ClientConfig, o *obs.Obs) (*vehicleSession, error) {
 	if len(cfg.Data) == 0 {
@@ -1136,9 +1137,12 @@ func (s *vehicleSession) emitStage(stage string, hist *obs.Histogram, round int,
 	}, obs.CtxFields(ctx, s.parentSpan)...)...)
 }
 
-// install builds the local model and scheme from Setup. On a rejoin the
-// server resends Setup; an already-installed session keeps its trained
-// model and advanced randomness stream and ignores the repeat.
+// install builds the local model and this vehicle's share from Setup, and
+// fails here rather than in round 1 when Setup contradicts itself (a model
+// width other than the reference set's, an ID the scheme has no point
+// for). On a rejoin the server resends Setup; an already-installed session
+// keeps its trained model and advanced randomness stream and ignores the
+// repeat.
 func (s *vehicleSession) install(setup *protocol.Setup) error {
 	if s.local != nil {
 		return nil
@@ -1157,17 +1161,20 @@ func (s *vehicleSession) install(setup *protocol.Setup) error {
 	if err != nil {
 		return fmt.Errorf("node: local model: %w", err)
 	}
-	scheme, err := core.NewScheme(setup.RefX, core.SchemeConfig{
+	share, err := core.NewShare(setup.RefX, core.SchemeConfig{
 		NumVehicles: setup.SchemeVehicles,
 		NumBatches:  setup.SchemeBatches,
 		Degree:      setup.SchemeDegree,
 		Seed:        setup.SchemeSeed,
-	})
+	}, s.cfg.VehicleID)
 	if err != nil {
-		return fmt.Errorf("node: rebuilding scheme: %w", err)
+		return fmt.Errorf("node: vehicle %d share: %w", s.cfg.VehicleID, err)
+	}
+	if features := len(setup.RefX[0]); setup.InputSize != features {
+		return fmt.Errorf("node: setup names input size %d for %d reference features", setup.InputSize, features)
 	}
 	s.local = local
-	s.scheme = scheme
+	s.share = share
 	s.rng = newVehicleRNG(s.cfg.Seed)
 	return nil
 }
@@ -1243,6 +1250,9 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 	if err := s.install(setup); err != nil {
 		return err
 	}
+	// The round loop reads these and not setup, so the message (the share
+	// has its own copy of the reference set) is garbage after the handshake.
+	localRate, localEpochs := setup.LocalRate, setup.LocalEpochs
 	if traced {
 		// Adopt the session trace: from Setup when the fusion centre
 		// propagates one, else derived from the scheme seed — both sides
@@ -1317,16 +1327,16 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 		}
 		// The verification channel needs the broadcast model as received:
 		// BeginRound quantises it here, before training moves s.local on.
-		if err := s.scheme.BeginRound(s.local); err != nil {
+		if err := s.share.BeginRound(s.local); err != nil {
 			return fmt.Errorf("node: vehicle %d: %w", id, err)
 		}
 		tTrain := s.o.Now()
-		if _, err := s.local.TrainSGD(s.cfg.Data, setup.LocalRate, setup.LocalEpochs, s.rng); err != nil {
+		if _, err := s.local.TrainSGD(s.cfg.Data, localRate, localEpochs, s.rng); err != nil {
 			return fmt.Errorf("node: vehicle %d training: %w", id, err)
 		}
 		s.emitStage("node.train", s.hTrain, bc.Round, tTrain, s.o.Now()-tTrain)
 		tEncode := s.o.Now()
-		values, err := s.scheme.Upload(id, s.local)
+		values, err := s.share.Upload(s.local)
 		if err != nil {
 			return fmt.Errorf("node: vehicle %d upload: %w", id, err)
 		}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -24,6 +26,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{Broadcast: &Broadcast{Round: 3, Params: params}},
 		{Upload: &Upload{Round: 9, VehicleID: 41, Values: params[:5]}},
 		{Upload: &Upload{Round: 1, VehicleID: 0}},
+		{Setup: &Setup{InputSize: 3, LocalEpochs: 2, LocalRate: 0.05, ActivationCoeffs: params[2:5],
+			RefX:           [][]float64{params[0:3], params[3:6], params[6:9], params[9:12]},
+			SchemeVehicles: 40, SchemeBatches: 2, SchemeDegree: 3, SchemeSeed: -7, WireVersion: Version}},
+		{Setup: &Setup{InputSize: 1, RefX: [][]float64{{math.Copysign(0, -1)}}, WireVersion: Version,
+			TraceID: "00000000deadbeef", HelloNs: -3, ClockNs: 1 << 40}},
+		{Setup: &Setup{}},
 	} {
 		var buf bytes.Buffer
 		if err := WriteVersion(&buf, m, Version); err != nil {
@@ -139,6 +147,97 @@ func TestParseBinaryRejectsMalformed(t *testing.T) {
 	for name, body := range cases {
 		if _, err := parseBinary(body); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// setupBody is a binary Setup body declaring the given counts over
+// payload bytes of float data, whatever the counts say.
+func setupBody(coeffs, rows, cols uint32, payload int) []byte {
+	body := append([]byte{binaryMagic, binaryKindSetup}, make([]byte, setupFixedLen-2-12)...)
+	for _, n := range []uint32{coeffs, rows, cols} {
+		body = binary.LittleEndian.AppendUint32(body, n)
+	}
+	return append(body, make([]byte, payload)...)
+}
+
+// TestSetupCountsCheckedBeforeAllocation: a binary Setup whose coefficient
+// count or rows x cols overstates, understates or overflows the payload
+// is a frame-local error — the next frame still reads — and refusing it
+// allocates nothing that scales with what it declared.
+func TestSetupCountsCheckedBeforeAllocation(t *testing.T) {
+	const max = math.MaxUint32
+	cases := map[string][]byte{
+		"header truncated":       setupBody(0, 0, 0, 0)[:setupFixedLen-1],
+		"rows overstated":        setupBody(0, 3, 2, 5*8),
+		"rows understated":       setupBody(0, 2, 2, 5*8),
+		"coeffs overstated":      setupBody(3, 1, 2, 4*8),
+		"coeffs understated":     setupBody(1, 1, 2, 4*8),
+		"payload not whole":      setupBody(0, 1, 1, 9),
+		"rows without cols":      setupBody(0, max, 0, 0),
+		"cols without rows":      setupBody(0, 0, max, 0),
+		"product wraps 32 bits":  setupBody(0, 1<<16, 1<<16, 0),
+		"product near 64 bits":   setupBody(max, max, max, 8),
+		"coeffs alone overstate": setupBody(max, 0, 0, 16),
+	}
+	next := &Message{Finished: &Finished{Rounds: 1}}
+	for name, body := range cases {
+		var stream bytes.Buffer
+		stream.Write(rawFrame(body))
+		if err := Write(&stream, next); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Read(&stream)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted as %+v", name, m.Setup)
+			continue
+		}
+		if errors.Is(err, ErrCorruptFrame) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: refused as %v, want a frame-local decode error", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+			t.Errorf("%s: refusing a %d-byte body allocated %d bytes", name, len(body), grew)
+		}
+		if got, err := Read(&stream); err != nil || !reflect.DeepEqual(got, next) {
+			t.Errorf("%s: frame after the refused one read as %+v, %v", name, got, err)
+		}
+	}
+	// The same counts over exactly the payload they describe are accepted.
+	if m, err := parseBinary(setupBody(1, 2, 2, 5*8)); err != nil || len(m.Setup.RefX) != 2 || len(m.Setup.ActivationCoeffs) != 1 {
+		t.Errorf("well-counted setup read as %+v, %v", m, err)
+	}
+}
+
+// TestEncodedSizeMatchesFrame: for every message kind, with and without
+// trace context, the size the transport accounts a frame at is the
+// frame's, less the CRC — by arithmetic for the bulk kinds.
+func TestEncodedSizeMatchesFrame(t *testing.T) {
+	const trace, span = "00000000deadbeef", "00000000cafef00d"
+	ref := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	for _, m := range []*Message{
+		{Hello: &Hello{Version: Version, VehicleID: 3}},
+		{Hello: &Hello{Version: Version, VehicleID: 3, TraceID: trace, SessionID: "s1"}},
+		{Setup: &Setup{InputSize: 3, RefX: ref, SchemeVehicles: 4, WireVersion: Version}},
+		{Setup: &Setup{InputSize: 3, RefX: ref, ActivationCoeffs: []float64{0, 0.5}, WireVersion: Version,
+			TraceID: trace, HelloNs: 11, ClockNs: 12}},
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2}}},
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2}, TraceID: trace, SpanID: span}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3}}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3}, TraceID: trace, SpanID: span}},
+		{Admission: &Admission{Queued: true, Reason: "budget"}},
+		{Finished: &Finished{Rounds: 9}},
+		{Error: &Error{Reason: "boom"}},
+	} {
+		frame, err := AppendFrame(nil, m, Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodedSizeVersion(m, Version); got != len(frame)-4 {
+			trace, _ := m.TraceContext()
+			t.Errorf("%s (trace %q): accounted at %d bytes, frame less CRC is %d", m.Kind(), trace, got, len(frame)-4)
 		}
 	}
 }

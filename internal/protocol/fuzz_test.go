@@ -33,7 +33,8 @@ func rawFrame(body []byte) []byte {
 // never panic — a malicious or corrupted peer controls this input — and
 // any frame it accepts must re-encode and re-decode to the same message
 // (decode∘encode is the identity on accepted frames), with bulk messages
-// only ever out of binary bodies and control messages out of JSON ones.
+// — Setup, Broadcast, Upload — only ever out of binary bodies and control
+// messages out of JSON ones.
 // testdata/fuzz/FuzzFrameCodec/seed-10 is a well-formed frame of the
 // retired gather kind (binary kind 5): a must-reject seed.
 func FuzzFrameCodec(f *testing.F) {
@@ -50,7 +51,17 @@ func FuzzFrameCodec(f *testing.F) {
 	for _, m := range variants {
 		f.Add(encodeSeed(f, m))
 	}
+	// Binary Setup shapes: traced with the handshake clock readings, no
+	// activation coefficients (the exact sigmoid), no reference rows.
+	f.Add(encodeSeed(f, &Message{Setup: &Setup{InputSize: 2, LocalEpochs: 1, LocalRate: 0.1,
+		ActivationCoeffs: []float64{0, 0.25}, RefX: [][]float64{{1, -1}, {0.5, math.NaN()}},
+		SchemeVehicles: 6, SchemeBatches: 2, SchemeDegree: 1, SchemeSeed: -3, WireVersion: Version,
+		TraceID: "00000000deadbeef", HelloNs: 1200, ClockNs: 3400}}))
+	f.Add(encodeSeed(f, &Message{Setup: &Setup{InputSize: 1, RefX: [][]float64{{1}, {2}},
+		SchemeVehicles: 3, SchemeBatches: 2, SchemeDegree: 1, WireVersion: Version}}))
+	f.Add(encodeSeed(f, &Message{Setup: &Setup{InputSize: 4, ActivationCoeffs: []float64{0, 1}, WireVersion: Version}}))
 	// JSON bodies naming a bulk variant: well-formed, must be rejected.
+	f.Add(rawFrame([]byte(`{"setup":{"input_size":4,"local_epochs":2,"local_rate":0.05,"ref_x":[[1,2]],"scheme_vehicles":6,"scheme_batches":2,"scheme_degree":1,"scheme_seed":99,"wire_version":5}}`)))
 	f.Add(rawFrame([]byte(`{"broadcast":{"round":1,"params":[0.5,-0.25]}}`)))
 	f.Add(rawFrame([]byte(`{"upload":{"round":1,"vehicle_id":2,"values":[1,2,3]}}`)))
 	// Float payloads only a binary body can carry (NaN bit patterns,
@@ -105,6 +116,12 @@ func FuzzFrameCodec(f *testing.F) {
 		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
 		{0xB3, 0x03, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
 		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		// setup: a truncated header; rows x cols overstating the payload;
+		// rows without cols; a product that wraps 32 bits over no payload.
+		setupBody(0, 0, 0, 0)[:40],
+		setupBody(1, 2, 2, 4*8),
+		setupBody(0, 7, 0, 0),
+		setupBody(0, 1<<16, 1<<16, 0),
 	} {
 		f.Add(rawFrame(body))
 	}
@@ -117,7 +134,8 @@ func FuzzFrameCodec(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("Read returned an invalid message: %v", err)
 		}
-		if bulk, binaryBody := m.Broadcast != nil || m.Upload != nil, data[8] == 0xB3; bulk != binaryBody {
+		binaryBody := data[8] == 0xB3
+		if m.isBulk() != binaryBody {
 			t.Fatalf("%s message read out of a body starting %#x", m.Kind(), data[8])
 		}
 		// Round trip through the encoder and compare the re-encodings
@@ -126,6 +144,9 @@ func FuzzFrameCodec(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteVersion(&buf, m, Version); err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)
+		}
+		if binaryBody && !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("accepted binary frame re-encodes differently:\n read: %x\nwrote: %x", data, buf.Bytes())
 		}
 		m2, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -138,6 +159,8 @@ func FuzzFrameCodec(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatalf("round trip changed the message:\n first: %x\nsecond: %x", buf.Bytes(), buf2.Bytes())
 		}
+		// The control messages' fields, which json.Marshal shows (a bulk
+		// message shows none: the byte comparison above is all of it).
 		j1, _ := json.Marshal(m)
 		j2, _ := json.Marshal(m2)
 		if !bytes.Equal(j1, j2) {

@@ -13,14 +13,14 @@
 // see DESIGN.md §11).
 //
 // A body has exactly one of two forms, told apart by its first byte
-// (DESIGN.md §13.3). The control messages — Hello, Setup, Admission,
-// Finished, Error — are a JSON envelope {type: payload}, which keeps the
-// handshake debuggable and lets optional keys come and go. The two bulk
-// messages, Broadcast and Upload, are a binary body: a magic byte that
-// cannot open a JSON value, a kind byte, fixed-width integers and raw
-// little-endian float64 bits, with or without a (trace, span) context
-// prefix. A bulk message has no JSON form and a control message no binary
-// one, on the write side and on the read side.
+// (DESIGN.md §13.3). The control messages — Hello, Admission, Finished,
+// Error — are a JSON envelope {type: payload}, which keeps the handshake
+// debuggable and lets optional keys come and go. The three bulk messages —
+// Setup, Broadcast and Upload, the ones that carry float vectors — are a
+// binary body: a magic byte that cannot open a JSON value, a kind byte,
+// fixed-width integers and raw little-endian float64 bits. A bulk message
+// has no JSON form and a control message no binary one, on the write side
+// and on the read side.
 //
 // There is one wire revision, Version. The Hello/Setup handshake still
 // carries revision numbers so that a later revision can be introduced: a
@@ -59,7 +59,7 @@ const MaxMessageSize = 16 << 20
 // travel only as binary bodies.
 type Message struct {
 	Hello     *Hello     `json:"hello,omitempty"`
-	Setup     *Setup     `json:"setup,omitempty"`
+	Setup     *Setup     `json:"-"`
 	Broadcast *Broadcast `json:"-"`
 	Upload    *Upload    `json:"-"`
 	Admission *Admission `json:"admission,omitempty"`
@@ -87,41 +87,43 @@ type Hello struct {
 // Setup configures a vehicle at session start.
 type Setup struct {
 	// InputSize is the feature-vector length.
-	InputSize int `json:"input_size"`
+	InputSize int
 	// LocalEpochs and LocalRate configure local SGD (paper eq. 1).
-	LocalEpochs int     `json:"local_epochs"`
-	LocalRate   float64 `json:"local_rate"`
+	LocalEpochs int
+	LocalRate   float64
 	// ActivationCoeffs holds the polynomial activation the vehicles must
 	// install (paper §IV Step 2); empty means the exact symmetric
 	// sigmoid.
-	ActivationCoeffs []float64 `json:"activation_coeffs,omitempty"`
-	// RefX is the fusion centre's reference feature set.
-	RefX [][]float64 `json:"ref_x"`
-	// SchemeVehicles, SchemeBatches, SchemeDegree and SchemeSeed let the
-	// vehicle rebuild the identical (deterministic) L-CoFL scheme so its
-	// encoded shares match the fusion centre's.
-	SchemeVehicles int   `json:"scheme_vehicles"`
-	SchemeBatches  int   `json:"scheme_batches"`
-	SchemeDegree   int   `json:"scheme_degree"`
-	SchemeSeed     int64 `json:"scheme_seed"`
+	ActivationCoeffs []float64
+	// RefX is the fusion centre's reference feature set: rectangular, and
+	// without zero-width rows.
+	RefX [][]float64
+	// SchemeVehicles, SchemeBatches, SchemeDegree and SchemeSeed are the
+	// (deterministic) L-CoFL scheme's parameters: from them and its own ID
+	// a vehicle derives its encoded share (core.NewShare), bit-identical
+	// to the one the fusion centre holds for it.
+	SchemeVehicles int
+	SchemeBatches  int
+	SchemeDegree   int
+	SchemeSeed     int64
 	// WireVersion is the protocol revision the fusion centre negotiated
 	// for this connection: min(its own Version, the vehicle's Hello
 	// version), which the handshake floor makes Version itself today. A
 	// vehicle refuses a Setup that names less (an older fusion centre).
-	WireVersion int `json:"wire_version,omitempty"`
+	WireVersion int
 	// TraceID is the session trace every process joins (derived from
 	// SchemeSeed on both sides; carried explicitly so a vehicle adopts
 	// the fusion centre's trace even if derivation rules ever diverge
 	// across releases). Empty when the fusion centre runs untraced.
-	TraceID string `json:"trace_id,omitempty"`
+	TraceID string
 	// HelloNs and ClockNs are the fusion centre's clock readings (ns
 	// since its obs.Clock epoch) when the connection's Hello arrived and
 	// when this Setup was sent. With the vehicle's own send/receive
 	// stamps they give the RTT-midpoint clock-offset estimate recorded
 	// as the node.clock_offset trace event (DESIGN.md §15). Zero when
 	// the fusion centre runs untraced.
-	HelloNs int64 `json:"hello_ns,omitempty"`
-	ClockNs int64 `json:"clock_ns,omitempty"`
+	HelloNs int64
+	ClockNs int64
 }
 
 // Broadcast starts a round: the shared model parameters.
@@ -206,11 +208,12 @@ func (m *Message) TraceContext() (trace, span string) {
 // EncodedSizeVersion returns the size WriteVersion's frame for m is
 // accounted at — the 4-byte length prefix plus the body, the CRC left
 // out — or 0 when a control message cannot marshal. For the bulk
-// messages it is pure arithmetic; a control message is marshalled to be
-// measured. The instrumented transport uses it to account bytes per
-// connection. version is unused for the reason AppendFrame gives.
+// messages it is pure arithmetic; a control message (a few dozen bytes)
+// is marshalled to be measured. The instrumented transport uses it to
+// account bytes per connection. version is unused for the reason
+// AppendFrame gives.
 func EncodedSizeVersion(m *Message, version int) int {
-	if m.Broadcast != nil || m.Upload != nil {
+	if m.isBulk() {
 		return 4 + binaryBodyLen(m)
 	}
 	body, err := json.Marshal(m)
@@ -218,6 +221,11 @@ func EncodedSizeVersion(m *Message, version int) int {
 		return 0
 	}
 	return 4 + len(body)
+}
+
+// isBulk reports whether m travels as a binary body.
+func (m *Message) isBulk() bool {
+	return m.Setup != nil || m.Broadcast != nil || m.Upload != nil
 }
 
 // kind returns the message discriminator for validation and errors.
@@ -270,12 +278,19 @@ const headerLen = 8
 //	upload:        round u32, vehicle u32, count u32, count x 8 bytes
 //	broadcast+ctx: trace u64, span u64, then as broadcast
 //	upload+ctx:    trace u64, span u64, then as upload
+//	setup:         input u32, epochs u32, rate f64, vehicles u32,
+//	               batches u32, degree u32, seed i64, wire u32,
+//	               hello_ns i64, clock_ns i64, trace u64 (0: none),
+//	               coeffs u32, rows u32, cols u32,
+//	               coeffs x 8 bytes, rows x cols x 8 bytes
 //
 // all little-endian. 0xB3 cannot open a JSON value, so the first byte
 // decides the body form. Floats travel as IEEE 754 bit patterns, NaN
 // payloads included. The context kinds prefix the trace and span IDs; a
-// context kind with either ID zero is rejected, so every accepted frame
-// re-encodes to identical bytes.
+// context kind with either ID zero is rejected, and so is a setup with
+// exactly one of rows and cols zero, so every accepted frame re-encodes
+// to identical bytes. Kind 5 was a relay's combined upload and stays
+// refused.
 const binaryMagic = 0xB3
 
 const (
@@ -283,16 +298,38 @@ const (
 	binaryKindUpload       = 2
 	binaryKindBroadcastCtx = 3
 	binaryKindUploadCtx    = 4
+	binaryKindSetup        = 6
 )
 
-// maxBinaryValues caps the float count so a binary body respects
-// MaxMessageSize even under the largest (upload+ctx) header.
+// setupFixedLen is the setup body's fixed part, magic and kind included.
+const setupFixedLen = 2 + 76
+
+// maxBinaryValues caps the float count so a broadcast or upload body
+// respects MaxMessageSize even under the larger (upload+ctx) header.
 const maxBinaryValues = (MaxMessageSize - 30) / 8
 
 // bulkEncodable reports whether a bulk message fits the binary body: its
 // integer fields the fixed-width layout, its payload the frame limit, and
 // its trace context ctxEncodable.
 func bulkEncodable(m *Message) bool {
+	if s := m.Setup; s != nil {
+		for _, v := range []int{s.InputSize, s.LocalEpochs, s.SchemeVehicles, s.SchemeBatches, s.SchemeDegree, s.WireVersion} {
+			if !fitsUint32(v) {
+				return false
+			}
+		}
+		// Rectangular, and no zero-width rows: the reader could bound
+		// neither by the payload it has in hand.
+		cols := refCols(s.RefX)
+		for _, row := range s.RefX {
+			if len(row) != cols || cols == 0 {
+				return false
+			}
+		}
+		t, canonical := canonicalID(s.TraceID)
+		return setupFixedLen+8*(len(s.ActivationCoeffs)+len(s.RefX)*cols) <= MaxMessageSize &&
+			(s.TraceID == "" || canonical && t != 0)
+	}
 	if b := m.Broadcast; b != nil {
 		return fitsUint32(b.Round) && len(b.Params) <= maxBinaryValues &&
 			ctxEncodable(b.TraceID, b.SpanID)
@@ -353,8 +390,23 @@ func formatID16(id uint64) string {
 
 func fitsUint32(v int) bool { return v >= 0 && int64(v) <= math.MaxUint32 }
 
+// refCols is the row width a reference set travels with: its first row's.
+func refCols(refX [][]float64) int {
+	if len(refX) == 0 {
+		return 0
+	}
+	return len(refX[0])
+}
+
 // binaryBodyLen returns the body length of a bulk message.
 func binaryBodyLen(m *Message) int {
+	if s := m.Setup; s != nil {
+		n := setupFixedLen + 8*len(s.ActivationCoeffs)
+		for _, row := range s.RefX {
+			n += 8 * len(row)
+		}
+		return n
+	}
 	if b := m.Broadcast; b != nil {
 		n := 10 + 8*len(b.Params)
 		if b.TraceID != "" {
@@ -372,6 +424,30 @@ func binaryBodyLen(m *Message) int {
 
 // appendBinary encodes a bulk message that is bulkEncodable into dst.
 func appendBinary(dst []byte, m *Message) []byte {
+	if s := m.Setup; s != nil {
+		le := binary.LittleEndian
+		trace, _ := canonicalID(s.TraceID) // "" parses as 0: no trace
+		dst = append(dst, binaryMagic, binaryKindSetup)
+		dst = le.AppendUint32(dst, uint32(s.InputSize))
+		dst = le.AppendUint32(dst, uint32(s.LocalEpochs))
+		dst = le.AppendUint64(dst, math.Float64bits(s.LocalRate))
+		dst = le.AppendUint32(dst, uint32(s.SchemeVehicles))
+		dst = le.AppendUint32(dst, uint32(s.SchemeBatches))
+		dst = le.AppendUint32(dst, uint32(s.SchemeDegree))
+		dst = le.AppendUint64(dst, uint64(s.SchemeSeed))
+		dst = le.AppendUint32(dst, uint32(s.WireVersion))
+		dst = le.AppendUint64(dst, uint64(s.HelloNs))
+		dst = le.AppendUint64(dst, uint64(s.ClockNs))
+		dst = le.AppendUint64(dst, trace)
+		dst = le.AppendUint32(dst, uint32(len(s.ActivationCoeffs)))
+		dst = le.AppendUint32(dst, uint32(len(s.RefX)))
+		dst = le.AppendUint32(dst, uint32(refCols(s.RefX)))
+		dst = appendFloats(dst, s.ActivationCoeffs)
+		for _, row := range s.RefX {
+			dst = appendFloats(dst, row)
+		}
+		return dst
+	}
 	if b := m.Broadcast; b != nil {
 		if b.TraceID == "" {
 			dst = append(dst, binaryMagic, binaryKindBroadcast)
@@ -384,10 +460,7 @@ func appendBinary(dst []byte, m *Message) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Round))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Params)))
-		for _, v := range b.Params {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst
+		return appendFloats(dst, b.Params)
 	}
 	u := m.Upload
 	if u.TraceID == "" {
@@ -402,7 +475,11 @@ func appendBinary(dst []byte, m *Message) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Round))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(u.VehicleID))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(u.Values)))
-	for _, v := range u.Values {
+	return appendFloats(dst, u.Values)
+}
+
+func appendFloats(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
@@ -488,6 +565,37 @@ func parseBinary(body []byte) (*Message, error) {
 		}
 		up.Values = readFloats(rest, int(count))
 		return &Message{Upload: up}, nil
+	case binaryKindSetup:
+		if len(body) < setupFixedLen {
+			return nil, fmt.Errorf("protocol: binary setup header truncated (%d bytes)", len(rest))
+		}
+		su := &Setup{}
+		su.InputSize = int(readU32())
+		su.LocalEpochs = int(readU32())
+		su.LocalRate = math.Float64frombits(readU64())
+		su.SchemeVehicles = int(readU32())
+		su.SchemeBatches = int(readU32())
+		su.SchemeDegree = int(readU32())
+		su.SchemeSeed = int64(readU64())
+		su.WireVersion = int(readU32())
+		su.HelloNs = int64(readU64())
+		su.ClockNs = int64(readU64())
+		su.TraceID = formatID16(readU64())
+		coeffs, rows, cols := uint64(readU32()), uint64(readU32()), uint64(readU32())
+		// Three u32 counts cannot overflow this sum, and it must equal the
+		// floats actually present before any of them sizes an allocation;
+		// rows and cols are zero together so that neither escapes the check.
+		if (rows == 0) != (cols == 0) || len(rest)%8 != 0 || coeffs+rows*cols != uint64(len(rest)/8) {
+			return nil, fmt.Errorf("protocol: binary setup declares %d coefficients and %d x %d reference values in %d payload bytes", coeffs, rows, cols, len(rest))
+		}
+		su.ActivationCoeffs = readFloats(rest, int(coeffs))
+		if flat := readFloats(rest[8*coeffs:], int(rows*cols)); flat != nil {
+			su.RefX = make([][]float64, rows)
+			for i := range su.RefX {
+				su.RefX[i] = flat[i*int(cols) : (i+1)*int(cols) : (i+1)*int(cols)]
+			}
+		}
+		return &Message{Setup: su}, nil
 	}
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
@@ -559,9 +667,9 @@ func appendFrame(dst []byte, m *Message, crcFlip uint32) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return dst, err
 	}
-	if m.Broadcast != nil || m.Upload != nil {
+	if m.isBulk() {
 		if !bulkEncodable(m) {
-			return dst, fmt.Errorf("protocol: %s does not fit the binary body (round or vehicle outside 32 bits, more than %d values, or a trace context that is not two canonical nonzero IDs)", m.kind(), maxBinaryValues)
+			return dst, fmt.Errorf("protocol: %s does not fit the binary body (an integer outside 32 bits, a body over %d bytes, a ragged or zero-width reference set, or a trace context that is not canonical nonzero IDs)", m.kind(), MaxMessageSize)
 		}
 		dst = slices.Grow(dst, headerLen+binaryBodyLen(m))
 		dst = append(dst, make([]byte, headerLen)...) // filled in below

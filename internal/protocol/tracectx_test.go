@@ -47,8 +47,9 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 
 // TestCtxAbsentKeepsV3WireBytes is the golden-bytes pin of revision 5: a
 // context-free and a context-bearing Broadcast and Upload, a Hello
-// without a session ID and a Setup, byte for byte. A change to any of
-// these bytes is a new protocol revision, not a refactor.
+// without a session ID, and a bare and a fully populated Setup, byte for
+// byte. (Setup's bytes are the binary body's: builds that sent it as JSON
+// are the second incompatibility DESIGN.md §13.3 lists.)
 func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
 	golden := []struct {
 		m     *Message
@@ -65,9 +66,17 @@ func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
 		{&Message{Hello: &Hello{Version: 5, VehicleID: 4}},
 			hex.EncodeToString([]byte("\x00\x00\x00\x26\x66\x45\x93\x34" + `{"hello":{"version":5,"vehicle_id":4}}`))},
 		{&Message{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 5}},
-			hex.EncodeToString([]byte("\x00\x00\x00\xa1\x9a\x5b\xe7\xa1" +
-				`{"setup":{"input_size":3,"local_epochs":0,"local_rate":0,"ref_x":null,"scheme_vehicles":4,` +
-				`"scheme_batches":0,"scheme_degree":0,"scheme_seed":9,"wire_version":5}}`))},
+			"0000004e00a149e4b306" + "0300000000000000" + "0000000000000000" + "040000000000000000000000" +
+				"0900000000000000" + "05000000" + "00000000000000000000000000000000" + "0000000000000000" +
+				"000000000000000000000000"},
+		{&Message{Setup: &Setup{InputSize: 2, LocalEpochs: 5, LocalRate: 0.5, ActivationCoeffs: []float64{0, 1},
+			RefX: [][]float64{{1, 2}, {-1, 0.5}}, SchemeVehicles: 6, SchemeBatches: 2, SchemeDegree: 1, SchemeSeed: -2,
+			WireVersion: 5, TraceID: testTrace, HelloNs: 7, ClockNs: 9}},
+			"0000007e54cd2846b306" + "0200000005000000" + "000000000000e03f" + "060000000200000001000000" +
+				"feffffffffffffff" + "05000000" + "07000000000000000900000000000000" + "efbeadde00000000" +
+				"020000000200000002000000" +
+				"0000000000000000000000000000f03f" +
+				"000000000000f03f0000000000000040000000000000f0bf000000000000e03f"},
 	}
 	for _, g := range golden {
 		var buf bytes.Buffer
@@ -85,9 +94,10 @@ func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
 
 // TestBulkHasNoJSONForm: a bulk message that does not fit the binary
 // body — non-canonical or partial trace context, an integer outside the
-// fixed-width fields — is refused by the writer, which has no other
-// encoding to fall back to, and a JSON body naming a bulk variant (or
-// the retired gather variant) is refused by the reader.
+// fixed-width fields, a reference set the reader would refuse — is
+// refused by the writer, which has no other encoding to fall back to, and
+// a JSON body naming a bulk variant (or the retired gather variant) is
+// refused by the reader.
 func TestBulkHasNoJSONForm(t *testing.T) {
 	for _, m := range []*Message{
 		{Broadcast: &Broadcast{Round: 1, Params: []float64{1}, TraceID: "abc", SpanID: "def"}},                         // short
@@ -96,6 +106,12 @@ func TestBulkHasNoJSONForm(t *testing.T) {
 		{Upload: &Upload{Round: 1, Values: []float64{1}, TraceID: "0000000000000000", SpanID: testSpan}},               // zero trace
 		{Broadcast: &Broadcast{Round: -1, Params: []float64{1}}},                                                       // round outside u32
 		{Upload: &Upload{Round: 1, VehicleID: -5, Values: []float64{1}}},                                               // id outside u32
+		{Setup: &Setup{RefX: [][]float64{{1, 2}, {3}}}},                                                                // ragged
+		{Setup: &Setup{RefX: [][]float64{{}, {}}}},                                                                     // zero-width rows
+		{Setup: &Setup{RefX: [][]float64{{1}}, SchemeVehicles: -1}},                                                    // count outside u32
+		{Setup: &Setup{RefX: [][]float64{{1}}, WireVersion: 1 << 32}},                                                  // revision outside u32
+		{Setup: &Setup{RefX: [][]float64{{1}}, TraceID: "abc"}},                                                        // short trace
+		{Setup: &Setup{RefX: [][]float64{{1}}, TraceID: "0000000000000000"}},                                           // zero trace
 	} {
 		kept := []byte("kept")
 		out, err := AppendFrame(kept, m, Version)
@@ -109,6 +125,7 @@ func TestBulkHasNoJSONForm(t *testing.T) {
 	for _, body := range []string{
 		`{"broadcast":{"round":1,"params":[1,2]}}`,
 		`{"upload":{"round":1,"vehicle_id":2,"values":[3]}}`,
+		`{"setup":{"input_size":1,"local_epochs":1,"local_rate":0.1,"ref_x":[[1]],"scheme_vehicles":2,"scheme_batches":2,"scheme_degree":1,"scheme_seed":1,"wire_version":5}}`,
 		`{"gather":{"uploads":[{"round":1,"vehicle_id":2,"values":[3]}]}}`,
 	} {
 		if m, err := Read(bytes.NewReader(rawFrame([]byte(body)))); err == nil {
