@@ -356,6 +356,33 @@ func TestDistillAllocs(t *testing.T) {
 	}
 }
 
+// TestDistillerFitAllocs: the fit the fusion centre runs every round — a
+// Distiller held for the session, the kept rows those of the last round —
+// replays its factorisation and allocates nothing (the one-shot Distill
+// above builds the design matrix and normal equations every call).
+func TestDistillerFitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _ := roundModel(t)
+	ds := roundData(t, roundRefRows, 14)
+	cfg := fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 1, LocalRate: 0.2,
+		DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5}
+	d, err := fl.NewDistiller(cfg, ds.Features())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := func() {
+		if _, err := d.Fit(net, ds.Slowness); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fit()
+	if avg := testing.AllocsPerRun(50, fit); avg != 0 {
+		t.Errorf("a steady-state Distiller.Fit allocates %.1f times per call, want 0", avg)
+	}
+}
+
 // TestFrameAllocs: one binary Upload frame written and read over a reused
 // TCP connection was 7 allocations (body, escaping header, read header,
 // read body, and the message's three parts); with per-connection frame

@@ -136,12 +136,13 @@ type Vehicle struct {
 
 // System is a running FL deployment.
 type System struct {
-	cfg      Config
-	shared   *nn.Network
-	vehicles []*Vehicle
-	refX     [][]float64
-	rng      *rand.Rand
-	round    int
+	cfg       Config
+	shared    *nn.Network
+	vehicles  []*Vehicle
+	refX      [][]float64
+	distiller *Distiller // the fusion centre's update step over refX
+	rng       *rand.Rand
+	round     int
 
 	// Observability handles, resolved once in NewSystem so the per-round
 	// and per-vehicle paths never touch the registry. trace is the
@@ -167,10 +168,10 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 	if len(refX) == 0 {
 		return nil, fmt.Errorf("fl: need a non-empty reference feature set")
 	}
-	for i, x := range refX {
-		if len(x) != cfg.InputSize {
-			return nil, fmt.Errorf("fl: reference sample %d has %d features, want %d", i, len(x), cfg.InputSize)
-		}
+	refX = cloneRows(refX)
+	distiller, err := NewDistiller(cfg, refX)
+	if err != nil {
+		return nil, err
 	}
 	sizes := append([]int{cfg.InputSize}, cfg.Hidden...)
 	sizes = append(sizes, 1)
@@ -182,10 +183,11 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 		return nil, fmt.Errorf("fl: %w", err)
 	}
 	s := &System{
-		cfg:    cfg,
-		shared: shared,
-		refX:   cloneRows(refX),
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
+		cfg:       cfg,
+		shared:    shared,
+		refX:      refX,
+		distiller: distiller,
+		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
@@ -431,17 +433,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	}
 	stats.Targets = targets
 
-	distill := make([]nn.Sample, 0, len(targets))
-	for j, target := range targets {
-		if IsDropped(target) {
-			continue // aggregation could not recover this sample
-		}
-		distill = append(distill, nn.Sample{X: s.refX[j], Y: clamp01(target)})
-	}
-	if len(distill) == 0 {
-		return nil, fmt.Errorf("fl: no usable estimation targets this round")
-	}
-	dl, err := s.distill(distill)
+	dl, err := s.distiller.Fit(s.shared, targets)
 	if err != nil {
 		return nil, fmt.Errorf("fl: distillation: %w", err)
 	}
@@ -456,94 +448,6 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		obs.F("distill_loss", stats.DistillLoss),
 		obs.F("dropped_scalars", stats.DroppedScalars))
 	return stats, nil
-}
-
-// distill updates the shared model toward the estimation targets.
-func (s *System) distill(samples []nn.Sample) (float64, error) {
-	return Distill(s.shared, s.cfg, samples)
-}
-
-// Distill updates a shared model toward per-sample estimation targets —
-// the fusion centre's update step, exported so the distributed runtime
-// (package node) can reuse it. For the paper's single-nonlinear-layer
-// model the fit has a closed form — invert the activation on the targets
-// (π = (1+tanh(z/2))/2 ⇒ z = 2·artanh(2π−1)) and solve the linear
-// least-squares problem for the weights — which is deterministic and free
-// of gradient-descent oscillation. Deeper baseline models fall back to
-// full-batch gradient descent.
-func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("fl: no distillation samples")
-	}
-	if len(cfg.Hidden) != 0 {
-		return shared.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
-	}
-	n := len(samples)
-	// The logit fit must stay inside the activation's valid range. The
-	// exact symmetric sigmoid is monotone everywhere, so ±3.9 (π clamped
-	// to [0.02, 0.98]) is fine; a polynomial approximation is only
-	// faithful on its fit interval (the paper's [-2, 2]) and turns
-	// non-monotone beyond it — target logits outside that range would
-	// drive pre-activations into the region where the polynomial
-	// decreases again and scramble the model's predictions.
-	zmax := 3.9
-	if shared.Activation().Poly != nil {
-		zmax = 2
-	}
-	piMax := (1 + math.Tanh(zmax/2)) / 2
-	a := linalg.NewMatrix(n, cfg.InputSize+1)
-	z := make([]float64, n)
-	for i, smp := range samples {
-		for j, v := range smp.X {
-			a.Set(i, j, v)
-		}
-		a.Set(i, cfg.InputSize, 1) // bias column
-		pi := math.Min(piMax, math.Max(1-piMax, smp.Y))
-		z[i] = 2 * math.Atanh(2*pi-1)
-	}
-	// Ridge regularisation keeps the fit well-posed when a rare-event
-	// feature is constant over the reference set (collinear with bias),
-	// and — equally important — keeps the weight vector bounded along
-	// nearly-collinear feature directions. Unregularised weights can grow
-	// huge there while cancelling on the data manifold; Lagrange-encoded
-	// inputs leave that manifold, so runaway weights would make honest
-	// encoded estimations explode. λ scales with the sample count to
-	// track the magnitude of AᵀA.
-	wb, err := linalg.RidgeLeastSquares(a, z, 1e-3*float64(n))
-	if err != nil {
-		// Degenerate reference geometry: fall back to gradient descent.
-		return shared.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
-	}
-	// Damped server update: move partway from the current parameters to
-	// the closed-form fit.
-	alpha := cfg.serverStep()
-	old := shared.Params()
-	for i := range wb {
-		wb[i] = old[i] + alpha*(wb[i]-old[i])
-	}
-	if err := shared.SetParams(wb); err != nil {
-		return 0, err
-	}
-	shared.ProjectWeights()
-	var total float64
-	for _, smp := range samples {
-		l, err := shared.Loss(smp.X, smp.Y)
-		if err != nil {
-			return 0, err
-		}
-		total += l
-	}
-	return total / float64(n), nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // Accuracy evaluates the shared model's classification accuracy on a test

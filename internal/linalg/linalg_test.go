@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,6 +233,134 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	}
 	if x[0] != 3 || x[1] != 2 {
 		t.Errorf("Solve = %v", x)
+	}
+}
+
+// referenceSolve is Matrix.Solve as it stood before the elimination was
+// split into factor and solveInPlace: swaps and row updates applied to the
+// matrix and the right-hand side in one pass. Kept as the oracle.
+func referenceSolve(m *Matrix, b []float64) ([]float64, error) {
+	n := m.rows
+	a := m.Clone()
+	x := Clone(b)
+	for col := 0; col < n; col++ {
+		pivot := col
+		best := math.Abs(a.At(col, col))
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(a.At(r, col)); v > best {
+				best, pivot = v, r
+			}
+		}
+		if best < 1e-300 {
+			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
+		}
+		if pivot != col {
+			a.swapRows(pivot, col)
+			x[pivot], x[col] = x[col], x[pivot]
+		}
+		inv := 1 / a.At(col, col)
+		for r := col + 1; r < n; r++ {
+			f := a.At(r, col) * inv
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				a.Set(r, c, a.At(r, c)-f*a.At(col, c))
+			}
+			x[r] -= f * x[col]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= a.At(i, j) * x[j]
+		}
+		x[i] = s / a.At(i, i)
+	}
+	return x, nil
+}
+
+// TestFactorReplayMatchesSolve: one factorisation replayed on many
+// right-hand sides lands on the bits of the one-pass elimination it
+// replaced, for random systems (pivoting everywhere), sparse ones (zero
+// multipliers skipped) and singular ones (same error); Ridge likewise
+// against the normal equations formed and solved afresh.
+func TestFactorReplayMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(17)
+		a := randomMatrix(rng, n, n)
+		if trial%3 == 1 { // sparse: many exact-zero multipliers
+			for i := range a.data {
+				if rng.Intn(3) > 0 {
+					a.data[i] = 0
+				}
+			}
+		}
+		if trial%10 == 9 && n > 1 { // singular: a repeated row
+			copy(a.RowView(n-1), a.RowView(0))
+		}
+		f, ferr := a.factor()
+		for k := 0; k < 4; k++ {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want, werr := referenceSolve(a, b)
+			if (ferr == nil) != (werr == nil) {
+				t.Fatalf("trial %d: factor error %v, reference %v", trial, ferr, werr)
+			}
+			if werr != nil {
+				if ferr.Error() != werr.Error() {
+					t.Fatalf("trial %d: factor error %q, reference %q", trial, ferr, werr)
+				}
+				continue
+			}
+			got := Clone(b)
+			f.solveInPlace(got)
+			viaSolve, err := a.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaSolve[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d rhs %d: x[%d] replay %v, Solve %v, reference %v", trial, k, i, got[i], viaSolve[i], want[i])
+				}
+			}
+		}
+	}
+
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 1+rng.Intn(80), 1+rng.Intn(17)
+		a := randomMatrix(rng, rows, cols)
+		lambda := 1e-3 * float64(rows)
+		r, err := NewRidge(a, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			b := make([]float64, rows)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			at := a.T()
+			ata, _ := at.Mul(a)
+			for i := 0; i < cols; i++ {
+				ata.Set(i, i, ata.At(i, i)+lambda)
+			}
+			atb, _ := at.MulVec(b)
+			want, err := referenceSolve(ata, atb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, cols)
+			r.SolveInto(got, b)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("ridge trial %d rhs %d: x[%d] = %v, reference %v", trial, k, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

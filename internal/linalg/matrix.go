@@ -219,11 +219,35 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	if len(b) != m.rows {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), m.rows)
 	}
+	f, err := m.factor()
+	if err != nil {
+		return nil, err
+	}
+	x := Clone(b)
+	f.solveInPlace(x)
+	return x, nil
+}
+
+// luFactors is a square matrix's Gaussian elimination with partial
+// pivoting, recorded so that it can be replayed on any number of
+// right-hand sides: the row swap and the multipliers of every column, and
+// the upper triangle left behind. The elimination never reads the
+// right-hand side, so solveInPlace performs exactly the right-hand-side
+// operations of one elimination pass, in the same order — Solve is factor
+// plus one replay.
+type luFactors struct {
+	n     int
+	pivot []int     // pivot[col]: the row swapped into col (col itself: none)
+	mult  []float64 // mult[col*n+r]: row r's multiplier at column col; 0 skips the row
+	u     *Matrix   // the eliminated matrix; only the upper triangle is read
+}
+
+// factor eliminates the square matrix m (m is not modified). It returns
+// an error for singular (or numerically singular) matrices.
+func (m *Matrix) factor() (*luFactors, error) {
 	n := m.rows
 	a := m.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
+	f := &luFactors{n: n, pivot: make([]int, n), mult: make([]float64, n*n), u: a}
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in the column.
 		pivot := col
@@ -236,31 +260,54 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 		if best < 1e-300 {
 			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
 		}
+		f.pivot[col] = pivot
 		if pivot != col {
 			a.swapRows(pivot, col)
-			x[pivot], x[col] = x[col], x[pivot]
 		}
 		inv := 1 / a.At(col, col)
 		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
+			mf := a.At(r, col) * inv
+			f.mult[col*n+r] = mf
+			if mf == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(col, c))
+				a.Set(r, c, a.At(r, c)-mf*a.At(col, c))
 			}
-			x[r] -= f * x[col]
+		}
+	}
+	return f, nil
+}
+
+// solveInPlace overwrites x (length n) with the solution of A·x = x: the
+// recorded swaps and eliminations, then back substitution. It allocates
+// nothing and panics on a length mismatch.
+func (f *luFactors) solveInPlace(x []float64) {
+	n := f.n
+	if len(x) != n {
+		panic(fmt.Sprintf("linalg: rhs length %d, want %d", len(x), n))
+	}
+	for col := 0; col < n; col++ {
+		if p := f.pivot[col]; p != col {
+			x[p], x[col] = x[col], x[p]
+		}
+		for r := col + 1; r < n; r++ {
+			mf := f.mult[col*n+r]
+			if mf == 0 {
+				continue
+			}
+			x[r] -= mf * x[col]
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
+		row := f.u.RowView(i)
 		for j := i + 1; j < n; j++ {
-			s -= a.At(i, j) * x[j]
+			s -= row[j] * x[j]
 		}
-		x[i] = s / a.At(i, i)
+		x[i] = s / row[i]
 	}
-	return x, nil
 }
 
 func (m *Matrix) swapRows(i, j int) {

@@ -115,6 +115,31 @@ func RidgeLeastSquares(a *Matrix, b []float64, lambda float64) ([]float64, error
 	if len(b) != a.Rows() {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), a.Rows())
 	}
+	r, err := NewRidge(a, lambda)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, a.Cols())
+	r.SolveInto(x, b)
+	return x, nil
+}
+
+// Ridge is RidgeLeastSquares with the design matrix fixed: AᵀA + λI is
+// formed and eliminated once, and each right-hand side then costs one
+// Aᵀb and one replay of the elimination — the same operations, in the
+// same order, as a fresh RidgeLeastSquares call.
+type Ridge struct {
+	at *Matrix // Aᵀ: Aᵀb is at.MulVecInto, each entry summed over rows in order
+	lu *luFactors
+}
+
+// NewRidge factorises the normal equations of min ‖A·x − b‖₂² + λ‖x‖₂²
+// (a is not retained). It returns an error for λ ≤ 0 or a singular
+// system.
+func NewRidge(a *Matrix, lambda float64) (*Ridge, error) {
+	if lambda <= 0 {
+		return nil, fmt.Errorf("linalg: ridge lambda %g must be positive", lambda)
+	}
 	at := a.T()
 	ata, err := at.Mul(a)
 	if err != nil {
@@ -123,11 +148,21 @@ func RidgeLeastSquares(a *Matrix, b []float64, lambda float64) ([]float64, error
 	for i := 0; i < ata.Rows(); i++ {
 		ata.Set(i, i, ata.At(i, i)+lambda)
 	}
-	atb, err := at.MulVec(b)
+	lu, err := ata.factor()
 	if err != nil {
 		return nil, err
 	}
-	return ata.Solve(atb)
+	return &Ridge{at: at, lu: lu}, nil
+}
+
+// SolveInto writes the ridge solution for right-hand side b (length
+// A.Rows()) into x (length A.Cols()) without allocating. It panics on a
+// length mismatch.
+func (r *Ridge) SolveInto(x, b []float64) {
+	if err := r.at.MulVecInto(x, b); err != nil {
+		panic(err)
+	}
+	r.lu.solveInPlace(x)
 }
 
 // Vandermonde returns the len(xs)×(deg+1) Vandermonde matrix with rows

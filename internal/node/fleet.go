@@ -87,9 +87,15 @@ type fleetSession struct {
 }
 
 // pendingConn is a handshaked connection parked in the admission queue.
+// answered is closed once the parking admit call has sent the peer its
+// Admission{Queued}; whoever takes the entry off the queue (drainQueue,
+// Close) waits on it first, so the next frame on the connection — a
+// Setup once it is seated, or a rejection — can never overtake that
+// answer, while the send itself still happens outside mu.
 type pendingConn struct {
-	conn  transport.Conn
-	hello *protocol.Hello
+	conn     transport.Conn
+	hello    *protocol.Hello
+	answered chan struct{}
 }
 
 // Fleet runs many concurrent FL sessions behind one listener: session
@@ -305,6 +311,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 	finRounds := 0
 	var start *fleetSession
 	var rejoinConn, evicted transport.Conn
+	var answered chan struct{}
 	switch {
 	case f.closed:
 		decision, reason = decideReject, "fleet shutting down"
@@ -331,7 +338,8 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		// always fill and run to completion.
 		if !sess.reserved && f.cfg.MaxConns > 0 && f.committed+sess.expect > f.cfg.MaxConns {
 			if len(f.queue) < f.cfg.QueueDepth {
-				f.queue = append(f.queue, pendingConn{conn: conn, hello: h})
+				answered = make(chan struct{})
+				f.queue = append(f.queue, pendingConn{conn: conn, hello: h, answered: answered})
 				f.queuedTotal++
 				decision = decideQueue
 			} else {
@@ -389,6 +397,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		_ = sendFlush(conn, &protocol.Message{Admission: &protocol.Admission{
 			Queued: true, Reason: "fleet at connection budget",
 		}})
+		close(answered)
 	case decideFinished:
 		_ = sendFlush(conn, &protocol.Message{Finished: &protocol.Finished{Rounds: finRounds}})
 		_ = conn.Close()
@@ -493,10 +502,12 @@ func (f *Fleet) startSession(sess *fleetSession) {
 	}()
 }
 
-// drainQueue re-admits every parked connection once. Connections whose
-// session still holds no reservation simply park again (the queue is
-// bounded, so this converges), and connections for completed sessions
-// are answered with Finished.
+// drainQueue re-admits every parked connection once, in queue order.
+// Connections whose session still holds no reservation simply park again
+// (the queue is bounded, so this converges), and connections for
+// completed sessions are answered with Finished. Each entry's Queued
+// answer is waited for first: an entry parked moments ago may still be
+// having it sent.
 func (f *Fleet) drainQueue() {
 	f.mu.Lock()
 	parked := f.queue
@@ -504,6 +515,7 @@ func (f *Fleet) drainQueue() {
 	f.updateGauges(f.live, 0)
 	f.mu.Unlock()
 	for _, p := range parked {
+		<-p.answered
 		f.admit(p.conn, p.hello)
 	}
 }
@@ -544,6 +556,7 @@ func (f *Fleet) Close() error {
 		err = l.Close()
 	}
 	for _, p := range parked {
+		<-p.answered
 		f.sendReject(p.conn, "fleet shutting down", true)
 	}
 	return err

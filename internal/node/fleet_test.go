@@ -77,28 +77,39 @@ func fleetScenario(t testing.TB, ids []string, vehicles, rounds int) (map[string
 // runFleetVehicles drives every session's vehicles over the fabric and
 // reports the first vehicle error.
 func runFleetVehicles(fab *transport.PipeFabric, clients map[string][]ClientConfig, ids []string) error {
-	errCh := make(chan error, 256)
-	var wg sync.WaitGroup
+	var all []ClientConfig
 	for _, id := range ids {
-		for _, cc := range clients[id] {
-			wg.Add(1)
-			go func(cc ClientConfig) {
-				defer wg.Done()
-				conn, err := fab.Dial()
-				if err != nil {
-					errCh <- fmt.Errorf("vehicle %s/%d dial: %w", cc.SessionID, cc.VehicleID, err)
-					return
-				}
-				defer conn.Close()
-				if err := RunVehicle(conn, cc); err != nil {
-					errCh <- fmt.Errorf("vehicle %s/%d: %w", cc.SessionID, cc.VehicleID, err)
-				}
-			}(cc)
-		}
+		all = append(all, clients[id]...)
 	}
-	wg.Wait()
-	close(errCh)
-	return <-errCh
+	return startFleetVehicles(fab, all)()
+}
+
+// startFleetVehicles dials and runs each vehicle on its own goroutine; the
+// returned wait blocks until all have returned and reports the first
+// vehicle error.
+func startFleetVehicles(fab *transport.PipeFabric, ccs []ClientConfig) (wait func() error) {
+	errCh := make(chan error, len(ccs))
+	var wg sync.WaitGroup
+	for _, cc := range ccs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := fab.Dial()
+			if err != nil {
+				errCh <- fmt.Errorf("vehicle %s/%d dial: %w", cc.SessionID, cc.VehicleID, err)
+				return
+			}
+			defer conn.Close()
+			if err := RunVehicle(conn, cc); err != nil {
+				errCh <- fmt.Errorf("vehicle %s/%d: %w", cc.SessionID, cc.VehicleID, err)
+			}
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		close(errCh)
+		return <-errCh
+	}
 }
 
 // TestFleetMultiSessionRouting: three concurrent sessions behind one
@@ -324,8 +335,20 @@ func TestFleetBudgetQueueing(t *testing.T) {
 	fab := transport.NewPipeFabric(0)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
-	if err := runFleetVehicles(fab, clients, ids); err != nil {
-		t.Fatal(err)
+	// Gate s0 so the budget pressure is real: its first vehicle reserves
+	// the whole budget, every s1 vehicle dials and parks while s0 cannot
+	// start, and only then does s0's last vehicle complete it. Ungated, s0
+	// could finish before s1 dialled and nobody would queue.
+	s0 := clients["s0"]
+	waits := []func() error{startFleetVehicles(fab, s0[:1])}
+	waitFleet(fleet, func(st FleetStatus) bool { return st.Committed == vehicles })
+	waits = append(waits, startFleetVehicles(fab, clients["s1"]))
+	waitFleet(fleet, func(st FleetStatus) bool { return st.Queued == vehicles })
+	waits = append(waits, startFleetVehicles(fab, s0[1:]))
+	for _, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("fleet serve: %v", err)
@@ -337,11 +360,107 @@ func TestFleetBudgetQueueing(t *testing.T) {
 		}
 	}
 	st := fleet.Status()
-	if st.QueuedTotal < 1 {
-		t.Fatalf("queued total %d — budget pressure never queued anyone", st.QueuedTotal)
+	if st.QueuedTotal < vehicles {
+		t.Fatalf("queued total %d, want >= %d — s1's vehicles did not all park", st.QueuedTotal, vehicles)
 	}
 	if st.Admitted != 2*vehicles {
 		t.Fatalf("admitted %d, want %d", st.Admitted, 2*vehicles)
+	}
+}
+
+// stallQueued is a pipe-fabric listener whose connections hold every
+// Admission{Queued} send until release is closed, counting each one into
+// parked — a peer slow to take its queue answer.
+type stallQueued struct {
+	*transport.PipeFabric
+	release <-chan struct{}
+	parked  *sync.WaitGroup
+}
+
+func (l *stallQueued) Accept() (transport.Conn, error) {
+	c, err := l.PipeFabric.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stallQueuedConn{Conn: c, l: l}, nil
+}
+
+type stallQueuedConn struct {
+	transport.Conn
+	l *stallQueued
+}
+
+func (c *stallQueuedConn) Send(m *protocol.Message) error {
+	if m.Admission != nil && m.Admission.Queued {
+		c.l.parked.Done()
+		<-c.l.release
+	}
+	return c.Conn.Send(m)
+}
+
+// TestFleetQueuedAnswerPrecedesSetup: budget that frees while a parked
+// connection's Admission{Queued} is still being sent does not seat that
+// connection until the answer is out, so its vehicle reads Queued before
+// Setup. Before the fix the drain seated it at once, the Setup overtook
+// the answer, and the vehicle met Queued inside its round loop
+// ("unexpected message admission").
+func TestFleetQueuedAnswerPrecedesSetup(t *testing.T) {
+	const vehicles = 2
+	cfgs, clients := fleetScenario(t, []string{"s0", "s1"}, vehicles, 1)
+	fleet, err := NewFleet(FleetConfig{Sessions: cfgs, MaxConns: vehicles, QueueDepth: vehicles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var parked sync.WaitGroup
+	parked.Add(vehicles)
+	fab := transport.NewPipeFabric(0)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- fleet.Serve(&stallQueued{PipeFabric: fab, release: release, parked: &parked}) }()
+
+	s0 := clients["s0"]
+	waits := []func() error{startFleetVehicles(fab, s0[:1])}
+	waitFleet(fleet, func(st FleetStatus) bool { return st.Committed == vehicles })
+	waits = append(waits, startFleetVehicles(fab, clients["s1"]))
+	parked.Wait() // both s1 vehicles queued, their answers stalled
+	waits = append(waits, startFleetVehicles(fab, s0[1:]))
+	// s0 runs, completes and drains the queue. A drain that does not wait
+	// for the stalled answers seats s1 and starts it; give it the chance.
+	state := func(id string) string {
+		for _, ss := range fleet.Status().Sessions {
+			if ss.ID == id {
+				return ss.State
+			}
+		}
+		return ""
+	}
+	waitFleet(fleet, func(FleetStatus) bool { return state("s0") == "done" })
+	grace := time.After(100 * time.Millisecond)
+wait:
+	for state("s1") != "running" {
+		select {
+		case <-grace:
+			break wait
+		default:
+			runtime.Gosched()
+		}
+	}
+	if got := state("s1"); got != "gathering" {
+		t.Errorf("s1 is %s while its vehicles' Queued answers are unsent, want gathering", got)
+	}
+	close(release)
+	for _, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("fleet serve: %v", err)
+	}
+	for id, r := range fleet.Results() {
+		if r.Err != nil || r.Report == nil || r.Report.Rounds != 1 {
+			t.Fatalf("session %s: report=%+v err=%v", id, r.Report, r.Err)
+		}
 	}
 }
 

@@ -135,9 +135,10 @@ type Report struct {
 
 // Server is the fusion centre.
 type Server struct {
-	cfg    ServerConfig
-	shared *nn.Network
-	scheme *core.Scheme
+	cfg       ServerConfig
+	shared    *nn.Network
+	scheme    *core.Scheme
+	distiller *fl.Distiller // the update step over cfg.RefX, one per session
 
 	// rejoin carries handshaked reconnections into Run's collect loop.
 	rejoin chan rejoinReq
@@ -262,11 +263,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: scheme: %w", err)
 	}
+	distiller, err := fl.NewDistiller(cfg.FL, cfg.RefX)
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
+	}
 	srv := &Server{
-		cfg:    cfg,
-		shared: shared,
-		scheme: scheme,
-		rejoin: make(chan rejoinReq, 64),
+		cfg:       cfg,
+		shared:    shared,
+		scheme:    scheme,
+		distiller: distiller,
+		rejoin:    make(chan rejoinReq, 64),
 	}
 	if cfg.Obs.Enabled() {
 		srv.obs = cfg.Obs
@@ -575,16 +581,15 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	// Per-round state, hoisted so the rejoin handler (a closure shared by
 	// every round's collect loop) sees the current round's values — and
 	// so the buffers are allocated once: each round clears and refills
-	// uploads, outstanding, retrans and distill instead of rebuilding
-	// them. Nothing keeps them past its round (the streamed ingest holds
-	// upload rows, never the uploads slice itself).
+	// uploads, outstanding and retrans instead of rebuilding them. Nothing
+	// keeps them past its round (the streamed ingest holds upload rows,
+	// never the uploads slice itself).
 	var (
 		round       int
 		bc          *protocol.Message
 		uploads     = make([][]float64, v)
 		outstanding = make(map[int]bool, v)
 		retrans     = make(map[int]int)
-		distill     = make([]nn.Sample, 0, len(s.cfg.RefX))
 	)
 	// One deadline timer for the whole session, re-armed every round: a
 	// time.After per round would stay live until it fired.
@@ -932,17 +937,9 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		for _, id := range suspects {
 			flagged[id] = true
 		}
-		distill = distill[:0]
-		for j, target := range targets {
-			if fl.IsDropped(target) {
-				continue
-			}
-			distill = append(distill, nn.Sample{X: s.cfg.RefX[j], Y: clamp01(target)})
-		}
-		if len(distill) > 0 {
-			if _, err := fl.Distill(s.shared, s.cfg.FL, distill); err != nil {
-				return nil, fmt.Errorf("node: round %d distill: %w", round, err)
-			}
+		// A round whose every target was dropped leaves the model still.
+		if _, err := s.distiller.Fit(s.shared, targets); err != nil && !errors.Is(err, fl.ErrNoTargets) {
+			return nil, fmt.Errorf("node: round %d distill: %w", round, err)
 		}
 		report.Rounds = round
 		s.cRoundsDone.Inc()
@@ -1018,16 +1015,6 @@ func sortedVehicleIDs(byID map[int]transport.Conn) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // ClientConfig parameterises one vehicle process.
