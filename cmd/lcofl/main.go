@@ -505,20 +505,15 @@ func addChaosFlag(fs *flag.FlagSet) func(ob *obs.Obs) (*chaos.Injector, error) {
 
 // addPipelineFlags registers the round-engine knobs shared by serve and
 // dist and returns an applier that copies them into a ServerConfig. The
-// defaults keep the pipelined engine in its bit-identical-to-lock-step
-// mode (unlimited wait-budget); see DESIGN.md §14.
+// default wait-budget waits for the whole fleet every round; see
+// DESIGN.md §14.
 func addPipelineFlags(fs *flag.FlagSet) func(*node.ServerConfig) {
-	lockstep := fs.Bool("lockstep", false, "disable the pipelined round engine and run lock-step rounds")
 	waitBudget := fs.Int("wait-budget", 0,
 		"uploads beyond the recover threshold K to wait for before closing a round (-1 = close at K, 0 = wait for the whole fleet)")
-	adaptiveBudget := fs.Bool("adaptive-budget", false,
-		"adapt the wait-budget per round from the observed straggler distribution (overrides -wait-budget)")
 	window := fs.Int("pipeline-window", 0,
 		"rounds a budget-excluded vehicle may fall behind before its broadcasts are withheld (0 = default)")
 	return func(cfg *node.ServerConfig) {
-		cfg.DisablePipeline = *lockstep
 		cfg.WaitBudget = *waitBudget
-		cfg.AdaptiveBudget = *adaptiveBudget
 		cfg.PipelineWindow = *window
 	}
 }

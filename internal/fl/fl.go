@@ -20,14 +20,18 @@
 //     distillation — see DESIGN.md §1(b) for why this is the coherent
 //     reading of the paper's "vehicles upload only estimation results").
 //
+// Step 4 is CloseRound, which the networked engine (package node) calls
+// too: given the same admitted uploads both drivers close a round alike,
+// so a System is the engine's test oracle (DESIGN.md §14).
+//
 // The package provides the two baseline schemes (plain FL and
 // approximation-only FL differ solely in the activation installed into
-// the models) and the traditional parameter-upload FedAvg mode
-// (RunParamRound); package core provides the paper's contribution on top
-// of the same System.
+// the models); package core provides the paper's contribution on top of
+// the same System.
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,7 +40,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/approx"
 	"repro/internal/channel"
-	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -66,18 +69,6 @@ type Config struct {
 	DistillEpochs int
 	// DistillRate is the fusion centre's update learning rate.
 	DistillRate float64
-	// WeightCap, when positive, bounds the L1 norm of every model's
-	// parameter vector via projected SGD. Polynomial activations require
-	// it: they are non-monotone outside their approximation interval, so
-	// pre-activations must stay bounded (|w·x+b| ≤ ‖params‖₁ for inputs
-	// in [-1, 1]).
-	WeightCap float64
-	// ProximalMu adds a FedProx-style proximal term to local training,
-	// pulling each vehicle's parameters toward the broadcast model with
-	// strength μ. Coded schemes rely on it: the decoder separates honest
-	// from malicious uploads by residual, so honest heterogeneity must
-	// stay bounded. Zero disables the term (plain FedAvg-style locals).
-	ProximalMu float64
 	// ServerStep damps the fusion centre's parameter update:
 	// new = old + ServerStep·(fit − old). Values in (0, 1]; zero selects
 	// the default 0.5. Full steps (1.0) can induce a period-2 oscillation
@@ -141,7 +132,6 @@ type System struct {
 	vehicles  []*Vehicle
 	refX      [][]float64
 	distiller *Distiller // the fusion centre's update step over refX
-	rng       *rand.Rand
 	round     int
 
 	// Observability handles, resolved once in NewSystem so the per-round
@@ -179,15 +169,11 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 	if err != nil {
 		return nil, fmt.Errorf("fl: shared model: %w", err)
 	}
-	if err := shared.SetWeightCap(cfg.WeightCap); err != nil {
-		return nil, fmt.Errorf("fl: %w", err)
-	}
 	s := &System{
 		cfg:       cfg,
 		shared:    shared,
 		refX:      refX,
 		distiller: distiller,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
@@ -348,7 +334,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		if err := v.Model.SetParams(sharedParams); err != nil {
 			return fmt.Errorf("fl: vehicle %d: %w", v.ID, err)
 		}
-		loss, err := v.Model.TrainSGDProximal(v.Data, s.cfg.LocalRate, s.cfg.LocalEpochs, v.rng, s.cfg.ProximalMu, sharedParams)
+		loss, err := v.Model.TrainSGD(v.Data, s.cfg.LocalRate, s.cfg.LocalEpochs, v.rng)
 		if err != nil {
 			return fmt.Errorf("fl: vehicle %d training: %w", v.ID, err)
 		}
@@ -410,9 +396,9 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	}
 	stats.MeanLocalLoss = lossSum / float64(len(s.vehicles))
 
-	// Step 4: aggregation and distillation update. The scheme's own
-	// core.aggregate span (when it has one) nests under this fl.aggregate
-	// span via SetSpanParent.
+	// Step 4: the round close — aggregation and distillation update. The
+	// scheme's own core.aggregate span (when it has one) nests under this
+	// fl.aggregate span via SetSpanParent.
 	aggFields := []obs.Field{obs.F("round", stats.Round)}
 	var aggCtx obs.SpanContext
 	if roundCtx.Valid() {
@@ -423,21 +409,11 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		sp.SetSpanParent(aggCtx)
 	}
 	aggSpan := s.obs.Start("fl.aggregate", aggFields...)
-	targets, err := scheme.Aggregate(uploads)
+	stats.Targets, stats.DistillLoss, err = CloseRound(scheme, nil, s.distiller, s.shared, uploads)
 	aggSpan.End()
 	if err != nil {
-		return nil, fmt.Errorf("fl: aggregate: %w", err)
+		return nil, err
 	}
-	if len(targets) != len(s.refX) {
-		return nil, fmt.Errorf("fl: scheme produced %d targets for %d reference samples", len(targets), len(s.refX))
-	}
-	stats.Targets = targets
-
-	dl, err := s.distiller.Fit(s.shared, targets)
-	if err != nil {
-		return nil, fmt.Errorf("fl: distillation: %w", err)
-	}
-	stats.DistillLoss = dl
 	s.round++
 	if s.obs.Enabled() {
 		s.cRounds.Inc()
@@ -448,6 +424,39 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		obs.F("distill_loss", stats.DistillLoss),
 		obs.F("dropped_scalars", stats.DroppedScalars))
 	return stats, nil
+}
+
+// CloseRound is the fusion centre's close of one round, the one step
+// System.RunRound and the networked engine (package node) share: it
+// aggregates the admitted uploads — one row per vehicle, nil for a
+// vehicle the round did not admit — into one target per reference sample
+// and fits shared to them with d. A non-nil sink is the round's streamed
+// ingest, consumed by the scheme's AggregateStreamed (scheme must then be
+// a StreamingAggregator); a nil sink aggregates from the rows alone. A
+// round whose every target was dropped leaves shared still and reports a
+// zero loss.
+func CloseRound(scheme Scheme, sink UploadSink, d *Distiller, shared *nn.Network, uploads [][]float64) (targets []float64, loss float64, err error) {
+	if sink != nil {
+		st, ok := scheme.(StreamingAggregator)
+		if !ok {
+			return nil, 0, fmt.Errorf("fl: scheme %s has no streamed aggregation", scheme.Name())
+		}
+		targets, err = st.AggregateStreamed(sink, uploads)
+	} else {
+		targets, err = scheme.Aggregate(uploads)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("fl: aggregate: %w", err)
+	}
+	// Fit checks the target count against the reference set.
+	loss, err = d.Fit(shared, targets)
+	switch {
+	case errors.Is(err, ErrNoTargets):
+		return targets, 0, nil
+	case err != nil:
+		return nil, 0, fmt.Errorf("fl: distillation: %w", err)
+	}
+	return targets, loss, nil
 }
 
 // Accuracy evaluates the shared model's classification accuracy on a test
@@ -489,25 +498,4 @@ func (s *System) MeanEstimate(features [][]float64) (float64, error) {
 		sum += pi
 	}
 	return sum / float64(len(features)), nil
-}
-
-// FedAvg averages parameter vectors elementwise — the classic aggregation
-// of paper eq. 2, provided for the traditional parameter-upload FL mode
-// and its tests. All vectors must share one length.
-func FedAvg(params [][]float64) ([]float64, error) {
-	if len(params) == 0 {
-		return nil, fmt.Errorf("fl: FedAvg over zero vectors")
-	}
-	n := len(params[0])
-	out := make([]float64, n)
-	for i, p := range params {
-		if len(p) != n {
-			return nil, fmt.Errorf("fl: FedAvg vector %d has length %d, want %d", i, len(p), n)
-		}
-		linalg.VecAddInPlace(out, p)
-	}
-	for i := range out {
-		out[i] /= float64(len(params))
-	}
-	return out, nil
 }

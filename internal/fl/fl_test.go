@@ -250,35 +250,71 @@ func TestAccuracyValidation(t *testing.T) {
 	}
 }
 
-func TestFedAvg(t *testing.T) {
-	got, err := FedAvg([][]float64{{1, 2}, {3, 4}})
+func TestDistillHiddenLayerPath(t *testing.T) {
+	// Multi-layer shared models take the full-batch gradient-descent
+	// distillation path (the closed logit form only fits a single layer).
+	cfg := testConfig()
+	cfg.Hidden = []int{6}
+	cfg.DistillEpochs = 40
+	cfg.DistillRate = 0.5
+	sys, test := buildSystemWith(t, 8, approx.SymmetricSigmoid(), cfg)
+	scheme, err := NewPlainScheme(sys.ReferenceFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 2 || got[1] != 3 {
-		t.Errorf("FedAvg = %v", got)
+	accBefore, err := sys.Accuracy(test.Samples)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := FedAvg(nil); err == nil {
-		t.Error("empty FedAvg accepted")
+	var tail float64
+	const rounds = 15
+	for r := 0; r < rounds; r++ {
+		if _, err := sys.RunRound(scheme, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if r >= rounds-5 {
+			a, err := sys.Accuracy(test.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail += a / 5
+		}
 	}
-	if _, err := FedAvg([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("ragged FedAvg accepted")
+	if tail < accBefore-0.05 {
+		t.Errorf("hidden-layer distillation regressed: %g -> %g", accBefore, tail)
 	}
 }
 
-func TestFedAvgIsLinearInParams(t *testing.T) {
-	// FedAvg of identical vectors is the identity — eq. 2 sanity.
-	p := []float64{0.5, -1, 3}
-	got, err := FedAvg([][]float64{p, p, p})
+// TestCloseRoundNoTargetsHoldsStill: a round that admitted nobody
+// aggregates to all-Dropped targets, and the close leaves the model where
+// it was instead of failing. A streamed ingest needs a streaming scheme.
+func TestCloseRoundNoTargetsHoldsStill(t *testing.T) {
+	sys, _ := buildSystem(t, 3, approx.SymmetricSigmoid())
+	scheme, err := NewPlainScheme(sys.ReferenceFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p {
-		if got[i] != p[i] {
-			t.Errorf("FedAvg(identical)[%d] = %g", i, got[i])
+	before := sys.Shared().Params()
+	targets, loss, err := CloseRound(scheme, nil, sys.distiller, sys.Shared(), make([][]float64, sys.NumVehicles()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss != 0 || !IsDropped(targets[0]) {
+		t.Errorf("empty round: loss %g, first target %g", loss, targets[0])
+	}
+	for i, p := range sys.Shared().Params() {
+		if math.Float64bits(p) != math.Float64bits(before[i]) {
+			t.Fatal("empty round moved the model")
 		}
 	}
+	if _, _, err := CloseRound(scheme, nopSink{}, sys.distiller, sys.Shared(), nil); err == nil {
+		t.Error("streamed ingest accepted by a scheme without streamed aggregation")
+	}
 }
+
+type nopSink struct{}
+
+func (nopSink) Add(int, []float64) error { return nil }
 
 func TestDeterministicRounds(t *testing.T) {
 	a, _ := buildSystem(t, 5, approx.SymmetricSigmoid())

@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/fl"
-	"repro/internal/latency"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/poly"
@@ -67,24 +66,11 @@ type ServerConfig struct {
 	// resend it. 0 selects the default of 3; negative disables
 	// retransmission, turning corrupted uploads into stragglers.
 	MaxRetransmits int
-	// DisablePipeline forces the legacy lock-step engine: no streaming
-	// ingest into the incremental decoder, no early round closes, no
-	// broadcast withholding. The pipelined engine produces bit-identical
-	// FinalParams for any schedule and worker count
-	// (DESIGN.md §14, pinned by TestPipelineBitIdentical); the knob exists
-	// for A/B benchmarks and as an escape hatch.
-	DisablePipeline bool
 	// WaitBudget sets how many uploads beyond the recover threshold K the
-	// pipelined engine waits for before closing a round's collection
-	// window. 0 (the default) waits for every live vehicle — close
-	// conditions identical to lock-step; -1 closes at exactly K; n > 0
-	// closes at K+n. Ignored under DisablePipeline.
+	// engine waits for before closing a round's collection window. 0 (the
+	// default) waits for every live vehicle; -1 closes at exactly K; n > 0
+	// closes at K+n.
 	WaitBudget int
-	// AdaptiveBudget derives the effective wait-budget per round from the
-	// observed straggler distribution and flagged-vehicle count
-	// (AdaptiveRedundancy), overriding WaitBudget. Ignored under
-	// DisablePipeline.
-	AdaptiveBudget bool
 	// PipelineWindow bounds in-flight rounds for vehicles that fell
 	// behind a budget-based early close: once a behind vehicle is more
 	// than PipelineWindow rounds stale, its broadcasts are withheld
@@ -195,10 +181,9 @@ type Status struct {
 	// still owed.
 	Arrived     int `json:"arrived"`
 	Outstanding int `json:"outstanding"`
-	// PipelineWindow and AdaptiveBudget echo the engine config; Behind
-	// lists vehicles outpaced by a budget close.
+	// PipelineWindow echoes the engine config; Behind lists vehicles
+	// outpaced by a budget close.
 	PipelineWindow int   `json:"pipeline_window"`
-	AdaptiveBudget bool  `json:"adaptive_budget"`
 	Behind         []int `json:"behind,omitempty"`
 	// Cumulative recovery tallies, mirroring the Report fields.
 	Stragglers     int `json:"stragglers"`
@@ -427,7 +412,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			Rounds:         s.cfg.Rounds,
 			RecoverK:       s.scheme.RecoverThreshold(),
 			PipelineWindow: s.cfg.PipelineWindow,
-			AdaptiveBudget: s.cfg.AdaptiveBudget,
 			TraceID:        traceHex,
 		}
 	})
@@ -552,28 +536,8 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	dead := map[int]bool{}
 
 	// Pipeline state (DESIGN.md §14), confined to this goroutine like the
-	// maps above. streamer absorbs uploads into the incremental decoder as
-	// they arrive; lastSeen/behind/pendingBc implement the bounded
+	// maps above: lastSeen/behind/pendingBc implement the bounded
 	// in-flight-rounds window for vehicles outpaced by a budget close.
-	pipeline := !s.cfg.DisablePipeline
-	var streamer fl.StreamingAggregator
-	if pipeline {
-		var sch fl.Scheme = s.scheme
-		streamer, _ = sch.(fl.StreamingAggregator)
-	}
-	var adaptive *AdaptiveRedundancy
-	if pipeline && s.cfg.AdaptiveBudget {
-		ctrl, err := NewAdaptiveRedundancy(latency.Scenario{
-			Vehicles:      v,
-			Batches:       s.cfg.Scheme.NumBatches,
-			Degree:        s.cfg.Scheme.Degree,
-			UploadScalars: s.scheme.UploadLen(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		adaptive = ctrl
-	}
 	lastSeen := make(map[int]int, v)             // latest round each vehicle uploaded for
 	behind := make(map[int]bool)                 // vehicles outpaced by a budget close
 	pendingBc := make(map[int]*protocol.Message) // withheld broadcasts, latest only
@@ -720,19 +684,12 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		// Streaming ingest: each accepted upload flows into the scheme's
 		// incremental decoder immediately, so most of the decode work is
 		// already done when the collection window closes. The effective
-		// wait-budget decides that close: -1 waits for every live vehicle
-		// (lock-step-identical), otherwise the window closes once
-		// K + effBudget uploads have landed.
-		var sink fl.UploadSink
-		if streamer != nil {
-			sink = streamer.BeginIngest()
-		}
+		// wait-budget decides that close: -1 waits for every live vehicle,
+		// otherwise the window closes once K + effBudget uploads have
+		// landed.
+		sink := s.scheme.BeginIngest()
 		effBudget := -1
 		switch {
-		case !pipeline:
-		case adaptive != nil:
-			adaptive.SetErrors(len(flagged))
-			effBudget = adaptive.Budget()
 		case s.cfg.WaitBudget == -1:
 			effBudget = 0
 		case s.cfg.WaitBudget > 0:
@@ -867,17 +824,15 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 				break collect // stragglers: leave their uploads nil
 			}
 		}
-		if pipeline {
-			if closedBy == "budget" {
-				s.cEarlyClose.Inc()
-			}
-			s.obs.Emit("node.pipeline",
-				obs.F("round", round),
-				obs.F("wait_budget", effBudget),
-				obs.F("arrived", arrived),
-				obs.F("closed_by", closedBy),
-				obs.F("overlap_ns", overlapNs))
+		if closedBy == "budget" {
+			s.cEarlyClose.Inc()
 		}
+		s.obs.Emit("node.pipeline",
+			obs.F("round", round),
+			obs.F("wait_budget", effBudget),
+			obs.F("arrived", arrived),
+			obs.F("closed_by", closedBy),
+			obs.F("overlap_ns", overlapNs))
 		roundStragglers := 0
 		for _, id := range ids {
 			if !dead[id] && uploads[id] == nil {
@@ -891,9 +846,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			st.Phase = "aggregate"
 			st.Stragglers += roundStragglers
 		})
-		if adaptive != nil {
-			adaptive.ObserveStragglers(roundStragglers)
-		}
 
 		present := 0
 		for _, up := range uploads {
@@ -918,28 +870,18 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			continue
 		}
 
-		// Aggregate, consuming the streamed decode state where it applies
-		// (bit-identical to the plain Aggregate, core/stream.go). The
-		// scheme's core.aggregate span nests under this round's span; the
-		// zero context with tracing off keeps it detached.
+		// The round close fl.System runs too, consuming the streamed decode
+		// state where it applies (bit-identical to the plain Aggregate,
+		// core/stream.go). The scheme's core.aggregate span nests under
+		// this round's span; the zero context with tracing off keeps it
+		// detached.
 		s.scheme.SetSpanParent(roundCtx)
-		var targets []float64
-		var err error
-		if sink != nil {
-			targets, err = streamer.AggregateStreamed(sink, uploads)
-		} else {
-			targets, err = s.scheme.Aggregate(uploads)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("node: round %d aggregate: %w", round, err)
+		if _, _, err := fl.CloseRound(s.scheme, sink, s.distiller, s.shared, uploads); err != nil {
+			return nil, fmt.Errorf("node: round %d: %w", round, err)
 		}
 		suspects := s.scheme.SuspectedMalicious()
 		for _, id := range suspects {
 			flagged[id] = true
-		}
-		// A round whose every target was dropped leaves the model still.
-		if _, err := s.distiller.Fit(s.shared, targets); err != nil && !errors.Is(err, fl.ErrNoTargets) {
-			return nil, fmt.Errorf("node: round %d distill: %w", round, err)
 		}
 		report.Rounds = round
 		s.cRoundsDone.Inc()

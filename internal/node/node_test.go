@@ -30,6 +30,7 @@ type session struct {
 	clients []ClientConfig
 	vconns  []transport.Conn // vehicle side
 	test    *traffic.Dataset
+	plan    *adversary.Plan // the liars among clients (nil = all honest)
 }
 
 func buildSession(t *testing.T, vehicles, rounds int, maliciousFrac float64) *session {
@@ -45,9 +46,8 @@ func buildSessionObs(t *testing.T, vehicles, rounds int, maliciousFrac float64, 
 }
 
 // buildSessionFull additionally pins the scheme's worker count (0 =
-// GOMAXPROCS) — the chaos determinism tests sweep it. It takes a
-// testing.TB so the round-engine benchmarks can reuse it.
-func buildSessionFull(t testing.TB, vehicles, rounds int, maliciousFrac float64, o *obs.Obs, workers int) *session {
+// GOMAXPROCS) — the chaos determinism tests sweep it.
+func buildSessionFull(t *testing.T, vehicles, rounds int, maliciousFrac float64, o *obs.Obs, workers int) *session {
 	t.Helper()
 	ds, err := traffic.Generate(traffic.GenConfig{Rows: 1200, Seed: 21})
 	if err != nil {
@@ -101,7 +101,7 @@ func buildSessionFull(t testing.TB, vehicles, rounds int, maliciousFrac float64,
 			t.Fatal(err)
 		}
 	}
-	s := &session{server: server, test: test}
+	s := &session{server: server, test: test, plan: plan}
 	for i := 0; i < vehicles; i++ {
 		server_side, vehicle_side := transport.Pipe()
 		s.conns = append(s.conns, transport.Instrument(server_side, o, fmt.Sprintf("conn-%d", i)))

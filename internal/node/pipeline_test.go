@@ -1,108 +1,242 @@
 package node
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/approx"
 	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/fl"
+	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/poly"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
 
-// pipelineCase is one cell of the chaos axis of the bit-identity matrix.
-type pipelineCase struct {
-	name    string
-	spec    string
-	retry   map[int]bool  // vehicles running under RunVehicleRetry
-	timeout time.Duration // round timeout override (0 = session default)
+// engineCase is one cell of the engine-versus-simulation matrix.
+type engineCase struct {
+	name      string
+	malicious float64       // fraction of vehicles lying ConstantLie{5}
+	spec      string        // chaos spec ("" = fault-free)
+	retry     map[int]bool  // vehicles running under RunVehicleRetry
+	timeout   time.Duration // round timeout override (0 = session default)
+	deferred  bool          // the last two vehicles always upload a round late, WaitBudget=2
 }
 
-// runPipelineSession executes one chaos session and returns its report.
-// lockstep selects the legacy engine.
-func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep bool, tc pipelineCase) *Report {
-	t.Helper()
-	s := buildSessionFull(t, vehicles, rounds, 0, nil, workers)
-	s.server.cfg.DisablePipeline = lockstep
-	if tc.timeout > 0 {
-		s.server.cfg.RoundTimeout = tc.timeout
-	}
-	inj := chaos.New(mustChaosSpec(t, tc.spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
-	return chaosRun(t, s, inj, tc.retry)
-}
+// The matrix's session shape: K = 8, so up to two lies are corrected.
+const engineVehicles, engineRounds = 12, 3
 
-// TestPipelineBitIdentical pins the tentpole invariant: for every
-// schedule (chaos spec) and worker count, the pipelined engine produces
-// bit-identical FinalParams — and identical recovery counters — to the
-// lock-step engine forced by DisablePipeline.
-func TestPipelineBitIdentical(t *testing.T) {
-	cases := []pipelineCase{
-		// One silently dropped upload: a timeout-closed round with a
-		// straggler, recovered next round.
-		{name: "drop", spec: "seed=3;drop.upload@3=1:max=1", timeout: time.Second},
-		// Injected upload delays (recorded, not slept, so schedules stay
-		// deterministic) exercise the arrival-order machinery.
-		{name: "delay", spec: "seed=4;delay.upload=0.5:10ms"},
-		crashCase,
-	}
-	comparePipelineToLockstep(t, cases)
+// chaosCases are the fault cells of the matrix.
+var chaosCases = []engineCase{
+	// One silently dropped upload: a timeout-closed round with a
+	// straggler, recovered next round.
+	{name: "drop", spec: "seed=3;drop.upload@3=1:max=1", timeout: time.Second},
+	// Injected upload delays (recorded, not slept, so schedules stay
+	// deterministic) exercise the arrival-order machinery.
+	{name: "delay", spec: "seed=4;delay.upload=0.5:10ms"},
+	crashCase,
 }
 
 // crashCase: corrupt frames with bounded retransmits plus a
 // crash-and-rejoin. Vehicle 4's round-2 upload arrives through the rejoin
 // resend, inside round 2 because chaosRun gates that round's close on the
 // rejoin (rejoinGate).
-var crashCase = pipelineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2",
+var crashCase = engineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2",
 	retry: map[int]bool{4: true}}
 
-// TestCrashRejoinBitIdentical is the crash cell of TestPipelineBitIdentical
-// on its own: no timeout-closed round, so it is fast enough for CI to
-// repeat a hundred times under the race detector — the rate at which the
-// rejoin race this cell once lost would show.
-func TestCrashRejoinBitIdentical(t *testing.T) {
-	comparePipelineToLockstep(t, []pipelineCase{crashCase})
+// TestEngineMatchesSimulation pins the networked engine to its oracle: a
+// round's outcome is CloseRound over the uploads the round admitted, so
+// fl.System, run on the same data, seeds and activation and shown only
+// the admitted uploads, must end every session on bit-identical
+// parameters and the same flagged vehicles — fault-free, with liars, under
+// chaos faults, and with a budget close excluding two late vehicles, at
+// every scheme worker count.
+func TestEngineMatchesSimulation(t *testing.T) {
+	matchSimulation(t, append([]engineCase{
+		{name: "honest"},
+		{name: "liars", malicious: 0.2},
+		{name: "deferred", deferred: true},
+	}, chaosCases...))
 }
 
-// comparePipelineToLockstep runs every case on the lock-step engine and
-// on the pipelined engine at 1, 2 and 8 workers, and requires
-// bit-identical FinalParams and identical recovery counters.
-func comparePipelineToLockstep(t *testing.T, cases []pipelineCase) {
+// TestPipelineBitIdentical is the chaos axis of TestEngineMatchesSimulation
+// on its own: faults the recovery machinery absorbs leave the model on the
+// simulation's, with identical recovery counters at every worker count.
+func TestPipelineBitIdentical(t *testing.T) {
+	matchSimulation(t, chaosCases)
+}
+
+// TestCrashRejoinBitIdentical is the crash cell on its own: no
+// timeout-closed round, so it is fast enough for CI to repeat a hundred
+// times under the race detector — the rate at which the rejoin race this
+// cell once lost would show.
+func TestCrashRejoinBitIdentical(t *testing.T) {
+	matchSimulation(t, []engineCase{crashCase})
+}
+
+// matchSimulation runs every case on the engine at 1, 2 and 8 scheme
+// workers and requires FinalParams bit-identical to the simulation's, the
+// simulation's flagged set, and recovery counters equal across worker
+// counts.
+func matchSimulation(t *testing.T, cases []engineCase) {
 	t.Helper()
-	const vehicles, rounds = 12, 3
 	for _, tc := range cases {
-		base := runPipelineSession(t, vehicles, rounds, 1, true, tc)
-		if base.Rounds != rounds {
-			t.Fatalf("%s: lock-step rounds = %d", tc.name, base.Rounds)
-		}
+		admitted := tc.admitted(t)
+		var first *Report
 		for _, workers := range []int{1, 2, 8} {
-			rep := runPipelineSession(t, vehicles, rounds, workers, false, tc)
-			if !sameBits(rep.FinalParams, base.FinalParams) {
-				t.Errorf("%s workers=%d: pipelined FinalParams diverged from lock-step", tc.name, workers)
+			s, rep := tc.run(t, workers)
+			if rep.Rounds != engineRounds {
+				t.Fatalf("%s workers=%d: rounds = %d", tc.name, workers, rep.Rounds)
 			}
-			// RecvErrors is compared only for crash-free specs: whether
-			// the fusion centre's receiver observes a killed conn's EOF
-			// before the rejoin replaces it is a scheduling race in BOTH
-			// engines (TestChaosRecoveryBitIdentical omits it likewise).
-			if tc.retry == nil && rep.RecvErrors != base.RecvErrors {
-				t.Errorf("%s workers=%d: recv errors %d, lock-step %d",
-					tc.name, workers, rep.RecvErrors, base.RecvErrors)
+			if first == nil {
+				first = rep
+				params, flagged := simulate(t, s, admitted)
+				if !sameBits(rep.FinalParams, params) {
+					t.Errorf("%s: engine FinalParams diverged from the simulation's", tc.name)
+				}
+				if !slices.Equal(rep.SuspectedMalicious, flagged) {
+					t.Errorf("%s: engine flagged %v, simulation %v", tc.name, rep.SuspectedMalicious, flagged)
+				}
+				continue
 			}
-			if rep.Rounds != base.Rounds ||
-				rep.Stragglers != base.Stragglers ||
-				rep.CorruptFrames != base.CorruptFrames ||
-				rep.Retransmits != base.Retransmits ||
-				rep.Rejoins != base.Rejoins ||
-				rep.DegradedRounds != base.DegradedRounds {
-				t.Errorf("%s workers=%d: recovery counters diverged:\npipelined %+v\nlock-step %+v",
-					tc.name, workers, rep, base)
+			if !sameBits(rep.FinalParams, first.FinalParams) {
+				t.Errorf("%s workers=%d: FinalParams differ from workers=1", tc.name, workers)
 			}
-			if len(rep.SuspectedMalicious) != len(base.SuspectedMalicious) {
-				t.Errorf("%s workers=%d: flagged %v, lock-step %v",
-					tc.name, workers, rep.SuspectedMalicious, base.SuspectedMalicious)
+			if !slices.Equal(rep.SuspectedMalicious, first.SuspectedMalicious) {
+				t.Errorf("%s workers=%d: flagged %v, workers=1 %v",
+					tc.name, workers, rep.SuspectedMalicious, first.SuspectedMalicious)
+			}
+			// RecvErrors is compared only for crash-free specs: whether the
+			// fusion centre's receiver observes a killed conn's EOF before
+			// the rejoin replaces it is a scheduling race
+			// (TestChaosRecoveryBitIdentical omits it likewise).
+			if tc.retry == nil && rep.RecvErrors != first.RecvErrors {
+				t.Errorf("%s workers=%d: recv errors %d, workers=1 %d",
+					tc.name, workers, rep.RecvErrors, first.RecvErrors)
+			}
+			if rep.Stragglers != first.Stragglers ||
+				rep.CorruptFrames != first.CorruptFrames ||
+				rep.Retransmits != first.Retransmits ||
+				rep.Rejoins != first.Rejoins ||
+				rep.DegradedRounds != first.DegradedRounds {
+				t.Errorf("%s workers=%d: recovery counters diverged:\n%+v\nworkers=1 %+v",
+					tc.name, workers, rep, first)
 			}
 		}
 	}
+}
+
+// run executes the case's session on the engine at the given scheme
+// worker count, with every vehicle's SGD seed aligned to the one
+// fl.System gives it.
+func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
+	t.Helper()
+	if tc.deferred {
+		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, 0, nil)
+	}
+	s := buildSessionFull(t, engineVehicles, engineRounds, tc.malicious, nil, workers)
+	s.alignSeeds()
+	if tc.timeout > 0 {
+		s.server.cfg.RoundTimeout = tc.timeout
+	}
+	inj := chaos.New(mustChaosSpec(t, tc.spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
+	return s, chaosRun(t, s, inj, tc.retry)
+}
+
+// admitted is the case's admission mask: whether the engine's round
+// (1-based) aggregates vehicle id's upload. The deferred pair is never
+// admitted; a certain (p = 1) upload drop aimed at one vehicle loses that
+// vehicle's first Max uploads, rounds 1..Max. Every other fault in the
+// matrix is recovered within its round.
+func (tc engineCase) admitted(t *testing.T) func(round, id int) bool {
+	t.Helper()
+	if tc.deferred {
+		return func(_, id int) bool { return id < engineVehicles-2 }
+	}
+	lost := map[[2]int]bool{}
+	for _, r := range mustChaosSpec(t, tc.spec).Rules {
+		if r.Fault != "drop" {
+			continue
+		}
+		if r.Kind != "upload" || r.Prob != 1 || r.Peer < 0 || r.Max < 1 {
+			t.Fatalf("%s: drop rule %+v has no fixed admission mask", tc.name, r)
+		}
+		for round := 1; round <= r.Max; round++ {
+			lost[[2]int{round, r.Peer}] = true
+		}
+	}
+	return func(round, id int) bool { return !lost[[2]int{round, id}] }
+}
+
+// alignSeeds gives vehicle i the SGD seed fl.System gives it,
+// FL.Seed+100+i.
+func (s *session) alignSeeds() {
+	for i := range s.clients {
+		s.clients[i].Seed = s.server.cfg.FL.Seed + 100 + int64(i)
+	}
+}
+
+// simulate runs the session's scenario through fl.System — the same
+// vehicle data, seeds, scheme, activation and liars — for engineRounds
+// rounds, each aggregating only the uploads admitted marks, and returns
+// the final parameters and every vehicle the scheme flagged, sorted.
+func simulate(t *testing.T, s *session, admitted func(round, id int) bool) ([]float64, []int) {
+	t.Helper()
+	cfg := s.server.cfg
+	data := make([][]nn.Sample, len(s.clients))
+	for i, c := range s.clients {
+		data[i] = c.Data
+	}
+	act := approx.FromPolynomial("wire-poly", poly.NewReal(cfg.ActivationCoeffs...))
+	sys, err := fl.NewSystem(cfg.FL, data, cfg.RefX, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.NewScheme(cfg.RefX, cfg.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked := &maskedScheme{Scheme: inner, admitted: admitted, flagged: map[int]bool{}}
+	for r := 0; r < engineRounds; r++ {
+		if _, err := sys.RunRound(masked, s.plan, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var flagged []int
+	for id := range masked.flagged {
+		flagged = append(flagged, id)
+	}
+	sort.Ints(flagged)
+	return sys.Shared().Params(), flagged
+}
+
+// maskedScheme is the simulation's admission mask: it hands the scheme
+// only the rows the engine admitted in the current round and collects the
+// vehicles the scheme flags.
+type maskedScheme struct {
+	*core.Scheme
+	round    int
+	admitted func(round, id int) bool
+	flagged  map[int]bool
+}
+
+func (m *maskedScheme) Aggregate(uploads [][]float64) ([]float64, error) {
+	m.round++
+	for id := range uploads {
+		if !m.admitted(m.round, id) {
+			uploads[id] = nil
+		}
+	}
+	targets, err := m.Scheme.Aggregate(uploads)
+	for _, id := range m.Scheme.SuspectedMalicious() {
+		m.flagged[id] = true
+	}
+	return targets, err
 }
 
 // deferConn holds back every upload until the NEXT broadcast arrives,
@@ -134,11 +268,13 @@ func (c *deferConn) Recv() (*protocol.Message, error) {
 	return m, err
 }
 
-// runDeferredSession runs a session where the last two vehicles defer
-// every upload one round (deferConn), under the given pipeline knobs.
-func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, window int, o *obs.Obs) *Report {
+// runDeferredSession runs a session with aligned seeds (alignSeeds) where
+// the last two vehicles defer every upload one round (deferConn), under
+// the given pipeline knobs.
+func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, window int, o *obs.Obs) (*session, *Report) {
 	t.Helper()
 	s := buildSessionFull(t, vehicles, rounds, 0, o, workers)
+	s.alignSeeds()
 	s.server.cfg.WaitBudget = waitBudget
 	if window > 0 {
 		s.server.cfg.PipelineWindow = window
@@ -162,7 +298,7 @@ func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, win
 		t.Fatal(err)
 	}
 	wg.Wait()
-	return report
+	return s, report
 }
 
 // TestPipelineEarlyClose pins the wait-budget close: with the last two
@@ -185,7 +321,7 @@ func TestPipelineEarlyClose(t *testing.T) {
 	for _, window := range []int{0, rounds} {
 		reg := obs.NewRegistry()
 		o := obs.New(reg, nil, nil)
-		base := runDeferredSession(t, vehicles, rounds, 1, 2, window, o)
+		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, window, o)
 		got := reg.Counter("node.early_closes").Value()
 		if window == 0 && (got < rounds-1 || got > rounds) {
 			t.Errorf("window=default: node.early_closes = %d, want %d or %d", got, rounds-1, rounds)
@@ -205,7 +341,7 @@ func TestPipelineEarlyClose(t *testing.T) {
 			t.Errorf("window=%d: FinalParams differ from the default window's", window)
 		}
 		for _, workers := range []int{2, 8} {
-			rep := runDeferredSession(t, vehicles, rounds, workers, 2, window, nil)
+			_, rep := runDeferredSession(t, vehicles, rounds, workers, 2, window, nil)
 			if !sameBits(rep.FinalParams, base.FinalParams) {
 				t.Errorf("window=%d workers=%d: budget-closed run not deterministic", window, workers)
 			}
@@ -226,7 +362,7 @@ func TestPipelineWindowWithholding(t *testing.T) {
 	const vehicles, rounds = 12, 4
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil, nil)
-	rep := runDeferredSession(t, vehicles, rounds, 1, 2, 1, o)
+	_, rep := runDeferredSession(t, vehicles, rounds, 1, 2, 1, o)
 	if rep.Rounds != rounds {
 		t.Fatalf("rounds = %d, want %d", rep.Rounds, rounds)
 	}

@@ -99,7 +99,7 @@ func soakScenario(t testing.TB, ids []string, vehicles, rounds, workers int) (ma
 	return cfgs, clients
 }
 
-// soloRun executes one session lock-step on a dedicated server over
+// soloRun executes one session on a dedicated server over
 // plain pipes — the single-session baseline the fleet runs are compared
 // against bit-for-bit.
 func soloRun(t testing.TB, cfg ServerConfig, clients []ClientConfig) *Report {
@@ -184,7 +184,7 @@ func soakDrive(t testing.TB, dial func() (transport.Conn, error), clients map[st
 // TestFleetSoakWorkersSweep pins the fleet-scale determinism claim: a
 // multi-session fleet under chaos churn — delayed uploads on one shard
 // plus a crash-and-rejoin through the fleet's admission path — produces
-// per-session aggregates bit-identical to the single-session lock-step
+// per-session aggregates bit-identical to the single-session
 // baseline, at every worker count in {1, 2, 8}.
 func TestFleetSoakWorkersSweep(t *testing.T) {
 	ids := []string{"s0", "s1", "s2"}
@@ -229,7 +229,7 @@ func TestFleetSoakWorkersSweep(t *testing.T) {
 				t.Fatalf("workers=%d session %s: report=%+v err=%v", workers, id, r.Report, r.Err)
 			}
 			if !sameBits(r.Report.FinalParams, baseline[id].FinalParams) {
-				t.Errorf("workers=%d session %s: fleet aggregate diverged from lock-step baseline", workers, id)
+				t.Errorf("workers=%d session %s: fleet aggregate diverged from single-session baseline", workers, id)
 			}
 		}
 		if rj := results[ids[0]].Report.Rejoins; rj < 1 {
@@ -299,7 +299,7 @@ func TestFleetSoakTCP(t *testing.T) {
 	}
 	baseline := soloRun(t, cfgs[ids[0]], clients[ids[0]])
 	if !sameBits(results[ids[0]].Report.FinalParams, baseline.FinalParams) {
-		t.Error("chaos-delayed shard diverged from its lock-step pipe baseline")
+		t.Error("chaos-delayed shard diverged from its single-session pipe baseline")
 	}
 
 	st := fleet.Status()

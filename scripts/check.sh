@@ -36,16 +36,17 @@ echo "== go test -race -count=2 (scheduling-sensitive packages)"
 # order-dependent state the first run happened to miss.
 go test -race -count=2 ./internal/node ./internal/chaos
 
-echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin bit-identity)"
-# The crash cell of the engine bit-identity matrix once lost a rejoin
-# race about one run in ten (four in ten under -race); a hundred
+echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin against the simulation)"
+# The crash cell of the engine-versus-simulation matrix once lost a
+# rejoin race about one run in ten (four in ten under -race); a hundred
 # repetitions make a return of that rate certain to show.
 go test -race -count=100 -run 'TestCrashRejoin' ./internal/node
 
-echo "== go test -run Allocs (plain build)"
-# Every AllocsPerRun pin skips itself under the race detector, so the
-# -race runs above never execute them; this step does.
-go test -run 'Allocs' ./...
+echo "== go test -run 'Allocs|FiguresGolden' (plain build)"
+# Every AllocsPerRun pin and the results/ figure golden skip themselves
+# under the race detector, so the -race runs above never execute them;
+# this step does.
+go test -run 'Allocs|FiguresGolden' ./...
 
 echo "== lines of Go per package (non-test / test)"
 # Non-test LOC is tracked like a benchmark (ROADMAP, north star); a
