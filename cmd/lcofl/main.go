@@ -503,18 +503,15 @@ func addChaosFlag(fs *flag.FlagSet) func(ob *obs.Obs) (*chaos.Injector, error) {
 	}
 }
 
-// addPipelineFlags registers the round-engine knobs shared by serve and
-// dist and returns an applier that copies them into a ServerConfig. The
+// addPipelineFlags registers the round-engine knob shared by serve and
+// dist and returns an applier that copies it into a ServerConfig. The
 // default wait-budget waits for the whole fleet every round; see
 // DESIGN.md §14.
 func addPipelineFlags(fs *flag.FlagSet) func(*node.ServerConfig) {
 	waitBudget := fs.Int("wait-budget", 0,
 		"uploads beyond the recover threshold K to wait for before closing a round (-1 = close at K, 0 = wait for the whole fleet)")
-	window := fs.Int("pipeline-window", 0,
-		"rounds a budget-excluded vehicle may fall behind before its broadcasts are withheld (0 = default)")
 	return func(cfg *node.ServerConfig) {
 		cfg.WaitBudget = *waitBudget
-		cfg.PipelineWindow = *window
 	}
 }
 

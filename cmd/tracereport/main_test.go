@@ -23,7 +23,7 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"node.round","t_ns":300,"dur_ns":5000,"round":1}
 {"ev":"node.pipeline","t_ns":305,"round":1,"wait_budget":2,"arrived":10,"closed_by":"budget","overlap_ns":2000}
 {"ev":"node.round","t_ns":600,"dur_ns":3000,"round":2}
-{"ev":"node.pipeline","t_ns":605,"round":2,"wait_budget":-1,"arrived":12,"closed_by":"all","overlap_ns":1000}
+{"ev":"node.pipeline","t_ns":605,"round":2,"wait_budget":0,"arrived":12,"closed_by":"all","overlap_ns":1000}
 {"ev":"core.aggregate","t_ns":320,"dur_ns":400,"round":1}
 {"ev":"core.aggregate","t_ns":610,"dur_ns":250,"round":2}
 {"ev":"core.aggregate","t_ns":650,"dur_ns":150,"round":2}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -79,11 +80,12 @@ type fleetSession struct {
 	srv    *Server
 	expect int // vehicle complement (Scheme.NumVehicles)
 
-	state    sessionState           // mutable only under the owning Fleet's mu
-	reserved bool                   // holds a MaxConns chunk; owned by the Fleet's mu
-	conns    map[int]transport.Conn // latest conn per vehicle; owned by the Fleet's mu
-	report   *Report                // set at completion under the Fleet's mu
-	err      error                  // set at completion under the Fleet's mu
+	state    sessionState     // mutable only under the owning Fleet's mu
+	reserved bool             // holds a MaxConns chunk; owned by the Fleet's mu
+	conns    []transport.Conn // latest conn per vehicle ID (nil = none yet); owned by the Fleet's mu
+	seated   int              // vehicles with a conn; owned by the Fleet's mu
+	report   *Report          // set at completion under the Fleet's mu
+	err      error            // set at completion under the Fleet's mu
 }
 
 // pendingConn is a handshaked connection parked in the admission queue.
@@ -183,7 +185,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			id:     id,
 			srv:    srv,
 			expect: expect,
-			conns:  make(map[int]transport.Conn, expect),
+			conns:  make([]transport.Conn, expect),
 		}
 	}
 	if cfg.Obs.Enabled() {
@@ -327,7 +329,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 	case sess.state == sessionRunning:
 		decision = decideRejoin
 	default: // gathering
-		if _, dup := sess.conns[h.VehicleID]; dup {
+		if sess.conns[h.VehicleID] != nil {
 			decision, reason = decideReject, fmt.Sprintf("vehicle %d already connected to session %q", h.VehicleID, id)
 			break
 		}
@@ -356,7 +358,8 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		f.admitted++
 		wrapped := f.wrap(h, conn)
 		sess.conns[h.VehicleID] = wrapped
-		if len(sess.conns) == sess.expect {
+		sess.seated++
+		if sess.seated == sess.expect {
 			sess.state = sessionRunning
 			start = sess
 		}
@@ -399,15 +402,14 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		}})
 		close(answered)
 	case decideFinished:
-		_ = sendFlush(conn, &protocol.Message{Finished: &protocol.Finished{Rounds: finRounds}})
-		_ = conn.Close()
+		sendFinished(conn, finRounds)
 	case decideSeat, decideRejoin:
 		if f.obs != nil {
 			f.cAdmitted.Inc()
 			f.obs.Emit("fleet.admit",
 				obs.F("session", id),
 				obs.F("vehicle", h.VehicleID),
-				obs.F("version", negotiated(h)),
+				obs.F("version", protocol.Version),
 				obs.F("rejoin", decision == decideRejoin))
 		}
 		if decision == decideRejoin {
@@ -447,10 +449,7 @@ func (f *Fleet) sendReject(conn transport.Conn, reason string, retry bool) {
 // goroutine and settles the fleet ledger when it returns.
 func (f *Fleet) startSession(sess *fleetSession) {
 	f.mu.Lock()
-	conns := make([]transport.Conn, 0, sess.expect)
-	for _, vid := range sortedVehicleIDs(sess.conns) {
-		conns = append(conns, sess.conns[vid])
-	}
+	conns := slices.Clone(sess.conns)
 	f.mu.Unlock()
 	if f.obs != nil {
 		f.cStarted.Inc()
@@ -467,10 +466,7 @@ func (f *Fleet) startSession(sess *fleetSession) {
 		sess.report, sess.err = report, err
 		// Close every connection still tracked (rejoins included): slots
 		// release via the wrap hooks, then the session's budget chunk.
-		open := make([]transport.Conn, 0, len(sess.conns))
-		for _, vid := range sortedVehicleIDs(sess.conns) {
-			open = append(open, sess.conns[vid])
-		}
+		open := slices.Clone(sess.conns)
 		f.mu.Unlock()
 		for _, c := range open {
 			_ = c.Close()
@@ -628,7 +624,7 @@ func (f *Fleet) Status() FleetStatus {
 	rows := make([]row, 0, len(f.ids))
 	for _, id := range f.ids {
 		sess := f.sessions[id]
-		rows = append(rows, row{sess: sess, connected: len(sess.conns), state: sess.state, reserved: sess.reserved})
+		rows = append(rows, row{sess: sess, connected: sess.seated, state: sess.state, reserved: sess.reserved})
 	}
 	f.mu.Unlock()
 	// Engine snapshots take each Server's own status lock; resolved

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,35 +60,26 @@ type ServerConfig struct {
 	// each round before treating missing vehicles as stragglers
 	// (default 30 s).
 	RoundTimeout time.Duration
-	// MaxRetransmits bounds how many times per round a vehicle whose
-	// upload frame arrived corrupted is prompted (by re-broadcast) to
-	// resend it. 0 selects the default of 3; negative disables
-	// retransmission, turning corrupted uploads into stragglers.
-	MaxRetransmits int
 	// WaitBudget sets how many uploads beyond the recover threshold K the
 	// engine waits for before closing a round's collection window. 0 (the
 	// default) waits for every live vehicle; -1 closes at exactly K; n > 0
 	// closes at K+n.
 	WaitBudget int
-	// PipelineWindow bounds in-flight rounds for vehicles that fell
-	// behind a budget-based early close: once a behind vehicle is more
-	// than PipelineWindow rounds stale, its broadcasts are withheld
-	// (latest only) until any upload proves it alive, keeping per-vehicle
-	// buffered state flat. 0 selects the default of 2.
-	PipelineWindow int
 	// Obs attaches the observability layer to the fusion centre and (via
 	// Scheme.Obs, unless the caller already set one) to its coding scheme.
 	// Nil disables all instrumentation.
 	Obs *obs.Obs
 }
 
-// defaultMaxRetransmits bounds corrupt-upload recovery per vehicle per
-// round.
-const defaultMaxRetransmits = 3
+// maxRetransmits bounds how many times per round a vehicle whose upload
+// frame arrived corrupted is prompted (by re-broadcast) to resend it.
+const maxRetransmits = 3
 
-// defaultPipelineWindow bounds how many rounds a behind vehicle may lag
-// before its broadcasts are withheld.
-const defaultPipelineWindow = 2
+// pipelineWindow bounds in-flight rounds for vehicles that fell behind a
+// budget close: once a behind vehicle is more than pipelineWindow rounds
+// stale, its broadcasts are withheld (latest only) until any upload
+// proves it alive, keeping per-vehicle buffered state flat.
+const pipelineWindow = 2
 
 // Report summarises a completed distributed session.
 type Report struct {
@@ -133,11 +123,6 @@ type Server struct {
 	done      bool       // guarded by mu
 	finRounds int        // guarded by mu
 
-	// trace is the session trace ID every process joins
-	// (obs.TraceIDFromSeed(Scheme.Seed)); zero with tracing off. Set
-	// once at the top of Run, read only by the run goroutine.
-	trace uint64
-
 	statusMu sync.Mutex // guards status
 	status   Status     // guarded by statusMu
 
@@ -156,24 +141,23 @@ type Server struct {
 // rejoinReq is a reconnected, handshaked vehicle awaiting revival.
 type rejoinReq struct {
 	id      int
-	ver     int // negotiated wire version for this connection
 	conn    transport.Conn
-	helloNs int64 // server clock when the hello arrived (0 untraced)
+	helloNs int64 // server clock when the hello arrived
 }
 
 // Status is a point-in-time snapshot of the round engine, served live by
 // the debugz introspection plane (/roundz). All fields describe the
-// moment of the call; Behind lists the vehicles currently outpaced by a
-// budget close, sorted.
+// moment of the call.
 type Status struct {
 	// Phase is handshake, collect, aggregate, or done.
 	Phase string `json:"phase"`
 	// Round is the current (1-based) round; Rounds the configured total.
 	Round  int `json:"round"`
 	Rounds int `json:"rounds"`
-	// RecoverK is the scheme's RS decode threshold K; BudgetTarget is
-	// K + D for the round's effective wait budget D (0 = wait for all);
-	// WaitBudget is that effective D (-1 = wait for all).
+	// RecoverK is the scheme's RS decode threshold K. WaitBudget echoes
+	// ServerConfig.WaitBudget in its encoding (0 = wait for all, -1 =
+	// close at K); BudgetTarget is the upload count that closes a round
+	// early, K + max(WaitBudget, 0), or 0 when waiting for all.
 	RecoverK     int `json:"recover_k"`
 	WaitBudget   int `json:"wait_budget"`
 	BudgetTarget int `json:"budget_target"`
@@ -181,10 +165,8 @@ type Status struct {
 	// still owed.
 	Arrived     int `json:"arrived"`
 	Outstanding int `json:"outstanding"`
-	// PipelineWindow echoes the engine config; Behind lists vehicles
-	// outpaced by a budget close.
-	PipelineWindow int   `json:"pipeline_window"`
-	Behind         []int `json:"behind,omitempty"`
+	// Behind lists the vehicles outpaced by a budget close, ascending.
+	Behind []int `json:"behind,omitempty"`
 	// Cumulative recovery tallies, mirroring the Report fields.
 	Stragglers     int `json:"stragglers"`
 	Rejoins        int `json:"rejoins"`
@@ -203,14 +185,6 @@ func (s *Server) Status() Status {
 	return st
 }
 
-// setStatus applies one mutation to the live status snapshot. The
-// closure runs with statusMu held and must stay cheap.
-func (s *Server) setStatus(mutate func(*Status)) {
-	s.statusMu.Lock()
-	mutate(&s.status)
-	s.statusMu.Unlock()
-}
-
 // NewServer builds the shared model and the coding scheme.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Rounds < 1 {
@@ -221,15 +195,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.RoundTimeout == 0 {
 		cfg.RoundTimeout = 30 * time.Second
-	}
-	if cfg.MaxRetransmits == 0 {
-		cfg.MaxRetransmits = defaultMaxRetransmits
-	}
-	if cfg.PipelineWindow == 0 {
-		cfg.PipelineWindow = defaultPipelineWindow
-	}
-	if cfg.PipelineWindow < 0 {
-		return nil, fmt.Errorf("node: pipeline window %d must be positive", cfg.PipelineWindow)
 	}
 	if cfg.WaitBudget < -1 {
 		return nil, fmt.Errorf("node: wait budget %d outside {-1, 0, 1, ...}", cfg.WaitBudget)
@@ -252,25 +217,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	srv := &Server{
-		cfg:       cfg,
-		shared:    shared,
-		scheme:    scheme,
-		distiller: distiller,
-		rejoin:    make(chan rejoinReq, 64),
-	}
-	if cfg.Obs.Enabled() {
-		srv.obs = cfg.Obs
-		srv.cRecvErrors = cfg.Obs.Counter("node.recv_errors")
-		srv.cStragglers = cfg.Obs.Counter("node.stragglers")
-		srv.cRoundsDone = cfg.Obs.Counter("node.rounds")
-		srv.cCorrupt = cfg.Obs.Counter("node.corrupt_frames")
-		srv.cRetransmit = cfg.Obs.Counter("node.retransmits")
-		srv.cRejoins = cfg.Obs.Counter("node.rejoins")
-		srv.cDegraded = cfg.Obs.Counter("node.degraded_rounds")
-		srv.cEarlyClose = cfg.Obs.Counter("node.early_closes")
-	}
-	return srv, nil
+	return &Server{
+		cfg:         cfg,
+		shared:      shared,
+		scheme:      scheme,
+		distiller:   distiller,
+		rejoin:      make(chan rejoinReq, 64),
+		obs:         cfg.Obs,
+		cRecvErrors: cfg.Obs.Counter("node.recv_errors"),
+		cStragglers: cfg.Obs.Counter("node.stragglers"),
+		cRoundsDone: cfg.Obs.Counter("node.rounds"),
+		cCorrupt:    cfg.Obs.Counter("node.corrupt_frames"),
+		cRetransmit: cfg.Obs.Counter("node.retransmits"),
+		cRejoins:    cfg.Obs.Counter("node.rejoins"),
+		cDegraded:   cfg.Obs.Counter("node.degraded_rounds"),
+		cEarlyClose: cfg.Obs.Counter("node.early_closes"),
+	}, nil
 }
 
 // Shared exposes the fusion centre's model (for evaluation after Run).
@@ -289,16 +251,12 @@ func (s *Server) Rejoin(conn transport.Conn) {
 			_ = conn.Close()
 			return
 		}
-		var helloNs int64
-		if s.obs.TraceEnabled() {
-			helloNs = int64(s.obs.Now())
-		}
-		ver := negotiated(h)
-		transport.SetWireVersion(conn, ver)
+		helloNs := int64(s.obs.Now())
+		transport.SetWireVersion(conn, protocol.Version)
 		s.mu.Lock()
 		if !s.done {
 			select {
-			case s.rejoin <- rejoinReq{id: h.VehicleID, ver: ver, conn: conn, helloNs: helloNs}:
+			case s.rejoin <- rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs}:
 				s.mu.Unlock()
 				return
 			default: // queue full: treat as too-late
@@ -306,29 +264,8 @@ func (s *Server) Rejoin(conn transport.Conn) {
 		}
 		fin := s.finRounds
 		s.mu.Unlock()
-		_ = conn.Send(&protocol.Message{Finished: &protocol.Finished{Rounds: fin}})
-		_ = transport.Flush(conn)
-		_ = conn.Close()
+		sendFinished(conn, fin)
 	}()
-}
-
-// finish marks the session over and answers any queued rejoins with
-// Finished so late reconnectors terminate instead of hanging.
-func (s *Server) finish(rounds int) {
-	s.mu.Lock()
-	s.done = true
-	s.finRounds = rounds
-	s.mu.Unlock()
-	for {
-		select {
-		case req := <-s.rejoin:
-			_ = req.conn.Send(&protocol.Message{Finished: &protocol.Finished{Rounds: rounds}})
-			_ = transport.Flush(req.conn)
-			_ = req.conn.Close()
-		default:
-			return
-		}
-	}
 }
 
 // recvHello consumes and version-checks a peer's opening hello. A peer
@@ -354,13 +291,12 @@ func recvHello(conn transport.Conn) (*protocol.Hello, error) {
 	return m.Hello, nil
 }
 
-// negotiated is the wire revision of a connection whose peer sent h:
-// min(ours, theirs), a newer peer being clamped down to ours. With
-// recvHello's floor that is protocol.Version itself; it is still computed
-// per connection, echoed in Setup.WireVersion and handed to
-// transport.SetWireVersion, so that a later revision finds the
-// negotiation in place.
-func negotiated(h *protocol.Hello) int { return min(h.Version, protocol.Version) }
+// sendFinished tells a vehicle the session ended after rounds rounds and
+// closes its connection, best effort: the session is over either way.
+func sendFinished(conn transport.Conn, rounds int) {
+	_ = sendFlush(conn, &protocol.Message{Finished: &protocol.Finished{Rounds: rounds}})
+	_ = conn.Close()
+}
 
 // readHello is recvHello plus the single-session vehicle-ID range check.
 func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, error) {
@@ -375,541 +311,589 @@ func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, error) {
 }
 
 // result is one event from a connection's receiver goroutine: an upload,
-// a detected corrupt frame, or a terminal receive error. vehicleID is the
-// vehicle that handshaked conn — an upload is attributed by the
-// connection it arrived on, never by the ID it names — and conn lets the
-// round loop discard events from a connection a rejoin has replaced.
+// a corrupt frame (err is protocol.ErrCorruptFrame) or a terminal receive
+// error. An upload is attributed to the vehicle that handshaked conn,
+// never to the ID it names, and conn lets the engine discard events from
+// a connection a rejoin replaced.
 type result struct {
 	vehicleID int
 	conn      transport.Conn
 	round     int
 	values    []float64
 	span      string // propagated upload span ID ("" when absent)
-	corrupt   bool
 	err       error
 }
 
+// vehicle is the engine's record of one vehicle, kept in a slice indexed
+// by ID: every sweep runs in ascending ID order, so send order — which
+// shapes the wire trace and straggler telemetry — is the same every run
+// (DESIGN §8).
+type vehicle struct {
+	conn     transport.Conn    // nil once the engine dropped a malformed peer
+	helloNs  int64             // server clock when its hello arrived
+	dead     bool              // connection lost; skipped until it rejoins
+	owes     bool              // this round's upload is outstanding
+	behind   bool              // outpaced by a budget close
+	withheld *protocol.Message // this round's broadcast, held back (nil = none)
+	lastSeen int               // latest round it uploaded for
+	retrans  int               // corrupt-upload prompts this round
+	upload   []float64         // this round's admitted upload (nil = none)
+	flagged  bool              // named by the verification channel in some round
+}
+
+// engine is one Run's state: the per-vehicle table, the session's
+// constants, and the current round. Only Run's goroutine touches it; the
+// receivers it starts only send on results.
+type engine struct {
+	s        *Server
+	traced   bool
+	trace    uint64 // the session trace every process joins; 0 untraced
+	traceHex string
+	k        int // the scheme's recover threshold K
+	target   int // arrivals that close a round early (0 = wait for all)
+	setup    protocol.Setup
+	veh      []vehicle
+	rows     [][]float64 // the admitted uploads handed to the close, by ID
+	results  chan result
+	deadline *time.Timer // one for the session, re-armed every round
+	report   Report
+
+	// The current round.
+	round       int
+	bc          *protocol.Message
+	ctx         obs.SpanContext
+	span        obs.Span
+	sink        fl.UploadSink
+	outstanding int // vehicles that owe an upload
+	arrived     int
+	closedBy    string
+	overlapNs   int64
+}
+
 // Run drives the session over the given connections (one per vehicle).
-// It handshakes, configures every vehicle, executes the rounds, and sends
-// Finished. Run blocks until the session completes.
+// It handshakes and configures every vehicle, runs each round as a
+// broadcast, a collect and a close (DESIGN §14.5), and sends Finished.
+// Run blocks until the session completes.
 func (s *Server) Run(conns []transport.Conn) (*Report, error) {
+	e, err := s.handshake(conns)
+	if err != nil {
+		return nil, err
+	}
+	defer e.deadline.Stop()
+	for e.round = 1; e.round <= s.cfg.Rounds; e.round++ {
+		if err := e.broadcast(); err != nil {
+			return nil, err
+		}
+		e.collect()
+		if err := e.close(); err != nil {
+			return nil, err
+		}
+	}
+	return e.finish(), nil
+}
+
+// handshake seats every connection in the table by the vehicle ID its
+// hello names, sends each vehicle its Setup and starts its receiver.
+func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
 	v := s.cfg.Scheme.NumVehicles
 	if len(conns) != v {
 		return nil, fmt.Errorf("node: got %d connections, scheme expects %d vehicles", len(conns), v)
 	}
-	// The session trace every process joins is derived deterministically
-	// from the scheme seed (DESIGN §15), so fusion centre and vehicles
-	// agree on it even before the Setup message announces it.
-	traced := s.obs.TraceEnabled()
-	var traceHex string
-	if traced {
-		s.trace = obs.TraceIDFromSeed(s.cfg.Scheme.Seed)
-		traceHex = obs.FormatID(s.trace)
+	e := &engine{
+		s:      s,
+		traced: s.obs.TraceEnabled(),
+		k:      s.scheme.RecoverThreshold(),
+		veh:    make([]vehicle, v),
+		rows:   make([][]float64, v),
+		// Sized so a receiver never blocks while the engine is busy: a
+		// vehicle has at most pipelineWindow+1 rounds in flight, each
+		// yielding one upload and up to maxRetransmits+1 corrupt frames,
+		// and its one terminal error takes the last slot.
+		results: make(chan result, v*(pipelineWindow+1)*(maxRetransmits+2)),
+		setup: protocol.Setup{
+			WireVersion:      protocol.Version,
+			InputSize:        s.cfg.FL.InputSize,
+			LocalEpochs:      s.cfg.FL.LocalEpochs,
+			LocalRate:        s.cfg.FL.LocalRate,
+			ActivationCoeffs: s.cfg.ActivationCoeffs,
+			RefX:             s.cfg.RefX,
+			SchemeVehicles:   s.cfg.Scheme.NumVehicles,
+			SchemeBatches:    s.cfg.Scheme.NumBatches,
+			SchemeDegree:     s.cfg.Scheme.Degree,
+			SchemeSeed:       s.cfg.Scheme.Seed,
+		},
 	}
-	s.setStatus(func(st *Status) {
-		*st = Status{
-			Phase:          "handshake",
-			Rounds:         s.cfg.Rounds,
-			RecoverK:       s.scheme.RecoverThreshold(),
-			PipelineWindow: s.cfg.PipelineWindow,
-			TraceID:        traceHex,
-		}
-	})
-	// Handshake: map connections to vehicle IDs and negotiate each
-	// connection's wire version from the peer's announced revision.
-	byID := make(map[int]transport.Conn, v)
-	vers := make(map[int]int, v)
-	helloNs := make(map[int]int64, v)
+	if s.cfg.WaitBudget != 0 {
+		e.target = e.k + max(s.cfg.WaitBudget, 0)
+	}
+	if e.traced {
+		// Derived from the scheme seed (DESIGN §15), so fusion centre and
+		// vehicles agree on the trace before Setup announces it.
+		e.trace = obs.TraceIDFromSeed(s.cfg.Scheme.Seed)
+		e.traceHex = obs.FormatID(e.trace)
+		e.setup.TraceID = e.traceHex
+	}
+	s.statusMu.Lock()
+	s.status = Status{Phase: "handshake", Rounds: s.cfg.Rounds, RecoverK: e.k,
+		WaitBudget: s.cfg.WaitBudget, BudgetTarget: e.target, TraceID: e.traceHex}
+	s.statusMu.Unlock()
 	for i, conn := range conns {
 		h, err := readHello(conn, v)
 		if err != nil {
 			return nil, fmt.Errorf("node: conn %d: %w", i, err)
 		}
-		id := h.VehicleID
-		if _, dup := byID[id]; dup {
-			return nil, fmt.Errorf("node: duplicate vehicle ID %d", id)
+		vh := &e.veh[h.VehicleID]
+		if vh.conn != nil {
+			return nil, fmt.Errorf("node: duplicate vehicle ID %d", h.VehicleID)
 		}
-		byID[id] = conn
-		ver := negotiated(h)
-		vers[id] = ver
-		transport.SetWireVersion(conn, ver)
-		// Relabel the instrumented connection now that the peer has
-		// identified itself: its transport events carry "vehicle-<id>"
-		// instead of the accept-order placeholder.
-		if sp, ok := conn.(interface{ SetPeer(string) }); ok {
-			sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
-		}
-		if traced {
-			// The hello receive timestamp anchors this connection's
-			// clock-offset estimate: Setup echoes it back alongside the
-			// send timestamp, and the vehicle brackets the pair with its
-			// own clock (RTT midpoint, DESIGN §15).
-			helloNs[id] = int64(s.obs.Now())
-			fields := []obs.Field{
-				obs.F("vehicle", id),
-				obs.F("version", ver),
-				obs.F("trace", traceHex),
-			}
+		vh.conn = conn
+		transport.SetWireVersion(conn, protocol.Version)
+		if e.traced {
+			// The hello receive time anchors this connection's clock-offset
+			// estimate: Setup echoes it beside its own send time, and the
+			// vehicle brackets the pair with its clock (DESIGN §15).
+			vh.helloNs = int64(s.obs.Now())
+			fields := []obs.Field{obs.F("vehicle", h.VehicleID), obs.F("version", protocol.Version), obs.F("trace", e.traceHex)}
 			if h.TraceID != "" {
 				fields = append(fields, obs.F("peer_trace", h.TraceID))
 			}
 			s.obs.Emit("node.hello", fields...)
 		}
 	}
-	setup := &protocol.Setup{
-		InputSize:        s.cfg.FL.InputSize,
-		LocalEpochs:      s.cfg.FL.LocalEpochs,
-		LocalRate:        s.cfg.FL.LocalRate,
-		ActivationCoeffs: s.cfg.ActivationCoeffs,
-		RefX:             s.cfg.RefX,
-		SchemeVehicles:   s.cfg.Scheme.NumVehicles,
-		SchemeBatches:    s.cfg.Scheme.NumBatches,
-		SchemeDegree:     s.cfg.Scheme.Degree,
-		SchemeSeed:       s.cfg.Scheme.Seed,
-	}
-	// Every per-vehicle sweep below walks this sorted ID list rather
-	// than ranging byID directly: map iteration order is randomized, and
-	// send order shapes the wire trace and straggler telemetry, which
-	// must be identical across runs (DESIGN §8).
-	ids := sortedVehicleIDs(byID)
-	for _, id := range ids {
-		// Each vehicle gets its own Setup copy carrying the version
-		// negotiated for its connection. Deliberately not flushed here: on
-		// a buffered fabric the Setup coalesces with round 1's broadcast
-		// into a single write.
-		su := *setup
-		su.WireVersion = vers[id]
-		if traced {
-			su.TraceID = traceHex
-			su.HelloNs = helloNs[id]
-			su.ClockNs = int64(s.obs.Now())
-		}
-		if err := byID[id].Send(&protocol.Message{Setup: &su}); err != nil {
+	for id := range e.veh {
+		// Deliberately not flushed: on a buffered fabric the Setup
+		// coalesces with round 1's broadcast into a single write.
+		if err := e.configure(id); err != nil {
 			return nil, fmt.Errorf("node: setup to vehicle %d: %w", id, err)
 		}
 	}
-
-	// One receiver goroutine per connection feeds the round loop. Corrupt
-	// frames are frame-local (the stream stays in sync), so the receiver
-	// reports them and keeps reading; any other error is terminal for the
-	// connection.
-	//
-	// The buffer is sized so a receiver goroutine can never block while
-	// the round loop is busy elsewhere (broadcasting, aggregating,
-	// distilling): with PipelineWindow+1 rounds in flight per vehicle (the
-	// current round plus up to window stale rounds a behind vehicle may
-	// still answer), each round can produce at most one upload, up to
-	// MaxRetransmits corrupt-frame reports answered by re-prompts plus the
-	// original corrupt frame — maxRe+2 frames — and the connection's one
-	// terminal error is covered by the final slot of its last round.
-	maxRe := s.cfg.MaxRetransmits
-	if maxRe < 0 {
-		maxRe = 0
+	for id := range e.veh {
+		e.receive(id, e.veh[id].conn)
 	}
-	results := make(chan result, v*(s.cfg.PipelineWindow+1)*(maxRe+2))
-	startReceiver := func(id int, conn transport.Conn) {
-		go func() {
-			for {
-				m, err := conn.Recv()
-				if err != nil {
-					if errors.Is(err, protocol.ErrCorruptFrame) {
-						results <- result{vehicleID: id, conn: conn, corrupt: true}
-						continue
-					}
-					results <- result{vehicleID: id, conn: conn, err: err}
-					return
-				}
-				if m.Upload == nil {
-					results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("unexpected %s", m.Kind())}
-					return
-				}
-				results <- result{vehicleID: id, conn: conn, round: m.Upload.Round, values: m.Upload.Values, span: m.Upload.SpanID}
+	e.deadline = time.NewTimer(s.cfg.RoundTimeout)
+	return e, nil
+}
+
+// configure names an instrumented connection after its vehicle, in place
+// of the accept-order placeholder, and sends the vehicle its Setup,
+// unflushed, stamped with its hello time and the send time for its
+// clock-offset estimate.
+func (e *engine) configure(id int) error {
+	vh := &e.veh[id]
+	if sp, ok := vh.conn.(interface{ SetPeer(string) }); ok {
+		sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
+	}
+	su := e.setup
+	if e.traced {
+		su.HelloNs = vh.helloNs
+		su.ClockNs = int64(e.s.obs.Now())
+	}
+	return vh.conn.Send(&protocol.Message{Setup: &su})
+}
+
+// receive starts conn's receiver goroutine. A corrupt frame is
+// frame-local (the stream stays in sync), so reading goes on after it;
+// any other error, or a message other than an upload, ends the connection.
+func (e *engine) receive(id int, conn transport.Conn) {
+	go func() {
+		for {
+			m, err := conn.Recv()
+			if err == nil && m.Upload == nil {
+				err = fmt.Errorf("unexpected %s", m.Kind())
 			}
-		}()
-	}
-	for _, id := range ids {
-		startReceiver(id, byID[id])
-	}
-
-	report := &Report{}
-	flagged := map[int]bool{}
-	dead := map[int]bool{}
-
-	// Pipeline state (DESIGN.md §14), confined to this goroutine like the
-	// maps above: lastSeen/behind/pendingBc implement the bounded
-	// in-flight-rounds window for vehicles outpaced by a budget close.
-	lastSeen := make(map[int]int, v)             // latest round each vehicle uploaded for
-	behind := make(map[int]bool)                 // vehicles outpaced by a budget close
-	pendingBc := make(map[int]*protocol.Message) // withheld broadcasts, latest only
-
-	// Per-round state, hoisted so the rejoin handler (a closure shared by
-	// every round's collect loop) sees the current round's values — and
-	// so the buffers are allocated once: each round clears and refills
-	// uploads, outstanding and retrans instead of rebuilding them. Nothing
-	// keeps them past its round (the streamed ingest holds upload rows,
-	// never the uploads slice itself).
-	var (
-		round       int
-		bc          *protocol.Message
-		uploads     = make([][]float64, v)
-		outstanding = make(map[int]bool, v)
-		retrans     = make(map[int]int)
-	)
-	// One deadline timer for the whole session, re-armed every round: a
-	// time.After per round would stay live until it fired.
-	deadline := time.NewTimer(s.cfg.RoundTimeout)
-	defer deadline.Stop()
-
-	// noteUpload records an upload's arrival — current round or stale —
-	// as proof of life: the in-flight window tracks the vehicle's latest
-	// round, it is no longer behind, and a withheld broadcast (always the
-	// current round's) is released, putting the vehicle back in play.
-	noteUpload := func(id, r int) {
-		if r > lastSeen[id] {
-			lastSeen[id] = r
-		}
-		delete(behind, id)
-		if wb, ok := pendingBc[id]; ok {
-			delete(pendingBc, id)
-			if err := sendFlush(byID[id], wb); err != nil {
-				dead[id] = true
+			if err != nil {
+				e.results <- result{vehicleID: id, conn: conn, err: err}
+				if errors.Is(err, protocol.ErrCorruptFrame) {
+					continue
+				}
 				return
 			}
-			outstanding[id] = true
+			e.results <- result{vehicleID: id, conn: conn, round: m.Upload.Round, values: m.Upload.Values, span: m.Upload.SpanID}
 		}
+	}()
+}
+
+// broadcast opens round e.round and sends the model to every live
+// vehicle, which then owes the round an upload — except a behind vehicle
+// more than pipelineWindow rounds stale: its broadcast is withheld
+// (latest only) until an upload proves it alive, so a vanished straggler
+// never accumulates frames.
+func (e *engine) broadcast() error {
+	s := e.s
+	s.obs.Emit("node.round_start", obs.F("round", e.round))
+	// The round span's ID is derived, not random, so every process
+	// computes the same value and the merged timeline can nest
+	// vehicle-side spans under it even when a frame carries no context.
+	fields := []obs.Field{obs.F("round", e.round)}
+	if e.traced {
+		e.ctx = obs.SpanContext{Trace: e.trace, Span: obs.DeriveSpan(e.trace, "node.round", uint64(e.round))}
+		fields = append(fields, obs.CtxFields(e.ctx, 0)...)
 	}
-
-	// handleRejoin revives a reconnected vehicle mid-round: the
-	// connection is swapped in (the stale one closed), Setup is resent so
-	// a restarted process can rebuild its share, and if the vehicle
-	// still owes this round's upload the broadcast is resent too.
-	handleRejoin := func(req rejoinReq) {
-		id := req.id
-		if old, ok := byID[id]; ok && old != req.conn {
-			_ = old.Close()
-		}
-		byID[id] = req.conn
-		dead[id] = false
-		// The revival below resends the broadcast directly; a withheld one
-		// is obsolete, and the rejoined vehicle is current again.
-		delete(behind, id)
-		delete(pendingBc, id)
-		if sp, ok := req.conn.(interface{ SetPeer(string) }); ok {
-			sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
-		}
-		report.Rejoins++
-		s.cRejoins.Inc()
-		s.setStatus(func(st *Status) { st.Rejoins++ })
-		s.obs.Emit("node.rejoin", obs.F("round", round), obs.F("vehicle", id))
-		fail := func() {
-			dead[id] = true
-			delete(outstanding, id)
-			_ = req.conn.Close()
-		}
-		su := *setup
-		su.WireVersion = req.ver
-		if traced {
-			su.TraceID = traceHex
-			su.HelloNs = req.helloNs
-			su.ClockNs = int64(s.obs.Now())
-		}
-		if err := req.conn.Send(&protocol.Message{Setup: &su}); err != nil {
-			fail()
-			return
-		}
-		if uploads[id] == nil {
-			if err := req.conn.Send(bc); err != nil {
-				fail()
-				return
-			}
-			outstanding[id] = true
-		}
-		if err := transport.Flush(req.conn); err != nil {
-			fail()
-			return
-		}
-		startReceiver(id, req.conn)
+	e.span = s.obs.Start("node.round", fields...)
+	if err := s.scheme.BeginRound(s.shared); err != nil {
+		return fmt.Errorf("node: round %d: %w", e.round, err)
 	}
-
-	for round = 1; round <= s.cfg.Rounds; round++ {
-		s.obs.Emit("node.round_start", obs.F("round", round))
-		// The round span's ID is derived, not random, so every process
-		// computes the same value and the merged timeline can nest
-		// vehicle-side spans under it even when a frame carries no context.
-		var roundCtx obs.SpanContext
-		roundFields := []obs.Field{obs.F("round", round)}
-		if traced {
-			roundCtx = obs.SpanContext{Trace: s.trace, Span: obs.DeriveSpan(s.trace, "node.round", uint64(round))}
-			roundFields = append(roundFields, obs.CtxFields(roundCtx, 0)...)
-		}
-		roundSpan := s.obs.Start("node.round", roundFields...)
-		if err := s.scheme.BeginRound(s.shared); err != nil {
-			return nil, fmt.Errorf("node: round %d: %w", round, err)
-		}
-		bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: round, Params: s.shared.Params()}}
-		if traced {
-			bc.Broadcast.TraceID = traceHex
-			bc.Broadcast.SpanID = obs.FormatID(roundCtx.Span)
-		}
-		for _, id := range ids {
-			if dead[id] {
-				continue
-			}
-			// In-flight window: a vehicle outpaced by a budget close more
-			// than PipelineWindow rounds ago gets its broadcast withheld
-			// (latest only — stashing overwrites) until any upload proves
-			// it alive, so a vanished straggler never accumulates frames.
-			if behind[id] && round-lastSeen[id] > s.cfg.PipelineWindow {
-				pendingBc[id] = bc
-				continue
-			}
-			// The flush barrier after each broadcast is where a buffered
-			// fabric pays its one write syscall; in round 1 the frame
-			// coalesces with the still-unflushed Setup. A flush failure is
-			// a send failure: the frame never reached the wire.
-			if err := sendFlush(byID[id], bc); err != nil {
-				dead[id] = true
-			}
-		}
-
-		clear(uploads)
-		clear(outstanding)
-		clear(retrans)
-		for id := range byID {
-			if !dead[id] && pendingBc[id] == nil {
-				outstanding[id] = true
-			}
-		}
-
-		// Streaming ingest: each accepted upload flows into the scheme's
-		// incremental decoder immediately, so most of the decode work is
-		// already done when the collection window closes. The effective
-		// wait-budget decides that close: -1 waits for every live vehicle,
-		// otherwise the window closes once K + effBudget uploads have
-		// landed.
-		sink := s.scheme.BeginIngest()
-		effBudget := -1
-		switch {
-		case s.cfg.WaitBudget == -1:
-			effBudget = 0
-		case s.cfg.WaitBudget > 0:
-			effBudget = s.cfg.WaitBudget
-		}
-		budgetTarget := 0
-		if effBudget >= 0 {
-			budgetTarget = s.scheme.RecoverThreshold() + effBudget
-		}
-		arrived := 0
-		closedBy := "all"
-		var overlapNs int64
-		s.setStatus(func(st *Status) {
-			st.Phase = "collect"
-			st.Round = round
-			st.WaitBudget = effBudget
-			st.BudgetTarget = budgetTarget
-			st.Arrived = 0
-			st.Outstanding = len(outstanding)
-			st.Behind = sortedFlagged(behind)
-		})
-		rearm(deadline, s.cfg.RoundTimeout)
-		// The round closes when every outstanding upload has arrived —
-		// but if connection loss empties the outstanding set while the
-		// round is still below the decode threshold K, the window stays
-		// open until the deadline: degradation is a timeout outcome, and
-		// crashed vehicles get the full round window to rejoin (the
-		// rejoin handler re-arms outstanding) before the model is held
-		// still. Without this, a shard-wide failure — a crashed relay —
-		// would burn through every remaining round degraded in
-		// microseconds, faster than any vehicle can reconnect.
-		kThreshold := s.scheme.RecoverThreshold()
-	collect:
-		for len(outstanding) > 0 || arrived < kThreshold {
-			select {
-			case u := <-results:
-				switch {
-				case u.corrupt:
-					report.CorruptFrames++
-					s.cCorrupt.Inc()
-					s.obs.Emit("node.corrupt_frame", obs.F("round", round), obs.F("vehicle", u.vehicleID))
-					// Prompt the vehicle to resend its cached upload by
-					// re-broadcasting the round, within budget.
-					if byID[u.vehicleID] != u.conn || dead[u.vehicleID] || !outstanding[u.vehicleID] {
-						break
-					}
-					if retrans[u.vehicleID] >= s.cfg.MaxRetransmits {
-						break
-					}
-					retrans[u.vehicleID]++
-					report.Retransmits++
-					s.cRetransmit.Inc()
-					s.obs.Emit("node.retransmit",
-						obs.F("round", round),
-						obs.F("vehicle", u.vehicleID),
-						obs.F("attempt", retrans[u.vehicleID]))
-					if err := sendFlush(u.conn, bc); err != nil {
-						dead[u.vehicleID] = true
-						delete(outstanding, u.vehicleID)
-					}
-				case u.err != nil:
-					if byID[u.vehicleID] != u.conn {
-						break // stale error from a replaced connection
-					}
-					dead[u.vehicleID] = true
-					delete(outstanding, u.vehicleID)
-					report.RecvErrors++
-					s.cRecvErrors.Inc()
-					s.obs.Emit("node.recv_error",
-						obs.F("round", round),
-						obs.F("vehicle", u.vehicleID),
-						obs.F("error", u.err.Error()))
-				case u.round != round:
-					// Stale upload from a previous round's straggler:
-					// discard; the vehicle still owes the current round,
-					// but the arrival is proof of life for the window.
-					if !dead[u.vehicleID] && byID[u.vehicleID] == u.conn {
-						noteUpload(u.vehicleID, u.round)
-					}
-				case outstanding[u.vehicleID]:
-					noteUpload(u.vehicleID, u.round)
-					uploads[u.vehicleID] = u.values
-					delete(outstanding, u.vehicleID)
-					arrived++
-					s.setStatus(func(st *Status) {
-						st.Arrived = arrived
-						st.Outstanding = len(outstanding)
-					})
-					if traced {
-						// The ingest event parents under the upload span the
-						// vehicle propagated (network vs. compute attribution
-						// in the merged waterfall); an upload without context
-						// — an untraced vehicle — parents under the round.
-						ingest := obs.SpanContext{
-							Trace: s.trace,
-							Span:  obs.DeriveSpan(s.trace, "node.ingest", uint64(round), uint64(u.vehicleID)),
-						}
-						parent := roundCtx.Span
-						if p := obs.ParseID(u.span); p != 0 {
-							parent = p
-						}
-						s.obs.Emit("node.ingest", append([]obs.Field{
-							obs.F("round", round),
-							obs.F("vehicle", u.vehicleID),
-						}, obs.CtxFields(ingest, parent)...)...)
-					}
-					if sink != nil {
-						t0 := s.obs.Now()
-						if err := sink.Add(u.vehicleID, u.values); err != nil {
-							// Defensive: a rejected ingest only forfeits the
-							// streamed state; Aggregate redoes the work.
-							sink = nil
-						}
-						overlapNs += int64(s.obs.Now() - t0)
-					}
-					if budgetTarget > 0 && arrived >= budgetTarget && len(outstanding) > 0 {
-						// Enough redundancy: close early and mark the rest
-						// behind — candidates for broadcast withholding once
-						// they trail by more than the in-flight window.
-						for id := range outstanding {
-							behind[id] = true
-						}
-						closedBy = "budget"
-						s.setStatus(func(st *Status) { st.Behind = sortedFlagged(behind) })
-						break collect
-					}
-				}
-			case req := <-s.rejoin:
-				handleRejoin(req)
-			case <-deadline.C:
-				closedBy = "timeout"
-				break collect // stragglers: leave their uploads nil
-			}
-		}
-		if closedBy == "budget" {
-			s.cEarlyClose.Inc()
-		}
-		s.obs.Emit("node.pipeline",
-			obs.F("round", round),
-			obs.F("wait_budget", effBudget),
-			obs.F("arrived", arrived),
-			obs.F("closed_by", closedBy),
-			obs.F("overlap_ns", overlapNs))
-		roundStragglers := 0
-		for _, id := range ids {
-			if !dead[id] && uploads[id] == nil {
-				report.Stragglers++
-				roundStragglers++
-				s.cStragglers.Inc()
-				s.obs.Emit("node.straggler", obs.F("round", round), obs.F("vehicle", id))
-			}
-		}
-		s.setStatus(func(st *Status) {
-			st.Phase = "aggregate"
-			st.Stragglers += roundStragglers
-		})
-
-		present := 0
-		for _, up := range uploads {
-			if up != nil {
-				present++
-			}
-		}
-		if k := s.scheme.RecoverThreshold(); present < k {
-			// Below the RS decode threshold nothing can be verified or
-			// aggregated: hold the model still rather than fail the
-			// session (DESIGN.md §11).
-			report.DegradedRounds++
-			s.cDegraded.Inc()
-			s.setStatus(func(st *Status) { st.DegradedRounds++ })
-			s.obs.Emit("node.degraded",
-				obs.F("round", round),
-				obs.F("present", present),
-				obs.F("need", k))
-			report.Rounds = round
-			s.cRoundsDone.Inc()
-			roundSpan.End(obs.F("stragglers", roundStragglers), obs.F("degraded", true))
+	e.bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: e.round, Params: s.shared.Params()}}
+	if e.traced {
+		e.bc.Broadcast.TraceID = e.traceHex
+		e.bc.Broadcast.SpanID = obs.FormatID(e.ctx.Span)
+	}
+	e.outstanding, e.arrived, e.closedBy, e.overlapNs = 0, 0, "all", 0
+	for id := range e.veh {
+		vh := &e.veh[id]
+		vh.upload, vh.retrans, vh.owes = nil, 0, false
+		if vh.dead {
 			continue
 		}
+		if vh.behind && e.round-vh.lastSeen > pipelineWindow {
+			vh.withheld = e.bc
+			continue
+		}
+		// The flush barrier is where a buffered fabric pays its one write;
+		// a flush failure is a send failure.
+		if err := sendFlush(vh.conn, e.bc); err != nil {
+			vh.dead = true
+			continue
+		}
+		e.setOwes(vh, true)
+	}
+	return nil
+}
 
-		// The round close fl.System runs too, consuming the streamed decode
-		// state where it applies (bit-identical to the plain Aggregate,
-		// core/stream.go). The scheme's core.aggregate span nests under
-		// this round's span; the zero context with tracing off keeps it
-		// detached.
-		s.scheme.SetSpanParent(roundCtx)
-		if _, _, err := fl.CloseRound(s.scheme, sink, s.distiller, s.shared, uploads); err != nil {
-			return nil, fmt.Errorf("node: round %d: %w", round, err)
+// setOwes marks whether a vehicle still owes this round's upload,
+// keeping the outstanding count.
+func (e *engine) setOwes(vh *vehicle, owes bool) {
+	if vh.owes == owes {
+		return
+	}
+	vh.owes = owes
+	if owes {
+		e.outstanding++
+	} else {
+		e.outstanding--
+	}
+}
+
+// kill marks a vehicle dead until it rejoins; it owes nothing meanwhile.
+func (e *engine) kill(vh *vehicle) {
+	vh.dead = true
+	e.setOwes(vh, false)
+}
+
+// collect streams the round's uploads into the scheme's incremental
+// decoder until nobody alive owes one, the wait budget closes the round
+// early, or the deadline passes. Below K the round stays open to the
+// deadline even with nothing owed: crashed vehicles get the full window
+// to rejoin before the model is held still, so a shard-wide failure — a
+// crashed relay — cannot burn through every remaining round degraded in
+// microseconds.
+func (e *engine) collect() {
+	e.sink = e.s.scheme.BeginIngest()
+	e.publish("collect", true)
+	rearm(e.deadline, e.s.cfg.RoundTimeout)
+	for e.outstanding > 0 || e.arrived < e.k {
+		select {
+		case u := <-e.results:
+			switch {
+			case errors.Is(u.err, protocol.ErrCorruptFrame):
+				e.corrupt(u)
+			case u.err != nil:
+				e.recvError(u, u.err)
+			default:
+				if e.admit(u) {
+					return
+				}
+			}
+		case req := <-e.s.rejoin:
+			e.rejoin(req)
+		case <-e.deadline.C:
+			e.closedBy = "timeout"
+			return // stragglers: their uploads stay nil
 		}
-		suspects := s.scheme.SuspectedMalicious()
-		for _, id := range suspects {
-			flagged[id] = true
+	}
+}
+
+// admit is the one place an upload enters the round. An upload of the
+// wrong length, or for a round not yet broadcast, is refused as a receive
+// error that also closes the connection. A stale upload, from a round a
+// budget close left behind, is proof of life only. An owed upload is
+// admitted and streamed into the decoder; once the arrivals reach the
+// wait budget's target with uploads still owed, admit closes the round
+// early (it returns true) and marks the vehicles still owing behind.
+func (e *engine) admit(u result) bool {
+	s := e.s
+	vh := &e.veh[u.vehicleID]
+	var bad error
+	switch {
+	case len(u.values) != s.scheme.UploadLen():
+		bad = fmt.Errorf("upload of %d values, want %d", len(u.values), s.scheme.UploadLen())
+	case u.round > e.round:
+		bad = fmt.Errorf("upload for round %d during round %d", u.round, e.round)
+	case u.round < e.round:
+		if !vh.dead && vh.conn == u.conn {
+			e.alive(vh, u.round)
 		}
-		report.Rounds = round
+		return false
+	case !vh.owes:
+		return false
+	}
+	if bad != nil {
+		if e.recvError(u, bad) {
+			_ = u.conn.Close()
+			vh.conn = nil
+		}
+		return false
+	}
+	e.alive(vh, u.round)
+	vh.upload = u.values
+	e.setOwes(vh, false)
+	e.arrived++
+	if e.traced {
+		// The ingest event parents under the upload span the vehicle
+		// propagated (network vs. compute attribution in the merged
+		// waterfall), or under the round for an untraced vehicle.
+		ingest := obs.SpanContext{
+			Trace: e.trace,
+			Span:  obs.DeriveSpan(e.trace, "node.ingest", uint64(e.round), uint64(u.vehicleID)),
+		}
+		parent := e.ctx.Span
+		if p := obs.ParseID(u.span); p != 0 {
+			parent = p
+		}
+		fields := append([]obs.Field{obs.F("round", e.round), obs.F("vehicle", u.vehicleID)}, obs.CtxFields(ingest, parent)...)
+		s.obs.Emit("node.ingest", fields...)
+	}
+	if e.sink != nil {
+		t0 := s.obs.Now()
+		if err := e.sink.Add(u.vehicleID, u.values); err != nil {
+			e.sink = nil // defensive: the close redoes the streamed work
+		}
+		e.overlapNs += int64(s.obs.Now() - t0)
+	}
+	early := e.target > 0 && e.arrived >= e.target && e.outstanding > 0
+	if early {
+		for id := range e.veh {
+			if e.veh[id].owes {
+				e.veh[id].behind = true
+			}
+		}
+		e.closedBy = "budget"
+	}
+	e.publish("collect", early)
+	return early
+}
+
+// alive takes an upload for round r, admitted or stale, as proof of
+// life: the in-flight window tracks the vehicle's latest round, it is no
+// longer behind, and a withheld broadcast (always this round's) is
+// released, putting the vehicle back in play.
+func (e *engine) alive(vh *vehicle, r int) {
+	vh.lastSeen = max(vh.lastSeen, r)
+	vh.behind = false
+	if wb := vh.withheld; wb != nil {
+		vh.withheld = nil
+		if err := sendFlush(vh.conn, wb); err != nil {
+			e.kill(vh)
+			return
+		}
+		e.setOwes(vh, true)
+	}
+}
+
+// corrupt counts a corrupt upload frame and, up to maxRetransmits times
+// a round, re-broadcasts the round so the vehicle resends its cached
+// upload.
+func (e *engine) corrupt(u result) {
+	s := e.s
+	e.report.CorruptFrames++
+	s.cCorrupt.Inc()
+	s.obs.Emit("node.corrupt_frame", obs.F("round", e.round), obs.F("vehicle", u.vehicleID))
+	vh := &e.veh[u.vehicleID]
+	if vh.conn != u.conn || vh.dead || !vh.owes || vh.retrans >= maxRetransmits {
+		return
+	}
+	vh.retrans++
+	e.report.Retransmits++
+	s.cRetransmit.Inc()
+	s.obs.Emit("node.retransmit", obs.F("round", e.round), obs.F("vehicle", u.vehicleID), obs.F("attempt", vh.retrans))
+	if err := sendFlush(u.conn, e.bc); err != nil {
+		e.kill(vh)
+	}
+}
+
+// recvError ends a vehicle's connection: the vehicle is dead until it
+// rejoins. An error from a connection a rejoin replaced is ignored;
+// recvError reports whether it counted the error.
+func (e *engine) recvError(u result, err error) bool {
+	vh := &e.veh[u.vehicleID]
+	if vh.conn != u.conn {
+		return false
+	}
+	e.kill(vh)
+	e.report.RecvErrors++
+	e.s.cRecvErrors.Inc()
+	e.s.obs.Emit("node.recv_error", obs.F("round", e.round), obs.F("vehicle", u.vehicleID), obs.F("error", err.Error()))
+	return true
+}
+
+// rejoin revives a reconnected vehicle mid-round: the connection is
+// swapped in (the stale one closed), Setup is resent so a restarted
+// process can rebuild its share, and if the vehicle still owes this
+// round's upload the broadcast is resent too — which makes a withheld
+// one obsolete.
+func (e *engine) rejoin(req rejoinReq) {
+	s := e.s
+	vh := &e.veh[req.id]
+	if vh.conn != nil && vh.conn != req.conn {
+		_ = vh.conn.Close()
+	}
+	vh.conn, vh.helloNs = req.conn, req.helloNs
+	vh.dead, vh.behind, vh.withheld = false, false, nil
+	e.report.Rejoins++
+	s.cRejoins.Inc()
+	e.publish("collect", false)
+	s.obs.Emit("node.rejoin", obs.F("round", e.round), obs.F("vehicle", req.id))
+	err := e.configure(req.id)
+	if err == nil && vh.upload == nil {
+		if err = req.conn.Send(e.bc); err == nil {
+			e.setOwes(vh, true)
+		}
+	}
+	if err == nil {
+		err = transport.Flush(req.conn)
+	}
+	if err != nil {
+		e.kill(vh)
+		_ = req.conn.Close()
+		return
+	}
+	e.receive(req.id, req.conn)
+}
+
+// close ends the round: a straggler verdict for every live vehicle
+// without an upload, then fl.CloseRound — the close fl.System runs too —
+// over exactly the admitted uploads. Below K nothing can be verified: the
+// model holds still and the round counts as degraded instead of failing
+// the session (DESIGN.md §11).
+func (e *engine) close() error {
+	s := e.s
+	if e.closedBy == "budget" {
+		s.cEarlyClose.Inc()
+	}
+	s.obs.Emit("node.pipeline",
+		obs.F("round", e.round),
+		obs.F("wait_budget", s.cfg.WaitBudget),
+		obs.F("arrived", e.arrived),
+		obs.F("closed_by", e.closedBy),
+		obs.F("overlap_ns", e.overlapNs))
+	stragglers := 0
+	for id := range e.veh {
+		vh := &e.veh[id]
+		e.rows[id] = vh.upload
+		if !vh.dead && vh.upload == nil {
+			e.report.Stragglers++
+			stragglers++
+			s.cStragglers.Inc()
+			s.obs.Emit("node.straggler", obs.F("round", e.round), obs.F("vehicle", id))
+		}
+	}
+	if e.arrived < e.k {
+		e.report.DegradedRounds++
+		s.cDegraded.Inc()
+		e.publish("aggregate", false)
+		s.obs.Emit("node.degraded", obs.F("round", e.round), obs.F("present", e.arrived), obs.F("need", e.k))
+		e.report.Rounds = e.round
 		s.cRoundsDone.Inc()
-		roundSpan.End(
-			obs.F("stragglers", roundStragglers),
-			obs.F("decode_failures", s.scheme.DecodeFailures),
-			obs.F("flagged", len(suspects)))
+		e.span.End(obs.F("stragglers", stragglers), obs.F("degraded", true))
+		return nil
 	}
+	e.publish("aggregate", false)
+	// The streamed decode state is consumed where it applies
+	// (bit-identical to the plain Aggregate, core/stream.go). The scheme's
+	// core.aggregate span nests under this round's span; the zero context
+	// with tracing off keeps it detached.
+	s.scheme.SetSpanParent(e.ctx)
+	if _, _, err := fl.CloseRound(s.scheme, e.sink, s.distiller, s.shared, e.rows); err != nil {
+		return fmt.Errorf("node: round %d: %w", e.round, err)
+	}
+	suspects := s.scheme.SuspectedMalicious()
+	for _, id := range suspects {
+		e.veh[id].flagged = true
+	}
+	e.report.Rounds = e.round
+	s.cRoundsDone.Inc()
+	e.span.End(
+		obs.F("stragglers", stragglers),
+		obs.F("decode_failures", s.scheme.DecodeFailures),
+		obs.F("flagged", len(suspects)))
+	return nil
+}
 
-	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: report.Rounds}}
-	for _, id := range ids {
-		if !dead[id] {
-			_ = sendFlush(byID[id], fin) // best effort; the session is over
+// finish sends Finished to every live vehicle, marks the session over
+// — answering rejoins still queued, so late reconnectors terminate
+// instead of hanging — and settles the report.
+func (e *engine) finish() *Report {
+	s := e.s
+	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: e.report.Rounds}}
+	for id := range e.veh {
+		if !e.veh[id].dead {
+			_ = sendFlush(e.veh[id].conn, fin) // best effort; the session is over
 		}
 	}
-	s.finish(report.Rounds)
-	s.setStatus(func(st *Status) {
-		st.Phase = "done"
-		st.Round = report.Rounds
-		st.Arrived = 0
-		st.Outstanding = 0
-	})
-	for id := range flagged {
-		report.SuspectedMalicious = append(report.SuspectedMalicious, id)
+	s.mu.Lock()
+	s.done, s.finRounds = true, e.report.Rounds
+	s.mu.Unlock()
+	// Nothing enqueues once done is set, so the queue only drains.
+	for len(s.rejoin) > 0 {
+		sendFinished((<-s.rejoin).conn, e.report.Rounds)
 	}
-	sort.Ints(report.SuspectedMalicious)
-	report.FinalParams = s.shared.Params()
-	return report, nil
+	e.round, e.arrived, e.outstanding = e.report.Rounds, 0, 0
+	e.publish("done", false)
+	for id := range e.veh {
+		if e.veh[id].flagged {
+			e.report.SuspectedMalicious = append(e.report.SuspectedMalicious, id)
+		}
+	}
+	e.report.FinalParams = s.shared.Params()
+	return &e.report
+}
+
+// publish refreshes the live Status from the engine; withBehind also
+// relists the vehicles a budget close left behind, which allocates.
+func (e *engine) publish(phase string, withBehind bool) {
+	var behind []int
+	if withBehind {
+		behind = e.behindIDs()
+	}
+	e.s.statusMu.Lock()
+	defer e.s.statusMu.Unlock()
+	st := &e.s.status
+	st.Phase, st.Round, st.Arrived, st.Outstanding = phase, e.round, e.arrived, e.outstanding
+	st.Stragglers, st.Rejoins, st.DegradedRounds = e.report.Stragglers, e.report.Rejoins, e.report.DegradedRounds
+	if withBehind {
+		st.Behind = behind
+	}
+}
+
+// behindIDs lists the vehicles outpaced by a budget close, ascending (nil
+// when none).
+func (e *engine) behindIDs() []int {
+	n := 0
+	for id := range e.veh {
+		if e.veh[id].behind {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, 0, n)
+	for id := range e.veh {
+		if e.veh[id].behind {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // rearm points a timer that may be running, stopped or already fired at
@@ -932,31 +916,6 @@ func sendFlush(conn transport.Conn, m *protocol.Message) error {
 		return err
 	}
 	return transport.Flush(conn)
-}
-
-// sortedFlagged returns the set's members in ascending order (nil when
-// empty), for deterministic Status snapshots.
-func sortedFlagged(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// sortedVehicleIDs returns byID's keys in ascending order, giving every
-// per-vehicle sweep in Run a deterministic schedule.
-func sortedVehicleIDs(byID map[int]transport.Conn) []int {
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // ClientConfig parameterises one vehicle process.

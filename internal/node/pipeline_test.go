@@ -26,7 +26,11 @@ type engineCase struct {
 	retry     map[int]bool  // vehicles running under RunVehicleRetry
 	timeout   time.Duration // round timeout override (0 = session default)
 	deferred  bool          // the last two vehicles always upload a round late, WaitBudget=2
+	malformed bool          // malformedVehicle sends every upload one value short
 }
+
+// malformedVehicle is the malformed case's short-uploading vehicle.
+const malformedVehicle = 3
 
 // The matrix's session shape: K = 8, so up to two lies are corrected.
 const engineVehicles, engineRounds = 12, 3
@@ -54,13 +58,15 @@ var crashCase = engineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1
 // fl.System, run on the same data, seeds and activation and shown only
 // the admitted uploads, must end every session on bit-identical
 // parameters and the same flagged vehicles — fault-free, with liars, under
-// chaos faults, and with a budget close excluding two late vehicles, at
-// every scheme worker count.
+// chaos faults, with a budget close excluding two late vehicles, and with
+// a vehicle whose malformed uploads drop it from the session, at every
+// scheme worker count.
 func TestEngineMatchesSimulation(t *testing.T) {
 	matchSimulation(t, append([]engineCase{
 		{name: "honest"},
 		{name: "liars", malicious: 0.2},
 		{name: "deferred", deferred: true},
+		{name: "malformed", malformed: true},
 	}, chaosCases...))
 }
 
@@ -137,10 +143,24 @@ func matchSimulation(t *testing.T, cases []engineCase) {
 func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
 	t.Helper()
 	if tc.deferred {
-		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, 0, nil)
+		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, nil)
 	}
 	s := buildSessionFull(t, engineVehicles, engineRounds, tc.malicious, nil, workers)
 	s.alignSeeds()
+	if tc.malformed {
+		// The short upload is refused as a receive error: the vehicle is
+		// dropped, its connection closed, and the round goes on.
+		rep := runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
+			if i == malformedVehicle {
+				return shortConn{c}
+			}
+			return c
+		}, malformedVehicle)
+		if rep.RecvErrors != 1 {
+			t.Errorf("%s: recv errors = %d, want 1", tc.name, rep.RecvErrors)
+		}
+		return s, rep
+	}
 	if tc.timeout > 0 {
 		s.server.cfg.RoundTimeout = tc.timeout
 	}
@@ -149,14 +169,17 @@ func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
 }
 
 // admitted is the case's admission mask: whether the engine's round
-// (1-based) aggregates vehicle id's upload. The deferred pair is never
-// admitted; a certain (p = 1) upload drop aimed at one vehicle loses that
-// vehicle's first Max uploads, rounds 1..Max. Every other fault in the
-// matrix is recovered within its round.
+// (1-based) aggregates vehicle id's upload. The deferred pair and the
+// malformed vehicle are never admitted; a certain (p = 1) upload drop
+// aimed at one vehicle loses that vehicle's first Max uploads, rounds
+// 1..Max. Every other fault in the matrix is recovered within its round.
 func (tc engineCase) admitted(t *testing.T) func(round, id int) bool {
 	t.Helper()
 	if tc.deferred {
 		return func(_, id int) bool { return id < engineVehicles-2 }
+	}
+	if tc.malformed {
+		return func(_, id int) bool { return id != malformedVehicle }
 	}
 	lost := map[[2]int]bool{}
 	for _, r := range mustChaosSpec(t, tc.spec).Rules {
@@ -268,37 +291,74 @@ func (c *deferConn) Recv() (*protocol.Message, error) {
 	return m, err
 }
 
-// runDeferredSession runs a session with aligned seeds (alignSeeds) where
-// the last two vehicles defer every upload one round (deferConn), under
-// the given pipeline knobs.
-func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, window int, o *obs.Obs) (*session, *Report) {
-	t.Helper()
-	s := buildSessionFull(t, vehicles, rounds, 0, o, workers)
-	s.alignSeeds()
-	s.server.cfg.WaitBudget = waitBudget
-	if window > 0 {
-		s.server.cfg.PipelineWindow = window
+// silentConn swallows every upload: its vehicle trains each round it is
+// sent but is never heard from, so a budget close leaves it behind for
+// good.
+type silentConn struct{ transport.Conn }
+
+func (c silentConn) Send(m *protocol.Message) error {
+	if m.Upload != nil {
+		return nil
 	}
+	return c.Conn.Send(m)
+}
+
+// shortConn sends every upload one value short.
+type shortConn struct{ transport.Conn }
+
+func (c shortConn) Send(m *protocol.Message) error {
+	if m.Upload != nil {
+		up := *m.Upload
+		up.Values = up.Values[:len(up.Values)-1]
+		m = &protocol.Message{Upload: &up}
+	}
+	return c.Conn.Send(m)
+}
+
+// runWrapped runs the session with vehicle i's side of its connection
+// wrapped by wrap(i, conn). Every vehicle but dropped (-1 for none) must
+// end cleanly; dropped is one whose connection the fusion centre closes.
+func runWrapped(t *testing.T, s *session, wrap func(i int, c transport.Conn) transport.Conn, dropped int) *Report {
+	t.Helper()
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)
-		conn := s.vconns[i]
-		if i >= vehicles-2 {
-			conn = &deferConn{Conn: conn}
-		}
 		go func(i int, conn transport.Conn) {
 			defer wg.Done()
-			if err := RunVehicle(conn, s.clients[i]); err != nil {
+			if err := RunVehicle(conn, s.clients[i]); err != nil && i != dropped {
 				t.Errorf("vehicle %d: %v", i, err)
 			}
-		}(i, conn)
+		}(i, wrap(i, s.vconns[i]))
 	}
 	report, err := s.server.Run(s.conns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	return s, report
+	return report
+}
+
+// runLateSession runs a session with aligned seeds (alignSeeds) and the
+// given wait budget, the last two vehicles' connections wrapped by late.
+func runLateSession(t *testing.T, vehicles, rounds, workers, waitBudget int, late func(transport.Conn) transport.Conn, o *obs.Obs) (*session, *Report) {
+	t.Helper()
+	s := buildSessionFull(t, vehicles, rounds, 0, o, workers)
+	s.alignSeeds()
+	s.server.cfg.WaitBudget = waitBudget
+	return s, runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
+		if i >= vehicles-2 {
+			return late(c)
+		}
+		return c
+	}, -1)
+}
+
+// runDeferredSession is runLateSession with the last two vehicles
+// deferring every upload one round (deferConn).
+func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget int, o *obs.Obs) (*session, *Report) {
+	t.Helper()
+	return runLateSession(t, vehicles, rounds, workers, waitBudget,
+		func(c transport.Conn) transport.Conn { return &deferConn{Conn: c} }, o)
 }
 
 // TestPipelineEarlyClose pins the wait-budget close: with the last two
@@ -307,75 +367,88 @@ func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget, win
 // round, so the outcome is deterministic: bit-identical FinalParams across
 // worker counts, stragglers = 2 per round, no degraded round.
 //
-// It runs at the default in-flight window (0: what every binary uses) and
-// with the window set to the session length. Only the second pins
-// node.early_closes = rounds. At the default of 2 the count is rounds or
-// rounds-1 by scheduling: rounds 1 and 2 always close by budget, but if
-// the late pair's round-1 uploads are first seen after round 3's
-// broadcast, that broadcast is withheld from them and round 3 has nobody
-// left to close early on (closed_by "all"; about 1 run in 60). The model
-// and the straggler count are the same either way.
+// Only a session no longer than pipelineWindow pins node.early_closes =
+// rounds. In a longer one the count is rounds or rounds-1 by scheduling:
+// rounds 1 and 2 always close by budget, but if the late pair's round-1
+// uploads are first seen after round 3's broadcast, that broadcast is
+// withheld from them and round 3 has nobody left to close early on
+// (closed_by "all"; about 1 run in 60). The model and the straggler count
+// are the same either way.
 func TestPipelineEarlyClose(t *testing.T) {
-	const vehicles, rounds = 12, 3 // K = 8, punctual fleet = 10 = K+2
-	var first *Report
-	for _, window := range []int{0, rounds} {
+	const vehicles = 12 // K = 8, punctual fleet = 10 = K+2
+	for _, rounds := range []int{pipelineWindow, pipelineWindow + 1} {
 		reg := obs.NewRegistry()
 		o := obs.New(reg, nil, nil)
-		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, window, o)
-		got := reg.Counter("node.early_closes").Value()
-		if window == 0 && (got < rounds-1 || got > rounds) {
-			t.Errorf("window=default: node.early_closes = %d, want %d or %d", got, rounds-1, rounds)
+		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, o)
+		got := int(reg.Counter("node.early_closes").Value())
+		if rounds <= pipelineWindow && got != rounds {
+			t.Errorf("rounds=%d: node.early_closes = %d, want %d", rounds, got, rounds)
 		}
-		if window == rounds && got != rounds {
-			t.Errorf("window=%d: node.early_closes = %d, want %d", window, got, rounds)
+		if rounds > pipelineWindow && (got < rounds-1 || got > rounds) {
+			t.Errorf("rounds=%d: node.early_closes = %d, want %d or %d", rounds, got, rounds-1, rounds)
 		}
 		if base.Stragglers != 2*rounds {
-			t.Errorf("window=%d: stragglers = %d, want %d", window, base.Stragglers, 2*rounds)
+			t.Errorf("rounds=%d: stragglers = %d, want %d", rounds, base.Stragglers, 2*rounds)
 		}
 		if base.DegradedRounds != 0 {
-			t.Errorf("window=%d: degraded rounds = %d", window, base.DegradedRounds)
-		}
-		if first == nil {
-			first = base
-		} else if !sameBits(base.FinalParams, first.FinalParams) {
-			t.Errorf("window=%d: FinalParams differ from the default window's", window)
+			t.Errorf("rounds=%d: degraded rounds = %d", rounds, base.DegradedRounds)
 		}
 		for _, workers := range []int{2, 8} {
-			_, rep := runDeferredSession(t, vehicles, rounds, workers, 2, window, nil)
+			_, rep := runDeferredSession(t, vehicles, rounds, workers, 2, nil)
 			if !sameBits(rep.FinalParams, base.FinalParams) {
-				t.Errorf("window=%d workers=%d: budget-closed run not deterministic", window, workers)
+				t.Errorf("rounds=%d workers=%d: budget-closed run not deterministic", rounds, workers)
 			}
 			if rep.Stragglers != base.Stragglers {
-				t.Errorf("window=%d workers=%d: stragglers %d, want %d", window, workers, rep.Stragglers, base.Stragglers)
+				t.Errorf("rounds=%d workers=%d: stragglers %d, want %d", rounds, workers, rep.Stragglers, base.Stragglers)
 			}
 		}
 	}
 }
 
-// TestPipelineWindowWithholding pins the bounded in-flight window: with
-// PipelineWindow=1 the two behind vehicles exceed the window after the
-// first budget close, their broadcasts are withheld (they are not even
-// outstanding, so later rounds close as "all" without waiting), and the
-// session still terminates cleanly — Finished reaches the withheld
-// vehicles too.
+// TestPipelineWindowWithholding pins the bounded in-flight window: two
+// vehicles that never upload are left behind by every budget close, and
+// once they trail by more than pipelineWindow rounds their broadcasts are
+// withheld (they are not even outstanding, so later rounds close as "all"
+// without waiting). The session still terminates cleanly — Finished
+// reaches the withheld vehicles too.
 func TestPipelineWindowWithholding(t *testing.T) {
-	const vehicles, rounds = 12, 4
+	const vehicles, rounds = 12, pipelineWindow + 2
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil, nil)
-	_, rep := runDeferredSession(t, vehicles, rounds, 1, 2, 1, o)
+	_, rep := runLateSession(t, vehicles, rounds, 1, 2,
+		func(c transport.Conn) transport.Conn { return silentConn{c} }, o)
 	if rep.Rounds != rounds {
 		t.Fatalf("rounds = %d, want %d", rep.Rounds, rounds)
 	}
-	// Round 1 closes by budget (the deferring pair still outstanding);
-	// from round 2 on they are withheld, so the collect loop drains the
-	// punctual fleet and exits naturally — no further early closes.
-	if got := reg.Counter("node.early_closes").Value(); got != 1 {
-		t.Errorf("node.early_closes = %d, want 1", got)
+	// Rounds 1..pipelineWindow close by budget (the silent pair still
+	// outstanding); from then on they are withheld, so the collect step
+	// drains the punctual fleet and ends naturally — no further early
+	// closes.
+	if got := reg.Counter("node.early_closes").Value(); got != pipelineWindow {
+		t.Errorf("node.early_closes = %d, want %d", got, pipelineWindow)
 	}
 	if rep.Stragglers != 2*rounds {
 		t.Errorf("stragglers = %d, want %d", rep.Stragglers, 2*rounds)
 	}
 	if rep.DegradedRounds != 0 {
 		t.Errorf("degraded rounds = %d", rep.DegradedRounds)
+	}
+}
+
+// TestStatusWaitBudget pins the /roundz encoding of the wait budget: the
+// configured value as ServerConfig spells it (0 = wait for all, -1 =
+// close at K) next to the arrival count that closes a round early.
+func TestStatusWaitBudget(t *testing.T) {
+	for _, budget := range []int{0, -1, 2} {
+		s := buildSession(t, 12, 1, 0)
+		s.server.cfg.WaitBudget = budget
+		s.run(t)
+		k := s.server.scheme.RecoverThreshold()
+		target := map[int]int{0: 0, -1: k, 2: k + 2}[budget]
+		st := s.server.Status()
+		if st.WaitBudget != budget || st.BudgetTarget != target || st.RecoverK != k {
+			t.Errorf("WaitBudget=%d: status wait_budget=%d budget_target=%d recover_k=%d, want %d, %d, %d",
+				budget, st.WaitBudget, st.BudgetTarget, st.RecoverK, budget, target, k)
+		}
 	}
 }

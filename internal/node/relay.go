@@ -64,13 +64,8 @@ type RelayConfig struct {
 	Obs *obs.Obs
 }
 
-// NewRelay wires a listener for vehicle connections to a dialer for
-// upstream fusion-centre connections.
-func NewRelay(listener transport.Listener, dial func() (transport.Conn, error)) (*Relay, error) {
-	return NewRelayWith(RelayConfig{Listener: listener, Dial: dial})
-}
-
-// NewRelayWith builds a relay from the full configuration.
+// NewRelayWith builds a relay that wires a listener for vehicle
+// connections to a dialer for upstream fusion-centre connections.
 func NewRelayWith(cfg RelayConfig) (*Relay, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("node: relay listener required")

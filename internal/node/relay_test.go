@@ -20,10 +20,10 @@ func TestRelayValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := NewRelay(nil, func() (transport.Conn, error) { return nil, nil }); err == nil {
+	if _, err := NewRelayWith(RelayConfig{Dial: func() (transport.Conn, error) { return nil, nil }}); err == nil {
 		t.Error("nil listener accepted")
 	}
-	if _, err := NewRelay(l, nil); err == nil {
+	if _, err := NewRelayWith(RelayConfig{Listener: l}); err == nil {
 		t.Error("nil dialer accepted")
 	}
 }
@@ -43,9 +43,9 @@ func TestDistributedSessionThroughRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewRelay(relayListener, func() (transport.Conn, error) {
+	relay, err := NewRelayWith(RelayConfig{Listener: relayListener, Dial: func() (transport.Conn, error) {
 		return transport.DialTCP(fcListener.Addr())
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +250,13 @@ func TestRelayCrashVehiclesRecoverDirect(t *testing.T) {
 
 	fabUp := transport.NewPipeFabric(0)
 	fabDown := transport.NewPipeFabric(0)
-	relay, err := NewRelay(fabDown, func() (transport.Conn, error) {
+	relay, err := NewRelayWith(RelayConfig{Listener: fabDown, Dial: func() (transport.Conn, error) {
 		c, err := fabUp.Dial()
 		if err != nil {
 			return nil, err
 		}
 		return &crashAtRoundConn{Conn: c, round: 2}, nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestRelayCloseFlushesForwardedFrames(t *testing.T) {
 	fabUp := transport.NewPipeFabric(0)
 	fabDown := transport.NewPipeFabric(0)
 	legs := make(chan *bufferedLeg, 2)
-	relay, err := NewRelay(bufferedListener{fabDown, legs}, func() (transport.Conn, error) {
+	relay, err := NewRelayWith(RelayConfig{Listener: bufferedListener{fabDown, legs}, Dial: func() (transport.Conn, error) {
 		c, err := fabUp.Dial()
 		if err != nil {
 			return nil, err
@@ -396,7 +396,7 @@ func TestRelayCloseFlushesForwardedFrames(t *testing.T) {
 		leg := &bufferedLeg{Conn: c}
 		legs <- leg
 		return leg, nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

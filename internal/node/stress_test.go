@@ -52,9 +52,9 @@ func TestRelayManyConcurrentVehicles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewRelay(relayListener, func() (transport.Conn, error) {
+	relay, err := NewRelayWith(RelayConfig{Listener: relayListener, Dial: func() (transport.Conn, error) {
 		return transport.DialTCP(backend.Addr())
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestRelayCloseWhileTrafficInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewRelay(relayListener, func() (transport.Conn, error) {
+	relay, err := NewRelayWith(RelayConfig{Listener: relayListener, Dial: func() (transport.Conn, error) {
 		return transport.DialTCP(backend.Addr())
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

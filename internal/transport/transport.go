@@ -8,7 +8,6 @@ package transport
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,10 +36,10 @@ type Faulter interface {
 	SendCorrupt(m *protocol.Message) error
 }
 
-// Flusher is the optional coalescing face of a connection: fabrics (or
-// wrappers) built with a write buffer expose Flush to push pending
-// frames onto the wire in one syscall. Callers that enable buffering own
-// the flush barriers — see node.Server.
+// Flusher is the optional coalescing face of a connection: a fabric or
+// wrapper that buffers writes exposes Flush to push pending frames onto
+// the wire in one syscall. Neither built-in fabric buffers, so Flush is a
+// no-op on them; node.Server still places the flush barriers.
 type Flusher interface {
 	Flush() error
 }
@@ -205,25 +204,12 @@ func (c *pipeConn) Close() error {
 
 // --- TCP fabric ---
 
-// Options tunes the TCP fabric. The zero value writes each frame with
-// one syscall per Send.
-type Options struct {
-	// WriteBuffer > 0 attaches a write buffer of that many bytes, so
-	// consecutive Sends coalesce in memory until Flush (or Close) pushes
-	// them out as one write. Callers that enable it own the flush
-	// barriers; an unflushed frame is never delivered.
-	WriteBuffer int
-}
-
-// tcpConn frames protocol messages over a net.Conn.
+// tcpConn frames protocol messages over a net.Conn; each Send is one
+// write.
 type tcpConn struct {
 	conn    net.Conn
 	version atomic.Int32 // negotiated wire version for framing (starts at protocol.Version)
 	sendMu  sync.Mutex   // serializes frame writes on conn
-	// bw is nil when unbuffered. The pointer is set once at construction
-	// and never reassigned; the buffer's mutable state is only touched
-	// under sendMu (Send/SendCorrupt/Flush) or best-effort in Close.
-	bw *bufio.Writer
 	// sendBuf is the frame under construction, kept between Sends so
 	// steady-state framing allocates nothing; guarded by sendMu.
 	sendBuf []byte
@@ -236,12 +222,9 @@ type tcpConn struct {
 	closed  bool       // guarded by closeMu
 }
 
-func newTCPConn(c net.Conn, opts Options) *tcpConn {
+func newTCPConn(c net.Conn) *tcpConn {
 	t := &tcpConn{conn: c, br: bufio.NewReaderSize(c, defaultReadBuffer)}
 	t.version.Store(protocol.Version)
-	if opts.WriteBuffer > 0 {
-		t.bw = bufio.NewWriterSize(c, opts.WriteBuffer)
-	}
 	return t
 }
 
@@ -251,14 +234,6 @@ func newTCPConn(c net.Conn, opts Options) *tcpConn {
 // kernel has both, and Pending reports what is already in memory, so a
 // relay can keep coalescing its forwarded burst.
 const defaultReadBuffer = 4096
-
-// writer returns the frame destination; callers hold sendMu.
-func (c *tcpConn) writer() io.Writer {
-	if c.bw != nil {
-		return c.bw
-	}
-	return c.conn
-}
 
 // SetWireVersion implements WireVersioner: subsequent Sends frame at v.
 func (c *tcpConn) SetWireVersion(v int) { c.version.Store(int32(v)) }
@@ -281,7 +256,7 @@ func (c *tcpConn) Send(m *protocol.Message) error {
 	if cap(frame) <= maxKeptFrameBuf {
 		c.sendBuf = frame
 	}
-	if _, err := c.writer().Write(frame); err != nil {
+	if _, err := c.conn.Write(frame); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
@@ -292,17 +267,7 @@ func (c *tcpConn) Send(m *protocol.Message) error {
 func (c *tcpConn) SendCorrupt(m *protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return protocol.WriteCorrupt(c.writer(), m)
-}
-
-// Flush implements Flusher.
-func (c *tcpConn) Flush() error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.bw == nil {
-		return nil
-	}
-	return c.bw.Flush()
+	return protocol.WriteCorrupt(c.conn, m)
 }
 
 // Recv implements Conn.
@@ -331,35 +296,21 @@ func (c *tcpConn) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.bw != nil && c.sendMu.TryLock() {
-		// Best-effort flush of buffered frames. TryLock, not Lock: Close
-		// must stay able to interrupt a sender blocked on a stuck socket,
-		// which would otherwise hold sendMu forever.
-		_ = c.bw.Flush()
-		c.sendMu.Unlock()
-	}
 	return c.conn.Close()
 }
 
 // tcpListener adapts net.Listener.
 type tcpListener struct {
-	l    net.Listener
-	opts Options
+	l net.Listener
 }
 
 // ListenTCP starts a listener on addr ("127.0.0.1:0" picks a free port).
 func ListenTCP(addr string) (Listener, error) {
-	return ListenTCPOptions(addr, Options{})
-}
-
-// ListenTCPOptions starts a listener whose accepted connections carry
-// the given buffering options.
-func ListenTCPOptions(addr string, opts Options) (Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{l: l, opts: opts}, nil
+	return &tcpListener{l: l}, nil
 }
 
 // Accept implements Listener.
@@ -368,7 +319,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return newTCPConn(c, t.opts), nil
+	return newTCPConn(c), nil
 }
 
 // Addr implements Listener.
@@ -389,12 +340,6 @@ func DialTCP(addr string) (Conn, error) {
 // DialTCPTimeout connects to a fusion centre at addr, failing after the
 // given timeout (<= 0 selects DefaultDialTimeout).
 func DialTCPTimeout(addr string, timeout time.Duration) (Conn, error) {
-	return DialTCPOptions(addr, timeout, Options{})
-}
-
-// DialTCPOptions connects with the given timeout (<= 0 selects
-// DefaultDialTimeout) and buffering options.
-func DialTCPOptions(addr string, timeout time.Duration, opts Options) (Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
@@ -403,5 +348,5 @@ func DialTCPOptions(addr string, timeout time.Duration, opts Options) (Conn, err
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c, opts), nil
+	return newTCPConn(c), nil
 }

@@ -241,31 +241,7 @@ func TestCorruptFramePipe(t *testing.T) {
 // TestCorruptFrameTCP does the same over a real socket: the flipped CRC
 // travels the wire and the receiver's checksum catches it.
 func TestCorruptFrameTCP(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- c
-	}()
-	conn, err := DialTCP(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var server Conn
-	select {
-	case server = <-accepted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("accept timed out")
-	}
-	defer server.Close()
+	conn, server := tcpPair(t)
 	if err := conn.(Faulter).SendCorrupt(hello(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +254,80 @@ func TestCorruptFrameTCP(t *testing.T) {
 	got, err := server.Recv()
 	if err != nil || got.Hello == nil || got.Hello.VehicleID != 8 {
 		t.Fatalf("TCP stream desynced after corrupt frame: %+v, %v", got, err)
+	}
+}
+
+// tcpPair dials a loopback TCP connection, returning (client, server).
+func tcpPair(t *testing.T) (Conn, Conn) {
+	t.Helper()
+	l, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- c
+	}()
+	client, err := DialTCP(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	select {
+	case server := <-accepted:
+		t.Cleanup(func() { server.Close() })
+		return client, server
+	case <-time.After(5 * time.Second):
+		t.Fatal("accept timed out")
+		return nil, nil
+	}
+}
+
+// TestUnbufferedOptionalFaces pins the degenerate behaviour of the
+// optional faces on a TCP connection and on the pipe fabric:
+// Flush succeeds as a no-op, Pending is false (a pipe with queued input
+// reports true), and SetWireVersion is accepted everywhere.
+func TestUnbufferedOptionalFaces(t *testing.T) {
+	client, server := tcpPair(t)
+	SetWireVersion(client, protocol.Version)
+	if err := Flush(client); err != nil {
+		t.Fatalf("unbuffered flush: %v", err)
+	}
+	if Pending(server) {
+		t.Error("unbuffered conn reports pending input")
+	}
+	m := &protocol.Message{Upload: &protocol.Upload{Round: 2, VehicleID: 1, Values: []float64{9}}}
+	if err := client.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := server.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Upload == nil || got.Upload.Values[0] != 9 {
+		t.Fatalf("got %+v", got)
+	}
+
+	a, b := Pipe()
+	SetWireVersion(a, protocol.Version) // no-op, must not panic
+	if err := Flush(a); err != nil {
+		t.Fatalf("pipe flush: %v", err)
+	}
+	if Pending(b) {
+		t.Error("idle pipe reports pending input")
+	}
+	if err := a.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	if !Pending(b) {
+		t.Error("pipe with a queued message reports no pending input")
+	}
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -35,6 +35,9 @@ echo "== go test -race -count=2 (scheduling-sensitive packages)"
 # deterministic-fault invariants; a second run flushes out
 # order-dependent state the first run happened to miss.
 go test -race -count=2 ./internal/node ./internal/chaos
+# The budget close and the in-flight window depend on arrival order;
+# fifty repetitions of the tests that pin them take about fifteen seconds.
+go test -race -count=50 -run 'TestPipelineEarlyClose|TestPipelineWindowWithholding' ./internal/node
 
 echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin against the simulation)"
 # The crash cell of the engine-versus-simulation matrix once lost a
