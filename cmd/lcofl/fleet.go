@@ -10,15 +10,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/fl"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/debugz"
 	"repro/internal/parallel"
-	"repro/internal/traffic"
 	"repro/internal/transport"
 )
 
@@ -36,50 +32,26 @@ func fleetSessionIDs(n int) []string {
 func fleetSessionSeed(seed int64, j int) int64 { return seed + 1009*int64(j) }
 
 // buildFleetScenario derives one independent, deterministic scenario per
-// session — dataset, partitions, scheme, and client configs — from the
-// master seed, so a fusion centre and remote vehicles agree without
+// session from the master seed — each session's deploy at its own
+// fleetSessionSeed — so a fusion centre and remote vehicles agree without
 // exchanging data files.
 func buildFleetScenario(sessions, vehicles, rounds, workers int, seed int64, timeout time.Duration, ob *obs.Obs) (map[string]node.ServerConfig, map[string][]node.ClientConfig, error) {
 	if vehicles < 4 {
 		return nil, nil, fmt.Errorf("fleet scenario needs at least 4 vehicles per session, got %d", vehicles)
 	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		return nil, nil, err
-	}
 	cfgs := make(map[string]node.ServerConfig, sessions)
 	clients := make(map[string][]node.ClientConfig, sessions)
 	for j, id := range fleetSessionIDs(sessions) {
-		s := fleetSessionSeed(seed, j)
-		refX, train, _, _, err := distributedSetup(vehicles, s)
+		d, err := deploy(vehicles, rounds, fleetSessionSeed(seed, j), 0, workers, ob)
 		if err != nil {
 			return nil, nil, err
 		}
-		parts, err := train.PartitionIID(vehicles, s+3)
-		if err != nil {
-			return nil, nil, err
+		d.Server.RoundTimeout = timeout
+		for i := range d.Clients {
+			d.Clients[i].SessionID = id
 		}
-		cfgs[id] = node.ServerConfig{
-			FL: fl.Config{
-				InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-				DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: s + 4,
-			},
-			Scheme: core.SchemeConfig{
-				NumVehicles: vehicles, NumBatches: chooseBatches(vehicles), Degree: 1, Seed: s + 5,
-				Workers: workers,
-			},
-			RefX:             refX,
-			ActivationCoeffs: p,
-			Rounds:           rounds,
-			RoundTimeout:     timeout,
-			Obs:              ob,
-		}
-		cc := make([]node.ClientConfig, vehicles)
-		for i := 0; i < vehicles; i++ {
-			cc[i] = node.ClientConfig{VehicleID: i, SessionID: id, Data: parts[i], Seed: s + 100 + int64(i)}
-		}
-		clients[id] = cc
+		cfgs[id] = d.Server
+		clients[id] = d.Clients
 	}
 	return cfgs, clients, nil
 }

@@ -414,43 +414,27 @@ func cmdDemo(args []string) (retErr error) {
 
 	fmt.Printf("L-CoFL demo: %d vehicles, %.0f%% malicious\n\n", *vehicles, *malicious*100)
 
-	ds, err := traffic.Generate(traffic.GenConfig{Rows: 1500, Seed: *seed})
+	const rounds = 10
+	d, err := experiments.Scenario{
+		Vehicles: *vehicles, Rounds: rounds, Rows: 1500, Batches: 16,
+		MaliciousFraction: *malicious, Seed: *seed, Obs: ob,
+	}.Deploy()
 	if err != nil {
 		return err
 	}
-	train, test, err := ds.Split(0.8, *seed+1)
-	if err != nil {
-		return err
-	}
-	refDS, err := traffic.Generate(traffic.GenConfig{Rows: 16 * 8, Seed: *seed + 2})
-	if err != nil {
-		return err
-	}
-	refX := refDS.Features()
-	parts, err := train.PartitionIID(*vehicles, *seed+3)
-	if err != nil {
-		return err
-	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Step 1  activation approximated by least squares (degree 1): %v\n", p)
+	act := approx.FromPolynomial("demo", d.Server.ActivationCoeffs)
+	fmt.Printf("Step 1  activation approximated by least squares (degree 1): %v\n", act.Poly)
 
-	cfg := fl.Config{
-		InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-		DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: *seed + 4,
-		Obs: ob,
+	data := make([][]nn.Sample, len(d.Clients))
+	for i, c := range d.Clients {
+		data[i] = c.Data
 	}
-	sys, err := fl.NewSystem(cfg, parts, refX, approx.FromPolynomial("demo", p))
+	refX := d.Server.RefX
+	sys, err := fl.NewSystem(d.Server.FL, data, refX, act)
 	if err != nil {
 		return err
 	}
-	scheme, err := core.NewScheme(refX, core.SchemeConfig{
-		NumVehicles: *vehicles, NumBatches: 16, Degree: 1, Seed: *seed + 5,
-		Obs: ob,
-	})
+	scheme, err := core.NewScheme(refX, d.Server.Scheme)
 	if err != nil {
 		return err
 	}
@@ -459,21 +443,20 @@ func cmdDemo(args []string) (retErr error) {
 	fmt.Printf("        verification: %d slots x 2 symbols + %d learning estimates per vehicle\n\n",
 		scheme.Slots(), len(refX))
 
-	plan, err := adversary.NewPlan(*vehicles, *malicious, adversary.ConstantLie{Value: 5}, *seed+6)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Step 2  %d vehicles turned malicious (constant-lie): %v\n", plan.Count(), plan.IDs())
-	if plan.Count() > scheme.MaxMalicious() {
-		fmt.Printf("        WARNING: %d malicious exceeds the eq. 6 budget of %d — decoding will refuse and rounds degrade to the median fallback\n", plan.Count(), scheme.MaxMalicious())
+	plan := d.Plan
+	if plan != nil {
+		fmt.Printf("Step 2  %d vehicles turned malicious (constant-lie): %v\n", plan.Count(), plan.IDs())
+		if plan.Count() > scheme.MaxMalicious() {
+			fmt.Printf("        WARNING: %d malicious exceeds the eq. 6 budget of %d — decoding will refuse and rounds degrade to the median fallback\n", plan.Count(), scheme.MaxMalicious())
+		}
 	}
 	fmt.Println()
 
-	for r := 0; r < 10; r++ {
+	for r := 0; r < rounds; r++ {
 		if _, err := sys.RunRound(scheme, plan, nil); err != nil {
 			return err
 		}
-		acc, err := sys.Accuracy(test.Samples)
+		acc, err := sys.Accuracy(d.Test.Samples)
 		if err != nil {
 			return err
 		}
@@ -536,22 +519,16 @@ func chooseBatches(vehicles int) int {
 	}
 }
 
-// distributedSetup derives the deterministic scenario both sides of the
-// TCP deployment share.
-func distributedSetup(vehicles int, seed int64) ([][]float64, *traffic.Dataset, [][]float64, []float64, error) {
-	ds, err := traffic.Generate(traffic.GenConfig{Rows: 2000, Seed: seed})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	train, test, err := ds.Split(0.8, seed+1)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	refDS, err := traffic.Generate(traffic.GenConfig{Rows: chooseBatches(vehicles) * 8, Seed: seed + 2})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return refDS.Features(), train, test.Features(), test.Labels(), nil
+// deploy derives the session every networked command runs — 2 000
+// rows, M = chooseBatches(V), degree 1 — as an experiments.Scenario in
+// the engine's form. Both sides of a TCP deployment derive it from the
+// shared seed, and a session in which every upload arrives ends on that
+// Scenario's Run(LCoFL) bit for bit.
+func deploy(vehicles, rounds int, seed int64, malicious float64, workers int, ob *obs.Obs) (*experiments.Deployment, error) {
+	return experiments.Scenario{
+		Vehicles: vehicles, Rounds: rounds, Rows: 2000, Batches: chooseBatches(vehicles),
+		MaliciousFraction: malicious, Seed: seed, Workers: workers, Obs: ob,
+	}.Deploy()
 }
 
 func cmdServe(args []string) (retErr error) {
@@ -581,30 +558,12 @@ func cmdServe(args []string) (retErr error) {
 	if *sessionsN > 1 {
 		return serveFleet(*addr, *sessionsN, *vehicles, *rounds, *maxConns, *queueDepth, *seed, pipeline, ob, dbg)
 	}
-	refX, _, testX, testY, err := distributedSetup(*vehicles, *seed)
+	d, err := deploy(*vehicles, *rounds, *seed, 0, 0, ob)
 	if err != nil {
 		return err
 	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		return err
-	}
-	scfg := node.ServerConfig{
-		FL: fl.Config{
-			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: *seed + 4,
-		},
-		Scheme: core.SchemeConfig{
-			NumVehicles: *vehicles, NumBatches: chooseBatches(*vehicles), Degree: 1, Seed: *seed + 5,
-		},
-		RefX:             refX,
-		ActivationCoeffs: p,
-		Rounds:           *rounds,
-		Obs:              ob,
-	}
-	pipeline(&scfg)
-	srv, err := node.NewServer(scfg)
+	pipeline(&d.Server)
+	srv, err := node.NewServer(d.Server)
 	if err != nil {
 		return err
 	}
@@ -656,17 +615,11 @@ func cmdServe(args []string) (retErr error) {
 		fmt.Printf("lcofl serve: recovery: %d corrupt frames, %d retransmits, %d rejoins, %d degraded rounds, %d recv errors\n",
 			report.CorruptFrames, report.Retransmits, report.Rejoins, report.DegradedRounds, report.RecvErrors)
 	}
-	correct := 0
-	for i, x := range testX {
-		pi, err := srv.Shared().EstimateClamped(x)
-		if err != nil {
-			return err
-		}
-		if (pi > 0.5) == (testY[i] == 1) {
-			correct++
-		}
+	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("lcofl serve: final shared-model test accuracy %.3f\n", float64(correct)/float64(len(testX)))
+	fmt.Printf("lcofl serve: final shared-model test accuracy %.3f\n", acc)
 	if *checkpoint != "" {
 		data, err := json.MarshalIndent(srv.Shared().Snapshot(), "", "  ")
 		if err != nil {
@@ -777,18 +730,15 @@ func cmdVehicle(args []string) (retErr error) {
 		}
 		scenarioSeed = fleetSessionSeed(*seed, j)
 	}
-	_, train, _, _, err := distributedSetup(*vehicles, scenarioSeed)
+	d, err := deploy(*vehicles, 0, scenarioSeed, 0, 0, nil)
 	if err != nil {
 		return err
 	}
-	parts, err := train.PartitionIID(*vehicles, scenarioSeed+3)
-	if err != nil {
-		return err
+	if *id < 0 || *id >= len(d.Clients) {
+		return fmt.Errorf("vehicle: id %d outside fleet of %d", *id, len(d.Clients))
 	}
-	if *id < 0 || *id >= len(parts) {
-		return fmt.Errorf("vehicle: id %d outside fleet of %d", *id, len(parts))
-	}
-	cc := node.ClientConfig{VehicleID: *id, SessionID: *session, Data: parts[*id], Seed: scenarioSeed + 100 + int64(*id)}
+	cc := d.Clients[*id]
+	cc.SessionID = *session
 	if *malicious {
 		cc.Corrupt = adversary.ConstantLie{Value: 5}
 		fmt.Printf("lcofl vehicle %d: running MALICIOUSLY\n", *id)
@@ -807,7 +757,7 @@ func cmdVehicle(args []string) (retErr error) {
 		}
 		return chaosWrap(inj, *id, transport.Instrument(raw, ob, "server")), nil
 	}
-	fmt.Printf("lcofl vehicle %d: dialing %s with %d local samples\n", *id, *addr, len(parts[*id]))
+	fmt.Printf("lcofl vehicle %d: dialing %s with %d local samples\n", *id, *addr, len(cc.Data))
 	if err := node.RunVehicleRetry(cc, node.RetryConfig{
 		Dial:        dial,
 		MaxAttempts: *retries,
@@ -854,47 +804,19 @@ func cmdDist(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	refX, train, testX, testY, err := distributedSetup(*vehicles, *seed)
+	d, err := deploy(*vehicles, *rounds, *seed, *malicious, *workers, ob)
 	if err != nil {
 		return err
 	}
-	parts, err := train.PartitionIID(*vehicles, *seed+3)
-	if err != nil {
-		return err
-	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		return err
-	}
-	scfg := node.ServerConfig{
-		FL: fl.Config{
-			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: *seed + 4,
-		},
-		Scheme: core.SchemeConfig{
-			NumVehicles: *vehicles, NumBatches: chooseBatches(*vehicles), Degree: 1, Seed: *seed + 5,
-			Workers: *workers,
-		},
-		RefX:             refX,
-		ActivationCoeffs: p,
-		Rounds:           *rounds,
-		RoundTimeout:     *timeout,
-		Obs:              ob,
-	}
-	pipeline(&scfg)
-	srv, err := node.NewServer(scfg)
+	d.Server.RoundTimeout = *timeout
+	pipeline(&d.Server)
+	srv, err := node.NewServer(d.Server)
 	if err != nil {
 		return err
 	}
 	dbg.SetRoundz(func() any { return srv.Status() })
-	var plan *adversary.Plan
-	if *malicious > 0 {
-		plan, err = adversary.NewPlan(*vehicles, *malicious, adversary.ConstantLie{Value: 5}, *seed+6)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("lcofl dist: %d malicious vehicles: %v\n", plan.Count(), plan.IDs())
+	if d.Plan != nil {
+		fmt.Printf("lcofl dist: %d malicious vehicles: %v\n", d.Plan.Count(), d.Plan.IDs())
 	}
 	if inj != nil {
 		fmt.Printf("lcofl dist: chaos spec %q active on every vehicle-side connection\n", inj.Spec().String())
@@ -908,13 +830,6 @@ func cmdDist(args []string) (retErr error) {
 
 	conns := make([]transport.Conn, *vehicles)
 	var fleet parallel.Group
-	clientFor := func(i int) node.ClientConfig {
-		cc := node.ClientConfig{VehicleID: i, Data: parts[i], Seed: *seed + 100 + int64(i)}
-		if plan != nil && plan.IsMalicious(i) {
-			cc.Corrupt = adversary.ConstantLie{Value: 5}
-		}
-		return cc
-	}
 	var report *node.Report
 	if *shards > 0 {
 		// Relay tree: vehicles dial their stripe's relay, each relay
@@ -962,7 +877,7 @@ func cmdDist(args []string) (retErr error) {
 		}
 		for i := 0; i < *vehicles; i++ {
 			i := i
-			cc := clientFor(i)
+			cc := d.Clients[i]
 			rfab := rfabs[i%*shards]
 			dial := func() (transport.Conn, error) {
 				c, err := rfab.Dial()
@@ -1016,7 +931,7 @@ func cmdDist(args []string) (retErr error) {
 		for i := 0; i < *vehicles; i++ {
 			serverEnd, vehicleEnd := transport.Pipe()
 			conns[i] = transport.Instrument(serverEnd, ob, fmt.Sprintf("conn-%d", i))
-			cc := clientFor(i)
+			cc := d.Clients[i]
 			first := vehicleEnd
 			dial := func() (transport.Conn, error) {
 				if first != nil {
@@ -1054,16 +969,10 @@ func cmdDist(args []string) (retErr error) {
 		report.Rounds, report.SuspectedMalicious, report.Stragglers)
 	fmt.Printf("lcofl dist: recovery: %d corrupt frames, %d retransmits, %d rejoins, %d degraded rounds, %d recv errors\n",
 		report.CorruptFrames, report.Retransmits, report.Rejoins, report.DegradedRounds, report.RecvErrors)
-	correct := 0
-	for i, x := range testX {
-		pi, err := srv.Shared().EstimateClamped(x)
-		if err != nil {
-			return err
-		}
-		if (pi > 0.5) == (testY[i] == 1) {
-			correct++
-		}
+	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("lcofl dist: final shared-model test accuracy %.3f\n", float64(correct)/float64(len(testX)))
+	fmt.Printf("lcofl dist: final shared-model test accuracy %.3f\n", acc)
 	return nil
 }

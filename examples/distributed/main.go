@@ -1,10 +1,14 @@
 // Distributed deployment: the fusion centre and the vehicles as separate
 // processes (here goroutines) talking the wire protocol over real TCP.
 //
-// Twenty vehicles connect to the fusion centre on a loopback port; four of
-// them are malicious. Each side holds only its own state — vehicles never
-// see each other's data, the fusion centre never sees any dataset — and
-// the verification channel identifies the liars across the network.
+// Twenty vehicles connect to the fusion centre on a loopback port; a
+// fifth of them are malicious. Each side holds only its own state —
+// vehicles never see each other's data, the fusion centre never sees any
+// dataset — and the verification channel identifies the liars across the
+// network. The session is an experiments.Scenario deployed to the round
+// engine, so it ends exactly where that Scenario's simulation run ends.
+// The program exits non-zero unless the flagged vehicles are exactly the
+// planted ones.
 //
 // Run: go run ./examples/distributed
 package main
@@ -12,57 +16,31 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
-	"repro/internal/adversary"
-	"repro/internal/approx"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/node"
 	"repro/internal/parallel"
-	"repro/internal/traffic"
 	"repro/internal/transport"
 )
 
 func main() {
-	const (
-		vehicles = 20
-		rounds   = 8
-	)
+	d, err := experiments.Scenario{
+		Vehicles:          20,
+		Rounds:            8,
+		Rows:              2000,
+		Batches:           8,
+		MaliciousFraction: 0.2,
+		Seed:              30,
+	}.Deploy()
+	if err != nil {
+		log.Fatal(err)
+	}
+	planted := d.Plan.IDs()
+	slices.Sort(planted)
 
-	ds, err := traffic.Generate(traffic.GenConfig{Rows: 2000, Seed: 30})
-	if err != nil {
-		log.Fatal(err)
-	}
-	train, test, err := ds.Split(0.8, 31)
-	if err != nil {
-		log.Fatal(err)
-	}
-	refDS, err := traffic.Generate(traffic.GenConfig{Rows: 8 * 16, Seed: 32})
-	if err != nil {
-		log.Fatal(err)
-	}
-	parts, err := train.PartitionIID(vehicles, 33)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	server, err := node.NewServer(node.ServerConfig{
-		FL: fl.Config{
-			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: 34,
-		},
-		Scheme: core.SchemeConfig{
-			NumVehicles: vehicles, NumBatches: 8, Degree: 1, Seed: 35,
-		},
-		RefX:             refDS.Features(),
-		ActivationCoeffs: p,
-		Rounds:           rounds,
-	})
+	server, err := node.NewServer(d.Server)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,33 +52,28 @@ func main() {
 	defer l.Close()
 	fmt.Printf("fusion centre listening on %s\n", l.Addr())
 
-	// Vehicles 3, 7, 11, 15 lie about everything. One goroutine per
-	// vehicle via parallel.Group, so a vehicle panic surfaces in main
-	// instead of killing the process from an anonymous goroutine.
-	malicious := map[int]bool{3: true, 7: true, 11: true, 15: true}
+	// The planted vehicles lie about everything (their ClientConfig carries
+	// the Corrupt behaviour). One goroutine per vehicle via parallel.Group,
+	// so a vehicle panic surfaces in main instead of killing the process
+	// from an anonymous goroutine.
 	var vg parallel.Group
-	for i := 0; i < vehicles; i++ {
-		id := i
+	for _, cfg := range d.Clients {
 		vg.Go(func() error {
 			conn, err := transport.DialTCP(l.Addr())
 			if err != nil {
-				log.Printf("vehicle %d: %v", id, err)
+				log.Printf("vehicle %d: %v", cfg.VehicleID, err)
 				return nil
 			}
 			defer conn.Close()
-			cfg := node.ClientConfig{VehicleID: id, Data: parts[id], Seed: int64(100 + id)}
-			if malicious[id] {
-				cfg.Corrupt = adversary.ConstantLie{Value: 5}
-			}
 			if err := node.RunVehicle(conn, cfg); err != nil {
-				log.Printf("vehicle %d: %v", id, err)
+				log.Printf("vehicle %d: %v", cfg.VehicleID, err)
 			}
 			return nil
 		})
 	}
 
-	conns := make([]transport.Conn, 0, vehicles)
-	for len(conns) < vehicles {
+	conns := make([]transport.Conn, 0, len(d.Clients))
+	for len(conns) < len(d.Clients) {
 		c, err := l.Accept()
 		if err != nil {
 			log.Fatal(err)
@@ -116,16 +89,13 @@ func main() {
 	}
 
 	fmt.Printf("completed %d rounds over TCP\n", report.Rounds)
-	fmt.Printf("verification channel flagged vehicles: %v (planted: 3 7 11 15)\n", report.SuspectedMalicious)
-	correct := 0
-	for i, s := range test.Samples {
-		pi, err := server.Shared().EstimateClamped(s.X)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if (pi > 0.5) == (test.Samples[i].Y == 1) {
-			correct++
-		}
+	fmt.Printf("verification channel flagged vehicles: %v (planted: %v)\n", report.SuspectedMalicious, planted)
+	acc, err := fl.ModelAccuracy(server.Shared(), d.Test.Samples)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("final shared-model test accuracy: %.3f\n", float64(correct)/float64(test.Len()))
+	fmt.Printf("final shared-model test accuracy: %.3f\n", acc)
+	if !slices.Equal(report.SuspectedMalicious, planted) {
+		log.Fatalf("flagged %v, want the planted %v", report.SuspectedMalicious, planted)
+	}
 }

@@ -18,7 +18,9 @@ type Behavior interface {
 	// Name identifies the behaviour in experiment output.
 	Name() string
 	// Corrupt returns the value the malicious vehicle reports instead of
-	// the honest value.
+	// the honest value. It is a pure function of its arguments: the
+	// engine calls one Behavior value from every liar's goroutine, and
+	// the simulation calls it in vehicle order, so both see the same lies.
 	Corrupt(vehicle int, honest float64) float64
 }
 
@@ -34,32 +36,6 @@ func (c ConstantLie) Name() string { return fmt.Sprintf("constant-lie(%g)", c.Va
 
 // Corrupt implements Behavior.
 func (c ConstantLie) Corrupt(_ int, _ float64) float64 { return c.Value }
-
-// RandomNoise reports uniform garbage in [-Magnitude, Magnitude].
-type RandomNoise struct {
-	// Magnitude bounds the reported garbage.
-	Magnitude float64
-	// Seed drives the deterministic RNG.
-	Seed int64
-
-	rng *rand.Rand
-}
-
-// NewRandomNoise validates the magnitude and returns the behaviour.
-func NewRandomNoise(magnitude float64, seed int64) (*RandomNoise, error) {
-	if magnitude <= 0 {
-		return nil, fmt.Errorf("adversary: magnitude %g must be positive", magnitude)
-	}
-	return &RandomNoise{Magnitude: magnitude, Seed: seed, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Name implements Behavior.
-func (r *RandomNoise) Name() string { return fmt.Sprintf("random-noise(%g)", r.Magnitude) }
-
-// Corrupt implements Behavior.
-func (r *RandomNoise) Corrupt(_ int, _ float64) float64 {
-	return (2*r.rng.Float64() - 1) * r.Magnitude
-}
 
 // SignFlipScale reports -Scale times the honest value: a gradient/estimate
 // inversion attack that actively steers the aggregate away from truth.

@@ -12,22 +12,6 @@ func TestConstantLie(t *testing.T) {
 	}
 }
 
-func TestRandomNoise(t *testing.T) {
-	b, err := NewRandomNoise(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		v := b.Corrupt(0, 123)
-		if math.Abs(v) > 2 {
-			t.Fatalf("noise %g outside magnitude", v)
-		}
-	}
-	if _, err := NewRandomNoise(0, 1); err == nil {
-		t.Error("zero magnitude accepted")
-	}
-}
-
 func TestSignFlipScale(t *testing.T) {
 	b := SignFlipScale{Scale: 3}
 	if got := b.Corrupt(0, 0.5); got != -1.5 {
@@ -124,8 +108,7 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 func TestBehaviorNames(t *testing.T) {
-	rn, _ := NewRandomNoise(1, 0)
-	for _, b := range []Behavior{ConstantLie{Value: 1}, rn, SignFlipScale{Scale: 2}, CollusionOffset{Offset: 0.1}} {
+	for _, b := range []Behavior{ConstantLie{Value: 1}, SignFlipScale{Scale: 2}, CollusionOffset{Offset: 0.1}} {
 		if b.Name() == "" {
 			t.Errorf("%T has empty name", b)
 		}

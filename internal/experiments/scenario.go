@@ -157,17 +157,32 @@ type RunOutput struct {
 	// SuspectedMalicious is the last round's flagged-vehicle count
 	// (L-CoFL only).
 	SuspectedMalicious int
+	// Flagged lists, ascending, every vehicle flagged in any round
+	// (L-CoFL only) — the rule of node.Report.SuspectedMalicious.
+	Flagged []int
+	// FinalParams is the shared model's parameter vector after the last
+	// round.
+	FinalParams []float64
 }
 
-// Run executes one comparison model over the scenario.
-func (s Scenario) Run(v Variant) (*RunOutput, error) {
-	sc := s.withDefaults()
-	sc.Obs.Emit("experiments.run_start",
-		obs.F("variant", string(v)),
-		obs.F("seed", sc.Seed),
-		obs.F("vehicles", sc.Vehicles),
-		obs.F("rounds", sc.Rounds))
-	runSpan := sc.Obs.Start("experiments.run", obs.F("variant", string(v)), obs.F("seed", sc.Seed))
+// setup is what one Scenario builds for a variant before any round runs;
+// Run drives it through fl.System, Deploy hands it to the round engine.
+type setup struct {
+	test   *traffic.Dataset
+	refX   [][]float64
+	parts  [][]nn.Sample
+	act    approx.Activation
+	fl     fl.Config
+	scheme core.SchemeConfig // L-CoFL's coding parameters
+	plan   *adversary.Plan   // nil when nobody lies
+}
+
+// build derives variant v's data, partitions, reference set, activation,
+// learning configuration, coding parameters and adversary plan from the
+// defaulted scenario sc. Every random choice has its own seed offset:
+// data +0, split +1, reference set +2, partition +3, PlainFL input noise
+// +4+i, FL +5, scheme +6, plan +7 (and Run's mobility +8).
+func (sc Scenario) build(v Variant) (*setup, error) {
 	ds, err := traffic.Generate(traffic.GenConfig{Rows: sc.Rows, Seed: sc.Seed})
 	if err != nil {
 		return nil, err
@@ -180,24 +195,23 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	refX := refDS.Features()
+	b := &setup{test: test, refX: refDS.Features()}
 
 	vehicles := sc.Vehicles
 	if v == CodedFL24 {
 		vehicles = codedfl.DefaultVehicles
 	}
-	var parts [][]nn.Sample
 	if sc.NonIIDSkew > 0 {
-		parts, err = train.PartitionNonIID(vehicles, sc.NonIIDSkew, sc.Seed+3)
+		b.parts, err = train.PartitionNonIID(vehicles, sc.NonIIDSkew, sc.Seed+3)
 	} else {
-		parts, err = train.PartitionIID(vehicles, sc.Seed+3)
+		b.parts, err = train.PartitionIID(vehicles, sc.Seed+3)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if v == PlainFL && sc.PlainInputNoise > 0 {
-		for i := range parts {
-			parts[i] = traffic.CorruptLowQuality(parts[i], sc.PlainInputNoise, 0, sc.Seed+4+int64(i))
+		for i := range b.parts {
+			b.parts[i] = traffic.CorruptLowQuality(b.parts[i], sc.PlainInputNoise, 0, sc.Seed+4+int64(i))
 		}
 	}
 
@@ -205,21 +219,20 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 	// least-squares polynomial (paper §VI: 21 points on [-2, 2]) for the
 	// approximated ones.
 	exact := approx.SymmetricSigmoid()
-	var act approx.Activation
 	switch v {
 	case Accurate, PlainFL, CodedFL24:
-		act = exact
+		b.act = exact
 	case ApproxOnly, LCoFL:
 		p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, sc.Degree)
 		if err != nil {
 			return nil, err
 		}
-		act = approx.FromPolynomial(fmt.Sprintf("ls-%d", sc.Degree), p)
+		b.act = approx.FromPolynomial(fmt.Sprintf("ls-%d", sc.Degree), p)
 	default:
 		return nil, fmt.Errorf("experiments: unknown variant %q", v)
 	}
 
-	cfg := fl.Config{
+	b.fl = fl.Config{
 		InputSize:     traffic.NumFeatures,
 		LocalEpochs:   sc.LocalEpochs,
 		LocalRate:     sc.LocalRate,
@@ -230,15 +243,45 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 		Workers:       sc.Workers,
 		Obs:           sc.Obs,
 	}
-	if act.Poly != nil && sc.Degree > 1 {
+	if b.act.Poly != nil && sc.Degree > 1 {
 		// Higher-degree polynomial activations have fast-growing
 		// derivatives, so per-sample SGD needs smaller steps to stay in
 		// the stable region (at the default rate the weights diverge
 		// within a few epochs). Scaling by 1/d² keeps training stable
 		// through degree 4 without touching the degree-1 dynamics.
-		cfg.LocalRate = sc.LocalRate / float64(sc.Degree*sc.Degree)
+		b.fl.LocalRate = sc.LocalRate / float64(sc.Degree*sc.Degree)
 	}
-	sys, err := fl.NewSystem(cfg, parts, refX, act)
+	b.scheme = core.SchemeConfig{
+		NumVehicles: vehicles,
+		NumBatches:  sc.Batches,
+		Degree:      sc.Degree,
+		Seed:        sc.Seed + 6,
+		Workers:     sc.Workers,
+		Obs:         sc.Obs,
+	}
+	if sc.MaliciousFraction > 0 && v != Accurate && v != CodedFL24 {
+		b.plan, err = adversary.NewPlan(vehicles, sc.MaliciousFraction, sc.Behavior, sc.Seed+7)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// Run executes one comparison model over the scenario.
+func (s Scenario) Run(v Variant) (*RunOutput, error) {
+	sc := s.withDefaults()
+	sc.Obs.Emit("experiments.run_start",
+		obs.F("variant", string(v)),
+		obs.F("seed", sc.Seed),
+		obs.F("vehicles", sc.Vehicles),
+		obs.F("rounds", sc.Rounds))
+	runSpan := sc.Obs.Start("experiments.run", obs.F("variant", string(v)), obs.F("seed", sc.Seed))
+	b, err := sc.build(v)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := fl.NewSystem(b.fl, b.parts, b.refX, b.act)
 	if err != nil {
 		return nil, err
 	}
@@ -247,39 +290,24 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 	var coded *core.Scheme
 	switch v {
 	case Accurate, PlainFL, ApproxOnly:
-		scheme, err = fl.NewPlainScheme(refX)
+		scheme, err = fl.NewPlainScheme(b.refX)
 	case LCoFL:
-		coded, err = core.NewScheme(refX, core.SchemeConfig{
-			NumVehicles: vehicles,
-			NumBatches:  sc.Batches,
-			Degree:      sc.Degree,
-			Seed:        sc.Seed + 6,
-			Workers:     sc.Workers,
-			Obs:         sc.Obs,
-		})
+		coded, err = core.NewScheme(b.refX, b.scheme)
 		scheme = coded
 	case CodedFL24:
-		scheme, err = codedfl.NewScheme(refX, codedfl.Config{
-			NumVehicles: vehicles,
-			Seed:        sc.Seed + 6,
+		scheme, err = codedfl.NewScheme(b.refX, codedfl.Config{
+			NumVehicles: b.scheme.NumVehicles,
+			Seed:        b.scheme.Seed,
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	var plan *adversary.Plan
-	if sc.MaliciousFraction > 0 && v != Accurate && v != CodedFL24 {
-		plan, err = adversary.NewPlan(vehicles, sc.MaliciousFraction, sc.Behavior, sc.Seed+7)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	ch := sc.Channel
 	if sc.Mobility {
 		mobCfg := iov.DefaultConfig(sc.Seed + 8)
-		mobCfg.NumVehicles = vehicles
+		mobCfg.NumVehicles = len(b.parts)
 		mob, err := iov.NewScenario(mobCfg)
 		if err != nil {
 			return nil, err
@@ -292,9 +320,10 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 	}
 
 	out := &RunOutput{Variant: v, Acc: metrics.Trace{Name: string(v)}, MeanEst: metrics.Trace{Name: string(v)}}
-	testX := test.Features()
+	test, testX := b.test, b.test.Features()
+	flagged := make([]bool, len(b.parts))
 	for r := 0; r < sc.Rounds; r++ {
-		if _, err := sys.RunRound(scheme, plan, ch); err != nil {
+		if _, err := sys.RunRound(scheme, b.plan, ch); err != nil {
 			return nil, fmt.Errorf("experiments: %s round %d: %w", v, r, err)
 		}
 		acc, err := sys.Accuracy(test.Samples)
@@ -309,9 +338,19 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 		out.MeanEst.Append(me)
 		if coded != nil {
 			out.DecodeFailures += coded.DecodeFailures
-			out.SuspectedMalicious = len(coded.SuspectedMalicious())
+			suspects := coded.SuspectedMalicious()
+			out.SuspectedMalicious = len(suspects)
+			for _, id := range suspects {
+				flagged[id] = true
+			}
 		}
 	}
+	for id, f := range flagged {
+		if f {
+			out.Flagged = append(out.Flagged, id)
+		}
+	}
+	out.FinalParams = sys.Shared().Params()
 	out.TestLabels = test.Labels()
 	out.TestEstimates = make([]float64, test.Len())
 	for i, x := range testX {
@@ -326,6 +365,3 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 		obs.F("suspected_malicious", out.SuspectedMalicious))
 	return out, nil
 }
-
-// estimateSample is a convenience for building nn samples in tests.
-var _ = nn.Sample{}

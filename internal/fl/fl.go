@@ -145,6 +145,12 @@ type System struct {
 	trace    uint64
 }
 
+// VehicleSeed is the local-SGD shuffle seed of vehicle id in a system
+// whose Config.Seed is flSeed. NewSystem seeds every vehicle this way, and
+// an engine session meant to match the simulation bit for bit gives its
+// ClientConfig.Seed the same value.
+func VehicleSeed(flSeed int64, id int) int64 { return flSeed + 100 + int64(id) }
+
 // NewSystem builds the deployment: one vehicle per local dataset, a shared
 // model with the given activation, and the fusion centre's reference
 // features used for estimation aggregation and distillation.
@@ -192,7 +198,7 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 			ID:    i,
 			Data:  data,
 			Model: shared.Clone(),
-			rng:   rand.New(rand.NewSource(cfg.Seed + 100 + int64(i))),
+			rng:   rand.New(rand.NewSource(VehicleSeed(cfg.Seed, i))),
 		})
 	}
 	return s, nil
@@ -370,10 +376,10 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	}
 
 	// Step 3b: adversary and channel, applied SEQUENTIALLY in vehicle
-	// order. The corruption behaviours and channel models consume shared
-	// seeded RNG streams whose draw order is part of the reproducibility
-	// contract; keeping this cheap scalar pass off the pool preserves the
-	// exact sequential stream at every worker count.
+	// order. The channel models consume shared seeded RNG streams whose
+	// draw order is part of the reproducibility contract; keeping this
+	// cheap scalar pass off the pool preserves the exact sequential stream
+	// at every worker count.
 	var lossSum float64
 	for i, v := range s.vehicles {
 		lossSum += losses[i]

@@ -106,7 +106,7 @@ func buildSessionFull(t *testing.T, vehicles, rounds int, maliciousFrac float64,
 		server_side, vehicle_side := transport.Pipe()
 		s.conns = append(s.conns, transport.Instrument(server_side, o, fmt.Sprintf("conn-%d", i)))
 		s.vconns = append(s.vconns, vehicle_side)
-		cc := ClientConfig{VehicleID: i, Data: parts[i], Seed: int64(100 + i)}
+		cc := ClientConfig{VehicleID: i, Data: parts[i], Seed: fl.VehicleSeed(server.cfg.FL.Seed, i)}
 		if plan != nil && plan.IsMalicious(i) {
 			cc.Corrupt = adversary.ConstantLie{Value: 5}
 		}

@@ -138,15 +138,13 @@ func matchSimulation(t *testing.T, cases []engineCase) {
 }
 
 // run executes the case's session on the engine at the given scheme
-// worker count, with every vehicle's SGD seed aligned to the one
-// fl.System gives it.
+// worker count (buildSessionFull seeds every vehicle as fl.System does).
 func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
 	t.Helper()
 	if tc.deferred {
 		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, nil)
 	}
 	s := buildSessionFull(t, engineVehicles, engineRounds, tc.malicious, nil, workers)
-	s.alignSeeds()
 	if tc.malformed {
 		// The short upload is refused as a receive error: the vehicle is
 		// dropped, its connection closed, and the round goes on.
@@ -194,14 +192,6 @@ func (tc engineCase) admitted(t *testing.T) func(round, id int) bool {
 		}
 	}
 	return func(round, id int) bool { return !lost[[2]int{round, id}] }
-}
-
-// alignSeeds gives vehicle i the SGD seed fl.System gives it,
-// FL.Seed+100+i.
-func (s *session) alignSeeds() {
-	for i := range s.clients {
-		s.clients[i].Seed = s.server.cfg.FL.Seed + 100 + int64(i)
-	}
 }
 
 // simulate runs the session's scenario through fl.System — the same
@@ -338,12 +328,11 @@ func runWrapped(t *testing.T, s *session, wrap func(i int, c transport.Conn) tra
 	return report
 }
 
-// runLateSession runs a session with aligned seeds (alignSeeds) and the
-// given wait budget, the last two vehicles' connections wrapped by late.
+// runLateSession runs a session with the given wait budget, the last two
+// vehicles' connections wrapped by late.
 func runLateSession(t *testing.T, vehicles, rounds, workers, waitBudget int, late func(transport.Conn) transport.Conn, o *obs.Obs) (*session, *Report) {
 	t.Helper()
 	s := buildSessionFull(t, vehicles, rounds, 0, o, workers)
-	s.alignSeeds()
 	s.server.cfg.WaitBudget = waitBudget
 	return s, runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
 		if i >= vehicles-2 {
