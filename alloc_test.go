@@ -331,6 +331,32 @@ func TestUploadAllocs(t *testing.T) {
 	}
 }
 
+// TestNewShareAllocs: a vehicle's set-up copies the reference set into one
+// block and quantises every verification slot through one M×F scratch, so
+// how many allocations NewShare makes does not grow with the reference
+// set (32 at V = 16, M = 8). A copy per reference row, a vector per
+// quantised row and a batch per slot made it 165 at 64 rows and 1 661 at
+// 768.
+func TestNewShareAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 3}
+	allocs := func(rows int) float64 {
+		ref := roundData(t, rows, 15).Features()
+		return testing.AllocsPerRun(10, func() {
+			if _, err := core.NewShare(ref, cfg, 5); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(768)
+	t.Logf("NewShare allocates %.0f times at 64 reference rows, %.0f at 768", small, large)
+	if large != small {
+		t.Errorf("NewShare allocates %.0f times at 768 reference rows, %.0f at 64: want equal", large, small)
+	}
+}
+
 // TestDistillAllocs: the fusion centre's closed-form fit was 398
 // allocations at 192 rows (two per row in Loss -> Forward); what is left
 // are its per-call matrices (design matrix, normal equations, solve).

@@ -19,13 +19,15 @@ import (
 // Scale management: weights, inputs and activation coefficients carry
 // frac fractional bits each. The pre-activation z = w·x + b carries
 // 2·frac (bias pre-scaled accordingly), z^t carries 2t·frac, and each term
-// c_t·z^t is padded with powers of the fixed-point unit so every term —
-// and therefore the output — carries (2·deg+1)·frac bits.
+// c_t·z^t is padded with unit^{2(deg−t)}, unit the fixed-point one, so
+// every term — and therefore the output — carries (2·deg+1)·frac bits.
+// The padding is a constant factor of c_t, so quantise multiplies it in
+// once and Eval is a plain Horner evaluation.
 type fpModel struct {
 	codec *fixedpoint.Codec
 	w     []field.Element
-	b     field.Element // at scale 2·frac
-	act   []field.Element
+	b     field.Element   // at scale 2·frac
+	act   []field.Element // act[t] = c_t·unit^{2(deg−t)}
 	deg   int
 }
 
@@ -75,36 +77,31 @@ func (m *fpModel) quantise(w []float64, b float64, act poly.Real) error {
 	if len(m.act) != act.Degree()+1 {
 		m.act = make([]field.Element, act.Degree()+1)
 	}
-	for i := range m.act {
-		e, err := codec.Encode(act.Coeff(i))
+	unit := field.New(1 << codec.FracBits())
+	for t := range m.act {
+		e, err := codec.Encode(act.Coeff(t))
 		if err != nil {
-			return fmt.Errorf("core: activation coeff %d: %w", i, err)
+			return fmt.Errorf("core: activation coeff %d: %w", t, err)
 		}
-		m.act[i] = e
+		// c_t·z^t·unit^{2(deg−t)}: frac + 2t·frac + 2(deg−t)·frac
+		// = (2·deg+1)·frac for every t.
+		for pad := 0; pad < 2*(deg-t); pad++ {
+			e = e.Mul(unit)
+		}
+		m.act[t] = e
 	}
 	return nil
 }
 
 // Eval computes act(w·x + b) for a quantised input vector. The result
-// carries (2·deg+1)·frac fractional bits.
+// carries (2·deg+1)·frac fractional bits. Every step is exact GF(p)
+// arithmetic, so the lazily reduced dot product and Horner's order give
+// the symbol a term-by-term evaluation gives.
 func (m *fpModel) Eval(x []field.Element) field.Element {
-	z := field.Dot(m.w, x).Add(m.b) // scale 2·frac
-	unit := field.New(1 << m.codec.FracBits())
+	z := field.DotAcc(m.w, x).Add(m.b) // scale 2·frac
 	out := field.Zero
-	zPow := field.One // z^0, dimensionless
-	for t := 0; t <= m.deg; t++ {
-		var c field.Element
-		if t < len(m.act) {
-			c = m.act[t]
-		}
-		// term = c·z^t·unit^{2(deg−t)}: frac + 2t·frac + 2(deg−t)·frac
-		// = (2·deg+1)·frac for every t.
-		term := c.Mul(zPow)
-		for pad := 0; pad < 2*(m.deg-t); pad++ {
-			term = term.Mul(unit)
-		}
-		out = out.Add(term)
-		zPow = zPow.Mul(z)
+	for t := len(m.act) - 1; t >= 0; t-- {
+		out = out.Mul(z).Add(m.act[t])
 	}
 	return out
 }

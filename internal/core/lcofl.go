@@ -179,24 +179,28 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 	// Quantise and Lagrange-encode the verification shares once: for slot
 	// j, the M batch rows {refX[m·S+j]}_m are combined per vehicle. Slots
 	// are independent and each writes the disjoint column shares[·][j], so
-	// they fan out across the worker pool; the coder itself stays
-	// sequential inside the scheme (parallelism lives at the slot level).
+	// contiguous runs of them fan out across the worker pool, one batch
+	// scratch per run; the coder itself stays sequential inside the scheme
+	// (parallelism lives at the slot level).
 	workers := parallel.Workers(cfg.Workers)
 	shares := make([][][]field.Element, cfg.NumVehicles)
 	for v := range shares {
-		shares[v] = make([][]field.Element, ev.slots)
+		shares[v] = flatRows(ev.slots, len(refX[0]))
 	}
-	encErr := parallel.ForEach(workers, ev.slots, func(j int) error {
-		rows, err := ev.quantiseSlot(j)
-		if err != nil {
-			return err
-		}
-		perVehicle, err := coder.EncodeVectors(rows)
-		if err != nil {
-			return fmt.Errorf("core: encoding slot %d: %w", j, err)
-		}
-		for v := range perVehicle {
-			shares[v][j] = perVehicle[v]
+	runs := min(workers, ev.slots)
+	encErr := parallel.ForEach(workers, runs, func(r int) error {
+		batch := flatRows(cfg.NumBatches, len(refX[0]))
+		perVehicle := make([][]field.Element, cfg.NumVehicles)
+		for j := r * ev.slots / runs; j < (r+1)*ev.slots/runs; j++ {
+			if err := ev.quantiseSlot(j, batch); err != nil {
+				return err
+			}
+			for v := range perVehicle {
+				perVehicle[v] = shares[v][j]
+			}
+			if err := coder.EncodeVectorsInto(batch, perVehicle); err != nil {
+				return fmt.Errorf("core: encoding slot %d: %w", j, err)
+			}
 		}
 		return nil
 	})

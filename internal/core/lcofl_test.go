@@ -19,7 +19,7 @@ import (
 
 // polyActivationModel builds a single-layer network with a least-squares
 // polynomial activation of the given degree, as L-CoFL prescribes.
-func polyActivationModel(t *testing.T, degree int, seed int64) *nn.Network {
+func polyActivationModel(t testing.TB, degree int, seed int64) *nn.Network {
 	t.Helper()
 	act := approx.SymmetricSigmoid()
 	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(act.F, -2, 2, degree)
@@ -37,7 +37,7 @@ func polyActivationModel(t *testing.T, degree int, seed int64) *nn.Network {
 	return net
 }
 
-func refFeatures(t *testing.T, rows int) [][]float64 {
+func refFeatures(t testing.TB, rows int) [][]float64 {
 	t.Helper()
 	ds, err := traffic.Generate(traffic.GenConfig{Rows: rows, Seed: 7})
 	if err != nil {

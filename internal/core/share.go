@@ -55,15 +55,29 @@ func newEvaluator(refX [][]float64, cfg SchemeConfig) (evaluator, int, error) {
 	if err != nil {
 		return none, 0, fmt.Errorf("core: %w", err)
 	}
+	// One row-major block, not a slice per row: every upload streams the
+	// whole reference set through the learning channel.
 	features := len(refX[0])
+	flat := make([]float64, len(refX)*features)
 	refCopy := make([][]float64, len(refX))
 	for i, r := range refX {
 		if len(r) != features {
 			return none, 0, fmt.Errorf("core: reference sample %d has %d features, want %d", i, len(r), features)
 		}
-		refCopy[i] = append([]float64(nil), r...)
+		refCopy[i] = flat[i*features : (i+1)*features : (i+1)*features]
+		copy(refCopy[i], r)
 	}
 	return evaluator{codec: codec, deg: cfg.Degree, refX: refCopy, slots: len(refX) / cfg.NumBatches}, k, nil
+}
+
+// flatRows returns n rows of the given width cut from one allocation.
+func flatRows(n, width int) [][]field.Element {
+	flat := make([]field.Element, n*width)
+	rows := make([][]field.Element, n)
+	for i := range rows {
+		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // encodingElements draws the batch nodes {ℓ_m} and the vehicle points
@@ -76,18 +90,16 @@ func encodingElements(rng *rand.Rand, batches, vehicles int) (nodes, points []fi
 	return nodes, points
 }
 
-// quantiseSlot returns verification slot j's M batch rows
-// {refX[m·S+j]}_m in GF(p) — what the Lagrange encoder combines.
-func (e *evaluator) quantiseSlot(j int) ([][]field.Element, error) {
-	rows := make([][]field.Element, len(e.refX)/e.slots)
-	for m := range rows {
-		enc, err := e.codec.EncodeVec(e.refX[m*e.slots+j])
-		if err != nil {
-			return nil, fmt.Errorf("core: reference batch %d slot %d: %w", m, j, err)
+// quantiseSlot overwrites batch, M rows of the reference width, with
+// verification slot j's M batch rows {refX[m·S+j]}_m in GF(p) — what the
+// Lagrange encoder combines.
+func (e *evaluator) quantiseSlot(j int, batch [][]field.Element) error {
+	for m, row := range batch {
+		if err := e.codec.EncodeVecInto(row, e.refX[m*e.slots+j]); err != nil {
+			return fmt.Errorf("core: reference batch %d slot %d: %w", m, j, err)
 		}
-		rows[m] = enc
 	}
-	return rows, nil
+	return nil
 }
 
 // Slots returns S, the number of verification slots per vehicle.
@@ -187,15 +199,12 @@ func NewShare(refX [][]float64, cfg SchemeConfig, vehicleID int) (*Share, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	features := len(refX[0])
-	flat := make([]field.Element, ev.slots*features)
-	rows := make([][]field.Element, ev.slots)
+	batch := flatRows(cfg.NumBatches, len(refX[0]))
+	rows := flatRows(ev.slots, len(refX[0]))
 	for j := range rows {
-		batch, err := ev.quantiseSlot(j)
-		if err != nil {
+		if err := ev.quantiseSlot(j, batch); err != nil {
 			return nil, err
 		}
-		rows[j] = flat[j*features : (j+1)*features : (j+1)*features]
 		if err := coder.EncodeVectorsInto(batch, rows[j:j+1]); err != nil {
 			return nil, fmt.Errorf("core: encoding slot %d: %w", j, err)
 		}

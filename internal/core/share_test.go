@@ -10,8 +10,9 @@ import (
 // TestShareUploadBitIdentical pins the split: over a matrix of shapes,
 // every vehicle's Share — built from the arguments alone, as a vehicle
 // builds it from Setup — uploads exactly what the fusion side's Scheme
-// computes for that vehicle after the same BeginRound, and a full round of
-// Share uploads verifies at the Scheme with nobody flagged.
+// computes for that vehicle after the same BeginRound, and what
+// referenceUpload computes from the share's rows; a full round of Share
+// uploads verifies at the Scheme with nobody flagged.
 func TestShareUploadBitIdentical(t *testing.T) {
 	const slots = 2
 	for _, v := range []int{8, 33, 256} {
@@ -70,9 +71,10 @@ func checkSharesMatchScheme(t *testing.T, ref [][]float64, cfg SchemeConfig) {
 		if len(got) != len(want) {
 			t.Fatalf("vehicle %d: share uploads %d values, scheme %d", i, len(got), len(want))
 		}
+		ref := referenceUpload(t, &share.evaluator, share.rows, shared, local)
 		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("vehicle %d value %d: share %v, scheme %v", i, j, got[j], want[j])
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) || math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("vehicle %d value %d: share %v, scheme %v, reference %v", i, j, got[j], want[j], ref[j])
 			}
 		}
 		uploads[i] = got

@@ -1,12 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/approx"
+	"repro/internal/poly"
 )
 
 // referenceNet is the straight-line SGD the in-place kernels replaced,
@@ -159,7 +162,7 @@ func sameFloatBits(a, b []float64) bool {
 
 // lsActivation is the least-squares polynomial fit of the symmetric
 // sigmoid on [-2, 2] at the given degree, as the vehicles install it.
-func lsActivation(t *testing.T, degree int) approx.Activation {
+func lsActivation(t testing.TB, degree int) approx.Activation {
 	t.Helper()
 	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, degree)
 	if err != nil {
@@ -291,15 +294,22 @@ func TestSetActivationRefreshesDerivative(t *testing.T) {
 }
 
 // TestEstimateClampedAppendMatchesPerRow pins the batch estimate to the
-// per-row EstimateClamped bit for bit: single-layer with either activation
-// family (the hoisted loop) and a hidden layer (row by row), over rows
-// scaled so that some estimates clamp at 0 and some at 1, appended after
-// existing contents.
+// per-row EstimateClamped bit for bit: single-layer with a degree 1–3
+// polynomial (four-row blocks plus a row-by-row tail), with an activation
+// carrying a −0 coefficient, with the exact sigmoid (row by row), and a
+// hidden layer (row by row); over rows scaled so that some estimates clamp
+// at 0 and some at 1, over 0–9 rows (every remainder of a block), over
+// rows holding NaN, ±Inf and −0 features, appended after existing
+// contents. A short row at any position of a block leaves exactly the
+// rows before it in dst and is the row the error names.
 func TestEstimateClampedAppendMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	negZero := math.Copysign(0, -1)
 	for c, cfg := range []Config{
 		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 1), Seed: 1},
+		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 2), Seed: 5},
 		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 3), Seed: 2},
+		{LayerSizes: []int{5, 1}, Activation: approx.FromPolynomial("negzero", poly.Real{negZero, 1, negZero, 0.1, negZero}), Seed: 6},
 		{LayerSizes: []int{7, 1}, Activation: approx.SymmetricSigmoid(), Seed: 3},
 		{LayerSizes: []int{16, 4, 1}, Activation: lsActivation(t, 2), Seed: 4},
 	} {
@@ -314,41 +324,110 @@ func TestEstimateClampedAppendMatchesPerRow(t *testing.T) {
 		if err := n.SetParams(params); err != nil {
 			t.Fatal(err)
 		}
-		rows := make([][]float64, 300)
-		for i := range rows {
-			rows[i] = make([]float64, cfg.LayerSizes[0])
-			for j := range rows[i] {
-				rows[i][j] = (2*rng.Float64() - 1) * float64(1+i%12)
+		in := cfg.LayerSizes[0]
+		randomRows := func(count int) [][]float64 {
+			rows := make([][]float64, count)
+			for i := range rows {
+				rows[i] = make([]float64, in)
+				for j := range rows[i] {
+					rows[i][j] = (2*rng.Float64() - 1) * float64(1+i%12)
+				}
 			}
+			return rows
 		}
-		got, err := n.EstimateClampedAppend([]float64{-7}, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(rows)+1 || got[0] != -7 {
-			t.Fatalf("case %d: appended to %d values starting %v, want %d after the existing one", c, len(got), got[0], len(rows))
-		}
-		var atZero, atOne int
-		for i, x := range rows {
-			want, err := n.EstimateClamped(x)
+		// checkRows appends the estimates of rows after a sentinel and
+		// compares every one with its per-row estimate; it returns how
+		// many clamped at 0 and at 1.
+		checkRows := func(what string, rows [][]float64) (atZero, atOne int) {
+			t.Helper()
+			got, err := n.EstimateClampedAppend([]float64{-7}, rows)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("case %d %s: %v", c, what, err)
 			}
-			if math.Float64bits(got[i+1]) != math.Float64bits(want) {
-				t.Fatalf("case %d row %d: batch %v, per-row %v", c, i, got[i+1], want)
+			if len(got) != len(rows)+1 || got[0] != -7 {
+				t.Fatalf("case %d %s: appended to %d values starting %v, want %d after the existing one", c, what, len(got), got[0], len(rows))
 			}
-			if want == 0 {
-				atZero++
-			} else if want == 1 {
-				atOne++
+			for i, x := range rows {
+				want, err := n.EstimateClamped(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[i+1]) != math.Float64bits(want) {
+					t.Fatalf("case %d %s row %d: batch %v, per-row %v", c, what, i, got[i+1], want)
+				}
+				if want == 0 {
+					atZero++
+				} else if want == 1 {
+					atOne++
+				}
 			}
+			return atZero, atOne
 		}
+
+		rows := randomRows(300)
+		atZero, atOne := checkRows("300 rows", rows)
 		if cfg.Activation.Poly != nil && (atZero == 0 || atOne == 0) {
 			t.Fatalf("case %d: %d rows clamped at 0 and %d at 1, want both", c, atZero, atOne)
 		}
-		rows[5] = rows[5][:len(rows[5])-1]
-		if out, err := n.EstimateClampedAppend(nil, rows); err == nil || len(out) != 5 {
-			t.Fatalf("case %d: short row 5 gave %d values and error %v", c, len(out), err)
+		for count := 0; count <= 9; count++ {
+			checkRows(fmt.Sprintf("%d rows", count), rows[:count])
+		}
+		special := randomRows(12)
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero} {
+			special[i][i%in] = v       // one odd feature in an otherwise finite row
+			special[i+4][(i+1)%in] = v // and again in the next block
+		}
+		for j := range special[8] {
+			special[8][j] = negZero // an all −0 row: z is the bias's sign of zero
+		}
+		checkRows("non-finite and −0 features", special)
+
+		for short := 0; short < 8; short++ {
+			rows := randomRows(9)
+			rows[short] = rows[short][:in-1]
+			out, err := n.EstimateClampedAppend(nil, rows)
+			if err == nil || len(out) != short || !strings.Contains(err.Error(), fmt.Sprintf("row %d:", short)) {
+				t.Fatalf("case %d: short row %d gave %d values and error %v", c, short, len(out), err)
+			}
+			for i := range out {
+				want, _ := n.EstimateClamped(rows[i])
+				if math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("case %d short row %d: prefix row %d is %v, per-row %v", c, short, i, out[i], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkEstimateClampedAppend times the learning channel of one upload
+// at the decode-v64-adv workload's shape: 768 reference rows of 16
+// features, a degree-1 activation. It ends by checking the last result
+// against the per-row estimate.
+func BenchmarkEstimateClampedAppend(b *testing.B) {
+	const rows, features = 768, 16
+	n, err := New(Config{LayerSizes: []int{features, 1}, Activation: lsActivation(b, 1), Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	ref := randomSamples(rng, rows, features, false)
+	xs := make([][]float64, rows)
+	for i := range xs {
+		xs[i] = ref[i].X
+	}
+	dst := make([]float64, 0, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = n.EstimateClampedAppend(dst[:0], xs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for i, x := range xs {
+		want, err := n.EstimateClamped(x)
+		if err != nil || math.Float64bits(dst[i]) != math.Float64bits(want) {
+			b.Fatalf("row %d: batch %v, per-row %v (%v)", i, dst[i], want, err)
 		}
 	}
 }

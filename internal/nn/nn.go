@@ -253,13 +253,7 @@ func (n *Network) EstimateClamped(x []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if pi < 0 {
-		return 0, nil
-	}
-	if pi > 1 {
-		return 1, nil
-	}
-	return pi, nil
+	return clampUnit(pi), nil
 }
 
 // EstimateClampedAppend appends EstimateClamped(x) for every row to dst —
@@ -267,7 +261,18 @@ func (n *Network) EstimateClamped(x []float64) (float64, error) {
 // single-layer shape the weights, bias and activation are loaded once and
 // each row is the same dot product, bias add, activation and clamp as
 // Estimate, in the same order, in locals only (concurrent callers stay
-// legal); other shapes go row by row.
+// legal); other shapes go row by row. If row i has the wrong length, dst
+// comes back holding rows 0..i−1 and the error names row i.
+//
+// With a polynomial activation the rows go four to a pass. A row's
+// estimate is one dependency chain (len(w) additions, the bias, Horner),
+// but the rows are independent, so four chains interleaved operation by
+// operation let the CPU overlap them. Every row still sees exactly its
+// own float operations in the row-by-row order — 0 + w₀x₀ + w₁x₁ + … by
+// index, then + b; Horner from a zero accumulator; (1 + a)/2; the clamp
+// — so each result is the row-by-row one bit for bit. Four is measured
+// on amd64: eight rows a pass are no faster, and a pass behind a function
+// call loses half the gain.
 func (n *Network) EstimateClampedAppend(dst []float64, rows [][]float64) ([]float64, error) {
 	if !n.singleLayer() {
 		for i, x := range rows {
@@ -281,7 +286,34 @@ func (n *Network) EstimateClampedAppend(dst []float64, rows [][]float64) ([]floa
 	}
 	in := n.sizes[0]
 	w, b, p, f := n.params[:in], n.params[in], n.act.Poly, n.act.F
-	for i, x := range rows {
+	i := 0
+	if p != nil {
+		// A pass with a short row stops here; the row-by-row loop below
+		// appends the rows before it and reports it.
+		for ; i+4 <= len(rows) && len(rows[i]) == in && len(rows[i+1]) == in &&
+			len(rows[i+2]) == in && len(rows[i+3]) == in; i += 4 {
+			x0, x1, x2, x3 := rows[i][:in], rows[i+1][:in], rows[i+2][:in], rows[i+3][:in]
+			var z0, z1, z2, z3 float64
+			for j, v := range w {
+				z0 += v * x0[j]
+				z1 += v * x1[j]
+				z2 += v * x2[j]
+				z3 += v * x3[j]
+			}
+			z0, z1, z2, z3 = z0+b, z1+b, z2+b, z3+b
+			var a0, a1, a2, a3 float64
+			for k := len(p) - 1; k >= 0; k-- {
+				c := p[k]
+				a0 = a0*z0 + c
+				a1 = a1*z1 + c
+				a2 = a2*z2 + c
+				a3 = a3*z3 + c
+			}
+			dst = append(dst, clampUnit((1+a0)/2), clampUnit((1+a1)/2), clampUnit((1+a2)/2), clampUnit((1+a3)/2))
+		}
+	}
+	for ; i < len(rows); i++ {
+		x := rows[i]
 		if len(x) != in {
 			return dst, fmt.Errorf("nn: row %d: input length %d, want %d", i, len(x), in)
 		}
@@ -292,15 +324,20 @@ func (n *Network) EstimateClampedAppend(dst []float64, rows [][]float64) ([]floa
 		} else {
 			a = f(z)
 		}
-		pi := (1 + a) / 2
-		if pi < 0 {
-			pi = 0
-		} else if pi > 1 {
-			pi = 1
-		}
-		dst = append(dst, pi)
+		dst = append(dst, clampUnit((1+a)/2))
 	}
 	return dst, nil
+}
+
+// clampUnit restricts an estimate to [0, 1]; NaN passes through.
+func clampUnit(pi float64) float64 {
+	if pi < 0 {
+		return 0
+	}
+	if pi > 1 {
+		return 1
+	}
+	return pi
 }
 
 // clampProb keeps π inside (ε, 1-ε) so the cross-entropy loss and its
