@@ -6,7 +6,7 @@ import "go/ast"
 // own concurrency. A bare goroutine silently swallows errors and panics
 // (a panic in it kills the whole process with no caller in the stack) and
 // makes results scheduling-dependent; the repo's parallel hot paths must
-// instead run through internal/parallel (ForEach/Map for indexed work,
+// instead run through internal/parallel (ForEach for indexed work,
 // Group for free-form tasks), which propagates the lowest-index error and
 // re-raises worker panics in the caller. allowed lists the package paths
 // exempt from the rule — the pool itself plus the packages whose
@@ -26,7 +26,7 @@ func newRawGoAnalyzer(allowed map[string]bool) *Analyzer {
 			for _, f := range pass.Pkg.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
 					if g, ok := n.(*ast.GoStmt); ok {
-						pass.Reportf(g.Pos(), "bare go statement in %s; use parallel.ForEach/Map for indexed work or parallel.Group for free-form tasks so errors and panics propagate", pass.Pkg.Path)
+						pass.Reportf(g.Pos(), "bare go statement in %s; use parallel.ForEach for indexed work or parallel.Group for free-form tasks so errors and panics propagate", pass.Pkg.Path)
 					}
 					return true
 				})

@@ -30,7 +30,7 @@ func Bad(a, b field.Element) {
 // Good is the sound idiom: Element methods and equality.
 func Good(a, b field.Element) {
 	Sink = a.Add(b).Mul(a.Sub(b)).Neg()
-	SinkBool = a == b && !b.IsZero()
+	SinkBool = a == b && b != field.Zero
 	Sink = field.Element(3)
 	Sink = field.New(uint64(a) + uint64(b)) // explicit widening then reduction is fine
 }

@@ -1,7 +1,7 @@
 // Fleet-mode helpers shared by the soak and serve commands: deterministic
 // multi-session scenario derivation (both sides of a TCP deployment
-// rebuild it from the master seed alone), the in-process vehicle driver,
-// and the relay-tree plumbing. See DESIGN.md §16.
+// rebuild it from the master seed alone) and the in-process vehicle
+// driver. See DESIGN.md §16.
 package main
 
 import (
@@ -57,11 +57,11 @@ func buildFleetScenario(sessions, vehicles, rounds, workers int, seed int64, tim
 }
 
 // runFleetScenario drives every session's vehicles concurrently against
-// dial, each under bounded-reconnect retry. Session "s0" is the chaos
+// the fusion centre's dial, each under bounded-reconnect retry. Session "s0" is the chaos
 // shard: when an injector is configured, its vehicles' connections are
 // wrapped (the injector persists across redials, so a spec'd crash fires
 // exactly once per vehicle).
-func runFleetScenario(dial func(session string, vehicle int) (transport.Conn, error), clients map[string][]node.ClientConfig, inj *chaos.Injector, retries int, ob *obs.Obs) error {
+func runFleetScenario(dial func() (transport.Conn, error), clients map[string][]node.ClientConfig, inj *chaos.Injector, retries int, ob *obs.Obs) error {
 	ids := make([]string, 0, len(clients))
 	for id := range clients {
 		ids = append(ids, id)
@@ -73,7 +73,7 @@ func runFleetScenario(dial func(session string, vehicle int) (transport.Conn, er
 			id, cc := id, cc
 			fleet.Go(func() error {
 				d := func() (transport.Conn, error) {
-					conn, err := dial(id, cc.VehicleID)
+					conn, err := dial()
 					if err != nil {
 						return nil, err
 					}
@@ -100,11 +100,9 @@ func runFleetScenario(dial func(session string, vehicle int) (transport.Conn, er
 
 // cmdSoak runs the fleet-scale soak in one process: many concurrent
 // sessions behind one listener (in-memory pipes by default, TCP loopback
-// with -tcp), vehicles optionally reaching the fusion centre through
-// per-session edge relays (-shards), session s0 optionally under a
-// -chaos fault schedule. This is what the CI soak-smoke gate drives;
-// tracereport -check-metrics then cross-checks the admission and relay
-// ledgers.
+// with -tcp), session s0 optionally under a -chaos fault schedule. This
+// is what the CI soak-smoke gate drives; tracereport -check-metrics then
+// cross-checks the admission ledger.
 func cmdSoak(args []string) (retErr error) {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	sessions := fs.Int("sessions", 3, "concurrent sessions")
@@ -114,7 +112,6 @@ func cmdSoak(args []string) (retErr error) {
 	workers := fs.Int("workers", 0, "worker-pool size for the decode hot paths (0 = all cores)")
 	maxConns := fs.Int("max-conns", 0, "global connection budget, reserved in session-sized chunks (0 = unlimited)")
 	queueDepth := fs.Int("queue-depth", 0, "handshaked connections parked when the budget is exhausted (0 = reject with a retry hint)")
-	shards := fs.Int("shards", 0, "edge relays per session; vehicles are striped across them (0 = dial the fusion centre directly)")
 	useTCP := fs.Bool("tcp", false, "run over TCP loopback sockets instead of in-memory pipes")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-round upload deadline")
 	retries := fs.Int("retries", 8, "per-vehicle consecutive failed connection attempts before giving up")
@@ -151,17 +148,14 @@ func cmdSoak(args []string) (retErr error) {
 	}
 	dbg.SetSessionz(func() any { return fleet.Status() })
 
-	listen := func() (transport.Listener, error) {
-		if *useTCP {
-			return transport.ListenTCP("127.0.0.1:0")
+	var ln transport.Listener
+	if *useTCP {
+		if ln, err = transport.ListenTCP("127.0.0.1:0"); err != nil {
+			return err
 		}
-		return transport.NewPipeFabric(0), nil
+	} else {
+		ln = transport.NewPipeFabric()
 	}
-	ln, err := listen()
-	if err != nil {
-		return err
-	}
-	dialFusion := fabricDialer(ln)
 	var serveGroup parallel.Group
 	serveGroup.Go(func() error { return fleet.Serve(ln) })
 	defer func() {
@@ -174,56 +168,17 @@ func cmdSoak(args []string) (retErr error) {
 		}
 	}()
 
-	// The relay tree: -shards edge relays per session, each forwarding
-	// its stripe's vehicles to the fusion centre link by link.
-	dial := func(session string, vehicle int) (transport.Conn, error) { return dialFusion() }
-	var relays []*node.Relay
-	var relayGroup parallel.Group
-	defer func() {
-		for _, r := range relays {
-			_ = r.Close()
-		}
-		if werr := relayGroup.Wait(); werr != nil && retErr == nil {
-			retErr = werr
-		}
-	}()
-	if *shards > 0 {
-		relayDial := make(map[string][]func() (transport.Conn, error), *sessions)
-		for _, id := range fleetSessionIDs(*sessions) {
-			for k := 0; k < *shards; k++ {
-				rln, err := listen()
-				if err != nil {
-					return err
-				}
-				relay, err := node.NewRelayWith(node.RelayConfig{
-					Listener: rln,
-					Dial:     dialFusion,
-					Obs:      ob,
-				})
-				if err != nil {
-					return err
-				}
-				relays = append(relays, relay)
-				relayGroup.Go(relay.Serve)
-				relayDial[id] = append(relayDial[id], fabricDialer(rln))
-			}
-		}
-		dial = func(session string, vehicle int) (transport.Conn, error) {
-			return relayDial[session][vehicle%*shards]()
-		}
-	}
-
 	mode := "pipes"
 	if *useTCP {
 		mode = fmt.Sprintf("tcp %s", ln.Addr())
 	}
-	fmt.Printf("lcofl soak: %d sessions x %d vehicles x %d rounds over %s, %d relays/session\n",
-		*sessions, *vehicles, *rounds, mode, *shards)
+	fmt.Printf("lcofl soak: %d sessions x %d vehicles x %d rounds over %s\n",
+		*sessions, *vehicles, *rounds, mode)
 	if inj != nil {
 		fmt.Printf("lcofl soak: chaos spec %q active on session s0\n", inj.Spec().String())
 	}
 
-	if err := runFleetScenario(dial, clients, inj, *retries, ob); err != nil {
+	if err := runFleetScenario(fabricDialer(ln), clients, inj, *retries, ob); err != nil {
 		return err
 	}
 	if err := serveGroup.Wait(); err != nil {

@@ -7,8 +7,8 @@
 //	lcofl demo [-vehicles 40] [-malicious 0.3]
 //	lcofl serve -addr :9444 [-vehicles 20] [-rounds 10] [-seed 1] [-sessions 3 -max-conns 40 -queue-depth 60]
 //	lcofl vehicle -addr host:9444 -id 3 [-session s1] [-malicious] [-seed 1] [-chaos SPEC]
-//	lcofl dist [-vehicles 12] [-rounds 3] [-seed 1] [-shards 2] [-chaos SPEC]
-//	lcofl soak [-sessions 3] [-vehicles 12] [-shards 2] [-tcp] [-max-conns 24] [-chaos SPEC]
+//	lcofl dist [-vehicles 12] [-rounds 3] [-seed 1] [-chaos SPEC]
+//	lcofl soak [-sessions 3] [-vehicles 12] [-tcp] [-max-conns 24] [-chaos SPEC]
 //
 // "run" regenerates one paper figure's data as TSV; "all" writes every
 // figure to a directory; "demo" walks one verified round verbosely;
@@ -95,7 +95,7 @@ commands:
   serve    run a fusion centre over TCP (-checkpoint saves the model)
   vehicle  run one vehicle over TCP (with bounded reconnect)
   dist     run the distributed session in-process, optionally under -chaos faults
-  soak     run a multi-session fleet soak in-process (pipes or TCP, optional edge relays)
+  soak     run a multi-session fleet soak in-process (pipes or TCP)
   predict  load a model checkpoint and score a dataset
 `)
 }
@@ -784,7 +784,6 @@ func cmdDist(args []string) (retErr error) {
 	workers := fs.Int("workers", 0, "worker-pool size for the decode hot paths (0 = all cores)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-round upload deadline (dropped uploads surface as stragglers after this)")
 	retries := fs.Int("retries", 5, "per-vehicle consecutive failed connection attempts before giving up")
-	shards := fs.Int("shards", 0, "edge relays between the fleet and the fusion centre; vehicles are striped across them (0 = direct pipes)")
 	pipeline := addPipelineFlags(fs)
 	buildChaos := addChaosFlag(fs)
 	observe := addObsFlags(fs, true)
@@ -821,146 +820,42 @@ func cmdDist(args []string) (retErr error) {
 	if inj != nil {
 		fmt.Printf("lcofl dist: chaos spec %q active on every vehicle-side connection\n", inj.Spec().String())
 	}
-	if *shards > 0 {
-		fmt.Printf("lcofl dist: %d vehicles, %d rounds through %d edge relays over in-memory pipes\n",
-			*vehicles, *rounds, *shards)
-	} else {
-		fmt.Printf("lcofl dist: %d vehicles, %d rounds over in-memory pipes\n", *vehicles, *rounds)
-	}
+	fmt.Printf("lcofl dist: %d vehicles, %d rounds over in-memory pipes\n", *vehicles, *rounds)
 
 	conns := make([]transport.Conn, *vehicles)
 	var fleet parallel.Group
-	var report *node.Report
-	if *shards > 0 {
-		// Relay tree: vehicles dial their stripe's relay, each relay
-		// forwards every frame over that vehicle's own upstream leg. The
-		// fusion centre accepts the initial legs, then feeds later ones
-		// (crash redials) to Rejoin.
-		ufab := transport.NewPipeFabric(2 * *vehicles)
-		rfabs := make([]*transport.PipeFabric, *shards)
-		relays := make([]*node.Relay, *shards)
-		var relayGroup, acceptLoop parallel.Group
-		defer func() {
-			// Join every spawn on the early-error paths too: closing the
-			// relays and the upstream fabric unblocks their loops, and a
-			// vehicle whose fabric died exhausts its redial budget in
-			// milliseconds. Everything here is idempotent, so the ordered
-			// success-path teardown below stays authoritative.
-			for _, r := range relays {
-				if r != nil {
-					_ = r.Close()
-				}
-			}
-			_ = ufab.Close()
-			if werr := relayGroup.Wait(); werr != nil && retErr == nil {
-				retErr = werr
-			}
-			if werr := acceptLoop.Wait(); werr != nil && retErr == nil {
-				retErr = werr
-			}
-			if werr := fleet.Wait(); werr != nil && retErr == nil {
-				retErr = werr
-			}
-		}()
-		for k := range rfabs {
-			rfabs[k] = transport.NewPipeFabric(0)
-			relay, err := node.NewRelayWith(node.RelayConfig{
-				Listener: rfabs[k],
-				Dial:     ufab.Dial,
-				Obs:      ob,
-			})
-			if err != nil {
-				return err
-			}
-			relays[k] = relay
-			relayGroup.Go(relay.Serve)
-		}
-		for i := 0; i < *vehicles; i++ {
-			i := i
-			cc := d.Clients[i]
-			rfab := rfabs[i%*shards]
-			dial := func() (transport.Conn, error) {
-				c, err := rfab.Dial()
-				if err != nil {
-					return nil, err
-				}
+	for i := 0; i < *vehicles; i++ {
+		serverEnd, vehicleEnd := transport.Pipe()
+		conns[i] = transport.Instrument(serverEnd, ob, fmt.Sprintf("conn-%d", i))
+		cc := d.Clients[i]
+		first := vehicleEnd
+		dial := func() (transport.Conn, error) {
+			if first != nil {
+				c := first
+				first = nil
 				return chaosWrap(inj, i, c), nil
 			}
-			fleet.Go(func() error {
-				return node.RunVehicleRetry(cc, node.RetryConfig{
-					Dial:        dial,
-					MaxAttempts: *retries,
-					BaseDelay:   time.Millisecond,
-					Obs:         ob,
-				})
+			// Crash recovery: open a fresh pipe and hand the
+			// fusion-centre side to the running session.
+			se, ve := transport.Pipe()
+			srv.Rejoin(transport.Instrument(se, ob, fmt.Sprintf("conn-%d", i)))
+			return chaosWrap(inj, i, ve), nil
+		}
+		fleet.Go(func() error {
+			return node.RunVehicleRetry(cc, node.RetryConfig{
+				Dial:        dial,
+				MaxAttempts: *retries,
+				// Redialing a pipe is instant; keep the backoff short so
+				// a crashed vehicle rejoins within the session instead
+				// of finding it already finished.
+				BaseDelay: time.Millisecond,
+				Obs:       ob,
 			})
-		}
-		for i := 0; i < *vehicles; i++ {
-			c, err := ufab.Accept()
-			if err != nil {
-				return err
-			}
-			conns[i] = transport.Instrument(c, ob, fmt.Sprintf("conn-%d", i))
-		}
-		acceptLoop.Go(func() error {
-			for n := 0; ; n++ {
-				c, err := ufab.Accept()
-				if err != nil {
-					return nil // fabric closed: session over
-				}
-				srv.Rejoin(transport.Instrument(c, ob, fmt.Sprintf("rejoin-%d", n)))
-			}
 		})
-		report, err = srv.Run(conns)
-		if werr := fleet.Wait(); werr != nil && err == nil {
-			err = werr
-		}
-		for _, r := range relays {
-			if cerr := r.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if werr := relayGroup.Wait(); werr != nil && err == nil {
-			err = werr
-		}
-		_ = ufab.Close()
-		if werr := acceptLoop.Wait(); werr != nil && err == nil {
-			err = werr
-		}
-	} else {
-		for i := 0; i < *vehicles; i++ {
-			serverEnd, vehicleEnd := transport.Pipe()
-			conns[i] = transport.Instrument(serverEnd, ob, fmt.Sprintf("conn-%d", i))
-			cc := d.Clients[i]
-			first := vehicleEnd
-			dial := func() (transport.Conn, error) {
-				if first != nil {
-					c := first
-					first = nil
-					return chaosWrap(inj, i, c), nil
-				}
-				// Crash recovery: open a fresh pipe and hand the
-				// fusion-centre side to the running session.
-				se, ve := transport.Pipe()
-				srv.Rejoin(transport.Instrument(se, ob, fmt.Sprintf("conn-%d", i)))
-				return chaosWrap(inj, i, ve), nil
-			}
-			fleet.Go(func() error {
-				return node.RunVehicleRetry(cc, node.RetryConfig{
-					Dial:        dial,
-					MaxAttempts: *retries,
-					// Redialing a pipe is instant; keep the backoff short so
-					// a crashed vehicle rejoins within the session instead
-					// of finding it already finished.
-					BaseDelay: time.Millisecond,
-					Obs:       ob,
-				})
-			})
-		}
-		report, err = srv.Run(conns)
-		if werr := fleet.Wait(); werr != nil && err == nil {
-			err = werr
-		}
+	}
+	report, err := srv.Run(conns)
+	if werr := fleet.Wait(); werr != nil && err == nil {
+		err = werr
 	}
 	if err != nil {
 		return err

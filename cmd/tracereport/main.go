@@ -141,14 +141,6 @@ type fleetSummary struct {
 	HandshakeFails  int64 `json:"handshake_fails"`
 }
 
-// relaySummary aggregates the edge-relay events; Links counts the
-// vehicle connections the relays paired with an upstream leg.
-type relaySummary struct {
-	Links            int64 `json:"links"`
-	DialErrors       int64 `json:"dial_errors"`
-	CorruptForwarded int64 `json:"corrupt_forwarded"`
-}
-
 // sessionStats is one session's slice of the admission ledger, keyed by
 // the session field the fleet stamps on its events.
 type sessionStats struct {
@@ -192,7 +184,6 @@ type summary struct {
 	Recovery             recoverySummary `json:"recovery"`
 	Chaos                chaosSummary    `json:"chaos"`
 	Fleet                fleetSummary    `json:"fleet"`
-	Relay                relaySummary    `json:"relay"`
 	// Sessions breaks the fleet admission ledger down per session ID.
 	Sessions map[string]*sessionStats `json:"sessions,omitempty"`
 	// SpanSums holds the exact total duration per span event — the raw
@@ -319,12 +310,6 @@ func summarize(r io.Reader) (*summary, error) {
 			}
 		case "fleet.handshake_fail":
 			sum.Fleet.HandshakeFails++
-		case "relay.link":
-			sum.Relay.Links++
-		case "relay.dial_error":
-			sum.Relay.DialErrors++
-		case "relay.corrupt_forward":
-			sum.Relay.CorruptForwarded++
 		case "chaos.drop":
 			sum.Chaos.Drops++
 		case "chaos.corrupt":
@@ -474,9 +459,6 @@ func crossCheck(sum *summary, metricsPath string) error {
 		{"fleet.sessions_started", sum.Fleet.SessionsStarted},
 		{"fleet.sessions_done", sum.Fleet.SessionsDone},
 		{"fleet.handshake_fails", sum.Fleet.HandshakeFails},
-		{"relay.links", sum.Relay.Links},
-		{"relay.dial_errors", sum.Relay.DialErrors},
-		{"relay.corrupt_forwarded", sum.Relay.CorruptForwarded},
 	}
 	for _, c := range checks {
 		if got := snap.Counters[c.counter]; got != c.trace {
@@ -547,10 +529,6 @@ func writeText(w io.Writer, sum *summary) error {
 		fmt.Fprintf(&b, "fleet: %d admitted, %d queued, %d rejected, %d handshake fails, %d/%d sessions done\n",
 			sum.Fleet.Admitted, sum.Fleet.Queued, sum.Fleet.Rejected, sum.Fleet.HandshakeFails,
 			sum.Fleet.SessionsDone, sum.Fleet.SessionsStarted)
-	}
-	if sum.Relay != (relaySummary{}) {
-		fmt.Fprintf(&b, "relay: %d links, %d dial errors, %d corrupt frames re-signalled\n",
-			sum.Relay.Links, sum.Relay.DialErrors, sum.Relay.CorruptForwarded)
 	}
 
 	if len(sum.Sessions) > 0 {

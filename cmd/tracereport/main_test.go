@@ -49,10 +49,6 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"fleet.handshake_fail","t_ns":485,"error":"node: hello timeout"}
 {"ev":"fleet.session_start","t_ns":490,"session":"s0","vehicles":2}
 {"ev":"fleet.session_done","t_ns":500,"session":"s0","rounds":2}
-{"ev":"relay.link","t_ns":510}
-{"ev":"relay.link","t_ns":520}
-{"ev":"relay.dial_error","t_ns":530,"error":"closed"}
-{"ev":"relay.corrupt_forward","t_ns":540,"upstream":"up-0"}
 `
 
 func TestSummarize(t *testing.T) {
@@ -60,7 +56,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 44 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
+	if sum.Events != 40 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
 		t.Fatalf("headline counts wrong: %+v", sum)
 	}
 	if sum.RecvErrors != 1 || sum.Stragglers != 1 {
@@ -91,10 +87,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if sum.Fleet != wantFleet {
 		t.Fatalf("fleet summary = %+v, want %+v", sum.Fleet, wantFleet)
-	}
-	wantRelay := relaySummary{Links: 2, DialErrors: 1, CorruptForwarded: 1}
-	if sum.Relay != wantRelay {
-		t.Fatalf("relay summary = %+v, want %+v", sum.Relay, wantRelay)
 	}
 	// Per-session ledger: s0's three admits include one rejoin and its
 	// session_done stamps the completed rounds; s1 only ever queued, s2
@@ -189,8 +181,7 @@ func TestCrossCheck(t *testing.T) {
 		"node.degraded_rounds":1,"node.client_corrupt_frames":1,
 		"chaos.drops":1,"chaos.corrupts":2,"chaos.delays":1,"chaos.crashes":1,
 		"fleet.admitted":3,"fleet.rejected":1,"fleet.queued":1,
-		"fleet.sessions_started":1,"fleet.sessions_done":1,"fleet.handshake_fails":1,
-		"relay.links":2,"relay.dial_errors":1,"relay.corrupt_forwarded":1},
+		"fleet.sessions_started":1,"fleet.sessions_done":1,"fleet.handshake_fails":1},
 		"histograms":{"core.aggregate_ns":{"count":3,"sum":800},"fl.train_ns":{"count":3,"sum":2100}}}`
 	if err := crossCheck(sum, writeTemp(t, "good.json", good)); err != nil {
 		t.Fatalf("consistent snapshot rejected: %v", err)
@@ -236,17 +227,17 @@ func TestCrossCheck(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "node.early_closes") {
 		t.Fatalf("drifting early-close counter accepted: %v", err)
 	}
-	// The fleet admission ledger and the relay ledger are pinned the
-	// same way.
+	// The fleet admission ledger is pinned the same way, admits and
+	// queued parks alike.
 	bad = strings.Replace(good, `"fleet.admitted":3`, `"fleet.admitted":4`, 1)
 	err = crossCheck(sum, writeTemp(t, "bad-fleet.json", bad))
 	if err == nil || !strings.Contains(err.Error(), "fleet.admitted") {
 		t.Fatalf("drifting fleet admission counter accepted: %v", err)
 	}
-	bad = strings.Replace(good, `"relay.links":2`, `"relay.links":3`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-relay.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "relay.links") {
-		t.Fatalf("drifting relay link counter accepted: %v", err)
+	bad = strings.Replace(good, `"fleet.queued":1`, `"fleet.queued":2`, 1)
+	err = crossCheck(sum, writeTemp(t, "bad-fleet-queue.json", bad))
+	if err == nil || !strings.Contains(err.Error(), "fleet.queued") {
+		t.Fatalf("drifting fleet queue counter accepted: %v", err)
 	}
 }
 
@@ -278,7 +269,6 @@ func TestRunText(t *testing.T) {
 		"recovery: 2 corrupt frames (1 client-side), 1 retransmits, 1 rejoins, 1 reconnects, 1 degraded rounds",
 		"pipeline: 2 pipelined rounds, 1 early closes, overlap ratio 0.375",
 		"fleet: 3 admitted, 1 queued, 1 rejected, 1 handshake fails, 1/1 sessions done",
-		"relay: 2 links, 1 dial errors, 1 corrupt frames re-signalled",
 		"admission by session",
 	} {
 		if !strings.Contains(out, want) {

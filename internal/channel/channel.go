@@ -5,10 +5,9 @@
 // malicious vehicles, and wireless channel errors (paper §I, Fig. 1).
 // This package supplies the third: a Model transforms a transmitted scalar
 // into what the fusion centre receives — possibly dropped (straggler /
-// out of coverage), perturbed (fading, quantisation at the radio), or
-// grossly corrupted (decoding the wrong codeword). Models compose, and
-// every model is deterministic given its seed so experiments reproduce
-// bit-for-bit.
+// out of coverage) or grossly corrupted (decoding the wrong codeword).
+// Models compose, and every model is deterministic given its seed so
+// experiments reproduce bit-for-bit.
 package channel
 
 import (
@@ -70,33 +69,6 @@ func (e *Erasure) Transmit(_ int, v float64) Reception {
 		return Reception{Dropped: true}
 	}
 	return Reception{Value: v}
-}
-
-// AWGN adds zero-mean Gaussian noise of standard deviation Std to every
-// value — analogue channel perturbation after demodulation.
-type AWGN struct {
-	// Std is the noise standard deviation (>= 0).
-	Std float64
-	// Seed drives the deterministic RNG.
-	Seed int64
-
-	rng *rand.Rand
-}
-
-// NewAWGN validates Std and returns the model.
-func NewAWGN(std float64, seed int64) (*AWGN, error) {
-	if std < 0 {
-		return nil, fmt.Errorf("channel: noise std %g must be >= 0", std)
-	}
-	return &AWGN{Std: std, Seed: seed, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Name implements Model.
-func (a *AWGN) Name() string { return fmt.Sprintf("awgn(std=%g)", a.Std) }
-
-// Transmit implements Model.
-func (a *AWGN) Transmit(_ int, v float64) Reception {
-	return Reception{Value: v + a.Std*a.rng.NormFloat64()}
 }
 
 // Burst corrupts each transmission with probability P by replacing it

@@ -53,41 +53,6 @@ func TestErasureDeterministic(t *testing.T) {
 	}
 }
 
-func TestAWGNStatistics(t *testing.T) {
-	a, err := NewAWGN(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum, sumSq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		d := a.Transmit(0, 5).Value - 5
-		sum += d
-		sumSq += d * d
-	}
-	mean := sum / n
-	std := math.Sqrt(sumSq/n - mean*mean)
-	if math.Abs(mean) > 0.005 {
-		t.Errorf("noise mean %g, want ≈0", mean)
-	}
-	if math.Abs(std-0.1) > 0.01 {
-		t.Errorf("noise std %g, want ≈0.1", std)
-	}
-}
-
-func TestAWGNValidation(t *testing.T) {
-	if _, err := NewAWGN(-1, 0); err == nil {
-		t.Error("negative std accepted")
-	}
-	z, err := NewAWGN(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := z.Transmit(0, 7).Value; got != 7 {
-		t.Errorf("zero-std AWGN changed value to %g", got)
-	}
-}
-
 func TestBurst(t *testing.T) {
 	b, err := NewBurst(0.5, 10, 3)
 	if err != nil {
@@ -123,7 +88,7 @@ func TestBurstValidation(t *testing.T) {
 
 func TestChain(t *testing.T) {
 	e, _ := NewErasure(1, 4) // always drops
-	a, _ := NewAWGN(0, 5)
+	var a Perfect
 	c := Chain{a, e}
 	if !c.Transmit(0, 1).Dropped {
 		t.Error("chain did not propagate drop")
@@ -135,7 +100,7 @@ func TestChain(t *testing.T) {
 	if Chain(nil).Name() != "perfect" {
 		t.Errorf("empty chain name %q", Chain(nil).Name())
 	}
-	if c.Name() != "awgn(std=0)+erasure(p=1)" {
+	if c.Name() != "perfect+erasure(p=1)" {
 		t.Errorf("chain name %q", c.Name())
 	}
 	if got := Chain(nil).Transmit(0, 9); got.Dropped || got.Value != 9 {

@@ -172,12 +172,11 @@ func (c *conn) Recv() (*protocol.Message, error) { return c.inner.Recv() }
 // Close implements transport.Conn.
 func (c *conn) Close() error { return c.inner.Close() }
 
-// Flush, SetWireVersion and Pending forward the optional transport faces
-// so a chaos wrapper is transparent to flush barriers, wire-version
-// negotiation and relay coalescing.
+// Flush and SetWireVersion forward the optional transport faces so a
+// chaos wrapper is transparent to flush barriers and wire-version
+// negotiation.
 func (c *conn) Flush() error         { return transport.Flush(c.inner) }
 func (c *conn) SetWireVersion(v int) { transport.SetWireVersion(c.inner, v) }
-func (c *conn) Pending() bool        { return transport.Pending(c.inner) }
 
 // uniform draws a float64 in [0, 1) from the connection's stream.
 func (c *conn) uniform() float64 {

@@ -34,7 +34,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -229,15 +228,4 @@ func (s *Spec) String() string {
 // trimFloat renders a probability without trailing zeros.
 func trimFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// Kinds returns the sorted message-kind vocabulary (for error messages
-// and docs).
-func Kinds() []string {
-	out := make([]string, 0, len(msgKinds))
-	for k := range msgKinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -98,8 +99,18 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// kinds returns the sorted message-kind vocabulary.
+func kinds() []string {
+	out := make([]string, 0, len(msgKinds))
+	for k := range msgKinds {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestKinds(t *testing.T) {
-	ks := Kinds()
+	ks := kinds()
 	if len(ks) != 6 {
 		t.Fatalf("got %d kinds: %v", len(ks), ks)
 	}

@@ -95,7 +95,10 @@ func TestFPModelEvalMatchesReference(t *testing.T) {
 	edges := []field.Element{field.Zero, field.One, field.New(field.Modulus - 1)}
 	for deg := 1; deg <= 3; deg++ {
 		for _, frac := range []uint{min(maxFracBitsFor(deg), 16), 6} {
-			codec := fixedpoint.MustNew(frac)
+			codec, err := fixedpoint.New(frac)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for actDeg := 1; actDeg <= deg; actDeg++ {
 				for _, width := range []int{1, 16, 65, 261} {
 					name := fmt.Sprintf("deg%d/frac%d/act%d/width%d", deg, frac, actDeg, width)

@@ -54,7 +54,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/poly"
 	"repro/internal/reedsolomon"
 )
 
@@ -159,8 +158,8 @@ type Scheme struct {
 func (s *Scheme) SetSpanParent(ctx obs.SpanContext) { s.spanParent = ctx }
 
 // NewScheme quantises and Lagrange-encodes the reference features and
-// fixes the encoding elements. len(refX) must be a positive multiple of M
-// (use TrimToMultiple), and every feature must fit the fixed-point range
+// fixes the encoding elements. len(refX) must be a positive multiple of M,
+// and every feature must fit the fixed-point range
 // (features normalised to [-1, 1] always do — the eq. 9 precondition).
 func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 	ev, k, err := newEvaluator(refX, cfg)
@@ -231,15 +230,6 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		sch.hAggregateNs = o.Histogram("core.aggregate_ns", obs.LatencyBuckets())
 	}
 	return sch, nil
-}
-
-// TrimToMultiple returns the largest prefix of refX whose length is a
-// multiple of m — a convenience for sizing the reference set.
-func TrimToMultiple(refX [][]float64, m int) [][]float64 {
-	if m <= 0 {
-		return nil
-	}
-	return refX[:len(refX)/m*m]
 }
 
 // Name implements fl.Scheme.
@@ -593,8 +583,3 @@ func (s *Scheme) flaggedCount() int {
 
 // verify interface compliance.
 var _ fl.Scheme = (*Scheme)(nil)
-
-// PolynomialDegreeOf returns the end-to-end degree of a single-nonlinear-
-// layer model whose activation is the given polynomial — a helper for
-// wiring SchemeConfig.Degree to the approximation actually installed.
-func PolynomialDegreeOf(activation poly.Real) int { return activation.Degree() }

@@ -544,19 +544,6 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-func TestTrimToMultiple(t *testing.T) {
-	rows := make([][]float64, 10)
-	if got := TrimToMultiple(rows, 4); len(got) != 8 {
-		t.Errorf("trim = %d, want 8", len(got))
-	}
-	if got := TrimToMultiple(rows, 0); got != nil {
-		t.Error("m=0 should return nil")
-	}
-	if got := TrimToMultiple(rows, 3); len(got) != 9 {
-		t.Errorf("trim = %d, want 9", len(got))
-	}
-}
-
 func mustPlan(t *testing.T, v int, frac float64) *adversary.Plan {
 	t.Helper()
 	p, err := adversary.NewPlan(v, frac, adversary.ConstantLie{Value: 5}, 16)

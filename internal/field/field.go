@@ -54,9 +54,6 @@ const (
 // Uint64 returns the canonical representative in [0, p).
 func (e Element) Uint64() uint64 { return uint64(e) }
 
-// IsZero reports whether e is the additive identity.
-func (e Element) IsZero() bool { return e == 0 }
-
 // Centered returns the symmetric representative of e in
 // (-(p-1)/2, (p-1)/2], which is how fixed-point decoding recovers signed
 // quantities.
@@ -111,9 +108,6 @@ func (e Element) Mul(o Element) Element {
 // Square returns e² mod p.
 func (e Element) Square() Element { return e.Mul(e) }
 
-// Double returns 2e mod p.
-func (e Element) Double() Element { return e.Add(e) }
-
 // Exp returns e^k mod p by binary exponentiation. Exp(0, 0) = 1.
 func (e Element) Exp(k uint64) Element {
 	result := One
@@ -140,9 +134,6 @@ func (e Element) Inv() Element {
 
 // Div returns e / o mod p. Division by zero panics, as Inv does.
 func (e Element) Div(o Element) Element { return e.Mul(o.Inv()) }
-
-// Equal reports whether two elements are the same field value.
-func (e Element) Equal(o Element) bool { return e == o }
 
 // String implements fmt.Stringer with the canonical representative.
 func (e Element) String() string { return fmt.Sprintf("%d", uint64(e)) }
@@ -179,15 +170,6 @@ func Sum(xs []Element) Element {
 		s = s.Add(x)
 	}
 	return s
-}
-
-// Product returns the product of xs, One for an empty slice.
-func Product(xs []Element) Element {
-	p := One
-	for _, x := range xs {
-		p = p.Mul(x)
-	}
-	return p
 }
 
 // Dot returns the inner product of equal-length vectors a and b.

@@ -199,17 +199,11 @@ func TestSumProductDot(t *testing.T) {
 	if got := Sum(xs); got != New(10) {
 		t.Errorf("Sum = %v, want 10", got)
 	}
-	if got := Product(xs); got != New(24) {
-		t.Errorf("Product = %v, want 24", got)
-	}
 	if got := Dot(xs, xs); got != New(30) {
 		t.Errorf("Dot = %v, want 30", got)
 	}
 	if got := Sum(nil); got != Zero {
 		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-	if got := Product(nil); got != One {
-		t.Errorf("Product(nil) = %v, want 1", got)
 	}
 }
 

@@ -42,25 +42,13 @@ func New(frac uint) (*Codec, error) {
 	return &Codec{
 		frac:  frac,
 		scale: scale,
-		//lint:ignore floatpurity codec construction is the float boundary: maxAbs is the real-valued range bound handed to callers
+		//lint:ignore floatpurity codec construction is the float boundary: maxAbs is the real-valued range bound Encode checks against
 		maxAbs: float64(field.Modulus/2) / scale,
 	}, nil
 }
 
-// MustNew is New for statically-known parameters; it panics on error.
-func MustNew(frac uint) *Codec {
-	c, err := New(frac)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // FracBits returns the number of fractional bits.
 func (c *Codec) FracBits() uint { return c.frac }
-
-// MaxAbs returns the largest representable magnitude.
-func (c *Codec) MaxAbs() float64 { return c.maxAbs }
 
 // Encode quantises x into the field. It returns an error when |x| exceeds
 // the representable range or x is not finite.
@@ -72,12 +60,6 @@ func (c *Codec) Encode(x float64) (field.Element, error) {
 		return 0, fmt.Errorf("fixedpoint: value %g exceeds representable range ±%g", x, c.maxAbs)
 	}
 	return field.NewInt64(int64(math.RoundToEven(x * c.scale))), nil
-}
-
-// Decode recovers the real value from a residue produced by Encode (or by
-// field arithmetic on encoded values carrying the same scale).
-func (c *Codec) Decode(e field.Element) float64 {
-	return float64(e.Centered()) / c.scale
 }
 
 // DecodeScaled recovers a value whose fixed-point scale has been raised to
@@ -110,39 +92,4 @@ func (c *Codec) EncodeVecInto(dst []field.Element, xs []float64) error {
 		dst[i] = e
 	}
 	return nil
-}
-
-// DecodeVec recovers a vector of residues at the codec's base scale.
-func (c *Codec) DecodeVec(es []field.Element) []float64 {
-	out := make([]float64, len(es))
-	for i, e := range es {
-		out[i] = c.Decode(e)
-	}
-	return out
-}
-
-// QuantizationError returns the worst-case absolute rounding error of a
-// single Encode: half a quantum.
-func (c *Codec) QuantizationError() float64 { return 0.5 / c.scale }
-
-// HeadroomDegree returns the largest polynomial degree d such that
-// evaluating a degree-d polynomial (with coefficients bounded by coefAbs
-// and inputs bounded by inAbs) on encoded values stays within the
-// symmetric field range. Callers size frac against this before running
-// coded inference.
-func (c *Codec) HeadroomDegree(coefAbs, inAbs float64) int {
-	// A degree-d term contributes |coef|·|x|^d at scale (d+1)·frac bits
-	// (one factor for the coefficient, d for the input powers).
-	limit := float64(field.Modulus / 2)
-	for d := 0; ; d++ {
-		bits := float64(d+1) * float64(c.frac)
-		mag := coefAbs * math.Pow(inAbs, float64(d)) * math.Pow(2, bits)
-		// Sum over d+1 terms of a polynomial: bound by (d+1)·mag.
-		if float64(d+1)*mag > limit {
-			return d - 1
-		}
-		if d > 64 {
-			return d // practically unbounded for these parameters
-		}
-	}
 }

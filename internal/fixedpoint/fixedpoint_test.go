@@ -20,17 +20,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew(0) did not panic")
-		}
-	}()
-	MustNew(0)
+// mustNew is New for the statically valid fractional-bit counts the tests
+// use.
+func mustNew(frac uint) *Codec {
+	c, err := New(frac)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
+// quantizationError is the worst-case absolute rounding error of a single
+// Encode: half a quantum.
+func (c *Codec) quantizationError() float64 { return 0.5 / c.scale }
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := MustNew(20)
+	c := mustNew(20)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		x := rng.NormFloat64() * 100
@@ -38,14 +43,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Decode(e); math.Abs(got-x) > c.QuantizationError() {
-			t.Fatalf("roundtrip %g -> %g, error > %g", x, got, c.QuantizationError())
+		if got := c.Decode(e); math.Abs(got-x) > c.quantizationError() {
+			t.Fatalf("roundtrip %g -> %g, error > %g", x, got, c.quantizationError())
 		}
 	}
 }
 
 func TestEncodeNegative(t *testing.T) {
-	c := MustNew(10)
+	c := mustNew(10)
 	e, err := c.Encode(-1.5)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +61,7 @@ func TestEncodeNegative(t *testing.T) {
 }
 
 func TestEncodeRejectsNonFinite(t *testing.T) {
-	c := MustNew(16)
+	c := mustNew(16)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := c.Encode(bad); err == nil {
 			t.Errorf("Encode(%g) accepted", bad)
@@ -65,11 +70,11 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 }
 
 func TestEncodeRejectsOverflow(t *testing.T) {
-	c := MustNew(40)
-	if _, err := c.Encode(c.MaxAbs() * 2); err == nil {
+	c := mustNew(40)
+	if _, err := c.Encode(c.maxAbs * 2); err == nil {
 		t.Error("overflow accepted")
 	}
-	if _, err := c.Encode(c.MaxAbs() * 0.99); err != nil {
+	if _, err := c.Encode(c.maxAbs * 0.99); err != nil {
 		t.Errorf("in-range value rejected: %v", err)
 	}
 }
@@ -77,7 +82,7 @@ func TestEncodeRejectsOverflow(t *testing.T) {
 func TestFieldArithmeticCarriesScale(t *testing.T) {
 	// (a + b) and (a * b) in the field must decode to the real sum and
 	// product (the latter at doubled scale).
-	c := MustNew(20)
+	c := mustNew(20)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		a := rng.Float64()*4 - 2
@@ -90,7 +95,7 @@ func TestFieldArithmeticCarriesScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Decode(ea.Add(eb)); math.Abs(got-(a+b)) > 2*c.QuantizationError() {
+		if got := c.Decode(ea.Add(eb)); math.Abs(got-(a+b)) > 2*c.quantizationError() {
 			t.Fatalf("sum %g+%g decoded %g", a, b, got)
 		}
 		if got := c.DecodeScaled(ea.Mul(eb), 2); math.Abs(got-a*b) > 1e-4 {
@@ -103,7 +108,7 @@ func TestDecodeScaledPolynomialEvaluation(t *testing.T) {
 	// Evaluate q(x) = 2x^2 - x + 0.5 entirely in the field with scale
 	// management: encode coefficients and x at frac bits, compute
 	// c2·x² + c1·x·s + c0·s² which carries 3·frac bits.
-	c := MustNew(16)
+	c := mustNew(16)
 	x := 0.75
 	ex, _ := c.Encode(x)
 	e2, _ := c.Encode(2)
@@ -122,16 +127,15 @@ func TestDecodeScaledPolynomialEvaluation(t *testing.T) {
 }
 
 func TestEncodeVecDecodeVec(t *testing.T) {
-	c := MustNew(24)
+	c := mustNew(24)
 	xs := []float64{0, -1, 2.5, 1e-3}
 	es, err := c.EncodeVec(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.DecodeVec(es)
 	for i := range xs {
-		if math.Abs(got[i]-xs[i]) > c.QuantizationError() {
-			t.Errorf("vec[%d] = %g, want %g", i, got[i], xs[i])
+		if got := c.Decode(es[i]); math.Abs(got-xs[i]) > c.quantizationError() {
+			t.Errorf("vec[%d] = %g, want %g", i, got, xs[i])
 		}
 	}
 	if _, err := c.EncodeVec([]float64{math.NaN()}); err == nil {
@@ -151,30 +155,15 @@ func TestEncodeVecDecodeVec(t *testing.T) {
 	}
 }
 
-func TestHeadroomDegree(t *testing.T) {
-	c := MustNew(16)
-	d := c.HeadroomDegree(2, 2)
-	if d < 1 {
-		t.Fatalf("HeadroomDegree = %d, want >= 1", d)
-	}
-	// A degree within headroom must actually fit: largest term magnitude
-	// stays below the symmetric range.
-	bits := float64(d+1) * 16
-	mag := 2 * math.Pow(2, float64(d)) * math.Pow(2, bits) * float64(d+1)
-	if mag > float64(field.Modulus/2) {
-		t.Errorf("degree %d exceeds field range", d)
-	}
-}
-
 func TestPropertyRoundTrip(t *testing.T) {
-	c := MustNew(30)
+	c := mustNew(30)
 	f := func(raw int32) bool {
 		x := float64(raw) / 1000 // range ±2.1e6, inside MaxAbs for frac=30? MaxAbs ≈ 1.07e9
 		e, err := c.Encode(x)
 		if err != nil {
 			return false
 		}
-		return math.Abs(c.Decode(e)-x) <= c.QuantizationError()
+		return math.Abs(c.Decode(e)-x) <= c.quantizationError()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -182,7 +171,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 func TestPropertyAdditiveHomomorphism(t *testing.T) {
-	c := MustNew(20)
+	c := mustNew(20)
 	f := func(a, b int16) bool {
 		x, y := float64(a)/100, float64(b)/100
 		ex, err1 := c.Encode(x)
@@ -190,9 +179,15 @@ func TestPropertyAdditiveHomomorphism(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return math.Abs(c.Decode(ex.Add(ey))-(x+y)) <= 2*c.QuantizationError()
+		return math.Abs(c.Decode(ex.Add(ey))-(x+y)) <= 2*c.quantizationError()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Decode recovers the real value from a residue produced by Encode (or by
+// field arithmetic on encoded values carrying the same scale).
+func (c *Codec) Decode(e field.Element) float64 {
+	return float64(e.Centered()) / c.scale
 }

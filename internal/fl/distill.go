@@ -148,7 +148,6 @@ func (d *Distiller) fit(shared *nn.Network) (float64, error) {
 	if err := shared.SetParams(wb); err != nil {
 		return 0, err
 	}
-	shared.ProjectWeights()
 	var total float64
 	for k, j := range d.rows {
 		l, err := shared.Loss(d.refX[j], d.y[k])

@@ -24,15 +24,12 @@ func distillRef(tb testing.TB, n int) [][]float64 {
 }
 
 // distillNet builds the fit's model: [F, hidden…, 1] with the given
-// activation and L1 cap.
-func distillNet(tb testing.TB, act approx.Activation, hidden []int, weightCap float64) *nn.Network {
+// activation.
+func distillNet(tb testing.TB, act approx.Activation, hidden []int) *nn.Network {
 	tb.Helper()
 	sizes := append(append([]int{traffic.NumFeatures}, hidden...), 1)
 	net, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: 5})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := net.SetWeightCap(weightCap); err != nil {
 		tb.Fatal(err)
 	}
 	return net
@@ -53,11 +50,10 @@ func TestDistillerMatchesDistill(t *testing.T) {
 		name   string
 		act    approx.Activation
 		hidden []int
-		cap    float64
 	}{
-		{"exact", approx.SymmetricSigmoid(), nil, 0},
-		{"poly", approx.FromPolynomial("ls2", poly), nil, 3},
-		{"hidden", approx.SymmetricSigmoid(), []int{4}, 0},
+		{"exact", approx.SymmetricSigmoid(), nil},
+		{"poly", approx.FromPolynomial("ls2", poly), nil},
+		{"hidden", approx.SymmetricSigmoid(), []int{4}},
 	}
 	const rounds = 24
 	const dropRound, allDropped = 7, 15 // dropRound+1 restores the rows
@@ -72,7 +68,7 @@ func TestDistillerMatchesDistill(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				held := distillNet(t, m.act, m.hidden, m.cap)
+				held := distillNet(t, m.act, m.hidden)
 				fresh := held.Clone()
 				rng := rand.New(rand.NewSource(int64(n)))
 				targets := make([]float64, n)
@@ -181,7 +177,6 @@ func referenceDistill(shared *nn.Network, cfg Config, samples []nn.Sample) (floa
 	if err := shared.SetParams(wb); err != nil {
 		return 0, err
 	}
-	shared.ProjectWeights()
 	var total float64
 	for _, smp := range samples {
 		l, err := shared.Loss(smp.X, smp.Y)
@@ -202,10 +197,10 @@ func TestDistillerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Fit(distillNet(t, approx.SymmetricSigmoid(), nil, 0), make([]float64, 7)); err == nil {
+	if _, err := d.Fit(distillNet(t, approx.SymmetricSigmoid(), nil), make([]float64, 7)); err == nil {
 		t.Error("target count unequal to the reference size accepted")
 	}
-	if _, err := Distill(distillNet(t, approx.SymmetricSigmoid(), nil, 0), cfg, nil); err == nil {
+	if _, err := Distill(distillNet(t, approx.SymmetricSigmoid(), nil), cfg, nil); err == nil {
 		t.Error("Distill without samples accepted")
 	}
 }
@@ -229,7 +224,7 @@ func BenchmarkDistill(b *testing.B) {
 			targets[j] = rng.Float64()
 			samples[j] = nn.Sample{X: refX[j], Y: targets[j]}
 		}
-		net := distillNet(b, approx.FromPolynomial("ls1", poly), nil, 0)
+		net := distillNet(b, approx.FromPolynomial("ls1", poly), nil)
 		b.Run(fmt.Sprintf("oneshot/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -216,16 +216,6 @@ func cloneRows(rows [][]float64) [][]float64 {
 // copy — callers evaluate it between rounds).
 func (s *System) Shared() *nn.Network { return s.shared }
 
-// NumVehicles returns V.
-func (s *System) NumVehicles() int { return len(s.vehicles) }
-
-// Round returns the number of completed global rounds.
-func (s *System) Round() int { return s.round }
-
-// ReferenceFeatures returns the fusion centre's reference features
-// (copies).
-func (s *System) ReferenceFeatures() [][]float64 { return cloneRows(s.refX) }
-
 // Scheme is the pluggable estimation-upload-and-aggregation strategy that
 // distinguishes the comparison models.
 type Scheme interface {

@@ -11,6 +11,10 @@ import (
 	"repro/internal/traffic"
 )
 
+// ReferenceFeatures returns the fusion centre's reference features
+// (copies), the rows a PlainScheme of the same system is built on.
+func (s *System) ReferenceFeatures() [][]float64 { return cloneRows(s.refX) }
+
 func testConfig() Config {
 	return Config{
 		InputSize:     traffic.NumFeatures,
@@ -341,3 +345,9 @@ func TestDeterministicRounds(t *testing.T) {
 		}
 	}
 }
+
+// NumVehicles returns V.
+func (s *System) NumVehicles() int { return len(s.vehicles) }
+
+// Round returns the number of completed global rounds.
+func (s *System) Round() int { return s.round }

@@ -55,14 +55,3 @@ func (c *CoverageChannel) Transmit(vehicle int, v float64) channel.Reception {
 	}
 	return c.inner.Transmit(vehicle, v)
 }
-
-// ReachableCount reports how many vehicles can currently upload.
-func (c *CoverageChannel) ReachableCount() int {
-	n := 0
-	for _, a := range c.assoc {
-		if a.Reachable {
-			n++
-		}
-	}
-	return n
-}

@@ -153,21 +153,6 @@ func (s *Scenario) assignWaypoint(v *Vehicle) {
 	v.speed = s.cfg.MinSpeed + s.rng.Float64()*(s.cfg.MaxSpeed-s.cfg.MinSpeed)
 }
 
-// Round returns the number of completed mobility steps.
-func (s *Scenario) Round() int { return s.round }
-
-// NumVehicles returns V.
-func (s *Scenario) NumVehicles() int { return len(s.vehicles) }
-
-// Positions returns a copy of the current vehicle positions.
-func (s *Scenario) Positions() []Position {
-	out := make([]Position, len(s.vehicles))
-	for i, v := range s.vehicles {
-		out[i] = v.Pos
-	}
-	return out
-}
-
 // Step advances every vehicle one random-waypoint move.
 func (s *Scenario) Step() {
 	for i := range s.vehicles {
@@ -223,15 +208,4 @@ func (s *Scenario) Associations() []Association {
 		}
 	}
 	return out
-}
-
-// ReachableCount returns how many vehicles are currently in coverage.
-func (s *Scenario) ReachableCount() int {
-	n := 0
-	for _, a := range s.Associations() {
-		if a.Reachable {
-			n++
-		}
-	}
-	return n
 }

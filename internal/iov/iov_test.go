@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// ReachableCount returns how many vehicles are currently in coverage.
+func (s *Scenario) ReachableCount() int {
+	n := 0
+	for _, a := range s.Associations() {
+		if a.Reachable {
+			n++
+		}
+	}
+	return n
+}
+
+// ReachableCount reports how many vehicles can currently upload.
+func (c *CoverageChannel) ReachableCount() int {
+	n := 0
+	for _, a := range c.assoc {
+		if a.Reachable {
+			n++
+		}
+	}
+	return n
+}
+
 func TestDefaultConfigScenario(t *testing.T) {
 	s, err := NewScenario(DefaultConfig(1))
 	if err != nil {
@@ -225,4 +247,19 @@ func TestCoverageChannel(t *testing.T) {
 	if s.Round() != rounds {
 		t.Errorf("RoundStart advanced %d mobility steps, scenario saw %d", rounds, s.Round())
 	}
+}
+
+// Round returns the number of completed mobility steps.
+func (s *Scenario) Round() int { return s.round }
+
+// NumVehicles returns V.
+func (s *Scenario) NumVehicles() int { return len(s.vehicles) }
+
+// Positions returns a copy of the current vehicle positions.
+func (s *Scenario) Positions() []Position {
+	out := make([]Position, len(s.vehicles))
+	for i, v := range s.vehicles {
+		out[i] = v.Pos
+	}
+	return out
 }

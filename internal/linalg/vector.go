@@ -1,39 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
-
-// VecAdd returns a + b elementwise. It panics on length mismatch —
-// vector shapes are programmer invariants, not input conditions.
-func VecAdd(a, b []float64) []float64 {
-	mustSameLen("VecAdd", a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// VecSub returns a − b elementwise.
-func VecSub(a, b []float64) []float64 {
-	mustSameLen("VecSub", a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// VecScale returns c·a.
-func VecScale(c float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = c * a[i]
-	}
-	return out
-}
+import "fmt"
 
 // VecAddInPlace adds b into a.
 func VecAddInPlace(a, b []float64) {
@@ -49,48 +16,6 @@ func AXPYInPlace(a []float64, c float64, b []float64) {
 	for i := range a {
 		a[i] += c * b[i]
 	}
-}
-
-// Dot returns the inner product ⟨a, b⟩.
-func Dot(a, b []float64) float64 {
-	mustSameLen("Dot", a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-absolute-value norm of a.
-func NormInf(a []float64) float64 {
-	var worst float64
-	for _, v := range a {
-		if av := math.Abs(v); av > worst {
-			worst = av
-		}
-	}
-	return worst
-}
-
-// Mean returns the arithmetic mean of a (0 for empty input).
-func Mean(a []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s / float64(len(a))
 }
 
 // Clone returns an independent copy of a.

@@ -102,18 +102,6 @@ func (h *Histogram) BinCenters() []float64 {
 	return out
 }
 
-// Mode returns the centre of the most populated bin — the paper's
-// "estimation result with highest frequency" (Fig. 7).
-func (h *Histogram) Mode() float64 {
-	best, bestCount := 0, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	return h.BinCenters()[best]
-}
-
 // Overlap returns the overlapping area of two densities on the same
 // support — the paper's Fig. 7 comparison ("largest overlapping area with
 // the accurate FL model"). Both histograms must share range and bins.
@@ -140,14 +128,6 @@ type Trace struct {
 
 // Append records the next round's value.
 func (t *Trace) Append(v float64) { t.Values = append(t.Values, v) }
-
-// Last returns the most recent value (0 for an empty trace).
-func (t *Trace) Last() float64 {
-	if len(t.Values) == 0 {
-		return 0
-	}
-	return t.Values[len(t.Values)-1]
-}
 
 // TailMean averages the last k values (all values when k exceeds the
 // length) — the steady-state summary used in the sweep figures.

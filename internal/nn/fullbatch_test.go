@@ -164,60 +164,3 @@ func TestEstimateClamped(t *testing.T) {
 		t.Errorf("in-range estimate altered: %g", cl)
 	}
 }
-
-func TestWeightCapProjection(t *testing.T) {
-	n, err := New(testConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetWeightCap(-1); err == nil {
-		t.Error("negative cap accepted")
-	}
-	if err := n.SetWeightCap(1.5); err != nil {
-		t.Fatal(err)
-	}
-	if n.WeightCap() != 1.5 {
-		t.Errorf("WeightCap = %g", n.WeightCap())
-	}
-	if err := n.SetParams([]float64{3, -4, 1}); err != nil { // L1 = 8
-		t.Fatal(err)
-	}
-	n.ProjectWeights()
-	params := n.Params()
-	var l1 float64
-	for _, p := range params {
-		l1 += math.Abs(p)
-	}
-	if math.Abs(l1-1.5) > 1e-12 {
-		t.Errorf("projected L1 = %g, want 1.5", l1)
-	}
-	// Direction preserved.
-	if params[0] <= 0 || params[1] >= 0 {
-		t.Errorf("projection flipped signs: %v", params)
-	}
-	// Inside the ball: no change.
-	if err := n.SetParams([]float64{0.3, 0.2, 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	n.ProjectWeights()
-	got := n.Params()
-	if got[0] != 0.3 || got[1] != 0.2 || got[2] != 0.1 {
-		t.Errorf("in-ball params changed: %v", got)
-	}
-	// Clone carries the cap.
-	if c := n.Clone(); c.WeightCap() != 1.5 {
-		t.Errorf("clone cap = %g", c.WeightCap())
-	}
-	// Training respects the cap.
-	samples := []Sample{{X: []float64{1, 1}, Y: 1}, {X: []float64{-1, -1}, Y: 0}}
-	if _, err := n.TrainSGD(samples, 0.5, 50, nil); err != nil {
-		t.Fatal(err)
-	}
-	l1 = 0
-	for _, p := range n.Params() {
-		l1 += math.Abs(p)
-	}
-	if l1 > 1.5+1e-9 {
-		t.Errorf("SGD escaped the cap: L1 = %g", l1)
-	}
-}

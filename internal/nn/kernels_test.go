@@ -14,17 +14,15 @@ import (
 
 // referenceNet is the straight-line SGD the in-place kernels replaced,
 // kept as the oracle they are pinned to: per-layer weights as plain rows,
-// every step allocating its own activations, the proximal pull and the L1
-// projection going through a flattened copy, the loss taken every epoch.
+// every step allocating its own activations, the loss taken every epoch.
 type referenceNet struct {
-	w         [][][]float64 // w[l][i][j]
-	b         [][]float64
-	act       approx.Activation
-	weightCap float64
+	w   [][][]float64 // w[l][i][j]
+	b   [][]float64
+	act approx.Activation
 }
 
 func newReferenceNet(n *Network) *referenceNet {
-	r := &referenceNet{act: n.Activation(), weightCap: n.WeightCap()}
+	r := &referenceNet{act: n.Activation()}
 	sizes := n.Sizes()
 	for l := 0; l+1 < len(sizes); l++ {
 		rows := make([][]float64, sizes[l+1])
@@ -110,7 +108,7 @@ func (r *referenceNet) step(s Sample, rho float64) float64 {
 	return loss
 }
 
-func (r *referenceNet) trainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand, mu float64, anchor []float64) float64 {
+func (r *referenceNet) trainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) float64 {
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -121,27 +119,6 @@ func (r *referenceNet) trainSGD(samples []Sample, rho float64, epochs int, rng *
 		var total float64
 		for _, idx := range order {
 			total += r.step(samples[idx], rho)
-			if mu > 0 {
-				params := r.params()
-				for i := range params {
-					params[i] -= rho * mu * (params[i] - anchor[i])
-				}
-				r.setParams(params)
-			}
-			if r.weightCap > 0 {
-				params := r.params()
-				var l1 float64
-				for _, p := range params {
-					l1 += math.Abs(p)
-				}
-				if l1 > r.weightCap {
-					scale := r.weightCap / l1
-					for i := range params {
-						params[i] *= scale
-					}
-					r.setParams(params)
-				}
-			}
 		}
 		lastLoss = total / float64(len(samples))
 	}
@@ -191,13 +168,13 @@ func randomSamples(rng *rand.Rand, count, in int, softLabels bool) []Sample {
 // parameters and returned loss. Even cases are the single-layer shape at
 // the widths the binaries run (1–32 inputs, every fourth one the traffic
 // application's 16), odd ones have one or two hidden layers; across them
-// the exact sigmoid and the degree 1–3 polynomial fits, the L1 cap on and
-// off, the proximal term on and off, binary and soft labels. Two calls
-// per case cover the reused scratch as well as the freshly built one.
+// the exact sigmoid and the degree 1–3 polynomial fits, binary and soft
+// labels. Two calls per case cover the reused scratch as well as the
+// freshly built one.
 func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 	acts := []approx.Activation{approx.SymmetricSigmoid(), lsActivation(t, 1), lsActivation(t, 2), lsActivation(t, 3)}
 	rng := rand.New(rand.NewSource(77))
-	var fusedPlain, fusedConstrained, general int
+	var fused, general int
 	for c := 0; c < 240; c++ {
 		sizes := []int{1 + rng.Intn(32)}
 		if c%8 == 0 {
@@ -214,25 +191,11 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (c/8)%2 == 1 {
-			// Tight enough that most steps project.
-			if err := n.SetWeightCap(0.5 + rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var mu float64
-		if (c/16)%2 == 1 {
-			mu = 0.05 + rng.Float64()
-		}
-		switch {
-		case !n.singleLayer():
+		if n.singleLayer() {
+			fused++
+		} else {
 			general++
-		case mu == 0 && n.WeightCap() == 0:
-			fusedPlain++
-		default:
-			fusedConstrained++
 		}
-		anchor := n.Params()
 		samples := randomSamples(rng, 1+rng.Intn(20), sizes[0], c%5 == 0)
 		rho := 0.05 + rng.Float64()
 		epochs := 1 + rng.Intn(3)
@@ -240,55 +203,55 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 		seed := rng.Int63()
 		gotRNG, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for call := 0; call < 2; call++ {
-			got, err := n.TrainSGDProximal(samples, rho, epochs, gotRNG, mu, anchor)
+			got, err := n.TrainSGD(samples, rho, epochs, gotRNG)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ref.trainSGD(samples, rho, epochs, wantRNG, mu, anchor)
+			want := ref.trainSGD(samples, rho, epochs, wantRNG)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("case %d sizes %v act %s call %d: loss %v, reference %v", c, sizes, n.act.Name, call, got, want)
 			}
 			if !sameFloatBits(n.Params(), ref.params()) {
-				t.Fatalf("case %d sizes %v act %s cap %g mu %g call %d: parameters diverged from the reference step",
-					c, sizes, n.act.Name, n.WeightCap(), mu, call)
+				t.Fatalf("case %d sizes %v act %s call %d: parameters diverged from the reference step",
+					c, sizes, n.act.Name, call)
 			}
 		}
 	}
-	if fusedPlain < 20 || fusedConstrained < 20 || general < 20 {
-		t.Fatalf("cases reached the fused step %d times bare and %d times with cap or mu, the general step %d times: want each >= 20",
-			fusedPlain, fusedConstrained, general)
+	if fused < 20 || general < 20 {
+		t.Fatalf("cases reached the fused step %d times, the general step %d times: want each >= 20", fused, general)
 	}
 }
 
-// TestSetActivationRefreshesDerivative: the fused step evaluates a
-// derivative polynomial cached beside the activation. Train, swap the
-// activation for one of another degree (and then for the exact sigmoid,
-// which has none), train again: every leg matches a reference that was
-// handed the same activation.
-func TestSetActivationRefreshesDerivative(t *testing.T) {
-	n, err := New(Config{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 3), Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCloneCarriesDerivative: the fused step evaluates a derivative
+// polynomial cached beside the activation, and a clone shares it. For
+// each activation (polynomials of three degrees, and the exact sigmoid,
+// which has none) a trained network's clone keeps training on the
+// reference's bits.
+func TestCloneCarriesDerivative(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	samples := randomSamples(rng, 40, 16, false)
-	ref := newReferenceNet(n)
-	gotRNG, wantRNG := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
-	for leg, act := range []approx.Activation{n.Activation(), lsActivation(t, 1), approx.SymmetricSigmoid(), lsActivation(t, 2)} {
-		if err := n.SetActivation(act); err != nil {
-			t.Fatal(err)
-		}
-		ref.act = act
-		got, err := n.TrainSGD(samples, 0.2, 2, gotRNG)
+	for leg, act := range []approx.Activation{lsActivation(t, 3), lsActivation(t, 1), approx.SymmetricSigmoid(), lsActivation(t, 2)} {
+		n, err := New(Config{LayerSizes: []int{16, 1}, Activation: act, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.trainSGD(samples, 0.2, 2, wantRNG, 0, nil)
-		if math.Float64bits(got) != math.Float64bits(want) || !sameFloatBits(n.Params(), ref.params()) {
-			t.Fatalf("leg %d (%s): loss %v vs reference %v, or parameters diverged", leg, act.Name, got, want)
+		ref := newReferenceNet(n)
+		gotRNG, wantRNG := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		if _, err := n.TrainSGD(samples, 0.2, 2, gotRNG); err != nil {
+			t.Fatal(err)
 		}
-		if clone := n.Clone(); !sameFloatBits(clone.dact, n.dact) {
+		clone := n.Clone()
+		if !sameFloatBits(clone.dact, n.dact) {
 			t.Fatalf("leg %d: clone carries derivative %v, original %v", leg, clone.dact, n.dact)
+		}
+		got, err := clone.TrainSGD(samples, 0.2, 2, gotRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.trainSGD(samples, 0.2, 2, wantRNG)
+		want := ref.trainSGD(samples, 0.2, 2, wantRNG)
+		if math.Float64bits(got) != math.Float64bits(want) || !sameFloatBits(clone.Params(), ref.params()) {
+			t.Fatalf("leg %d (%s): loss %v vs reference %v, or parameters diverged", leg, act.Name, got, want)
 		}
 	}
 }

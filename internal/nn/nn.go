@@ -39,8 +39,8 @@ type Network struct {
 	sizes []int
 	// params is the flat parameter vector in Params layout (layer by
 	// layer: weights row-major, then biases). weights and biases are views
-	// onto it, so whole-vector updates — the proximal pull, the L1
-	// projection, Params/SetParams — are single loops in Params order.
+	// onto it, so whole-vector updates — the full-batch step,
+	// Params/SetParams — are single loops in Params order.
 	params  []float64
 	weights []*linalg.Matrix // weights[l]: sizes[l+1] × sizes[l]
 	biases  [][]float64      // biases[l]: sizes[l+1]
@@ -49,13 +49,6 @@ type Network struct {
 	// the single-layer kernels run both Horner loops inline. Never written
 	// after it is set, so clones share it.
 	dact poly.Real
-	// weightCap, when positive, bounds the L1 norm of the flat parameter
-	// vector: every training step projects back onto the L1 ball.
-	// Polynomial activations are only faithful on a bounded
-	// pre-activation interval (non-monotone beyond it), so with inputs in
-	// [-1, 1] capping ‖params‖₁ keeps |w·x + b| inside that interval —
-	// projected SGD, the standard constrained-training device.
-	weightCap float64
 	// train is the SGD working set, built by the first TrainSGD call and
 	// reused by every later one. Training rewrites the parameters, so it
 	// already needs the network to itself; the read paths (Forward,
@@ -66,18 +59,17 @@ type Network struct {
 
 // newNetwork lays zeroed weights and biases for the given layer sizes
 // over one flat parameter vector.
-func newNetwork(sizes []int, act approx.Activation, weightCap float64) *Network {
+func newNetwork(sizes []int, act approx.Activation) *Network {
 	total := 0
 	for l := 0; l+1 < len(sizes); l++ {
 		total += sizes[l+1] * (sizes[l] + 1)
 	}
 	n := &Network{
-		sizes:     append([]int(nil), sizes...),
-		params:    make([]float64, total),
-		weights:   make([]*linalg.Matrix, 0, len(sizes)-1),
-		biases:    make([][]float64, 0, len(sizes)-1),
-		act:       act,
-		weightCap: weightCap,
+		sizes:   append([]int(nil), sizes...),
+		params:  make([]float64, total),
+		weights: make([]*linalg.Matrix, 0, len(sizes)-1),
+		biases:  make([][]float64, 0, len(sizes)-1),
+		act:     act,
 	}
 	rest := n.params
 	for l := 0; l+1 < len(sizes); l++ {
@@ -103,7 +95,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("nn: activation with F and DF is required")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := newNetwork(cfg.LayerSizes, cfg.Activation, 0)
+	n := newNetwork(cfg.LayerSizes, cfg.Activation)
 	n.dact = cfg.Activation.Poly.Derivative()
 	for _, w := range n.weights {
 		bound := math.Sqrt(6.0 / float64(w.Cols()+w.Rows()))
@@ -142,55 +134,9 @@ func preActivation(w, x []float64, b float64) float64 {
 // Activation returns the network's current activation.
 func (n *Network) Activation() approx.Activation { return n.act }
 
-// SetActivation swaps the activation in place. This is the approximation
-// hand-off of paper §IV Step 2: vehicles replace the symmetric sigmoid in
-// every neuron by its polynomial fit once per FL session.
-func (n *Network) SetActivation(a approx.Activation) error {
-	if a.F == nil || a.DF == nil {
-		return fmt.Errorf("nn: activation with F and DF is required")
-	}
-	n.act, n.dact = a, a.Poly.Derivative()
-	return nil
-}
-
-// SetWeightCap installs (or removes, with 0) the L1 projection bound.
-func (n *Network) SetWeightCap(cap float64) error {
-	if cap < 0 {
-		return fmt.Errorf("nn: weight cap %g must be >= 0", cap)
-	}
-	n.weightCap = cap
-	return nil
-}
-
-// WeightCap returns the current L1 projection bound (0 = off).
-func (n *Network) WeightCap() float64 { return n.weightCap }
-
-// ProjectWeights applies the L1 projection immediately — used after
-// external parameter updates (the fusion centre's closed-form distill).
-func (n *Network) ProjectWeights() { n.projectWeightCap() }
-
-// projectWeightCap scales the parameters back onto the L1 ball when the
-// cap is active.
-func (n *Network) projectWeightCap() {
-	if n.weightCap <= 0 {
-		return
-	}
-	var l1 float64
-	for _, p := range n.params {
-		l1 += math.Abs(p)
-	}
-	if l1 <= n.weightCap {
-		return
-	}
-	scale := n.weightCap / l1
-	for i := range n.params {
-		n.params[i] *= scale
-	}
-}
-
 // Clone returns an independent deep copy sharing no state.
 func (n *Network) Clone() *Network {
-	out := newNetwork(n.sizes, n.act, n.weightCap)
+	out := newNetwork(n.sizes, n.act)
 	out.dact = n.dact
 	copy(out.params, n.params)
 	return out
@@ -394,16 +340,6 @@ type Sample struct {
 // (paper eq. 1) over the samples with learning rate rho, shuffling with
 // rng each epoch, and returns the mean loss of the final epoch.
 func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) (float64, error) {
-	return n.TrainSGDProximal(samples, rho, epochs, rng, 0, nil)
-}
-
-// TrainSGDProximal is TrainSGD with a FedProx-style proximal term: each
-// sample step additionally pulls the parameters toward the anchor with
-// strength mu (loss + μ/2·‖w − anchor‖²). The L-CoFL pipeline uses it to
-// bound the heterogeneity of honest vehicles around the broadcast shared
-// model, which is what separates honest uploads from malicious ones at the
-// decoder. mu = 0 (with a nil anchor) disables the term.
-func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rng *rand.Rand, mu float64, anchor []float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")
 	}
@@ -417,12 +353,6 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 		// The paper's application trains a scalar estimation head
 		// (eq. 11); vector targets are out of scope.
 		return 0, fmt.Errorf("nn: SGD training requires a single output, network has %d", n.OutputSize())
-	}
-	if mu < 0 {
-		return 0, fmt.Errorf("nn: proximal strength %g must be >= 0", mu)
-	}
-	if mu > 0 && len(anchor) != n.NumParams() {
-		return 0, fmt.Errorf("nn: anchor length %d, want %d", len(anchor), n.NumParams())
 	}
 	// Checked once here, so the single-layer kernel below runs without a
 	// per-sample error path (and a bad sample fails the call before any
@@ -444,43 +374,23 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 		// epoch pays for the two logarithms per sample.
 		final := e == epochs-1
 		var total float64
-		switch {
-		case single && mu == 0 && n.weightCap <= 0:
-			// What every vehicle of a node session runs: nothing between
-			// one sample's step and the next.
+		if single {
+			// What every vehicle of a node session runs.
 			for _, idx := range sc.order {
 				total += n.stepSingle(samples[idx], rho, final)
 			}
-		case single:
-			for _, idx := range sc.order {
-				total += n.stepSingle(samples[idx], rho, final)
-				n.constrain(rho, mu, anchor)
-			}
-		default:
+		} else {
 			for _, idx := range sc.order {
 				loss, err := n.step(sc, samples[idx], rho, final)
 				if err != nil {
 					return 0, err
 				}
 				total += loss
-				n.constrain(rho, mu, anchor)
 			}
 		}
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil
-}
-
-// constrain applies what follows every sample's gradient step: the
-// proximal pull w ← w − ρ·μ·(w − anchor) when mu > 0, then the L1
-// projection when the cap is on.
-func (n *Network) constrain(rho, mu float64, anchor []float64) {
-	if mu > 0 {
-		for i, p := range n.params {
-			n.params[i] = p - rho*mu*(p-anchor[i])
-		}
-	}
-	n.projectWeightCap()
 }
 
 // stepSingle is step on the single-layer shape, fused: the dot product,
@@ -730,7 +640,6 @@ func (n *Network) TrainFullBatch(samples []Sample, rate float64, epochs int) (fl
 			linalg.VecAddInPlace(acc, g)
 		}
 		linalg.AXPYInPlace(n.params, -rate/float64(len(samples)), acc)
-		n.projectWeightCap()
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil

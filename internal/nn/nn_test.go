@@ -248,11 +248,10 @@ func TestTrainWithPolynomialActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(testConfig(2, 4, 1))
+	cfg := testConfig(2, 4, 1)
+	cfg.Activation = approx.FromPolynomial("ls-3", p)
+	n, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetActivation(approx.FromPolynomial("ls-3", p)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -271,9 +270,6 @@ func TestTrainWithPolynomialActivation(t *testing.T) {
 	}
 	if math.IsNaN(loss) || loss > 0.5 {
 		t.Errorf("polynomial-activation training loss %g", loss)
-	}
-	if err := n.SetActivation(approx.Activation{}); err == nil {
-		t.Error("empty activation accepted")
 	}
 }
 

@@ -38,9 +38,6 @@ func TestSnapshotRoundTripPolynomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetWeightCap(7); err != nil {
-		t.Fatal(err)
-	}
 	data, err := json.Marshal(n)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +51,6 @@ func TestSnapshotRoundTripPolynomial(t *testing.T) {
 	b, _ := got.Forward(x)
 	if a[0] != b[0] {
 		t.Errorf("JSON round-trip changed output: %g vs %g", a[0], b[0])
-	}
-	if got.WeightCap() != 7 {
-		t.Errorf("weight cap lost: %g", got.WeightCap())
 	}
 	if got.Activation().Poly == nil {
 		t.Error("polynomial activation lost")

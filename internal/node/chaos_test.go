@@ -419,3 +419,52 @@ func TestRunVehicleRetryGivesUp(t *testing.T) {
 		t.Error("IsTransient misclassifies")
 	}
 }
+
+// TestRunVehicleRetryRedialsLinkClosedBeforeSetup: the fusion side drops
+// the first two links it accepts before the handshake, as an overloaded
+// or failing access point would. Those vehicles redial, the session runs
+// every round with no straggler, and it ends on the model of the session
+// whose links all held, bit for bit.
+func TestRunVehicleRetryRedialsLinkClosedBeforeSetup(t *testing.T) {
+	const vehicles, rounds, dropped = 8, 2, 2
+	s := buildSession(t, vehicles, rounds, 0)
+	fab := transport.NewPipeFabric()
+	var wg sync.WaitGroup
+	for _, cc := range s.clients {
+		cc := cc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunVehicleRetry(cc, RetryConfig{Dial: fab.Dial, Sleeper: &obs.ManualSleeper{}}); err != nil {
+				t.Errorf("vehicle %d: %v", cc.VehicleID, err)
+			}
+		}()
+	}
+	for i := 0; i < dropped; i++ {
+		c, err := fab.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+	}
+	conns := make([]transport.Conn, vehicles)
+	for i := range conns {
+		c, err := fab.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	report, err := s.server.Run(conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	_ = fab.Close()
+	if report.Rounds != rounds || report.Stragglers != 0 {
+		t.Fatalf("rounds = %d, stragglers = %d; want %d, 0", report.Rounds, report.Stragglers, rounds)
+	}
+	if direct := buildSession(t, vehicles, rounds, 0).run(t); !sameBits(report.FinalParams, direct.FinalParams) {
+		t.Error("FinalParams differ from the session whose links all held")
+	}
+}

@@ -130,7 +130,7 @@ func TestFleetMultiSessionRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 	if err := runFleetVehicles(fab, clients, ids); err != nil {
@@ -246,7 +246,7 @@ func TestFleetAdmissionRejectedCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 
@@ -332,7 +332,7 @@ func TestFleetBudgetQueueing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 	// Gate s0 so the budget pressure is real: its first vehicle reserves
@@ -414,7 +414,7 @@ func TestFleetQueuedAnswerPrecedesSetup(t *testing.T) {
 	release := make(chan struct{})
 	var parked sync.WaitGroup
 	parked.Add(vehicles)
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(&stallQueued{PipeFabric: fab, release: release, parked: &parked}) }()
 
@@ -473,7 +473,7 @@ func TestFleetBudgetRejectsWhenQueueDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 
@@ -510,7 +510,7 @@ func TestFleetLateDialerGetsFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 

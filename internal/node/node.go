@@ -584,9 +584,9 @@ func (e *engine) kill(vh *vehicle) {
 // decoder until nobody alive owes one, the wait budget closes the round
 // early, or the deadline passes. Below K the round stays open to the
 // deadline even with nothing owed: crashed vehicles get the full window
-// to rejoin before the model is held still, so a shard-wide failure — a
-// crashed relay — cannot burn through every remaining round degraded in
-// microseconds.
+// to rejoin before the model is held still, so a failure that drops many
+// links at once — a crashed access point — cannot burn through every
+// remaining round degraded in microseconds.
 func (e *engine) collect() {
 	e.sink = e.s.scheme.BeginIngest()
 	e.publish("collect", true)

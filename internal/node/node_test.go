@@ -414,7 +414,7 @@ func TestRefusedHandshakeAnswered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewPipeFabric(0)
+	fab := transport.NewPipeFabric()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fleet.Serve(fab) }()
 	// The whole complement dials before any answer is read, so that a

@@ -202,7 +202,7 @@ func TestFleetSoakWorkersSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fab := transport.NewPipeFabric(0)
+		fab := transport.NewPipeFabric()
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- fleet.Serve(fab) }()
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,15 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
+// Quantile reads the q-quantile the registry snapshot reports as
+// P50/P95/P99; 0 on a nil histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	return h.snapshot().quantile(q)
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram([]int64{10, 100, 1000})
 	for v := int64(1); v <= 100; v++ {
@@ -104,7 +114,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestExpBucketsStrictlyIncreasing(t *testing.T) {
-	for _, b := range [][]int64{ExpBuckets(1, 1.01, 40), LatencyBuckets(), SizeBuckets()} {
+	for _, b := range [][]int64{expBuckets(1, 1.01, 40), LatencyBuckets()} {
 		for i := 1; i < len(b); i++ {
 			if b[i] <= b[i-1] {
 				t.Fatalf("bounds not increasing at %d: %v", i, b)
@@ -281,4 +291,34 @@ func TestRuntimeSampler(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	s.Stop()
 	s.Stop() // double-stop is safe (one extra Sample)
+}
+
+// Count returns the number of observations (0 for the nil histogram).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Names returns the sorted metric names of every kind — a convenience for
+// tests and report tooling.
+func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	for n := range r.counters {
+		names = append(names, n)
+	}
+	for n := range r.gauges {
+		names = append(names, n)
+	}
+	for n := range r.hists {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

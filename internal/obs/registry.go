@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -99,24 +98,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations (0 for the nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
-// inside the containing bin; values in the overflow bin clamp to the last
-// bound. It returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshot().quantile(q)
-}
-
 // histData is a consistent-enough copy of the histogram counts. (Each bin
 // load is atomic; a concurrent Observe may straddle the copy, which for
 // monitoring-grade quantiles is acceptable.)
@@ -135,6 +116,9 @@ func (h *Histogram) snapshot() histData {
 	return d
 }
 
+// quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
+// inside the containing bin; values in the overflow bin clamp to the last
+// bound. It returns 0 with no observations.
 func (d histData) quantile(q float64) float64 {
 	if d.count == 0 {
 		return 0
@@ -171,9 +155,9 @@ func (d histData) quantile(q float64) float64 {
 	return float64(d.bounds[len(d.bounds)-1])
 }
 
-// ExpBuckets returns n strictly increasing bounds starting at start and
-// growing by factor — the standard latency/size bin layout.
-func ExpBuckets(start int64, factor float64, n int) []int64 {
+// expBuckets returns n strictly increasing bounds starting at start and
+// growing by factor.
+func expBuckets(start int64, factor float64, n int) []int64 {
 	out := make([]int64, 0, n)
 	v := float64(start)
 	last := int64(0)
@@ -191,11 +175,7 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 
 // LatencyBuckets spans 1µs to ~17s doubling per bin — the default for
 // duration histograms (nanosecond observations).
-func LatencyBuckets() []int64 { return ExpBuckets(1_000, 2, 25) }
-
-// SizeBuckets spans 64 B to ~1 GiB ×4 per bin — the default for byte-size
-// histograms.
-func SizeBuckets() []int64 { return ExpBuckets(64, 4, 13) }
+func LatencyBuckets() []int64 { return expBuckets(1_000, 2, 25) }
 
 // Registry is a concurrent name→metric map. Metric handles are created on
 // first use and stable afterwards, so hot paths resolve once and then
@@ -344,26 +324,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// Names returns the sorted metric names of every kind — a convenience for
-// tests and report tooling.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -98,13 +98,3 @@ func (t *Tracer) Flush() error {
 	}
 	return t.err
 }
-
-// Err returns the first emission or write error without flushing.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}

@@ -1,11 +1,11 @@
 // Package parallel is the repository's bounded worker-pool execution
-// engine. Every concurrent hot path — Lagrange encoding across evaluation
-// points, Berlekamp–Welch decode-attempt racing, the per-vehicle training
-// fan-out, the multi-seed experiment sweep — runs through the primitives
+// engine. Every concurrent hot path — the scheme's per-slot encode and
+// decode, the per-vehicle training fan-out, the multi-seed experiment
+// sweep — runs through the primitives
 // here rather than bare `go` statements, so errors and panics are never
 // silently lost (cmd/lcofl-lint's rawgo analyzer enforces this).
 //
-// Determinism contract: ForEach and Map assign work by index into
+// Determinism contract: ForEach assigns work by index into
 // preallocated result slots, so the output of a parallel run is
 // bit-identical to the sequential run at any worker count, provided the
 // per-index function depends only on its index (no shared mutable state,
@@ -37,7 +37,7 @@ var stats struct {
 
 // Stats is a point-in-time copy of the package's pool-usage counters.
 type Stats struct {
-	// PoolRuns counts ForEach/Map entries that fanned out across
+	// PoolRuns counts ForEach entries that fanned out across
 	// goroutines; SeqRuns counts the entries that ran inline (workers<=1
 	// or tiny n).
 	PoolRuns, SeqRuns int64
@@ -175,25 +175,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return nil
-}
-
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
-// collects the results in index order. Error and panic semantics match
-// ForEach; on error the returned slice is nil.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Group is an error-collecting goroutine group for concurrent servers and

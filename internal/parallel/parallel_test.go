@@ -183,3 +183,22 @@ func TestSplitSeedsDeterministicAndDistinct(t *testing.T) {
 		}
 	}
 }
+
+// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
+// collects the results in index order. Error and panic semantics match
+// ForEach; on error the returned slice is nil.
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := ForEach(workers, n, func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}

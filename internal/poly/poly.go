@@ -29,16 +29,6 @@ func New(coeffs ...field.Element) Poly {
 	return p.normalize()
 }
 
-// NewInt64 builds a polynomial from signed integer coefficients,
-// a convenience for tests and examples.
-func NewInt64(coeffs ...int64) Poly {
-	p := make(Poly, len(coeffs))
-	for i, c := range coeffs {
-		p[i] = field.NewInt64(c)
-	}
-	return p.normalize()
-}
-
 // normalize strips trailing zeros in place and returns the result.
 func (p Poly) normalize() Poly {
 	n := len(p)
@@ -62,14 +52,6 @@ func (p Poly) Clone() Poly {
 	return q
 }
 
-// Coeff returns the coefficient of z^i, which is zero beyond the degree.
-func (p Poly) Coeff(i int) field.Element {
-	if i < 0 || i >= len(p) {
-		return field.Zero
-	}
-	return p[i]
-}
-
 // Eval evaluates p at x by Horner's rule.
 func (p Poly) Eval(x field.Element) field.Element {
 	var acc field.Element
@@ -86,38 +68,6 @@ func (p Poly) EvalMany(xs []field.Element) []field.Element {
 		out[i] = p.Eval(x)
 	}
 	return out
-}
-
-// Add returns p + q.
-func (p Poly) Add(q Poly) Poly {
-	n := max(len(p), len(q))
-	out := make(Poly, n)
-	for i := range out {
-		out[i] = p.Coeff(i).Add(q.Coeff(i))
-	}
-	return out.normalize()
-}
-
-// Sub returns p - q.
-func (p Poly) Sub(q Poly) Poly {
-	n := max(len(p), len(q))
-	out := make(Poly, n)
-	for i := range out {
-		out[i] = p.Coeff(i).Sub(q.Coeff(i))
-	}
-	return out.normalize()
-}
-
-// Scale returns c·p.
-func (p Poly) Scale(c field.Element) Poly {
-	if c == field.Zero {
-		return nil
-	}
-	out := make(Poly, len(p))
-	for i := range p {
-		out[i] = p[i].Mul(c)
-	}
-	return out.normalize()
 }
 
 // Mul returns p·q by schoolbook convolution. Degrees in LCC are small
@@ -166,28 +116,6 @@ func (p Poly) QuoRem(q Poly) (quo, rem Poly) {
 		rem = rem.normalize()
 	}
 	return quo.normalize(), rem
-}
-
-// Derivative returns dp/dz.
-func (p Poly) Derivative() Poly {
-	if len(p) <= 1 {
-		return nil
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out[i-1] = p[i].Mul(field.New(uint64(i)))
-	}
-	return out.normalize()
-}
-
-// Compose returns p(q(z)). Used to verify the composed LCC polynomial
-// C(H(z)) degree bound deg(C)·deg(H) in tests.
-func (p Poly) Compose(q Poly) Poly {
-	var out Poly
-	for i := len(p) - 1; i >= 0; i-- {
-		out = out.Mul(q).Add(New(p[i]))
-	}
-	return out
 }
 
 // Equal reports whether p and q are identical polynomials.

@@ -126,27 +126,6 @@ func TestDerivative(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	// p(z) = z^2, q(z) = z + 1 → p(q) = z^2 + 2z + 1
-	p := NewInt64(0, 0, 1)
-	q := NewInt64(1, 1)
-	if got := p.Compose(q); !got.Equal(NewInt64(1, 2, 1)) {
-		t.Errorf("Compose = %v", got)
-	}
-	// Degree law: deg(p∘q) = deg(p)·deg(q) — the LCC degree bound.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		p := randPoly(rng, 4)
-		q := randPoly(rng, 4)
-		if p.Degree() < 1 || q.Degree() < 1 {
-			continue
-		}
-		if got := p.Compose(q).Degree(); got != p.Degree()*q.Degree() {
-			t.Fatalf("deg(p∘q) = %d, want %d", got, p.Degree()*q.Degree())
-		}
-	}
-}
-
 func TestInterpolate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
@@ -227,4 +206,54 @@ func TestString(t *testing.T) {
 	if got := Poly(nil).String(); got != "0" {
 		t.Errorf("zero String = %q", got)
 	}
+}
+
+// NewInt64 builds a polynomial from signed integer coefficients,
+// a convenience for tests and examples.
+func NewInt64(coeffs ...int64) Poly {
+	p := make(Poly, len(coeffs))
+	for i, c := range coeffs {
+		p[i] = field.NewInt64(c)
+	}
+	return p.normalize()
+}
+
+// Add returns p + q.
+func (p Poly) Add(q Poly) Poly {
+	n := max(len(p), len(q))
+	out := make(Poly, n)
+	for i := range out {
+		out[i] = p.Coeff(i).Add(q.Coeff(i))
+	}
+	return out.normalize()
+}
+
+// Sub returns p - q.
+func (p Poly) Sub(q Poly) Poly {
+	n := max(len(p), len(q))
+	out := make(Poly, n)
+	for i := range out {
+		out[i] = p.Coeff(i).Sub(q.Coeff(i))
+	}
+	return out.normalize()
+}
+
+// Derivative returns dp/dz.
+func (p Poly) Derivative() Poly {
+	if len(p) <= 1 {
+		return nil
+	}
+	out := make(Poly, len(p)-1)
+	for i := 1; i < len(p); i++ {
+		out[i-1] = p[i].Mul(field.New(uint64(i)))
+	}
+	return out.normalize()
+}
+
+// Coeff returns the coefficient of z^i, which is zero beyond the degree.
+func (p Poly) Coeff(i int) field.Element {
+	if i < 0 || i >= len(p) {
+		return field.Zero
+	}
+	return p[i]
 }

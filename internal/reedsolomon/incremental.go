@@ -82,9 +82,6 @@ func (d *Decoder) NewIncremental(slots int) *IncrementalDecoder {
 	return inc
 }
 
-// Arrived returns how many positions have been ingested so far.
-func (inc *IncrementalDecoder) Arrived() int { return len(inc.order) }
-
 // Ingest feeds the arrival of position pos: one symbol per slot,
 // index-aligned with the slot words of the eventual decode. The first k
 // arrivals each extend every slot's candidate polynomial by one Newton

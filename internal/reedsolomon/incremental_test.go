@@ -470,3 +470,6 @@ func TestIngestStopsAtDeadSlots(t *testing.T) {
 	wantRes, wantErrs := perSlotRef(d, words, order)
 	assertSameOutcomes(t, "dead slots", results, wantRes, errs, wantErrs)
 }
+
+// Arrived returns how many positions have been ingested so far.
+func (inc *IncrementalDecoder) Arrived() int { return len(inc.order) }

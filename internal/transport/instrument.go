@@ -88,9 +88,6 @@ func (c *instrumentedConn) SetWireVersion(v int) {
 // Flush implements Flusher by delegation.
 func (c *instrumentedConn) Flush() error { return Flush(c.inner) }
 
-// Pending implements Pender by delegation.
-func (c *instrumentedConn) Pending() bool { return Pending(c.inner) }
-
 // SendCorrupt implements Faulter when the wrapped fabric does.
 func (c *instrumentedConn) SendCorrupt(m *protocol.Message) error {
 	f, ok := c.inner.(Faulter)

@@ -16,14 +16,14 @@ type PipeFabric struct {
 	done   chan struct{}
 }
 
-// NewPipeFabric builds a fabric whose pending-accept queue holds backlog
-// connections (<= 0 selects 64, matching the pipe buffer depth).
-func NewPipeFabric(backlog int) *PipeFabric {
-	if backlog <= 0 {
-		backlog = 64
-	}
+// pipeFabricBacklog is how many dialled connections a fabric queues for
+// Accept before Dial blocks, matching the pipe buffer depth.
+const pipeFabricBacklog = 64
+
+// NewPipeFabric builds an open fabric.
+func NewPipeFabric() *PipeFabric {
 	return &PipeFabric{
-		accept: make(chan Conn, backlog),
+		accept: make(chan Conn, pipeFabricBacklog),
 		done:   make(chan struct{}),
 	}
 }

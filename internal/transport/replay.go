@@ -13,8 +13,8 @@ import (
 // to route a connection — the fleet reads Hello to pick a session — hand
 // the consumed frame back this way, so downstream code (Server.Run,
 // Server.Rejoin) performs its own handshake unchanged. All optional
-// connection faces (Faulter, Flusher, WireVersioner, Pender, SetPeer)
-// are forwarded.
+// connection faces (Faulter, Flusher, WireVersioner, SetPeer) are
+// forwarded.
 func Replay(m *protocol.Message, c Conn, onClose func()) Conn {
 	return &replayConn{inner: c, head: m, onClose: onClose}
 }
@@ -69,15 +69,6 @@ func (c *replayConn) Flush() error { return Flush(c.inner) }
 
 // SetWireVersion implements WireVersioner by delegation.
 func (c *replayConn) SetWireVersion(v int) { SetWireVersion(c.inner, v) }
-
-// Pending implements Pender: the replayed frame counts as buffered
-// input, then the inner connection's knowledge applies.
-func (c *replayConn) Pending() bool {
-	c.mu.Lock()
-	buffered := c.head != nil
-	c.mu.Unlock()
-	return buffered || Pending(c.inner)
-}
 
 // SetPeer forwards the relabeling hook of an instrumented connection.
 func (c *replayConn) SetPeer(peer string) {

@@ -8,8 +8,7 @@ import (
 )
 
 // TestReplayDeliversHeadThenStream: the wrapped connection's first Recv
-// is the replayed frame, subsequent Recvs come from the live stream, and
-// Pending reports the buffered head.
+// is the replayed frame and subsequent Recvs come from the live stream.
 func TestReplayDeliversHeadThenStream(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
@@ -17,9 +16,6 @@ func TestReplayDeliversHeadThenStream(t *testing.T) {
 	hello := &protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: 3, SessionID: "s0"}}
 	var released atomic.Int32
 	rc := Replay(hello, b, func() { released.Add(1) })
-	if !Pending(rc) {
-		t.Fatal("replayed head not reported as pending")
-	}
 	got, err := rc.Recv()
 	if err != nil || got.Hello == nil || got.Hello.SessionID != "s0" {
 		t.Fatalf("first recv = %+v, %v", got, err)
@@ -75,7 +71,7 @@ func TestReplayForwardsFaces(t *testing.T) {
 // TestPipeFabric: Dial/Accept hand matched ends across the in-memory
 // fabric, and Close fails both sides cleanly.
 func TestPipeFabric(t *testing.T) {
-	f := NewPipeFabric(0)
+	f := NewPipeFabric()
 	client, err := f.Dial()
 	if err != nil {
 		t.Fatal(err)

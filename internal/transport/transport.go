@@ -54,13 +54,6 @@ type WireVersioner interface {
 	SetWireVersion(v int)
 }
 
-// Pender reports whether more input is already buffered locally, i.e. a
-// Recv would return without touching the network. Relays use it to keep
-// coalescing while a burst is still arriving.
-type Pender interface {
-	Pending() bool
-}
-
 // Flush pushes any buffered frames on c; connections without a write
 // buffer report success immediately.
 func Flush(c Conn) error {
@@ -77,15 +70,6 @@ func SetWireVersion(c Conn, v int) {
 	if w, ok := c.(WireVersioner); ok {
 		w.SetWireVersion(v)
 	}
-}
-
-// Pending reports whether c has input already buffered locally; false
-// for connections that cannot know.
-func Pending(c Conn) bool {
-	if p, ok := c.(Pender); ok {
-		return p.Pending()
-	}
-	return false
 }
 
 // Listener accepts inbound connections.
@@ -180,9 +164,6 @@ func (c *pipeConn) Recv() (*protocol.Message, error) {
 	}
 }
 
-// Pending implements Pender: a pipe knows exactly what is queued.
-func (c *pipeConn) Pending() bool { return len(c.in) > 0 }
-
 // deliver translates the corruption marker; honest messages pass through.
 func (c *pipeConn) deliver(m *protocol.Message) (*protocol.Message, error) {
 	if m == corruptMarker {
@@ -231,8 +212,7 @@ func newTCPConn(c net.Conn) *tcpConn {
 // defaultReadBuffer sizes the read buffer every connection has: bufio's
 // own default, room for a steady-state frame of a few hundred values,
 // header included. A frame's header and body arrive in one read where the
-// kernel has both, and Pending reports what is already in memory, so a
-// relay can keep coalescing its forwarded burst.
+// kernel has both.
 const defaultReadBuffer = 4096
 
 // SetWireVersion implements WireVersioner: subsequent Sends frame at v.
@@ -279,13 +259,6 @@ func (c *tcpConn) Recv() (*protocol.Message, error) {
 		c.recvBuf = nil
 	}
 	return m, err
-}
-
-// Pending implements Pender.
-func (c *tcpConn) Pending() bool {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	return c.br.Buffered() > 0
 }
 
 // Close implements Conn.

@@ -290,16 +290,12 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 
 // TestUnbufferedOptionalFaces pins the degenerate behaviour of the
 // optional faces on a TCP connection and on the pipe fabric:
-// Flush succeeds as a no-op, Pending is false (a pipe with queued input
-// reports true), and SetWireVersion is accepted everywhere.
+// Flush succeeds as a no-op and SetWireVersion is accepted everywhere.
 func TestUnbufferedOptionalFaces(t *testing.T) {
 	client, server := tcpPair(t)
 	SetWireVersion(client, protocol.Version)
 	if err := Flush(client); err != nil {
 		t.Fatalf("unbuffered flush: %v", err)
-	}
-	if Pending(server) {
-		t.Error("unbuffered conn reports pending input")
 	}
 	m := &protocol.Message{Upload: &protocol.Upload{Round: 2, VehicleID: 1, Values: []float64{9}}}
 	if err := client.Send(m); err != nil {
@@ -318,14 +314,8 @@ func TestUnbufferedOptionalFaces(t *testing.T) {
 	if err := Flush(a); err != nil {
 		t.Fatalf("pipe flush: %v", err)
 	}
-	if Pending(b) {
-		t.Error("idle pipe reports pending input")
-	}
 	if err := a.Send(m); err != nil {
 		t.Fatal(err)
-	}
-	if !Pending(b) {
-		t.Error("pipe with a queued message reports no pending input")
 	}
 	if _, err := b.Recv(); err != nil {
 		t.Fatal(err)
