@@ -105,7 +105,9 @@ type conn struct {
 // Send implements transport.Conn, running the message through the fault
 // schedule: a scheduled crash closes the connection around the round's
 // upload; otherwise the first matching-and-firing rule decides the
-// message's fate (drop, corrupt, or delay-then-deliver).
+// message's fate (drop, corrupt, or delay-then-deliver). A delay sleeps
+// inside the call, so Send is done with m when it returns and the wrapper
+// keeps transport.Conn's ownership rule.
 func (c *conn) Send(m *protocol.Message) error {
 	idx := c.msg
 	c.msg++
@@ -157,8 +159,12 @@ func (c *conn) Send(m *protocol.Message) error {
 			}
 			return nil // fabric cannot corrupt: degrade to a drop
 		case "delay":
-			c.in.event(c.in.cDelays, "chaos.delay", c.peer, kind, idx,
-				obs.F("delay_ns", int64(r.Delay)))
+			if c.in.o.TraceEnabled() {
+				c.in.event(c.in.cDelays, "chaos.delay", c.peer, kind, idx,
+					obs.F("delay_ns", int64(r.Delay)))
+			} else {
+				c.in.cDelays.Inc() // the boxed field would allocate every delay
+			}
 			c.in.sleep.Sleep(r.Delay)
 			return c.inner.Send(m)
 		}

@@ -112,12 +112,16 @@ type Scheme struct {
 	aggOutcomes []slotOutcome
 	aggEligible []int
 	aggBatch    [][]field.Element
-	aggCounts   []int     // verified mean: vehicles summed into each target
-	aggVals     []float64 // median fallback: one sample's present values
+	aggCounts   []int           // verified mean: vehicles summed into each target
+	aggVals     []float64       // median fallback: one sample's present values
+	aggUploads  [][]float64     // the uploads being gathered, during Aggregate only
+	gather      func(int) error // gatherSlot, bound once
 
-	// pendingIngest, when non-nil, is the round's streamed decode state
-	// (stream.go): set by AggregateStreamed for the duration of one
-	// Aggregate call and consumed by the first matching presence group.
+	// ingest is the scheme's one streamed decode state, reset by every
+	// BeginIngest. pendingIngest, when non-nil, is that state lent to one
+	// Aggregate call by AggregateStreamed and consumed by the first
+	// matching presence group (stream.go).
+	ingest        *RoundIngest
 	pendingIngest *RoundIngest
 
 	// DecodeFailures counts verification slots whose decode exceeded the
@@ -220,6 +224,7 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		workers:   workers,
 		batchSrc:  field.NewSeededSource(cfg.Seed),
 	}
+	sch.gather = sch.gatherSlot
 	if cfg.Obs.Enabled() {
 		o := cfg.Obs
 		sch.obs = o
@@ -244,13 +249,15 @@ func (s *Scheme) MaxMalicious() int {
 }
 
 // Upload implements fl.Scheme: vehicle vehicleID's upload vector (see
-// evaluator.upload for its layout), from the share the fusion side holds
-// for it.
+// evaluator.appendUpload for its layout), from the share the fusion side
+// holds for it. Each call returns a fresh vector the caller keeps:
+// fl.System uploads for many vehicles at once and holds every vector to
+// the round's close.
 func (s *Scheme) Upload(vehicleID int, model *nn.Network) ([]float64, error) {
 	if vehicleID < 0 || vehicleID >= s.cfg.NumVehicles {
 		return nil, fmt.Errorf("core: vehicle ID %d outside [0, %d)", vehicleID, s.cfg.NumVehicles)
 	}
-	return s.upload(vehicleID, s.shares[vehicleID], model)
+	return s.appendUpload(make([]float64, 0, s.UploadLen()), vehicleID, s.shares[vehicleID], model)
 }
 
 // Aggregate implements fl.Scheme. Per verification slot it decodes the
@@ -307,18 +314,9 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		s.aggOutcomes = make([]slotOutcome, s.slots)
 	}
 	words := s.aggWords
-	_ = parallel.ForEach(s.workers, s.slots, func(j int) error {
-		words[j].ys = words[j].ys[:0]
-		words[j].ids = words[j].ids[:0]
-		for i, up := range uploads {
-			if up == nil || fl.IsDropped(up[2*j]) || fl.IsDropped(up[2*j+1]) {
-				continue
-			}
-			words[j].ys = append(words[j].ys, floatsToSymbol(up[2*j], up[2*j+1]))
-			words[j].ids = append(words[j].ids, i)
-		}
-		return nil
-	})
+	s.aggUploads = uploads
+	_ = parallel.ForEach(s.workers, s.slots, s.gather)
+	s.aggUploads = nil
 
 	// Decode the verification slots — each is an independent Reed–Solomon
 	// word — then merge the per-slot outcomes in slot order.
@@ -402,6 +400,22 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 		}
 	}
 	return targets, nil
+}
+
+// gatherSlot collects slot j's received word from the uploads Aggregate
+// is gathering. It is bound once, as the scheme's gather, so handing it
+// to the worker pool allocates no closure per round.
+func (s *Scheme) gatherSlot(j int) error {
+	w := &s.aggWords[j]
+	w.ys, w.ids = w.ys[:0], w.ids[:0]
+	for i, up := range s.aggUploads {
+		if up == nil || fl.IsDropped(up[2*j]) || fl.IsDropped(up[2*j+1]) {
+			continue
+		}
+		w.ys = append(w.ys, floatsToSymbol(up[2*j], up[2*j+1]))
+		w.ids = append(w.ids, i)
+	}
+	return nil
 }
 
 // slotWord is one verification slot's received word: the present

@@ -149,16 +149,17 @@ func (e *evaluator) BeginRound(shared *nn.Network) error {
 	return nil
 }
 
-// upload assembles one vehicle's upload vector from its S encoded rows.
-// The first 2·S scalars are the verification channel: the quantised
-// broadcast model evaluated on each row, every field symbol split into
-// two exact float halves. The remaining scalars are the learning channel:
-// the locally-trained model's estimations of every raw reference sample.
-func (e *evaluator) upload(vehicleID int, rows [][]field.Element, model *nn.Network) ([]float64, error) {
+// appendUpload appends one vehicle's upload vector, assembled from its S
+// encoded rows, to dst. The first 2·S scalars are the verification
+// channel: the quantised broadcast model evaluated on each row, every
+// field symbol split into two exact float halves. The remaining scalars
+// are the learning channel: the locally-trained model's estimations of
+// every raw reference sample.
+func (e *evaluator) appendUpload(dst []float64, vehicleID int, rows [][]field.Element, model *nn.Network) ([]float64, error) {
 	if e.fpm == nil {
 		return nil, fmt.Errorf("core: BeginRound must run before Upload")
 	}
-	out := make([]float64, 0, e.UploadLen())
+	out := dst
 	for _, row := range rows {
 		hi, lo := symbolToFloats(e.fpm.Eval(row))
 		out = append(out, hi, lo)
@@ -180,6 +181,7 @@ type Share struct {
 	evaluator
 	id   int
 	rows [][]field.Element // [S][F]: H(ρ_i), slot by slot
+	out  []float64         // the upload vector, rewritten by every Upload
 }
 
 // NewShare builds vehicle vehicleID's share of the scheme NewScheme(refX,
@@ -212,7 +214,15 @@ func NewShare(refX [][]float64, cfg SchemeConfig, vehicleID int) (*Share, error)
 	return &Share{evaluator: ev, id: vehicleID, rows: rows}, nil
 }
 
-// Upload is Scheme.Upload for this share's vehicle.
+// Upload is Scheme.Upload for this share's vehicle, written into a buffer
+// the share owns: the vector is valid, and the caller may modify it, until
+// the next Upload overwrites it. A vehicle resends it as is when a round is
+// re-broadcast.
 func (s *Share) Upload(model *nn.Network) ([]float64, error) {
-	return s.upload(s.id, s.rows, model)
+	out, err := s.appendUpload(s.out[:0], s.id, s.rows, model)
+	if err != nil {
+		return nil, err
+	}
+	s.out = out
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,7 +131,8 @@ func TestNewShareValidation(t *testing.T) {
 
 // TestShareOwnsItsReference: like NewScheme, NewShare copies the reference
 // set, so a caller reusing its rows (a transport buffer, the next Setup)
-// cannot move a later upload.
+// cannot move a later upload. The upload vector is the share's own and
+// every Upload rewrites it, so the first one is copied to compare.
 func TestShareOwnsItsReference(t *testing.T) {
 	ref := refFeatures(t, 8)
 	cfg := SchemeConfig{NumVehicles: 6, NumBatches: 4, Degree: 1, Seed: 5}
@@ -142,10 +144,11 @@ func TestShareOwnsItsReference(t *testing.T) {
 	if err := share.BeginRound(model); err != nil {
 		t.Fatal(err)
 	}
-	before, err := share.Upload(model)
+	first, err := share.Upload(model)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := slices.Clone(first)
 	rng := rand.New(rand.NewSource(1))
 	for _, row := range ref {
 		for j := range row {
@@ -155,6 +158,9 @@ func TestShareOwnsItsReference(t *testing.T) {
 	after, err := share.Upload(model)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if &after[0] != &first[0] {
+		t.Fatal("a second Upload allocated a new vector instead of rewriting the share's")
 	}
 	for j := range before {
 		if math.Float64bits(before[j]) != math.Float64bits(after[j]) {

@@ -30,8 +30,10 @@ import (
 // depend on arrival order, so the reordering cannot change an aggregate.
 
 // RoundIngest absorbs one round's uploads incrementally. It implements
-// fl.UploadSink; build it with Scheme.BeginIngest and consume it with
-// Scheme.AggregateStreamed. Not safe for concurrent use.
+// fl.UploadSink; get it from Scheme.BeginIngest and consume it with
+// Scheme.AggregateStreamed. A scheme keeps one and resets it every round,
+// decoder included, so a round's ingest allocates nothing. Not safe for
+// concurrent use.
 type RoundIngest struct {
 	s       *Scheme
 	inc     *reedsolomon.IncrementalDecoder
@@ -53,16 +55,29 @@ type deferredUpload struct {
 	row []float64
 }
 
-// BeginIngest starts a round's incremental ingest. One sink per round;
-// feed it via Add and hand it back through AggregateStreamed.
+// BeginIngest starts a round's incremental ingest: it resets and returns
+// the scheme's one sink, which invalidates the previous round's sink and
+// the decode results it produced. Feed it via Add and hand it back
+// through AggregateStreamed.
 func (s *Scheme) BeginIngest() fl.UploadSink {
-	return &RoundIngest{
-		s:       s,
-		inc:     s.dec.NewIncremental(s.slots),
-		present: make([]bool, s.cfg.NumVehicles),
-		syms:    make([]field.Element, s.slots),
-		suspect: s.DetectedMalicious,
+	r := s.ingest
+	if r == nil {
+		r = &RoundIngest{
+			s:       s,
+			inc:     s.dec.NewIncremental(s.slots),
+			present: make([]bool, s.cfg.NumVehicles),
+			syms:    make([]field.Element, s.slots),
+		}
+		s.ingest = r
+	} else {
+		r.inc.Reset()
+		clear(r.present)
+		r.count = 0
+		clear(r.deferred) // hold no row of the last round
+		r.deferred = r.deferred[:0]
 	}
+	r.suspect = s.DetectedMalicious
+	return r
 }
 
 // Add implements fl.UploadSink. It parses the upload's verification

@@ -80,6 +80,45 @@ func DotAcc(a, b []Element) Element {
 	return s.Add(reduce128(hi, lo))
 }
 
+// DotAcc4 returns the inner products of a0, a1, a2 and a3 with b, each
+// bit-identical to DotAcc(ai, b). It is the kernel under evaluating many
+// polynomials at one point from the point's powers: the four lanes share
+// every load of b and run independent (hi, lo) accumulators, each starting
+// from zero every lazyTerms products and reduced once per chunk (the §9
+// bound). It panics unless all five lengths are equal.
+func DotAcc4(a0, a1, a2, a3, b []Element) (d0, d1, d2, d3 Element) {
+	n := len(b)
+	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
+		panic(fmt.Sprintf("field: dot4 lengths %d, %d, %d, %d against %d", len(a0), len(a1), len(a2), len(a3), n))
+	}
+	for i := 0; i < n; i += lazyTerms {
+		end := min(i+lazyTerms, n)
+		x0, x1, x2, x3 := a0[i:end], a1[i:end], a2[i:end], a3[i:end]
+		var h0, l0, h1, l1, h2, l2, h3, l3 uint64
+		for j, y := range b[i:end] {
+			bj := uint64(y)
+			var c uint64
+			ph, pl := bits.Mul64(uint64(x0[j]), bj)
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(uint64(x1[j]), bj)
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
+			ph, pl = bits.Mul64(uint64(x2[j]), bj)
+			l2, c = bits.Add64(l2, pl, 0)
+			h2 += ph + c
+			ph, pl = bits.Mul64(uint64(x3[j]), bj)
+			l3, c = bits.Add64(l3, pl, 0)
+			h3 += ph + c
+		}
+		d0 = d0.Add(reduce128(h0, l0))
+		d1 = d1.Add(reduce128(h1, l1))
+		d2 = d2.Add(reduce128(h2, l2))
+		d3 = d3.Add(reduce128(h3, l3))
+	}
+	return d0, d1, d2, d3
+}
+
 // MulAddVec computes dst[i] = dst[i] + c·xs[i] mod p for every lane, the
 // fused kernel under row-elimination updates (dst -= factor·row via the
 // negated factor) where each destination is read once and written once.

@@ -95,6 +95,48 @@ func TestDotAccLengthMismatchPanics(t *testing.T) {
 	DotAcc(make([]Element, 2), make([]Element, 3))
 }
 
+// TestDotAcc4MatchesDot: every lane of the four-way kernel is the
+// per-term-reduced dot product, across the lazy-chunk boundary and at the
+// worst-case magnitudes, and lanes do not bleed into each other.
+func TestDotAcc4MatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 3, 16, 63, 64, 65, 128, 129, 300} {
+		for _, worst := range []bool{false, true} {
+			var a [4][]Element
+			b := make([]Element, n)
+			for l := range a {
+				a[l] = make([]Element, n)
+			}
+			for i := range b {
+				b[i] = Rand(rng)
+				if worst {
+					b[i] = Element(Modulus - 1)
+				}
+				for l := range a {
+					a[l][i] = Rand(rng)
+					if worst {
+						a[l][i] = Element(Modulus - 1)
+					}
+				}
+			}
+			var got [4]Element
+			got[0], got[1], got[2], got[3] = DotAcc4(a[0], a[1], a[2], a[3], b)
+			for l := range a {
+				if want := naiveDot(a[l], b); got[l] != want {
+					t.Fatalf("n=%d worst=%v lane %d: DotAcc4 = %v, want %v", n, worst, l, got[l], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on length mismatch")
+		}
+	}()
+	e := make([]Element, 2)
+	DotAcc4(e, e, make([]Element, 1), e, e)
+}
+
 func TestAccumulatorMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// terms sweeps across the spill boundary: 63 scaled adds trigger the

@@ -253,7 +253,9 @@ type UploadSink interface {
 // window; AggregateStreamed then consumes the sink's accumulated state
 // where it applies and MUST return results bit-identical to
 // Aggregate(uploads) — streaming is a latency optimisation, never a
-// semantic change. The sink is single-use: one BeginIngest per round.
+// semantic change. One BeginIngest per round: a scheme may reset and
+// return the same sink every round, so a sink is valid until the next
+// BeginIngest.
 type StreamingAggregator interface {
 	Scheme
 	BeginIngest() UploadSink

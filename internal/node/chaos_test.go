@@ -281,7 +281,7 @@ type staleConn struct {
 func (c *staleConn) Send(m *protocol.Message) error {
 	if !c.deferred && m.Upload != nil && m.Upload.Round == 1 {
 		c.deferred = true
-		c.pending = m
+		c.pending = cloneUpload(m) // the vehicle reuses m once Send returns
 		return nil
 	}
 	return c.Conn.Send(m)

@@ -319,9 +319,24 @@ type result struct {
 	vehicleID int
 	conn      transport.Conn
 	round     int
-	values    []float64
-	span      string // propagated upload span ID ("" when absent)
-	err       error
+	size      int // values the upload carried
+	// values is the upload's copy in one of the connection's two buffers,
+	// nil unless size is the scheme's upload length (a wrong length is
+	// refused unread). The engine hands it back through back once it drops
+	// the upload or closes the round it entered.
+	values []float64
+	back   chan<- []float64
+	span   string // propagated upload span ID ("" when absent)
+	err    error
+}
+
+// release hands the upload's buffer back to its connection's receiver.
+// It never blocks: the receiver's channel has room for both its buffers.
+func (u *result) release() {
+	if u.values != nil {
+		u.back <- u.values
+		u.values = nil
+	}
 }
 
 // vehicle is the engine's record of one vehicle, kept in a slice indexed
@@ -329,21 +344,21 @@ type result struct {
 // shapes the wire trace and straggler telemetry — is the same every run
 // (DESIGN §8).
 type vehicle struct {
-	conn     transport.Conn    // nil once the engine dropped a malformed peer
-	helloNs  int64             // server clock when its hello arrived
-	dead     bool              // connection lost; skipped until it rejoins
-	owes     bool              // this round's upload is outstanding
-	behind   bool              // outpaced by a budget close
-	withheld *protocol.Message // this round's broadcast, held back (nil = none)
-	lastSeen int               // latest round it uploaded for
-	retrans  int               // corrupt-upload prompts this round
-	upload   []float64         // this round's admitted upload (nil = none)
-	flagged  bool              // named by the verification channel in some round
+	conn     transport.Conn // nil once the engine dropped a malformed peer
+	helloNs  int64          // server clock when its hello arrived
+	dead     bool           // connection lost; skipped until it rejoins
+	owes     bool           // this round's upload is outstanding
+	behind   bool           // outpaced by a budget close
+	withheld bool           // this round's broadcast is held back
+	lastSeen int            // latest round it uploaded for
+	retrans  int            // corrupt-upload prompts this round
+	upload   result         // this round's admitted upload (values nil = none)
+	flagged  bool           // named by the verification channel in some round
 }
 
 // engine is one Run's state: the per-vehicle table, the session's
 // constants, and the current round. Only Run's goroutine touches it; the
-// receivers it starts only send on results.
+// receivers it starts only send on results, and stop once done closes.
 type engine struct {
 	s        *Server
 	traced   bool
@@ -355,12 +370,16 @@ type engine struct {
 	veh      []vehicle
 	rows     [][]float64 // the admitted uploads handed to the close, by ID
 	results  chan result
-	deadline *time.Timer // one for the session, re-armed every round
+	done     chan struct{} // closed when Run returns
+	deadline *time.Timer   // one for the session, re-armed every round
 	report   Report
 
-	// The current round.
+	// The current round. Its broadcast is one message, parameter vector
+	// included, rewritten every round: a send copies what it needs.
 	round       int
-	bc          *protocol.Message
+	bc          protocol.Message
+	bcBody      protocol.Broadcast
+	params      []float64
 	ctx         obs.SpanContext
 	span        obs.Span
 	sink        fl.UploadSink
@@ -380,6 +399,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		return nil, err
 	}
 	defer e.deadline.Stop()
+	defer close(e.done)
 	for e.round = 1; e.round <= s.cfg.Rounds; e.round++ {
 		if err := e.broadcast(); err != nil {
 			return nil, err
@@ -410,6 +430,7 @@ func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
 		// yielding one upload and up to maxRetransmits+1 corrupt frames,
 		// and its one terminal error takes the last slot.
 		results: make(chan result, v*(pipelineWindow+1)*(maxRetransmits+2)),
+		done:    make(chan struct{}),
 		setup: protocol.Setup{
 			WireVersion:      protocol.Version,
 			InputSize:        s.cfg.FL.InputSize,
@@ -494,7 +515,18 @@ func (e *engine) configure(id int) error {
 // receive starts conn's receiver goroutine. A corrupt frame is
 // frame-local (the stream stays in sync), so reading goes on after it;
 // any other error, or a message other than an upload, ends the connection.
+//
+// The upload a Recv returns is valid only until the next Recv, so the
+// receiver copies its values into one of two buffers it owns and the
+// engine hands each back (result.release) when it drops the upload or
+// closes its round. With both buffers out, the receiver waits before it
+// reads on: a peer that floods uploads blocks its own goroutine, and what
+// the engine holds for it stays at two uploads.
 func (e *engine) receive(id int, conn transport.Conn) {
+	free := make(chan []float64, 2)
+	free <- nil // grown to the upload length on first use
+	free <- nil
+	want := e.s.scheme.UploadLen()
 	go func() {
 		for {
 			m, err := conn.Recv()
@@ -502,15 +534,37 @@ func (e *engine) receive(id int, conn transport.Conn) {
 				err = fmt.Errorf("unexpected %s", m.Kind())
 			}
 			if err != nil {
-				e.results <- result{vehicleID: id, conn: conn, err: err}
-				if errors.Is(err, protocol.ErrCorruptFrame) {
-					continue
+				if !e.deliver(result{vehicleID: id, conn: conn, err: err}) || !errors.Is(err, protocol.ErrCorruptFrame) {
+					return
 				}
+				continue
+			}
+			up := m.Upload
+			r := result{vehicleID: id, conn: conn, round: up.Round, size: len(up.Values), back: free, span: up.SpanID}
+			if r.size == want {
+				select {
+				case buf := <-free:
+					r.values = append(buf[:0], up.Values...)
+				case <-e.done:
+					return
+				}
+			}
+			if !e.deliver(r) {
 				return
 			}
-			e.results <- result{vehicleID: id, conn: conn, round: m.Upload.Round, values: m.Upload.Values, span: m.Upload.SpanID}
 		}
 	}()
+}
+
+// deliver passes a receiver's event to the engine; false once the session
+// is over and nobody will read it.
+func (e *engine) deliver(r result) bool {
+	select {
+	case e.results <- r:
+		return true
+	case <-e.done:
+		return false
+	}
 }
 
 // broadcast opens round e.round and sends the model to every live
@@ -520,38 +574,40 @@ func (e *engine) receive(id int, conn transport.Conn) {
 // never accumulates frames.
 func (e *engine) broadcast() error {
 	s := e.s
-	s.obs.Emit("node.round_start", obs.F("round", e.round))
-	// The round span's ID is derived, not random, so every process
-	// computes the same value and the merged timeline can nest
-	// vehicle-side spans under it even when a frame carries no context.
-	fields := []obs.Field{obs.F("round", e.round)}
+	// The per-round events are built only when traced: boxing a round
+	// number into a field allocates once it passes 255.
 	if e.traced {
+		s.obs.Emit("node.round_start", obs.F("round", e.round))
+		// The round span's ID is derived, not random, so every process
+		// computes the same value and the merged timeline can nest
+		// vehicle-side spans under it even when a frame carries no context.
 		e.ctx = obs.SpanContext{Trace: e.trace, Span: obs.DeriveSpan(e.trace, "node.round", uint64(e.round))}
-		fields = append(fields, obs.CtxFields(e.ctx, 0)...)
+		e.span = s.obs.Start("node.round", append([]obs.Field{obs.F("round", e.round)}, obs.CtxFields(e.ctx, 0)...)...)
 	}
-	e.span = s.obs.Start("node.round", fields...)
 	if err := s.scheme.BeginRound(s.shared); err != nil {
 		return fmt.Errorf("node: round %d: %w", e.round, err)
 	}
-	e.bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: e.round, Params: s.shared.Params()}}
+	e.params = append(e.params[:0], s.shared.ParamsView()...)
+	e.bcBody = protocol.Broadcast{Round: e.round, Params: e.params}
 	if e.traced {
-		e.bc.Broadcast.TraceID = e.traceHex
-		e.bc.Broadcast.SpanID = obs.FormatID(e.ctx.Span)
+		e.bcBody.TraceID = e.traceHex
+		e.bcBody.SpanID = obs.FormatID(e.ctx.Span)
 	}
+	e.bc = protocol.Message{Broadcast: &e.bcBody}
 	e.outstanding, e.arrived, e.closedBy, e.overlapNs = 0, 0, "all", 0
 	for id := range e.veh {
 		vh := &e.veh[id]
-		vh.upload, vh.retrans, vh.owes = nil, 0, false
+		vh.retrans, vh.owes = 0, false
 		if vh.dead {
 			continue
 		}
 		if vh.behind && e.round-vh.lastSeen > pipelineWindow {
-			vh.withheld = e.bc
+			vh.withheld = true
 			continue
 		}
 		// The flush barrier is where a buffered fabric pays its one write;
 		// a flush failure is a send failure.
-		if err := sendFlush(vh.conn, e.bc); err != nil {
+		if err := sendFlush(vh.conn, &e.bc); err != nil {
 			vh.dead = true
 			continue
 		}
@@ -617,27 +673,32 @@ func (e *engine) collect() {
 // wrong length, or for a round not yet broadcast, is refused as a receive
 // error that also closes the connection. A stale upload, from a round a
 // budget close left behind, is proof of life only. An owed upload is
-// admitted and streamed into the decoder; once the arrivals reach the
-// wait budget's target with uploads still owed, admit closes the round
-// early (it returns true) and marks the vehicles still owing behind.
+// admitted and streamed into the decoder, and its buffer held until the
+// round closes; every other upload's buffer goes back at once. Once the
+// arrivals reach the wait budget's target with uploads still owed, admit
+// closes the round early (it returns true) and marks the vehicles still
+// owing behind.
 func (e *engine) admit(u result) bool {
 	s := e.s
 	vh := &e.veh[u.vehicleID]
 	var bad error
 	switch {
-	case len(u.values) != s.scheme.UploadLen():
-		bad = fmt.Errorf("upload of %d values, want %d", len(u.values), s.scheme.UploadLen())
+	case u.size != s.scheme.UploadLen():
+		bad = fmt.Errorf("upload of %d values, want %d", u.size, s.scheme.UploadLen())
 	case u.round > e.round:
 		bad = fmt.Errorf("upload for round %d during round %d", u.round, e.round)
 	case u.round < e.round:
+		u.release()
 		if !vh.dead && vh.conn == u.conn {
 			e.alive(vh, u.round)
 		}
 		return false
 	case !vh.owes:
+		u.release()
 		return false
 	}
 	if bad != nil {
+		u.release()
 		if e.recvError(u, bad) {
 			_ = u.conn.Close()
 			vh.conn = nil
@@ -645,7 +706,7 @@ func (e *engine) admit(u result) bool {
 		return false
 	}
 	e.alive(vh, u.round)
-	vh.upload = u.values
+	vh.upload = u
 	e.setOwes(vh, false)
 	e.arrived++
 	if e.traced {
@@ -690,9 +751,9 @@ func (e *engine) admit(u result) bool {
 func (e *engine) alive(vh *vehicle, r int) {
 	vh.lastSeen = max(vh.lastSeen, r)
 	vh.behind = false
-	if wb := vh.withheld; wb != nil {
-		vh.withheld = nil
-		if err := sendFlush(vh.conn, wb); err != nil {
+	if vh.withheld {
+		vh.withheld = false
+		if err := sendFlush(vh.conn, &e.bc); err != nil {
 			e.kill(vh)
 			return
 		}
@@ -716,7 +777,7 @@ func (e *engine) corrupt(u result) {
 	e.report.Retransmits++
 	s.cRetransmit.Inc()
 	s.obs.Emit("node.retransmit", obs.F("round", e.round), obs.F("vehicle", u.vehicleID), obs.F("attempt", vh.retrans))
-	if err := sendFlush(u.conn, e.bc); err != nil {
+	if err := sendFlush(u.conn, &e.bc); err != nil {
 		e.kill(vh)
 	}
 }
@@ -748,14 +809,14 @@ func (e *engine) rejoin(req rejoinReq) {
 		_ = vh.conn.Close()
 	}
 	vh.conn, vh.helloNs = req.conn, req.helloNs
-	vh.dead, vh.behind, vh.withheld = false, false, nil
+	vh.dead, vh.behind, vh.withheld = false, false, false
 	e.report.Rejoins++
 	s.cRejoins.Inc()
 	e.publish("collect", false)
 	s.obs.Emit("node.rejoin", obs.F("round", e.round), obs.F("vehicle", req.id))
 	err := e.configure(req.id)
-	if err == nil && vh.upload == nil {
-		if err = req.conn.Send(e.bc); err == nil {
+	if err == nil && vh.upload.values == nil {
+		if err = req.conn.Send(&e.bc); err == nil {
 			e.setOwes(vh, true)
 		}
 	}
@@ -772,39 +833,47 @@ func (e *engine) rejoin(req rejoinReq) {
 
 // close ends the round: a straggler verdict for every live vehicle
 // without an upload, then fl.CloseRound — the close fl.System runs too —
-// over exactly the admitted uploads. Below K nothing can be verified: the
-// model holds still and the round counts as degraded instead of failing
-// the session (DESIGN.md §11).
+// over exactly the admitted uploads, whose buffers then go back to their
+// receivers. Below K nothing can be verified: the model holds still and
+// the round counts as degraded instead of failing the session (DESIGN.md
+// §11).
 func (e *engine) close() error {
 	s := e.s
+	defer e.releaseUploads()
 	if e.closedBy == "budget" {
 		s.cEarlyClose.Inc()
 	}
-	s.obs.Emit("node.pipeline",
-		obs.F("round", e.round),
-		obs.F("wait_budget", s.cfg.WaitBudget),
-		obs.F("arrived", e.arrived),
-		obs.F("closed_by", e.closedBy),
-		obs.F("overlap_ns", e.overlapNs))
+	if e.traced {
+		s.obs.Emit("node.pipeline",
+			obs.F("round", e.round),
+			obs.F("wait_budget", s.cfg.WaitBudget),
+			obs.F("arrived", e.arrived),
+			obs.F("closed_by", e.closedBy),
+			obs.F("overlap_ns", e.overlapNs))
+	}
 	stragglers := 0
 	for id := range e.veh {
 		vh := &e.veh[id]
-		e.rows[id] = vh.upload
-		if !vh.dead && vh.upload == nil {
+		e.rows[id] = vh.upload.values
+		if !vh.dead && vh.upload.values == nil {
 			e.report.Stragglers++
 			stragglers++
 			s.cStragglers.Inc()
-			s.obs.Emit("node.straggler", obs.F("round", e.round), obs.F("vehicle", id))
+			if e.traced {
+				s.obs.Emit("node.straggler", obs.F("round", e.round), obs.F("vehicle", id))
+			}
 		}
 	}
 	if e.arrived < e.k {
 		e.report.DegradedRounds++
 		s.cDegraded.Inc()
 		e.publish("aggregate", false)
-		s.obs.Emit("node.degraded", obs.F("round", e.round), obs.F("present", e.arrived), obs.F("need", e.k))
+		if e.traced {
+			s.obs.Emit("node.degraded", obs.F("round", e.round), obs.F("present", e.arrived), obs.F("need", e.k))
+			e.span.End(obs.F("stragglers", stragglers), obs.F("degraded", true))
+		}
 		e.report.Rounds = e.round
 		s.cRoundsDone.Inc()
-		e.span.End(obs.F("stragglers", stragglers), obs.F("degraded", true))
 		return nil
 	}
 	e.publish("aggregate", false)
@@ -816,17 +885,30 @@ func (e *engine) close() error {
 	if _, _, err := fl.CloseRound(s.scheme, e.sink, s.distiller, s.shared, e.rows); err != nil {
 		return fmt.Errorf("node: round %d: %w", e.round, err)
 	}
-	suspects := s.scheme.SuspectedMalicious()
-	for _, id := range suspects {
-		e.veh[id].flagged = true
+	flagged := 0
+	for id, n := range s.scheme.DetectedMalicious {
+		if n > 0 {
+			e.veh[id].flagged = true
+			flagged++
+		}
 	}
 	e.report.Rounds = e.round
 	s.cRoundsDone.Inc()
-	e.span.End(
-		obs.F("stragglers", stragglers),
-		obs.F("decode_failures", s.scheme.DecodeFailures),
-		obs.F("flagged", len(suspects)))
+	if e.traced {
+		e.span.End(
+			obs.F("stragglers", stragglers),
+			obs.F("decode_failures", s.scheme.DecodeFailures),
+			obs.F("flagged", flagged))
+	}
 	return nil
+}
+
+// releaseUploads hands the round's admitted uploads back to their
+// receivers once the close is done with them.
+func (e *engine) releaseUploads() {
+	for id := range e.veh {
+		e.veh[id].upload.release()
+	}
 }
 
 // finish sends Finished to every live vehicle, marks the session over
@@ -978,8 +1060,13 @@ type vehicleSession struct {
 	share *core.Share
 	rng   *rand.Rand
 
+	// lastUpload is the share's upload buffer as of lastRound: a
+	// re-broadcast of that round resends it as is. up and upMsg are the
+	// one Upload message every send rewrites.
 	lastRound  int
 	lastUpload []float64
+	up         protocol.Upload
+	upMsg      protocol.Message
 
 	// trace is the session trace adopted from Setup.TraceID (or derived
 	// from the scheme seed when the fusion centre runs untraced);
@@ -1242,22 +1329,24 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 }
 
 // sendUpload ships the cached upload for the given round, flushed so the
-// fusion centre's round collector sees it immediately. With tracing on
-// the frame carries the session trace and the derived upload span — the
-// same ID on a retransmit resend, so the fusion-side ingest parents
-// consistently across attempts.
+// fusion centre's round collector sees it immediately, in the session's
+// one Upload message: the connection keeps nothing of it once Send
+// returns. With tracing on the frame carries the session trace and the
+// derived upload span — the same ID on a retransmit resend, so the
+// fusion-side ingest parents consistently across attempts.
 func (s *vehicleSession) sendUpload(conn transport.Conn, round int) error {
-	up := &protocol.Upload{
+	s.up = protocol.Upload{
 		Round:     round,
 		VehicleID: s.cfg.VehicleID,
 		Values:    s.lastUpload,
 	}
 	if s.o.TraceEnabled() && s.trace != 0 {
-		up.TraceID = obs.FormatID(s.trace)
-		up.SpanID = obs.FormatID(obs.DeriveSpan(s.trace, "node.upload", uint64(round), uint64(s.cfg.VehicleID)))
+		s.up.TraceID = obs.FormatID(s.trace)
+		s.up.SpanID = obs.FormatID(obs.DeriveSpan(s.trace, "node.upload", uint64(round), uint64(s.cfg.VehicleID)))
 	}
+	s.upMsg = protocol.Message{Upload: &s.up}
 	tSend := s.o.Now()
-	if err := sendFlush(conn, &protocol.Message{Upload: up}); err != nil {
+	if err := sendFlush(conn, &s.upMsg); err != nil {
 		return transientf("node: vehicle %d send: %w", s.cfg.VehicleID, err)
 	}
 	s.emitStage("node.upload", s.hUpload, round, tSend, s.o.Now()-tSend)

@@ -27,10 +27,14 @@ type engineCase struct {
 	timeout   time.Duration // round timeout override (0 = session default)
 	deferred  bool          // the last two vehicles always upload a round late, WaitBudget=2
 	malformed bool          // malformedVehicle sends every upload one value short
+	flood     bool          // floodVehicle floods the wire around every upload (floodConn)
 }
 
 // malformedVehicle is the malformed case's short-uploading vehicle.
 const malformedVehicle = 3
+
+// floodVehicle is the flood case's hostile vehicle.
+const floodVehicle = 5
 
 // The matrix's session shape: K = 8, so up to two lies are corrected.
 const engineVehicles, engineRounds = 12, 3
@@ -145,6 +149,21 @@ func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
 		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, nil)
 	}
 	s := buildSessionFull(t, engineVehicles, engineRounds, tc.malicious, nil, workers)
+	if tc.flood {
+		// The future-round upload after round engineRounds-1 is refused
+		// as a receive error that closes the hostile vehicle's connection,
+		// so the vehicle ends on an error and misses the last round.
+		rep := runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
+			if i == floodVehicle {
+				return &floodConn{Conn: c}
+			}
+			return c
+		}, floodVehicle)
+		if rep.RecvErrors != 1 {
+			t.Errorf("%s: recv errors = %d, want 1, the refusal", tc.name, rep.RecvErrors)
+		}
+		return s, rep
+	}
 	if tc.malformed {
 		// The short upload is refused as a receive error: the vehicle is
 		// dropped, its connection closed, and the round goes on.
@@ -178,6 +197,11 @@ func (tc engineCase) admitted(t *testing.T) func(round, id int) bool {
 	}
 	if tc.malformed {
 		return func(_, id int) bool { return id != malformedVehicle }
+	}
+	if tc.flood {
+		// The refusal is read before anything the vehicle sends for the
+		// last round: the connection carries frames in order.
+		return func(round, id int) bool { return id != floodVehicle || round < engineRounds }
 	}
 	lost := map[[2]int]bool{}
 	for _, r := range mustChaosSpec(t, tc.spec).Rules {
@@ -255,7 +279,8 @@ func (m *maskedScheme) Aggregate(uploads [][]float64) ([]float64, error) {
 // deferConn holds back every upload until the NEXT broadcast arrives,
 // making its vehicle a deterministic straggler: its uploads always land
 // one round late (stale), so a budget-closed round's excluded set is a
-// fixed pair of vehicles rather than a scheduling race.
+// fixed pair of vehicles rather than a scheduling race. It keeps a copy:
+// the vehicle reuses its message once Send returns.
 type deferConn struct {
 	transport.Conn
 	pending *protocol.Message
@@ -263,10 +288,18 @@ type deferConn struct {
 
 func (c *deferConn) Send(m *protocol.Message) error {
 	if m.Upload != nil {
-		c.pending = m
+		c.pending = cloneUpload(m)
 		return nil
 	}
 	return c.Conn.Send(m)
+}
+
+// cloneUpload returns a copy of an Upload message that shares nothing
+// with it — what a wrapper that holds an upload past Send must keep.
+func cloneUpload(m *protocol.Message) *protocol.Message {
+	up := *m.Upload
+	up.Values = slices.Clone(up.Values)
+	return &protocol.Message{Upload: &up}
 }
 
 func (c *deferConn) Recv() (*protocol.Message, error) {
@@ -291,6 +324,53 @@ func (c silentConn) Send(m *protocol.Message) error {
 		return nil
 	}
 	return c.Conn.Send(m)
+}
+
+// floodConn makes its vehicle hostile on the wire. Every upload the
+// vehicle sends goes out from the one buffer floodConn keeps, which it
+// then overwrites with garbage and sends floodCopies times again as a
+// duplicate and as many times as a stale upload for the round before,
+// without waiting; after round engineRounds-1 it adds one upload for a
+// round not yet broadcast, which costs it its connection. A fabric that
+// kept the sender's slice would put the garbage into the aggregate, and
+// an engine that queued what it is sent would hold every copy.
+type floodConn struct {
+	transport.Conn
+	buf []float64
+}
+
+const floodCopies = 50
+
+func (c *floodConn) Send(m *protocol.Message) error {
+	if m.Upload == nil {
+		return c.Conn.Send(m)
+	}
+	up := *m.Upload
+	c.buf = append(c.buf[:0], up.Values...)
+	up.Values = c.buf
+	msg := &protocol.Message{Upload: &up}
+	if err := c.Conn.Send(msg); err != nil {
+		return err
+	}
+	round := up.Round
+	for i := range c.buf {
+		c.buf[i] = 1e9
+	}
+	for i := 0; i < floodCopies; i++ {
+		up.Round = round // a duplicate of the upload just admitted
+		if err := c.Conn.Send(msg); err != nil {
+			return err
+		}
+		up.Round = round - 1 // stale
+		if err := c.Conn.Send(msg); err != nil {
+			return err
+		}
+	}
+	if round == engineRounds-1 {
+		up.Round = engineRounds + 1 // for a round not yet broadcast: refused
+		return c.Conn.Send(msg)
+	}
+	return nil
 }
 
 // shortConn sends every upload one value short.
@@ -439,5 +519,69 @@ func TestStatusWaitBudget(t *testing.T) {
 			t.Errorf("WaitBudget=%d: status wait_budget=%d budget_target=%d recover_k=%d, want %d, %d, %d",
 				budget, st.WaitBudget, st.BudgetTarget, st.RecoverK, budget, target, k)
 		}
+	}
+}
+
+// TestFloodingVehicle runs the engine against floodConn's hostile vehicle
+// at every worker count: the session must end on the simulation's model
+// over what the engine admitted — every honest upload, and the hostile
+// vehicle's real ones until its refused upload drops it — as if nothing
+// else had been sent.
+func TestFloodingVehicle(t *testing.T) {
+	matchSimulation(t, []engineCase{{name: "flood", flood: true}})
+}
+
+// TestReceiverBlocksOnItsBuffers pins what a flooding peer costs the
+// engine: its connection's receiver copies uploads into two buffers of
+// its own and, with both handed to the engine, reads nothing more until
+// one comes back — so a backlog stays in the peer's fabric, not in the
+// engine's memory — and the buffer that comes back is the one it fills
+// next.
+func TestReceiverBlocksOnItsBuffers(t *testing.T) {
+	s := buildSession(t, engineVehicles, 1, 0)
+	e := &engine{s: s.server, results: make(chan result, 100), done: make(chan struct{})}
+	serverEnd, vehicleEnd := transport.Pipe()
+	defer vehicleEnd.Close()
+	defer serverEnd.Close()
+	defer close(e.done)
+	e.receive(0, serverEnd)
+	vals := make([]float64, s.server.scheme.UploadLen())
+	msg := &protocol.Message{Upload: &protocol.Upload{VehicleID: 0, Values: vals}}
+	const sent = 10
+	for r := 1; r <= sent; r++ {
+		msg.Upload.Round = r
+		for i := range vals {
+			vals[i] = float64(r)
+		}
+		if err := vehicleEnd.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func(round int) result {
+		t.Helper()
+		select {
+		case u := <-e.results:
+			if u.err != nil || u.round != round || u.size != len(vals) || u.values[0] != float64(round) || u.values[len(vals)-1] != float64(round) {
+				t.Fatalf("result %+v, want round %d's upload", u, round)
+			}
+			return u
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d's upload never delivered", round)
+			return result{}
+		}
+	}
+	first, second := next(1), next(2)
+	if &first.values[0] == &second.values[0] {
+		t.Fatal("two held uploads share one buffer")
+	}
+	select {
+	case u := <-e.results:
+		t.Fatalf("a third upload (round %d) was delivered while both buffers were held", u.round)
+	case <-time.After(50 * time.Millisecond):
+	}
+	buf := first.values
+	first.release()
+	if third := next(3); &third.values[0] != &buf[0] {
+		t.Fatal("the receiver filled a new buffer instead of the one handed back")
 	}
 }

@@ -55,9 +55,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 // TestFrameBuffersReused: AppendFrame into a kept buffer writes the bytes
-// WriteVersion writes, and ReadBuffered through one kept buffer returns
-// messages that do not alias it — across a frame that regrows the
-// buffer, a JSON frame and a corrupt one.
+// WriteVersion writes, and ReadBuffered through one Inbox returns messages
+// that do not alias its frame buffer — across a frame that outgrows what
+// the inbox keeps, a JSON frame and a corrupt one. A Broadcast or Upload
+// is checked before the next read, which may overwrite it; a control
+// message is the caller's and must survive every later read.
 func TestFrameBuffersReused(t *testing.T) {
 	big := make([]float64, 10000)
 	for i := range big {
@@ -90,29 +92,34 @@ func TestFrameBuffersReused(t *testing.T) {
 	}
 	stream.Write(frame) // the last upload once more, after the corrupt frame
 
-	var buf []byte
-	var got []*Message
-	for range msgs {
-		m, err := ReadBuffered(&stream, &buf)
+	var in Inbox
+	var kept *Message
+	for _, want := range msgs {
+		m, err := ReadBuffered(&stream, &in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, m)
-		for i := range buf[:cap(buf)] {
-			buf[:cap(buf)][i] = 0xFF // a later read must not show through earlier messages
+		for i := range in.frame[:cap(in.frame)] {
+			in.frame[:cap(in.frame)][i] = 0xFF // the message must not alias the frame
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("buffered read changed the message:\n got %+v\nwant %+v", m, want)
+		}
+		if m.Finished != nil {
+			kept = m
 		}
 	}
-	if !reflect.DeepEqual(got, msgs) {
-		t.Fatalf("buffered reads changed the messages:\n got %+v\nwant %+v", got, msgs)
-	}
-	if _, err := ReadBuffered(&stream, &buf); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := ReadBuffered(&stream, &in); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupt frame read as %v", err)
 	}
-	if m, err := ReadBuffered(&stream, &buf); err != nil || !reflect.DeepEqual(m, msgs[3]) {
+	if m, err := ReadBuffered(&stream, &in); err != nil || !reflect.DeepEqual(m, msgs[3]) {
 		t.Fatalf("stream out of sync after the corrupt frame: %+v, %v", m, err)
 	}
-	if _, err := ReadBuffered(&stream, &buf); err != io.EOF {
+	if _, err := ReadBuffered(&stream, &in); err != io.EOF {
 		t.Fatalf("end of stream read as %v, want io.EOF", err)
+	}
+	if !reflect.DeepEqual(kept, msgs[2]) {
+		t.Fatalf("a control message changed under later reads: %+v", kept)
 	}
 }
 
@@ -145,7 +152,7 @@ func TestParseBinaryRejectsMalformed(t *testing.T) {
 		"retired gather": {binaryMagic, 5, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for name, body := range cases {
-		if _, err := parseBinary(body); err == nil {
+		if _, err := parseBinary(body, &Inbox{}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -206,7 +213,7 @@ func TestSetupCountsCheckedBeforeAllocation(t *testing.T) {
 		}
 	}
 	// The same counts over exactly the payload they describe are accepted.
-	if m, err := parseBinary(setupBody(1, 2, 2, 5*8)); err != nil || len(m.Setup.RefX) != 2 || len(m.Setup.ActivationCoeffs) != 1 {
+	if m, err := parseBinary(setupBody(1, 2, 2, 5*8), &Inbox{}); err != nil || len(m.Setup.RefX) != 2 || len(m.Setup.ActivationCoeffs) != 1 {
 		t.Errorf("well-counted setup read as %+v, %v", m, err)
 	}
 }

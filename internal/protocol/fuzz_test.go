@@ -168,3 +168,61 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInboxReuse pins the receive half of the ownership rule: decoding
+// frame b into an Inbox that last held frame a gives exactly what a fresh
+// Read of b gives — the same error, or a message that re-encodes to the
+// same bytes — whatever a was: another kind, another payload length, a
+// trace context b lacks, or a frame the reader rejected. Nothing of an
+// earlier frame may show through a later one.
+func FuzzInboxReuse(f *testing.F) {
+	ctx := func(m *Message) *Message {
+		if m.Upload != nil {
+			m.Upload.TraceID, m.Upload.SpanID = "00000000deadbeef", "00000000cafef00d"
+		} else {
+			m.Broadcast.TraceID, m.Broadcast.SpanID = "00000000deadbeef", "00000000cafef00d"
+		}
+		return m
+	}
+	frames := [][]byte{
+		encodeSeed(f, ctx(&Message{Upload: &Upload{Round: 9, VehicleID: 4, Values: []float64{1, math.NaN(), 3, 4}}})),
+		encodeSeed(f, &Message{Upload: &Upload{Round: 2, VehicleID: 1, Values: []float64{-0.5}}}),
+		encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 2}}),
+		encodeSeed(f, ctx(&Message{Broadcast: &Broadcast{Round: 5, Params: []float64{0.25, -1, 2}}})),
+		encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 6, Params: []float64{7}}}),
+		encodeSeed(f, &Message{Finished: &Finished{Rounds: 3}}),
+		encodeSeed(f, &Message{Setup: &Setup{InputSize: 1, RefX: [][]float64{{1}, {2}},
+			SchemeVehicles: 3, SchemeBatches: 2, SchemeDegree: 1, WireVersion: Version}}),
+		rawFrame([]byte{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}),
+	}
+	corrupt := append([]byte(nil), frames[1]...)
+	corrupt[len(corrupt)-1] ^= 0xff
+	frames = append(frames, corrupt)
+	for _, a := range frames {
+		for _, b := range frames {
+			f.Add(a, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var in Inbox
+		_, _ = ReadBuffered(bytes.NewReader(a), &in)
+		got, gotErr := ReadBuffered(bytes.NewReader(b), &in)
+		want, wantErr := Read(bytes.NewReader(b))
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("reused inbox: %v; fresh read: %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		var gotBuf, wantBuf bytes.Buffer
+		if err := WriteVersion(&gotBuf, got, Version); err != nil {
+			t.Fatalf("message from a reused inbox does not re-encode: %v", err)
+		}
+		if err := WriteVersion(&wantBuf, want, Version); err != nil {
+			t.Fatalf("fresh message does not re-encode: %v", err)
+		}
+		if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("reused inbox decoded b differently:\n  got %x\n want %x", gotBuf.Bytes(), wantBuf.Bytes())
+		}
+	})
+}

@@ -485,111 +485,123 @@ func appendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
+// cursor reads a binary body's fixed-width fields front to back. It is a
+// value the parser owns, so reading through it leaves nothing on the heap;
+// the caller checks the length of everything it reads.
+type cursor struct{ b []byte }
+
+func (c *cursor) u32() uint32 {
+	v := binary.LittleEndian.Uint32(c.b)
+	c.b = c.b[4:]
+	return v
+}
+
+func (c *cursor) u64() uint64 {
+	v := binary.LittleEndian.Uint64(c.b)
+	c.b = c.b[8:]
+	return v
+}
+
+// ctx consumes the trace/span prefix of a context kind. Partial or zero
+// context is a frame-local error: only complete contexts are ever written
+// (see ctxEncodable), so every accepted frame re-encodes to identical
+// bytes.
+func (c *cursor) ctx(kindName string) (trace, span string, err error) {
+	t, s := c.u64(), c.u64()
+	if t == 0 || s == 0 {
+		return "", "", fmt.Errorf("protocol: binary %s carries a zero trace/span ID", kindName)
+	}
+	return formatID16(t), formatID16(s), nil
+}
+
 // parseBinary decodes a binary body (first byte already known to be
-// binaryMagic). Every length is validated exactly: a body that is too
-// short, too long, or over-counted is a frame-local error, mirroring the
-// strictness JSON unmarshalling provides on the text path.
-func parseBinary(body []byte) (*Message, error) {
+// binaryMagic). A Broadcast or Upload is decoded into in, overwriting
+// what in held; a Setup is freshly allocated. Every length is validated
+// exactly: a body that is too short, too long, or over-counted is a
+// frame-local error, mirroring the strictness JSON unmarshalling provides
+// on the text path.
+func parseBinary(body []byte, in *Inbox) (*Message, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("protocol: binary body of %d bytes lacks a kind", len(body))
 	}
 	kind := body[1]
-	rest := body[2:]
-	readU32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		return v
-	}
-	readU64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		return v
-	}
-	// readCtx consumes the trace/span prefix of a context kind. Partial
-	// or zero context is a frame-local error: only complete contexts are
-	// ever written (see ctxEncodable), so every accepted frame re-encodes
-	// to identical bytes.
-	readCtx := func(kindName string) (trace, span uint64, err error) {
-		trace = readU64()
-		span = readU64()
-		if trace == 0 || span == 0 {
-			return 0, 0, fmt.Errorf("protocol: binary %s carries a zero trace/span ID", kindName)
-		}
-		return trace, span, nil
-	}
+	c := cursor{body[2:]}
 	switch kind {
 	case binaryKindBroadcast, binaryKindBroadcastCtx:
-		bc := &Broadcast{}
 		minLen := 8
 		if kind == binaryKindBroadcastCtx {
 			minLen += 16
 		}
-		if len(rest) < minLen {
-			return nil, fmt.Errorf("protocol: binary broadcast header truncated (%d bytes)", len(rest))
+		if len(c.b) < minLen {
+			return nil, fmt.Errorf("protocol: binary broadcast header truncated (%d bytes)", len(c.b))
 		}
+		var bc Broadcast
 		if kind == binaryKindBroadcastCtx {
-			trace, span, err := readCtx("broadcast")
-			if err != nil {
+			var err error
+			if bc.TraceID, bc.SpanID, err = c.ctx("broadcast"); err != nil {
 				return nil, err
 			}
-			bc.TraceID, bc.SpanID = formatID16(trace), formatID16(span)
 		}
-		bc.Round = int(readU32())
-		count := readU32()
-		if count > maxBinaryValues || len(rest) != 8*int(count) {
-			return nil, fmt.Errorf("protocol: binary broadcast declares %d values in %d payload bytes", count, len(rest))
+		bc.Round = int(c.u32())
+		count := c.u32()
+		if count > maxBinaryValues || len(c.b) != 8*int(count) {
+			return nil, fmt.Errorf("protocol: binary broadcast declares %d values in %d payload bytes", count, len(c.b))
 		}
-		bc.Params = readFloats(rest, int(count))
-		return &Message{Broadcast: bc}, nil
+		bc.Params = in.floats(c.b, int(count))
+		in.bc = bc
+		in.msg = Message{Broadcast: &in.bc}
+		return &in.msg, nil
 	case binaryKindUpload, binaryKindUploadCtx:
-		up := &Upload{}
 		minLen := 12
 		if kind == binaryKindUploadCtx {
 			minLen += 16
 		}
-		if len(rest) < minLen {
-			return nil, fmt.Errorf("protocol: binary upload header truncated (%d bytes)", len(rest))
+		if len(c.b) < minLen {
+			return nil, fmt.Errorf("protocol: binary upload header truncated (%d bytes)", len(c.b))
 		}
+		var up Upload
 		if kind == binaryKindUploadCtx {
-			trace, span, err := readCtx("upload")
-			if err != nil {
+			var err error
+			if up.TraceID, up.SpanID, err = c.ctx("upload"); err != nil {
 				return nil, err
 			}
-			up.TraceID, up.SpanID = formatID16(trace), formatID16(span)
 		}
-		up.Round = int(readU32())
-		up.VehicleID = int(readU32())
-		count := readU32()
-		if count > maxBinaryValues || len(rest) != 8*int(count) {
-			return nil, fmt.Errorf("protocol: binary upload declares %d values in %d payload bytes", count, len(rest))
+		up.Round = int(c.u32())
+		up.VehicleID = int(c.u32())
+		count := c.u32()
+		if count > maxBinaryValues || len(c.b) != 8*int(count) {
+			return nil, fmt.Errorf("protocol: binary upload declares %d values in %d payload bytes", count, len(c.b))
 		}
-		up.Values = readFloats(rest, int(count))
-		return &Message{Upload: up}, nil
+		up.Values = in.floats(c.b, int(count))
+		in.up = up
+		in.msg = Message{Upload: &in.up}
+		return &in.msg, nil
 	case binaryKindSetup:
 		if len(body) < setupFixedLen {
-			return nil, fmt.Errorf("protocol: binary setup header truncated (%d bytes)", len(rest))
+			return nil, fmt.Errorf("protocol: binary setup header truncated (%d bytes)", len(c.b))
 		}
 		su := &Setup{}
-		su.InputSize = int(readU32())
-		su.LocalEpochs = int(readU32())
-		su.LocalRate = math.Float64frombits(readU64())
-		su.SchemeVehicles = int(readU32())
-		su.SchemeBatches = int(readU32())
-		su.SchemeDegree = int(readU32())
-		su.SchemeSeed = int64(readU64())
-		su.WireVersion = int(readU32())
-		su.HelloNs = int64(readU64())
-		su.ClockNs = int64(readU64())
-		su.TraceID = formatID16(readU64())
-		coeffs, rows, cols := uint64(readU32()), uint64(readU32()), uint64(readU32())
+		su.InputSize = int(c.u32())
+		su.LocalEpochs = int(c.u32())
+		su.LocalRate = math.Float64frombits(c.u64())
+		su.SchemeVehicles = int(c.u32())
+		su.SchemeBatches = int(c.u32())
+		su.SchemeDegree = int(c.u32())
+		su.SchemeSeed = int64(c.u64())
+		su.WireVersion = int(c.u32())
+		su.HelloNs = int64(c.u64())
+		su.ClockNs = int64(c.u64())
+		su.TraceID = formatID16(c.u64())
+		coeffs, rows, cols := uint64(c.u32()), uint64(c.u32()), uint64(c.u32())
+		rest := c.b
 		// Three u32 counts cannot overflow this sum, and it must equal the
 		// floats actually present before any of them sizes an allocation;
 		// rows and cols are zero together so that neither escapes the check.
 		if (rows == 0) != (cols == 0) || len(rest)%8 != 0 || coeffs+rows*cols != uint64(len(rest)/8) {
 			return nil, fmt.Errorf("protocol: binary setup declares %d coefficients and %d x %d reference values in %d payload bytes", coeffs, rows, cols, len(rest))
 		}
-		su.ActivationCoeffs = readFloats(rest, int(coeffs))
-		if flat := readFloats(rest[8*coeffs:], int(rows*cols)); flat != nil {
+		su.ActivationCoeffs = readFloats(nil, rest, int(coeffs))
+		if flat := readFloats(nil, rest[8*coeffs:], int(rows*cols)); flat != nil {
 			su.RefX = make([][]float64, rows)
 			for i := range su.RefX {
 				su.RefX[i] = flat[i*int(cols) : (i+1)*int(cols) : (i+1)*int(cols)]
@@ -600,11 +612,17 @@ func parseBinary(body []byte) (*Message, error) {
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
 
-func readFloats(b []byte, count int) []float64 {
+// readFloats decodes count little-endian float64s from b into dst's
+// backing array, allocating only when dst is too small. It returns nil for
+// count 0, as a fresh decode does.
+func readFloats(dst []float64, b []byte, count int) []float64 {
 	if count == 0 {
 		return nil
 	}
-	out := make([]float64, count)
+	if cap(dst) < count {
+		dst = make([]float64, count)
+	}
+	out := dst[:count]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -691,25 +709,64 @@ func appendFrame(dst []byte, m *Message, crcFlip uint32) ([]byte, error) {
 	return dst, nil
 }
 
-// Read reads and validates one framed message. A checksum mismatch
-// returns an error wrapping ErrCorruptFrame with the frame fully
-// consumed, so the caller may continue reading the stream.
+// Read reads and validates one framed message, which is the caller's to
+// keep: nothing else refers to it. A checksum mismatch returns an error
+// wrapping ErrCorruptFrame with the frame fully consumed, so the caller
+// may continue reading the stream.
 func Read(r io.Reader) (*Message, error) {
-	var buf []byte
-	return ReadBuffered(r, &buf)
+	var in Inbox
+	m, err := ReadBuffered(r, &in)
+	in.frame = nil // the message keeps in alive; it need not keep the frame
+	return m, err
 }
 
-// ReadBuffered is Read through a caller-owned frame buffer: header and
-// body are read into *buf, grown to the largest frame seen and left
-// there for the next call, so a connection's steady-state reads allocate
-// only the message they return. The message never aliases the buffer
-// (both decoders copy what they keep), so a caller may drop or shrink
-// *buf between calls to bound what it retains.
-func ReadBuffered(r io.Reader, buf *[]byte) (*Message, error) {
-	if cap(*buf) < headerLen {
-		*buf = make([]byte, headerLen, 512)
+// maxKept bounds what an Inbox retains between reads, for the frame and
+// for the payload alike: a larger one (a Setup carrying the reference set,
+// an outsized upload) is dropped at the next read, so it does not pin its
+// size for the connection's life.
+const maxKept = 64 << 10
+
+// Inbox is what one receiving connection reuses from frame to frame: the
+// frame buffer, and the Broadcast or Upload decoded last with its payload.
+// The zero value is ready to use. It is not safe for concurrent use.
+type Inbox struct {
+	frame []byte
+	msg   Message
+	bc    Broadcast
+	up    Upload
+	vals  []float64 // backing of bc.Params or up.Values
+}
+
+// floats decodes a bulk payload into the inbox's value buffer.
+func (in *Inbox) floats(b []byte, count int) []float64 {
+	if count == 0 {
+		return nil // as a fresh decode has it; the buffer stays for the next
 	}
-	header := (*buf)[:headerLen]
+	in.vals = readFloats(in.vals, b, count)
+	return in.vals
+}
+
+// ReadBuffered is Read through a connection's Inbox, and the two halves of
+// transport.Conn's ownership rule on the receive side. A Broadcast or
+// Upload, payload included, is decoded into storage the inbox owns: it is
+// valid until the next ReadBuffered on the same inbox, which overwrites
+// it, so a connection's steady-state reads allocate nothing. A Setup or
+// control message (Hello, Admission, Finished, Error) is allocated fresh
+// and is the caller's to keep. The frame buffer is grown to the largest
+// frame seen and left in the inbox for the next call.
+func ReadBuffered(r io.Reader, in *Inbox) (*Message, error) {
+	// What the last read outgrew is dropped now that its message is no
+	// longer valid.
+	if cap(in.frame) > maxKept {
+		in.frame = nil
+	}
+	if 8*cap(in.vals) > maxKept {
+		in.vals = nil
+	}
+	if cap(in.frame) < headerLen {
+		in.frame = make([]byte, headerLen, 512)
+	}
+	header := in.frame[:headerLen]
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
@@ -718,10 +775,10 @@ func ReadBuffered(r io.Reader, buf *[]byte) (*Message, error) {
 	if size > MaxMessageSize {
 		return nil, fmt.Errorf("protocol: incoming frame of %d bytes exceeds limit", size)
 	}
-	if int(size) > cap(*buf) {
-		*buf = make([]byte, size)
+	if int(size) > cap(in.frame) {
+		in.frame = make([]byte, size)
 	}
-	body := (*buf)[:size]
+	body := in.frame[:size]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("protocol: read body: %w", err)
 	}
@@ -729,7 +786,7 @@ func ReadBuffered(r io.Reader, buf *[]byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d-byte frame, checksum %08x want %08x", ErrCorruptFrame, size, got, sum)
 	}
 	if len(body) > 0 && body[0] == binaryMagic {
-		return parseBinary(body)
+		return parseBinary(body, in)
 	}
 	// A JSON body naming a bulk variant (or anything else the envelope
 	// does not know) unmarshals to no variant at all and fails Validate.

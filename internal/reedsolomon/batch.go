@@ -59,10 +59,11 @@ type BatchStats struct {
 // 1 is sequential); outcomes are slot-indexed, so they are identical at
 // any worker count.
 func (d *Decoder) DecodeBatch(words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
-	results, errs, stats := d.decodeBatch(words, src, workers)
+	var out batchOut
+	stats := d.decodeBatch(&out, words, src, workers)
 	stats.SlotDecodes = stats.Fallbacks
 	d.recordBatch(len(words), len(d.xs), stats)
-	return results, errs, stats
+	return out.results, out.errs, stats
 }
 
 // DecodeBatchAt is DecodeBatch for words received at a subset of the
@@ -74,29 +75,31 @@ func (d *Decoder) DecodeBatch(words [][]field.Element, src field.Source, workers
 // L-CoFL scheme, vehicle IDs). The call is recorded on d like DecodeBatch,
 // with the number of positions as its point count.
 func (d *Decoder) DecodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
-	results, errs, stats := d.decodeBatchAt(positions, words, src, workers)
+	var out batchOut
+	stats := d.decodeBatchAt(&out, positions, words, src, workers)
 	stats.SlotDecodes = stats.Fallbacks
 	d.recordBatch(len(words), len(positions), stats)
-	return results, errs, stats
+	return out.results, out.errs, stats
 }
 
-// decodeBatchAt is DecodeBatchAt without the observability wrapper, shared
-// with IncrementalDecoder.Finalize. It is the one place a decoder over a
-// subset of another decoder's points is built: all points present reuses
-// d (and its pooled scratch), a strict subset batch-decodes on a one-call
-// sub-decoder; either way error positions are mapped back through
-// positions (the identity when all are present).
-func (d *Decoder) decodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
+// decodeBatchAt is DecodeBatchAt without the observability wrapper,
+// writing into out; IncrementalDecoder.Finalize shares it with storage it
+// keeps. It is the one place a decoder over a subset of another decoder's
+// points is built: all points present reuses d (and its pooled scratch), a
+// strict subset batch-decodes on a one-call sub-decoder; either way error
+// positions are mapped back through positions (the identity when all are
+// present).
+func (d *Decoder) decodeBatchAt(out *batchOut, positions []int, words [][]field.Element, src field.Source, workers int) BatchStats {
 	sub, err := d.subDecoder(positions)
 	if err != nil {
-		errs := make([]error, len(words))
-		for s := range errs {
-			errs[s] = err
+		out.begin(len(words))
+		for s := range out.errs {
+			out.errs[s] = err
 		}
-		return make([]*Result, len(words)), errs, BatchStats{}
+		return BatchStats{}
 	}
-	results, errs, stats := sub.decodeBatch(words, src, workers)
-	for _, res := range results {
+	stats := sub.decodeBatch(out, words, src, workers)
+	for _, res := range out.results {
 		if res == nil {
 			continue
 		}
@@ -104,7 +107,7 @@ func (d *Decoder) decodeBatchAt(positions []int, words [][]field.Element, src fi
 			res.ErrorPositions[i] = positions[idx]
 		}
 	}
-	return results, errs, stats
+	return stats
 }
 
 // subDecoder returns a decoder over the points at the given strictly
@@ -164,12 +167,52 @@ type batchScratch struct {
 	comboAcc  *field.Accumulator
 	flagged   []bool
 	support   []int
+	locPoly   poly.Poly // the combination's decoded polynomial, unused beyond the call
+	located   []int     // the combination's error positions
 	// erasure-basis buffers (see erasureBasisInto)
 	ts       []field.Element
 	phi      []field.Element
 	denomInv []field.Element
 	flat     []field.Element
 	basis    [][]field.Element
+	rec      batchRecovery // the call's recovery state, reused so it allocates nothing
+}
+
+// batchOut is where a batch decode writes its per-slot outcomes: the
+// results and errs slices, and the slabs the Results point into (Result
+// structs, coefficient backing, error positions). DecodeBatch hands a
+// fresh one to its caller; IncrementalDecoder keeps one and reuses it.
+type batchOut struct {
+	results    []*Result
+	errs       []error
+	resultSlab []Result
+	coeffSlab  []field.Element
+	errPosSlab []int
+}
+
+// begin sizes the outcome slices for S words and clears them.
+func (o *batchOut) begin(S int) {
+	if cap(o.results) < S {
+		o.results = make([]*Result, S)
+		o.errs = make([]error, S)
+	}
+	o.results, o.errs = o.results[:S], o.errs[:S]
+	clear(o.results)
+	clear(o.errs)
+}
+
+// slabs sizes the slabs for S slots of degree bound k and error budget
+// maxE; the fast path overwrites whatever of them it hands out.
+func (o *batchOut) slabs(S, k, maxE int) {
+	if len(o.resultSlab) < S {
+		o.resultSlab = make([]Result, S)
+	}
+	if len(o.coeffSlab) < S*k {
+		o.coeffSlab = make([]field.Element, S*k)
+	}
+	if len(o.errPosSlab) < S*maxE {
+		o.errPosSlab = make([]int, S*maxE)
+	}
 }
 
 func (d *Decoder) getScratch(S int) *batchScratch {
@@ -181,6 +224,8 @@ func (d *Decoder) getScratch(S int) *batchScratch {
 			comboAcc: field.NewAccumulator(n),
 			flagged:  make([]bool, n),
 			support:  make([]int, 0, k),
+			locPoly:  make(poly.Poly, 0, k),
+			located:  make([]int, 0, d.MaxErrors()),
 			ts:       make([]field.Element, k),
 			phi:      make([]field.Element, k+1),
 			denomInv: make([]field.Element, k),
@@ -240,7 +285,7 @@ func (br *batchRecovery) slot(s int) {
 	for j, i := range sc.support {
 		acc.VecMulAddScalar(word[i], br.basis[j])
 	}
-	// Slot coefficients come from the per-call slab: one allocation
+	// Slot coefficients come from the output's slab: one allocation
 	// serves every slot, and the resulting Poly stays valid for the
 	// caller after the scratch is pooled again.
 	coeffs := poly.Poly(br.coeffSlab[s*d.k : (s+1)*d.k : (s+1)*d.k])
@@ -278,15 +323,15 @@ func (br *batchRecovery) slotErr(s int) error {
 	return nil
 }
 
-// decodeBatch is DecodeBatch without the observability wrapper. Steady
-// state it allocates only what the caller keeps: the results/errs
-// slices and three slabs (Result structs, coefficient backing, error
-// positions) handed out slot by slot. All internal buffers are pooled.
-func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
+// decodeBatch is DecodeBatch without the observability wrapper, writing
+// its outcomes into out. All internal buffers are pooled, so steady state
+// it allocates only what out does not yet have room for (and a per-slot
+// Decode's Result for a slot the fast path hands on).
+func (d *Decoder) decodeBatch(out *batchOut, words [][]field.Element, src field.Source, workers int) BatchStats {
 	n := len(d.xs)
 	S := len(words)
-	results := make([]*Result, S)
-	errs := make([]error, S)
+	out.begin(S)
+	results, errs := out.results, out.errs
 	var stats BatchStats
 
 	sc := d.getScratch(S)
@@ -301,14 +346,14 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 		eligible++
 	}
 
-	fallbackAll := func() ([]*Result, []error, BatchStats) {
+	fallbackAll := func() BatchStats {
 		for s := range words {
 			if sc.ok[s] {
 				results[s], errs[s] = d.Decode(words[s])
 				stats.Fallbacks++
 			}
 		}
-		return results, errs, stats
+		return stats
 	}
 
 	// A single word gains nothing from combination: the locator decode IS
@@ -329,7 +374,7 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 	}
 	sc.comboAcc.Reduce(sc.combined)
 
-	comb, err := d.Decode(sc.combined)
+	_, located, err := d.decodeInto(sc.combined, sc.locPoly, sc.located)
 	if err != nil {
 		// The union of corrupted positions exceeds the budget (or the
 		// slots disagree on the message polynomial's degree support in a
@@ -340,7 +385,7 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 
 	// Erasure support: the first K positions the locator did not flag.
 	// n − |flagged| ≥ n − ⌊(n−K)/2⌋ ≥ K, so the support always fills.
-	for _, i := range comb.ErrorPositions {
+	for _, i := range located {
 		sc.flagged[i] = true
 	}
 	for i := 0; i < n && len(sc.support) < d.k; i++ {
@@ -351,11 +396,13 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 	basis := d.erasureBasisInto(sc)
 	maxE := d.MaxErrors()
 
-	br := &batchRecovery{
+	out.slabs(S, d.k, maxE)
+	br := &sc.rec
+	*br = batchRecovery{
 		d: d, words: words, sc: sc, basis: basis, maxE: maxE,
-		coeffSlab:  make([]field.Element, S*d.k),
-		errPosSlab: make([]int, S*maxE),
-		resultSlab: make([]Result, S),
+		coeffSlab:  out.coeffSlab,
+		errPosSlab: out.errPosSlab,
+		resultSlab: out.resultSlab,
 		results:    results,
 		errs:       errs,
 	}
@@ -377,7 +424,8 @@ func (d *Decoder) decodeBatch(words [][]field.Element, src field.Source, workers
 			stats.Fallbacks++
 		}
 	}
-	return results, errs, stats
+	*br = batchRecovery{} // the pooled scratch must not pin the call's words
+	return stats
 }
 
 // erasureBasisInto computes, for each support index j, the monomial

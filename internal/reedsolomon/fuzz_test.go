@@ -95,9 +95,10 @@ func FuzzDecodeBatchAgreement(f *testing.F) {
 // it, ingest it with the wrong symbol count, or finalize early and keep
 // going. Nothing may panic; every duplicate, out-of-range position,
 // miscounted symbol slice and ingest-after-finalize must be rejected
-// with an error and every other ingest accepted; and Finalize over the
+// with an error and every other ingest accepted; Finalize over the
 // accepted arrivals, in whatever order the script produced them, must
-// agree with DecodeBatch on the same sub-words.
+// agree with DecodeBatch on the same sub-words; and after Reset the
+// decoder fed a second word must agree with a fresh one.
 func FuzzIncrementalIngest(f *testing.F) {
 	f.Add(uint64(1), []byte{2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0})                                         // clean prefix
 	f.Add(uint64(2), []byte{13, 0, 12, 0, 11, 0, 10, 0, 9, 0, 8, 0, 7, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0}) // all points, reversed
@@ -178,9 +179,43 @@ func FuzzIncrementalIngest(f *testing.F) {
 					t.Fatalf("slot %d decoded from %d < k arrivals", s, len(accepted))
 				}
 			}
-			return
+		} else {
+			wantRes, wantErrs := incRef(t, dec, words, accepted, 2)
+			assertSameOutcomes(t, "finalize vs batch", results, wantRes, errs, wantErrs)
 		}
-		wantRes, wantErrs := incRef(t, dec, words, accepted, 2)
-		assertSameOutcomes(t, "finalize vs batch", results, wantRes, errs, wantErrs)
+
+		// Reset, then a second word over the same arrivals in reverse, with
+		// its liars at the other end: the reused decoder must agree with a
+		// fresh one, so nothing of the first round survives Reset.
+		for s := range words {
+			coeffs := make([]field.Element, k)
+			for i := range coeffs {
+				coeffs[i] = field.Rand(gen)
+			}
+			words[s] = poly.New(coeffs...).EvalMany(xs)
+			for p := n - liars; p < n; p++ {
+				words[s][p] = words[s][p].Add(field.RandNonZero(gen))
+			}
+		}
+		inc.Reset()
+		fresh := dec.NewIncremental(S)
+		for i := len(accepted) - 1; i >= 0; i-- {
+			syms := make([]field.Element, S)
+			for s := range syms {
+				syms[s] = words[s][accepted[i]]
+			}
+			if err := inc.Ingest(accepted[i], syms); err != nil {
+				t.Fatalf("reset decoder refused position %d: %v", accepted[i], err)
+			}
+			if err := fresh.Ingest(accepted[i], syms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotRes, gotErrs, gotStats := inc.Finalize(2)
+		wantRes, wantErrs, wantStats := fresh.Finalize(2)
+		assertSameOutcomes(t, "reset vs fresh", gotRes, wantRes, gotErrs, wantErrs)
+		if gotStats != wantStats {
+			t.Fatalf("reset decoder's stats %+v, fresh %+v", gotStats, wantStats)
+		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/field"
-	"repro/internal/poly"
 )
 
 // Incremental decoding (DESIGN.md §14).
@@ -34,9 +33,11 @@ import (
 
 // IncrementalDecoder accumulates one round's uploads position by
 // position and decodes all slots over exactly the ingested positions.
-// It is built by Decoder.NewIncremental, fed by Ingest, and consumed by
-// one Finalize call. It is not safe for concurrent use: the round
-// engine ingests from its single collect loop.
+// It is built by Decoder.NewIncremental, fed by Ingest, consumed by one
+// Finalize call and made ready for the next round by Reset, which keeps
+// every buffer: a decoder reused round after round allocates nothing in
+// steady state. It is not safe for concurrent use: the round engine
+// ingests from its single collect loop.
 type IncrementalDecoder struct {
 	d     *Decoder
 	slots int
@@ -55,8 +56,30 @@ type IncrementalDecoder struct {
 	// mismatch collects, per slot, the parent positions (in arrival
 	// order) whose symbol disagreed with the slot's candidate, up to
 	// MaxErrors(n, k)+1 of them: one more than any Finalize accepts.
-	mismatch  [][]int
+	mismatch [][]int
+	// pow holds x^0 … x^(k−1) of the arrival being ingested, and at every
+	// slot's candidate evaluated there.
+	pow       []field.Element
+	at        []field.Element
 	finalized bool
+
+	// Finalize's output, valid until Reset: one Result or error per slot,
+	// the accepted candidates' Results, and the storage of the shared
+	// recovery of the rejected slots.
+	results  []*Result
+	errs     []error
+	accepted []Result
+	rejected []int
+	sorted   []int
+	relocate relocation
+}
+
+// relocation is the storage the recovery of rejected slots reuses.
+type relocation struct {
+	words [][]field.Element
+	slab  []field.Element
+	src   field.SeededSource
+	out   batchOut
 }
 
 // NewIncremental begins an incremental decode of `slots` words sharing
@@ -72,6 +95,11 @@ func (d *Decoder) NewIncremental(slots int) *IncrementalDecoder {
 		coeffs:   make([]field.Element, slots*k),
 		words:    make([]field.Element, slots*n),
 		mismatch: make([][]int, slots),
+		pow:      make([]field.Element, k),
+		at:       make([]field.Element, slots),
+		results:  make([]*Result, slots),
+		errs:     make([]error, slots),
+		accepted: make([]Result, slots),
 	}
 	inc.nodal[0] = field.One // N = 1 before the first arrival
 	width := d.MaxErrors() + 1
@@ -82,10 +110,26 @@ func (d *Decoder) NewIncremental(slots int) *IncrementalDecoder {
 	return inc
 }
 
+// Reset empties the decoder for a new round over the same points and
+// slots, as if NewIncremental had just built it. It invalidates what the
+// last Finalize returned.
+func (inc *IncrementalDecoder) Reset() {
+	clear(inc.seen)
+	inc.order = inc.order[:0]
+	inc.nodal = append(inc.nodal[:0], field.One)
+	clear(inc.coeffs) // a Newton step adds into the next coefficient
+	for s := range inc.mismatch {
+		inc.mismatch[s] = inc.mismatch[s][:0]
+	}
+	inc.finalized = false
+}
+
 // Ingest feeds the arrival of position pos: one symbol per slot,
 // index-aligned with the slot words of the eventual decode. The first k
 // arrivals each extend every slot's candidate polynomial by one Newton
 // step; later arrivals are checked against the candidates and recorded.
+// Every polynomial is evaluated at the arrival's point x as a dot product
+// with x's powers, computed once (evalSlots).
 func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 	if inc.finalized {
 		return fmt.Errorf("reedsolomon: ingest after finalize")
@@ -102,15 +146,17 @@ func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 	}
 	x := inc.d.xs[pos]
 	j := len(inc.order)
+	pow := powersInto(inc.pow[:min(j+1, k)], x)
 	if j < k {
 		// Newton step, shared across slots: one evaluation and one
 		// inversion of the nodal polynomial N (x is distinct from every
 		// interpolated point, so N(x) ≠ 0), then per slot the update
 		// P_s += (y_s − P_s(x))·N(x)^{-1} · N.
-		invN := poly.Poly(inc.nodal).Eval(x).Inv()
+		invN := field.DotAcc(inc.nodal[:j+1], pow).Inv()
+		inc.evalSlots(pow[:j], 0)
 		for s, y := range syms {
 			row := inc.coeffs[s*k : (s+1)*k]
-			c := y.Sub(poly.Poly(row[:j]).Eval(x)).Mul(invN)
+			c := y.Sub(inc.at[s]).Mul(invN)
 			field.MulAddVec(row[:j+1], c, inc.nodal[:j+1])
 		}
 		// N *= (x' − x), in place: degree grows from j to j+1.
@@ -122,14 +168,11 @@ func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 	} else {
 		// A slot with more than MaxErrors(n, k) mismatches is dead: the
 		// budget MaxErrors(m, k) of any Finalize is no larger, so its
-		// candidate cannot verify and further evaluations are wasted.
+		// candidate cannot verify and is no longer evaluated.
 		dead := inc.d.MaxErrors() + 1
+		inc.evalSlots(pow, dead)
 		for s, y := range syms {
-			if len(inc.mismatch[s]) == dead {
-				continue
-			}
-			row := inc.coeffs[s*k : (s+1)*k]
-			if poly.Poly(row).Eval(x) != y {
+			if len(inc.mismatch[s]) < dead && inc.at[s] != y {
 				inc.mismatch[s] = append(inc.mismatch[s], pos)
 			}
 		}
@@ -142,89 +185,134 @@ func (inc *IncrementalDecoder) Ingest(pos int, syms []field.Element) error {
 	return nil
 }
 
+// powersInto fills pow, which holds at least one element (k ≥ 1), with
+// x^0, x^1, … and returns it.
+func powersInto(pow []field.Element, x field.Element) []field.Element {
+	pow[0] = field.One
+	for i := 1; i < len(pow); i++ {
+		pow[i] = pow[i-1].Mul(x)
+	}
+	return pow
+}
+
+// evalSlots sets at[s] = P_s(x) for every slot from x's powers: the
+// candidates are monomial coefficients, so each evaluation is the dot
+// product of the slot's first len(pow) coefficients with pow, reduced
+// lazily and four slots at a time (field.DotAcc4). It equals Horner's
+// rule (poly.Poly.Eval) exactly: both compute the canonical field value.
+// With dead > 0 a slot holding dead mismatches is dead and may be
+// skipped, its at left stale: a group of four is skipped when all four
+// are, and a slot outside the groups when it is.
+func (inc *IncrementalDecoder) evalSlots(pow []field.Element, dead int) {
+	k, t := inc.d.k, len(pow)
+	at, c, mis := inc.at, inc.coeffs, inc.mismatch
+	isDead := func(s int) bool { return dead > 0 && len(mis[s]) == dead }
+	s := 0
+	for ; s+4 <= len(at); s += 4 {
+		if isDead(s) && isDead(s+1) && isDead(s+2) && isDead(s+3) {
+			continue
+		}
+		r := c[s*k:]
+		at[s], at[s+1], at[s+2], at[s+3] = field.DotAcc4(r[:t], r[k:k+t], r[2*k:2*k+t], r[3*k:3*k+t], pow)
+	}
+	for ; s < len(at); s++ {
+		if !isDead(s) {
+			at[s] = field.DotAcc(c[s*k:s*k+t], pow)
+		}
+	}
+}
+
 // Finalize decodes every slot over exactly the ingested positions,
 // returning one Result or one error per slot. Each slot's outcome is
 // bit-identical to running Decode (equivalently DecodeBatch, §9) on the
 // sub-word of ingested symbols at the ingested points — independent of
 // arrival order and worker count — with ErrorPositions reported in the
 // PARENT position space (the decoder's point indices, which for the
-// L-CoFL scheme are vehicle IDs). CombinedOK in the returned stats
-// records whether the shared interpolation state was usable (at least k
-// arrivals); Recovered counts slots whose streamed candidate verified,
-// Fallbacks slots whose candidate was rejected (a wasted streamed
-// attempt), and SlotDecodes how many of those the shared error location
-// left to a per-slot Decode.
+// L-CoFL scheme are vehicle IDs). The slices and Results are storage the
+// decoder owns, valid until its next Reset. CombinedOK in the returned
+// stats records whether the shared interpolation state was usable (at
+// least k arrivals); Recovered counts slots whose streamed candidate
+// verified, Fallbacks slots whose candidate was rejected (a wasted
+// streamed attempt), and SlotDecodes how many of those the shared error
+// location left to a per-slot Decode.
 func (inc *IncrementalDecoder) Finalize(workers int) ([]*Result, []error, BatchStats) {
-	results, errs, stats := inc.finalize(workers)
+	stats := inc.finalize(workers)
 	inc.d.recordBatch(inc.slots, len(inc.order), stats)
-	return results, errs, stats
+	return inc.results, inc.errs, stats
 }
 
-func (inc *IncrementalDecoder) finalize(workers int) ([]*Result, []error, BatchStats) {
+func (inc *IncrementalDecoder) finalize(workers int) BatchStats {
 	inc.finalized = true
 	k, S := inc.d.k, inc.slots
 	m := len(inc.order)
-	results := make([]*Result, S)
-	errs := make([]error, S)
+	clear(inc.results)
+	clear(inc.errs)
 	var stats BatchStats
 	if m < k {
-		for s := range errs {
-			errs[s] = fmt.Errorf("reedsolomon: %d positions ingested, need at least k=%d", m, k)
+		err := fmt.Errorf("reedsolomon: %d positions ingested, need at least k=%d", m, k)
+		for s := range inc.errs {
+			inc.errs[s] = err
 		}
-		return results, errs, stats
+		return stats
 	}
 	stats.CombinedOK = true
 	maxE := MaxErrors(m, k)
-	var rejected []int
+	inc.rejected = inc.rejected[:0]
 	for s := 0; s < S; s++ {
-		if len(inc.mismatch[s]) > maxE {
-			rejected = append(rejected, s)
+		mis := inc.mismatch[s]
+		if len(mis) > maxE {
+			inc.rejected = append(inc.rejected, s)
 			continue
 		}
 		// The streamed candidate is a valid decoding: degree ≤ k−1 by
 		// construction and at most E disagreements with the ingested
 		// word (the interpolated positions agree exactly), so unique
 		// decoding pins it to the per-slot Decode result.
-		out := make(poly.Poly, k)
-		copy(out, inc.coeffs[s*k:(s+1)*k])
 		var errPos []int
-		if len(inc.mismatch[s]) > 0 {
-			errPos = append([]int(nil), inc.mismatch[s]...)
-			sort.Ints(errPos)
+		if len(mis) > 0 {
+			sort.Ints(mis) // no Ingest follows Finalize, so arrival order is spent
+			errPos = mis
 		}
-		results[s] = &Result{Poly: coeffsToPoly(out), ErrorPositions: errPos}
+		res := &inc.accepted[s]
+		*res = Result{Poly: coeffsToPoly(inc.coeffs[s*k : (s+1)*k : (s+1)*k]), ErrorPositions: errPos}
+		inc.results[s] = res
 	}
-	stats.Recovered, stats.Fallbacks = S-len(rejected), len(rejected)
-	if len(rejected) > 0 {
-		stats.SlotDecodes = inc.relocate(rejected, results, errs, workers)
+	stats.Recovered, stats.Fallbacks = S-len(inc.rejected), len(inc.rejected)
+	if len(inc.rejected) > 0 {
+		stats.SlotDecodes = inc.relocateRejected(workers)
 	}
-	return results, errs, stats
+	return stats
 }
 
-// relocate decodes the slots whose streamed candidate was rejected. Their
-// ingested sub-words, over the sorted arrival positions, go through
-// decodeBatchAt — the one shared-location recovery (§9): errors located
-// once on a random combination, every slot recovered at the unflagged
-// positions and verified against its own word, per-slot Decode for a slot
-// that disagrees, error positions in parent space. It returns how many
-// per-slot Decodes that took.
-func (inc *IncrementalDecoder) relocate(rejected []int, results []*Result, errs []error, workers int) int {
+// relocateRejected decodes the slots whose streamed candidate was
+// rejected. Their ingested sub-words, over the sorted arrival positions,
+// go through decodeBatchAt — the one shared-location recovery (§9): errors
+// located once on a random combination, every slot recovered at the
+// unflagged positions and verified against its own word, per-slot Decode
+// for a slot that disagrees, error positions in parent space. It returns
+// how many per-slot Decodes that took.
+func (inc *IncrementalDecoder) relocateRejected(workers int) int {
 	n, m := len(inc.d.xs), len(inc.order)
-	sorted := append([]int(nil), inc.order...)
-	sort.Ints(sorted)
-	words := make([][]field.Element, len(rejected))
-	slab := make([]field.Element, len(rejected)*m)
-	for t, s := range rejected {
-		words[t] = slab[t*m : (t+1)*m]
-		for i, pos := range sorted {
-			words[t][i] = inc.words[s*n+pos]
+	rl := &inc.relocate
+	inc.sorted = append(inc.sorted[:0], inc.order...)
+	sort.Ints(inc.sorted)
+	if len(rl.slab) < len(inc.rejected)*m {
+		rl.slab = make([]field.Element, inc.slots*n)
+	}
+	rl.words = rl.words[:0]
+	for t, s := range inc.rejected {
+		w := rl.slab[t*m : (t+1)*m]
+		for i, pos := range inc.sorted {
+			w[i] = inc.words[s*n+pos]
 		}
+		rl.words = append(rl.words, w)
 	}
 	// The combination coefficients select which path computes a slot, never
 	// what it returns (§9), so a fixed private seed is as good as any.
-	res, es, st := inc.d.decodeBatchAt(sorted, words, field.NewSeededSource(int64(m)), workers)
-	for t, s := range rejected {
-		results[s], errs[s] = res[t], es[t]
+	rl.src = *field.NewSeededSource(int64(m))
+	st := inc.d.decodeBatchAt(&rl.out, inc.sorted, rl.words, &rl.src, workers)
+	for t, s := range inc.rejected {
+		inc.results[s], inc.errs[s] = rl.out.results[t], rl.out.errs[t]
 	}
 	return st.Fallbacks
 }

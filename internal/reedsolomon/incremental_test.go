@@ -473,3 +473,46 @@ func TestIngestStopsAtDeadSlots(t *testing.T) {
 
 // Arrived returns how many positions have been ingested so far.
 func (inc *IncrementalDecoder) Arrived() int { return len(inc.order) }
+
+// TestEvalSlotsMatchesHorner is the oracle for the evaluation Ingest uses:
+// a candidate's value at x taken as the dot product of its monomial
+// coefficients with x's powers (four slots per lane group, the rest one by
+// one) equals Horner's rule, poly.Poly.Eval, for every degree 0..k−1 at
+// the elements 0, 1 and p−1 — with coefficients at p−1, the largest the
+// lazy accumulation sees, as well as random ones, and at a k past the
+// 64-term chunk bound.
+func TestEvalSlotsMatchesHorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	top := field.New(field.Modulus - 1)
+	for _, k := range []int{16, 70} {
+		xs := make([]field.Element, k)
+		for i := range xs {
+			xs[i] = field.New(uint64(i + 2))
+		}
+		dec, err := NewDecoder(xs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const S = 7 // one four-slot group and a three-slot tail
+		inc := dec.NewIncremental(S)
+		for deg := 0; deg < k; deg++ {
+			for _, x := range []field.Element{field.Zero, field.One, top} {
+				for s := 0; s < S; s++ {
+					for i := 0; i <= deg; i++ {
+						c := field.Rand(rng)
+						if s%2 == 0 {
+							c = top
+						}
+						inc.coeffs[s*k+i] = c
+					}
+				}
+				inc.evalSlots(powersInto(inc.pow[:deg+1], x), 0)
+				for s := 0; s < S; s++ {
+					if want := poly.Poly(inc.coeffs[s*k : s*k+deg+1]).Eval(x); inc.at[s] != want {
+						t.Fatalf("k=%d degree %d at %v, slot %d: dot form %v, Horner %v", k, deg, x, s, inc.at[s], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -101,7 +101,11 @@ func Decode(xs, ys []field.Element, k int) (*Result, error) {
 // gaoEuclid runs the Euclidean stage of Gao decoding given the
 // precomputed locator product g0 and received-word interpolation g1.
 func gaoEuclid(xs, ys []field.Element, k int, g0, g1 poly.Poly) (*Result, error) {
-	return gaoEuclidInto(newGaoScratch(len(xs)), xs, ys, k, g0, g1)
+	f, errPos, err := gaoSolve(newGaoScratch(len(xs)), xs, ys, k, g0, g1, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Poly: f, ErrorPositions: errPos}, nil
 }
 
 // gaoScratch holds the working polynomials of one Gao decode: the
@@ -192,16 +196,19 @@ func subInPlace(a, b []field.Element) []field.Element {
 	return trimZeros(a)
 }
 
-// gaoEuclidInto is gaoEuclid on caller-provided scratch. Only the
-// returned Result (its Poly and ErrorPositions) is freshly allocated;
-// every intermediate polynomial lives in sc. Results are bit-identical
-// to the immutable-poly formulation: the arithmetic is exact and the
-// iteration order unchanged.
-func gaoEuclidInto(sc *gaoScratch, xs, ys []field.Element, k int, g0, g1 poly.Poly) (*Result, error) {
+// gaoSolve is gaoEuclid on caller-provided scratch: every intermediate
+// polynomial lives in sc. Results are bit-identical to the
+// immutable-poly formulation: the arithmetic is exact and the iteration
+// order unchanged. It copies the decoded polynomial into fDst's backing
+// array and the error positions into errDst's, allocating only where
+// those lack room (nil allocates both as needed), so a caller with
+// buffers of capacity k and MaxErrors(n, k) decodes without allocating.
+// A clean word's positions are nil.
+func gaoSolve(sc *gaoScratch, xs, ys []field.Element, k int, g0, g1 poly.Poly, fDst poly.Poly, errDst []int) (poly.Poly, []int, error) {
 	n := len(xs)
 	if g1.IsZero() {
 		// All-zero word: the zero polynomial explains it with no errors.
-		return &Result{Poly: nil, ErrorPositions: nil}, nil
+		return nil, nil, nil
 	}
 
 	// Partial extended Euclid on (g0, g1), tracking only the g1
@@ -224,16 +231,15 @@ func gaoEuclidInto(sc *gaoScratch, xs, ys []field.Element, k int, g0, g1 poly.Po
 		}
 	}
 	if len(v1) == 0 {
-		return nil, ErrTooManyErrors
+		return nil, nil, ErrTooManyErrors
 	}
 	fq, rem := quoRemInPlace(r1, v1, quo)
 	if len(rem) != 0 || len(fq)-1 > k-1 {
-		return nil, ErrTooManyErrors
+		return nil, nil, ErrTooManyErrors
 	}
 	var f poly.Poly
 	if len(fq) > 0 {
-		f = make(poly.Poly, len(fq))
-		copy(f, fq)
+		f = append(fDst[:0], fq...)
 	}
 
 	// Verify the error budget and locate the malicious positions. The
@@ -241,20 +247,23 @@ func gaoEuclidInto(sc *gaoScratch, xs, ys []field.Element, k int, g0, g1 poly.Po
 	// disagreement would exceed maxE the word is undecodable, exactly
 	// when the count-then-check formulation would reject it.
 	maxE := MaxErrors(n, k)
-	var errPos []int
+	errPos := errDst[:0]
 	for i, x := range xs {
 		if f.Eval(x) == ys[i] {
 			continue
 		}
 		if len(errPos) == maxE {
-			return nil, ErrTooManyErrors
+			return nil, nil, ErrTooManyErrors
 		}
-		if errPos == nil {
+		if cap(errPos) == 0 {
 			errPos = make([]int, 0, maxE)
 		}
 		errPos = append(errPos, i)
 	}
-	return &Result{Poly: f, ErrorPositions: errPos}, nil
+	if len(errPos) == 0 {
+		errPos = nil
+	}
+	return f, errPos, nil
 }
 
 // Decoder amortises the point-dependent work of Decode across many words
@@ -330,15 +339,25 @@ func (d *Decoder) MaxErrors() int { return MaxErrors(len(d.xs), d.k) }
 // scratch (the construction-time distinctness check of the points
 // licenses the unchecked InterpolateInto).
 func (d *Decoder) Decode(ys []field.Element) (*Result, error) {
+	f, errPos, err := d.decodeInto(ys, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Poly: f, ErrorPositions: errPos}, nil
+}
+
+// decodeInto is Decode writing the polynomial and the error positions
+// into the given buffers' backing arrays (see gaoSolve).
+func (d *Decoder) decodeInto(ys []field.Element, fDst poly.Poly, errDst []int) (poly.Poly, []int, error) {
 	if len(ys) != len(d.xs) {
-		return nil, fmt.Errorf("reedsolomon: %d values for %d points", len(ys), len(d.xs))
+		return nil, nil, fmt.Errorf("reedsolomon: %d values for %d points", len(ys), len(d.xs))
 	}
 	sc, ok := d.gaoPool.Get().(*gaoScratch)
 	if !ok {
 		sc = newGaoScratch(len(d.xs))
 	}
 	g1 := poly.InterpolateInto(sc.interp, sc.coef, d.xs, ys)
-	res, err := gaoEuclidInto(sc, d.xs, ys, d.k, d.g0, g1)
+	f, errPos, err := gaoSolve(sc, d.xs, ys, d.k, d.g0, g1, fDst, errDst)
 	d.gaoPool.Put(sc)
-	return res, err
+	return f, errPos, err
 }

@@ -22,6 +22,9 @@ type ConnStats struct {
 // transport.send / transport.recv event per message carrying the peer
 // label, message kind and wire size. With a disabled Obs the original
 // connection is returned untouched, so the default path pays nothing.
+// The wrapper reads a message (its size and trace context) only inside
+// the Send or Recv call that carries it, so it keeps the ownership rule of
+// the connection it wraps (see Conn).
 //
 // peer is the initial label on this connection's trace events; the
 // fusion centre relabels a conn once the vehicle identifies itself via

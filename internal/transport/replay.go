@@ -14,7 +14,9 @@ import (
 // the consumed frame back this way, so downstream code (Server.Run,
 // Server.Rejoin) performs its own handshake unchanged. All optional
 // connection faces (Faulter, Flusher, WireVersioner, SetPeer) are
-// forwarded.
+// forwarded. m must be one the caller may keep (a control message such as
+// the fleet's Hello); everything after it passes through under the inner
+// connection's ownership rule (see Conn).
 func Replay(m *protocol.Message, c Conn, onClose func()) Conn {
 	return &replayConn{inner: c, head: m, onClose: onClose}
 }

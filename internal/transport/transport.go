@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +17,18 @@ import (
 	"repro/internal/protocol"
 )
 
-// Conn is a bidirectional, message-oriented connection.
+// Conn is a bidirectional, message-oriented connection. Every fabric and
+// wrapper keeps one byte-ownership rule (DESIGN.md §13.2), so that a
+// steady-state round allocates nothing for the messages it moves:
+//
+//   - Send: once Send returns, the connection holds nothing the caller
+//     passed in. The caller may overwrite the message and its slices at
+//     once; a vehicle reuses one Upload and its vector every round.
+//   - Recv: a Broadcast or Upload that Recv returns, payload included, is
+//     valid until the next Recv on the same connection, which may
+//     overwrite it; a caller that keeps one longer copies it. Hello,
+//     Setup, Admission, Finished and Error messages are the caller's to
+//     keep.
 type Conn interface {
 	// Send writes one message; it is safe for one concurrent sender.
 	Send(m *protocol.Message) error
@@ -64,8 +76,8 @@ func Flush(c Conn) error {
 }
 
 // SetWireVersion records the negotiated protocol version on c. A no-op
-// on fabrics that do not encode frames (the in-memory pipe passes
-// message pointers).
+// on fabrics that do not encode frames (the in-memory pipe copies
+// messages).
 func SetWireVersion(c Conn, v int) {
 	if w, ok := c.(WireVersioner); ok {
 		w.SetWireVersion(v)
@@ -84,10 +96,98 @@ type Listener interface {
 
 // --- in-memory fabric ---
 
+// pipeDepth is how many messages a pipe direction queues without a
+// reader, which keeps simple test drivers deadlock-free.
+const pipeDepth = 64
+
+// pipeFrame is one message in flight on a pipe, in storage the pipe owns.
+// Send copies the caller's message into a frame; the receiving end hands
+// the frame back at its next Recv, and the sending end reuses it, so a
+// pipe's steady-state traffic allocates nothing.
+type pipeFrame struct {
+	msg     protocol.Message   // a Broadcast or Upload, pointing at bc or up
+	bc      protocol.Broadcast // valid while msg.Broadcast is set
+	up      protocol.Upload    // valid while msg.Upload is set
+	vals    []float64          // backing of bc.Params or up.Values
+	ctl     *protocol.Message  // a fresh copy of a Setup or control message
+	corrupt bool               // SendCorrupt's marker: Recv reports ErrCorruptFrame
+}
+
+// fill copies m into the frame: a Broadcast or Upload into the frame's own
+// storage, anything else into a fresh deep copy the receiver keeps.
+func (f *pipeFrame) fill(m *protocol.Message) {
+	f.msg, f.ctl, f.corrupt = protocol.Message{}, nil, false
+	switch {
+	case m.Broadcast != nil:
+		f.bc = *m.Broadcast
+		f.bc.Params = f.payload(m.Broadcast.Params)
+		f.msg.Broadcast = &f.bc
+	case m.Upload != nil:
+		f.up = *m.Upload
+		f.up.Values = f.payload(m.Upload.Values)
+		f.msg.Upload = &f.up
+	default:
+		f.ctl = cloneControl(m)
+	}
+}
+
+// payload copies a bulk payload into the frame's buffer; empty travels as
+// nil, as it does through a TCP frame.
+func (f *pipeFrame) payload(src []float64) []float64 {
+	if len(src) == 0 {
+		return nil
+	}
+	f.vals = append(f.vals[:0], src...)
+	return f.vals
+}
+
+// cloneControl deep-copies a message that is not a Broadcast or Upload.
+func cloneControl(m *protocol.Message) *protocol.Message {
+	out := *m
+	switch {
+	case m.Hello != nil:
+		h := *m.Hello
+		out.Hello = &h
+	case m.Setup != nil:
+		su := *m.Setup
+		su.ActivationCoeffs = slices.Clone(m.Setup.ActivationCoeffs)
+		if rows := m.Setup.RefX; len(rows) > 0 {
+			// One block for the whole set, as a TCP decode makes it.
+			n := 0
+			for _, row := range rows {
+				n += len(row)
+			}
+			flat := make([]float64, 0, n)
+			su.RefX = make([][]float64, len(rows))
+			for i, row := range rows {
+				flat = append(flat, row...)
+				su.RefX[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+			}
+		}
+		out.Setup = &su
+	case m.Admission != nil:
+		a := *m.Admission
+		out.Admission = &a
+	case m.Finished != nil:
+		fin := *m.Finished
+		out.Finished = &fin
+	case m.Error != nil:
+		e := *m.Error
+		out.Error = &e
+	}
+	return &out
+}
+
 // pipeConn is one end of an in-memory duplex channel pair.
 type pipeConn struct {
-	in  <-chan *protocol.Message
-	out chan<- *protocol.Message
+	in  <-chan *pipeFrame
+	out chan<- *pipeFrame
+	// spare holds frames this end's Sends may reuse; the peer's Recv puts
+	// them there. recycle is the peer's spare, where this end's Recv puts
+	// the frames it is done with.
+	spare   chan *pipeFrame
+	recycle chan<- *pipeFrame
+	held    *pipeFrame // the frame the last Recv returned; receiver-only
 
 	mu     sync.Mutex // guards closed
 	closed bool       // guarded by mu
@@ -95,41 +195,55 @@ type pipeConn struct {
 	peer   *pipeConn
 }
 
-// Pipe returns two connected in-memory ends. The internal buffer lets a
-// round of messages queue without a reader, which keeps simple test
-// drivers deadlock-free.
+// Pipe returns two connected in-memory ends. Each direction queues up to
+// pipeDepth messages without a reader. Send copies the message, so the
+// pipe keeps transport.Conn's ownership rule exactly as TCP does.
 func Pipe() (Conn, Conn) {
-	ab := make(chan *protocol.Message, 64)
-	ba := make(chan *protocol.Message, 64)
-	a := &pipeConn{in: ba, out: ab, done: make(chan struct{})}
-	b := &pipeConn{in: ab, out: ba, done: make(chan struct{})}
+	ab := make(chan *pipeFrame, pipeDepth)
+	ba := make(chan *pipeFrame, pipeDepth)
+	// Room for every frame that can be out at once: the queue, the one a
+	// Recv holds and the one a Send is filling.
+	abSpare := make(chan *pipeFrame, pipeDepth+2)
+	baSpare := make(chan *pipeFrame, pipeDepth+2)
+	a := &pipeConn{in: ba, out: ab, spare: abSpare, recycle: baSpare, done: make(chan struct{})}
+	b := &pipeConn{in: ab, out: ba, spare: baSpare, recycle: abSpare, done: make(chan struct{})}
 	a.peer, b.peer = b, a
 	return a, b
 }
 
-// corruptMarker is the in-memory stand-in for a frame that fails its
-// checksum: SendCorrupt enqueues it and the receiving end's Recv
-// translates it into protocol.ErrCorruptFrame, mirroring what the TCP
-// fabric does with a real flipped-CRC frame.
-var corruptMarker = &protocol.Message{}
+// frame returns a spare frame to send in, or a new one.
+func (c *pipeConn) frame() *pipeFrame {
+	select {
+	case f := <-c.spare:
+		return f
+	default:
+		return new(pipeFrame)
+	}
+}
 
-// Send implements Conn.
+// Send implements Conn: m is copied before Send returns.
 func (c *pipeConn) Send(m *protocol.Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	return c.enqueue(m)
+	f := c.frame()
+	f.fill(m)
+	return c.enqueue(f)
 }
 
-// SendCorrupt implements Faulter.
+// SendCorrupt implements Faulter: the peer's Recv reports
+// protocol.ErrCorruptFrame, mirroring what the TCP fabric does with a
+// real flipped-CRC frame.
 func (c *pipeConn) SendCorrupt(m *protocol.Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	return c.enqueue(corruptMarker)
+	f := c.frame()
+	f.msg, f.ctl, f.corrupt = protocol.Message{}, nil, true
+	return c.enqueue(f)
 }
 
-func (c *pipeConn) enqueue(m *protocol.Message) error {
+func (c *pipeConn) enqueue(f *pipeFrame) error {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -137,7 +251,7 @@ func (c *pipeConn) enqueue(m *protocol.Message) error {
 		return fmt.Errorf("transport: send on closed pipe")
 	}
 	select {
-	case c.out <- m:
+	case c.out <- f:
 		return nil
 	case <-c.done:
 		return fmt.Errorf("transport: send on closed pipe")
@@ -146,30 +260,53 @@ func (c *pipeConn) enqueue(m *protocol.Message) error {
 	}
 }
 
-// Recv implements Conn.
+// Recv implements Conn. The frame the previous Recv returned goes back to
+// the sender first: its message is no longer valid.
 func (c *pipeConn) Recv() (*protocol.Message, error) {
+	if c.held != nil {
+		c.giveBack(c.held)
+		c.held = nil
+	}
 	select {
-	case m := <-c.in:
-		return c.deliver(m)
+	case f := <-c.in:
+		return c.deliver(f)
 	case <-c.done:
 		return nil, fmt.Errorf("transport: recv on closed pipe")
 	case <-c.peer.done:
 		// Drain anything already queued before reporting closure.
 		select {
-		case m := <-c.in:
-			return c.deliver(m)
+		case f := <-c.in:
+			return c.deliver(f)
 		default:
 			return nil, fmt.Errorf("transport: peer closed")
 		}
 	}
 }
 
-// deliver translates the corruption marker; honest messages pass through.
-func (c *pipeConn) deliver(m *protocol.Message) (*protocol.Message, error) {
-	if m == corruptMarker {
+// deliver unpacks a received frame. A Broadcast or Upload is returned in
+// place and the frame held until the next Recv; anything else leaves the
+// frame at once.
+func (c *pipeConn) deliver(f *pipeFrame) (*protocol.Message, error) {
+	switch {
+	case f.corrupt:
+		c.giveBack(f)
 		return nil, fmt.Errorf("transport: %w", protocol.ErrCorruptFrame)
+	case f.ctl != nil:
+		m := f.ctl
+		f.ctl = nil
+		c.giveBack(f)
+		return m, nil
 	}
-	return m, nil
+	c.held = f
+	return &f.msg, nil
+}
+
+// giveBack offers a frame to the peer's Sends; a full spare list drops it.
+func (c *pipeConn) giveBack(f *pipeFrame) {
+	select {
+	case c.recycle <- f:
+	default:
+	}
 }
 
 // Close implements Conn.
@@ -195,10 +332,11 @@ type tcpConn struct {
 	// steady-state framing allocates nothing; guarded by sendMu.
 	sendBuf []byte
 	recvMu  sync.Mutex // serializes frame reads on conn
-	// br is set once at construction; its state and recvBuf (the frame
-	// being read, kept between Recvs) are touched under recvMu.
+	// br is set once at construction; its state and inbox (the frame
+	// being read and the bulk message decoded last, kept between Recvs)
+	// are touched under recvMu.
 	br      *bufio.Reader
-	recvBuf []byte
+	inbox   protocol.Inbox
 	closeMu sync.Mutex // guards closed
 	closed  bool       // guarded by closeMu
 }
@@ -218,14 +356,14 @@ const defaultReadBuffer = 4096
 // SetWireVersion implements WireVersioner: subsequent Sends frame at v.
 func (c *tcpConn) SetWireVersion(v int) { c.version.Store(int32(v)) }
 
-// maxKeptFrameBuf bounds the frame buffer a connection retains in each
-// direction; a larger frame (a Setup carrying the reference set) gets a
+// maxKeptFrameBuf bounds the frame buffer a connection retains for its
+// sends; a larger frame (a Setup carrying the reference set) gets a
 // buffer that is dropped after it, so it does not pin its size for the
-// connection's life.
+// connection's life. protocol.Inbox bounds the receive side alike.
 const maxKeptFrameBuf = 64 << 10
 
 // Send implements Conn: the frame is built in the connection's buffer
-// and leaves in one Write.
+// and leaves in one Write, so nothing of m is kept.
 func (c *tcpConn) Send(m *protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -250,15 +388,12 @@ func (c *tcpConn) SendCorrupt(m *protocol.Message) error {
 	return protocol.WriteCorrupt(c.conn, m)
 }
 
-// Recv implements Conn.
+// Recv implements Conn: a Broadcast or Upload is decoded into the
+// connection's inbox and is valid until the next Recv.
 func (c *tcpConn) Recv() (*protocol.Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	m, err := protocol.ReadBuffered(c.br, &c.recvBuf)
-	if cap(c.recvBuf) > maxKeptFrameBuf {
-		c.recvBuf = nil
-	}
-	return m, err
+	return protocol.ReadBuffered(c.br, &c.inbox)
 }
 
 // Close implements Conn.

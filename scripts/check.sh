@@ -35,9 +35,11 @@ echo "== go test -race -count=2 (scheduling-sensitive packages)"
 # deterministic-fault invariants; a second run flushes out
 # order-dependent state the first run happened to miss.
 go test -race -count=2 ./internal/node ./internal/chaos
-# The budget close and the in-flight window depend on arrival order;
-# fifty repetitions of the tests that pin them take about fifteen seconds.
-go test -race -count=50 -run 'TestPipelineEarlyClose|TestPipelineWindowWithholding' ./internal/node
+# The budget close and the in-flight window depend on arrival order, and
+# so does a flooding vehicle's traffic against the receiver's two upload
+# buffers (transport.Conn's ownership rule); fifty repetitions of the
+# tests that pin them take about half a minute.
+go test -race -count=50 -run 'TestPipelineEarlyClose|TestPipelineWindowWithholding|TestFloodingVehicle|TestReceiverBlocksOnItsBuffers' ./internal/node
 
 echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin against the simulation)"
 # The crash cell of the engine-versus-simulation matrix once lost a
