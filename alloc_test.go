@@ -3,6 +3,7 @@ package repro
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -20,11 +21,12 @@ import (
 
 // TestAggregateAllocs pins the fusion centre's steady-state allocation
 // budget at V=40, M=8, degree 2, S=32 slots, adversaries at the full
-// eq. 6 budget. The ISSUE 7 acceptance bar is a >= 10x cut from the 1209
-// allocs/op baseline (<= 120); after the scratch-reuse pass the measured
-// steady state is ~35 (uploads gather, batch decode slabs, per-round
-// DetectedMalicious and targets). The bound leaves headroom for a GC
-// clearing the decoder scratch pools mid-measurement.
+// eq. 6 budget. It was 1 209 allocations a call before the scheme reused
+// its scratch, and about 35 while Aggregate gathered every slot's word
+// and batch-decoded it; ingesting the rows into the scheme's one
+// RoundIngest and finishing on it leaves the targets Aggregate returns
+// (1 measured). The bound of 4 leaves headroom for a GC clearing the
+// decoder scratch pools mid-measurement.
 func TestAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -46,8 +48,9 @@ func TestAggregateAllocs(t *testing.T) {
 	if got := len(s.SuspectedMalicious()); got != len(malicious) {
 		t.Fatalf("flagged %d vehicles, want %d", got, len(malicious))
 	}
-	if avg > 120 {
-		t.Errorf("Aggregate allocates %.1f times per call, want <= 120", avg)
+	t.Logf("Aggregate allocates %.1f times per call", avg)
+	if avg > 4 {
+		t.Errorf("Aggregate allocates %.1f times per call, want <= 4", avg)
 	}
 
 	// Trace-context propagation must be free when tracing is off: with no
@@ -71,9 +74,11 @@ func TestAggregateAllocs(t *testing.T) {
 // more than E liars: verification is unusable and every target is a
 // per-sample median over all vehicles. That loop built a value slice and
 // a sorted copy for each of the 256 samples (2 052 allocations a round);
-// on the scheme's scratch it adds none, and the round is the 4 its failed
-// decodes and its targets cost. The bound leaves headroom for a GC
-// clearing the decoder scratch pools mid-measurement.
+// on the scheme's scratch it adds none. The failed decodes cost 3 more on
+// the grouped batch path; through the one RoundIngest, whose relocation
+// writes into storage the decoder keeps, the round is its targets alone
+// (1 measured). The bound is that plus 3, headroom for a GC clearing the
+// decoder scratch pools mid-measurement.
 func TestAggregateFallbackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -98,8 +103,9 @@ func TestAggregateFallbackAllocs(t *testing.T) {
 	if s.DecodeFailures != s.Slots() {
 		t.Fatalf("%d of %d slots undecodable, want all", s.DecodeFailures, s.Slots())
 	}
-	if avg > 16 {
-		t.Errorf("Aggregate's median fallback round allocates %.1f times, want <= 16", avg)
+	t.Logf("Aggregate's median fallback round allocates %.1f times", avg)
+	if avg > 4 {
+		t.Errorf("Aggregate's median fallback round allocates %.1f times, want <= 4", avg)
 	}
 }
 
@@ -337,9 +343,12 @@ func TestUploadAllocs(t *testing.T) {
 // TestNewShareAllocs: a vehicle's set-up copies the reference set into one
 // block and quantises every verification slot through one M×F scratch, so
 // how many allocations NewShare makes does not grow with the reference
-// set (32 at V = 16, M = 8). A copy per reference row, a vector per
+// set (33 at V = 16, M = 8). A copy per reference row, a vector per
 // quantised row and a batch per slot made it 165 at 64 rows and 1 661 at
-// 768.
+// 768. One of the 33 is the Lagrange coder's pooled accumulator, which a
+// collection empties: testing.AllocsPerRun, with collections free to run
+// between calls, read 32 on some calls and 33 on others, so each call is
+// measured on its own after a forced collection, with the collector off.
 func TestNewShareAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -347,7 +356,7 @@ func TestNewShareAllocs(t *testing.T) {
 	cfg := core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 3}
 	allocs := func(rows int) float64 {
 		ref := roundData(t, rows, 15).Features()
-		return testing.AllocsPerRun(10, func() {
+		return mallocsAfterGC(10, func() {
 			if _, err := core.NewShare(ref, cfg, 5); err != nil {
 				t.Fatal(err)
 			}
@@ -358,6 +367,24 @@ func TestNewShareAllocs(t *testing.T) {
 	if large != small {
 		t.Errorf("NewShare allocates %.0f times at 768 reference rows, %.0f at 64: want equal", large, small)
 	}
+}
+
+// mallocsAfterGC is testing.AllocsPerRun with every call starting from a
+// fresh collection and none during it, so allocations that refill a pool
+// a collection emptied count on every call instead of on some.
+func mallocsAfterGC(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	return float64(total) / float64(runs)
 }
 
 // TestDistillAllocs: the fusion centre's closed-form fit was 398
@@ -461,9 +488,11 @@ func TestFrameAllocs(t *testing.T) {
 // Measured as the Mallocs difference between a long and a short session
 // of the same inputs, so set-up cancels; the difference reads 0.0–2.5 a
 // round, the runtime's own bookkeeping of two sessions' goroutines spread
-// over 40 rounds, so the bound adds a margin of 3.5 to that. The scheme
-// runs one worker, as the benchmark's does, so the pool's goroutines do
-// not count.
+// over 40 rounds, so the bound adds a margin of 3.5 to that. Each session
+// starts from a forced collection and runs with the collector off, so a
+// pool a collection empties is refilled in neither (a refill in the short
+// session alone once made the difference negative). The scheme runs one
+// worker, as the benchmark's does, so the pool's goroutines do not count.
 func TestRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -491,6 +520,8 @@ func TestRoundAllocs(t *testing.T) {
 		for id := range clients {
 			clients[id] = node.ClientConfig{VehicleID: id, Data: parts[id], Seed: int64(100 + id)}
 		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		report := runPipeSession(t, srv, clients)
@@ -502,7 +533,7 @@ func TestRoundAllocs(t *testing.T) {
 	}
 	const short, long = 5, 45
 	session(short) // warm pools and lazily built state
-	perRound := float64(session(long)-session(short)) / (long - short)
+	perRound := (float64(session(long)) - float64(session(short))) / (long - short)
 	if perRound > 6 {
 		t.Errorf("a V=%d pipe round allocates %.1f times, want <= 6", roundVehicles, perRound)
 	}

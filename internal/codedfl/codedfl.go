@@ -174,9 +174,6 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 			return nil, fmt.Errorf("codedfl: vehicle %d uploaded %d values, want %d", v, len(up), s.cfg.MeasurementsPerVehicle)
 		}
 		for i, y := range up {
-			if fl.IsDropped(y) {
-				continue
-			}
 			rows = append(rows, s.g[v].Row(i))
 			rhs = append(rhs, y)
 		}

@@ -47,6 +47,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/field"
 	"repro/internal/fl"
@@ -76,7 +77,7 @@ type SchemeConfig struct {
 	// Seed drives the random selection of the field encoding elements.
 	Seed int64
 	// Workers bounds the goroutines used for the per-slot encode at
-	// construction and the per-slot verification decodes in Aggregate.
+	// construction and the relocation of rejected slots in Aggregate.
 	// Zero (or negative) selects GOMAXPROCS; 1 runs sequentially. Results
 	// are bit-identical at any worker count: slots are independent and the
 	// per-slot outcomes are merged in slot order.
@@ -97,45 +98,27 @@ type Scheme struct {
 	dec       *reedsolomon.Decoder
 	workers   int // resolved parallelism for slot-level fan-out
 
-	// batchSrc supplies the random combination coefficients for batch
-	// decoding; seeded from cfg.Seed, and immaterial to results (the batch
-	// decoder is result-equivalent for any coefficients, DESIGN.md §9).
-	batchSrc field.Source
+	// aggVals is the median fallback's scratch: one sample's present
+	// values, reused round over round.
+	aggVals []float64
 
-	// Aggregate scratch, reused round over round so the steady-state hot
-	// path allocates only caller-visible output. Aggregate is called once
-	// per round from the FL loop and is not itself concurrent (only its
-	// internal slot fan-out is), so plain reuse is safe: each slot's
-	// ys/ids/flagged slices are re-sliced to zero length and refilled,
-	// keeping their grown capacity.
-	aggWords    []slotWord
-	aggOutcomes []slotOutcome
-	aggEligible []int
-	aggBatch    [][]field.Element
-	aggCounts   []int           // verified mean: vehicles summed into each target
-	aggVals     []float64       // median fallback: one sample's present values
-	aggUploads  [][]float64     // the uploads being gathered, during Aggregate only
-	gather      func(int) error // gatherSlot, bound once
-
-	// ingest is the scheme's one streamed decode state, reset by every
-	// BeginIngest. pendingIngest, when non-nil, is that state lent to one
-	// Aggregate call by AggregateStreamed and consumed by the first
-	// matching presence group (stream.go).
-	ingest        *RoundIngest
-	pendingIngest *RoundIngest
+	// ingest is the scheme's one round decode state, reset by every
+	// BeginIngest and by every Aggregate (stream.go).
+	ingest *RoundIngest
 
 	// DecodeFailures counts verification slots whose decode exceeded the
 	// error budget in the last Aggregate.
 	DecodeFailures int
-	// DetectedMalicious holds per-vehicle error counts from the last
-	// Aggregate's verification decodes. Aggregate rewrites it in place:
-	// copy it to keep a round's counts past the next Aggregate.
+	// DetectedMalicious holds the last Aggregate's per-vehicle verdict: one
+	// count per verification slot that located the vehicle, plus one when
+	// a learning value it sent was outside [0, 1]. Any count excludes the
+	// vehicle. Aggregate rewrites it in place: copy it to keep a round's
+	// counts past the next Aggregate.
 	DetectedMalicious []int
 	// BatchRecovered and BatchFallbacks count how the last Aggregate's
-	// verification decodes split: slots settled by the fast path (the
-	// streamed candidate, or the shared-locator recovery of a batch decode)
-	// against slots that path had to hand on (BatchStats, summed over the
-	// round's presence groups). They feed the core.aggregate span; the
+	// verification decode split: slots whose streamed candidate verified
+	// against slots handed to the shared error location
+	// (reedsolomon.BatchStats). They feed the core.aggregate span; the
 	// cumulative totals are the decoder's rs.batch.* counters.
 	BatchRecovered int
 	BatchFallbacks int
@@ -222,9 +205,7 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		k:         k,
 		dec:       dec,
 		workers:   workers,
-		batchSrc:  field.NewSeededSource(cfg.Seed),
 	}
-	sch.gather = sch.gatherSlot
 	if cfg.Obs.Enabled() {
 		o := cfg.Obs
 		sch.obs = o
@@ -260,107 +241,132 @@ func (s *Scheme) Upload(vehicleID int, model *nn.Network) ([]float64, error) {
 	return s.appendUpload(make([]float64, 0, s.UploadLen()), vehicleID, s.shares[vehicleID], model)
 }
 
-// Aggregate implements fl.Scheme. Per verification slot it decodes the
-// received symbols with the exact Reed–Solomon decoder and records which
-// vehicles returned erroneous results; a vehicle flagged on any slot is
-// excluded. The distillation targets are the per-sample means of the
-// surviving vehicles' learning estimations. If more than half the
-// verification slots are undecodable (error budget of eq. 6 exceeded),
-// the round degrades to a per-sample median over all vehicles — still
-// robust to a minority of liars, but without the eq. 6 guarantee.
+// Aggregate implements fl.Scheme: one decode of the round, through the
+// same ingest the pipelined engine streams into. Every present vehicle's
+// upload is ingested in vehicle-ID order (the last round's flagged
+// vehicles last, stream.go) and finish decodes every verification slot
+// with the exact Reed–Solomon decoder at once. A
+// vehicle counts only if no slot located it and every learning value it
+// sent is an estimate in [0, 1] (DESIGN.md §1); the targets are the
+// per-sample means of those vehicles' learning estimations. If more than
+// half the verification slots are undecodable (error budget of eq. 6
+// exceeded), the round degrades to a per-sample median over all vehicles
+// — still robust to a minority of liars, but without the eq. 6 guarantee.
 func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
+	if err := s.checkUploads(uploads); err != nil {
+		return nil, err
+	}
+	return s.aggregate(uploads)
+}
+
+// checkUploads validates a round's rows: one per vehicle, each absent
+// (nil) or a whole upload.
+func (s *Scheme) checkUploads(uploads [][]float64) error {
 	if len(uploads) != s.cfg.NumVehicles {
-		return nil, fmt.Errorf("core: got %d uploads, want %d", len(uploads), s.cfg.NumVehicles)
+		return fmt.Errorf("core: got %d uploads, want %d", len(uploads), s.cfg.NumVehicles)
 	}
 	for i, up := range uploads {
 		if up != nil && len(up) != s.UploadLen() {
-			return nil, fmt.Errorf("core: vehicle %d uploaded %d values, want %d", i, len(up), s.UploadLen())
+			return fmt.Errorf("core: vehicle %d uploaded %d values, want %d", i, len(up), s.UploadLen())
 		}
 	}
-	if s.obs.Enabled() {
-		start := s.obs.Now()
-		defer func() {
-			elapsed := s.obs.Now() - start
-			s.cAggregates.Inc()
-			s.hAggregateNs.Observe(int64(elapsed))
-			fields := []obs.Field{
-				obs.F("slots", s.slots),
-				obs.F("decode_failures", s.DecodeFailures),
-				obs.F("batch_recovered", s.BatchRecovered),
-				obs.F("batch_fallbacks", s.BatchFallbacks),
-				obs.F("flagged", s.flaggedCount()),
-			}
-			if p := s.spanParent; p.Valid() {
-				span := obs.DeriveSpan(p.Trace, "core.aggregate", p.Span)
-				fields = append(fields, obs.CtxFields(obs.SpanContext{Trace: p.Trace, Span: span}, p.Span)...)
-			}
-			s.obs.EmitSpan("core.aggregate", start, elapsed, fields...)
-		}()
+	return nil
+}
+
+// aggregate ingests the checked rows into the scheme's one RoundIngest
+// and finishes the round on it.
+func (s *Scheme) aggregate(uploads [][]float64) ([]float64, error) {
+	start := s.obs.Now()
+	r := s.beginIngest()
+	for i, up := range uploads {
+		if err := r.Add(i, up); err != nil {
+			return nil, err
+		}
+	}
+	return s.finish(r, uploads, start)
+}
+
+// finish closes the round r ingested: it flushes the deferred rows,
+// finalizes the decode of every slot, merges the per-slot verdicts in slot
+// order, applies the range rule Add recorded, and forms the targets from
+// uploads, the rows r ingested. start is when the round's aggregation
+// began, for the core.aggregate span.
+func (s *Scheme) finish(r *RoundIngest, uploads [][]float64, start time.Duration) ([]float64, error) {
+	if err := r.flush(); err != nil {
+		return nil, err
+	}
+	results, errs, stats := r.inc.Finalize(s.workers)
+	s.BatchRecovered, s.BatchFallbacks = stats.Recovered, stats.Fallbacks
+	if s.obs.TraceEnabled() {
+		s.obs.Emit("core.batch_group",
+			obs.F("slots", s.slots),
+			obs.F("present", r.count),
+			obs.F("recovered", stats.Recovered),
+			obs.F("fallbacks", stats.Fallbacks),
+			obs.F("combined_ok", stats.CombinedOK))
 	}
 	s.DecodeFailures = 0
 	if len(s.DetectedMalicious) != s.cfg.NumVehicles {
 		s.DetectedMalicious = make([]int, s.cfg.NumVehicles)
 	}
 	clear(s.DetectedMalicious)
-	s.BatchRecovered = 0
-	s.BatchFallbacks = 0
-
-	// Collect each slot's received word and the IDs of the vehicles present
-	// in it. Slots are independent, so the gather fans out; each writes
-	// only its own index. The words live in round-over-round scratch:
-	// every slot's ys/ids restart at length zero with retained capacity.
-	if len(s.aggWords) != s.slots {
-		s.aggWords = make([]slotWord, s.slots)
-		s.aggOutcomes = make([]slotOutcome, s.slots)
-	}
-	words := s.aggWords
-	s.aggUploads = uploads
-	_ = parallel.ForEach(s.workers, s.slots, s.gather)
-	s.aggUploads = nil
-
-	// Decode the verification slots — each is an independent Reed–Solomon
-	// word — then merge the per-slot outcomes in slot order.
-	// DecodeFailures and DetectedMalicious are order-independent sums, so
-	// the merged counters match the sequential loop exactly.
-	outcomes := s.aggOutcomes
-	for j := range outcomes {
-		outcomes[j].failed = false
-		outcomes[j].flagged = outcomes[j].flagged[:0]
-	}
-	s.aggregateBatch(words, outcomes)
-	// The merge runs sequentially in slot order, so slot_fail events land
-	// in the trace deterministically even when the decodes fanned out.
-	for j, o := range outcomes {
-		if o.failed {
+	// The merge runs in slot order, so slot_fail events land in the trace
+	// deterministically whatever the worker count.
+	for j, err := range errs {
+		if err != nil {
 			s.DecodeFailures++
 			if s.obs.TraceEnabled() {
 				s.obs.Emit("core.slot_fail", obs.F("slot", j))
 			}
 			continue
 		}
-		for _, id := range o.flagged {
+		for _, id := range results[j].ErrorPositions {
 			s.DetectedMalicious[id]++
 		}
 	}
+	for _, id := range r.outOfRange {
+		s.DetectedMalicious[id]++
+	}
+	targets := s.targets(uploads)
 	if s.obs.Enabled() {
 		// Cumulative counters mirror the per-round fields: add this round's
 		// deltas so totals stay in lock-step with them.
+		elapsed := s.obs.Now() - start
+		s.cAggregates.Inc()
+		s.hAggregateNs.Observe(int64(elapsed))
 		s.cDecodeFailures.Add(int64(s.DecodeFailures))
 		s.cFlagged.Add(int64(s.flaggedCount()))
+		fields := []obs.Field{
+			obs.F("slots", s.slots),
+			obs.F("decode_failures", s.DecodeFailures),
+			obs.F("batch_recovered", s.BatchRecovered),
+			obs.F("batch_fallbacks", s.BatchFallbacks),
+			obs.F("flagged", s.flaggedCount()),
+		}
+		if p := s.spanParent; p.Valid() {
+			span := obs.DeriveSpan(p.Trace, "core.aggregate", p.Span)
+			fields = append(fields, obs.CtxFields(obs.SpanContext{Trace: p.Trace, Span: span}, p.Span)...)
+		}
+		s.obs.EmitSpan("core.aggregate", start, elapsed, fields...)
 	}
+	return targets, nil
+}
 
+// targets forms the round's estimation targets from the verdict in
+// DecodeFailures and DetectedMalicious.
+func (s *Scheme) targets(uploads [][]float64) []float64 {
 	n := len(s.refX)
 	offset := 2 * s.slots
 	targets := make([]float64, n)
 	if 2*s.DecodeFailures > s.slots {
-		// Verification unusable: robust fallback without exclusions.
-		for j := 0; j < n; j++ {
+		// Verification unusable: robust fallback without exclusions. NaN
+		// has no order, so the median leaves it out.
+		for j := range targets {
 			vals := s.aggVals[:0]
 			for _, up := range uploads {
-				if up == nil || fl.IsDropped(up[offset+j]) {
-					continue
+				if up != nil && !math.IsNaN(up[offset+j]) {
+					vals = append(vals, up[offset+j])
 				}
-				vals = append(vals, up[offset+j])
 			}
 			s.aggVals = vals
 			if len(vals) == 0 {
@@ -369,189 +375,30 @@ func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 			}
 			targets[j] = median(vals)
 		}
-		return targets, nil
+		return targets
 	}
-
 	// Learning: average the verified vehicles' estimations per sample,
-	// walking each upload once. Every target still sums the same vehicles
-	// in ascending ID from zero, so it is the float the sample-by-sample
-	// walk gave (perSlotReference in lcofl_test.go keeps that walk).
-	if len(s.aggCounts) != n {
-		s.aggCounts = make([]int, n)
-	}
-	counts := s.aggCounts
-	clear(counts)
+	// walking each upload once. Every target sums the same vehicles in
+	// ascending ID from zero, so it is the float the sample-by-sample walk
+	// gives (perSlotReference in lcofl_test.go keeps that walk).
+	verified := 0
 	for i, up := range uploads {
 		if up == nil || s.DetectedMalicious[i] > 0 {
 			continue
 		}
+		verified++
 		for j, v := range up[offset:] {
-			if !fl.IsDropped(v) {
-				targets[j] += v
-				counts[j]++
-			}
+			targets[j] += v
 		}
 	}
-	for j, c := range counts {
-		if c == 0 {
+	for j := range targets {
+		if verified == 0 {
 			targets[j] = fl.Dropped
 		} else {
-			targets[j] /= float64(c)
+			targets[j] /= float64(verified)
 		}
 	}
-	return targets, nil
-}
-
-// gatherSlot collects slot j's received word from the uploads Aggregate
-// is gathering. It is bound once, as the scheme's gather, so handing it
-// to the worker pool allocates no closure per round.
-func (s *Scheme) gatherSlot(j int) error {
-	w := &s.aggWords[j]
-	w.ys, w.ids = w.ys[:0], w.ids[:0]
-	for i, up := range s.aggUploads {
-		if up == nil || fl.IsDropped(up[2*j]) || fl.IsDropped(up[2*j+1]) {
-			continue
-		}
-		w.ys = append(w.ys, floatsToSymbol(up[2*j], up[2*j+1]))
-		w.ids = append(w.ids, i)
-	}
-	return nil
-}
-
-// slotWord is one verification slot's received word: the present
-// vehicles' symbols in vehicle-ID order, and those IDs.
-type slotWord struct {
-	ys  []field.Element
-	ids []int
-}
-
-// slotOutcome is one slot's verification verdict.
-type slotOutcome struct {
-	failed  bool
-	flagged []int // vehicle IDs with erroneous symbols in this slot
-}
-
-// aggregateBatch decodes the gathered slot words through the batch
-// shared-locator decoder (DESIGN.md §9), writing outcomes in place.
-// Per-value drops mean slots can see different vehicle subsets, and the
-// batch decoder requires one common point set, so slots are grouped by
-// presence mask (in first-appearance order, deterministically) and each
-// group decoded as one batch. The common case is a single full-presence
-// group on the cached decoder's own points; straggler masks amortise one
-// sub-decoder construction (inside DecodeBatchAt) across their slots.
-func (s *Scheme) aggregateBatch(words []slotWord, outcomes []slotOutcome) {
-	eligible := s.aggEligible[:0]
-	for j := range words {
-		if len(words[j].ids) < s.k {
-			outcomes[j].failed = true
-			continue
-		}
-		eligible = append(eligible, j)
-	}
-	s.aggEligible = eligible
-	if len(eligible) == 0 {
-		return
-	}
-	// Uniform-presence fast path: when every eligible slot saw the same
-	// vehicles — the overwhelmingly common case, every vehicle present —
-	// there is exactly one group, and the mask-keyed map (with its
-	// per-slot byte-mask and string allocations) is skipped entirely.
-	uniform := true
-	for _, j := range eligible[1:] {
-		if !equalIDs(words[eligible[0]].ids, words[j].ids) {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		s.decodeGroup(words, outcomes, eligible)
-		return
-	}
-	groups := make(map[string][]int)
-	var order []string
-	for _, j := range eligible {
-		key := maskKey(words[j].ids, s.cfg.NumVehicles)
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], j)
-	}
-	for _, key := range order {
-		s.decodeGroup(words, outcomes, groups[key])
-	}
-}
-
-// decodeGroup batch-decodes one presence group (slot indices sharing a
-// vehicle set), writing outcomes in place. The decoder's points are
-// indexed by vehicle ID, so either entry reports error positions as
-// vehicle IDs.
-func (s *Scheme) decodeGroup(words []slotWord, outcomes []slotOutcome, slots []int) {
-	ids := words[slots[0]].ids
-	var results []*reedsolomon.Result
-	var errs []error
-	var stats reedsolomon.BatchStats
-	// Streamed fast path: when this group spans every verification slot
-	// and its vehicle set is exactly the ingested set, each slot's word
-	// equals the streamed symbols and the incremental decoder's Finalize
-	// is bit-identical to DecodeBatchAt on it (stream.go).
-	if ri := s.pendingIngest; ri != nil && len(slots) == s.slots && ri.matches(ids) && ri.flush() {
-		s.pendingIngest = nil
-		results, errs, stats = ri.inc.Finalize(s.workers)
-	} else {
-		batch := s.aggBatch[:0]
-		for _, j := range slots {
-			batch = append(batch, words[j].ys)
-		}
-		s.aggBatch = batch
-		results, errs, stats = s.dec.DecodeBatchAt(ids, batch, s.batchSrc, s.workers)
-	}
-	s.recordGroup(len(slots), len(ids), stats)
-	for t, j := range slots {
-		if errs[t] != nil {
-			outcomes[j].failed = true
-			continue
-		}
-		outcomes[j].flagged = append(outcomes[j].flagged, results[t].ErrorPositions...)
-	}
-}
-
-// recordGroup adds one decoded presence group's split to the round's
-// tallies and, when tracing, emits its core.batch_group event.
-func (s *Scheme) recordGroup(slots, present int, stats reedsolomon.BatchStats) {
-	s.BatchRecovered += stats.Recovered
-	s.BatchFallbacks += stats.Fallbacks
-	if s.obs.TraceEnabled() {
-		s.obs.Emit("core.batch_group",
-			obs.F("slots", slots),
-			obs.F("present", present),
-			obs.F("recovered", stats.Recovered),
-			obs.F("fallbacks", stats.Fallbacks),
-			obs.F("combined_ok", stats.CombinedOK))
-	}
-}
-
-// equalIDs reports whether two strictly-increasing vehicle-ID lists are
-// identical.
-func equalIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// maskKey packs the presence set into a bitmask string usable as a map
-// key; ids are strictly increasing vehicle IDs below numVehicles.
-func maskKey(ids []int, numVehicles int) string {
-	mask := make([]byte, (numVehicles+7)/8)
-	for _, i := range ids {
-		mask[i/8] |= 1 << (i % 8)
-	}
-	return string(mask)
+	return targets
 }
 
 // median sorts vals in place and returns its median (NaN when empty).

@@ -307,19 +307,24 @@ func TestSchemeDroppedUploads(t *testing.T) {
 	}
 	model := polyActivationModel(t, 1, 8)
 	ups := roundUploads(t, s, model, nil)
-	// Drop 10 vehicles entirely plus scattered scalars: K=8, the 20
-	// surviving vehicles still verify and aggregate.
+	// 10 vehicles are absent: K=8, the 20 present vehicles still verify
+	// and aggregate. A NaN is not an absence: one vehicle sends it as half
+	// of a verification symbol and is located, another as a learning
+	// estimate and breaks the range rule; both are excluded.
 	for i := 0; i < 10; i++ {
 		ups[i] = nil
 	}
-	ups[15][0] = fl.Dropped             // half of a verification symbol
-	ups[16][2*s.Slots()+1] = fl.Dropped // learning scalar
+	ups[15][0] = math.NaN()
+	ups[16][2*s.Slots()+1] = math.NaN()
 	targets, err := s.Aggregate(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.DecodeFailures != 0 {
-		t.Fatalf("%d decode failures with 20 survivors and K=8", s.DecodeFailures)
+		t.Fatalf("%d decode failures with 20 present and K=8", s.DecodeFailures)
+	}
+	if got := s.SuspectedMalicious(); !slices.Equal(got, []int{15, 16}) {
+		t.Fatalf("flagged %v, want [15 16]", got)
 	}
 	for j, x := range ref {
 		want, err := model.EstimateClamped(x)
@@ -636,13 +641,14 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// perSlotReference is the oracle the batch and streamed decode paths are
-// pinned to: gather each verification slot's word the way Aggregate does,
-// decode it on its own with the one-shot reedsolomon.Decode at the present
-// vehicles' points, tally failures and flagged vehicles, and form the
-// targets from that verdict (verified mean, or the all-vehicle median once
-// more than half the slots are undecodable).
-func perSlotReference(t *testing.T, s *Scheme, ups [][]float64) (targets []float64, failures int, detected []int) {
+// perSlotReference is the oracle the streamed decode is pinned to:
+// gather each verification slot's word from the present uploads, decode
+// it on its own with the one-shot reedsolomon.Decode at the present
+// vehicles' points, tally failures and located vehicles, flag every
+// vehicle that sent a learning estimate outside [0, 1], and form the
+// targets from that verdict (the flagged-free mean, or the all-vehicle
+// median without NaN once more than half the slots are undecodable).
+func perSlotReference(t testing.TB, s *Scheme, ups [][]float64) (targets []float64, failures int, detected []int) {
 	t.Helper()
 	points := s.coder.Points()
 	detected = make([]int, s.cfg.NumVehicles)
@@ -650,7 +656,7 @@ func perSlotReference(t *testing.T, s *Scheme, ups [][]float64) (targets []float
 		var xs, ys []field.Element
 		var ids []int
 		for i, up := range ups {
-			if up == nil || fl.IsDropped(up[2*j]) || fl.IsDropped(up[2*j+1]) {
+			if up == nil {
 				continue
 			}
 			xs = append(xs, points[i])
@@ -673,14 +679,21 @@ func perSlotReference(t *testing.T, s *Scheme, ups [][]float64) (targets []float
 			detected[ids[idx]]++
 		}
 	}
-	degraded := 2*failures > s.slots
 	offset := 2 * s.slots
+	for i, up := range ups {
+		if up != nil && slices.ContainsFunc(up[offset:], func(v float64) bool {
+			return math.IsNaN(v) || v < 0 || v > 1
+		}) {
+			detected[i]++
+		}
+	}
+	degraded := 2*failures > s.slots
 	targets = make([]float64, len(s.refX))
 	for j := range targets {
 		var vals []float64
 		var sum float64
 		for i, up := range ups {
-			if up == nil || fl.IsDropped(up[offset+j]) || (!degraded && detected[i] > 0) {
+			if up == nil || (degraded && math.IsNaN(up[offset+j])) || (!degraded && detected[i] > 0) {
 				continue
 			}
 			vals = append(vals, up[offset+j])
@@ -704,7 +717,7 @@ func perSlotReference(t *testing.T, s *Scheme, ups [][]float64) (targets []float
 // and requires each to match the per-slot reference bit for bit: targets
 // (via Float64bits, so NaN fallbacks compare too), DecodeFailures and
 // DetectedMalicious.
-func assertAggregateEquivalent(t *testing.T, s *Scheme, ups [][]float64) []float64 {
+func assertAggregateEquivalent(t testing.TB, s *Scheme, ups [][]float64) []float64 {
 	t.Helper()
 	wantT, wantFailures, wantDetected := perSlotReference(t, s, ups)
 	check := func(entry string, gotT []float64) {
@@ -771,8 +784,9 @@ func TestSchemeBatchEquivalence(t *testing.T) {
 }
 
 func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
-	// Straggler rounds: dropped vehicles and scattered dropped scalars give
-	// slots different presence masks, exercising the group-by-mask path.
+	// Straggler rounds: absent vehicles change the point set the round
+	// decodes on, some present vehicles send NaN in one verification half
+	// (a wrong symbol, located) and some lie wholesale.
 	ref := refFeatures(t, 8*4)
 	const v, m, degree = 40, 8, 1 // K=8, generous slack for drops
 	model := polyActivationModel(t, degree, 23)
@@ -784,15 +798,13 @@ func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		ups := roundUploads(t, batch, model, nil)
-		for _, id := range rng.Perm(v)[:3] {
+		for _, id := range rng.Perm(v)[:3+trial] {
 			ups[id] = nil
 		}
-		// Per-value drops: distinct masks across slots.
 		for d := 0; d < 6; d++ {
-			if ups[4+d] == nil {
-				continue
+			if ups[4+d] != nil {
+				ups[4+d][2*rng.Intn(batch.Slots())+rng.Intn(2)] = math.NaN()
 			}
-			ups[4+d][2*rng.Intn(batch.Slots())] = fl.Dropped
 		}
 		for _, id := range rng.Perm(v)[:4] {
 			if ups[id] == nil {
@@ -803,6 +815,14 @@ func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
 			}
 		}
 		assertAggregateEquivalent(t, batch, ups)
+		if batch.DecodeFailures != 0 {
+			t.Fatalf("trial %d: %d decode failures within budget", trial, batch.DecodeFailures)
+		}
+		for d := 0; d < 6; d++ {
+			if ups[4+d] != nil && batch.DetectedMalicious[4+d] == 0 {
+				t.Fatalf("trial %d: vehicle %d sent a NaN half and was not flagged", trial, 4+d)
+			}
+		}
 	}
 }
 
@@ -929,11 +949,11 @@ func TestUploadLearningChannelIsPerRowEstimate(t *testing.T) {
 // walks it upload by upload — to perSlotReference's sample-by-sample walk
 // bit for bit, on rounds where the order of summation shows: every
 // vehicle's learning values differ, some uploads are nil, some vehicles
-// lie wholesale and are flagged, learning scalars are dropped at random,
-// one sample is dropped by everyone and one by everyone who is not
-// flagged (both come out as fl.Dropped). A final leg puts the liars over
-// the eq. 6 budget so the per-sample median, on its reused scratch, is
-// compared the same way.
+// lie wholesale and are located, and two vehicles with an honest
+// verification channel send one learning value outside [0, 1] (a NaN and
+// 1.5) and are excluded by the range rule. A final leg puts the liars over
+// the eq. 6 budget so the per-sample median, on its reused scratch and
+// without the NaN, is compared the same way.
 func TestAggregateMeanMatchesColumnMajor(t *testing.T) {
 	const v, m, degree = 24, 4, 1 // K = 4, E = 10
 	ref := refFeatures(t, m*6)
@@ -964,35 +984,21 @@ func TestAggregateMeanMatchesColumnMajor(t *testing.T) {
 					}
 				}
 			}
-			for d := 0; d < 40; d++ {
-				if up := ups[rng.Intn(v)]; up != nil {
-					up[offset+rng.Intn(len(ref))] = fl.Dropped
-				}
-			}
-			for i, up := range ups {
-				if up == nil {
-					continue
-				}
-				up[offset+3] = fl.Dropped
-				if !slices.Contains(lying, i) {
-					up[offset+7] = fl.Dropped
-				}
-			}
+			breakers := perm[liars : liars+2]
+			ups[breakers[0]][offset+3] = math.NaN()
+			ups[breakers[1]][offset+7] = 1.5
 			targets := assertAggregateEquivalent(t, s, ups)
 			degraded := 2*s.DecodeFailures > s.Slots()
 			if degraded != (liars == v-2) {
 				t.Fatalf("%d liars: %d of %d slots undecodable", liars, s.DecodeFailures, s.Slots())
 			}
-			if !degraded && len(s.SuspectedMalicious()) != liars {
-				t.Fatalf("%d liars: flagged %v", liars, s.SuspectedMalicious())
+			want := slices.Clone(perm[:liars+2])
+			slices.Sort(want)
+			if !degraded && !slices.Equal(s.SuspectedMalicious(), want) {
+				t.Fatalf("%d liars: flagged %v, want %v", liars, s.SuspectedMalicious(), want)
 			}
-			if !fl.IsDropped(targets[3]) {
-				t.Fatalf("%d liars: sample 3 dropped by every vehicle, target %v", liars, targets[3])
-			}
-			// Sample 7 is held by the liars alone: nothing once they are
-			// excluded, their median when verification is unusable.
-			if fl.IsDropped(targets[7]) != (!degraded || liars == 0) {
-				t.Fatalf("%d liars (degraded %v): sample 7 target %v", liars, degraded, targets[7])
+			if fl.IsDropped(targets[3]) {
+				t.Fatalf("%d liars (degraded %v): sample 3 target %v", liars, degraded, targets[3])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestObsStreamedAdversarialRounds(t *testing.T) {
 			order[id] = id // liars hold the lowest IDs, so they arrive first
 		}
 		streamedAggregate(t, s, ups, order)
-		if s.BatchFallbacks != r.fallbacks || !equalIDs(s.SuspectedMalicious(), r.liars) {
+		if s.BatchFallbacks != r.fallbacks || !slices.Equal(s.SuspectedMalicious(), r.liars) {
 			t.Fatalf("round %d: %d slots rejected, flagged %v; want %d, %v",
 				i, s.BatchFallbacks, s.SuspectedMalicious(), r.fallbacks, r.liars)
 		}

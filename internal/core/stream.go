@@ -10,24 +10,28 @@ import (
 
 // Streaming aggregation (DESIGN.md §14).
 //
-// The pipelined round engine hands the scheme each upload as it arrives;
-// the scheme feeds the verification symbols into an incremental
-// Reed–Solomon decoder so the interpolation work is already paid when
-// the collection window closes. AggregateStreamed then runs the normal
-// Aggregate, except that the one presence group whose vehicle set equals
-// the ingested set is finalised from the streamed state instead of
-// re-decoded from scratch. The incremental decoder is bit-identical to
-// DecodeBatchAt over the same positions (reedsolomon/incremental.go), and
-// every group that does not exactly match the ingested set falls back to
-// the ordinary batch path, so AggregateStreamed(sink, uploads) ==
+// Every round is decoded once, through a RoundIngest. The pipelined round
+// engine hands the scheme each upload as it arrives, and the scheme feeds
+// the verification symbols into an incremental Reed–Solomon decoder, so
+// the interpolation work is already paid when the collection window
+// closes; AggregateStreamed then finishes the round on that state.
+// Aggregate ingests the rows itself, in vehicle-ID order, and finishes
+// the same way. The decoder's result does not depend on arrival order
+// (reedsolomon/incremental.go), so AggregateStreamed(sink, uploads) ==
 // Aggregate(uploads) bit for bit, always.
+//
+// An upload is whole or absent: a nil row is a vehicle the round did not
+// hear from, and every value of a present row is taken as sent. A NaN or
+// an infinity in a verification half is a wrong symbol like any other
+// (floatsToSymbol), which the decoder locates; in the learning channel it
+// breaks the range rule Add checks.
 //
 // Vehicles the previous Aggregate flagged are ingested last, whatever
 // their arrival order: the decoder's candidate is interpolated from its
 // first K arrivals, and a persistent liar kept out of them is a mere
 // mismatch of an accepted candidate instead of the reason every slot is
-// rejected and its errors located again. The decoder's result does not
-// depend on arrival order, so the reordering cannot change an aggregate.
+// rejected and its errors located again. The reordering cannot change an
+// aggregate.
 
 // RoundIngest absorbs one round's uploads incrementally. It implements
 // fl.UploadSink; get it from Scheme.BeginIngest and consume it with
@@ -37,9 +41,12 @@ import (
 type RoundIngest struct {
 	s       *Scheme
 	inc     *reedsolomon.IncrementalDecoder
-	present []bool // ingested vehicles (full verification words only)
+	present []bool // ingested vehicles
 	count   int
 	syms    []field.Element // per-Add scratch, one symbol per slot
+	// outOfRange lists the ingested vehicles with a learning value outside
+	// [0, 1].
+	outOfRange []int
 	// suspect aliases the scheme's DetectedMalicious, which holds the
 	// previous Aggregate's counts until this round's Aggregate rewrites
 	// it — after every Add, since the sink is handed over with that call.
@@ -59,7 +66,9 @@ type deferredUpload struct {
 // the scheme's one sink, which invalidates the previous round's sink and
 // the decode results it produced. Feed it via Add and hand it back
 // through AggregateStreamed.
-func (s *Scheme) BeginIngest() fl.UploadSink {
+func (s *Scheme) BeginIngest() fl.UploadSink { return s.beginIngest() }
+
+func (s *Scheme) beginIngest() *RoundIngest {
 	r := s.ingest
 	if r == nil {
 		r = &RoundIngest{
@@ -73,6 +82,7 @@ func (s *Scheme) BeginIngest() fl.UploadSink {
 		r.inc.Reset()
 		clear(r.present)
 		r.count = 0
+		r.outOfRange = r.outOfRange[:0]
 		clear(r.deferred) // hold no row of the last round
 		r.deferred = r.deferred[:0]
 	}
@@ -80,12 +90,9 @@ func (s *Scheme) BeginIngest() fl.UploadSink {
 	return r
 }
 
-// Add implements fl.UploadSink. It parses the upload's verification
-// channel and streams it into the incremental decoder. A vehicle with
-// ANY dropped verification half is skipped entirely (per-value drops
-// give slots differing vehicle sets, which the grouped batch path
-// handles); skipping here only moves that work back to Aggregate, it
-// never changes results.
+// Add implements fl.UploadSink. It checks the upload's learning channel
+// against the range rule and streams its verification channel into the
+// incremental decoder.
 func (r *RoundIngest) Add(vehicleID int, upload []float64) error {
 	s := r.s
 	if vehicleID < 0 || vehicleID >= s.cfg.NumVehicles {
@@ -100,9 +107,10 @@ func (r *RoundIngest) Add(vehicleID int, upload []float64) error {
 	if r.present[vehicleID] {
 		return fmt.Errorf("core: vehicle %d ingested twice", vehicleID)
 	}
-	for j := 0; j < s.slots; j++ {
-		if fl.IsDropped(upload[2*j]) || fl.IsDropped(upload[2*j+1]) {
-			return nil
+	for _, v := range upload[2*s.slots:] {
+		if !(v >= 0 && v <= 1) { // NaN too
+			r.outOfRange = append(r.outOfRange, vehicleID)
+			break
 		}
 	}
 	if len(r.suspect) > 0 && r.suspect[vehicleID] > 0 {
@@ -126,39 +134,45 @@ func (r *RoundIngest) ingest(vehicleID int, upload []float64) error {
 	return r.inc.Ingest(vehicleID, r.syms)
 }
 
-// flush ingests the deferred uploads, after everyone else's. Add already
-// validated them, so a failure is a bug; it is reported so the caller
-// leaves the streamed state unused rather than finalising a short word.
-func (r *RoundIngest) flush() bool {
+// flush ingests the deferred uploads, after everyone else's, and forgets
+// them, so finishing the same round twice finalizes the same words. Add
+// already validated them, so a failure is a bug.
+func (r *RoundIngest) flush() error {
 	for _, d := range r.deferred {
-		if r.ingest(d.id, d.row) != nil {
-			return false
+		if err := r.ingest(d.id, d.row); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
-	return true
+	clear(r.deferred)
+	r.deferred = r.deferred[:0]
+	return nil
 }
 
-// matches reports whether the ingested vehicle set equals the given
-// strictly-increasing ID list.
-func (r *RoundIngest) matches(ids []int) bool {
-	if len(ids) != r.count {
-		return false
-	}
-	for _, id := range ids {
-		if !r.present[id] {
-			return false
+// holds reports whether the ingested vehicles are exactly the non-nil
+// rows of uploads.
+func (r *RoundIngest) holds(uploads [][]float64) bool {
+	n := 0
+	for i, up := range uploads {
+		if up != nil {
+			if !r.present[i] {
+				return false
+			}
+			n++
 		}
 	}
-	return true
+	return n == r.count
 }
 
-// AggregateStreamed implements fl.StreamingAggregator: Aggregate, with
-// the streamed state consumed where it applies. Results are bit-identical
-// to Aggregate(uploads) for any ingest subset and arrival order.
+// AggregateStreamed implements fl.StreamingAggregator: the round is
+// finished on the streamed state when sink is this scheme's and holds
+// exactly the present rows, and aggregated afresh otherwise. Results are
+// bit-identical to Aggregate(uploads) for any arrival order.
 func (s *Scheme) AggregateStreamed(sink fl.UploadSink, uploads [][]float64) ([]float64, error) {
-	if ri, ok := sink.(*RoundIngest); ok && ri.s == s {
-		s.pendingIngest = ri
-		defer func() { s.pendingIngest = nil }()
+	if err := s.checkUploads(uploads); err != nil {
+		return nil, err
 	}
-	return s.Aggregate(uploads)
+	if r, ok := sink.(*RoundIngest); ok && r.s == s && r.holds(uploads) {
+		return s.finish(r, uploads, s.obs.Now())
+	}
+	return s.aggregate(uploads)
 }

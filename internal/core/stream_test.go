@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fl"
@@ -12,7 +13,7 @@ import (
 // streamedAggregate runs AggregateStreamed after ingesting the uploads
 // in the given arrival order, mirroring what the pipelined round engine
 // does with its receive stream.
-func streamedAggregate(t *testing.T, s *Scheme, ups [][]float64, order []int) []float64 {
+func streamedAggregate(t testing.TB, s *Scheme, ups [][]float64, order []int) []float64 {
 	t.Helper()
 	sink := s.BeginIngest()
 	for _, id := range order {
@@ -89,10 +90,10 @@ func TestAggregateStreamedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAggregateStreamedPartialDrops pins that per-value drops — slots
-// seeing different vehicle subsets, where the streamed state cannot
-// match any presence group — silently fall back to the batch path with
-// identical results.
+// TestAggregateStreamedPartialDrops pins the close of a round whose sink
+// does not hold exactly the present rows — a row missing from the ingest,
+// or ingested but absent from the rows — and a repeated close of a
+// finished round: each is aggregated afresh, bit-identical to Aggregate.
 func TestAggregateStreamedPartialDrops(t *testing.T) {
 	ref := refFeatures(t, 8*4)
 	const v, m, degree = 40, 8, 1
@@ -109,20 +110,40 @@ func TestAggregateStreamedPartialDrops(t *testing.T) {
 	}
 	for trial := 0; trial < 4; trial++ {
 		ups := roundUploads(t, streamed, model, nil)
-		// Scatter per-value verification drops so masks differ by slot.
-		for i := 0; i < 6; i++ {
-			id := rng.Intn(v)
-			slot := rng.Intn(streamed.Slots())
-			ups[id][2*slot] = fl.Dropped
+		lieWholesale(ups, rng.Perm(v)[:3])
+		order := rng.Perm(v)
+		sink := streamed.BeginIngest()
+		for _, id := range order[1:] { // order[0] is never ingested
+			if err := sink.Add(id, ups[id]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		gotT := streamedAggregate(t, streamed, ups, rng.Perm(v))
-		wantT, err := plain.Aggregate(ups)
+		rows := ups
+		if trial%2 == 1 {
+			// Ingest order[0] too, then hand over rows without order[0] and
+			// order[1]: the sink holds rows the close never sees.
+			if err := sink.Add(order[0], ups[order[0]]); err != nil {
+				t.Fatal(err)
+			}
+			rows = slices.Clone(ups)
+			rows[order[0]], rows[order[1]] = nil, nil
+		}
+		wantT, err := plain.Aggregate(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range wantT {
-			if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
-				t.Fatalf("trial %d target[%d]: streamed %g, plain %g", trial, j, gotT[j], wantT[j])
+		for pass := 0; pass < 2; pass++ {
+			gotT, err := streamed.AggregateStreamed(sink, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range wantT {
+				if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
+					t.Fatalf("trial %d pass %d target[%d]: streamed %g, plain %g", trial, pass, j, gotT[j], wantT[j])
+				}
+			}
+			if !slices.Equal(streamed.DetectedMalicious, plain.DetectedMalicious) {
+				t.Fatalf("trial %d pass %d: DetectedMalicious %v, plain %v", trial, pass, streamed.DetectedMalicious, plain.DetectedMalicious)
 			}
 		}
 	}
@@ -218,7 +239,7 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 			liars     []int // lie this round
 			first     []int // arrive first, in this order; the rest follow by ID
 			absent    []int
-			halfDrop  int // vehicle with one dropped verification half, or -1
+			nanHalf   int // vehicle sending NaN as one verification half, or -1
 			fallbacks int // rejected slots expected of the streamed decode; -1 when it is not the path taken or not determined
 		}{
 			{"first-time liars in the basis", []int{3, 7, 11}, []int{11, 3, 7}, nil, -1, S},
@@ -226,7 +247,7 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 			{"persistent liars arrive last", []int{3, 7, 11}, nil, nil, -1, 0},
 			{"a liar turned honest", []int{3, 11}, []int{3, 7, 11}, nil, -1, 0},
 			{"a first-time liar joins", []int{3, 11, 20}, []int{20, 3, 11}, nil, -1, S},
-			{"suspect with a dropped half", []int{3, 11, 20}, []int{3, 11, 20}, nil, 11, -1},
+			{"a suspect sends a NaN half", []int{3, 11, 20}, []int{3, 11, 20}, nil, 11, 0},
 			{"liars at the budget", many, many, nil, -1, S},
 			{"K-1 clean arrivals, an honest suspect completes the basis", []int{0, 1}, reversed, absent, -1, 0},
 			{"liars at the budget again", many, many, nil, -1, S},
@@ -241,8 +262,8 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 			for _, id := range r.absent {
 				ups[id] = nil
 			}
-			if r.halfDrop >= 0 {
-				ups[r.halfDrop][1] = fl.Dropped
+			if r.nanHalf >= 0 {
+				ups[r.nanHalf][1] = math.NaN()
 			}
 			order := append([]int(nil), r.first...)
 			isFirst := make(map[int]bool)
@@ -267,10 +288,10 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 			if streamed.DecodeFailures != plain.DecodeFailures {
 				t.Fatalf("%s: DecodeFailures: streamed %d, plain %d", label, streamed.DecodeFailures, plain.DecodeFailures)
 			}
-			if got, want := streamed.SuspectedMalicious(), plain.SuspectedMalicious(); !equalIDs(got, want) {
+			if got, want := streamed.SuspectedMalicious(), plain.SuspectedMalicious(); !slices.Equal(got, want) {
 				t.Fatalf("%s: SuspectedMalicious: streamed %v, plain %v", label, got, want)
 			}
-			if got := streamed.SuspectedMalicious(); r.halfDrop < 0 && !equalIDs(got, r.liars) {
+			if got := streamed.SuspectedMalicious(); !slices.Equal(got, r.liars) {
 				t.Fatalf("%s: flagged %v, want the liars %v", label, got, r.liars)
 			}
 			if r.fallbacks >= 0 && streamed.BatchFallbacks != r.fallbacks {

@@ -12,7 +12,8 @@
 //     trained model — what exactly it uploads is the pluggable Scheme
 //     (plain per-sample estimates, Lagrange-encoded estimates, …);
 //     malicious vehicles corrupt their upload (package adversary) and the
-//     wireless channel may perturb or drop scalars (package channel);
+//     wireless channel may corrupt values or lose the upload whole
+//     (package channel);
 //  4. the fusion centre aggregates the received uploads into per-
 //     reference-sample estimation targets (the Scheme again: plain
 //     averaging per eq. 2, or Reed–Solomon decoding for L-CoFL) and
@@ -45,11 +46,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// Dropped is the sentinel for a scalar lost on the wireless channel.
-// Aggregators must skip NaN values.
+// Dropped is the target of a reference sample no upload estimated, for
+// example in a round that heard from no vehicle; the fit leaves such a
+// sample out. It marks targets only: an upload is whole or absent, and a
+// NaN inside one is a value like any other.
 var Dropped = math.NaN()
 
-// IsDropped reports whether an uploaded scalar was lost in transit.
+// IsDropped reports whether an aggregated target is Dropped.
 func IsDropped(v float64) bool { return math.IsNaN(v) }
 
 // Config parameterises a System.
@@ -84,7 +87,7 @@ type Config struct {
 	// Seed makes the whole system deterministic.
 	Seed int64
 	// Obs attaches the observability layer: per-round spans, per-vehicle
-	// training timings and drop counters. Nil (the default) disables all
+	// training timings and the lost-upload counter. Nil (the default) disables all
 	// instrumentation at near-zero cost.
 	Obs *obs.Obs
 }
@@ -184,7 +187,7 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
 		s.cRounds = cfg.Obs.Counter("fl.rounds")
-		s.cDropped = cfg.Obs.Counter("fl.dropped_scalars")
+		s.cDropped = cfg.Obs.Counter("fl.dropped_uploads")
 		s.hTrainNs = cfg.Obs.Histogram("fl.train_ns", obs.LatencyBuckets())
 		if cfg.Obs.TraceEnabled() {
 			s.trace = obs.TraceIDFromSeed(cfg.Seed)
@@ -232,9 +235,10 @@ type Scheme interface {
 	// fusion centre from its locally-trained model. Coded schemes depend
 	// on the ID: vehicle i evaluates at its own point ρ_i.
 	Upload(vehicleID int, model *nn.Network) ([]float64, error)
-	// Aggregate combines the received uploads (row per vehicle; Dropped
-	// marks lost scalars) into one estimation target per reference
-	// sample, in reference order.
+	// Aggregate combines the received uploads, one row per vehicle, into
+	// one estimation target per reference sample, in reference order. A
+	// nil row marks an absent vehicle; every other row is a whole upload,
+	// each value as the vehicle sent it.
 	Aggregate(uploads [][]float64) ([]float64, error)
 }
 
@@ -273,8 +277,9 @@ type RoundStats struct {
 	Targets []float64
 	// DistillLoss is the shared model's final distillation loss.
 	DistillLoss float64
-	// DroppedScalars counts channel losses this round.
-	DroppedScalars int
+	// DroppedUploads counts the vehicles whose upload the channel lost
+	// this round.
+	DroppedUploads int
 }
 
 // RunRound executes one global round under the given scheme, adversary
@@ -368,29 +373,25 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	}
 
 	// Step 3b: adversary and channel, applied SEQUENTIALLY in vehicle
-	// order. The channel models consume shared seeded RNG streams whose
-	// draw order is part of the reproducibility contract; keeping this
-	// cheap scalar pass off the pool preserves the exact sequential stream
-	// at every worker count.
+	// order, in place on each vehicle's fresh upload. The channel models
+	// consume shared seeded RNG streams whose draw order is part of the
+	// reproducibility contract; keeping this cheap pass off the pool
+	// preserves the exact sequential stream at every worker count. A lost
+	// upload leaves its vehicle's row nil.
 	var lossSum float64
 	for i, v := range s.vehicles {
 		lossSum += losses[i]
-		up := honest[i]
-		sent := make([]float64, len(up))
-		for j, h := range up {
-			val := h
-			if plan != nil {
-				val = plan.Apply(v.ID, val)
-			}
-			rec := ch.Transmit(v.ID, val)
-			if rec.Dropped {
-				sent[j] = Dropped
-				stats.DroppedScalars++
-			} else {
-				sent[j] = rec.Value
+		sent := honest[i]
+		if plan != nil {
+			for j, h := range sent {
+				sent[j] = plan.Apply(v.ID, h)
 			}
 		}
-		uploads[v.ID] = sent
+		if ch.Transmit(v.ID, sent) {
+			uploads[v.ID] = sent
+		} else {
+			stats.DroppedUploads++
+		}
 	}
 	stats.MeanLocalLoss = lossSum / float64(len(s.vehicles))
 
@@ -415,12 +416,12 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	s.round++
 	if s.obs.Enabled() {
 		s.cRounds.Inc()
-		s.cDropped.Add(int64(stats.DroppedScalars))
+		s.cDropped.Add(int64(stats.DroppedUploads))
 	}
 	roundSpan.End(
 		obs.F("mean_local_loss", stats.MeanLocalLoss),
 		obs.F("distill_loss", stats.DistillLoss),
-		obs.F("dropped_scalars", stats.DroppedScalars))
+		obs.F("dropped_uploads", stats.DroppedUploads))
 	return stats, nil
 }
 

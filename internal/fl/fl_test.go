@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/approx"
-	"repro/internal/channel"
 	"repro/internal/nn"
 	"repro/internal/traffic"
 )
@@ -178,22 +177,49 @@ func TestRunRoundMaliciousDegradesPlain(t *testing.T) {
 	}
 }
 
+// loseUploads is a channel that loses the listed vehicles' uploads whole
+// and delivers the rest untouched.
+type loseUploads map[int]bool
+
+func (loseUploads) Name() string { return "lose" }
+
+func (l loseUploads) Transmit(vehicle int, _ []float64) bool { return !l[vehicle] }
+
+// absentSpy is a PlainScheme that records which rows its Aggregate was
+// handed absent.
+type absentSpy struct {
+	*PlainScheme
+	absent []int
+}
+
+func (a *absentSpy) Aggregate(uploads [][]float64) ([]float64, error) {
+	a.absent = a.absent[:0]
+	for i, up := range uploads {
+		if up == nil {
+			a.absent = append(a.absent, i)
+		}
+	}
+	return a.PlainScheme.Aggregate(uploads)
+}
+
+// TestRunRoundChannelDrops: an upload the channel loses is a nil row in
+// the aggregation, and the round counts its vehicle once.
 func TestRunRoundChannelDrops(t *testing.T) {
 	sys, _ := buildSystem(t, 6, approx.SymmetricSigmoid())
-	scheme, err := NewPlainScheme(sys.ReferenceFeatures())
+	plain, err := NewPlainScheme(sys.ReferenceFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := channel.NewErasure(0.5, 7)
+	spy := &absentSpy{PlainScheme: plain}
+	stats, err := sys.RunRound(spy, nil, loseUploads{1: true, 4: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := sys.RunRound(scheme, nil, er)
-	if err != nil {
-		t.Fatal(err)
+	if stats.DroppedUploads != 2 {
+		t.Errorf("DroppedUploads = %d, want 2", stats.DroppedUploads)
 	}
-	if stats.DroppedScalars == 0 {
-		t.Error("no scalars dropped at p=0.5")
+	if len(spy.absent) != 2 || spy.absent[0] != 1 || spy.absent[1] != 4 {
+		t.Errorf("aggregation saw absent rows %v, want [1 4]", spy.absent)
 	}
 }
 
@@ -211,19 +237,23 @@ func TestPlainSchemeAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	uploads := [][]float64{
-		{0.2, Dropped},
-		{0.4, Dropped},
+		{0.2, 0.5},
+		{0.4, 1},
 		nil, // absent vehicle
 	}
 	got, err := scheme.Aggregate(uploads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got[0]-0.3) > 1e-12 {
-		t.Errorf("mean = %g, want 0.3", got[0])
+	if math.Abs(got[0]-0.3) > 1e-12 || got[1] != 0.75 {
+		t.Errorf("means = %v, want [0.3 0.75]", got)
 	}
-	if !IsDropped(got[1]) {
-		t.Errorf("fully-dropped sample aggregated to %g", got[1])
+	got, err = scheme.Aggregate([][]float64{nil, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsDropped(got[0]) || !IsDropped(got[1]) {
+		t.Errorf("a round with no vehicle present aggregated to %v", got)
 	}
 	if _, err := scheme.Aggregate([][]float64{{1, 2, 3}}); err == nil {
 		t.Error("wrong upload width accepted")

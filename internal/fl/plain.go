@@ -46,35 +46,30 @@ func (p *PlainScheme) Upload(_ int, model *nn.Network) ([]float64, error) {
 	return out, nil
 }
 
-// Aggregate implements Scheme: the per-sample mean of received estimates,
-// skipping dropped scalars. A sample with no surviving estimate at all
-// aggregates to Dropped.
+// Aggregate implements Scheme: the per-sample mean of the present
+// vehicles' estimates. A round with no vehicle present aggregates every
+// sample to Dropped.
 func (p *PlainScheme) Aggregate(uploads [][]float64) ([]float64, error) {
-	n := len(p.refX)
-	sums := make([]float64, n)
-	counts := make([]int, n)
+	out := make([]float64, len(p.refX))
+	present := 0
 	for v, up := range uploads {
 		if up == nil {
-			continue // vehicle entirely absent this round
+			continue // vehicle absent this round
 		}
-		if len(up) != n {
-			return nil, fmt.Errorf("fl: vehicle %d uploaded %d values, want %d", v, len(up), n)
+		if len(up) != len(out) {
+			return nil, fmt.Errorf("fl: vehicle %d uploaded %d values, want %d", v, len(up), len(out))
 		}
+		present++
 		for j, val := range up {
-			if IsDropped(val) {
-				continue
-			}
-			sums[j] += val
-			counts[j]++
+			out[j] += val
 		}
 	}
-	out := make([]float64, n)
 	for j := range out {
-		if counts[j] == 0 {
+		if present == 0 {
 			out[j] = Dropped
-			continue
+		} else {
+			out[j] /= float64(present)
 		}
-		out[j] = sums[j] / float64(counts[j])
 	}
 	return out, nil
 }

@@ -8,11 +8,10 @@ import (
 
 // CoverageChannel is a channel.Model driven by the mobility scenario:
 // a vehicle outside every station's coverage this round cannot deliver
-// anything (all its scalars drop — it is a straggler), and reachable
-// vehicles' transmissions pass through the wrapped inner model (perfect
-// when nil). It implements the optional RoundStart hook that the FL round
-// engine calls once per global round, advancing the mobility simulation
-// exactly one step per round.
+// its upload (it is a straggler), and reachable vehicles' uploads pass
+// through the wrapped inner model (perfect when nil). It implements the
+// optional RoundStart hook that the FL round engine calls once per global
+// round, advancing the mobility simulation exactly one step per round.
 type CoverageChannel struct {
 	scenario *Scenario
 	inner    channel.Model
@@ -47,11 +46,11 @@ func (c *CoverageChannel) RoundStart() {
 	c.assoc = c.scenario.Associations()
 }
 
-// Transmit implements channel.Model: out-of-coverage vehicles drop
-// everything; the rest pass through the inner model.
-func (c *CoverageChannel) Transmit(vehicle int, v float64) channel.Reception {
+// Transmit implements channel.Model: an out-of-coverage vehicle's upload
+// is lost, without reaching the inner model; the rest pass through it.
+func (c *CoverageChannel) Transmit(vehicle int, upload []float64) bool {
 	if vehicle < 0 || vehicle >= len(c.assoc) || !c.assoc[vehicle].Reachable {
-		return channel.Reception{Dropped: true}
+		return false
 	}
-	return c.inner.Transmit(vehicle, v)
+	return c.inner.Transmit(vehicle, upload)
 }

@@ -193,34 +193,50 @@ func TestPositionDist(t *testing.T) {
 	}
 }
 
+// countingModel is a perfect inner channel that counts the uploads it
+// is handed.
+type countingModel struct{ calls int }
+
+func (*countingModel) Name() string { return "counting" }
+
+func (m *countingModel) Transmit(int, []float64) bool {
+	m.calls++
+	return true
+}
+
 func TestCoverageChannel(t *testing.T) {
 	s, err := NewScenario(DefaultConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := NewCoverageChannel(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewCoverageChannel(nil, nil); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if cc.Name() != "coverage(perfect)" {
+	if perfect, err := NewCoverageChannel(s, nil); err != nil || perfect.Name() != "coverage(perfect)" {
+		t.Fatalf("nil inner: %v, %v", perfect, err)
+	}
+	inner := &countingModel{}
+	cc, err := NewCoverageChannel(s, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.Name() != "coverage(counting)" {
 		t.Errorf("Name = %q", cc.Name())
 	}
 	// Initially everyone is inside the fusion centre's coverage.
 	if got := cc.ReachableCount(); got != 100 {
 		t.Errorf("initial reachable = %d", got)
 	}
-	r := cc.Transmit(0, 1.5)
-	if r.Dropped || r.Value != 1.5 {
-		t.Errorf("in-coverage transmit = %+v", r)
+	up := []float64{1.5, 0.25}
+	if !cc.Transmit(0, up) || up[0] != 1.5 || up[1] != 0.25 || inner.calls != 1 {
+		t.Errorf("in-coverage transmit: upload %v, inner calls %d", up, inner.calls)
 	}
-	if got := cc.Transmit(-1, 1); !got.Dropped {
-		t.Error("out-of-range vehicle not dropped")
+	if cc.Transmit(-1, up) || inner.calls != 1 {
+		t.Errorf("out-of-range vehicle delivered (inner calls %d)", inner.calls)
 	}
-	// Advance mobility until someone leaves coverage; their transmissions
-	// must drop while reachable vehicles still pass.
+	// Advance mobility until someone leaves coverage; their uploads must
+	// be lost whole, without reaching the inner model, while reachable
+	// vehicles' uploads still pass.
 	rounds := 0
 	for cc.ReachableCount() == 100 && rounds < 500 {
 		cc.RoundStart()
@@ -229,20 +245,22 @@ func TestCoverageChannel(t *testing.T) {
 	if cc.ReachableCount() == 100 {
 		t.Skip("no vehicle left coverage within 500 rounds (unusual seed)")
 	}
-	var dropped, passed bool
+	inner.calls = 0
+	passed := 0
 	for i := 0; i < 100; i++ {
-		r := cc.Transmit(i, 2)
-		if r.Dropped {
-			dropped = true
-		} else {
-			passed = true
-			if r.Value != 2 {
-				t.Errorf("value perturbed by perfect inner channel: %g", r.Value)
+		up := []float64{2}
+		if cc.Transmit(i, up) {
+			passed++
+			if up[0] != 2 {
+				t.Errorf("value perturbed by a perfect inner channel: %g", up[0])
 			}
 		}
 	}
-	if !dropped || !passed {
-		t.Errorf("expected a mix of drops and passes (dropped=%v passed=%v)", dropped, passed)
+	if passed == 0 || passed == 100 || passed != cc.ReachableCount() {
+		t.Errorf("%d uploads passed, %d vehicles reachable: want a mix, equal", passed, cc.ReachableCount())
+	}
+	if inner.calls != passed {
+		t.Errorf("inner model handed %d uploads, %d passed", inner.calls, passed)
 	}
 	if s.Round() != rounds {
 		t.Errorf("RoundStart advanced %d mobility steps, scenario saw %d", rounds, s.Round())

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -28,6 +29,7 @@ type engineCase struct {
 	deferred  bool          // the last two vehicles always upload a round late, WaitBudget=2
 	malformed bool          // malformedVehicle sends every upload one value short
 	flood     bool          // floodVehicle floods the wire around every upload (floodConn)
+	hostile   bool          // hostileVehicles rewrite every upload (hostileConn)
 }
 
 // malformedVehicle is the malformed case's short-uploading vehicle.
@@ -35,6 +37,11 @@ const malformedVehicle = 3
 
 // floodVehicle is the flood case's hostile vehicle.
 const floodVehicle = 5
+
+// hostileVehicles are the hostile case's vehicles: the first sends NaN as
+// every verification half, the second +Inf as its first learning value.
+// Both must be flagged, the one located, the other out of range.
+var hostileVehicles = []int{2, 9}
 
 // The matrix's session shape: K = 8, so up to two lies are corrected.
 const engineVehicles, engineRounds = 12, 3
@@ -62,15 +69,17 @@ var crashCase = engineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1
 // fl.System, run on the same data, seeds and activation and shown only
 // the admitted uploads, must end every session on bit-identical
 // parameters and the same flagged vehicles — fault-free, with liars, under
-// chaos faults, with a budget close excluding two late vehicles, and with
-// a vehicle whose malformed uploads drop it from the session, at every
-// scheme worker count.
+// chaos faults, with a budget close excluding two late vehicles, with a
+// vehicle whose malformed uploads drop it from the session, and with two
+// vehicles whose well-formed uploads skip verification or leave [0, 1],
+// at every scheme worker count.
 func TestEngineMatchesSimulation(t *testing.T) {
 	matchSimulation(t, append([]engineCase{
 		{name: "honest"},
 		{name: "liars", malicious: 0.2},
 		{name: "deferred", deferred: true},
 		{name: "malformed", malformed: true},
+		{name: "hostile", hostile: true},
 	}, chaosCases...))
 }
 
@@ -105,7 +114,10 @@ func matchSimulation(t *testing.T, cases []engineCase) {
 			}
 			if first == nil {
 				first = rep
-				params, flagged := simulate(t, s, admitted)
+				if tc.hostile && !slices.Equal(rep.SuspectedMalicious, hostileVehicles) {
+					t.Errorf("%s: engine flagged %v, want %v", tc.name, rep.SuspectedMalicious, hostileVehicles)
+				}
+				params, flagged := simulate(t, s, admitted, tc.rewrite(s))
 				if !sameBits(rep.FinalParams, params) {
 					t.Errorf("%s: engine FinalParams diverged from the simulation's", tc.name)
 				}
@@ -164,6 +176,15 @@ func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
 		}
 		return s, rep
 	}
+	if tc.hostile {
+		rewrite := tc.rewrite(s)
+		return s, runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
+			if slices.Contains(hostileVehicles, i) {
+				return &hostileConn{Conn: c, id: i, rewrite: rewrite}
+			}
+			return c
+		}, -1)
+	}
 	if tc.malformed {
 		// The short upload is refused as a receive error: the vehicle is
 		// dropped, its connection closed, and the round goes on.
@@ -218,11 +239,32 @@ func (tc engineCase) admitted(t *testing.T) func(round, id int) bool {
 	return func(round, id int) bool { return !lost[[2]int{round, id}] }
 }
 
+// rewrite is the case's rewrite of vehicle id's upload values in place,
+// for the engine's conn wrapper and the simulation alike; nil when the
+// case rewrites nothing.
+func (tc engineCase) rewrite(s *session) func(id int, values []float64) {
+	if !tc.hostile {
+		return nil
+	}
+	offset := 2 * len(s.server.cfg.RefX) / s.server.cfg.Scheme.NumBatches
+	return func(id int, values []float64) {
+		switch id {
+		case hostileVehicles[0]:
+			for j := range values[:offset] {
+				values[j] = math.NaN()
+			}
+		case hostileVehicles[1]:
+			values[offset] = math.Inf(1)
+		}
+	}
+}
+
 // simulate runs the session's scenario through fl.System — the same
 // vehicle data, seeds, scheme, activation and liars — for engineRounds
-// rounds, each aggregating only the uploads admitted marks, and returns
-// the final parameters and every vehicle the scheme flagged, sorted.
-func simulate(t *testing.T, s *session, admitted func(round, id int) bool) ([]float64, []int) {
+// rounds, each aggregating only the uploads admitted marks, rewritten by
+// rewrite when it is not nil, and returns the final parameters and every
+// vehicle the scheme flagged, sorted.
+func simulate(t *testing.T, s *session, admitted func(round, id int) bool, rewrite func(id int, values []float64)) ([]float64, []int) {
 	t.Helper()
 	cfg := s.server.cfg
 	data := make([][]nn.Sample, len(s.clients))
@@ -238,7 +280,7 @@ func simulate(t *testing.T, s *session, admitted func(round, id int) bool) ([]fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked := &maskedScheme{Scheme: inner, admitted: admitted, flagged: map[int]bool{}}
+	masked := &maskedScheme{Scheme: inner, admitted: admitted, rewrite: rewrite, flagged: map[int]bool{}}
 	for r := 0; r < engineRounds; r++ {
 		if _, err := sys.RunRound(masked, s.plan, nil); err != nil {
 			t.Fatal(err)
@@ -253,12 +295,13 @@ func simulate(t *testing.T, s *session, admitted func(round, id int) bool) ([]fl
 }
 
 // maskedScheme is the simulation's admission mask: it hands the scheme
-// only the rows the engine admitted in the current round and collects the
-// vehicles the scheme flags.
+// only the rows the engine admitted in the current round, as the engine's
+// conn wrappers rewrote them, and collects the vehicles the scheme flags.
 type maskedScheme struct {
 	*core.Scheme
 	round    int
 	admitted func(round, id int) bool
+	rewrite  func(id int, values []float64)
 	flagged  map[int]bool
 }
 
@@ -267,6 +310,8 @@ func (m *maskedScheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	for id := range uploads {
 		if !m.admitted(m.round, id) {
 			uploads[id] = nil
+		} else if m.rewrite != nil {
+			m.rewrite(id, uploads[id])
 		}
 	}
 	targets, err := m.Scheme.Aggregate(uploads)
@@ -371,6 +416,28 @@ func (c *floodConn) Send(m *protocol.Message) error {
 		return c.Conn.Send(msg)
 	}
 	return nil
+}
+
+// hostileConn sends each of its vehicle's uploads rewritten: a
+// well-formed frame of the right length and round, whose values the
+// engine admits as they are. It rewrites a copy it keeps, which Send
+// leaves free for reuse once it returns.
+type hostileConn struct {
+	transport.Conn
+	id      int
+	rewrite func(id int, values []float64)
+	buf     []float64
+}
+
+func (c *hostileConn) Send(m *protocol.Message) error {
+	if m.Upload == nil {
+		return c.Conn.Send(m)
+	}
+	up := *m.Upload
+	c.buf = append(c.buf[:0], up.Values...)
+	c.rewrite(c.id, c.buf)
+	up.Values = c.buf
+	return c.Conn.Send(&protocol.Message{Upload: &up})
 }
 
 // shortConn sends every upload one value short.

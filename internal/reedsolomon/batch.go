@@ -66,29 +66,18 @@ func (d *Decoder) DecodeBatch(words [][]field.Element, src field.Source, workers
 	return out.results, out.errs, stats
 }
 
-// DecodeBatchAt is DecodeBatch for words received at a subset of the
+// decodeBatchAt is DecodeBatch for words received at a subset of the
 // decoder's points — the straggler case, where every word misses the same
-// positions. positions is a strictly increasing list of point indices and
-// words[s][t] the symbol received at point positions[t]. Each slot's
-// outcome is bit-identical to Decode on that sub-word at those points,
-// with ErrorPositions reported in the decoder's own index space (for the
-// L-CoFL scheme, vehicle IDs). The call is recorded on d like DecodeBatch,
-// with the number of positions as its point count.
-func (d *Decoder) DecodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
-	var out batchOut
-	stats := d.decodeBatchAt(&out, positions, words, src, workers)
-	stats.SlotDecodes = stats.Fallbacks
-	d.recordBatch(len(words), len(positions), stats)
-	return out.results, out.errs, stats
-}
-
-// decodeBatchAt is DecodeBatchAt without the observability wrapper,
-// writing into out; IncrementalDecoder.Finalize shares it with storage it
-// keeps. It is the one place a decoder over a subset of another decoder's
-// points is built: all points present reuses d (and its pooled scratch), a
-// strict subset batch-decodes on a one-call sub-decoder; either way error
-// positions are mapped back through positions (the identity when all are
-// present).
+// positions — writing into out; IncrementalDecoder.Finalize relocates its
+// rejected slots through it, with storage it keeps. positions is a
+// strictly increasing list of point indices and words[s][t] the symbol
+// received at point positions[t]. Each slot's outcome is bit-identical to
+// Decode on that sub-word at those points. It is the one place a decoder
+// over a subset of another decoder's points is built: all points present
+// reuses d (and its pooled scratch), a strict subset batch-decodes on a
+// one-call sub-decoder; either way error positions are mapped back through
+// positions (the identity when all are present), into the decoder's own
+// index space (for the L-CoFL scheme, vehicle IDs).
 func (d *Decoder) decodeBatchAt(out *batchOut, positions []int, words [][]field.Element, src field.Source, workers int) BatchStats {
 	sub, err := d.subDecoder(positions)
 	if err != nil {
@@ -129,7 +118,7 @@ func (d *Decoder) subDecoder(positions []int) (*Decoder, error) {
 	return NewDecoder(xs, d.k)
 }
 
-// recordBatch counts one DecodeBatch, DecodeBatchAt or Finalize call on
+// recordBatch counts one DecodeBatch or Finalize call on
 // the rs.batch.* counters and, when tracing, emits its rs.batch event.
 // Exactly one call per entry keeps counter totals equal to the event
 // sums, which tracereport -check-metrics reconciles.

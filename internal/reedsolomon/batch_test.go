@@ -217,6 +217,19 @@ func TestDecodeBatchZeroWords(t *testing.T) {
 	assertBatchMatchesPerSlot(t, d, words, results, errs)
 }
 
+// DecodeBatchAt is the tests' entry to decodeBatchAt: DecodeBatch for
+// words received at the given subset of d's points, error positions in
+// d's own index space, recorded on d like DecodeBatch with the number of
+// positions as its point count. It is the oracle the incremental decoder
+// is held to.
+func (d *Decoder) DecodeBatchAt(positions []int, words [][]field.Element, src field.Source, workers int) ([]*Result, []error, BatchStats) {
+	var out batchOut
+	stats := d.decodeBatchAt(&out, positions, words, src, workers)
+	stats.SlotDecodes = stats.Fallbacks
+	d.recordBatch(len(words), len(positions), stats)
+	return out.results, out.errs, stats
+}
+
 // TestDecodeBatchAt pins the shared sub-decoder routine behind both
 // DecodeBatchAt and Finalize's relocation. For every point, a prefix of
 // the points and a scattered subset of exactly K+2E of them, E liars

@@ -13,9 +13,9 @@
 //
 //   - Decode / Decoder.Decode: one received word, errors located and
 //     corrected up to the budget.
-//   - Decoder.DecodeBatch / DecodeBatchAt: many words at the same points
-//     (or at the same subset of them), errors located once on a random
-//     combination and every word verified against itself (batch.go).
+//   - Decoder.DecodeBatch: many words at the same points, errors located
+//     once on a random combination and every word verified against itself
+//     (batch.go).
 //   - IncrementalDecoder (Ingest / Finalize): the batch decode fed one
 //     position at a time as uploads arrive (incremental.go).
 //
