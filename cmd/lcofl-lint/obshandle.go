@@ -11,7 +11,7 @@ package main
 //     is itself defined in a loop (the literal runs per iteration or
 //     per event);
 //   - a lookup whose result is consumed immediately
-//     (o.Counter("x").Inc()) is a finding even outside loops: the
+//     (o.Counter("x", twin).Inc()) is a finding even outside loops: the
 //     handle is discarded, so every call re-pays the lookup.
 //
 // internal/obs itself is exempt (it implements the lookups), as are

@@ -17,7 +17,7 @@ type worker struct {
 
 // Lookups at construction are the sanctioned pattern.
 func newWorker(o *obs.Obs) *worker {
-	return &worker{o: o, cOps: o.Counter("worker.ops")}
+	return &worker{o: o, cOps: o.Counter("worker.ops", obs.CountOf("worker.ops"))}
 }
 
 func (w *worker) goodStep() {
@@ -26,13 +26,13 @@ func (w *worker) goodStep() {
 
 func (w *worker) badLoop(n int) {
 	for i := 0; i < n; i++ {
-		c := w.o.Counter("worker.loop_ops") // want "lookup inside a loop"
+		c := w.o.Counter("worker.loop_ops", obs.CountOf("worker.loop_ops")) // want "lookup inside a loop"
 		c.Inc()
 	}
 }
 
 func (w *worker) badChained() {
-	w.o.Counter("worker.chained").Inc() // want "chained into a method call"
+	w.o.Counter("worker.chained", obs.CountOf("worker.chained")).Inc() // want "chained into a method call"
 }
 
 func (w *worker) badGaugeInRange(xs []int) {
@@ -45,7 +45,7 @@ func (w *worker) badGaugeInRange(xs []int) {
 func (w *worker) badLitInLoop(items []int) {
 	for range items {
 		f := func() {
-			c := w.o.Counter("worker.lit") // want "function literal defined in a loop"
+			c := w.o.Counter("worker.lit", obs.CountOf("worker.lit")) // want "function literal defined in a loop"
 			c.Inc()
 		}
 		f()
@@ -54,7 +54,7 @@ func (w *worker) badLitInLoop(items []int) {
 
 // Hoisting the lookup out of the loop is the fix.
 func (w *worker) hoisted(xs []int) {
-	c := w.o.Counter("worker.hoisted")
+	c := w.o.Counter("worker.hoisted", obs.CountOf("worker.hoisted"))
 	for range xs {
 		c.Inc()
 	}
@@ -62,7 +62,7 @@ func (w *worker) hoisted(xs []int) {
 
 // A lookup stored outside any loop is fine even mid-function.
 func (w *worker) storedLate() {
-	h := w.o.Histogram("worker.lat", obs.LatencyBuckets())
+	h := w.o.Histogram("worker.lat", obs.LatencyBuckets(), obs.SpanOf("worker.lat"))
 	h.Observe(1)
 }
 

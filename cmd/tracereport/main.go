@@ -1,6 +1,7 @@
 // Command tracereport summarises a JSONL event trace written by
-// `lcofl -trace` (see DESIGN.md §10): rounds, decode outcomes, stage
-// latency percentiles, per-peer transport traffic and per-vehicle
+// `lcofl -trace` (see DESIGN.md §10): how many times each event fired,
+// the pipeline close record, stage latency percentiles, the admission
+// ledger per session, per-peer transport traffic and per-vehicle
 // training time.
 //
 // Usage:
@@ -10,11 +11,15 @@
 //
 // With no file argument the trace is read from stdin. -json replaces
 // the text tables with a machine-readable summary. -check-metrics
-// cross-checks the trace-derived counts against the counter snapshot
-// written by `lcofl -metrics` — both exact event counts against the
-// registry counters and exact stage-span duration sums against the
-// histogram sums — and fails when the two ledgers disagree; CI runs
-// this so the tracer and the registry can never drift apart silently.
+// cross-checks the trace against the snapshot written by `lcofl
+// -metrics`. Every counter and histogram declares its trace twin where
+// it is registered (internal/obs), and the snapshot carries those
+// declarations, so the check re-derives each twinned metric — a count
+// of its event, or the sum of one numeric field of it (dur_ns for a
+// span's histogram) — and fails, naming every metric that disagrees.
+// This command names no metric itself. A snapshot that declares no
+// twin is an error, not a pass. CI runs the check so the tracer and the
+// registry can never drift apart silently.
 // -merge combines the fusion centre's trace with per-vehicle traces
 // from a distributed run into one causally ordered per-round timeline
 // on the fusion clock (see merge.go).
@@ -24,6 +29,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +38,8 @@ import (
 	"sort"
 	"strconv"
 	"text/tabwriter"
+
+	"repro/internal/obs"
 )
 
 func main() {
@@ -85,16 +93,6 @@ func run(args []string, w io.Writer) error {
 	return writeText(w, sum)
 }
 
-// decodeSummary aggregates the verification-channel events. Every field
-// mirrors a registry counter (crossCheck pins the pairing).
-type decodeSummary struct {
-	SlotFailures   int64 `json:"slot_failures"`
-	BatchGroups    int64 `json:"batch_groups"`
-	BatchWords     int64 `json:"batch_words"`
-	BatchRecovered int64 `json:"batch_recovered"`
-	BatchFallbacks int64 `json:"batch_fallbacks"`
-}
-
 // stageStats holds exact (nearest-rank over every sample) latency
 // percentiles for one event kind.
 type stageStats struct {
@@ -117,30 +115,6 @@ type vehicleStats struct {
 	TrainNs int64 `json:"train_ns"`
 }
 
-// recoverySummary aggregates the fault-recovery events the node layer
-// emits under chaos (DESIGN.md §11). Every field mirrors a registry
-// counter (crossCheck pins the pairing).
-type recoverySummary struct {
-	CorruptFrames       int64 `json:"corrupt_frames"`
-	Retransmits         int64 `json:"retransmits"`
-	Rejoins             int64 `json:"rejoins"`
-	Reconnects          int64 `json:"reconnects"`
-	DegradedRounds      int64 `json:"degraded_rounds"`
-	ClientCorruptFrames int64 `json:"client_corrupt_frames"`
-}
-
-// fleetSummary aggregates the multi-session admission-plane events the
-// fleet front door emits (DESIGN.md §16). Every field mirrors a
-// registry counter (crossCheck pins the pairing).
-type fleetSummary struct {
-	Admitted        int64 `json:"admitted"`
-	Rejected        int64 `json:"rejected"`
-	Queued          int64 `json:"queued"`
-	SessionsStarted int64 `json:"sessions_started"`
-	SessionsDone    int64 `json:"sessions_done"`
-	HandshakeFails  int64 `json:"handshake_fails"`
-}
-
 // sessionStats is one session's slice of the admission ledger, keyed by
 // the session field the fleet stamps on its events.
 type sessionStats struct {
@@ -155,44 +129,30 @@ type sessionStats struct {
 	Rounds int64 `json:"rounds"`
 }
 
-// chaosSummary counts the faults the internal/chaos injector reported
-// having fired — the "what was done to the run" side of the ledger that
-// recoverySummary answers.
-type chaosSummary struct {
-	Drops    int64 `json:"drops"`
-	Corrupts int64 `json:"corrupts"`
-	Delays   int64 `json:"delays"`
-	Crashes  int64 `json:"crashes"`
+// pipelineStats is the round engine's close record: one node.pipeline
+// event per round, EarlyCloses of them budget-closed (node.early_close),
+// and OverlapRatio the Σ overlap_ns over Σ node.round dur_ns — the
+// fraction of total round time spent ingesting uploads concurrently with
+// the rest of the round.
+type pipelineStats struct {
+	Rounds       int64   `json:"rounds"`
+	EarlyCloses  int64   `json:"early_closes"`
+	OverlapRatio float64 `json:"overlap_ratio"`
 }
 
 type summary struct {
-	Events     int   `json:"events"`
-	Runs       int   `json:"runs"`
-	FLRounds   int   `json:"fl_rounds"`
-	NodeRounds int   `json:"node_rounds"`
-	RecvErrors int64 `json:"recv_errors"`
-	Stragglers int64 `json:"stragglers"`
-	// PipelineRounds counts node.pipeline events (one per round on the
-	// pipelined engine); EarlyCloses are the budget-closed subset, and
-	// PipelineOverlapRatio is Σ overlap_ns over Σ node.round dur_ns — the
-	// fraction of total round time spent ingesting uploads concurrently
-	// with the rest of the round.
-	PipelineRounds       int             `json:"pipeline_rounds"`
-	EarlyCloses          int64           `json:"early_closes"`
-	PipelineOverlapRatio float64         `json:"pipeline_overlap_ratio"`
-	Decode               decodeSummary   `json:"decode"`
-	Recovery             recoverySummary `json:"recovery"`
-	Chaos                chaosSummary    `json:"chaos"`
-	Fleet                fleetSummary    `json:"fleet"`
+	Events int `json:"events"`
+	// Counts is how many times each event fired, by event name.
+	Counts   map[string]int64 `json:"counts"`
+	Pipeline pipelineStats    `json:"pipeline"`
 	// Sessions breaks the fleet admission ledger down per session ID.
 	Sessions map[string]*sessionStats `json:"sessions,omitempty"`
-	// SpanSums holds the exact total duration per span event — the raw
-	// Σ dur_ns, unkeyed by round — paired by crossCheck against the
-	// matching histogram's sum field.
-	SpanSums map[string]int64         `json:"span_sum_ns,omitempty"`
 	Stages   map[string]*stageStats   `json:"stages"`
 	Peers    map[string]*peerStats    `json:"peers"`
 	Vehicles map[string]*vehicleStats `json:"vehicles"`
+	// sums totals every numeric field but t_ns per event name; it is
+	// what crossCheck re-derives a summing twin from.
+	sums map[string]map[string]int64
 }
 
 // num reads a numeric field; JSON numbers decode as float64.
@@ -206,23 +166,16 @@ func str(rec map[string]any, key string) string {
 	return s
 }
 
-func summarize(r io.Reader) (*summary, error) {
-	sum := &summary{
-		SpanSums: map[string]int64{},
-		Stages:   map[string]*stageStats{},
-		Peers:    map[string]*peerStats{},
-		Vehicles: map[string]*vehicleStats{},
-		Sessions: map[string]*sessionStats{},
-	}
-	durs := map[string][]int64{}
-	// Spans that carry a round ID are keyed by it and summed per round, so
-	// a stage whose work for one round is split across several spans — or
-	// interleaved with the next round's by the pipelined engine — yields
-	// one latency sample per ROUND, not one per span in arrival order.
-	roundDurs := map[string]map[int64]int64{}
-	var overlapNs, nodeRoundNs int64
+// maxTraceLine bounds one trace record.
+const maxTraceLine = 8 * 1024 * 1024
+
+// scanTrace streams r's records, one JSON object a line, through fn.
+// Every record must carry a string "ev" and a numeric "t_ns"; an error,
+// fn's included, names its line. Both the summary and -merge read
+// traces through it.
+func scanTrace(r io.Reader, fn func(ev string, rec map[string]any) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -232,18 +185,54 @@ func summarize(r io.Reader) (*summary, error) {
 		}
 		var rec map[string]any
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		ev := str(rec, "ev")
 		if ev == "" {
-			return nil, fmt.Errorf("line %d: event has no \"ev\" field", lineNo)
+			return fmt.Errorf("line %d: event has no \"ev\" field", lineNo)
 		}
 		if _, ok := rec["t_ns"].(float64); !ok {
-			return nil, fmt.Errorf("line %d: event %q has no numeric \"t_ns\"", lineNo, ev)
+			return fmt.Errorf("line %d: event %q has no numeric \"t_ns\"", lineNo, ev)
 		}
+		if err := fn(ev, rec); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %w", lineNo+1, err)
+	}
+	return nil
+}
+
+func summarize(r io.Reader) (*summary, error) {
+	sum := &summary{
+		Counts:   map[string]int64{},
+		Stages:   map[string]*stageStats{},
+		Peers:    map[string]*peerStats{},
+		Vehicles: map[string]*vehicleStats{},
+		Sessions: map[string]*sessionStats{},
+		sums:     map[string]map[string]int64{},
+	}
+	durs := map[string][]int64{}
+	// Spans that carry a round ID are keyed by it and summed per round, so
+	// a stage whose work for one round is split across several spans — or
+	// interleaved with the next round's by the pipelined engine — yields
+	// one latency sample per ROUND, not one per span in arrival order.
+	roundDurs := map[string]map[int64]int64{}
+	err := scanTrace(r, func(ev string, rec map[string]any) error {
 		sum.Events++
+		sum.Counts[ev]++
+		sums := sum.sums[ev]
+		if sums == nil {
+			sums = map[string]int64{}
+			sum.sums[ev] = sums
+		}
+		for k, v := range rec {
+			if f, ok := v.(float64); ok && k != "t_ns" {
+				sums[k] += int64(f)
+			}
+		}
 		if d, ok := num(rec, "dur_ns"); ok {
-			sum.SpanSums[ev] += d
 			if round, ok := num(rec, "round"); ok {
 				m := roundDurs[ev]
 				if m == nil {
@@ -256,78 +245,20 @@ func summarize(r io.Reader) (*summary, error) {
 			}
 		}
 		switch ev {
-		case "experiments.run_start":
-			sum.Runs++
-		case "fl.round":
-			sum.FLRounds++
-		case "node.round":
-			sum.NodeRounds++
-			if d, ok := num(rec, "dur_ns"); ok {
-				nodeRoundNs += d
-			}
-		case "node.pipeline":
-			sum.PipelineRounds++
-			o, _ := num(rec, "overlap_ns")
-			overlapNs += o
-			if str(rec, "closed_by") == "budget" {
-				sum.EarlyCloses++
-			}
-		case "node.recv_error":
-			sum.RecvErrors++
-		case "node.straggler":
-			sum.Stragglers++
-		case "node.corrupt_frame":
-			sum.Recovery.CorruptFrames++
-		case "node.retransmit":
-			sum.Recovery.Retransmits++
-		case "node.rejoin":
-			sum.Recovery.Rejoins++
-		case "node.reconnect":
-			sum.Recovery.Reconnects++
-		case "node.degraded":
-			sum.Recovery.DegradedRounds++
-		case "node.client_corrupt_frame":
-			sum.Recovery.ClientCorruptFrames++
 		case "fleet.admit":
-			sum.Fleet.Admitted++
 			ss := sum.session(str(rec, "session"))
 			ss.Admitted++
 			if rj, _ := rec["rejoin"].(bool); rj {
 				ss.Rejoins++
 			}
 		case "fleet.reject":
-			sum.Fleet.Rejected++
 			sum.session(str(rec, "session")).Rejected++
 		case "fleet.queue":
-			sum.Fleet.Queued++
 			sum.session(str(rec, "session")).Queued++
-		case "fleet.session_start":
-			sum.Fleet.SessionsStarted++
 		case "fleet.session_done":
-			sum.Fleet.SessionsDone++
 			if r, ok := num(rec, "rounds"); ok {
 				sum.session(str(rec, "session")).Rounds = r
 			}
-		case "fleet.handshake_fail":
-			sum.Fleet.HandshakeFails++
-		case "chaos.drop":
-			sum.Chaos.Drops++
-		case "chaos.corrupt":
-			sum.Chaos.Corrupts++
-		case "chaos.delay":
-			sum.Chaos.Delays++
-		case "chaos.crash":
-			sum.Chaos.Crashes++
-		case "core.slot_fail":
-			sum.Decode.SlotFailures++
-		case "rs.batch":
-			sum.Decode.BatchGroups++
-			w, _ := num(rec, "words")
-			rec2, _ := num(rec, "recovered")
-			fb, _ := num(rec, "fallbacks")
-			sum.Decode.BatchWords += w
-			sum.Decode.BatchRecovered += rec2
-			sum.Decode.BatchFallbacks += fb
 		case "transport.send":
 			p := sum.peer(str(rec, "peer"))
 			b, _ := num(rec, "bytes")
@@ -345,9 +276,10 @@ func summarize(r io.Reader) (*summary, error) {
 			v.Rounds++
 			v.TrainNs += t
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for ev, byRound := range roundDurs {
 		for _, d := range byRound {
@@ -364,8 +296,12 @@ func summarize(r io.Reader) (*summary, error) {
 			Max:   ds[len(ds)-1],
 		}
 	}
-	if nodeRoundNs > 0 {
-		sum.PipelineOverlapRatio = float64(overlapNs) / float64(nodeRoundNs)
+	sum.Pipeline = pipelineStats{
+		Rounds:      sum.Counts["node.pipeline"],
+		EarlyCloses: sum.Counts["node.early_close"],
+	}
+	if roundNs := sum.sums["node.round"]["dur_ns"]; roundNs > 0 {
+		sum.Pipeline.OverlapRatio = float64(sum.sums["node.pipeline"]["overlap_ns"]) / float64(roundNs)
 	}
 	return sum, nil
 }
@@ -412,91 +348,48 @@ func percentile(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// crossCheck pins the trace-derived counts to the registry snapshot:
-// both observe the same execution through independent code paths, so any
-// disagreement is an instrumentation bug.
+// crossCheck re-derives every metric the snapshot at metricsPath
+// declares a twin for — its event's count, or the sum of the declared
+// field — and compares it with the counter's value or the histogram's
+// sum. Both ledgers observe the same execution through independent
+// sinks, so any disagreement is an instrumentation bug; the error names
+// every metric that disagrees.
 func crossCheck(sum *summary, metricsPath string) error {
 	data, err := os.ReadFile(metricsPath)
 	if err != nil {
 		return err
 	}
-	var snap struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Count int64 `json:"count"`
-			Sum   int64 `json:"sum"`
-		} `json:"histograms"`
-	}
+	var snap obs.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("%s: %w", metricsPath, err)
 	}
-	checks := []struct {
-		counter string
-		trace   int64
-	}{
-		{"fl.rounds", int64(sum.FLRounds)},
-		{"node.rounds", int64(sum.NodeRounds)},
-		{"node.recv_errors", sum.RecvErrors},
-		{"node.stragglers", sum.Stragglers},
-		{"core.decode_failures", sum.Decode.SlotFailures},
-		{"rs.batch.words", sum.Decode.BatchWords},
-		{"rs.batch.recovered", sum.Decode.BatchRecovered},
-		{"rs.batch.fallbacks", sum.Decode.BatchFallbacks},
-		{"node.corrupt_frames", sum.Recovery.CorruptFrames},
-		{"node.retransmits", sum.Recovery.Retransmits},
-		{"node.rejoins", sum.Recovery.Rejoins},
-		{"node.reconnects", sum.Recovery.Reconnects},
-		{"node.degraded_rounds", sum.Recovery.DegradedRounds},
-		{"node.client_corrupt_frames", sum.Recovery.ClientCorruptFrames},
-		{"node.early_closes", sum.EarlyCloses},
-		{"chaos.drops", sum.Chaos.Drops},
-		{"chaos.corrupts", sum.Chaos.Corrupts},
-		{"chaos.delays", sum.Chaos.Delays},
-		{"chaos.crashes", sum.Chaos.Crashes},
-		{"fleet.admitted", sum.Fleet.Admitted},
-		{"fleet.rejected", sum.Fleet.Rejected},
-		{"fleet.queued", sum.Fleet.Queued},
-		{"fleet.sessions_started", sum.Fleet.SessionsStarted},
-		{"fleet.sessions_done", sum.Fleet.SessionsDone},
-		{"fleet.handshake_fails", sum.Fleet.HandshakeFails},
+	if len(snap.Twins) == 0 {
+		return fmt.Errorf("%s declares no trace twins: nothing to check", metricsPath)
 	}
-	for _, c := range checks {
-		if got := snap.Counters[c.counter]; got != c.trace {
-			return fmt.Errorf("trace disagrees with %s: %s = %d in counters, %d derived from trace",
-				metricsPath, c.counter, got, c.trace)
-		}
-	}
-	// Histograms and spans observe the SAME measured interval through
-	// independent sinks, so when a run records both (-trace and -metrics
-	// together) the histogram's sum must equal the trace's Σ dur_ns
-	// exactly. fl.train_ns is the odd one out: the fl layer emits the
-	// per-vehicle training time as a train_ns field on fl.vehicle events
-	// rather than as a span. Skipped when the snapshot predates the
-	// histogram (absent key), since the counter checks above still hold.
-	var flTrainNs int64
-	for _, v := range sum.Vehicles {
-		flTrainNs += v.TrainNs
-	}
-	histChecks := []struct {
-		hist  string
-		trace int64
-	}{
-		{"core.aggregate_ns", sum.SpanSums["core.aggregate"]},
-		{"lagrange.encode_ns", sum.SpanSums["lagrange.encode"]},
-		{"node.train_ns", sum.SpanSums["node.train"]},
-		{"node.encode_ns", sum.SpanSums["node.encode"]},
-		{"node.upload_ns", sum.SpanSums["node.upload"]},
-		{"fl.train_ns", flTrainNs},
-	}
-	for _, c := range histChecks {
-		h, ok := snap.Histograms[c.hist]
-		if !ok {
+	var errs []error
+	for _, name := range sortedKeys(snap.Twins) {
+		tw := snap.Twins[name]
+		if tw.Event == "" {
 			continue
 		}
-		if h.Sum != c.trace {
-			return fmt.Errorf("trace disagrees with %s: histogram %s sum = %d ns, %d ns derived from trace spans",
-				metricsPath, c.hist, h.Sum, c.trace)
+		got, ok := snap.Counters[name]
+		if h, isHist := snap.Histograms[name]; isHist {
+			got, ok = h.Sum, true
 		}
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s declares a twin but has no value", name))
+			continue
+		}
+		want, from := sum.Counts[tw.Event], "count of "+tw.Event
+		if tw.Field != "" {
+			want, from = sum.sums[tw.Event][tw.Field], fmt.Sprintf("Σ %s over %s", tw.Field, tw.Event)
+		}
+		if got != want {
+			errs = append(errs, fmt.Errorf("%s = %d, trace gives %d (%s)", name, got, want, from))
+		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("trace disagrees with %s:\n%w", metricsPath, errors.Join(errs...))
 	}
 	return nil
 }
@@ -505,30 +398,22 @@ func crossCheck(sum *summary, metricsPath string) error {
 // can fail — table building against a bytes.Buffer never does.
 func writeText(w io.Writer, sum *summary) error {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "trace: %d events, %d runs, %d fl rounds, %d node rounds\n",
-		sum.Events, sum.Runs, sum.FLRounds, sum.NodeRounds)
-	fmt.Fprintf(&b, "decode: %d slot failures, %d batch groups (%d words, %d recovered, %d fallbacks)\n",
-		sum.Decode.SlotFailures, sum.Decode.BatchGroups, sum.Decode.BatchWords, sum.Decode.BatchRecovered, sum.Decode.BatchFallbacks)
-	if sum.RecvErrors > 0 || sum.Stragglers > 0 {
-		fmt.Fprintf(&b, "node: %d receive errors, %d straggler timeouts\n", sum.RecvErrors, sum.Stragglers)
-	}
-	if sum.PipelineRounds > 0 {
+	fmt.Fprintf(&b, "trace: %d events of %d kinds\n", sum.Events, len(sum.Counts))
+	if p := sum.Pipeline; p.Rounds > 0 {
 		fmt.Fprintf(&b, "pipeline: %d pipelined rounds, %d early closes, overlap ratio %.3f\n",
-			sum.PipelineRounds, sum.EarlyCloses, sum.PipelineOverlapRatio)
+			p.Rounds, p.EarlyCloses, p.OverlapRatio)
 	}
-	if sum.Chaos != (chaosSummary{}) {
-		fmt.Fprintf(&b, "chaos: %d drops, %d corrupts, %d delays, %d crashes injected\n",
-			sum.Chaos.Drops, sum.Chaos.Corrupts, sum.Chaos.Delays, sum.Chaos.Crashes)
-	}
-	if sum.Recovery != (recoverySummary{}) {
-		fmt.Fprintf(&b, "recovery: %d corrupt frames (%d client-side), %d retransmits, %d rejoins, %d reconnects, %d degraded rounds\n",
-			sum.Recovery.CorruptFrames, sum.Recovery.ClientCorruptFrames, sum.Recovery.Retransmits,
-			sum.Recovery.Rejoins, sum.Recovery.Reconnects, sum.Recovery.DegradedRounds)
-	}
-	if sum.Fleet != (fleetSummary{}) {
-		fmt.Fprintf(&b, "fleet: %d admitted, %d queued, %d rejected, %d handshake fails, %d/%d sessions done\n",
-			sum.Fleet.Admitted, sum.Fleet.Queued, sum.Fleet.Rejected, sum.Fleet.HandshakeFails,
-			sum.Fleet.SessionsDone, sum.Fleet.SessionsStarted)
+
+	if len(sum.Counts) > 0 {
+		fmt.Fprintf(&b, "\nevents:\n")
+		tw := tabwriter.NewWriter(&b, 2, 8, 2, ' ', 0)
+		mustFprintf(tw, "event\tcount\n")
+		for _, ev := range sortedKeys(sum.Counts) {
+			mustFprintf(tw, "%s\t%d\n", ev, sum.Counts[ev])
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
 
 	if len(sum.Sessions) > 0 {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
@@ -22,6 +24,7 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"transport.recv","t_ns":260,"peer":"vehicle-0","kind":"upload","bytes":300}
 {"ev":"node.round","t_ns":300,"dur_ns":5000,"round":1}
 {"ev":"node.pipeline","t_ns":305,"round":1,"wait_budget":2,"arrived":10,"closed_by":"budget","overlap_ns":2000}
+{"ev":"node.early_close","t_ns":305,"round":1,"arrived":10}
 {"ev":"node.round","t_ns":600,"dur_ns":3000,"round":2}
 {"ev":"node.pipeline","t_ns":605,"round":2,"wait_budget":0,"arrived":12,"closed_by":"all","overlap_ns":1000}
 {"ev":"core.aggregate","t_ns":320,"dur_ns":400,"round":1}
@@ -56,37 +59,36 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 40 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
-		t.Fatalf("headline counts wrong: %+v", sum)
+	if sum.Events != 41 || len(sum.Counts) != 29 {
+		t.Fatalf("headline counts wrong: %d events of %d kinds", sum.Events, len(sum.Counts))
 	}
-	if sum.RecvErrors != 1 || sum.Stragglers != 1 {
-		t.Fatalf("node counts wrong: %+v", sum)
+	for ev, want := range map[string]int64{
+		"experiments.run_start": 1, "fl.round": 2, "node.round": 2, "fl.vehicle": 3,
+		"core.aggregate": 3, "chaos.corrupt": 2, "node.corrupt_frame": 2, "fleet.admit": 3,
+		"node.pipeline": 2, "transport.send": 2, "node.client_corrupt_frame": 1,
+	} {
+		if got := sum.Counts[ev]; got != want {
+			t.Fatalf("count of %s = %d, want %d", ev, got, want)
+		}
+	}
+	// Every numeric field but t_ns is summed per event; strings and
+	// booleans are not.
+	for _, c := range []struct {
+		ev, field string
+		want      int64
+	}{
+		{"rs.batch", "words", 8}, {"rs.batch", "fallbacks", 2}, {"transport.send", "bytes", 160},
+		{"core.aggregate", "dur_ns", 800}, {"fl.vehicle", "train_ns", 2100},
+		{"node.pipeline", "overlap_ns", 3000}, {"fl.round", "t_ns", 0}, {"rs.batch", "combined_ok", 0},
+	} {
+		if got := sum.sums[c.ev][c.field]; got != c.want {
+			t.Fatalf("Σ %s over %s = %d, want %d", c.field, c.ev, got, c.want)
+		}
 	}
 	// Two pipelined rounds, one budget-closed; overlap ratio is the
 	// summed overlap over the summed node.round duration.
-	if sum.PipelineRounds != 2 || sum.EarlyCloses != 1 {
-		t.Fatalf("pipeline counts wrong: %+v", sum)
-	}
-	if want := 3000.0 / 8000.0; sum.PipelineOverlapRatio != want {
-		t.Fatalf("overlap ratio = %g, want %g", sum.PipelineOverlapRatio, want)
-	}
-	wantChaos := chaosSummary{Drops: 1, Corrupts: 2, Delays: 1, Crashes: 1}
-	if sum.Chaos != wantChaos {
-		t.Fatalf("chaos summary = %+v, want %+v", sum.Chaos, wantChaos)
-	}
-	wantRec := recoverySummary{
-		CorruptFrames: 2, Retransmits: 1, Rejoins: 1,
-		Reconnects: 1, DegradedRounds: 1, ClientCorruptFrames: 1,
-	}
-	if sum.Recovery != wantRec {
-		t.Fatalf("recovery summary = %+v, want %+v", sum.Recovery, wantRec)
-	}
-	wantFleet := fleetSummary{
-		Admitted: 3, Rejected: 1, Queued: 1,
-		SessionsStarted: 1, SessionsDone: 1, HandshakeFails: 1,
-	}
-	if sum.Fleet != wantFleet {
-		t.Fatalf("fleet summary = %+v, want %+v", sum.Fleet, wantFleet)
+	if want := (pipelineStats{Rounds: 2, EarlyCloses: 1, OverlapRatio: 3000.0 / 8000.0}); sum.Pipeline != want {
+		t.Fatalf("pipeline = %+v, want %+v", sum.Pipeline, want)
 	}
 	// Per-session ledger: s0's three admits include one rejoin and its
 	// session_done stamps the completed rounds; s1 only ever queued, s2
@@ -99,10 +101,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s2 := sum.Sessions["s2"]; s2 == nil || *s2 != (sessionStats{Rejected: 1}) {
 		t.Fatalf("session s2 stats wrong: %+v", sum.Sessions["s2"])
-	}
-	d := sum.Decode
-	if d.SlotFailures != 1 || d.BatchGroups != 1 || d.BatchWords != 8 || d.BatchRecovered != 6 || d.BatchFallbacks != 2 {
-		t.Fatalf("decode summary wrong: %+v", d)
 	}
 	fr := sum.Stages["fl.round"]
 	if fr == nil || fr.Count != 2 || fr.P50 != 1000 || fr.P95 != 3000 || fr.Max != 3000 {
@@ -168,76 +166,89 @@ func writeTemp(t *testing.T, name, content string) string {
 	return path
 }
 
+// sampleSnapshot writes a metrics snapshot whose declarations and values
+// agree with sampleTrace, except that set overrides a metric's value.
+func sampleSnapshot(t *testing.T, set map[string]int64) string {
+	t.Helper()
+	reg := obs.NewRegistry()
+	counters := []struct {
+		name string
+		twin obs.Twin
+		v    int64
+	}{
+		{"fl.rounds", obs.CountOf("fl.round"), 2},
+		{"node.stragglers", obs.CountOf("node.straggler"), 1},
+		{"node.early_closes", obs.CountOf("node.early_close"), 1},
+		{"rs.batch.fallbacks", obs.SumOf("rs.batch", "fallbacks"), 2},
+		{"chaos.corrupts", obs.CountOf("chaos.corrupt"), 2},
+		{"fleet.admitted", obs.CountOf("fleet.admit"), 3},
+		{"transport.send_bytes", obs.SumOf("transport.send", "bytes"), 160},
+		{"transport.send_errors", obs.NoTwin("no event"), 7},
+	}
+	for _, c := range counters {
+		v, ok := set[c.name]
+		if !ok {
+			v = c.v
+		}
+		reg.Counter(c.name, c.twin).Add(v)
+	}
+	hists := []struct {
+		name string
+		twin obs.Twin
+		obs  []int64
+	}{
+		{"core.aggregate_ns", obs.SpanOf("core.aggregate"), []int64{400, 250, 150}},
+		{"fl.train_ns", obs.SumOf("fl.vehicle", "train_ns"), []int64{500, 700, 900}},
+	}
+	for _, h := range hists {
+		hist := reg.Histogram(h.name, obs.LatencyBuckets(), h.twin)
+		for _, v := range h.obs {
+			hist.Observe(v)
+		}
+		if v, ok := set[h.name]; ok {
+			hist.Observe(v)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return writeTemp(t, "metrics.json", buf.String())
+}
+
 func TestCrossCheck(t *testing.T) {
 	sum, err := summarize(strings.NewReader(sampleTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := `{"counters":{"fl.rounds":2,"node.rounds":2,"node.recv_errors":1,"node.stragglers":1,
-		"node.early_closes":1,
-		"core.decode_failures":1,
-		"rs.batch.words":8,"rs.batch.recovered":6,"rs.batch.fallbacks":2,
-		"node.corrupt_frames":2,"node.retransmits":1,"node.rejoins":1,"node.reconnects":1,
-		"node.degraded_rounds":1,"node.client_corrupt_frames":1,
-		"chaos.drops":1,"chaos.corrupts":2,"chaos.delays":1,"chaos.crashes":1,
-		"fleet.admitted":3,"fleet.rejected":1,"fleet.queued":1,
-		"fleet.sessions_started":1,"fleet.sessions_done":1,"fleet.handshake_fails":1},
-		"histograms":{"core.aggregate_ns":{"count":3,"sum":800},"fl.train_ns":{"count":3,"sum":2100}}}`
-	if err := crossCheck(sum, writeTemp(t, "good.json", good)); err != nil {
+	if err := crossCheck(sum, sampleSnapshot(t, nil)); err != nil {
 		t.Fatalf("consistent snapshot rejected: %v", err)
 	}
-	// Histogram sums are pinned to the trace-span duration sums: the
-	// sample trace carries three core.aggregate spans of 400+250+150 ns
-	// and per-vehicle training times of 500+700+900 ns, so a histogram
-	// whose sum drifts from either total must fail the gate. A snapshot
-	// without the histogram is still accepted (older metrics files).
-	badHist := strings.Replace(good, `"core.aggregate_ns":{"count":3,"sum":800}`,
-		`"core.aggregate_ns":{"count":3,"sum":801}`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-hist.json", badHist))
-	if err == nil || !strings.Contains(err.Error(), "core.aggregate_ns") {
-		t.Fatalf("drifting histogram sum accepted: %v", err)
+	// Each kind of twin — an event count, a field sum, a span's histogram
+	// sum, a field-summed histogram — must
+	// fail the check when its metric drifts, and the error names it.
+	for name, v := range map[string]int64{
+		"fl.rounds": 3, "chaos.corrupts": 1, "fleet.admitted": 4, "node.early_closes": 2,
+		"rs.batch.fallbacks": 5, "transport.send_bytes": 161, "core.aggregate_ns": 1, "fl.train_ns": 1,
+	} {
+		err := crossCheck(sum, sampleSnapshot(t, map[string]int64{name: v}))
+		if err == nil || !strings.Contains(err.Error(), name+" = ") {
+			t.Fatalf("drifting %s accepted or not named: %v", name, err)
+		}
 	}
-	badHist = strings.Replace(good, `"fl.train_ns":{"count":3,"sum":2100}`,
-		`"fl.train_ns":{"count":3,"sum":2000}`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-train-hist.json", badHist))
-	if err == nil || !strings.Contains(err.Error(), "fl.train_ns") {
-		t.Fatalf("drifting train histogram sum accepted: %v", err)
+	// Every disagreeing metric is named, not only the first.
+	err = crossCheck(sum, sampleSnapshot(t, map[string]int64{"fl.rounds": 0, "node.stragglers": 0}))
+	if err == nil || !strings.Contains(err.Error(), "fl.rounds = ") || !strings.Contains(err.Error(), "node.stragglers = ") {
+		t.Fatalf("two drifting counters not both named: %v", err)
 	}
-	bad := strings.Replace(good, `"rs.batch.fallbacks":2`, `"rs.batch.fallbacks":5`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "rs.batch.fallbacks") {
-		t.Fatalf("inconsistent snapshot accepted: %v", err)
+	// A twin-less metric is not checked, whatever its value.
+	if err := crossCheck(sum, sampleSnapshot(t, map[string]int64{"transport.send_errors": 99})); err != nil {
+		t.Fatalf("twin-less counter checked: %v", err)
 	}
-	// The recovery/chaos ledger is cross-checked too: a chaos counter that
-	// drifts from the trace-derived count must fail the gate.
-	bad = strings.Replace(good, `"chaos.corrupts":2`, `"chaos.corrupts":3`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-chaos.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "chaos.corrupts") {
-		t.Fatalf("drifting chaos counter accepted: %v", err)
-	}
-	bad = strings.Replace(good, `"node.rejoins":1`, `"node.rejoins":0`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-rejoin.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "node.rejoins") {
-		t.Fatalf("drifting rejoin counter accepted: %v", err)
-	}
-	// The early-close ledger is pinned: the counter must match the count
-	// of budget-closed node.pipeline events.
-	bad = strings.Replace(good, `"node.early_closes":1`, `"node.early_closes":2`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-early.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "node.early_closes") {
-		t.Fatalf("drifting early-close counter accepted: %v", err)
-	}
-	// The fleet admission ledger is pinned the same way, admits and
-	// queued parks alike.
-	bad = strings.Replace(good, `"fleet.admitted":3`, `"fleet.admitted":4`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-fleet.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "fleet.admitted") {
-		t.Fatalf("drifting fleet admission counter accepted: %v", err)
-	}
-	bad = strings.Replace(good, `"fleet.queued":1`, `"fleet.queued":2`, 1)
-	err = crossCheck(sum, writeTemp(t, "bad-fleet-queue.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "fleet.queued") {
-		t.Fatalf("drifting fleet queue counter accepted: %v", err)
+	// A snapshot that declares nothing cannot vouch for the trace.
+	bare := writeTemp(t, "bare.json", `{"counters":{"fl.rounds":2}}`)
+	if err := crossCheck(sum, bare); err == nil || !strings.Contains(err.Error(), "declares no trace twins") {
+		t.Fatalf("snapshot without declarations accepted: %v", err)
 	}
 }
 
@@ -251,7 +262,7 @@ func TestRunJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
 	}
-	if sum.FLRounds != 2 || sum.Decode.BatchWords != 8 {
+	if sum.Counts["fl.round"] != 2 || sum.Counts["rs.batch"] != 1 || sum.Pipeline.EarlyCloses != 1 {
 		t.Fatalf("JSON summary wrong: %+v", sum)
 	}
 }
@@ -264,11 +275,9 @@ func TestRunText(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"2 fl rounds", "1 batch groups (8 words, 6 recovered, 2 fallbacks)", "vehicle-0", "stage latencies",
-		"chaos: 1 drops, 2 corrupts, 1 delays, 1 crashes injected",
-		"recovery: 2 corrupt frames (1 client-side), 1 retransmits, 1 rejoins, 1 reconnects, 1 degraded rounds",
+		"trace: 41 events of 29 kinds", "vehicle-0", "stage latencies",
 		"pipeline: 2 pipelined rounds, 1 early closes, overlap ratio 0.375",
-		"fleet: 3 admitted, 1 queued, 1 rejected, 1 handshake fails, 1/1 sessions done",
+		"events:", "chaos.corrupt              2", "fleet.handshake_fail       1",
 		"admission by session",
 	} {
 		if !strings.Contains(out, want) {

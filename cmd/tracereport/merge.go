@@ -13,9 +13,7 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -120,33 +118,16 @@ func runMerge(paths []string, w io.Writer) error {
 	return st.write(w)
 }
 
-// scanTrace streams path's records through fn with the same limits the
-// summariser uses.
-func scanTrace(path string, fn func(rec map[string]any) error) error {
+// scanFile reads the trace at path through scanTrace, naming path in
+// any error.
+func scanFile(path string, fn func(ev string, rec map[string]any) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("%s: line %d: %w", path, lineNo, err)
-		}
-		if err := fn(rec); err != nil {
-			return fmt.Errorf("%s: line %d: %w", path, lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%s: line %d: %w", path, lineNo+1, err)
+	if err := scanTrace(f, fn); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
@@ -161,9 +142,9 @@ func (m *mergeState) loadFusion(path string) error {
 		span   stageSpan
 	}
 	var aggs []pendingAgg
-	err := scanTrace(path, func(rec map[string]any) error {
+	err := scanFile(path, func(ev string, rec map[string]any) error {
 		t, _ := num(rec, "t_ns")
-		switch str(rec, "ev") {
+		switch ev {
 		case "node.round":
 			round, ok := num(rec, "round")
 			if !ok {
@@ -213,8 +194,7 @@ func (m *mergeState) loadFusion(path string) error {
 // must not adopt an offset (an in-process run emits node.clock_offset
 // there too, but against the same clock).
 func (m *mergeState) loadVehicle(path string, isFusion bool) error {
-	return scanTrace(path, func(rec map[string]any) error {
-		ev := str(rec, "ev")
+	return scanFile(path, func(ev string, rec map[string]any) error {
 		switch ev {
 		case "node.clock_offset":
 			vehicle, ok := num(rec, "vehicle")

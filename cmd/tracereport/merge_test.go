@@ -132,3 +132,29 @@ func TestStragglerAttribution(t *testing.T) {
 		t.Fatalf("uploaded-but-lost attribution = %q", got)
 	}
 }
+
+// TestMergeRejectsMalformed feeds -merge traces the shared reader must
+// refuse: each fails with its file and line named, in the fusion trace
+// and in a vehicle trace alike, and none panics.
+func TestMergeRejectsMalformed(t *testing.T) {
+	good := `{"ev":"node.round","t_ns":1000,"dur_ns":9000,"round":0}` + "\n"
+	long := `{"ev":"node.train","t_ns":1,"pad":"` + strings.Repeat("x", maxTraceLine) + `"}` + "\n"
+	for _, tc := range []struct{ name, trace, want string }{
+		{"bad json", good + "{\"ev\":\n", "line 2: unexpected end of JSON input"},
+		{"missing ev", good + good + `{"t_ns":5,"round":0}` + "\n", `line 3: event has no "ev" field`},
+		{"string t_ns", `{"ev":"node.ingest","t_ns":"5","round":0,"vehicle":1}` + "\n", `line 1: event "node.ingest" has no numeric "t_ns"`},
+		{"over-long line", good + long, "line 2: bufio.Scanner: token too long"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := writeTemp(t, "bad.jsonl", tc.trace)
+			fusion := writeTemp(t, "fusion.jsonl", good)
+			for _, files := range [][]string{{bad}, {fusion, bad}} {
+				var buf bytes.Buffer
+				err := run(append([]string{"-merge"}, files...), &buf)
+				if err == nil || !strings.Contains(err.Error(), bad+": "+tc.want) {
+					t.Fatalf("merge %v: err = %v, want %q", files, err, tc.want)
+				}
+			}
+		})
+	}
+}

@@ -57,10 +57,10 @@ func New(spec *Spec, opt Options) *Injector {
 		in.sleep = obs.RealSleeper{}
 	}
 	if opt.Obs.Enabled() {
-		in.cDrops = opt.Obs.Counter("chaos.drops")
-		in.cCorrupts = opt.Obs.Counter("chaos.corrupts")
-		in.cDelays = opt.Obs.Counter("chaos.delays")
-		in.cCrashes = opt.Obs.Counter("chaos.crashes")
+		in.cDrops = opt.Obs.Counter("chaos.drops", obs.CountOf("chaos.drop"))
+		in.cCorrupts = opt.Obs.Counter("chaos.corrupts", obs.CountOf("chaos.corrupt"))
+		in.cDelays = opt.Obs.Counter("chaos.delays", obs.CountOf("chaos.delay"))
+		in.cCrashes = opt.Obs.Counter("chaos.crashes", obs.CountOf("chaos.crash"))
 	}
 	return in
 }

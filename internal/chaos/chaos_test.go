@@ -280,7 +280,7 @@ func TestObsCounters(t *testing.T) {
 		"chaos.drops": 2, "chaos.delays": 1, "chaos.crashes": 1, "chaos.corrupts": 0,
 	}
 	for name, w := range want {
-		if got := reg.Counter(name).Value(); got != w {
+		if got := reg.Snapshot().Counters[name]; got != w {
 			t.Errorf("%s = %d, want %d", name, got, w)
 		}
 	}

@@ -210,10 +210,10 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		o := cfg.Obs
 		sch.obs = o
 		dec.SetObs(o)
-		sch.cDecodeFailures = o.Counter("core.decode_failures")
-		sch.cAggregates = o.Counter("core.aggregates")
-		sch.cFlagged = o.Counter("core.flagged_vehicles")
-		sch.hAggregateNs = o.Histogram("core.aggregate_ns", obs.LatencyBuckets())
+		sch.cDecodeFailures = o.Counter("core.decode_failures", obs.CountOf("core.slot_fail"))
+		sch.cAggregates = o.Counter("core.aggregates", obs.CountOf("core.aggregate"))
+		sch.cFlagged = o.Counter("core.flagged_vehicles", obs.SumOf("core.aggregate", "flagged"))
+		sch.hAggregateNs = o.Histogram("core.aggregate_ns", obs.LatencyBuckets(), obs.SpanOf("core.aggregate"))
 	}
 	return sch, nil
 }

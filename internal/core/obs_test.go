@@ -76,16 +76,16 @@ func TestObsCountersMirrorLegacyFields(t *testing.T) {
 		{"core.aggregates", 3},
 	}
 	for _, c := range checks {
-		if got := reg.Counter(c.name).Value(); got != c.want {
+		if got := reg.Snapshot().Counters[c.name]; got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
 	}
 	// The batch-decode layer counts the same traffic from below: every
 	// slot the scheme recovered or fell back passed through DecodeBatch.
-	if got := reg.Counter("rs.batch.recovered").Value(); got != int64(wantRecov) {
+	if got := reg.Snapshot().Counters["rs.batch.recovered"]; got != int64(wantRecov) {
 		t.Errorf("rs.batch.recovered = %d, want %d", got, wantRecov)
 	}
-	if got := reg.Counter("rs.batch.fallbacks").Value(); got != int64(wantFall) {
+	if got := reg.Snapshot().Counters["rs.batch.fallbacks"]; got != int64(wantFall) {
 		t.Errorf("rs.batch.fallbacks = %d, want %d", got, wantFall)
 	}
 
@@ -214,9 +214,9 @@ func TestObsStreamedAdversarialRounds(t *testing.T) {
 		{"core.batch_group events", sums["core.batch_group"]["events"], int64(len(rounds))},
 		{"core.batch_group recovered", sums["core.batch_group"]["recovered"], int64(wantRecov)},
 		{"core.batch_group fallbacks", sums["core.batch_group"]["fallbacks"], int64(wantFall)},
-		{"counter rs.batch.words", reg.Counter("rs.batch.words").Value(), words},
-		{"counter rs.batch.recovered", reg.Counter("rs.batch.recovered").Value(), int64(wantRecov)},
-		{"counter rs.batch.fallbacks", reg.Counter("rs.batch.fallbacks").Value(), int64(wantFall)},
+		{"counter rs.batch.words", reg.Snapshot().Counters["rs.batch.words"], words},
+		{"counter rs.batch.recovered", reg.Snapshot().Counters["rs.batch.recovered"], int64(wantRecov)},
+		{"counter rs.batch.fallbacks", reg.Snapshot().Counters["rs.batch.fallbacks"], int64(wantFall)},
 	}
 	for _, c := range checks {
 		if c.got != c.want {

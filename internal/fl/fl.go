@@ -186,9 +186,9 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
-		s.cRounds = cfg.Obs.Counter("fl.rounds")
-		s.cDropped = cfg.Obs.Counter("fl.dropped_uploads")
-		s.hTrainNs = cfg.Obs.Histogram("fl.train_ns", obs.LatencyBuckets())
+		s.cRounds = cfg.Obs.Counter("fl.rounds", obs.CountOf("fl.round"))
+		s.cDropped = cfg.Obs.Counter("fl.dropped_uploads", obs.SumOf("fl.round", "dropped_uploads"))
+		s.hTrainNs = cfg.Obs.Histogram("fl.train_ns", obs.LatencyBuckets(), obs.SumOf("fl.vehicle", "train_ns"))
 		if cfg.Obs.TraceEnabled() {
 			s.trace = obs.TraceIDFromSeed(cfg.Seed)
 		}

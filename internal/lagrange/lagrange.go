@@ -108,9 +108,10 @@ func NewCoder(nodes, points []field.Element) (*Coder, error) {
 func (c *Coder) SetObs(o *obs.Obs) {
 	c.obs = o
 	if o.Enabled() {
-		c.cEncCalls = o.Counter("lagrange.encode_calls")
-		c.cEncWords = o.Counter("lagrange.encode_words")
-		c.hEncVectors = o.Histogram("lagrange.encode_ns", obs.LatencyBuckets())
+		c.cEncCalls = o.Counter("lagrange.encode_calls", obs.CountOf("lagrange.encode"))
+		c.cEncWords = o.Counter("lagrange.encode_words",
+			obs.NoTwin("lagrange.encode carries width and workers_out; the counter is their product"))
+		c.hEncVectors = o.Histogram("lagrange.encode_ns", obs.LatencyBuckets(), obs.SpanOf("lagrange.encode"))
 	}
 }
 

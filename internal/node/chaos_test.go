@@ -261,10 +261,10 @@ func TestChaosDegradedRound(t *testing.T) {
 	if !sameBits(report.FinalParams, initial) {
 		t.Error("degraded session moved the model")
 	}
-	if got := reg.Counter("node.degraded_rounds").Value(); got != int64(report.DegradedRounds) {
+	if got := reg.Snapshot().Counters["node.degraded_rounds"]; got != int64(report.DegradedRounds) {
 		t.Errorf("node.degraded_rounds counter = %d, report %d", got, report.DegradedRounds)
 	}
-	if got := reg.Counter("node.stragglers").Value(); got != int64(report.Stragglers) {
+	if got := reg.Snapshot().Counters["node.stragglers"]; got != int64(report.Stragglers) {
 		t.Errorf("node.stragglers counter = %d, report %d", got, report.Stragglers)
 	}
 }

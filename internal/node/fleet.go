@@ -190,12 +190,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.Obs.Enabled() {
 		f.obs = cfg.Obs
-		f.cAdmitted = cfg.Obs.Counter("fleet.admitted")
-		f.cRejected = cfg.Obs.Counter("fleet.rejected")
-		f.cQueued = cfg.Obs.Counter("fleet.queued")
-		f.cStarted = cfg.Obs.Counter("fleet.sessions_started")
-		f.cDone = cfg.Obs.Counter("fleet.sessions_done")
-		f.cHandshake = cfg.Obs.Counter("fleet.handshake_fails")
+		f.cAdmitted = cfg.Obs.Counter("fleet.admitted", obs.CountOf("fleet.admit"))
+		f.cRejected = cfg.Obs.Counter("fleet.rejected", obs.CountOf("fleet.reject"))
+		f.cQueued = cfg.Obs.Counter("fleet.queued", obs.CountOf("fleet.queue"))
+		f.cStarted = cfg.Obs.Counter("fleet.sessions_started", obs.CountOf("fleet.session_start"))
+		f.cDone = cfg.Obs.Counter("fleet.sessions_done", obs.CountOf("fleet.session_done"))
+		f.cHandshake = cfg.Obs.Counter("fleet.handshake_fails", obs.CountOf("fleet.handshake_fail"))
 		f.gLive = cfg.Obs.Gauge("fleet.live_conns")
 		f.gActive = cfg.Obs.Gauge("fleet.active_sessions")
 		f.gQueue = cfg.Obs.Gauge("fleet.queue_depth")

@@ -224,14 +224,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		distiller:   distiller,
 		rejoin:      make(chan rejoinReq, 64),
 		obs:         cfg.Obs,
-		cRecvErrors: cfg.Obs.Counter("node.recv_errors"),
-		cStragglers: cfg.Obs.Counter("node.stragglers"),
-		cRoundsDone: cfg.Obs.Counter("node.rounds"),
-		cCorrupt:    cfg.Obs.Counter("node.corrupt_frames"),
-		cRetransmit: cfg.Obs.Counter("node.retransmits"),
-		cRejoins:    cfg.Obs.Counter("node.rejoins"),
-		cDegraded:   cfg.Obs.Counter("node.degraded_rounds"),
-		cEarlyClose: cfg.Obs.Counter("node.early_closes"),
+		cRecvErrors: cfg.Obs.Counter("node.recv_errors", obs.CountOf("node.recv_error")),
+		cStragglers: cfg.Obs.Counter("node.stragglers", obs.CountOf("node.straggler")),
+		cRoundsDone: cfg.Obs.Counter("node.rounds", obs.CountOf("node.round")),
+		cCorrupt:    cfg.Obs.Counter("node.corrupt_frames", obs.CountOf("node.corrupt_frame")),
+		cRetransmit: cfg.Obs.Counter("node.retransmits", obs.CountOf("node.retransmit")),
+		cRejoins:    cfg.Obs.Counter("node.rejoins", obs.CountOf("node.rejoin")),
+		cDegraded:   cfg.Obs.Counter("node.degraded_rounds", obs.CountOf("node.degraded")),
+		cEarlyClose: cfg.Obs.Counter("node.early_closes", obs.CountOf("node.early_close")),
 	}, nil
 }
 
@@ -842,6 +842,9 @@ func (e *engine) close() error {
 	defer e.releaseUploads()
 	if e.closedBy == "budget" {
 		s.cEarlyClose.Inc()
+		if e.traced {
+			s.obs.Emit("node.early_close", obs.F("round", e.round), obs.F("arrived", e.arrived))
+		}
 	}
 	if e.traced {
 		s.obs.Emit("node.pipeline",
@@ -1086,10 +1089,10 @@ func newVehicleSession(cfg ClientConfig, o *obs.Obs) (*vehicleSession, error) {
 	return &vehicleSession{
 		cfg:      cfg,
 		o:        o,
-		cCorrupt: o.Counter("node.client_corrupt_frames"),
-		hTrain:   o.Histogram("node.train_ns", obs.LatencyBuckets()),
-		hEncode:  o.Histogram("node.encode_ns", obs.LatencyBuckets()),
-		hUpload:  o.Histogram("node.upload_ns", obs.LatencyBuckets()),
+		cCorrupt: o.Counter("node.client_corrupt_frames", obs.CountOf("node.client_corrupt_frame")),
+		hTrain:   o.Histogram("node.train_ns", obs.LatencyBuckets(), obs.SpanOf("node.train")),
+		hEncode:  o.Histogram("node.encode_ns", obs.LatencyBuckets(), obs.SpanOf("node.encode")),
+		hUpload:  o.Histogram("node.upload_ns", obs.LatencyBuckets(), obs.SpanOf("node.upload")),
 	}, nil
 }
 
@@ -1385,9 +1388,6 @@ type RetryConfig struct {
 	// delay doubles per consecutive failure up to MaxDelay (default 5 s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// JitterSeed drives the deterministic backoff jitter stream
-	// (0 derives one from the vehicle's seed).
-	JitterSeed int64
 	// Sleeper executes the backoff waits; nil selects obs.RealSleeper.
 	// Tests inject obs.ManualSleeper so retry schedules never sleep.
 	Sleeper obs.Sleeper
@@ -1396,7 +1396,7 @@ type RetryConfig struct {
 }
 
 // RunVehicleRetry runs a vehicle session with bounded reconnection:
-// exponential backoff with deterministic jitter between attempts, session
+// exponential backoff with jitter drawn from the vehicle seed, session
 // state (trained model, randomness stream, cached upload) preserved
 // across connections so a crash-and-rejoin recovery is bit-identical to
 // the fault-free run. Permanent errors (protocol violations, training
@@ -1417,16 +1417,12 @@ func RunVehicleRetry(cfg ClientConfig, rc RetryConfig) error {
 	if rc.Sleeper == nil {
 		rc.Sleeper = obs.RealSleeper{}
 	}
-	seed := rc.JitterSeed
-	if seed == 0 {
-		seed = cfg.Seed ^ 0x5ca1ab1e
-	}
-	jitter := field.NewSeededSource(seed)
+	jitter := field.NewSeededSource(cfg.Seed ^ 0x5ca1ab1e)
 	sess, err := newVehicleSession(cfg, rc.Obs)
 	if err != nil {
 		return err
 	}
-	cReconnects := rc.Obs.Counter("node.reconnects")
+	cReconnects := rc.Obs.Counter("node.reconnects", obs.CountOf("node.reconnect"))
 
 	failures := 0
 	var lastErr error

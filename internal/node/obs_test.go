@@ -68,7 +68,7 @@ func TestReportRecvErrorsOnConnectionBreak(t *testing.T) {
 	if report.RecvErrors < 1 {
 		t.Fatalf("RecvErrors = %d, want >= 1 after a mid-session close", report.RecvErrors)
 	}
-	if got := reg.Counter("node.recv_errors").Value(); got != int64(report.RecvErrors) {
+	if got := reg.Snapshot().Counters["node.recv_errors"]; got != int64(report.RecvErrors) {
 		t.Errorf("node.recv_errors counter = %d, Report.RecvErrors = %d", got, report.RecvErrors)
 	}
 

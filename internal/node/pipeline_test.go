@@ -1,9 +1,11 @@
 package node
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -514,9 +516,19 @@ func TestPipelineEarlyClose(t *testing.T) {
 	const vehicles = 12 // K = 8, punctual fleet = 10 = K+2
 	for _, rounds := range []int{pipelineWindow, pipelineWindow + 1} {
 		reg := obs.NewRegistry()
-		o := obs.New(reg, nil, nil)
-		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, o)
-		got := int(reg.Counter("node.early_closes").Value())
+		var trace bytes.Buffer
+		clock := &obs.ManualClock{}
+		tr := obs.NewTracer(&trace, clock)
+		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, obs.New(reg, tr, clock))
+		got := int(reg.Snapshot().Counters["node.early_closes"])
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The counter's declared twin: one node.early_close event per
+		// budget close.
+		if events := strings.Count(trace.String(), `"ev":"node.early_close"`); events != got {
+			t.Errorf("rounds=%d: %d node.early_close events, node.early_closes = %d", rounds, events, got)
+		}
 		if rounds <= pipelineWindow && got != rounds {
 			t.Errorf("rounds=%d: node.early_closes = %d, want %d", rounds, got, rounds)
 		}
@@ -560,7 +572,7 @@ func TestPipelineWindowWithholding(t *testing.T) {
 	// outstanding); from then on they are withheld, so the collect step
 	// drains the punctual fleet and ends naturally — no further early
 	// closes.
-	if got := reg.Counter("node.early_closes").Value(); got != pipelineWindow {
+	if got := reg.Snapshot().Counters["node.early_closes"]; got != pipelineWindow {
 		t.Errorf("node.early_closes = %d, want %d", got, pipelineWindow)
 	}
 	if rep.Stragglers != 2*rounds {

@@ -29,7 +29,7 @@ func get(t *testing.T, srv *Server, path string) (int, []byte) {
 
 func TestEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("test.hits").Add(3)
+	reg.Counter("test.hits", obs.CountOf("test.hit")).Add(3)
 	clock := &obs.ManualClock{}
 	clock.Set(5 * time.Second)
 	sampler := obs.NewRuntimeSampler(reg)
@@ -62,9 +62,11 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("unexpected healthz %+v", health)
 	}
 
-	// /metricz serves the live registry snapshot.
+	// /metricz serves the live registry snapshot, twin declarations
+	// included.
 	code, body = get(t, srv, "/metricz")
-	if code != http.StatusOK || !strings.Contains(string(body), `"test.hits"`) {
+	if code != http.StatusOK || !strings.Contains(string(body), `"test.hits"`) ||
+		!strings.Contains(string(body), `"event": "test.hit"`) {
 		t.Fatalf("/metricz status %d body %s", code, body)
 	}
 

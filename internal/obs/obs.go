@@ -1,6 +1,9 @@
 // Package obs is the repository's observability layer: typed runtime
 // metrics (Registry), structured JSONL event tracing (Tracer), and
 // runtime/GC sampling (RuntimeSampler) behind one nil-safe handle (Obs).
+// Every counter and histogram names its trace twin where it is
+// registered (Twin), so the registry's snapshot says how a trace
+// re-derives each value.
 //
 // Design constraints, in order:
 //
@@ -128,16 +131,19 @@ func (o *Obs) Now() time.Duration {
 	return o.clock.Now()
 }
 
-// Counter resolves a named counter (nil-safe; nil when disabled).
-// Call sites in loops should resolve once and reuse the handle.
-func (o *Obs) Counter(name string) *Counter { return o.Registry().Counter(name) }
+// Counter resolves a named counter and declares its trace twin (nil-safe;
+// nil when disabled). Call sites resolve once and reuse the handle.
+func (o *Obs) Counter(name string, twin Twin) *Counter {
+	return o.Registry().Counter(name, twin)
+}
 
 // Gauge resolves a named gauge (nil-safe; nil when disabled).
 func (o *Obs) Gauge(name string) *Gauge { return o.Registry().Gauge(name) }
 
-// Histogram resolves a named histogram (nil-safe; nil when disabled).
-func (o *Obs) Histogram(name string, bounds []int64) *Histogram {
-	return o.Registry().Histogram(name, bounds)
+// Histogram resolves a named histogram and declares its trace twin
+// (nil-safe; nil when disabled).
+func (o *Obs) Histogram(name string, bounds []int64, twin Twin) *Histogram {
+	return o.Registry().Histogram(name, bounds, twin)
 }
 
 // Emit records one point event stamped with the current clock reading.

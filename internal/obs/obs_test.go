@@ -24,19 +24,19 @@ func TestNilSafety(t *testing.T) {
 	o.Emit("ev", F("k", 1))
 	span := o.Start("span")
 	span.End(F("x", 2))
-	o.Counter("c").Inc()
-	o.Counter("c").Add(5)
-	if o.Counter("c").Value() != 0 {
+	o.Counter("c", CountOf("e")).Inc()
+	o.Counter("c", CountOf("e")).Add(5)
+	if o.Counter("c", CountOf("e")).Value() != 0 {
 		t.Fatal("nil counter holds a value")
 	}
 	o.Gauge("g").Set(3)
-	o.Histogram("h", LatencyBuckets()).Observe(10)
-	if got := o.Histogram("h", nil).Quantile(0.5); got != 0 {
+	o.Histogram("h", LatencyBuckets(), SpanOf("e")).Observe(10)
+	if got := o.Histogram("h", nil, SpanOf("e")).Quantile(0.5); got != 0 {
 		t.Fatalf("nil histogram quantile = %v", got)
 	}
 
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
+	if r.Counter("x", CountOf("e")) != nil || r.Gauge("x") != nil || r.Histogram("x", nil, SpanOf("e")) != nil {
 		t.Fatal("nil registry returned live metrics")
 	}
 	if snap := r.Snapshot(); snap.Counters != nil {
@@ -56,7 +56,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestCounterGaugeConcurrent(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits")
+	c := r.Counter("hits", CountOf("hit"))
 	g := r.Gauge("level")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -73,7 +73,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if got := c.Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if r.Counter("hits") != c {
+	if r.Counter("hits", CountOf("hit")) != c {
 		t.Fatal("second resolve returned a different counter")
 	}
 }
@@ -214,9 +214,9 @@ func TestTracerConcurrentEmitRaceFree(t *testing.T) {
 
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.count").Add(3)
+	r.Counter("a.count", SumOf("a", "n")).Add(3)
 	r.Gauge("b.gauge").Set(-2)
-	h := r.Histogram("c.hist", []int64{10, 100})
+	h := r.Histogram("c.hist", []int64{10, 100}, NoTwin("test"))
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)
@@ -237,6 +237,12 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	}
 	if hs.Buckets[2].Le != -1 || hs.Buckets[2].N != 1 {
 		t.Fatalf("overflow bucket wrong: %+v", hs.Buckets)
+	}
+	// The declarations travel beside the values; gauges declare nothing.
+	wantTwins := map[string]Twin{"a.count": {Event: "a", Field: "n"}, "c.hist": {NoTwin: "test"}}
+	if len(snap.Twins) != len(wantTwins) || snap.Twins["a.count"] != wantTwins["a.count"] ||
+		snap.Twins["c.hist"] != wantTwins["c.hist"] {
+		t.Fatalf("twins = %+v, want %+v", snap.Twins, wantTwins)
 	}
 	want := []string{"a.count", "b.gauge", "c.hist"}
 	got := r.Names()
@@ -321,4 +327,31 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// TestTwinDeclarationRules pins the one registration rule: every counter
+// and histogram names either a twin event or a NoTwin reason, and a
+// second registration of the same name may not contradict the first.
+func TestTwinDeclarationRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reg  func(r *Registry)
+	}{
+		{"zero twin", func(r *Registry) { r.Counter("c", Twin{}) }},
+		{"field without event", func(r *Registry) { r.Counter("c", Twin{Field: "bytes"}) }},
+		{"event and reason", func(r *Registry) { r.Histogram("h", nil, Twin{Event: "e", NoTwin: "x"}) }},
+		{"contradiction", func(r *Registry) {
+			r.Counter("c", CountOf("e"))
+			r.Counter("c", SumOf("e", "bytes"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("registration accepted")
+				}
+			}()
+			tc.reg(NewRegistry())
+		})
+	}
 }

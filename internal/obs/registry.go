@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -177,14 +178,43 @@ func expBuckets(start int64, factor float64, n int) []int64 {
 // duration histograms (nanosecond observations).
 func LatencyBuckets() []int64 { return expBuckets(1_000, 2, 25) }
 
+// Twin is a metric's declared trace twin: the event whose occurrences it
+// counts, or the numeric field of that event it sums (dur_ns for a
+// span's histogram). A metric that no event re-derives declares NoTwin
+// with the reason instead. Every Counter and Histogram registration
+// names its twin, and the registry's snapshot carries the declarations
+// beside the values, so `tracereport -check-metrics` re-derives each
+// twinned metric from a trace without a table of its own.
+type Twin struct {
+	Event string `json:"event,omitempty"`
+	// Field is the numeric event field summed; empty counts events.
+	Field string `json:"field,omitempty"`
+	// NoTwin is why no event re-derives the metric (Event is then empty).
+	NoTwin string `json:"no_twin,omitempty"`
+}
+
+// CountOf declares a metric that counts event's occurrences.
+func CountOf(event string) Twin { return Twin{Event: event} }
+
+// SumOf declares a metric that sums event's numeric field.
+func SumOf(event, field string) Twin { return Twin{Event: event, Field: field} }
+
+// SpanOf declares a duration histogram whose sum is the Σ dur_ns of the
+// span event that times the same interval.
+func SpanOf(event string) Twin { return SumOf(event, "dur_ns") }
+
+// NoTwin declares a metric that no trace event re-derives, for reason.
+func NoTwin(reason string) Twin { return Twin{NoTwin: reason} }
+
 // Registry is a concurrent name→metric map. Metric handles are created on
 // first use and stable afterwards, so hot paths resolve once and then
 // update lock-free. The nil *Registry returns nil (no-op) handles.
 type Registry struct {
-	mu       sync.Mutex            // guards the three handle maps
+	mu       sync.Mutex            // guards the four maps
 	counters map[string]*Counter   // guarded by mu
 	gauges   map[string]*Gauge     // guarded by mu
 	hists    map[string]*Histogram // guarded by mu
+	twins    map[string]Twin       // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
@@ -193,14 +223,32 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		twins:    map[string]Twin{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// declare records name's twin. A registration without a declaration, or
+// one that contradicts an earlier registration of the same name, is a
+// programming error.
+func (r *Registry) declare(name string, twin Twin) {
+	if (twin.Event == "") == (twin.NoTwin == "") {
+		panic(fmt.Sprintf("obs: %s must declare either a twin event or a NoTwin reason", name))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.twins[name]; ok && prev != twin {
+		panic(fmt.Sprintf("obs: %s re-registered with twin %+v, declared %+v", name, twin, prev))
+	}
+	r.twins[name] = twin
+}
+
+// Counter returns the named counter, creating it on first use, and
+// declares its trace twin.
+func (r *Registry) Counter(name string, twin Twin) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.declare(name, twin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -228,11 +276,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it with the given
 // bounds on first use (later calls reuse the existing bins and ignore
-// bounds).
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// bounds), and declares its trace twin.
+func (r *Registry) Histogram(name string, bounds []int64, twin Twin) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.declare(name, twin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -261,10 +310,12 @@ type HistSnapshot struct {
 }
 
 // Snapshot is a point-in-time JSON-serialisable copy of a registry.
+// Twins holds every counter's and histogram's declared trace twin.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
+	Twins      map[string]Twin         `json:"twins,omitempty"`
 }
 
 // Snapshot copies the registry's current state.
@@ -310,6 +361,9 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			s.Histograms[name] = hs
 		}
+	}
+	if len(r.twins) > 0 {
+		s.Twins = maps.Clone(r.twins)
 	}
 	return s
 }

@@ -298,7 +298,7 @@ func TestDecodeBatchAt(t *testing.T) {
 			calls += 2
 		}
 	}
-	if got, want := reg.Counter("rs.batch.words").Value(), int64(calls*S); got != want {
+	if got, want := reg.Snapshot().Counters["rs.batch.words"], int64(calls*S); got != want {
 		t.Errorf("rs.batch.words = %d, want %d: one record per call, on the parent", got, want)
 	}
 

@@ -298,17 +298,22 @@ type Decoder struct {
 	slotAccPool sync.Pool
 }
 
+// combinedNoTwin declares the rs.batch.combined_* counters: rs.batch
+// carries the combined check's outcome as the boolean combined_ok, which
+// no count or numeric sum re-derives.
+var combinedNoTwin = obs.NoTwin("rs.batch carries the outcome as the boolean combined_ok")
+
 // SetObs attaches observability to the decoder: DecodeBatch increments
 // the rs.batch.* counters and, when tracing is on, emits per-call
 // rs.batch events. A nil handle (the default) disables everything at the
 // cost of a few nil checks.
 func (d *Decoder) SetObs(o *obs.Obs) {
 	d.obs = o
-	d.cBatchWords = o.Counter("rs.batch.words")
-	d.cBatchRecov = o.Counter("rs.batch.recovered")
-	d.cBatchFallback = o.Counter("rs.batch.fallbacks")
-	d.cCombinedOK = o.Counter("rs.batch.combined_ok")
-	d.cCombinedFail = o.Counter("rs.batch.combined_fail")
+	d.cBatchWords = o.Counter("rs.batch.words", obs.SumOf("rs.batch", "words"))
+	d.cBatchRecov = o.Counter("rs.batch.recovered", obs.SumOf("rs.batch", "recovered"))
+	d.cBatchFallback = o.Counter("rs.batch.fallbacks", obs.SumOf("rs.batch", "fallbacks"))
+	d.cCombinedOK = o.Counter("rs.batch.combined_ok", combinedNoTwin)
+	d.cCombinedFail = o.Counter("rs.batch.combined_fail", combinedNoTwin)
 }
 
 // NewDecoder validates the points and message bound and precomputes the

@@ -35,14 +35,18 @@ func Instrument(c Conn, o *obs.Obs, peer string) Conn {
 	}
 	ic := &instrumentedConn{inner: c, o: o, peer: peer}
 	ic.version.Store(protocol.Version)
-	ic.cSendMsgs = o.Counter("transport.send_msgs")
-	ic.cSendBytes = o.Counter("transport.send_bytes")
-	ic.cSendErrors = o.Counter("transport.send_errors")
-	ic.cRecvMsgs = o.Counter("transport.recv_msgs")
-	ic.cRecvBytes = o.Counter("transport.recv_bytes")
-	ic.cRecvErrors = o.Counter("transport.recv_errors")
+	ic.cSendMsgs = o.Counter("transport.send_msgs", obs.CountOf("transport.send"))
+	ic.cSendBytes = o.Counter("transport.send_bytes", obs.SumOf("transport.send", "bytes"))
+	ic.cSendErrors = o.Counter("transport.send_errors", errorsNoTwin)
+	ic.cRecvMsgs = o.Counter("transport.recv_msgs", obs.CountOf("transport.recv"))
+	ic.cRecvBytes = o.Counter("transport.recv_bytes", obs.SumOf("transport.recv", "bytes"))
+	ic.cRecvErrors = o.Counter("transport.recv_errors", errorsNoTwin)
 	return ic
 }
+
+// errorsNoTwin declares the two error counters: a failed Send or Recv
+// emits no transport event (a session's closing EOF is one).
+var errorsNoTwin = obs.NoTwin("a failed send or receive emits no transport event")
 
 // instrumentedConn decorates a Conn with counters and trace events. The
 // concurrency contract matches the wrapped fabrics: one concurrent
@@ -91,24 +95,14 @@ func (c *instrumentedConn) SetWireVersion(v int) {
 // Flush implements Flusher by delegation.
 func (c *instrumentedConn) Flush() error { return Flush(c.inner) }
 
-// SendCorrupt implements Faulter when the wrapped fabric does.
+// SendCorrupt implements Faulter when the wrapped fabric does. A
+// corrupted frame still goes on the wire, so it is accounted like Send.
 func (c *instrumentedConn) SendCorrupt(m *protocol.Message) error {
 	f, ok := c.inner.(Faulter)
 	if !ok {
 		return fmt.Errorf("transport: wrapped fabric cannot corrupt frames")
 	}
-	err := f.SendCorrupt(m)
-	if err != nil {
-		c.stats.sendErrors.Add(1)
-		c.cSendErrors.Inc()
-		return err
-	}
-	bytes := int64(protocol.EncodedSizeVersion(m, int(c.version.Load())))
-	c.stats.sentMsgs.Add(1)
-	c.stats.sentBytes.Add(bytes)
-	c.cSendMsgs.Inc()
-	c.cSendBytes.Add(bytes)
-	return nil
+	return c.sent(m, f.SendCorrupt(m))
 }
 
 // Stats returns the connection's traffic totals so far.
@@ -124,8 +118,12 @@ func (c *instrumentedConn) Stats() ConnStats {
 }
 
 // Send implements Conn.
-func (c *instrumentedConn) Send(m *protocol.Message) error {
-	err := c.inner.Send(m)
+func (c *instrumentedConn) Send(m *protocol.Message) error { return c.sent(m, c.inner.Send(m)) }
+
+// sent accounts one Send or SendCorrupt whose inner call returned err: an
+// error on the error counters, a message on the message and byte
+// counters and, traced, as one transport.send event.
+func (c *instrumentedConn) sent(m *protocol.Message, err error) error {
 	if err != nil {
 		c.stats.sendErrors.Add(1)
 		c.cSendErrors.Inc()

@@ -49,18 +49,28 @@ func TestInstrumentCountsTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A corrupted frame goes on the wire too: it is counted and traced
+	// like a Send, and fails the receiver's checksum.
+	corrupt := stressMsg(n)
+	if err := ia.(Faulter).SendCorrupt(corrupt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ib.Recv(); err == nil {
+		t.Fatal("corrupted frame received cleanly")
+	}
+	wantSent := wantBytes + int64(protocol.EncodedSizeVersion(corrupt, protocol.Version))
 	st := ia.(*instrumentedConn).Stats()
-	if st.SentMsgs != n || st.SentBytes != wantBytes || st.SendErrors != 0 {
-		t.Fatalf("sender stats %+v, want %d msgs / %d bytes", st, n, wantBytes)
+	if st.SentMsgs != n+1 || st.SentBytes != wantSent || st.SendErrors != 0 {
+		t.Fatalf("sender stats %+v, want %d msgs / %d bytes", st, n+1, wantSent)
 	}
 	st = ib.(*instrumentedConn).Stats()
 	if st.RecvMsgs != n || st.RecvBytes != wantBytes {
 		t.Fatalf("receiver stats %+v, want %d msgs / %d bytes", st, n, wantBytes)
 	}
-	if got := reg.Counter("transport.send_msgs").Value(); got != n {
-		t.Fatalf("transport.send_msgs = %d, want %d", got, n)
+	if got := reg.Snapshot().Counters["transport.send_msgs"]; got != n+1 {
+		t.Fatalf("transport.send_msgs = %d, want %d", got, n+1)
 	}
-	if got := reg.Counter("transport.recv_bytes").Value(); got != wantBytes {
+	if got := reg.Snapshot().Counters["transport.recv_bytes"]; got != wantBytes {
 		t.Fatalf("transport.recv_bytes = %d, want %d", got, wantBytes)
 	}
 
@@ -71,10 +81,10 @@ func TestInstrumentCountsTraffic(t *testing.T) {
 	if err := ia.Send(stressMsg(99)); err == nil {
 		t.Fatal("send after close succeeded")
 	}
-	if got := reg.Counter("transport.send_errors").Value(); got != 1 {
+	if got := reg.Snapshot().Counters["transport.send_errors"]; got != 1 {
 		t.Fatalf("transport.send_errors = %d, want 1", got)
 	}
-	if got := reg.Counter("transport.send_msgs").Value(); got != n {
+	if got := reg.Snapshot().Counters["transport.send_msgs"]; got != n+1 {
 		t.Fatalf("send_msgs moved on a failed send: %d", got)
 	}
 
@@ -100,8 +110,8 @@ func TestInstrumentCountsTraffic(t *testing.T) {
 			}
 		}
 	}
-	if sends != n || recvs != n {
-		t.Fatalf("trace has %d sends / %d recvs, want %d each", sends, recvs, n)
+	if sends != n+1 || recvs != n {
+		t.Fatalf("trace has %d sends / %d recvs, want %d / %d", sends, recvs, n+1, n)
 	}
 }
 
@@ -200,7 +210,7 @@ func TestInstrumentConcurrentStress(t *testing.T) {
 	if delivered.Load() == 0 {
 		t.Fatal("no messages survived the stress run")
 	}
-	if got := reg.Counter("transport.recv_msgs").Value(); got != delivered.Load() {
+	if got := reg.Snapshot().Counters["transport.recv_msgs"]; got != delivered.Load() {
 		t.Fatalf("registry recv_msgs = %d, delivered = %d", got, delivered.Load())
 	}
 	if err := o.Tracer().Flush(); err != nil {
