@@ -59,7 +59,7 @@ func TestGoldenSessionParams(t *testing.T) {
 		clients[id] = node.ClientConfig{VehicleID: id, Data: parts[id], Seed: int64(200 + id)}
 	}
 	clients[liar].Corrupt = adversary.SignFlipScale{Scale: 3}
-	report := runPipeSession(t, srv, clients)
+	report := runPipeSession(t, srv, clients, 0)
 	if report.Rounds != rounds || report.DegradedRounds != 0 || report.Stragglers != 0 {
 		t.Fatalf("session: %+v", report)
 	}

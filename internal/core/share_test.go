@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/field"
 )
 
 // TestShareUploadBitIdentical pins the split: over a matrix of shapes,
@@ -165,6 +167,85 @@ func TestShareOwnsItsReference(t *testing.T) {
 	for j := range before {
 		if math.Float64bits(before[j]) != math.Float64bits(after[j]) {
 			t.Fatalf("value %d moved from %v to %v when the caller's rows changed", j, before[j], after[j])
+		}
+	}
+}
+
+// TestVerificationHalvesAreWords pins what a vehicle declares as words on
+// the wire (protocol.Upload.Words = 2·S): for random and extreme shared
+// models, the first 2·S values of both Share.Upload and Scheme.Upload are
+// each exactly float64(uint32(v)), bit for bit — so an honest vehicle's
+// verification halves all travel as 4-byte words.
+func TestVerificationHalvesAreWords(t *testing.T) {
+	cfg := SchemeConfig{NumVehicles: 20, NumBatches: 8, Degree: 2, Seed: 5, Workers: 1}
+	ref := refFeatures(t, 8*3)
+	scheme, err := NewScheme(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := polyActivationModel(t, cfg.Degree, 1)
+	local := polyActivationModel(t, cfg.Degree, 2)
+	n := shared.NumParams()
+	// The largest weight and bias quantise accepts: every symbol then
+	// wraps the field, so the halves span their whole range.
+	limit := float64(field.Modulus/2) / math.Ldexp(1, int(scheme.FracBits()))
+	rng := rand.New(rand.NewSource(11))
+	model := func(w func(i int) float64, b float64) []float64 {
+		p := make([]float64, n)
+		for i := range p[:n-1] {
+			p[i] = w(i)
+		}
+		p[n-1] = b
+		return p
+	}
+	sign := func(i int) float64 { return float64(1 - 2*(i%2)) }
+	models := []struct {
+		name   string
+		params []float64
+	}{
+		{"zero", model(func(int) float64 { return 0 }, 0)},
+		{"random", model(func(int) float64 { return rng.NormFloat64() }, rng.NormFloat64())},
+		{"random x1e6", model(func(int) float64 { return 1e6 * rng.NormFloat64() }, 1e3*rng.NormFloat64())},
+		{"limit", model(func(int) float64 { return limit }, limit/math.Ldexp(1, int(scheme.FracBits())))},
+		{"minus limit", model(func(int) float64 { return -limit }, -limit/math.Ldexp(1, int(scheme.FracBits())))},
+		{"alternating limit", model(func(i int) float64 { return sign(i) * limit }, 0)},
+		{"tiny", model(func(i int) float64 { return sign(i) * 1e-300 }, -1e-300)},
+	}
+	shares := make([]*Share, cfg.NumVehicles)
+	for id := range shares {
+		if shares[id], err = NewShare(ref, cfg, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	words := 2 * scheme.Slots()
+	check := func(who string, up []float64) {
+		t.Helper()
+		for j, v := range up[:words] {
+			if math.Float64bits(float64(uint32(v))) != math.Float64bits(v) {
+				t.Fatalf("%s: verification value %d is %v (bits %016x), not a 32-bit word", who, j, v, math.Float64bits(v))
+			}
+		}
+	}
+	for _, m := range models {
+		if err := shared.SetParams(m.params); err != nil {
+			t.Fatal(err)
+		}
+		if err := scheme.BeginRound(shared); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		for id, share := range shares {
+			if err := share.BeginRound(shared); err != nil {
+				t.Fatal(err)
+			}
+			up, err := share.Upload(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s: share %d", m.name, id), up)
+			if up, err = scheme.Upload(id, local); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s: scheme vehicle %d", m.name, id), up)
 		}
 	}
 }

@@ -944,41 +944,23 @@ func (e *engine) finish() *Report {
 }
 
 // publish refreshes the live Status from the engine; withBehind also
-// relists the vehicles a budget close left behind, which allocates.
+// relists, in place, the vehicles a budget close left behind (Status hands
+// readers a copy).
 func (e *engine) publish(phase string, withBehind bool) {
-	var behind []int
-	if withBehind {
-		behind = e.behindIDs()
-	}
 	e.s.statusMu.Lock()
 	defer e.s.statusMu.Unlock()
 	st := &e.s.status
 	st.Phase, st.Round, st.Arrived, st.Outstanding = phase, e.round, e.arrived, e.outstanding
 	st.Stragglers, st.Rejoins, st.DegradedRounds = e.report.Stragglers, e.report.Rejoins, e.report.DegradedRounds
-	if withBehind {
-		st.Behind = behind
+	if !withBehind {
+		return
 	}
-}
-
-// behindIDs lists the vehicles outpaced by a budget close, ascending (nil
-// when none).
-func (e *engine) behindIDs() []int {
-	n := 0
+	st.Behind = st.Behind[:0]
 	for id := range e.veh {
 		if e.veh[id].behind {
-			n++
+			st.Behind = append(st.Behind, id)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	ids := make([]int, 0, n)
-	for id := range e.veh {
-		if e.veh[id].behind {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 // rearm points a timer that may be running, stopped or already fired at
@@ -1334,14 +1316,17 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 // sendUpload ships the cached upload for the given round, flushed so the
 // fusion centre's round collector sees it immediately, in the session's
 // one Upload message: the connection keeps nothing of it once Send
-// returns. With tracing on the frame carries the session trace and the
-// derived upload span — the same ID on a retransmit resend, so the
-// fusion-side ingest parents consistently across attempts.
+// returns. Its 2·S verification halves are declared as words, so an honest
+// vehicle's halves travel in 4 bytes each (protocol.Upload.Words). With
+// tracing on the frame carries the session trace and the derived upload
+// span — the same ID on a retransmit resend, so the fusion-side ingest
+// parents consistently across attempts.
 func (s *vehicleSession) sendUpload(conn transport.Conn, round int) error {
 	s.up = protocol.Upload{
 		Round:     round,
 		VehicleID: s.cfg.VehicleID,
 		Values:    s.lastUpload,
+		Words:     2 * s.share.Slots(),
 	}
 	if s.o.TraceEnabled() && s.trace != 0 {
 		s.up.TraceID = obs.FormatID(s.trace)

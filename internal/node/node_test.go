@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -182,10 +183,11 @@ func TestDistributedMaliciousSession(t *testing.T) {
 }
 
 // runOverTCP runs the session over loopback TCP and returns the server
-// report. Vehicle i runs RunVehicle on a dialled connection, unless
-// byHand[i] is set: then that function is given the bare socket and
-// plays the vehicle frame by frame.
-func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn)) *Report {
+// report. Vehicle i runs RunVehicle on a dialled connection, wrapped by
+// wrap(i, conn) when wrap is not nil, unless byHand[i] is set: then that
+// function is given the bare socket and plays the vehicle frame by frame.
+// fusion, when not nil, wraps every accepted connection.
+func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn), wrap func(i int, c transport.Conn) transport.Conn, fusion func(transport.Conn) transport.Conn) *Report {
 	t.Helper()
 	l, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -221,6 +223,9 @@ func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn)) *Report
 		if err != nil {
 			t.Fatal(err)
 		}
+		if wrap != nil {
+			conn = wrap(i, conn)
+		}
 		go func(i int) {
 			defer wg.Done()
 			if err := RunVehicle(conn, s.clients[i]); err != nil {
@@ -235,6 +240,9 @@ func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn)) *Report
 		case <-time.After(5 * time.Second):
 			t.Fatal("timed out accepting vehicles")
 		}
+		if fusion != nil {
+			serverConns[i] = fusion(serverConns[i])
+		}
 	}
 	report, err := s.server.Run(serverConns)
 	if err != nil {
@@ -245,8 +253,84 @@ func runOverTCP(t *testing.T, s *session, byHand map[int]func(net.Conn)) *Report
 }
 
 func TestDistributedOverTCP(t *testing.T) {
-	if report := runOverTCP(t, buildSession(t, 10, 3, 0), nil); report.Rounds != 3 {
+	if report := runOverTCP(t, buildSession(t, 10, 3, 0), nil, nil, nil); report.Rounds != 3 {
 		t.Errorf("rounds = %d", report.Rounds)
+	}
+}
+
+// wordsRecorder notes, by the vehicle each upload names, the Words every
+// upload received on the fusion side declares — over TCP, the words its
+// frame carried.
+type wordsRecorder struct {
+	transport.Conn
+	mu    *sync.Mutex
+	words map[int][]int
+}
+
+func (c wordsRecorder) Recv() (*protocol.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Upload != nil {
+		c.mu.Lock()
+		c.words[m.Upload.VehicleID] = append(c.words[m.Upload.VehicleID], m.Upload.Words)
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+func (c wordsRecorder) Flush() error         { return transport.Flush(c.Conn) }
+func (c wordsRecorder) SetWireVersion(v int) { transport.SetWireVersion(c.Conn, v) }
+
+// TestUploadWordsOverTCP runs the upload codec inside a session. The pipe
+// fabric never encodes, so the pipe-based oracle tests never see the
+// words an upload travels as; here honest vehicles share a TCP session
+// with a ConstantLie, a SignFlipScale and a NaN-half vehicle, and the
+// session must end on the FinalParams and flagged set of the same session
+// over pipes. An honest frame carries all 2·S verification halves as
+// words, and so does the constant liar's (5 is a word); the sign-flipped
+// halves (negative or −0) and the NaN half end the run at once.
+func TestUploadWordsOverTCP(t *testing.T) {
+	const vehicles, rounds = 16, 2 // K = 8: up to four lies corrected
+	const constant, flipped, nanHalf = 3, 7, 10
+	build := func() *session {
+		s := buildSession(t, vehicles, rounds, 0)
+		s.clients[constant].Corrupt = adversary.ConstantLie{Value: 5}
+		s.clients[flipped].Corrupt = adversary.SignFlipScale{Scale: 3}
+		return s
+	}
+	wrap := func(i int, c transport.Conn) transport.Conn {
+		if i != nanHalf {
+			return c
+		}
+		return &hostileConn{Conn: c, id: i, rewrite: func(_ int, values []float64) { values[0] = math.NaN() }}
+	}
+	piped := build()
+	want := runWrapped(t, piped, wrap, -1)
+	words := 2 * piped.server.scheme.Slots()
+
+	rec := wordsRecorder{mu: &sync.Mutex{}, words: map[int][]int{}}
+	got := runOverTCP(t, build(), nil, wrap, func(c transport.Conn) transport.Conn {
+		rec.Conn = c
+		return rec
+	})
+	if !sameBits(got.FinalParams, want.FinalParams) {
+		t.Error("TCP session's FinalParams differ from the same session over pipes")
+	}
+	if flagged := []int{constant, flipped, nanHalf}; !slices.Equal(got.SuspectedMalicious, flagged) || !slices.Equal(want.SuspectedMalicious, flagged) {
+		t.Errorf("flagged %v over TCP, %v over pipes; want %v", got.SuspectedMalicious, want.SuspectedMalicious, flagged)
+	}
+	for id := 0; id < vehicles; id++ {
+		wantWords := words
+		if id == flipped || id == nanHalf {
+			wantWords = 0
+		}
+		if len(rec.words[id]) != rounds {
+			t.Errorf("vehicle %d: %d uploads received, want %d", id, len(rec.words[id]), rounds)
+		}
+		for r, w := range rec.words[id] {
+			if w != wantWords {
+				t.Errorf("vehicle %d upload %d carried %d words, want %d", id, r+1, w, wantWords)
+			}
+		}
 	}
 }
 
@@ -307,7 +391,7 @@ func TestUploadAttributedToItsConnection(t *testing.T) {
 		return append(out, body...)
 	}
 
-	crashed := runOverTCP(t, fresh(), playVehicle0(nil))
+	crashed := runOverTCP(t, fresh(), playVehicle0(nil), nil, nil)
 	if crashed.RecvErrors != 1 || crashed.Rounds != rounds {
 		t.Fatalf("crashed-vehicle baseline: %+v", crashed)
 	}
@@ -331,7 +415,7 @@ func TestUploadAttributedToItsConnection(t *testing.T) {
 	}
 	envelope := []byte(`{"gather":{"uploads":[` + strings.Join(uploads, ",") + `]}}`)
 	for name, forged := range map[string][]byte{"binary kind 5": frame(kind5), "JSON envelope": frame(envelope)} {
-		got := runOverTCP(t, fresh(), playVehicle0(forged))
+		got := runOverTCP(t, fresh(), playVehicle0(forged), nil, nil)
 		if got.RecvErrors != 1 {
 			t.Errorf("%s: RecvErrors = %d, want the forged frame to be the connection's one terminal error", name, got.RecvErrors)
 		}

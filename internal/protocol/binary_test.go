@@ -25,6 +25,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, m := range []*Message{
 		{Broadcast: &Broadcast{Round: 3, Params: params}},
 		{Upload: &Upload{Round: 9, VehicleID: 41, Values: params[:5]}},
+		{Upload: &Upload{Round: 9, VehicleID: 41, Values: []float64{4, math.MaxUint32, 0, params[3]}, Words: 3}},
 		{Upload: &Upload{Round: 1, VehicleID: 0}},
 		{Setup: &Setup{InputSize: 3, LocalEpochs: 2, LocalRate: 0.05, ActivationCoeffs: params[2:5],
 			RefX:           [][]float64{params[0:3], params[3:6], params[6:9], params[9:12]},
@@ -139,6 +140,121 @@ func TestBinaryPreservesNaNBits(t *testing.T) {
 	}
 }
 
+// TestUploadWordsRoundTrip: an upload decodes bit for bit whatever it
+// declares as words, with exactly its leading run of exact uint32 values
+// (at most Words long) sent as 4-byte words: NaN payloads, −0, 2³²,
+// negative and fractional values inside the declared prefix end the run
+// and arrive as float64 bits. The decoded message declares that run, and
+// re-encodes to the same bytes.
+func TestUploadWordsRoundTrip(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_dead_beef_0001)
+	mixed := []float64{0, 1, math.MaxUint32, 7, nan, math.Copysign(0, -1), 1 << 32, -1, 0.5, 3}
+	cases := []struct {
+		values      []float64
+		words, sent int // declared, and carried as words
+	}{
+		{mixed, 0, 0},
+		{mixed, 2, 2},
+		{mixed, 4, 4},
+		{mixed, len(mixed), 4},
+		{[]float64{math.Copysign(0, -1), 5}, 2, 0},
+		{[]float64{5, 1 << 32}, 2, 1},
+		{[]float64{5, -1, 6}, 3, 1},
+		{[]float64{0.5, 1}, 2, 0},
+		{[]float64{nan, 1}, 1, 0},
+		{[]float64{2, 3, 4}, 3, 3},
+		{nil, 0, 0},
+	}
+	for _, c := range cases {
+		for _, ctx := range []bool{false, true} {
+			up := &Upload{Round: 4, VehicleID: 9, Values: c.values, Words: c.words}
+			if ctx {
+				up.TraceID, up.SpanID = "00000000deadbeef", "00000000cafef00d"
+			}
+			m := &Message{Upload: up}
+			frame, err := AppendFrame(nil, m, Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLen := headerLen + 18 + 4*c.sent + 8*(len(c.values)-c.sent)
+			if ctx {
+				wantLen += 16
+			}
+			if len(frame) != wantLen || EncodedSizeVersion(m, Version) != wantLen-4 {
+				t.Errorf("%v words=%d: frame %d bytes, accounted %d, want %d", c.values, c.words, len(frame), EncodedSizeVersion(m, Version)+4, wantLen)
+			}
+			got, err := Read(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := got.Upload
+			if g.Words != c.sent || len(g.Values) != len(c.values) {
+				t.Fatalf("%v words=%d: decoded %d values, %d words; want %d, %d", c.values, c.words, len(g.Values), g.Words, len(c.values), c.sent)
+			}
+			for i, v := range c.values {
+				if math.Float64bits(g.Values[i]) != math.Float64bits(v) {
+					t.Errorf("%v words=%d: value %d arrived as %016x, sent %016x", c.values, c.words, i, math.Float64bits(g.Values[i]), math.Float64bits(v))
+				}
+			}
+			again, err := AppendFrame(nil, got, Version)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Errorf("%v words=%d: decoded upload re-encodes to %x, %v; read %x", c.values, c.words, again, err, frame)
+			}
+		}
+	}
+}
+
+// TestUploadWordsChecked: a words count outside [0, len(Values)] has no
+// encoding, and a frame whose words field exceeds its count, is cut off,
+// or disagrees with the payload length is a frame-local error — the next
+// frame still reads.
+func TestUploadWordsChecked(t *testing.T) {
+	for _, words := range []int{-1, 3, 1 << 20} {
+		m := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{1, 2}, Words: words}}
+		if out, err := AppendFrame([]byte("kept"), m, Version); err == nil || string(out) != "kept" {
+			t.Errorf("words=%d of 2 values framed as %x, %v", words, out, err)
+		}
+	}
+	head := []byte{binaryMagic, binaryKindUpload, 1, 0, 0, 0, 2, 0, 0, 0}
+	body := func(count, words uint32, payload int) []byte {
+		b := binary.LittleEndian.AppendUint32(append([]byte(nil), head...), count)
+		b = binary.LittleEndian.AppendUint32(b, words)
+		return append(b, make([]byte, payload)...)
+	}
+	cases := map[string][]byte{
+		"words over count":      body(1, 2, 8),
+		"words over count, fit": body(2, 3, 12),
+		"words field truncated": body(0, 0, 0)[:len(head)+6],
+		"words field missing":   body(0, 0, 0)[:len(head)+4],
+		"payload short":         body(3, 2, 4*2+8-1),
+		"payload long":          body(3, 2, 4*2+8+1),
+		"words read as floats":  body(2, 2, 16),
+		"floats read as words":  body(2, 0, 8),
+		"count wraps the words": body(math.MaxUint32, math.MaxUint32, 0),
+	}
+	next := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{6, 0.5}, Words: 2}}
+	for name, b := range cases {
+		var stream bytes.Buffer
+		stream.Write(rawFrame(b))
+		if err := Write(&stream, next); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := Read(&stream); err == nil {
+			t.Errorf("%s: accepted as %+v", name, m.Upload)
+		} else if errors.Is(err, ErrCorruptFrame) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: refused as %v, want a frame-local decode error", name, err)
+		}
+		got, err := Read(&stream)
+		if err != nil || got.Upload == nil || got.Upload.Words != 1 || !reflect.DeepEqual(got.Upload.Values, next.Upload.Values) {
+			t.Errorf("%s: frame after the refused one read as %+v, %v", name, got, err)
+		}
+	}
+	// The same header over exactly the payload it describes is accepted.
+	if m, err := parseBinary(body(3, 2, 4*2+8), &Inbox{}); err != nil || m.Upload.Words != 2 || len(m.Upload.Values) != 3 {
+		t.Errorf("well-counted upload read as %+v, %v", m, err)
+	}
+}
+
 func TestParseBinaryRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"bare magic":       {binaryMagic},
@@ -219,7 +335,8 @@ func TestSetupCountsCheckedBeforeAllocation(t *testing.T) {
 }
 
 // TestEncodedSizeMatchesFrame: for every message kind, with and without
-// trace context, the size the transport accounts a frame at is the
+// trace context, and for uploads carrying none, some or all of their
+// values as words, the size the transport accounts a frame at is the
 // frame's, less the CRC — by arithmetic for the bulk kinds.
 func TestEncodedSizeMatchesFrame(t *testing.T) {
 	const trace, span = "00000000deadbeef", "00000000cafef00d"
@@ -234,6 +351,10 @@ func TestEncodedSizeMatchesFrame(t *testing.T) {
 		{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2}, TraceID: trace, SpanID: span}},
 		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3}}},
 		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3}, TraceID: trace, SpanID: span}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3, 4, 0.5}, Words: 1}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3, 4, 0.5}, Words: 3}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3, -4, 5}, Words: 3, TraceID: trace, SpanID: span}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{3, 4}, Words: 2, TraceID: trace, SpanID: span}},
 		{Admission: &Admission{Queued: true, Reason: "budget"}},
 		{Finished: &Finished{Rounds: 9}},
 		{Error: &Error{Reason: "boom"}},

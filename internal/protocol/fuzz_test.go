@@ -77,6 +77,18 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 2, VehicleID: 3,
 		Values:  []float64{-0.5},
 		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
+	// Uploads carrying words: all of them, a run a NaN half ends, a run
+	// the declared count ends before an exact value, and a traced one
+	// whose −0 half ends the run.
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 4,
+		Values: []float64{0, math.MaxUint32, 17}, Words: 3}}))
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 4,
+		Values: []float64{5, math.NaN(), 6, 0.25}, Words: 3}}))
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 4,
+		Values: []float64{5, 6, 7, 8}, Words: 2}}))
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 4,
+		Values: []float64{9, math.Copysign(0, -1), 1 << 32}, Words: 3,
+		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
 	// A JSON upload with non-canonical context, which once was the
 	// fallback encoding: must be rejected like any JSON bulk body.
 	f.Add(rawFrame([]byte(`{"upload":{"round":1,"vehicle_id":1,"values":[2],"trace_id":"ABC","span_id":"def"}}`)))
@@ -115,7 +127,12 @@ func FuzzFrameCodec(f *testing.F) {
 		{0xB3, 0x00, 1, 0, 0, 0, 0, 0, 0, 0},
 		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
 		{0xB3, 0x03, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
-		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		// upload words: more words than values; a words field cut off; a
+		// payload sized as if the words were floats.
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0},
+		{0xB3, 0x02, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
 		// setup: a truncated header; rows x cols overstating the payload;
 		// rows without cols; a product that wraps 32 bits over no payload.
 		setupBody(0, 0, 0, 0)[:40],
@@ -188,6 +205,8 @@ func FuzzInboxReuse(f *testing.F) {
 		encodeSeed(f, ctx(&Message{Upload: &Upload{Round: 9, VehicleID: 4, Values: []float64{1, math.NaN(), 3, 4}}})),
 		encodeSeed(f, &Message{Upload: &Upload{Round: 2, VehicleID: 1, Values: []float64{-0.5}}}),
 		encodeSeed(f, &Message{Upload: &Upload{Round: 3, VehicleID: 2}}),
+		encodeSeed(f, &Message{Upload: &Upload{Round: 4, VehicleID: 1, Values: []float64{8, 9, 0.5}, Words: 2}}),
+		encodeSeed(f, ctx(&Message{Upload: &Upload{Round: 5, VehicleID: 3, Values: []float64{1, math.NaN(), 3}, Words: 3}})),
 		encodeSeed(f, ctx(&Message{Broadcast: &Broadcast{Round: 5, Params: []float64{0.25, -1, 2}}})),
 		encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 6, Params: []float64{7}}}),
 		encodeSeed(f, &Message{Finished: &Finished{Rounds: 3}}),

@@ -18,9 +18,11 @@
 // debuggable and lets optional keys come and go. The three bulk messages —
 // Setup, Broadcast and Upload, the ones that carry float vectors — are a
 // binary body: a magic byte that cannot open a JSON value, a kind byte,
-// fixed-width integers and raw little-endian float64 bits. A bulk message
-// has no JSON form and a control message no binary one, on the write side
-// and on the read side.
+// fixed-width integers and raw little-endian float64 bits. An Upload's
+// leading values that are exact 32-bit unsigned integers — the halves of
+// its verification symbols — may travel as 4-byte words instead, as many
+// as Upload.Words declares. A bulk message has no JSON form and a control
+// message no binary one, on the write side and on the read side.
 //
 // There is one wire revision, Version. The Hello/Setup handshake still
 // carries revision numbers so that a later revision can be introduced: a
@@ -41,7 +43,7 @@ import (
 
 // Version is the one protocol revision this build speaks, carried in
 // Hello messages and echoed in Setup.WireVersion.
-const Version = 5
+const Version = 6
 
 // ErrCorruptFrame reports a frame whose body failed its CRC-32 check. The
 // frame has been fully consumed when Read returns it, so the connection
@@ -149,6 +151,14 @@ type Upload struct {
 	VehicleID int
 	// Values is the scheme-defined upload vector.
 	Values []float64
+	// Words is how many leading Values the sender declares as 32-bit
+	// words, in [0, len(Values)]. The encoder writes the leading run of
+	// those values that are each exactly float64(uint32(v)), bit for bit,
+	// as 4-byte words, and everything after the run as float64 bits, so a
+	// value outside the rule (NaN, negative, −0, fractional) ends the run
+	// and still arrives exactly. A decoded Upload has Words set to the
+	// number of values its frame carried as words.
+	Words int
 	// TraceID/SpanID carry the vehicle's upload span context so the
 	// fusion centre's ingest event can parent under the send that
 	// produced it. Empty when tracing is off.
@@ -275,7 +285,8 @@ const headerLen = 8
 //	byte 0: binaryMagic (0xB3)
 //	byte 1: kind
 //	broadcast:     round u32, count u32, count x 8-byte float64 bits
-//	upload:        round u32, vehicle u32, count u32, count x 8 bytes
+//	upload:        round u32, vehicle u32, count u32, words u32,
+//	               words x u32, (count - words) x 8-byte float64 bits
 //	broadcast+ctx: trace u64, span u64, then as broadcast
 //	upload+ctx:    trace u64, span u64, then as upload
 //	setup:         input u32, epochs u32, rate f64, vehicles u32,
@@ -289,8 +300,9 @@ const headerLen = 8
 // payloads included. The context kinds prefix the trace and span IDs; a
 // context kind with either ID zero is rejected, and so is a setup with
 // exactly one of rows and cols zero, so every accepted frame re-encodes
-// to identical bytes. Kind 5 was a relay's combined upload and stays
-// refused.
+// to identical bytes: an upload's words decode to float64(u32), which the
+// word rule takes back as words, and its words count is the decoded
+// Upload.Words. Kind 5 was a relay's combined upload and stays refused.
 const binaryMagic = 0xB3
 
 const (
@@ -304,9 +316,10 @@ const (
 // setupFixedLen is the setup body's fixed part, magic and kind included.
 const setupFixedLen = 2 + 76
 
-// maxBinaryValues caps the float count so a broadcast or upload body
-// respects MaxMessageSize even under the larger (upload+ctx) header.
-const maxBinaryValues = (MaxMessageSize - 30) / 8
+// maxBinaryValues caps the value count so a broadcast or upload body
+// respects MaxMessageSize even under the largest (upload+ctx) header, 34
+// bytes, with every value a float64.
+const maxBinaryValues = (MaxMessageSize - 34) / 8
 
 // bulkEncodable reports whether a bulk message fits the binary body: its
 // integer fields the fixed-width layout, its payload the frame limit, and
@@ -336,7 +349,22 @@ func bulkEncodable(m *Message) bool {
 	}
 	u := m.Upload
 	return fitsUint32(u.Round) && fitsUint32(u.VehicleID) && len(u.Values) <= maxBinaryValues &&
-		ctxEncodable(u.TraceID, u.SpanID)
+		u.Words >= 0 && u.Words <= len(u.Values) && ctxEncodable(u.TraceID, u.SpanID)
+}
+
+// wordRun is how many of an upload's values travel as 4-byte words: the
+// leading run, at most words long, of values that are each exactly the
+// float64 of a uint32, bit for bit (so not −0). words is clamped to the
+// values present, so sizing a message the encoder would refuse (a fabric
+// that never encodes carries it) cannot fail.
+func wordRun(values []float64, words int) int {
+	words = max(0, min(words, len(values)))
+	for i, v := range values[:words] {
+		if math.Float64bits(float64(uint32(v))) != math.Float64bits(v) {
+			return i
+		}
+	}
+	return words
 }
 
 // ctxEncodable reports whether a (trace, span) pair fits a binary body:
@@ -415,7 +443,8 @@ func binaryBodyLen(m *Message) int {
 		return n
 	}
 	u := m.Upload
-	n := 14 + 8*len(u.Values)
+	w := wordRun(u.Values, u.Words)
+	n := 18 + 4*w + 8*(len(u.Values)-w)
 	if u.TraceID != "" {
 		n += 16
 	}
@@ -475,7 +504,12 @@ func appendBinary(dst []byte, m *Message) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Round))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(u.VehicleID))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(u.Values)))
-	return appendFloats(dst, u.Values)
+	w := wordRun(u.Values, u.Words)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
+	for _, v := range u.Values[:w] {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return appendFloats(dst, u.Values[w:])
 }
 
 func appendFloats(dst []byte, vals []float64) []byte {
@@ -547,12 +581,12 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		if count > maxBinaryValues || len(c.b) != 8*int(count) {
 			return nil, fmt.Errorf("protocol: binary broadcast declares %d values in %d payload bytes", count, len(c.b))
 		}
-		bc.Params = in.floats(c.b, int(count))
+		bc.Params = in.values(c.b, int(count), 0)
 		in.bc = bc
 		in.msg = Message{Broadcast: &in.bc}
 		return &in.msg, nil
 	case binaryKindUpload, binaryKindUploadCtx:
-		minLen := 12
+		minLen := 16
 		if kind == binaryKindUploadCtx {
 			minLen += 16
 		}
@@ -568,11 +602,12 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		}
 		up.Round = int(c.u32())
 		up.VehicleID = int(c.u32())
-		count := c.u32()
-		if count > maxBinaryValues || len(c.b) != 8*int(count) {
-			return nil, fmt.Errorf("protocol: binary upload declares %d values in %d payload bytes", count, len(c.b))
+		count, words := c.u32(), c.u32()
+		if words > count || count > maxBinaryValues || len(c.b) != 4*int(words)+8*int(count-words) {
+			return nil, fmt.Errorf("protocol: binary upload declares %d values, %d of them words, in %d payload bytes", count, words, len(c.b))
 		}
-		up.Values = in.floats(c.b, int(count))
+		up.Words = int(words)
+		up.Values = in.values(c.b, int(count), up.Words)
 		in.up = up
 		in.msg = Message{Upload: &in.up}
 		return &in.msg, nil
@@ -600,8 +635,8 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		if (rows == 0) != (cols == 0) || len(rest)%8 != 0 || coeffs+rows*cols != uint64(len(rest)/8) {
 			return nil, fmt.Errorf("protocol: binary setup declares %d coefficients and %d x %d reference values in %d payload bytes", coeffs, rows, cols, len(rest))
 		}
-		su.ActivationCoeffs = readFloats(nil, rest, int(coeffs))
-		if flat := readFloats(nil, rest[8*coeffs:], int(rows*cols)); flat != nil {
+		su.ActivationCoeffs = readValues(nil, rest, int(coeffs), 0)
+		if flat := readValues(nil, rest[8*coeffs:], int(rows*cols), 0); flat != nil {
 			su.RefX = make([][]float64, rows)
 			for i := range su.RefX {
 				su.RefX[i] = flat[i*int(cols) : (i+1)*int(cols) : (i+1)*int(cols)]
@@ -612,10 +647,11 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
 
-// readFloats decodes count little-endian float64s from b into dst's
-// backing array, allocating only when dst is too small. It returns nil for
-// count 0, as a fresh decode does.
-func readFloats(dst []float64, b []byte, count int) []float64 {
+// readValues decodes count values from b into dst's backing array — the
+// first words of them little-endian u32 words, the rest float64 bits —
+// allocating only when dst is too small. It returns nil for count 0, as a
+// fresh decode does.
+func readValues(dst []float64, b []byte, count, words int) []float64 {
 	if count == 0 {
 		return nil
 	}
@@ -623,8 +659,12 @@ func readFloats(dst []float64, b []byte, count int) []float64 {
 		dst = make([]float64, count)
 	}
 	out := dst[:count]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	for i := range out[:words] {
+		out[i] = float64(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	b = b[4*words:]
+	for i := range out[words:] {
+		out[words+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -687,7 +727,7 @@ func appendFrame(dst []byte, m *Message, crcFlip uint32) ([]byte, error) {
 	}
 	if m.isBulk() {
 		if !bulkEncodable(m) {
-			return dst, fmt.Errorf("protocol: %s does not fit the binary body (an integer outside 32 bits, a body over %d bytes, a ragged or zero-width reference set, or a trace context that is not canonical nonzero IDs)", m.kind(), MaxMessageSize)
+			return dst, fmt.Errorf("protocol: %s does not fit the binary body (an integer outside 32 bits, a body over %d bytes, an upload's words count outside [0, values], a ragged or zero-width reference set, or a trace context that is not canonical nonzero IDs)", m.kind(), MaxMessageSize)
 		}
 		dst = slices.Grow(dst, headerLen+binaryBodyLen(m))
 		dst = append(dst, make([]byte, headerLen)...) // filled in below
@@ -737,12 +777,12 @@ type Inbox struct {
 	vals  []float64 // backing of bc.Params or up.Values
 }
 
-// floats decodes a bulk payload into the inbox's value buffer.
-func (in *Inbox) floats(b []byte, count int) []float64 {
+// values decodes a bulk payload into the inbox's value buffer.
+func (in *Inbox) values(b []byte, count, words int) []float64 {
 	if count == 0 {
 		return nil // as a fresh decode has it; the buffer stays for the next
 	}
-	in.vals = readFloats(in.vals, b, count)
+	in.vals = readValues(in.vals, b, count, words)
 	return in.vals
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,12 +46,14 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCtxAbsentKeepsV3WireBytes is the golden-bytes pin of revision 5: a
-// context-free and a context-bearing Broadcast and Upload, a Hello
-// without a session ID, and a bare and a fully populated Setup, byte for
-// byte. (Setup's bytes are the binary body's: builds that sent it as JSON
-// are the second incompatibility DESIGN.md §13.3 lists.)
-func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
+// TestRevision6WireBytes is the golden-bytes pin of revision 6: a
+// context-free and a context-bearing Broadcast; a context-free Upload with
+// no words, one whose words run stops at a fraction, and a
+// context-bearing one all words; a Hello without a session ID; and a bare
+// and a fully populated Setup, byte for byte. (Setup's bytes are the
+// binary body's: builds that sent it as JSON are the second
+// incompatibility DESIGN.md §13.3 lists.)
+func TestRevision6WireBytes(t *testing.T) {
 	golden := []struct {
 		m     *Message
 		frame string
@@ -58,22 +61,26 @@ func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
 		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}}},
 			"0000002299cd9084b3010200000003000000000000000000e03f000000000000f03f0000000000000040"},
 		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}}},
-			"000000160ee1ee39b3020200000004000000010000000000000000001c40"},
+			"0000001a138afc53" + "b302" + "02000000" + "04000000" + "01000000" + "00000000" + "0000000000001c40"},
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7, math.MaxUint32, 0.5}, Words: 3}},
+			"00000022e40066db" + "b302" + "02000000" + "04000000" + "03000000" + "02000000" +
+				"07000000" + "ffffffff" + "000000000000e03f"},
 		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}, TraceID: testTrace, SpanID: testSpan}},
 			"00000032ce859759b303efbeadde000000000df0feca000000000200000003000000000000000000e03f000000000000f03f0000000000000040"},
-		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}, TraceID: testTrace, SpanID: testSpan}},
-			"000000265a64139db304efbeadde000000000df0feca000000000200000004000000010000000000000000001c40"},
-		{&Message{Hello: &Hello{Version: 5, VehicleID: 4}},
-			hex.EncodeToString([]byte("\x00\x00\x00\x26\x66\x45\x93\x34" + `{"hello":{"version":5,"vehicle_id":4}}`))},
-		{&Message{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 5}},
-			"0000004e00a149e4b306" + "0300000000000000" + "0000000000000000" + "040000000000000000000000" +
-				"0900000000000000" + "05000000" + "00000000000000000000000000000000" + "0000000000000000" +
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}, Words: 1, TraceID: testTrace, SpanID: testSpan}},
+			"000000269bb23777" + "b304" + "efbeadde00000000" + "0df0feca00000000" + "02000000" + "04000000" +
+				"01000000" + "01000000" + "07000000"},
+		{&Message{Hello: &Hello{Version: 6, VehicleID: 4}},
+			hex.EncodeToString([]byte("\x00\x00\x00\x26\x8c\xc3\x4e\x56" + `{"hello":{"version":6,"vehicle_id":4}}`))},
+		{&Message{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 6}},
+			"0000004e2a1df96cb306" + "0300000000000000" + "0000000000000000" + "040000000000000000000000" +
+				"0900000000000000" + "06000000" + "00000000000000000000000000000000" + "0000000000000000" +
 				"000000000000000000000000"},
 		{&Message{Setup: &Setup{InputSize: 2, LocalEpochs: 5, LocalRate: 0.5, ActivationCoeffs: []float64{0, 1},
 			RefX: [][]float64{{1, 2}, {-1, 0.5}}, SchemeVehicles: 6, SchemeBatches: 2, SchemeDegree: 1, SchemeSeed: -2,
-			WireVersion: 5, TraceID: testTrace, HelloNs: 7, ClockNs: 9}},
-			"0000007e54cd2846b306" + "0200000005000000" + "000000000000e03f" + "060000000200000001000000" +
-				"feffffffffffffff" + "05000000" + "07000000000000000900000000000000" + "efbeadde00000000" +
+			WireVersion: 6, TraceID: testTrace, HelloNs: 7, ClockNs: 9}},
+			"0000007eac82f06db306" + "0200000005000000" + "000000000000e03f" + "060000000200000001000000" +
+				"feffffffffffffff" + "06000000" + "07000000000000000900000000000000" + "efbeadde00000000" +
 				"020000000200000002000000" +
 				"0000000000000000000000000000f03f" +
 				"000000000000f03f0000000000000040000000000000f0bf000000000000e03f"},
