@@ -1,10 +1,14 @@
-// Quickstart: Lagrange coded computing in five minutes.
+// Quickstart: one verified L-CoFL round.
 //
-// A fusion centre wants V=20 vehicles to evaluate a small polynomial model
-// on M=4 private data batches. It Lagrange-encodes the batches (paper
-// eqs. 3–4), hands each vehicle one encoded share, and lets 5 vehicles lie
-// about their result. The Reed–Solomon decoder recovers every batch output
-// bit-exactly and names the liars — eq. 6's E-security in action.
+// A fusion centre (core.Scheme) and V=20 vehicles (one core.Share each)
+// run the paper's Steps 1–3 once: every vehicle evaluates the broadcast
+// polynomial model on its Lagrange-encoded share (eqs. 3–4) and uploads
+// those symbols beside its own model's estimates of the reference samples.
+// Five vehicles lie: they overwrite their verification halves and flip
+// their estimates. The Reed–Solomon decode locates them (eq. 6), and the
+// targets are the mean over the vehicles it verified. The program exits
+// non-zero unless the located set is exactly the five liars and the
+// targets are, bit for bit, the honest vehicles' mean.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -12,11 +16,15 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
+	"os"
+	"slices"
 
 	"repro/internal/approx"
 	"repro/internal/core"
-	"repro/internal/field"
+	"repro/internal/nn"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -24,106 +32,97 @@ func main() {
 		vehicles = 20
 		batches  = 4
 		degree   = 2
+		liars    = 5
 	)
-	inf, err := core.NewInference(core.InferenceConfig{
-		NumVehicles: vehicles,
-		NumBatches:  batches,
-		FracBits:    9,
-		Seed:        1,
-	}, degree)
+	ds, err := traffic.Generate(traffic.GenConfig{Rows: batches * 6, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recover threshold K = %d, tolerating up to E = %d erroneous vehicles (eq. 6)\n\n",
-		inf.RecoverThreshold(), inf.MaxMalicious())
-
-	// A toy single-layer model: estimation = act(w·x + b) with the
-	// paper's activation approximated by a degree-2 polynomial.
-	exact := approx.SymmetricSigmoid()
-	act, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, degree)
+	refX := ds.Features()
+	cfg := core.SchemeConfig{NumVehicles: vehicles, NumBatches: batches, Degree: degree, Seed: 2}
+	scheme, err := core.NewScheme(refX, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	w := make([]float64, 8)
-	for i := range w {
-		w[i] = rng.NormFloat64() * 0.4
-	}
-	b := 0.1
+	fmt.Printf("V=%d, M=%d, degree %d: recover threshold K=%d, error budget E=%d (eq. 6)\n",
+		vehicles, batches, degree, scheme.RecoverThreshold(), scheme.MaxMalicious())
 
-	// Four private data batches (one representative feature vector each).
-	data := make([][]float64, batches)
-	for m := range data {
-		data[m] = make([]float64, len(w))
-		for f := range data[m] {
-			data[m][f] = rng.Float64()*2 - 1
-		}
-	}
-
-	// Five vehicles (25%) report garbage instead of computing.
-	corrupt := map[int]field.Element{}
-	for _, id := range rng.Perm(vehicles)[:5] {
-		corrupt[id] = field.Rand(rng)
-	}
-	fmt.Printf("malicious vehicles (hidden from the decoder): %v\n\n", keys(corrupt))
-
-	res, err := inf.Run(w, b, act, data, corrupt)
+	// A single-layer model whose activation is the least-squares degree-2
+	// polynomial of the paper's sigmoid (§IV Step 2). The broadcast model
+	// and every vehicle's local model share its shape, not its weights.
+	act, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, degree)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("decoded batch estimations vs direct plaintext computation:")
-	for m, got := range res.BatchOutputs {
-		want, err := inf.PlaintextModel(w, b, act, data[m])
+	model := func(seed int64) *nn.Network {
+		m, err := nn.New(nn.Config{
+			LayerSizes: []int{traffic.NumFeatures, 1},
+			Activation: approx.FromPolynomial("ls-2", act),
+			Seed:       seed,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  batch %d: decoded %+.6f   plaintext %+.6f   bit-exact: %v\n",
-			m, got, want, got == want)
+		return m
 	}
-	fmt.Printf("\ndecoder identified erroneous vehicles: %v\n", res.ErrorPositions)
+	shared := model(1)
+	if err := scheme.BeginRound(shared); err != nil {
+		log.Fatal(err)
+	}
 
-	// Privacy (LCC's T-privacy, paper ref. [24]): padding the encoding
-	// with T random batches makes any coalition of ≤ T vehicles learn
-	// nothing from its shares — encode the same data twice and the shares
-	// differ, while decoding still returns the same exact outputs.
-	priv, err := core.NewInference(core.InferenceConfig{
-		NumVehicles: vehicles,
-		NumBatches:  batches,
-		PrivacyT:    2,
-		FracBits:    9,
-		Seed:        1,
-	}, degree)
+	rng := rand.New(rand.NewSource(3))
+	planted := rng.Perm(vehicles)[:liars]
+	slices.Sort(planted)
+	halves := 2 * scheme.Slots()
+	uploads := make([][]float64, vehicles)
+	for id := range uploads {
+		share, err := core.NewShare(refX, cfg, id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := share.BeginRound(shared); err != nil {
+			log.Fatal(err)
+		}
+		up, err := share.Upload(model(int64(10 + id)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if slices.Contains(planted, id) {
+			for j := range up[:halves] {
+				up[j] = float64(rng.Uint32())
+			}
+			for j := halves; j < len(up); j++ {
+				up[j] = 1 - up[j]
+			}
+		}
+		uploads[id] = up
+	}
+	targets, err := scheme.Aggregate(uploads)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharesA, err := priv.Shares(data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sharesB, err := priv.Shares(data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resPriv, err := priv.Run(w, b, act, data, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwith privacy T=2: recover threshold grows to K=%d (budget E=%d)\n",
-		priv.RecoverThreshold(), priv.MaxMalicious())
-	fmt.Printf("  same data, two encodings — vehicle 0's first share word: %v vs %v (masked)\n",
-		sharesA[0][0], sharesB[0][0])
-	fmt.Printf("  decoded batch 0 still exact: %+.6f\n", resPriv.BatchOutputs[0])
-}
+	located := scheme.SuspectedMalicious()
+	fmt.Printf("planted liars:    %v\nlocated vehicles: %v\n", planted, located)
 
-func keys(m map[int]field.Element) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	// The honest vehicles' mean, summed in vehicle order as the scheme does.
+	want := make([]float64, len(refX))
+	for id, up := range uploads {
+		if !slices.Contains(planted, id) {
+			for j, v := range up[halves:] {
+				want[j] += v
+			}
 		}
 	}
-	return out
+	exact := true
+	var mean float64
+	for j := range want {
+		want[j] /= vehicles - liars
+		exact = exact && math.Float64bits(want[j]) == math.Float64bits(targets[j])
+		mean += targets[j] / float64(len(targets))
+	}
+	fmt.Printf("verified mean estimate over %d reference samples: %.4f\n", len(targets), mean)
+	fmt.Printf("bit-identical to the honest vehicles' mean: %v\n", exact)
+	if !slices.Equal(located, planted) || !exact {
+		os.Exit(1)
+	}
 }

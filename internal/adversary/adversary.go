@@ -50,20 +50,6 @@ func (s SignFlipScale) Name() string { return fmt.Sprintf("sign-flip(x%g)", s.Sc
 // Corrupt implements Behavior.
 func (s SignFlipScale) Corrupt(_ int, honest float64) float64 { return -s.Scale * honest }
 
-// CollusionOffset adds the same fixed offset at every colluding vehicle,
-// the hardest case for averaging aggregators because the poison is
-// coordinated and biased in one direction.
-type CollusionOffset struct {
-	// Offset is the shared additive poison.
-	Offset float64
-}
-
-// Name implements Behavior.
-func (c CollusionOffset) Name() string { return fmt.Sprintf("collusion-offset(%+g)", c.Offset) }
-
-// Corrupt implements Behavior.
-func (c CollusionOffset) Corrupt(_ int, honest float64) float64 { return honest + c.Offset }
-
 // Plan fixes which vehicles are malicious and how they behave.
 type Plan struct {
 	behavior  Behavior

@@ -1,9 +1,6 @@
 package adversary
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestConstantLie(t *testing.T) {
 	b := ConstantLie{Value: 0.9}
@@ -15,13 +12,6 @@ func TestConstantLie(t *testing.T) {
 func TestSignFlipScale(t *testing.T) {
 	b := SignFlipScale{Scale: 3}
 	if got := b.Corrupt(0, 0.5); got != -1.5 {
-		t.Errorf("Corrupt = %g", got)
-	}
-}
-
-func TestCollusionOffset(t *testing.T) {
-	b := CollusionOffset{Offset: 0.4}
-	if got := b.Corrupt(0, 0.1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Corrupt = %g", got)
 	}
 }
@@ -108,7 +98,7 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 func TestBehaviorNames(t *testing.T) {
-	for _, b := range []Behavior{ConstantLie{Value: 1}, SignFlipScale{Scale: 2}, CollusionOffset{Offset: 0.1}} {
+	for _, b := range []Behavior{ConstantLie{Value: 1}, SignFlipScale{Scale: 2}} {
 		if b.Name() == "" {
 			t.Errorf("%T has empty name", b)
 		}

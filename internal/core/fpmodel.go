@@ -38,16 +38,6 @@ func maxFracBitsFor(degree int) uint {
 	return uint(50 / (2*degree + 1))
 }
 
-// newFPModel quantises the model. The activation polynomial's degree sets
-// the composed-degree budget; deg is the configured ceiling.
-func newFPModel(codec *fixedpoint.Codec, w []float64, b float64, act poly.Real, deg int) (*fpModel, error) {
-	m := &fpModel{codec: codec, deg: deg}
-	if err := m.quantise(w, b, act); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // quantise (re)loads the model from real-valued weights, reusing the
 // element slices when the shape is unchanged — the per-round case. On
 // error the model is partly overwritten and must not be evaluated.
@@ -104,11 +94,6 @@ func (m *fpModel) Eval(x []field.Element) field.Element {
 		out = out.Mul(z).Add(m.act[t])
 	}
 	return out
-}
-
-// Decode converts an Eval result back to a real number.
-func (m *fpModel) Decode(e field.Element) float64 {
-	return m.codec.DecodeScaled(e, 2*uint(m.deg)+1)
 }
 
 // symbolToFloats splits a field element into two exactly-representable

@@ -44,7 +44,8 @@ func evalReference(codec *fixedpoint.Codec, w []field.Element, b field.Element, 
 // coefficients at frac bits with no padding.
 func quantiseReference(t testing.TB, codec *fixedpoint.Codec, w []float64, b float64, act poly.Real) (wq []field.Element, bq field.Element, aq []field.Element) {
 	t.Helper()
-	wq, err := codec.EncodeVec(w)
+	wq = make([]field.Element, len(w))
+	err := codec.EncodeVecInto(wq, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestFPModelEvalMatchesReference(t *testing.T) {
 						w[i] = 2*rng.Float64() - 1
 					}
 					b := 2*rng.Float64() - 1
-					m, err := newFPModel(codec, w, b, act, deg)
-					if err != nil {
+					m := &fpModel{codec: codec, deg: deg}
+					if err := m.quantise(w, b, act); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					wq, bq, aq := quantiseReference(t, codec, w, b, act)

@@ -36,10 +36,6 @@
 // lies only on the learning channel evades this defence; that is the
 // data-poisoning problem, outside the paper's "erroneous results" threat
 // model (its malicious vehicles corrupt what they report wholesale).
-//
-// Inference is the standalone coded-inference pipeline over the same
-// machinery, for applications that only need secure estimation of a
-// fixed model.
 package core
 
 import (

@@ -393,6 +393,17 @@ func TestSchemeUploadValidation(t *testing.T) {
 			t.Errorf("model of shape %v accepted", sizes)
 		}
 	}
+	if err := s.BeginRound(polyActivationModel(t, 2, 10)); err == nil {
+		t.Error("activation above the configured degree accepted")
+	}
+	// Degree 3 carries (2·3+1)·frac fractional bits: frac 8 needs 56 > 50.
+	s3, err := NewScheme(ref, SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s3.BeginRound(polyActivationModel(t, 3, 10)); err == nil {
+		t.Error("fraction bits beyond the field headroom accepted")
+	}
 	if err := s.BeginRound(model); err != nil {
 		t.Fatal(err)
 	}
@@ -643,11 +654,11 @@ func TestMedian(t *testing.T) {
 
 // perSlotReference is the oracle the streamed decode is pinned to:
 // gather each verification slot's word from the present uploads, decode
-// it on its own with the one-shot reedsolomon.Decode at the present
-// vehicles' points, tally failures and located vehicles, flag every
-// vehicle that sent a learning estimate outside [0, 1], and form the
-// targets from that verdict (the flagged-free mean, or the all-vehicle
-// median without NaN once more than half the slots are undecodable).
+// it on its own with a reedsolomon.Decoder over the present vehicles'
+// points, tally failures and located vehicles, flag every vehicle that
+// sent a learning estimate outside [0, 1], and form the targets from that
+// verdict (the flagged-free mean, or the all-vehicle median without NaN
+// once more than half the slots are undecodable).
 func perSlotReference(t testing.TB, s *Scheme, ups [][]float64) (targets []float64, failures int, detected []int) {
 	t.Helper()
 	points := s.coder.Points()
@@ -667,7 +678,11 @@ func perSlotReference(t testing.TB, s *Scheme, ups [][]float64) (targets []float
 			failures++
 			continue
 		}
-		res, err := reedsolomon.Decode(xs, ys, s.k)
+		dec, err := reedsolomon.NewDecoder(xs, s.k)
+		if err != nil {
+			t.Fatalf("reference slot %d: %v", j, err)
+		}
+		res, err := dec.Decode(ys)
 		if err != nil {
 			if !errors.Is(err, reedsolomon.ErrTooManyErrors) {
 				t.Fatalf("reference slot %d: %v", j, err)

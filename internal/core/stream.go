@@ -163,10 +163,11 @@ func (r *RoundIngest) holds(uploads [][]float64) bool {
 	return n == r.count
 }
 
-// AggregateStreamed implements fl.StreamingAggregator: the round is
-// finished on the streamed state when sink is this scheme's and holds
-// exactly the present rows, and aggregated afresh otherwise. Results are
-// bit-identical to Aggregate(uploads) for any arrival order.
+// AggregateStreamed is Aggregate for a round whose uploads were streamed
+// into sink: the round is finished on the streamed state when sink is
+// this scheme's and holds exactly the present rows, and aggregated afresh
+// otherwise. Results are bit-identical to Aggregate(uploads) for any
+// arrival order.
 func (s *Scheme) AggregateStreamed(sink fl.UploadSink, uploads [][]float64) ([]float64, error) {
 	if err := s.checkUploads(uploads); err != nil {
 		return nil, err

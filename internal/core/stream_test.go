@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"repro/internal/fl"
 )
 
 // streamedAggregate runs AggregateStreamed after ingesting the uploads
@@ -187,9 +185,6 @@ func TestRoundIngestValidation(t *testing.T) {
 type dummySink struct{}
 
 func (*dummySink) Add(int, []float64) error { return nil }
-
-// The scheme must satisfy the fl.StreamingAggregator contract.
-var _ fl.StreamingAggregator = (*Scheme)(nil)
 
 // lieWholesale overwrites every scalar of the given vehicles' uploads,
 // verification symbols included — the paper's wholesale liar.

@@ -69,17 +69,9 @@ func (c *Codec) DecodeScaled(e field.Element, times uint) float64 {
 	return float64(e.Centered()) / math.Ldexp(1, int(times*c.frac))
 }
 
-// EncodeVec quantises a vector, failing on the first unrepresentable entry.
-func (c *Codec) EncodeVec(xs []float64) ([]field.Element, error) {
-	out := make([]field.Element, len(xs))
-	if err := c.EncodeVecInto(out, xs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EncodeVecInto is EncodeVec into a caller-owned slice of the same
-// length; on error dst holds the entries before the failing one.
+// EncodeVecInto quantises xs into a caller-owned slice of the same
+// length, failing on the first unrepresentable entry; on error dst holds
+// the entries before it.
 func (c *Codec) EncodeVecInto(dst []field.Element, xs []float64) error {
 	if len(dst) != len(xs) {
 		return fmt.Errorf("fixedpoint: destination length %d, want %d", len(dst), len(xs))

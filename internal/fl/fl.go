@@ -21,9 +21,10 @@
 //     distillation — see DESIGN.md §1(b) for why this is the coherent
 //     reading of the paper's "vehicles upload only estimation results").
 //
-// Step 4 is CloseRound, which the networked engine (package node) calls
-// too: given the same admitted uploads both drivers close a round alike,
-// so a System is the engine's test oracle (DESIGN.md §14).
+// Step 4 is the scheme's aggregation followed by CloseRound, the fit the
+// networked engine (package node) runs too: given the same admitted
+// uploads both drivers close a round alike, so a System is the engine's
+// test oracle (DESIGN.md §14).
 //
 // The package provides the two baseline schemes (plain FL and
 // approximation-only FL differ solely in the activation installed into
@@ -247,23 +248,9 @@ type Scheme interface {
 // window instead of holding everything for the round barrier. Add is
 // not safe for concurrent use — the driver feeds it from its single
 // collection loop. The upload slice handed to Add must be the same row
-// later passed to the aggregation call; a nil upload is a no-op.
+// the round's aggregation is later given; a nil upload is a no-op.
 type UploadSink interface {
 	Add(vehicleID int, upload []float64) error
-}
-
-// StreamingAggregator is an optional Scheme extension. A scheme that
-// implements it can absorb uploads incrementally during the collection
-// window; AggregateStreamed then consumes the sink's accumulated state
-// where it applies and MUST return results bit-identical to
-// Aggregate(uploads) — streaming is a latency optimisation, never a
-// semantic change. One BeginIngest per round: a scheme may reset and
-// return the same sink every round, so a sink is valid until the next
-// BeginIngest.
-type StreamingAggregator interface {
-	Scheme
-	BeginIngest() UploadSink
-	AggregateStreamed(sink UploadSink, uploads [][]float64) ([]float64, error)
 }
 
 // RoundStats reports what happened during one global round.
@@ -408,7 +395,12 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		sp.SetSpanParent(aggCtx)
 	}
 	aggSpan := s.obs.Start("fl.aggregate", aggFields...)
-	stats.Targets, stats.DistillLoss, err = CloseRound(scheme, nil, s.distiller, s.shared, uploads)
+	stats.Targets, err = scheme.Aggregate(uploads)
+	if err != nil {
+		err = fmt.Errorf("fl: aggregate: %w", err)
+	} else {
+		stats.DistillLoss, err = CloseRound(s.distiller, s.shared, stats.Targets)
+	}
 	aggSpan.End()
 	if err != nil {
 		return nil, err
@@ -426,36 +418,20 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 }
 
 // CloseRound is the fusion centre's close of one round, the one step
-// System.RunRound and the networked engine (package node) share: it
-// aggregates the admitted uploads — one row per vehicle, nil for a
-// vehicle the round did not admit — into one target per reference sample
-// and fits shared to them with d. A non-nil sink is the round's streamed
-// ingest, consumed by the scheme's AggregateStreamed (scheme must then be
-// a StreamingAggregator); a nil sink aggregates from the rows alone. A
-// round whose every target was dropped leaves shared still and reports a
-// zero loss.
-func CloseRound(scheme Scheme, sink UploadSink, d *Distiller, shared *nn.Network, uploads [][]float64) (targets []float64, loss float64, err error) {
-	if sink != nil {
-		st, ok := scheme.(StreamingAggregator)
-		if !ok {
-			return nil, 0, fmt.Errorf("fl: scheme %s has no streamed aggregation", scheme.Name())
-		}
-		targets, err = st.AggregateStreamed(sink, uploads)
-	} else {
-		targets, err = scheme.Aggregate(uploads)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("fl: aggregate: %w", err)
-	}
+// System.RunRound and the networked engine (package node) share: it fits
+// shared with d to targets, one per reference sample, which the caller
+// aggregated from the round's admitted uploads. A round whose every
+// target was dropped leaves shared still and reports a zero loss.
+func CloseRound(d *Distiller, shared *nn.Network, targets []float64) (loss float64, err error) {
 	// Fit checks the target count against the reference set.
 	loss, err = d.Fit(shared, targets)
 	switch {
 	case errors.Is(err, ErrNoTargets):
-		return targets, 0, nil
+		return 0, nil
 	case err != nil:
-		return nil, 0, fmt.Errorf("fl: distillation: %w", err)
+		return 0, fmt.Errorf("fl: distillation: %w", err)
 	}
-	return targets, loss, nil
+	return loss, nil
 }
 
 // Accuracy evaluates the shared model's classification accuracy on a test

@@ -321,7 +321,7 @@ func TestDistillHiddenLayerPath(t *testing.T) {
 
 // TestCloseRoundNoTargetsHoldsStill: a round that admitted nobody
 // aggregates to all-Dropped targets, and the close leaves the model where
-// it was instead of failing. A streamed ingest needs a streaming scheme.
+// it was instead of failing.
 func TestCloseRoundNoTargetsHoldsStill(t *testing.T) {
 	sys, _ := buildSystem(t, 3, approx.SymmetricSigmoid())
 	scheme, err := NewPlainScheme(sys.ReferenceFeatures())
@@ -329,7 +329,11 @@ func TestCloseRoundNoTargetsHoldsStill(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sys.Shared().Params()
-	targets, loss, err := CloseRound(scheme, nil, sys.distiller, sys.Shared(), make([][]float64, sys.NumVehicles()))
+	targets, err := scheme.Aggregate(make([][]float64, sys.NumVehicles()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := CloseRound(sys.distiller, sys.Shared(), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +345,7 @@ func TestCloseRoundNoTargetsHoldsStill(t *testing.T) {
 			t.Fatal("empty round moved the model")
 		}
 	}
-	if _, _, err := CloseRound(scheme, nopSink{}, sys.distiller, sys.Shared(), nil); err == nil {
-		t.Error("streamed ingest accepted by a scheme without streamed aggregation")
-	}
 }
-
-type nopSink struct{}
-
-func (nopSink) Add(int, []float64) error { return nil }
 
 func TestDeterministicRounds(t *testing.T) {
 	a, _ := buildSystem(t, 5, approx.SymmetricSigmoid())

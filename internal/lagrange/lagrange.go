@@ -115,11 +115,6 @@ func (c *Coder) SetObs(o *obs.Obs) {
 	}
 }
 
-// Nodes returns a copy of the batch nodes ℓ_m.
-func (c *Coder) Nodes() []field.Element {
-	return append([]field.Element(nil), c.nodes...)
-}
-
 // Points returns a copy of the worker points ρ_i.
 func (c *Coder) Points() []field.Element {
 	return append([]field.Element(nil), c.points...)

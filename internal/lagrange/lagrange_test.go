@@ -52,7 +52,7 @@ func TestWeightsPartitionOfUnity(t *testing.T) {
 
 func TestWeightsIndicatorAtNodes(t *testing.T) {
 	c := mustCoder(t, 6, 4, 3)
-	for m, node := range c.Nodes() {
+	for m, node := range c.nodes {
 		w := c.WeightsAt(node)
 		for n := range w {
 			want := field.Zero
@@ -74,7 +74,7 @@ func TestEncodeScalarsMatchesPolynomial(t *testing.T) {
 	for i := range batches {
 		batches[i] = field.Rand(rng)
 	}
-	h, err := poly.Interpolate(c.Nodes(), batches)
+	h, err := poly.Interpolate(c.nodes, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEvalAtNodesRoundTrip(t *testing.T) {
 	for i := range batches {
 		batches[i] = field.Rand(rng)
 	}
-	got, err := c.EvalAtNodes(batches, c.Nodes())
+	got, err := c.EvalAtNodes(batches, c.nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -724,13 +724,11 @@ func (e *engine) admit(u result) bool {
 		fields := append([]obs.Field{obs.F("round", e.round), obs.F("vehicle", u.vehicleID)}, obs.CtxFields(ingest, parent)...)
 		s.obs.Emit("node.ingest", fields...)
 	}
-	if e.sink != nil {
-		t0 := s.obs.Now()
-		if err := e.sink.Add(u.vehicleID, u.values); err != nil {
-			e.sink = nil // defensive: the close redoes the streamed work
-		}
-		e.overlapNs += int64(s.obs.Now() - t0)
+	t0 := s.obs.Now()
+	if e.sink != nil && e.sink.Add(u.vehicleID, u.values) != nil {
+		e.sink = nil // defensive: the close redoes the streamed work
 	}
+	e.overlapNs += int64(s.obs.Now() - t0)
 	early := e.target > 0 && e.arrived >= e.target && e.outstanding > 0
 	if early {
 		for id := range e.veh {
@@ -832,11 +830,11 @@ func (e *engine) rejoin(req rejoinReq) {
 }
 
 // close ends the round: a straggler verdict for every live vehicle
-// without an upload, then fl.CloseRound — the close fl.System runs too —
-// over exactly the admitted uploads, whose buffers then go back to their
-// receivers. Below K nothing can be verified: the model holds still and
-// the round counts as degraded instead of failing the session (DESIGN.md
-// §11).
+// without an upload, then the scheme's streamed aggregation and
+// fl.CloseRound — the close fl.System runs too — over exactly the
+// admitted uploads, whose buffers then go back to their receivers. Below
+// K nothing can be verified: the model holds still and the round counts
+// as degraded instead of failing the session (DESIGN.md §11).
 func (e *engine) close() error {
 	s := e.s
 	defer e.releaseUploads()
@@ -880,12 +878,14 @@ func (e *engine) close() error {
 		return nil
 	}
 	e.publish("aggregate", false)
-	// The streamed decode state is consumed where it applies
-	// (bit-identical to the plain Aggregate, core/stream.go). The scheme's
-	// core.aggregate span nests under this round's span; the zero context
-	// with tracing off keeps it detached.
+	// Finish on the streamed ingest (core/stream.go), the scheme's
+	// core.aggregate span under this round's (detached when untraced).
 	s.scheme.SetSpanParent(e.ctx)
-	if _, _, err := fl.CloseRound(s.scheme, e.sink, s.distiller, s.shared, e.rows); err != nil {
+	targets, err := s.scheme.AggregateStreamed(e.sink, e.rows)
+	if err == nil {
+		_, err = fl.CloseRound(s.distiller, s.shared, targets)
+	}
+	if err != nil {
 		return fmt.Errorf("node: round %d: %w", e.round, err)
 	}
 	flagged := 0

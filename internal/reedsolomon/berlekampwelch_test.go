@@ -226,7 +226,7 @@ func TestDecodeBWAgreesWithGao(t *testing.T) {
 		e := rng.Intn(MaxErrors(n, k) + 2) // occasionally beyond budget
 		_, xs, ys := randomCodeword(rng, n, k)
 		corrupt(rng, ys, min(e, n))
-		gao, gaoErr := Decode(xs, ys, k)
+		gao, gaoErr := decodeWord(xs, ys, k)
 		bw, bwErr := decodeBW(xs, ys, k)
 		if (gaoErr == nil) != (bwErr == nil) {
 			t.Fatalf("trial %d: gao err=%v, bw err=%v", trial, gaoErr, bwErr)
@@ -333,9 +333,13 @@ func BenchmarkDecodeBWvsGao(b *testing.B) {
 	rng := rand.New(rand.NewSource(26))
 	_, xs, ys := randomCodeword(rng, 100, 46)
 	corrupt(rng, ys, 27)
+	d, err := NewDecoder(xs, 46)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("gao", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(xs, ys, 46); err != nil {
+			if _, err := d.Decode(ys); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -271,7 +271,7 @@ func perSlotRef(d *Decoder, words [][]field.Element, positions []int) ([]*Result
 	results := make([]*Result, len(words))
 	errs := make([]error, len(words))
 	for s, ys := range subWords {
-		results[s], errs[s] = Decode(subXs, ys, d.k)
+		results[s], errs[s] = decodeWord(subXs, ys, d.k)
 	}
 	toParent(results, sorted)
 	return results, errs

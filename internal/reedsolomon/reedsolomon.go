@@ -7,21 +7,23 @@
 //
 //	K + 2E ≤ V        (equivalently paper eq. 6 with K-1 = (M-1)·deg(C))
 //
-// Decoding is exact over GF(p) and has three entries, all resting on
-// Gao's extended-Euclidean formulation of Reed–Solomon decoding
-// (equivalent to Berlekamp–Welch, but branch-free and easier to verify):
+// Decoding is exact over GF(p) and has two entries, both resting on Gao's
+// extended-Euclidean formulation of Reed–Solomon decoding (equivalent to
+// Berlekamp–Welch, but branch-free and easier to verify):
 //
-//   - Decode / Decoder.Decode: one received word, errors located and
-//     corrected up to the budget.
-//   - Decoder.DecodeBatch: many words at the same points, errors located
-//     once on a random combination and every word verified against itself
-//     (batch.go).
-//   - IncrementalDecoder (Ingest / Finalize): the batch decode fed one
-//     position at a time as uploads arrive (incremental.go).
+//   - Decoder.Decode: one received word, errors located and corrected up
+//     to the budget.
+//   - IncrementalDecoder (Ingest / Finalize): many words at the same
+//     points, fed one position at a time as uploads arrive; the errors are
+//     located once on a random combination and every word is verified
+//     against itself (incremental.go, batch.go).
+//
+// Decoder.DecodeBatch runs the same batch internals on words already
+// gathered; the benchmark's decode layer calls it.
 //
 // Missing results (stragglers, the paper's first decoding assumption)
-// need no entry of their own: the batch and incremental entries decode
-// over exactly the positions that arrived.
+// need no entry of their own: the incremental decode runs over exactly
+// the positions that arrived.
 //
 // The paper's §IV Step 3 also names Forney's algorithm; Forney computes
 // error VALUES in syndrome-based decoding of BCH-view Reed–Solomon codes,
@@ -64,48 +66,6 @@ type Result struct {
 	// ErrorPositions lists the indices i whose received value disagreed
 	// with Poly(xs[i]) — the detected malicious workers.
 	ErrorPositions []int
-}
-
-// Decode reconstructs the unique polynomial of degree ≤ k-1 that agrees
-// with the received values ys at the distinct points xs in all but at most
-// ⌊(n-k)/2⌋ positions, using Gao decoding. It returns ErrTooManyErrors
-// when no such polynomial exists.
-func Decode(xs, ys []field.Element, k int) (*Result, error) {
-	n := len(xs)
-	if len(ys) != n {
-		return nil, fmt.Errorf("reedsolomon: %d points but %d values", n, len(ys))
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("reedsolomon: message degree bound k=%d must be >= 1", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("reedsolomon: need at least k=%d evaluations, got %d", k, n)
-	}
-	if !field.Distinct(xs) {
-		return nil, fmt.Errorf("reedsolomon: evaluation points must be distinct")
-	}
-
-	// g0(z) = Π (z - x_i)
-	g0 := poly.New(field.One)
-	for _, x := range xs {
-		g0 = g0.MulLinear(x)
-	}
-	// g1 = interpolation through all received points.
-	g1, err := poly.Interpolate(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	return gaoEuclid(xs, ys, k, g0, g1)
-}
-
-// gaoEuclid runs the Euclidean stage of Gao decoding given the
-// precomputed locator product g0 and received-word interpolation g1.
-func gaoEuclid(xs, ys []field.Element, k int, g0, g1 poly.Poly) (*Result, error) {
-	f, errPos, err := gaoSolve(newGaoScratch(len(xs)), xs, ys, k, g0, g1, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Poly: f, ErrorPositions: errPos}, nil
 }
 
 // gaoScratch holds the working polynomials of one Gao decode: the
@@ -196,10 +156,9 @@ func subInPlace(a, b []field.Element) []field.Element {
 	return trimZeros(a)
 }
 
-// gaoSolve is gaoEuclid on caller-provided scratch: every intermediate
-// polynomial lives in sc. Results are bit-identical to the
-// immutable-poly formulation: the arithmetic is exact and the iteration
-// order unchanged. It copies the decoded polynomial into fDst's backing
+// gaoSolve runs the Euclidean stage of Gao decoding, given the locator
+// product g0 and the received-word interpolation g1, on caller-provided
+// scratch: every intermediate polynomial lives in sc. It copies the decoded polynomial into fDst's backing
 // array and the error positions into errDst's, allocating only where
 // those lack room (nil allocates both as needed), so a caller with
 // buffers of capacity k and MaxErrors(n, k) decodes without allocating.
@@ -266,7 +225,7 @@ func gaoSolve(sc *gaoScratch, xs, ys []field.Element, k int, g0, g1 poly.Poly, f
 	return f, errPos, nil
 }
 
-// Decoder amortises the point-dependent work of Decode across many words
+// Decoder amortises the point-dependent work of decoding across many words
 // received at the same evaluation points — the L-CoFL fusion centre
 // decodes one word per verification slot per round, all at the fixed
 // vehicle points ρ_i. Construction validates the points and precomputes

@@ -24,6 +24,16 @@ func corrupt(rng *rand.Rand, ys []field.Element, e int) []int {
 	return pos
 }
 
+// decodeWord decodes one received word at the points xs: a Decoder over
+// xs, then its Decode.
+func decodeWord(xs, ys []field.Element, k int) (*Result, error) {
+	d, err := NewDecoder(xs, k)
+	if err != nil {
+		return nil, err
+	}
+	return d.Decode(ys)
+}
+
 func randomCodeword(rng *rand.Rand, n, k int) (poly.Poly, []field.Element, []field.Element) {
 	coeffs := make([]field.Element, k)
 	for i := range coeffs {
@@ -52,7 +62,7 @@ func TestMaxErrors(t *testing.T) {
 func TestDecodeNoErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f, xs, ys := randomCodeword(rng, 20, 5)
-	res, err := Decode(xs, ys, 5)
+	res, err := decodeWord(xs, ys, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +83,7 @@ func TestDecodeCorrectsUpToBudget(t *testing.T) {
 		e := rng.Intn(emax + 1)
 		f, xs, ys := randomCodeword(rng, n, k)
 		wantPos := corrupt(rng, ys, e)
-		res, err := Decode(xs, ys, k)
+		res, err := decodeWord(xs, ys, k)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d k=%d e=%d): %v", trial, n, k, e, err)
 		}
@@ -101,7 +111,7 @@ func TestDecodeBeyondBudgetFails(t *testing.T) {
 	emax := MaxErrors(n, k) // 5
 	f, xs, ys := randomCodeword(rng, n, k)
 	corrupt(rng, ys, emax+1)
-	res, err := Decode(xs, ys, k)
+	res, err := decodeWord(xs, ys, k)
 	// Either a detected failure, or (rarely) a *different* consistent
 	// codeword; it must never silently return the original with wrong
 	// error accounting.
@@ -121,7 +131,7 @@ func TestDecodePaperScale(t *testing.T) {
 	n, k := 100, 46
 	f, xs, ys := randomCodeword(rng, n, k)
 	corrupt(rng, ys, 27)
-	res, err := Decode(xs, ys, k)
+	res, err := decodeWord(xs, ys, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestDecodeZeroWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := field.RandDistinct(rng, 8, nil)
 	ys := make([]field.Element, 8)
-	res, err := Decode(xs, ys, 3)
+	res, err := decodeWord(xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +159,17 @@ func TestDecodeZeroWord(t *testing.T) {
 func TestDecodeValidation(t *testing.T) {
 	xs := []field.Element{field.New(1), field.New(2)}
 	ys := []field.Element{field.New(1)}
-	if _, err := Decode(xs, ys, 1); err == nil {
+	if _, err := decodeWord(xs, ys, 1); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Decode(xs, xs, 0); err == nil {
+	if _, err := decodeWord(xs, xs, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Decode(xs, xs, 3); err == nil {
+	if _, err := decodeWord(xs, xs, 3); err == nil {
 		t.Error("n<k accepted")
 	}
 	dup := []field.Element{field.New(1), field.New(1)}
-	if _, err := Decode(dup, dup, 1); err == nil {
+	if _, err := decodeWord(dup, dup, 1); err == nil {
 		t.Error("duplicate points accepted")
 	}
 }
@@ -168,9 +178,13 @@ func BenchmarkDecodeV100K46E27(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	_, xs, ys := randomCodeword(rng, 100, 46)
 	corrupt(rng, ys, 27)
+	d, err := NewDecoder(xs, 46)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(xs, ys, 46); err != nil {
+		if _, err := d.Decode(ys); err != nil {
 			b.Fatal(err)
 		}
 	}
