@@ -22,7 +22,9 @@ import (
 // c_t·z^t is padded with unit^{2(deg−t)}, unit the fixed-point one, so
 // every term — and therefore the output — carries (2·deg+1)·frac bits.
 // The padding is a constant factor of c_t, so quantise multiplies it in
-// once and Eval is a plain Horner evaluation.
+// once and Eval is a plain Horner evaluation. Those (2·deg+1)·frac bits
+// must fit the field's headroom; newEvaluator refuses a codec and degree
+// for which they do not.
 type fpModel struct {
 	codec *fixedpoint.Codec
 	w     []field.Element
@@ -48,10 +50,6 @@ func (m *fpModel) quantise(w []float64, b float64, act poly.Real) error {
 	}
 	if act.Degree() < 1 {
 		return fmt.Errorf("core: activation must be a non-constant polynomial")
-	}
-	if bits := (2*uint(deg) + 1) * codec.FracBits(); bits > 50 {
-		return fmt.Errorf("core: %d fractional bits at degree %d need %d bits, exceeding field headroom (max FracBits %d)",
-			codec.FracBits(), deg, bits, maxFracBitsFor(deg))
 	}
 	if len(m.w) != len(w) {
 		m.w = make([]field.Element, len(w))

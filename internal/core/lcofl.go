@@ -97,6 +97,9 @@ type Scheme struct {
 	// aggVals is the median fallback's scratch: one sample's present
 	// values, reused round over round.
 	aggVals []float64
+	// out holds the last aggregation's targets, one per reference row;
+	// every aggregation rewrites it.
+	out []float64
 
 	// ingest is the scheme's one round decode state, reset by every
 	// BeginIngest and by every Aggregate (stream.go).
@@ -201,6 +204,7 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		k:         k,
 		dec:       dec,
 		workers:   workers,
+		out:       make([]float64, len(refX)),
 	}
 	if cfg.Obs.Enabled() {
 		o := cfg.Obs
@@ -248,6 +252,8 @@ func (s *Scheme) Upload(vehicleID int, model *nn.Network) ([]float64, error) {
 // half the verification slots are undecodable (error budget of eq. 6
 // exceeded), the round degrades to a per-sample median over all vehicles
 // — still robust to a minority of liars, but without the eq. 6 guarantee.
+// The targets are the scheme's own buffer, valid until its next
+// Aggregate or AggregateStreamed: copy them to keep a round's.
 func (s *Scheme) Aggregate(uploads [][]float64) ([]float64, error) {
 	if err := s.checkUploads(uploads); err != nil {
 		return nil, err
@@ -348,12 +354,12 @@ func (s *Scheme) finish(r *RoundIngest, uploads [][]float64, start time.Duration
 	return targets, nil
 }
 
-// targets forms the round's estimation targets from the verdict in
-// DecodeFailures and DetectedMalicious.
+// targets forms the round's estimation targets, into s.out, from the
+// verdict in DecodeFailures and DetectedMalicious.
 func (s *Scheme) targets(uploads [][]float64) []float64 {
-	n := len(s.refX)
 	offset := 2 * s.slots
-	targets := make([]float64, n)
+	targets := s.out
+	clear(targets)
 	if 2*s.DecodeFailures > s.slots {
 		// Verification unusable: robust fallback without exclusions. NaN
 		// has no order, so the median leaves it out.

@@ -59,6 +59,8 @@ func TestNewSchemeValidation(t *testing.T) {
 		{"ref not multiple", SchemeConfig{NumVehicles: 10, NumBatches: 5, Degree: 1}, ref},
 		{"empty ref", SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1}, nil},
 		{"K exceeds V", SchemeConfig{NumVehicles: 5, NumBatches: 4, Degree: 3}, ref},
+		// Degree 3 carries (2·3+1)·frac fractional bits: frac 8 needs 56 > 50.
+		{"frac beyond headroom", SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8}, ref},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -396,14 +398,6 @@ func TestSchemeUploadValidation(t *testing.T) {
 	if err := s.BeginRound(polyActivationModel(t, 2, 10)); err == nil {
 		t.Error("activation above the configured degree accepted")
 	}
-	// Degree 3 carries (2·3+1)·frac fractional bits: frac 8 needs 56 > 50.
-	s3, err := NewScheme(ref, SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.BeginRound(polyActivationModel(t, 3, 10)); err == nil {
-		t.Error("fraction bits beyond the field headroom accepted")
-	}
 	if err := s.BeginRound(model); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +419,10 @@ func TestSchemeUploadValidation(t *testing.T) {
 
 func TestSchemeInFullSystem(t *testing.T) {
 	// End-to-end: L-CoFL plugged into the fl round loop with 30%
-	// malicious vehicles must keep learning — the Fig. 4 scenario.
+	// malicious vehicles must keep learning — the Fig. 4 scenario. The
+	// scheme rewrites one targets buffer every round, so each round's
+	// RoundStats must hold its own copy: the previous round's targets
+	// must read the same after the next round.
 	ds, err := traffic.Generate(traffic.GenConfig{Rows: 2500, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -479,10 +476,17 @@ func TestSchemeInFullSystem(t *testing.T) {
 	plan := mustPlan(t, vehicles, 0.3)
 	const rounds = 12
 	var accCoded, accHonest, accAttacked float64
+	var prev *fl.RoundStats
+	var prevTargets []float64
 	for r := 0; r < rounds; r++ {
-		if _, err := sysCoded.RunRound(scheme, plan, nil); err != nil {
+		stats, err := sysCoded.RunRound(scheme, plan, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if prev != nil && !sameBits(prev.Targets, prevTargets) {
+			t.Fatalf("round %d rewrote round %d's RoundStats.Targets", r, r-1)
+		}
+		prev, prevTargets = stats, slices.Clone(stats.Targets)
 		if scheme.DecodeFailures != 0 {
 			t.Fatalf("round %d: %d decode failures", r, scheme.DecodeFailures)
 		}

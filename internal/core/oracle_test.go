@@ -77,7 +77,12 @@ func TestDecodedPolynomialIsPlaintextModel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if val := float64(got.Centered()) / scale; math.Abs(val-(2*est-1)) > 0.01 {
+					// The symbol's symmetric representative, signed.
+					signed := int64(got.Uint64())
+					if got.Uint64() > field.Modulus/2 {
+						signed = -int64(field.Modulus - got.Uint64())
+					}
+					if val := float64(signed) / scale; math.Abs(val-(2*est-1)) > 0.01 {
 						t.Fatalf("slot %d batch %d: symbol reads %g, float model %g", j, b, val, 2*est-1)
 					}
 				}

@@ -51,6 +51,12 @@ func newEvaluator(refX [][]float64, cfg SchemeConfig) (evaluator, int, error) {
 			frac = 16
 		}
 	}
+	// Every verification value carries (2·deg+1)·frac fractional bits
+	// (fpModel), which must stay under the field's headroom.
+	if bits := (2*uint(cfg.Degree) + 1) * frac; bits > 50 {
+		return none, 0, fmt.Errorf("core: %d fractional bits at degree %d need %d bits, exceeding field headroom (max FracBits %d)",
+			frac, cfg.Degree, bits, maxFracBitsFor(cfg.Degree))
+	}
 	codec, err := fixedpoint.New(frac)
 	if err != nil {
 		return none, 0, fmt.Errorf("core: %w", err)

@@ -114,6 +114,7 @@ func TestNewShareValidation(t *testing.T) {
 		{"ragged rows", ragged, ok},
 		{"feature out of range", outOfRange, ok},
 		{"fraction bits beyond the codec", ref, SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1, FracBits: 63}},
+		{"fraction bits beyond the field headroom", ref, SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8}},
 	} {
 		_, want := NewScheme(tc.ref, tc.cfg)
 		_, got := NewShare(tc.ref, tc.cfg, 0)

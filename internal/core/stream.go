@@ -167,7 +167,8 @@ func (r *RoundIngest) holds(uploads [][]float64) bool {
 // into sink: the round is finished on the streamed state when sink is
 // this scheme's and holds exactly the present rows, and aggregated afresh
 // otherwise. Results are bit-identical to Aggregate(uploads) for any
-// arrival order.
+// arrival order, and live in the same buffer, valid until the scheme's
+// next aggregation.
 func (s *Scheme) AggregateStreamed(sink fl.UploadSink, uploads [][]float64) ([]float64, error) {
 	if err := s.checkUploads(uploads); err != nil {
 		return nil, err

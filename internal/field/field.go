@@ -54,16 +54,6 @@ const (
 // Uint64 returns the canonical representative in [0, p).
 func (e Element) Uint64() uint64 { return uint64(e) }
 
-// Centered returns the symmetric representative of e in
-// (-(p-1)/2, (p-1)/2], which is how fixed-point decoding recovers signed
-// quantities.
-func (e Element) Centered() int64 {
-	if uint64(e) > Modulus/2 {
-		return -int64(Modulus - uint64(e))
-	}
-	return int64(e)
-}
-
 // Add returns e + o mod p.
 func (e Element) Add(o Element) Element {
 	s := uint64(e) + uint64(o) // < 2^62, no overflow

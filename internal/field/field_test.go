@@ -365,3 +365,12 @@ func BenchmarkBatchInv1024(b *testing.B) {
 		BatchInv(tmp)
 	}
 }
+
+// Centered returns the symmetric representative of e in
+// (-(p-1)/2, (p-1)/2], the inverse of NewInt64 on that range.
+func (e Element) Centered() int64 {
+	if uint64(e) > Modulus/2 {
+		return -int64(Modulus - uint64(e))
+	}
+	return int64(e)
+}

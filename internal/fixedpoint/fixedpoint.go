@@ -3,7 +3,6 @@
 //
 // A value x is encoded as round(x · 2^frac) interpreted as a signed
 // residue: non-negative integers map to themselves, negatives to p - |v|.
-// Decoding uses the symmetric representative (field.Element.Centered).
 // The codec tracks the representable range and returns an error on
 // overflow instead of wrapping silently, because a wrapped residue decodes
 // to an unrelated value and would defeat error correction downstream.
@@ -11,7 +10,9 @@
 // The composed LCC polynomial multiplies up to deg(C)·(M-1) encoded values
 // together, so callers must budget fractional bits: the product of t
 // fixed-point values carries t·frac fractional bits and must stay below
-// (p-1)/2. Scale management helpers are provided for the common cases.
+// (p-1)/2. Nothing decodes in production: the verification channel
+// compares residues exactly. The package's tests decode through the
+// symmetric representative.
 package fixedpoint
 
 import (
@@ -60,13 +61,6 @@ func (c *Codec) Encode(x float64) (field.Element, error) {
 		return 0, fmt.Errorf("fixedpoint: value %g exceeds representable range ±%g", x, c.maxAbs)
 	}
 	return field.NewInt64(int64(math.RoundToEven(x * c.scale))), nil
-}
-
-// DecodeScaled recovers a value whose fixed-point scale has been raised to
-// times·frac bits by multiplications in the field (e.g. a degree-d
-// polynomial evaluation of encoded inputs carries d·frac fractional bits).
-func (c *Codec) DecodeScaled(e field.Element, times uint) float64 {
-	return float64(e.Centered()) / math.Ldexp(1, int(times*c.frac))
 }
 
 // EncodeVecInto quantises xs into a caller-owned slice of the same

@@ -180,5 +180,21 @@ func TestPropertyAdditiveHomomorphism(t *testing.T) {
 // Decode recovers the real value from a residue produced by Encode (or by
 // field arithmetic on encoded values carrying the same scale).
 func (c *Codec) Decode(e field.Element) float64 {
-	return float64(e.Centered()) / c.scale
+	return float64(centered(e)) / c.scale
+}
+
+// DecodeScaled recovers a value whose fixed-point scale has been raised to
+// times·frac bits by multiplications in the field (e.g. a degree-d
+// polynomial evaluation of encoded inputs carries d·frac fractional bits).
+func (c *Codec) DecodeScaled(e field.Element, times uint) float64 {
+	return float64(centered(e)) / math.Ldexp(1, int(times*c.frac))
+}
+
+// centered returns the symmetric representative of e in
+// (-(p-1)/2, (p-1)/2]: the signed integer Encode rounded to.
+func centered(e field.Element) int64 {
+	if e.Uint64() > field.Modulus/2 {
+		return -int64(field.Modulus - e.Uint64())
+	}
+	return int64(e.Uint64())
 }

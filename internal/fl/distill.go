@@ -50,6 +50,10 @@ type Distiller struct {
 
 	z, wb    []float64
 	fallback []nn.Sample
+	// fbLoss is the last fit's loss when it fell back to gradient descent
+	// (fellBack), as TrainFullBatch reported it.
+	fbLoss   float64
+	fellBack bool
 }
 
 // NewDistiller builds the update step over a reference set (aliased, not
@@ -65,13 +69,14 @@ func NewDistiller(cfg Config, refX [][]float64) (*Distiller, error) {
 
 // Fit updates shared toward the round's aggregate targets, one per
 // reference row in reference order: a Dropped target excludes its row,
-// the rest are clamped to [0, 1]. It returns the shared model's mean
-// distillation loss over the kept rows, or ErrNoTargets when every target
-// was dropped. In steady state — the kept rows those of the previous
-// call, the single-layer closed form — Fit allocates nothing.
-func (d *Distiller) Fit(shared *nn.Network, targets []float64) (float64, error) {
+// the rest are clamped to [0, 1]. It returns ErrNoTargets when every
+// target was dropped. In steady state — the kept rows those of the
+// previous call, the single-layer closed form — Fit allocates nothing.
+// Loss reports how well the fit did; a caller that does not need that
+// number does not pay for it.
+func (d *Distiller) Fit(shared *nn.Network, targets []float64) error {
 	if len(targets) != len(d.refX) {
-		return 0, fmt.Errorf("fl: %d targets for %d reference samples", len(targets), len(d.refX))
+		return fmt.Errorf("fl: %d targets for %d reference samples", len(targets), len(d.refX))
 	}
 	d.rows, d.y = d.rows[:0], d.y[:0]
 	for j, t := range targets {
@@ -82,14 +87,37 @@ func (d *Distiller) Fit(shared *nn.Network, targets []float64) (float64, error) 
 		d.y = append(d.y, clamp01(t))
 	}
 	if len(d.rows) == 0 {
-		return 0, ErrNoTargets
+		return ErrNoTargets
 	}
 	return d.fit(shared)
 }
 
+// Loss returns shared's mean distillation loss (eq. 11) over the rows the
+// last Fit kept, against their clamped targets, summed in reference
+// order; it is 0 when that Fit kept none. After a fit that fell back to
+// gradient descent it is that descent's final-epoch mean, taken before
+// its last update, as TrainFullBatch reports it.
+func (d *Distiller) Loss(shared *nn.Network) (float64, error) {
+	if len(d.rows) == 0 {
+		return 0, nil
+	}
+	if d.fellBack {
+		return d.fbLoss, nil
+	}
+	var total float64
+	for k, j := range d.rows {
+		l, err := shared.Loss(d.refX[j], d.y[k])
+		if err != nil {
+			return 0, err
+		}
+		total += l
+	}
+	return total / float64(len(d.rows)), nil
+}
+
 // Distill is the one-shot form of the update step: a Distiller over the
 // samples' features, fitted once to their labels (taken as given, not
-// clamped). The distributed runtime and fl.System hold a Distiller
+// clamped), returning its Loss. The distributed runtime and fl.System hold a Distiller
 // instead; Distill serves callers with a single sample set.
 func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, error) {
 	if len(samples) == 0 {
@@ -103,11 +131,15 @@ func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, erro
 		}
 		d.refX[i], d.rows[i], d.y[i] = smp.X, i, smp.Y
 	}
-	return d.fit(shared)
+	if err := d.fit(shared); err != nil {
+		return 0, err
+	}
+	return d.Loss(shared)
 }
 
 // fit is the update on the rows and targets already gathered into d.
-func (d *Distiller) fit(shared *nn.Network) (float64, error) {
+func (d *Distiller) fit(shared *nn.Network) error {
+	d.fellBack = false
 	if len(d.cfg.Hidden) != 0 {
 		return d.fullBatch(shared)
 	}
@@ -145,18 +177,7 @@ func (d *Distiller) fit(shared *nn.Network) (float64, error) {
 	for i := range wb {
 		wb[i] = old[i] + alpha*(wb[i]-old[i])
 	}
-	if err := shared.SetParams(wb); err != nil {
-		return 0, err
-	}
-	var total float64
-	for k, j := range d.rows {
-		l, err := shared.Loss(d.refX[j], d.y[k])
-		if err != nil {
-			return 0, err
-		}
-		total += l
-	}
-	return total / float64(n), nil
+	return shared.SetParams(wb)
 }
 
 // factor forms the design matrix of the current rows — features, then a
@@ -190,12 +211,15 @@ func (d *Distiller) factor() {
 }
 
 // fullBatch is the gradient-descent update on the current rows.
-func (d *Distiller) fullBatch(shared *nn.Network) (float64, error) {
+func (d *Distiller) fullBatch(shared *nn.Network) error {
 	d.fallback = d.fallback[:0]
 	for k, j := range d.rows {
 		d.fallback = append(d.fallback, nn.Sample{X: d.refX[j], Y: d.y[k]})
 	}
-	return shared.TrainFullBatch(d.fallback, d.cfg.DistillRate, d.cfg.DistillEpochs)
+	var err error
+	d.fbLoss, err = shared.TrainFullBatch(d.fallback, d.cfg.DistillRate, d.cfg.DistillEpochs)
+	d.fellBack = err == nil
+	return err
 }
 
 func clamp01(v float64) float64 {

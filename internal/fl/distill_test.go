@@ -37,10 +37,11 @@ func distillNet(tb testing.TB, act approx.Activation, hidden []int) *nn.Network 
 
 // TestDistillerMatchesDistill: a Distiller held across rounds and a fresh
 // Distill each round, on two copies of one model, end every round on the
-// same bits — parameters and loss — through steady rounds, a round that
-// drops targets and the round that restores them (which must refactor,
-// and only those), an all-dropped round, both activation families, and
-// the hidden-layer fallback (which never factors).
+// same bits — parameters, and the held one's Loss against Distill's —
+// through steady rounds, a round that drops targets and the round that
+// restores them (which must refactor, and only those), an all-dropped
+// round, both activation families, and the hidden-layer fallback (which
+// never factors).
 func TestDistillerMatchesDistill(t *testing.T) {
 	poly, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 2)
 	if err != nil {
@@ -81,7 +82,11 @@ func TestDistillerMatchesDistill(t *testing.T) {
 							targets[j] = Dropped
 						}
 					}
-					got, gotErr := d.Fit(held, targets)
+					gotErr := d.Fit(held, targets)
+					got, err := d.Loss(held)
+					if err != nil {
+						t.Fatal(err)
+					}
 					var samples []nn.Sample
 					for j, v := range targets {
 						if !IsDropped(v) {
@@ -197,7 +202,7 @@ func TestDistillerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Fit(distillNet(t, approx.SymmetricSigmoid(), nil), make([]float64, 7)); err == nil {
+	if err := d.Fit(distillNet(t, approx.SymmetricSigmoid(), nil), make([]float64, 7)); err == nil {
 		t.Error("target count unequal to the reference size accepted")
 	}
 	if _, err := Distill(distillNet(t, approx.SymmetricSigmoid(), nil), cfg, nil); err == nil {
@@ -208,7 +213,7 @@ func TestDistillerValidation(t *testing.T) {
 // BenchmarkDistill times the fit at the workloads' reference sizes: a
 // fresh Distill (design matrix, normal equations and elimination every
 // call — what benchmark/'s fl.distill_ms measures) against a held
-// Distiller in steady state (z, Aᵀz, one replay, the update and the loss).
+// Distiller in steady state (z, Aᵀz, one replay and the update; no loss).
 func BenchmarkDistill(b *testing.B) {
 	poly, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 1)
 	if err != nil {
@@ -238,16 +243,69 @@ func BenchmarkDistill(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.Fit(net, targets); err != nil {
+			if err := d.Fit(net, targets); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Fit(net, targets); err != nil {
+				if err := d.Fit(net, targets); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestSystemDistillLoss: the DistillLoss a round of fl.System reports is
+// the loss its fit reported before Fit stopped computing one — the
+// pre-Distiller closed form's mean (referenceDistill) on the single-layer
+// model, TrainFullBatch's final-epoch mean on the hidden-layer fallback —
+// bit for bit, alongside the parameters; and 0 for a round that lost
+// every upload.
+func TestSystemDistillLoss(t *testing.T) {
+	for _, hidden := range [][]int{nil, {4}} {
+		cfg := testConfig()
+		cfg.Hidden = hidden
+		sys, _ := buildSystemWith(t, 6, approx.SymmetricSigmoid(), cfg)
+		scheme, err := NewPlainScheme(sys.ReferenceFeatures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 4; r++ {
+			oracle := sys.Shared().Clone()
+			var lose loseUploads
+			if r == 2 {
+				lose = loseUploads{0: true, 1: true, 2: true, 3: true, 4: true, 5: true}
+			}
+			stats, err := sys.RunRound(scheme, nil, lose)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var samples []nn.Sample
+			for j, v := range stats.Targets {
+				if !IsDropped(v) {
+					samples = append(samples, nn.Sample{X: sys.refX[j], Y: clamp01(v)})
+				}
+			}
+			var want float64
+			switch {
+			case len(samples) == 0:
+				// Nothing to fit: the model holds still and the loss is 0.
+			case hidden == nil:
+				want, err = referenceDistill(oracle, cfg, samples)
+			default:
+				want, err = oracle.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(stats.DistillLoss) != math.Float64bits(want) {
+				t.Fatalf("hidden %v round %d: DistillLoss %v, the fit's own loss %v", hidden, r, stats.DistillLoss, want)
+			}
+			if !sameBits(sys.Shared().ParamsView(), oracle.ParamsView()) {
+				t.Fatalf("hidden %v round %d: parameters differ from the oracle fit's", hidden, r)
+			}
+		}
 	}
 }

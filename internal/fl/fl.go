@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/adversary"
@@ -239,7 +240,8 @@ type Scheme interface {
 	// Aggregate combines the received uploads, one row per vehicle, into
 	// one estimation target per reference sample, in reference order. A
 	// nil row marks an absent vehicle; every other row is a whole upload,
-	// each value as the vehicle sent it.
+	// each value as the vehicle sent it. The targets may live in memory
+	// the scheme reuses: they are valid until its next Aggregate.
 	Aggregate(uploads [][]float64) ([]float64, error)
 }
 
@@ -260,7 +262,7 @@ type RoundStats struct {
 	// MeanLocalLoss averages the vehicles' final local training losses.
 	MeanLocalLoss float64
 	// Targets are the aggregated per-reference-sample estimation targets
-	// the shared model was distilled toward.
+	// the shared model was distilled toward, copied from the scheme's.
 	Targets []float64
 	// DistillLoss is the shared model's final distillation loss.
 	DistillLoss float64
@@ -395,16 +397,18 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		sp.SetSpanParent(aggCtx)
 	}
 	aggSpan := s.obs.Start("fl.aggregate", aggFields...)
-	stats.Targets, err = scheme.Aggregate(uploads)
+	targets, err := scheme.Aggregate(uploads)
 	if err != nil {
 		err = fmt.Errorf("fl: aggregate: %w", err)
-	} else {
-		stats.DistillLoss, err = CloseRound(s.distiller, s.shared, stats.Targets)
+	} else if err = CloseRound(s.distiller, s.shared, targets); err == nil {
+		stats.DistillLoss, err = s.distiller.Loss(s.shared)
 	}
 	aggSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	// The scheme may reuse the targets' memory at its next Aggregate.
+	stats.Targets = slices.Clone(targets)
 	s.round++
 	if s.obs.Enabled() {
 		s.cRounds.Inc()
@@ -421,17 +425,13 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 // System.RunRound and the networked engine (package node) share: it fits
 // shared with d to targets, one per reference sample, which the caller
 // aggregated from the round's admitted uploads. A round whose every
-// target was dropped leaves shared still and reports a zero loss.
-func CloseRound(d *Distiller, shared *nn.Network, targets []float64) (loss float64, err error) {
+// target was dropped leaves shared still, and d.Loss then reports 0.
+func CloseRound(d *Distiller, shared *nn.Network, targets []float64) error {
 	// Fit checks the target count against the reference set.
-	loss, err = d.Fit(shared, targets)
-	switch {
-	case errors.Is(err, ErrNoTargets):
-		return 0, nil
-	case err != nil:
-		return 0, fmt.Errorf("fl: distillation: %w", err)
+	if err := d.Fit(shared, targets); err != nil && !errors.Is(err, ErrNoTargets) {
+		return fmt.Errorf("fl: distillation: %w", err)
 	}
-	return loss, nil
+	return nil
 }
 
 // Accuracy evaluates the shared model's classification accuracy on a test

@@ -333,7 +333,10 @@ func TestCloseRoundNoTargetsHoldsStill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, err := CloseRound(sys.distiller, sys.Shared(), targets)
+	if err := CloseRound(sys.distiller, sys.Shared(), targets); err != nil {
+		t.Fatal(err)
+	}
+	loss, err := sys.distiller.Loss(sys.Shared())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,7 @@ func TestEncodeScalarsMatchesPolynomial(t *testing.T) {
 	for i := range batches {
 		batches[i] = field.Rand(rng)
 	}
-	h, err := poly.Interpolate(c.nodes, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := poly.InterpolateInto(make(poly.Poly, 0, len(batches)), make([]field.Element, len(batches)), c.nodes, batches)
 	enc, err := c.EncodeScalars(batches)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,7 +116,9 @@ func (r *referenceNet) trainSGD(samples []Sample, rho float64, epochs int, rng *
 	}
 	var lastLoss float64
 	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if rng != nil {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
 		var total float64
 		for _, idx := range order {
 			total += r.step(samples[idx], rho)
@@ -219,6 +222,138 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 	}
 	if fused < 20 || general < 20 {
 		t.Fatalf("cases reached the fused step %d times, the general step %d times: want each >= 20", fused, general)
+	}
+}
+
+// TestTrainSGDEdgeSets runs the epoch kernel and the reference on a
+// one-sample set (Shuffle draws nothing for it) and without an rng (no
+// shuffle at all, the identity order every epoch): loss and parameters
+// agree bit for bit, and after the one-sample set the two rngs are in
+// the same state.
+func TestTrainSGDEdgeSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name    string
+		samples []Sample
+		seeded  bool
+	}{
+		{"one sample", randomSamples(rng, 1, 16, false), true},
+		{"nil rng", randomSamples(rng, 13, 16, true), false},
+	} {
+		n, err := New(Config{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 1), Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReferenceNet(n)
+		var gotRNG, wantRNG *rand.Rand
+		if c.seeded {
+			gotRNG, wantRNG = rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		}
+		got, err := n.TrainSGD(c.samples, 0.2, 3, gotRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.trainSGD(c.samples, 0.2, 3, wantRNG)
+		if math.Float64bits(got) != math.Float64bits(want) || !sameFloatBits(n.Params(), ref.params()) {
+			t.Fatalf("%s: loss %v vs reference %v, or parameters diverged", c.name, got, want)
+		}
+		if c.seeded && gotRNG.Int63() != wantRNG.Int63() {
+			t.Fatalf("%s: rng state differs from the reference's after training", c.name)
+		}
+	}
+}
+
+// TestShuffleMatchesRandShuffle pins the epoch kernel's inline draw to
+// math/rand's Shuffle: the same permutation and, after it, the same rng
+// state, over set sizes from one sample to past the workloads' 240 rows.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 240, 4096} {
+		for seed := int64(0); seed < 50; seed++ {
+			got, want := make([]int, n), make([]int, n)
+			for i := range got {
+				got[i], want[i] = i, i
+			}
+			gotRNG, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			shuffle(gotRNG, got)
+			wantRNG.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed %d: position %d holds %d, Shuffle put %d there", n, seed, i, got[i], want[i])
+				}
+			}
+			if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+				t.Fatalf("n=%d seed %d: next draw %d after shuffle, %d after Shuffle", n, seed, g, w)
+			}
+		}
+	}
+}
+
+// countingSource counts the values drawn from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+// errStopShuffle ends a Shuffle early; it is raised from the swap
+// function and recovered by shufflePairs.
+var errStopShuffle = errors.New("stop")
+
+// shufflePairs returns the first count (i, j) swaps rng.Shuffle(n, …)
+// makes, stopping it there so that nothing n-sized is allocated.
+func shufflePairs(t *testing.T, rng *rand.Rand, n, count int) (pairs [][2]int) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != errStopShuffle {
+			panic(r)
+		}
+	}()
+	rng.Shuffle(n, func(i, j int) {
+		pairs = append(pairs, [2]int{i, j})
+		if len(pairs) == count {
+			panic(errStopShuffle)
+		}
+	})
+	t.Fatalf("Shuffle(%d) made only %d swaps", n, len(pairs))
+	return nil
+}
+
+// TestLemireRejectionBranch pins lemire's redraw, which shuffle reaches
+// only when 2³² mod n is large: for n in [2³⁰, 2³¹−1) up to a third of
+// all first draws are rejected. The first 10 000 (i, j) pairs Shuffle
+// makes at such n are drawn again through lemire, exactly as shuffle's
+// loop draws them, and must agree, as must the number of values drawn
+// and the rng state after them. Over those pairs n falls by 10 000; the
+// set spans no rejections (2³⁰, a power of two, and 2³¹−2, where
+// 2³² mod n is 4) to about a third (2²⁰ above 2³²/3), and the test
+// requires that the redraws were many.
+func TestLemireRejectionBranch(t *testing.T) {
+	const count = 10000
+	redraws := 0
+	for k, n := range []int{1 << 30, 1<<30 + 1<<20, 1<<32/3 + 1<<20, 3<<29 + 12345, 1<<31 - 2} {
+		seed := int64(90 + k)
+		wantSrc := &countingSource{Source: rand.NewSource(seed)}
+		wantRNG := rand.New(wantSrc)
+		want := shufflePairs(t, wantRNG, n, count)
+		gotSrc := &countingSource{Source: rand.NewSource(seed)}
+		gotRNG := rand.New(gotSrc)
+		for c, i := 0, n-1; c < count; c, i = c+1, i-1 {
+			j := int(lemire(gotRNG, gotRNG.Uint32(), uint32(i+1)) >> 32)
+			if got := [2]int{i, j}; got != want[c] {
+				t.Fatalf("n=%d pair %d: lemire drew %v, Shuffle swapped %v", n, c, got, want[c])
+			}
+		}
+		if gotSrc.draws != wantSrc.draws {
+			t.Fatalf("n=%d: lemire drew %d values, Shuffle %d", n, gotSrc.draws, wantSrc.draws)
+		}
+		if gotRNG.Int63() != wantRNG.Int63() {
+			t.Fatalf("n=%d: rng state differs after %d swaps", n, count)
+		}
+		redraws += gotSrc.draws - count - 1 // the state check drew one
+	}
+	if redraws < count {
+		t.Fatalf("only %d redraws over the set: the rejection branch was barely reached", redraws)
 	}
 }
 
@@ -392,6 +527,39 @@ func BenchmarkEstimateClampedAppend(b *testing.B) {
 		if err != nil || math.Float64bits(dst[i]) != math.Float64bits(want) {
 			b.Fatalf("row %d: batch %v, per-row %v (%v)", i, dst[i], want, err)
 		}
+	}
+}
+
+// BenchmarkTrainSGDSingle times one vehicle's local training at the
+// train-v16-pipe workload's shape: 240 rows of 16 features, 5 epochs at
+// rate 0.2, the degree-1 least-squares activation. It ends with one more
+// call on a clone of the trained network, checked bit for bit against
+// the reference step from the same state and seed.
+func BenchmarkTrainSGDSingle(b *testing.B) {
+	const rows, features, epochs, rho = 240, 16, 5, 0.2
+	n, err := New(Config{LayerSizes: []int{features, 1}, Activation: lsActivation(b, 1), Seed: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	samples := randomSamples(rng, rows, features, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.TrainSGD(samples, rho, epochs, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	check := n.Clone()
+	ref := newReferenceNet(check)
+	got, err := check.TrainSGD(samples, rho, epochs, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := ref.trainSGD(samples, rho, epochs, rand.New(rand.NewSource(7)))
+	if math.Float64bits(got) != math.Float64bits(want) || !sameFloatBits(check.Params(), ref.params()) {
+		b.Fatalf("loss %v vs reference %v, or parameters diverged", got, want)
 	}
 }
 

@@ -116,7 +116,7 @@ func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
 
 // singleLayer reports the shape [in, 1]: one nonlinear layer, one output.
 // It is the only shape L-CoFL admits (core.Scheme.BeginRound), and the
-// one with its own kernels (stepSingle, EstimateClampedAppend).
+// one with its own kernels (trainSingle, EstimateClampedAppend).
 func (n *Network) singleLayer() bool { return len(n.sizes) == 2 && n.sizes[1] == 1 }
 
 // preActivation is a single-layer model's w·x + b in the one order every
@@ -338,7 +338,8 @@ type Sample struct {
 
 // TrainSGD performs epochs of per-sample stochastic gradient descent
 // (paper eq. 1) over the samples with learning rate rho, shuffling with
-// rng each epoch, and returns the mean loss of the final epoch.
+// rng each epoch as rng.Shuffle would (a nil rng keeps the samples'
+// order), and returns the mean loss of the final epoch.
 func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")
@@ -363,78 +364,151 @@ func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.
 		}
 	}
 	sc := n.scratch(len(samples))
-	swap := func(i, j int) { sc.order[i], sc.order[j] = sc.order[j], sc.order[i] }
-	single := n.singleLayer()
+	if n.singleLayer() {
+		// What every vehicle of a node session runs.
+		return n.trainSingle(samples, sc.order, rho, epochs, rng), nil
+	}
 	var lastLoss float64
 	for e := 0; e < epochs; e++ {
-		if rng != nil {
-			rng.Shuffle(len(sc.order), swap)
-		}
+		shuffle(rng, sc.order)
 		// Only the final epoch's mean loss is returned, so only the final
 		// epoch pays for the two logarithms per sample.
 		final := e == epochs-1
 		var total float64
-		if single {
-			// What every vehicle of a node session runs.
-			for _, idx := range sc.order {
-				total += n.stepSingle(samples[idx], rho, final)
+		for _, idx := range sc.order {
+			loss, err := n.step(sc, samples[idx], rho, final)
+			if err != nil {
+				return 0, err
 			}
-		} else {
-			for _, idx := range sc.order {
-				loss, err := n.step(sc, samples[idx], rho, final)
-				if err != nil {
-					return 0, err
-				}
-				total += loss
-			}
+			total += loss
 		}
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil
 }
 
-// stepSingle is step on the single-layer shape, fused: the dot product,
-// activation, loss gradient and row update of one sample on the flat
-// parameter vector [w… b], with no scratch and no error path (the caller
-// has checked len(s.X)). Every float operation is step's, in step's
-// order — the pre-activation is 0 + w₀x₀ + … in index order and then + b,
-// the activation and its derivative are Horner from a zero accumulator
+// trainSingle is TrainSGD's epochs on the single-layer shape as one
+// kernel over the flat parameter vector [w… b], with no scratch beyond
+// order and no error path (the caller has checked every len(X)). Every
+// float operation is step's, in step's order, so the two are
+// bit-identical; kernels_test.go pins both to one reference. The
+// activation and its derivative are Horner from a zero accumulator
 // (poly.Real.Eval, called directly so it inlines) or the F/DF closures of
-// an exact activation, nothing is re-associated or fused — so the two are
-// bit-identical; kernels_test.go pins both to one reference.
-func (n *Network) stepSingle(s Sample, rho float64, wantLoss bool) float64 {
+// an exact activation. The final epoch takes each sample's loss from π
+// before its update and returns their mean.
+//
+// A step's row update and the next step's dot product are one pass over
+// w: w[j] −= rd·x[j], then z′ += w[j]·x′[j]. Each pre-activation still
+// sums 0 + w₀x′₀ + w₁x′₁ + … by index over the updated weights and then
+// adds the updated bias, so nothing is re-associated. The next epoch's
+// shuffle needs no parameters and is drawn before this epoch's last
+// update, so the pass spans epochs too.
+func (n *Network) trainSingle(samples []Sample, order []int, rho float64, epochs int, rng *rand.Rand) float64 {
 	in := len(n.params) - 1
-	w, x := n.params[:in], s.X[:in]
-	z := preActivation(w, x, n.params[in])
-	var f, df float64
-	if p := n.act.Poly; p != nil {
-		f, df = p.Eval(z), n.dact.Eval(z)
-	} else {
-		f, df = n.act.F(z), n.act.DF(z)
-	}
-	pi := clampProb((1 + f) / 2)
-	var loss float64
-	if wantLoss {
-		// With a binary label one of eq. 11's two products is ∓0·ln(…), a
-		// signed zero that adds nothing to the other (both logarithms are
-		// finite and negative inside clampProb's range): skip its
-		// logarithm. Same float, half the logarithms.
-		switch s.Y {
-		case 1:
-			loss = -math.Log(pi)
-		case 0:
-			loss = -math.Log(1 - pi)
-		default:
-			loss = -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
+	w, b := n.params[:in], n.params[in]
+	p, dp := n.act.Poly, n.dact
+	shuffle(rng, order)
+	cur := samples[order[0]]
+	x, y := cur.X[:in], cur.Y
+	z := preActivation(w, x, b)
+	var total float64
+	for e := 0; e < epochs; e++ {
+		final := e == epochs-1
+		for k := range order {
+			var f, df float64
+			if p != nil {
+				f, df = p.Eval(z), dp.Eval(z)
+			} else {
+				f, df = n.act.F(z), n.act.DF(z)
+			}
+			pi := clampProb((1 + f) / 2)
+			if final {
+				// With a binary label one of eq. 11's two products is
+				// ∓0·ln(…), a signed zero that adds nothing to the other
+				// (both logarithms are finite and negative inside
+				// clampProb's range): skip its logarithm. Same float, half
+				// the logarithms.
+				switch y {
+				case 1:
+					total += -math.Log(pi)
+				case 0:
+					total += -math.Log(1 - pi)
+				default:
+					total += -(y*math.Log(pi) + (1-y)*math.Log(1-pi))
+				}
+			}
+			dLdPi := -(y / pi) + (1-y)/(1-pi)
+			rd := rho * clipDelta(dLdPi*0.5*df)
+			var next Sample
+			switch {
+			case k+1 < len(order):
+				next = samples[order[k+1]]
+			case !final:
+				shuffle(rng, order)
+				next = samples[order[0]]
+			default:
+				// The last step of the call: nothing left to fuse.
+				x = x[:len(w)]
+				for j := range w {
+					w[j] -= rd * x[j]
+				}
+				b -= rd
+				continue
+			}
+			x = x[:len(w)]
+			xn := next.X[:len(w)]
+			var zn float64
+			for j := range w {
+				w[j] -= rd * x[j]
+				zn += w[j] * xn[j]
+			}
+			b -= rd
+			x, y, z = xn, next.Y, zn+b
 		}
 	}
-	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
-	rd := rho * clipDelta(dLdPi*0.5*df)
-	for j := range w {
-		w[j] -= rd * x[j]
+	n.params[in] = b
+	return total / float64(len(samples))
+}
+
+// shuffle permutes order in place exactly as rng.Shuffle(len(order), swap)
+// would: Fisher–Yates from the top, j drawn as math/rand's unexported
+// int31n draws it, so the permutation and rng's state afterwards are
+// Shuffle's. Inline, a draw skips Shuffle's swap closure and the call
+// chain down to the source. A nil rng leaves order as it is. len(order)
+// must be below 2³¹, the range in which Shuffle draws with int31n.
+func shuffle(rng *rand.Rand, order []int) {
+	if rng == nil {
+		return
 	}
-	n.params[in] -= rd
-	return loss
+	for i := len(order) - 1; i > 0; i-- {
+		j := int(lemire(rng, rng.Uint32(), uint32(i+1)) >> 32)
+		order[i], order[j] = order[j], order[i]
+	}
+}
+
+// lemire is int31n(n) for 0 < n < 2³¹ given its first draw v =
+// rng.Uint32(): Lemire's multiply, redrawn from rng while the low half
+// falls below 2³² mod n. It returns the accepted product; its high 32
+// bits are the draw, unbiased in [0, n), after exactly the Uint32 calls
+// int31n makes. Taking v, and leaving the rare redraw to a call, keeps it
+// within the compiler's inlining budget, so the common case costs shuffle
+// no call.
+func lemire(rng *rand.Rand, v, n uint32) uint64 {
+	prod := uint64(v) * uint64(n)
+	if uint32(prod) < n {
+		return redraw(rng, n, prod)
+	}
+	return prod
+}
+
+// redraw is lemire's rejection loop, entered when prod's low half is
+// below n and so may fall below the threshold 2³² mod n.
+func redraw(rng *rand.Rand, n uint32, prod uint64) uint64 {
+	thresh := -n % n
+	for uint32(prod) < thresh {
+		prod = uint64(rng.Uint32()) * uint64(n)
+	}
+	return prod
 }
 
 // trainScratch is the working set of one SGD step, sized once per

@@ -315,25 +315,3 @@ func TestSizes(t *testing.T) {
 		t.Error("Sizes aliases internal state")
 	}
 }
-
-func BenchmarkTrainSGDEpoch(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	var samples []Sample
-	for i := 0; i < 100; i++ {
-		x := make([]float64, 16)
-		for j := range x {
-			x[j] = rng.Float64()*2 - 1
-		}
-		samples = append(samples, Sample{X: x, Y: float64(i % 2)})
-	}
-	n, err := New(testConfig(16, 8, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.TrainSGD(samples, 0.1, 1, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -883,7 +883,7 @@ func (e *engine) close() error {
 	s.scheme.SetSpanParent(e.ctx)
 	targets, err := s.scheme.AggregateStreamed(e.sink, e.rows)
 	if err == nil {
-		_, err = fl.CloseRound(s.distiller, s.shared, targets)
+		err = fl.CloseRound(s.distiller, s.shared, targets)
 	}
 	if err != nil {
 		return fmt.Errorf("node: round %d: %w", e.round, err)

@@ -156,32 +156,15 @@ func (p Poly) String() string {
 	return b.String()
 }
 
-// Interpolate returns the unique polynomial of degree < len(xs) passing
-// through the points (xs[i], ys[i]). The xs must be pairwise distinct;
-// it panics on length mismatch and returns an error on duplicate nodes.
-func Interpolate(xs, ys []field.Element) (Poly, error) {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("poly: interpolate length mismatch %d != %d", len(xs), len(ys)))
-	}
-	if !field.Distinct(xs) {
-		return nil, fmt.Errorf("poly: interpolation nodes are not distinct")
-	}
-	n := len(xs)
-	if n == 0 {
-		return nil, nil
-	}
-	coef := make([]field.Element, n)
-	return InterpolateInto(make(Poly, 0, n), coef, xs, ys), nil
-}
-
-// InterpolateInto is Interpolate for scratch-reusing hot paths: the
-// result is built in dst's backing array (capacity must be ≥ len(xs))
-// and the divided-difference table in coef (length exactly len(xs)), so
-// a steady-state caller allocates nothing. The returned polynomial
-// aliases dst — it must not be retained past the next reuse of the
-// scratch. The nodes MUST be pairwise distinct; unlike Interpolate this
-// precondition is the caller's (checked once at decoder construction,
-// not per call). It panics on length mismatch.
+// InterpolateInto returns the unique polynomial of degree < len(xs)
+// passing through the points (xs[i], ys[i]), built for scratch-reusing
+// hot paths: the result in dst's backing array (capacity must be
+// ≥ len(xs)) and the divided-difference table in coef (length exactly
+// len(xs)), so a steady-state caller allocates nothing. The returned
+// polynomial aliases dst — it must not be retained past the next reuse
+// of the scratch. The nodes MUST be pairwise distinct, a precondition
+// that is the caller's (checked once at decoder construction, not per
+// call). It panics on length mismatch.
 func InterpolateInto(dst Poly, coef, xs, ys []field.Element) Poly {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("poly: interpolate length mismatch %d != %d", len(xs), len(ys)))
@@ -209,7 +192,7 @@ func InterpolateInto(dst Poly, coef, xs, ys []field.Element) Poly {
 	// fold −x_i into the shifted coefficients downwards, so every read
 	// sees the pre-shift value). This keeps the expansion allocation-free
 	// where a MulLinear/Add chain would allocate two fresh polynomials
-	// per node — Interpolate sits under every decode.
+	// per node — interpolation sits under every decode.
 	result := append(dst[:0], coef[n-1])
 	for i := n - 2; i >= 0; i-- {
 		d := len(result)

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,22 @@ func TestDerivative(t *testing.T) {
 	if got := NewInt64(5).Derivative(); !got.IsZero() {
 		t.Errorf("constant derivative = %v", got)
 	}
+}
+
+// Interpolate is InterpolateInto on fresh scratch, refusing duplicate
+// nodes with an error: the checked form the tests interpolate with.
+func Interpolate(xs, ys []field.Element) (Poly, error) {
+	if len(xs) != len(ys) {
+		panic(fmt.Sprintf("poly: interpolate length mismatch %d != %d", len(xs), len(ys)))
+	}
+	if !field.Distinct(xs) {
+		return nil, fmt.Errorf("poly: interpolation nodes are not distinct")
+	}
+	n := len(xs)
+	if n == 0 {
+		return nil, nil
+	}
+	return InterpolateInto(make(Poly, 0, n), make([]field.Element, n), xs, ys), nil
 }
 
 func TestInterpolate(t *testing.T) {

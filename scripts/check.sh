@@ -53,11 +53,12 @@ echo "== go test -run 'Allocs|FiguresGolden' (plain build)"
 # this step does.
 go test -run 'Allocs|FiguresGolden' ./...
 
-echo "== go test -bench 'EstimateClampedAppend|ShareUpload' -benchtime 1x"
-# The upload's by-hand benchmarks end by checking their output against
-# the per-row estimate and the reference evaluation; one iteration each
-# keeps them compiling and correct. This is not a timing gate.
-go test -run '^$' -bench 'EstimateClampedAppend|ShareUpload' -benchtime 1x ./internal/nn ./internal/core
+echo "== go test -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -benchtime 1x"
+# The upload's and the local training's by-hand benchmarks end by
+# checking their output against the per-row estimate, the reference
+# evaluation and the reference SGD step; one iteration each keeps them
+# compiling and correct. This is not a timing gate.
+go test -run '^$' -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -benchtime 1x ./internal/nn ./internal/core
 
 echo "== lines of Go per package (non-test / test)"
 # Non-test LOC is tracked like a benchmark (ROADMAP, north star); a
