@@ -271,7 +271,7 @@ func roundData(t *testing.T, rows int, seed int64) *traffic.Dataset {
 // TestTrainSGDAllocs: eq. 1 local SGD was 6 001 allocations a call (one
 // shuffle order plus five slices per sample step); on the network's own
 // scratch a call on a network that has trained before makes none, and
-// the first call on a fresh clone builds the scratch in 6.
+// the first call on a fresh clone builds the scratch in 7.
 func TestTrainSGDAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -357,37 +357,49 @@ func TestNewShareAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	cfg := core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 3}
-	allocs := func(rows int) float64 {
+	allocs := func(rows int) (mean float64, counts []uint64, goroutines int) {
 		ref := roundData(t, rows, 15).Features()
-		return mallocsAfterGC(10, func() {
+		counts, goroutines = mallocsAfterGC(10, func() {
 			if _, err := core.NewShare(ref, cfg, 5); err != nil {
 				t.Fatal(err)
 			}
 		})
+		var total uint64
+		for _, c := range counts {
+			total += c
+		}
+		return float64(total) / float64(len(counts)), counts, goroutines
 	}
-	small, large := allocs(64), allocs(768)
-	t.Logf("NewShare allocates %.0f times at 64 reference rows, %.0f at 768", small, large)
+	small, smallCounts, smallG := allocs(64)
+	large, largeCounts, largeG := allocs(768)
+	t.Logf("NewShare allocates %.1f times at 64 reference rows, %.1f at 768 (%d and %d goroutines at entry)", small, large, smallG, largeG)
 	if large != small {
-		t.Errorf("NewShare allocates %.0f times at 768 reference rows, %.0f at 64: want equal", large, small)
+		t.Errorf("NewShare allocates %.1f times at 768 reference rows, %.1f at 64: want equal\n"+
+			"per call at 64 rows %v (%d goroutines at entry), at 768 rows %v (%d goroutines at entry)",
+			large, small, smallCounts, smallG, largeCounts, largeG)
 	}
 }
 
 // mallocsAfterGC is testing.AllocsPerRun with every call starting from a
 // fresh collection and none during it, so allocations that refill a pool
-// a collection emptied count on every call instead of on some.
-func mallocsAfterGC(runs int, f func()) float64 {
+// a collection emptied count on every call instead of on some. It returns
+// each call's count, and how many goroutines were running when it began:
+// one still winding down from an earlier test could allocate in the
+// measured window.
+func mallocsAfterGC(runs int, f func()) (counts []uint64, goroutines int) {
+	goroutines = runtime.NumGoroutine()
+	counts = make([]uint64, runs)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
-	var total uint64
-	for i := 0; i < runs; i++ {
+	for i := range counts {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		total += after.Mallocs - before.Mallocs
+		counts[i] = after.Mallocs - before.Mallocs
 	}
-	return float64(total) / float64(runs)
+	return counts, goroutines
 }
 
 // TestDistillAllocs: the fusion centre's closed-form fit was 398

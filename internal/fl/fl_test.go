@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adversary"
@@ -374,6 +375,100 @@ func TestDeterministicRounds(t *testing.T) {
 			t.Fatal("same seeds produced different rounds")
 		}
 	}
+}
+
+// TestMeanLocalLossIsFinalEpochMean pins a round's MeanLocalLoss to its
+// formula: the mean, in vehicle order, of each vehicle's final-epoch loss,
+// which is eq. 11 at π before each step's update summed in the order that
+// epoch visited the samples. The replay takes a clone of each vehicle
+// from the broadcast model, with the vehicle's seed, through the same
+// epochs one sample at a time: the loss from Network.Loss, then a
+// one-sample step without an rng. So no loss the epoch kernel recorded
+// takes part. Two rounds on the single-layer shape under a polynomial
+// activation (the epoch kernel) and with a hidden layer under the exact
+// sigmoid (the general step; a polynomial one drives that network to NaN
+// in the first round); the replayed models must also be the vehicles'
+// bit for bit.
+func TestMeanLocalLossIsFinalEpochMean(t *testing.T) {
+	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		hidden []int
+		act    approx.Activation
+	}{{nil, approx.FromPolynomial("ls2", p)}, {[]int{4}, approx.SymmetricSigmoid()}} {
+		cfg := testConfig()
+		cfg.Hidden = c.hidden
+		sys, _ := buildSystemWith(t, 4, c.act, cfg)
+		scheme, err := NewPlainScheme(sys.ReferenceFeatures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas := make([]*nn.Network, len(sys.vehicles))
+		rngs := make([]*rand.Rand, len(sys.vehicles))
+		for i, v := range sys.vehicles {
+			replicas[i] = v.Model.Clone()
+			rngs[i] = rand.New(rand.NewSource(VehicleSeed(cfg.Seed, v.ID)))
+		}
+		for round := 1; round <= 2; round++ {
+			broadcast := sys.Shared().Params()
+			var lossSum float64
+			for i, v := range sys.vehicles {
+				lossSum += replayLocalLoss(t, replicas[i], broadcast, v.Data, cfg, rngs[i])
+			}
+			want := lossSum / float64(len(sys.vehicles))
+			stats, err := sys.RunRound(scheme, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(want) || math.IsInf(want, 0) {
+				t.Fatalf("hidden %v round %d: replayed mean local loss %v, want a finite one", c.hidden, round, want)
+			}
+			if math.Float64bits(stats.MeanLocalLoss) != math.Float64bits(want) {
+				t.Fatalf("hidden %v round %d: MeanLocalLoss %v, replayed %v", c.hidden, round, stats.MeanLocalLoss, want)
+			}
+			for i, v := range sys.vehicles {
+				got, rep := v.Model.Params(), replicas[i].Params()
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(rep[j]) {
+						t.Fatalf("hidden %v round %d vehicle %d: parameter %d is %v, replayed %v", c.hidden, round, v.ID, j, got[j], rep[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// replayLocalLoss trains net from the broadcast parameters over data for
+// cfg.LocalEpochs epochs, shuffled by rng as rand.Shuffle does, one
+// sample per call, and returns the final epoch's mean loss, each sample's
+// taken before its step.
+func replayLocalLoss(t *testing.T, net *nn.Network, broadcast []float64, data []nn.Sample, cfg Config, rng *rand.Rand) float64 {
+	t.Helper()
+	if err := net.SetParams(broadcast); err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(data))
+	for i := range order {
+		order[i] = i
+	}
+	var total float64
+	for e := 0; e < cfg.LocalEpochs; e++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		total = 0
+		for _, idx := range order {
+			l, err := net.Loss(data[idx].X, data[idx].Y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += l
+			if _, err := net.TrainSGD(data[idx:idx+1], cfg.LocalRate, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return total / float64(len(data))
 }
 
 // NumVehicles returns V.

@@ -225,22 +225,59 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 	}
 }
 
-// TestTrainSGDEdgeSets runs the epoch kernel and the reference on a
-// one-sample set (Shuffle draws nothing for it) and without an rng (no
-// shuffle at all, the identity order every epoch): loss and parameters
-// agree bit for bit, and after the one-sample set the two rngs are in
-// the same state.
+// TestTrainSGDEdgeSets runs the epoch kernel and the reference on sets
+// the random cases do not reach, and requires loss and parameters to
+// agree bit for bit and, where an rng shuffles, the two rngs to end in the
+// same state:
+//   - a one-sample set (Shuffle draws nothing for it);
+//   - no rng (no shuffle at all, the identity order every epoch);
+//   - a row holding a NaN, +Inf, −Inf or −0 feature, labelled 0 and then
+//     1, on the single-layer and the hidden-layer path. Past a NaN or an
+//     infinite z the parameters and the loss are NaN, and their signs and
+//     payloads are compared too. Only the loss shows its NaN's sign: a NaN
+//     π comes with a NaN F′, whose NaN the delta carries instead of
+//     ∂L/∂π's;
+//   - an activation whose top coefficient is −0, which Horner from a zero
+//     accumulator keeps apart from Horner seeded with that coefficient.
 func TestTrainSGDEdgeSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, c := range []struct {
+	negZero := math.Copysign(0, -1)
+	single, hidden := []int{16, 1}, []int{16, 3, 1}
+	type edgeCase struct {
 		name    string
+		sizes   []int
+		act     approx.Activation
 		samples []Sample
 		seeded  bool
-	}{
-		{"one sample", randomSamples(rng, 1, 16, false), true},
-		{"nil rng", randomSamples(rng, 13, 16, true), false},
-	} {
-		n, err := New(Config{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 1), Seed: 4})
+	}
+	cases := []edgeCase{
+		{"one sample", single, lsActivation(t, 1), randomSamples(rng, 1, 16, false), true},
+		{"nil rng", single, lsActivation(t, 1), randomSamples(rng, 13, 16, true), false},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero} {
+		for _, y := range []float64{0, 1} {
+			for _, sizes := range [][]int{single, hidden} {
+				samples := randomSamples(rng, 9, 16, false)
+				odd := samples[rng.Intn(len(samples))]
+				odd.X[rng.Intn(16)] = v
+				odd.Y = y
+				name := fmt.Sprintf("feature %v labelled %v on %v", v, y, sizes)
+				cases = append(cases, edgeCase{name, sizes, lsActivation(t, 2), samples, true})
+			}
+		}
+	}
+	allNegZero := randomSamples(rng, 9, 16, false)
+	for j := range allNegZero[4].X {
+		allNegZero[4].X[j] = negZero
+	}
+	negTop := approx.FromPolynomial("negzero", poly.Real{negZero, 1, negZero, 0.1, negZero})
+	cases = append(cases,
+		edgeCase{"an all −0 row", single, lsActivation(t, 3), allNegZero, true},
+		edgeCase{"−0 top coefficient", single, negTop, randomSamples(rng, 20, 16, false), true},
+		edgeCase{"−0 top coefficient, hidden layer", hidden, negTop, randomSamples(rng, 20, 16, false), true},
+	)
+	for _, c := range cases {
+		n, err := New(Config{LayerSizes: c.sizes, Activation: c.act, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,6 +296,48 @@ func TestTrainSGDEdgeSets(t *testing.T) {
 		}
 		if c.seeded && gotRNG.Int63() != wantRNG.Int63() {
 			t.Fatalf("%s: rng state differs from the reference's after training", c.name)
+		}
+	}
+}
+
+// TestTrainThenLossMatchesTrainSGD: Train, the entry vehicles call, and
+// then the loss on demand leave the parameters, the rng state and the
+// loss bits that TrainSGD and the reference leave, call after call on one
+// network's reused scratch, on both paths. The sample counts shrink the
+// scratch, grow it back within its capacity and past it, so the recorded
+// π and labels must be re-sized with the order they belong to.
+func TestTrainThenLossMatchesTrainSGD(t *testing.T) {
+	data := rand.New(rand.NewSource(14))
+	for _, sizes := range [][]int{{16, 1}, {6, 4, 1}} {
+		n, err := New(Config{LayerSizes: sizes, Activation: lsActivation(t, 2), Seed: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, ref := n.Clone(), newReferenceNet(n)
+		rngs := [3]*rand.Rand{}
+		for i := range rngs {
+			rngs[i] = rand.New(rand.NewSource(13))
+		}
+		for call, count := range []int{40, 7, 40, 65, 1, 30} {
+			samples := randomSamples(data, count, sizes[0], call%2 == 1)
+			if err := n.Train(samples, 0.3, 3, rngs[0]); err != nil {
+				t.Fatal(err)
+			}
+			got := n.trainedLoss()
+			viaSGD, err := twin.TrainSGD(samples, 0.3, 3, rngs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.trainSGD(samples, 0.3, 3, rngs[2])
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaSGD) != math.Float64bits(want) {
+				t.Fatalf("%v call %d (%d samples): Train then loss %v, TrainSGD %v, reference %v", sizes, call, count, got, viaSGD, want)
+			}
+			if !sameFloatBits(n.Params(), ref.params()) || !sameFloatBits(twin.Params(), ref.params()) {
+				t.Fatalf("%v call %d (%d samples): parameters diverged from the reference", sizes, call, count)
+			}
+		}
+		if a, b, c := rngs[0].Int63(), rngs[1].Int63(), rngs[2].Int63(); a != c || b != c {
+			t.Fatalf("%v: rng states differ after training: next draws %d, %d, reference %d", sizes, a, b, c)
 		}
 	}
 }
@@ -530,11 +609,12 @@ func BenchmarkEstimateClampedAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainSGDSingle times one vehicle's local training at the
-// train-v16-pipe workload's shape: 240 rows of 16 features, 5 epochs at
-// rate 0.2, the degree-1 least-squares activation. It ends with one more
-// call on a clone of the trained network, checked bit for bit against
-// the reference step from the same state and seed.
+// BenchmarkTrainSGDSingle times one vehicle's local training, Train (the
+// entry a node vehicle calls, no loss), at the train-v16-pipe workload's
+// shape: 240 rows of 16 features, 5 epochs at rate 0.2, the degree-1
+// least-squares activation. It ends with one TrainSGD call on a clone of
+// the trained network, checked bit for bit against the reference step
+// from the same state and seed.
 func BenchmarkTrainSGDSingle(b *testing.B) {
 	const rows, features, epochs, rho = 240, 16, 5, 0.2
 	n, err := New(Config{LayerSizes: []int{features, 1}, Activation: lsActivation(b, 1), Seed: 6})
@@ -546,7 +626,7 @@ func BenchmarkTrainSGDSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.TrainSGD(samples, rho, epochs, rng); err != nil {
+		if err := n.Train(samples, rho, epochs, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

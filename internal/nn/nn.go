@@ -49,7 +49,7 @@ type Network struct {
 	// the single-layer kernels run both Horner loops inline. Never written
 	// after it is set, so clones share it.
 	dact poly.Real
-	// train is the SGD working set, built by the first TrainSGD call and
+	// train is the SGD working set, built by the first Train call and
 	// reused by every later one. Training rewrites the parameters, so it
 	// already needs the network to itself; the read paths (Forward,
 	// Estimate, Loss, Gradient) never touch the scratch and stay legal
@@ -323,8 +323,37 @@ func (n *Network) Loss(x []float64, y float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pi = clampProb(pi)
-	return -(y*math.Log(pi) + (1-y)*math.Log(1-pi)), nil
+	return crossEntropy(clampProb(pi), y), nil
+}
+
+// crossEntropy is eq. 11's loss −(y·ln π + (1−y)·ln(1−π)) at a π that
+// clampProb has kept inside (0, 1). With a label of exactly 0 or 1 one of
+// the two products is ∓0·ln(…), a signed zero that leaves the other
+// term's bits alone (both logarithms are finite and negative there), so
+// only the other logarithm is taken; any other label takes both.
+func crossEntropy(pi, y float64) float64 {
+	switch y {
+	case 1:
+		return -math.Log(pi)
+	case 0:
+		return -math.Log(1 - pi)
+	}
+	return -(y*math.Log(pi) + (1-y)*math.Log(1-pi))
+}
+
+// dLossDPi is eq. 11's ∂L/∂π = −(y/π) + (1−y)/(1−π) at a π that
+// clampProb has kept inside (0, 1). With a label of exactly 0 or 1 one of
+// the two quotients is a signed zero (+0 for y = 1, −0 for y = 0) and the
+// other is finite and non-zero, so the sum is the other quotient's bits:
+// one division instead of two. Any other label takes both.
+func dLossDPi(pi, y float64) float64 {
+	switch y {
+	case 1:
+		return -(1 / pi)
+	case 0:
+		return 1 / (1 - pi)
+	}
+	return -(y / pi) + (1-y)/(1-pi)
 }
 
 // Sample is one labelled training tuple (x_k, y_k) from a vehicle's local
@@ -336,66 +365,86 @@ type Sample struct {
 	Y float64
 }
 
-// TrainSGD performs epochs of per-sample stochastic gradient descent
-// (paper eq. 1) over the samples with learning rate rho, shuffling with
-// rng each epoch as rng.Shuffle would (a nil rng keeps the samples'
-// order), and returns the mean loss of the final epoch.
-func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) (float64, error) {
+// Train performs epochs of per-sample stochastic gradient descent (paper
+// eq. 1) over the samples with learning rate rho, shuffling with rng each
+// epoch as rng.Shuffle would (a nil rng keeps the samples' order). It
+// takes no logarithm: each step of the final epoch keeps its clamped π
+// and label in the network's training scratch, from which TrainSGD
+// prices that epoch's loss.
+func (n *Network) Train(samples []Sample, rho float64, epochs int, rng *rand.Rand) error {
 	if len(samples) == 0 {
-		return 0, fmt.Errorf("nn: no training samples")
+		return fmt.Errorf("nn: no training samples")
 	}
 	if rho <= 0 {
-		return 0, fmt.Errorf("nn: learning rate %g must be positive", rho)
+		return fmt.Errorf("nn: learning rate %g must be positive", rho)
 	}
 	if epochs < 1 {
-		return 0, fmt.Errorf("nn: epochs %d must be >= 1", epochs)
+		return fmt.Errorf("nn: epochs %d must be >= 1", epochs)
 	}
 	if n.OutputSize() != 1 {
 		// The paper's application trains a scalar estimation head
 		// (eq. 11); vector targets are out of scope.
-		return 0, fmt.Errorf("nn: SGD training requires a single output, network has %d", n.OutputSize())
+		return fmt.Errorf("nn: SGD training requires a single output, network has %d", n.OutputSize())
 	}
 	// Checked once here, so the single-layer kernel below runs without a
 	// per-sample error path (and a bad sample fails the call before any
 	// step has moved the parameters).
 	for i := range samples {
 		if len(samples[i].X) != n.InputSize() {
-			return 0, fmt.Errorf("nn: sample %d length %d, want %d", i, len(samples[i].X), n.InputSize())
+			return fmt.Errorf("nn: sample %d length %d, want %d", i, len(samples[i].X), n.InputSize())
 		}
 	}
 	sc := n.scratch(len(samples))
 	if n.singleLayer() {
 		// What every vehicle of a node session runs.
-		return n.trainSingle(samples, sc.order, rho, epochs, rng), nil
+		n.trainSingle(samples, sc, rho, epochs, rng)
+		return nil
 	}
-	var lastLoss float64
 	for e := 0; e < epochs; e++ {
 		shuffle(rng, sc.order)
-		// Only the final epoch's mean loss is returned, so only the final
-		// epoch pays for the two logarithms per sample.
-		final := e == epochs-1
-		var total float64
-		for _, idx := range sc.order {
-			loss, err := n.step(sc, samples[idx], rho, final)
+		// Every epoch writes the slots; the final epoch's stay.
+		for k, idx := range sc.order {
+			s := samples[idx]
+			pi, err := n.step(sc, s, rho)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			total += loss
+			sc.pis[k], sc.ys[k] = pi, s.Y
 		}
-		lastLoss = total / float64(len(samples))
 	}
-	return lastLoss, nil
+	return nil
 }
 
-// trainSingle is TrainSGD's epochs on the single-layer shape as one
-// kernel over the flat parameter vector [w… b], with no scratch beyond
-// order and no error path (the caller has checked every len(X)). Every
-// float operation is step's, in step's order, so the two are
-// bit-identical; kernels_test.go pins both to one reference. The
+// TrainSGD is Train followed by the mean loss (eq. 11) of its final
+// epoch.
+func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) (float64, error) {
+	if err := n.Train(samples, rho, epochs, rng); err != nil {
+		return 0, err
+	}
+	return n.trainedLoss(), nil
+}
+
+// trainedLoss is the mean loss of the last Train's final epoch: each
+// sample's loss at π before its update, summed in the order the epoch
+// visited them. It needs a Train that succeeded.
+func (n *Network) trainedLoss() float64 {
+	sc := n.train
+	var total float64
+	for k, pi := range sc.pis {
+		total += crossEntropy(pi, sc.ys[k])
+	}
+	return total / float64(len(sc.pis))
+}
+
+// trainSingle is Train's epochs on the single-layer shape as one kernel
+// over the flat parameter vector [w… b], with no scratch beyond sc's
+// order, pis and ys, and no error path (the caller has checked every
+// len(X)). Every float operation is step's, in step's order, so the two
+// are bit-identical; kernels_test.go pins both to one reference. The
 // activation and its derivative are Horner from a zero accumulator
 // (poly.Real.Eval, called directly so it inlines) or the F/DF closures of
-// an exact activation. The final epoch takes each sample's loss from π
-// before its update and returns their mean.
+// an exact activation. Every step writes its π and y to its slot, so the
+// final epoch's are what stays.
 //
 // A step's row update and the next step's dot product are one pass over
 // w: w[j] −= rd·x[j], then z′ += w[j]·x′[j]. Each pre-activation still
@@ -403,15 +452,16 @@ func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.
 // adds the updated bias, so nothing is re-associated. The next epoch's
 // shuffle needs no parameters and is drawn before this epoch's last
 // update, so the pass spans epochs too.
-func (n *Network) trainSingle(samples []Sample, order []int, rho float64, epochs int, rng *rand.Rand) float64 {
+func (n *Network) trainSingle(samples []Sample, sc *trainScratch, rho float64, epochs int, rng *rand.Rand) {
 	in := len(n.params) - 1
 	w, b := n.params[:in], n.params[in]
 	p, dp := n.act.Poly, n.dact
+	order := sc.order
+	pis, ys := sc.pis[:len(order)], sc.ys[:len(order)]
 	shuffle(rng, order)
 	cur := samples[order[0]]
 	x, y := cur.X[:in], cur.Y
 	z := preActivation(w, x, b)
-	var total float64
 	for e := 0; e < epochs; e++ {
 		final := e == epochs-1
 		for k := range order {
@@ -422,23 +472,8 @@ func (n *Network) trainSingle(samples []Sample, order []int, rho float64, epochs
 				f, df = n.act.F(z), n.act.DF(z)
 			}
 			pi := clampProb((1 + f) / 2)
-			if final {
-				// With a binary label one of eq. 11's two products is
-				// ∓0·ln(…), a signed zero that adds nothing to the other
-				// (both logarithms are finite and negative inside
-				// clampProb's range): skip its logarithm. Same float, half
-				// the logarithms.
-				switch y {
-				case 1:
-					total += -math.Log(pi)
-				case 0:
-					total += -math.Log(1 - pi)
-				default:
-					total += -(y*math.Log(pi) + (1-y)*math.Log(1-pi))
-				}
-			}
-			dLdPi := -(y / pi) + (1-y)/(1-pi)
-			rd := rho * clipDelta(dLdPi*0.5*df)
+			pis[k], ys[k] = pi, y
+			rd := rho * clipDelta(dLossDPi(pi, y)*0.5*df)
 			var next Sample
 			switch {
 			case k+1 < len(order):
@@ -467,7 +502,6 @@ func (n *Network) trainSingle(samples []Sample, order []int, rho float64, epochs
 		}
 	}
 	n.params[in] = b
-	return total / float64(len(samples))
 }
 
 // shuffle permutes order in place exactly as rng.Shuffle(len(order), swap)
@@ -512,17 +546,20 @@ func redraw(rng *rand.Rand, n uint32, prod uint64) uint64 {
 }
 
 // trainScratch is the working set of one SGD step, sized once per
-// network: per-layer activations, pre-activations and deltas, and the
-// epoch's shuffled sample order.
+// network: per-layer activations, pre-activations and deltas, the epoch's
+// shuffled sample order, and the final epoch's record for its loss.
 type trainScratch struct {
 	as     [][]float64 // as[0] aliases the sample's X; as[l+1]: layer l's activations
 	zs     [][]float64 // zs[l]: layer l's pre-activations
 	deltas [][]float64 // deltas[l]: loss gradient at layer l's pre-activations
 	order  []int
+	// pis[k] and ys[k] are the clamped π and the label of the final
+	// epoch's k-th step, π taken before that step's update.
+	pis, ys []float64
 }
 
 // scratch returns the network's training scratch with order reset to the
-// identity over the given sample count.
+// identity over the given sample count and pis and ys of that length.
 func (n *Network) scratch(samples int) *trainScratch {
 	sc := n.train
 	if sc == nil {
@@ -546,8 +583,10 @@ func (n *Network) scratch(samples int) *trainScratch {
 	}
 	if cap(sc.order) < samples {
 		sc.order = make([]int, samples)
+		rec := make([]float64, 2*samples)
+		sc.pis, sc.ys = rec[:samples:samples], rec[samples:]
 	}
-	sc.order = sc.order[:samples]
+	sc.order, sc.pis, sc.ys = sc.order[:samples], sc.pis[:samples], sc.ys[:samples]
 	for i := range sc.order {
 		sc.order[i] = i
 	}
@@ -555,9 +594,9 @@ func (n *Network) scratch(samples int) *trainScratch {
 }
 
 // step backpropagates one sample and applies the gradient in place,
-// returning the sample's loss when wantLoss is set (0 otherwise). It is
-// the general path: any depth, the caller having checked len(s.X).
-func (n *Network) step(sc *trainScratch, s Sample, rho float64, wantLoss bool) (float64, error) {
+// returning the clamped π it was taken at. It is the general path: any
+// depth, the caller having checked len(s.X).
+func (n *Network) step(sc *trainScratch, s Sample, rho float64) (float64, error) {
 	L := len(n.weights)
 	// Forward pass caching pre-activations z and activations a. The sample
 	// is read, never written, so as[0] aliases it.
@@ -574,19 +613,10 @@ func (n *Network) step(sc *trainScratch, s Sample, rho float64, wantLoss bool) (
 		}
 	}
 
-	// Loss and output-layer delta.
-	// π = (1+f)/2, L = -(y ln π + (1-y) ln(1-π)),
-	// dL/df = (π - y) / (2π(1-π)) · ... computing directly:
-	// dL/dπ = -(y/π) + (1-y)/(1-π); dπ/df = 1/2.
-	out := as[L][0]
-	pi := clampProb((1 + out) / 2)
-	var loss float64
-	if wantLoss {
-		loss = -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
-	}
-	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
+	// Output-layer delta: π = (1+f)/2, so dL/df = dL/dπ · 1/2.
+	pi := clampProb((1 + as[L][0]) / 2)
 	delta := sc.deltas[L-1]
-	delta[0] = clipDelta(dLdPi * 0.5 * n.act.DF(zs[L-1][0]))
+	delta[0] = clipDelta(dLossDPi(pi, s.Y) * 0.5 * n.act.DF(zs[L-1][0]))
 
 	// Backward pass: propagate each layer's delta with the pre-update
 	// weights, then apply the gradient step to the weight rows in place.
@@ -613,7 +643,7 @@ func (n *Network) step(sc *trainScratch, s Sample, rho float64, wantLoss bool) (
 		}
 		delta = next
 	}
-	return loss, nil
+	return pi, nil
 }
 
 // Gradient computes the loss and the flat gradient vector (Params layout)
@@ -642,11 +672,9 @@ func (n *Network) Gradient(s Sample) (float64, []float64, error) {
 		}
 		as[l+1] = a
 	}
-	out := as[L][0]
-	pi := clampProb((1 + out) / 2)
-	loss := -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
-	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
-	delta := []float64{clipDelta(dLdPi * 0.5 * n.act.DF(zs[L-1][0]))}
+	pi := clampProb((1 + as[L][0]) / 2)
+	loss := crossEntropy(pi, s.Y)
+	delta := []float64{clipDelta(dLossDPi(pi, s.Y) * 0.5 * n.act.DF(zs[L-1][0]))}
 
 	// Per-layer gradients, assembled back-to-front then flattened in
 	// Params order (front-to-back).

@@ -1291,7 +1291,7 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 			return fmt.Errorf("node: vehicle %d: %w", id, err)
 		}
 		tTrain := s.o.Now()
-		if _, err := s.local.TrainSGD(s.cfg.Data, localRate, localEpochs, s.rng); err != nil {
+		if err := s.local.Train(s.cfg.Data, localRate, localEpochs, s.rng); err != nil {
 			return fmt.Errorf("node: vehicle %d training: %w", id, err)
 		}
 		s.emitStage("node.train", s.hTrain, bc.Round, tTrain, s.o.Now()-tTrain)

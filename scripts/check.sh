@@ -59,6 +59,9 @@ echo "== go test -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -benc
 # evaluation and the reference SGD step; one iteration each keeps them
 # compiling and correct. This is not a timing gate.
 go test -run '^$' -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -benchtime 1x ./internal/nn ./internal/core
+# Where the linker put the SGD and estimate kernels; train-v16-pipe's
+# timings move with it (ROADMAP, "How to measure"). Printed, not gated.
+scripts/kernel-phase.sh
 
 echo "== lines of Go per package (non-test / test)"
 # Non-test LOC is tracked like a benchmark (ROADMAP, north star); a
