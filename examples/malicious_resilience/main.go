@@ -4,7 +4,8 @@
 // lying about every upload. The plain deployment averages the lies into
 // its model; the L-CoFL deployment identifies the liars on the coded
 // verification channel (eq. 6) and excludes them, so its model tracks the
-// honest ideal.
+// honest ideal. The program exits non-zero unless, in every round, the
+// vehicles L-CoFL flags are exactly the planted liars.
 //
 // Run: go run ./examples/malicious_resilience
 package main
@@ -12,6 +13,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/approx"
@@ -85,10 +88,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	planted := plan.IDs()
+	slices.Sort(planted) // SuspectedMalicious lists IDs in ascending order
 	fmt.Printf("%d of %d vehicles lie every round (budget: %d)\n\n",
 		plan.Count(), vehicles, codedScheme.MaxMalicious())
 	fmt.Println("round   ideal   plain(attacked)   l-cofl(attacked)   flagged")
 
+	var missed []int // rounds whose flagged set was not the planted one
 	for r := 1; r <= rounds; r++ {
 		if _, err := idealSys.RunRound(idealScheme, nil, nil); err != nil {
 			log.Fatal(err)
@@ -111,9 +117,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		flagged := codedScheme.SuspectedMalicious()
+		if !slices.Equal(flagged, planted) {
+			missed = append(missed, r)
+		}
 		fmt.Printf("%5d   %.3f   %.3f             %.3f              %d\n",
-			r, ia, pa, ca, len(codedScheme.SuspectedMalicious()))
+			r, ia, pa, ca, len(flagged))
 	}
 	fmt.Println("\nplain FL absorbs the lies into its shared model; L-CoFL's")
 	fmt.Println("Reed-Solomon verification removes them (paper Fig. 4).")
+	if len(missed) > 0 {
+		fmt.Fprintf(os.Stderr, "rounds %v: L-CoFL did not flag exactly the %d planted liars\n", missed, len(planted))
+		os.Exit(1)
+	}
 }

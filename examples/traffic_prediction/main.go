@@ -4,7 +4,9 @@
 // model with L-CoFL: the activation is replaced by its least-squares
 // polynomial (paper §IV Step 2, §V), every round runs the coded
 // verification channel plus verified estimation aggregation, and the
-// fusion centre distils the aggregate into the shared model.
+// fusion centre distils the aggregate into the shared model. The program
+// exits non-zero if the verification flags any of its honest vehicles in
+// any round.
 //
 // Run: go run ./examples/traffic_prediction
 package main
@@ -12,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/approx"
 	"repro/internal/core"
@@ -86,6 +89,10 @@ func main() {
 		}
 		fmt.Printf("round %2d: local loss %.3f, distill loss %.3f, test accuracy %.3f\n",
 			r, stats.MeanLocalLoss, stats.DistillLoss, acc)
+		if flagged := scheme.SuspectedMalicious(); len(flagged) > 0 {
+			fmt.Fprintf(os.Stderr, "round %d: honest vehicles %v flagged as malicious\n", r, flagged)
+			os.Exit(1)
+		}
 	}
 
 	mean, err := sys.MeanEstimate(test.Features())

@@ -84,7 +84,7 @@ func (m Remez) Fit(f func(float64) float64, lo, hi float64, degree int) (poly.Re
 			a.Set(i, degree+1, sign)
 			b[i] = f(x)
 		}
-		sol, err := a.Solve(b)
+		sol, err := linalg.LeastSquares(a, b) // square: the exact solution
 		if err != nil {
 			return nil, fmt.Errorf("approx: remez reference system: %w", err)
 		}

@@ -382,18 +382,14 @@ func TestSchemeUploadValidation(t *testing.T) {
 	if err := s.BeginRound(nil); err == nil {
 		t.Error("nil shared model accepted")
 	}
-	for _, sizes := range [][]int{
-		{traffic.NumFeatures, 3, 1}, // hidden layer
-		{traffic.NumFeatures, 2},    // two outputs
-		{traffic.NumFeatures + 1, 1},
-	} {
-		wrong, err := nn.New(nn.Config{LayerSizes: sizes, Activation: model.Activation(), Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.BeginRound(wrong); err == nil {
-			t.Errorf("model of shape %v accepted", sizes)
-		}
+	// nn.New refuses every shape but [in, 1] (nn.TestNewValidation); the
+	// scheme checks the width against its reference set.
+	wrong, err := nn.New(nn.Config{LayerSizes: []int{traffic.NumFeatures + 1, 1}, Activation: model.Activation(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginRound(wrong); err == nil {
+		t.Error("model wider than the reference features accepted")
 	}
 	if err := s.BeginRound(polyActivationModel(t, 2, 10)); err == nil {
 		t.Error("activation above the configured degree accepted")

@@ -121,17 +121,13 @@ func (e *evaluator) FracBits() uint { return e.codec.FracBits() }
 
 // BeginRound implements fl.Scheme: it quantises the broadcast model every
 // honest vehicle uses on the verification channel this round. The model
-// must be single-layer with a polynomial activation of degree ≤ Degree
-// (the L-CoFL requirement from §IV Step 2). It is only read, and only
-// during the call: callers pass their live model, no clone.
+// (single-layer, as every nn.Network is) must take the reference set's
+// feature width and have a polynomial activation of degree ≤ Degree (the
+// L-CoFL requirement from §IV Step 2). It is only read, and only during
+// the call: callers pass their live model, no clone.
 func (e *evaluator) BeginRound(shared *nn.Network) error {
 	if shared == nil {
 		return fmt.Errorf("core: nil shared model")
-	}
-	// in weights + 1 bias: only the shape [in, 1] has that few parameters
-	// (Sizes() would say the same but allocates, once a round).
-	if shared.NumParams() != shared.InputSize()+1 {
-		return fmt.Errorf("core: verification requires a single-nonlinear-layer model, got layers %v", shared.Sizes())
 	}
 	actPoly := shared.Activation().Poly
 	if actPoly == nil {

@@ -186,7 +186,7 @@ func TestVerificationHalvesAreWords(t *testing.T) {
 	}
 	shared := polyActivationModel(t, cfg.Degree, 1)
 	local := polyActivationModel(t, cfg.Degree, 2)
-	n := shared.NumParams()
+	n := shared.InputSize() + 1 // [w… b]
 	// The largest weight and bias quantise accepts: every symbol then
 	// wraps the field, so the halves span their whole range.
 	limit := float64(field.Modulus/2) / math.Ldexp(1, int(scheme.FracBits()))

@@ -21,8 +21,7 @@ var ErrNoTargets = errors.New("fl: no usable estimation targets")
 // form: invert the activation on the targets (π = (1+tanh(z/2))/2 ⇒
 // z = 2·artanh(2π−1)) and solve the ridge least-squares problem for the
 // weights, which is deterministic and free of gradient-descent
-// oscillation. Deeper baseline models fall back to full-batch gradient
-// descent.
+// oscillation.
 //
 // The design matrix of that problem is the reference rows whose targets
 // survived the round, and from one round to the next that set rarely
@@ -41,27 +40,29 @@ type Distiller struct {
 	rows []int
 	y    []float64
 
-	// The factorisation and the row set it was built for (nil before the
-	// first); ridge is nil when that set's normal equations are singular
-	// (gradient-descent fallback). refactors counts the builds.
+	// The factorisation and the row set it was built for (empty before
+	// the first, and after a factorisation failed). refactors counts the
+	// builds.
 	fact      []int
 	ridge     *linalg.Ridge
 	refactors int
 
-	z, wb    []float64
-	fallback []nn.Sample
-	// fbLoss is the last fit's loss when it fell back to gradient descent
-	// (fellBack), as TrainFullBatch reported it.
-	fbLoss   float64
-	fellBack bool
+	z, wb []float64
 }
 
 // NewDistiller builds the update step over a reference set (aliased, not
-// copied) whose rows must each carry cfg.InputSize features.
+// copied) whose rows must each carry cfg.InputSize finite features. A
+// NaN or infinite feature is refused: it leaves the ridge system without
+// a pivot, and so every round that keeps its row without a fit.
 func NewDistiller(cfg Config, refX [][]float64) (*Distiller, error) {
 	for i, x := range refX {
 		if len(x) != cfg.InputSize {
 			return nil, fmt.Errorf("fl: reference sample %d has %d features, want %d", i, len(x), cfg.InputSize)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("fl: reference sample %d feature %d is %v, want a finite value", i, j, v)
+			}
 		}
 	}
 	return &Distiller{cfg: cfg, refX: refX}, nil
@@ -70,8 +71,9 @@ func NewDistiller(cfg Config, refX [][]float64) (*Distiller, error) {
 // Fit updates shared toward the round's aggregate targets, one per
 // reference row in reference order: a Dropped target excludes its row,
 // the rest are clamped to [0, 1]. It returns ErrNoTargets when every
-// target was dropped. In steady state — the kept rows those of the
-// previous call, the single-layer closed form — Fit allocates nothing.
+// target was dropped, and an error, leaving shared untouched, when the
+// kept rows' ridge system cannot be factorised. In steady state — the
+// kept rows those of the previous call — Fit allocates nothing.
 // Loss reports how well the fit did; a caller that does not need that
 // number does not pay for it.
 func (d *Distiller) Fit(shared *nn.Network, targets []float64) error {
@@ -94,15 +96,10 @@ func (d *Distiller) Fit(shared *nn.Network, targets []float64) error {
 
 // Loss returns shared's mean distillation loss (eq. 11) over the rows the
 // last Fit kept, against their clamped targets, summed in reference
-// order; it is 0 when that Fit kept none. After a fit that fell back to
-// gradient descent it is that descent's final-epoch mean, taken before
-// its last update, as TrainFullBatch reports it.
+// order; it is 0 when that Fit kept none.
 func (d *Distiller) Loss(shared *nn.Network) (float64, error) {
 	if len(d.rows) == 0 {
 		return 0, nil
-	}
-	if d.fellBack {
-		return d.fbLoss, nil
 	}
 	var total float64
 	for k, j := range d.rows {
@@ -123,14 +120,16 @@ func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, erro
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("fl: no distillation samples")
 	}
-	d := &Distiller{cfg: cfg, refX: make([][]float64, len(samples)),
-		rows: make([]int, len(samples)), y: make([]float64, len(samples))}
+	n := len(samples)
+	refX, rows, y := make([][]float64, n), make([]int, n), make([]float64, n)
 	for i, smp := range samples {
-		if len(smp.X) != cfg.InputSize {
-			return 0, fmt.Errorf("fl: distillation sample %d has %d features, want %d", i, len(smp.X), cfg.InputSize)
-		}
-		d.refX[i], d.rows[i], d.y[i] = smp.X, i, smp.Y
+		refX[i], rows[i], y[i] = smp.X, i, smp.Y
 	}
+	d, err := NewDistiller(cfg, refX)
+	if err != nil {
+		return 0, err
+	}
+	d.rows, d.y = rows, y
 	if err := d.fit(shared); err != nil {
 		return 0, err
 	}
@@ -139,16 +138,10 @@ func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, erro
 
 // fit is the update on the rows and targets already gathered into d.
 func (d *Distiller) fit(shared *nn.Network) error {
-	d.fellBack = false
-	if len(d.cfg.Hidden) != 0 {
-		return d.fullBatch(shared)
-	}
 	if !slices.Equal(d.rows, d.fact) { // rows is never empty here
-		d.factor()
-	}
-	if d.ridge == nil {
-		// Degenerate reference geometry: fall back to gradient descent.
-		return d.fullBatch(shared)
+		if err := d.factor(); err != nil {
+			return err
+		}
 	}
 	n := len(d.rows)
 	// The logit fit must stay inside the activation's valid range. The
@@ -190,7 +183,11 @@ func (d *Distiller) fit(shared *nn.Network) error {
 // cancelling on the data manifold; Lagrange-encoded inputs leave that
 // manifold, so runaway weights would make honest encoded estimations
 // explode. λ scales with the sample count to track the magnitude of AᵀA.
-func (d *Distiller) factor() {
+// With λ > 0 on the diagonal the system lacks a pivot only when AᵀA does
+// not hold finite values — a feature so large that its square overflows
+// (NewDistiller has refused non-finite ones) — and then factor fails and
+// forgets the old row set, so the next fit factors afresh.
+func (d *Distiller) factor() error {
 	n, in := len(d.rows), d.cfg.InputSize
 	a := linalg.NewMatrix(n, in+1)
 	for i, j := range d.rows {
@@ -198,8 +195,12 @@ func (d *Distiller) factor() {
 		copy(row, d.refX[j])
 		row[in] = 1
 	}
-	// A singular system leaves ridge nil, and fit falls back.
-	d.ridge, _ = linalg.NewRidge(a, 1e-3*float64(n))
+	ridge, err := linalg.NewRidge(a, 1e-3*float64(n))
+	if err != nil {
+		d.ridge, d.fact = nil, d.fact[:0]
+		return fmt.Errorf("fl: distillation fit over %d rows: %w", n, err)
+	}
+	d.ridge = ridge
 	d.fact = append(d.fact[:0], d.rows...)
 	d.refactors++
 	if cap(d.z) < n {
@@ -208,18 +209,7 @@ func (d *Distiller) factor() {
 	if d.wb == nil {
 		d.wb = make([]float64, in+1)
 	}
-}
-
-// fullBatch is the gradient-descent update on the current rows.
-func (d *Distiller) fullBatch(shared *nn.Network) error {
-	d.fallback = d.fallback[:0]
-	for k, j := range d.rows {
-		d.fallback = append(d.fallback, nn.Sample{X: d.refX[j], Y: d.y[k]})
-	}
-	var err error
-	d.fbLoss, err = shared.TrainFullBatch(d.fallback, d.cfg.DistillRate, d.cfg.DistillEpochs)
-	d.fellBack = err == nil
-	return err
+	return nil
 }
 
 func clamp01(v float64) float64 {

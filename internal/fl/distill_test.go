@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/approx"
@@ -23,12 +24,10 @@ func distillRef(tb testing.TB, n int) [][]float64 {
 	return ds.Features()
 }
 
-// distillNet builds the fit's model: [F, hidden…, 1] with the given
-// activation.
-func distillNet(tb testing.TB, act approx.Activation, hidden []int) *nn.Network {
+// distillNet builds the fit's model: [F, 1] with the given activation.
+func distillNet(tb testing.TB, act approx.Activation) *nn.Network {
 	tb.Helper()
-	sizes := append(append([]int{traffic.NumFeatures}, hidden...), 1)
-	net, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: 5})
+	net, err := nn.New(nn.Config{LayerSizes: []int{traffic.NumFeatures, 1}, Activation: act, Seed: 5})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -40,21 +39,18 @@ func distillNet(tb testing.TB, act approx.Activation, hidden []int) *nn.Network 
 // same bits — parameters, and the held one's Loss against Distill's —
 // through steady rounds, a round that drops targets and the round that
 // restores them (which must refactor, and only those), an all-dropped
-// round, both activation families, and the hidden-layer fallback (which
-// never factors).
+// round, and both activation families.
 func TestDistillerMatchesDistill(t *testing.T) {
 	poly, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	models := []struct {
-		name   string
-		act    approx.Activation
-		hidden []int
+		name string
+		act  approx.Activation
 	}{
-		{"exact", approx.SymmetricSigmoid(), nil},
-		{"poly", approx.FromPolynomial("ls2", poly), nil},
-		{"hidden", approx.SymmetricSigmoid(), []int{4}},
+		{"exact", approx.SymmetricSigmoid()},
+		{"poly", approx.FromPolynomial("ls2", poly)},
 	}
 	const rounds = 24
 	const dropRound, allDropped = 7, 15 // dropRound+1 restores the rows
@@ -63,13 +59,11 @@ func TestDistillerMatchesDistill(t *testing.T) {
 		for _, m := range models {
 			t.Run(fmt.Sprintf("%s/n=%d", m.name, n), func(t *testing.T) {
 				cfg := testConfig()
-				cfg.Hidden = m.hidden
-				cfg.DistillEpochs = 3
 				d, err := NewDistiller(cfg, refX)
 				if err != nil {
 					t.Fatal(err)
 				}
-				held := distillNet(t, m.act, m.hidden)
+				held := distillNet(t, m.act)
 				fresh := held.Clone()
 				rng := rand.New(rand.NewSource(int64(n)))
 				targets := make([]float64, n)
@@ -95,7 +89,7 @@ func TestDistillerMatchesDistill(t *testing.T) {
 					}
 					before := fresh.Params()
 					want, wantErr := Distill(fresh, cfg, samples)
-					if m.hidden == nil && r != allDropped {
+					if r != allDropped {
 						// And both on the bits of the per-round fit they replace.
 						oracle := fresh.Clone()
 						if err := oracle.SetParams(before); err != nil {
@@ -126,7 +120,7 @@ func TestDistillerMatchesDistill(t *testing.T) {
 					// rows differ from the previous fit's: the drop and the
 					// restore. The all-dropped round fits nothing, so the
 					// round after it reuses the full-set factorisation.
-					if m.hidden == nil && (r == 0 || r == dropRound || r == dropRound+1) {
+					if r == 0 || r == dropRound || r == dropRound+1 {
 						wantRefactors++
 					}
 					if d.refactors != wantRefactors {
@@ -198,15 +192,61 @@ func TestDistillerValidation(t *testing.T) {
 	if _, err := NewDistiller(cfg, [][]float64{make([]float64, 3)}); err == nil {
 		t.Error("wrong reference width accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		refX := distillRef(t, 8)
+		refX[5][3] = v
+		if _, err := NewDistiller(cfg, refX); err == nil {
+			t.Errorf("reference row with a %v feature accepted", v)
+		}
+		if _, err := Distill(distillNet(t, approx.SymmetricSigmoid()), cfg, []nn.Sample{{X: refX[5], Y: 1}}); err == nil {
+			t.Errorf("Distill over a %v feature accepted", v)
+		}
+	}
 	d, err := NewDistiller(cfg, distillRef(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Fit(distillNet(t, approx.SymmetricSigmoid(), nil), make([]float64, 7)); err == nil {
+	if err := d.Fit(distillNet(t, approx.SymmetricSigmoid()), make([]float64, 7)); err == nil {
 		t.Error("target count unequal to the reference size accepted")
 	}
-	if _, err := Distill(distillNet(t, approx.SymmetricSigmoid(), nil), cfg, nil); err == nil {
+	if _, err := Distill(distillNet(t, approx.SymmetricSigmoid()), cfg, nil); err == nil {
 		t.Error("Distill without samples accepted")
+	}
+}
+
+// TestDistillerFitSingular: a finite reference row whose features square
+// past the float64 range leaves the ridge system without a pivot. Fit
+// says so with an error and leaves the model as it was; once that row's
+// target is dropped the next Fit factors the rows it keeps and fits.
+func TestDistillerFitSingular(t *testing.T) {
+	cfg := testConfig()
+	refX := distillRef(t, 16)
+	for j := range refX[9] {
+		refX[9][j] = 1e200
+	}
+	d, err := NewDistiller(cfg, refX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := distillNet(t, approx.SymmetricSigmoid())
+	before := net.Params()
+	targets := make([]float64, len(refX))
+	for j := range targets {
+		targets[j] = float64(j%2) * 0.8
+	}
+	err = d.Fit(net, targets)
+	if err == nil || errors.Is(err, ErrNoTargets) || !strings.Contains(err.Error(), "singular") {
+		t.Fatalf("Fit over an overflowing row: error %v, want the singular system named", err)
+	}
+	if !sameBits(net.ParamsView(), before) {
+		t.Fatal("a failed Fit moved the model")
+	}
+	targets[9] = Dropped
+	if err := d.Fit(net, targets); err != nil {
+		t.Fatalf("Fit without the overflowing row: %v", err)
+	}
+	if d.refactors != 1 || sameBits(net.ParamsView(), before) {
+		t.Fatalf("Fit without the overflowing row: %d refactors, model moved %v", d.refactors, !sameBits(net.ParamsView(), before))
 	}
 }
 
@@ -229,7 +269,7 @@ func BenchmarkDistill(b *testing.B) {
 			targets[j] = rng.Float64()
 			samples[j] = nn.Sample{X: refX[j], Y: targets[j]}
 		}
-		net := distillNet(b, approx.FromPolynomial("ls1", poly), nil)
+		net := distillNet(b, approx.FromPolynomial("ls1", poly))
 		b.Run(fmt.Sprintf("oneshot/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -259,53 +299,42 @@ func BenchmarkDistill(b *testing.B) {
 
 // TestSystemDistillLoss: the DistillLoss a round of fl.System reports is
 // the loss its fit reported before Fit stopped computing one — the
-// pre-Distiller closed form's mean (referenceDistill) on the single-layer
-// model, TrainFullBatch's final-epoch mean on the hidden-layer fallback —
-// bit for bit, alongside the parameters; and 0 for a round that lost
-// every upload.
+// pre-Distiller closed form's mean (referenceDistill) — bit for bit,
+// alongside the parameters; and 0 for a round that lost every upload.
 func TestSystemDistillLoss(t *testing.T) {
-	for _, hidden := range [][]int{nil, {4}} {
-		cfg := testConfig()
-		cfg.Hidden = hidden
-		sys, _ := buildSystemWith(t, 6, approx.SymmetricSigmoid(), cfg)
-		scheme, err := NewPlainScheme(sys.ReferenceFeatures())
+	cfg := testConfig()
+	sys, _ := buildSystemWith(t, 6, approx.SymmetricSigmoid(), cfg)
+	scheme, err := NewPlainScheme(sys.ReferenceFeatures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		oracle := sys.Shared().Clone()
+		var lose loseUploads
+		if r == 2 {
+			lose = loseUploads{0: true, 1: true, 2: true, 3: true, 4: true, 5: true}
+		}
+		stats, err := sys.RunRound(scheme, nil, lose)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < 4; r++ {
-			oracle := sys.Shared().Clone()
-			var lose loseUploads
-			if r == 2 {
-				lose = loseUploads{0: true, 1: true, 2: true, 3: true, 4: true, 5: true}
+		var samples []nn.Sample
+		for j, v := range stats.Targets {
+			if !IsDropped(v) {
+				samples = append(samples, nn.Sample{X: sys.refX[j], Y: clamp01(v)})
 			}
-			stats, err := sys.RunRound(scheme, nil, lose)
-			if err != nil {
+		}
+		var want float64 // nothing to fit: the model holds still and the loss is 0
+		if len(samples) > 0 {
+			if want, err = referenceDistill(oracle, cfg, samples); err != nil {
 				t.Fatal(err)
 			}
-			var samples []nn.Sample
-			for j, v := range stats.Targets {
-				if !IsDropped(v) {
-					samples = append(samples, nn.Sample{X: sys.refX[j], Y: clamp01(v)})
-				}
-			}
-			var want float64
-			switch {
-			case len(samples) == 0:
-				// Nothing to fit: the model holds still and the loss is 0.
-			case hidden == nil:
-				want, err = referenceDistill(oracle, cfg, samples)
-			default:
-				want, err = oracle.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(stats.DistillLoss) != math.Float64bits(want) {
-				t.Fatalf("hidden %v round %d: DistillLoss %v, the fit's own loss %v", hidden, r, stats.DistillLoss, want)
-			}
-			if !sameBits(sys.Shared().ParamsView(), oracle.ParamsView()) {
-				t.Fatalf("hidden %v round %d: parameters differ from the oracle fit's", hidden, r)
-			}
+		}
+		if math.Float64bits(stats.DistillLoss) != math.Float64bits(want) {
+			t.Fatalf("round %d: DistillLoss %v, the fit's own loss %v", r, stats.DistillLoss, want)
+		}
+		if !sameBits(sys.Shared().ParamsView(), oracle.ParamsView()) {
+			t.Fatalf("round %d: parameters differ from the oracle fit's", r)
 		}
 	}
 }

@@ -61,19 +61,16 @@ func IsDropped(v float64) bool { return math.IsNaN(v) }
 type Config struct {
 	// InputSize is the feature-vector length (the paper's M = 16).
 	InputSize int
-	// Hidden optionally inserts hidden layers. The coded path requires a
-	// single nonlinear layer so that the end-to-end estimation stays a
-	// degree-d polynomial of the input (see DESIGN.md §1); baselines may
-	// use hidden layers freely.
-	Hidden []int
 	// LocalEpochs is the per-round local SGD epoch count t.
 	LocalEpochs int
 	// LocalRate is the local learning rate ρ of eq. 1.
 	LocalRate float64
-	// DistillEpochs is the fusion centre's update epoch count per round.
+	// DistillEpochs and DistillRate were the epoch count and learning
+	// rate of a gradient-descent fusion update. The closed-form fit
+	// (Distiller) reads neither; they are still validated, because the
+	// benchmark harness and package experiments still set them.
 	DistillEpochs int
-	// DistillRate is the fusion centre's update learning rate.
-	DistillRate float64
+	DistillRate   float64
 	// ServerStep damps the fusion centre's parameter update:
 	// new = old + ServerStep·(fit − old). Values in (0, 1]; zero selects
 	// the default 0.5. Full steps (1.0) can induce a period-2 oscillation
@@ -174,9 +171,7 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 	if err != nil {
 		return nil, err
 	}
-	sizes := append([]int{cfg.InputSize}, cfg.Hidden...)
-	sizes = append(sizes, 1)
-	shared, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: cfg.Seed})
+	shared, err := nn.New(nn.Config{LayerSizes: []int{cfg.InputSize, 1}, Activation: act, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("fl: shared model: %w", err)
 	}

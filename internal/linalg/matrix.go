@@ -1,13 +1,13 @@
 // Package linalg provides the dense float64 linear algebra the rest of the
-// repository needs: matrix/vector arithmetic, Gaussian elimination with
-// partial pivoting, Householder QR, and least-squares solving.
+// repository needs: a row-major matrix, Gaussian elimination with partial
+// pivoting, Householder QR, and least-squares and ridge solving.
 //
 // Go has no numerical standard library, so this package is the
-// MATLAB-substitute substrate (see DESIGN.md §2): the least-squares
-// activation fits of package approx, the robust real-valued decoder of
-// package reedsolomon, and the neural network of package nn all build on
-// it. Sizes in this system are small (tens to low hundreds), so clarity
-// and numerical hygiene win over blocking/tiling.
+// MATLAB-substitute substrate (see DESIGN.md §2). Three packages build on
+// it: approx (the least-squares activation fits), fl (the fusion
+// centre's ridge fit, linalg.Ridge) and codedfl (the coded-FL baseline's
+// recovery). Sizes in this system are small (tens to low hundreds), so
+// clarity and numerical hygiene win over blocking/tiling.
 package linalg
 
 import (
@@ -28,17 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// MatrixOver returns a rows×cols matrix that aliases data (row-major,
-// len rows*cols) instead of copying it: writes through either are seen by
-// both. Package nn lays every layer of a network over one flat parameter
-// vector this way. It panics on a shape/length mismatch like NewMatrix.
-func MatrixOver(rows, cols int, data []float64) *Matrix {
-	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
-		panic(fmt.Sprintf("linalg: %d values cannot back shape %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}
 }
 
 // FromRows builds a matrix from row slices, which must be equal length.
@@ -158,32 +147,12 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// Solve solves the square system A·x = b by Gaussian elimination with
-// partial pivoting. It returns an error for singular (or numerically
-// singular) systems.
-func (m *Matrix) Solve(b []float64) ([]float64, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("linalg: solve needs square matrix, got %dx%d", m.rows, m.cols)
-	}
-	if len(b) != m.rows {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), m.rows)
-	}
-	f, err := m.factor()
-	if err != nil {
-		return nil, err
-	}
-	x := Clone(b)
-	f.solveInPlace(x)
-	return x, nil
-}
-
 // luFactors is a square matrix's Gaussian elimination with partial
 // pivoting, recorded so that it can be replayed on any number of
 // right-hand sides: the row swap and the multipliers of every column, and
 // the upper triangle left behind. The elimination never reads the
 // right-hand side, so solveInPlace performs exactly the right-hand-side
-// operations of one elimination pass, in the same order — Solve is factor
-// plus one replay.
+// operations of one elimination pass, in the same order.
 type luFactors struct {
 	n     int
 	pivot []int     // pivot[col]: the row swapped into col (col itself: none)
@@ -192,7 +161,8 @@ type luFactors struct {
 }
 
 // factor eliminates the square matrix m (m is not modified). It returns
-// an error for singular (or numerically singular) matrices.
+// an error for singular (or numerically singular) matrices, and for a NaN
+// pivot.
 func (m *Matrix) factor() (*luFactors, error) {
 	n := m.rows
 	a := m.Clone()
@@ -206,7 +176,7 @@ func (m *Matrix) factor() (*luFactors, error) {
 				best, pivot = v, r
 			}
 		}
-		if best < 1e-300 {
+		if !(best >= 1e-300) { // a NaN pivot solves nothing either
 			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
 		}
 		f.pivot[col] = pivot
@@ -265,13 +235,4 @@ func (m *Matrix) swapRows(i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for i := 0; i < m.rows; i++ {
-		s += fmt.Sprintf("%v\n", m.Row(i))
-	}
-	return s
 }

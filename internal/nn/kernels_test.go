@@ -14,98 +14,52 @@ import (
 )
 
 // referenceNet is the straight-line SGD the in-place kernels replaced,
-// kept as the oracle they are pinned to: per-layer weights as plain rows,
-// every step allocating its own activations, the loss taken every epoch.
+// kept as the oracle they are pinned to: the weights as a plain slice,
+// every step computing its own pre-activation, the loss taken every epoch.
 type referenceNet struct {
-	w   [][][]float64 // w[l][i][j]
-	b   [][]float64
+	w   []float64
+	b   float64
 	act approx.Activation
 }
 
 func newReferenceNet(n *Network) *referenceNet {
-	r := &referenceNet{act: n.Activation()}
-	sizes := n.Sizes()
-	for l := 0; l+1 < len(sizes); l++ {
-		rows := make([][]float64, sizes[l+1])
-		for i := range rows {
-			rows[i] = make([]float64, sizes[l])
-		}
-		r.w = append(r.w, rows)
-		r.b = append(r.b, make([]float64, sizes[l+1]))
-	}
+	r := &referenceNet{w: make([]float64, n.InputSize()), act: n.Activation()}
 	r.setParams(n.Params())
 	return r
 }
 
 func (r *referenceNet) params() []float64 {
-	var out []float64
-	for l := range r.w {
-		for _, row := range r.w[l] {
-			out = append(out, row...)
-		}
-		out = append(out, r.b[l]...)
-	}
-	return out
+	return append(append([]float64(nil), r.w...), r.b)
 }
 
 func (r *referenceNet) setParams(p []float64) {
-	k := 0
-	for l := range r.w {
-		for _, row := range r.w[l] {
-			k += copy(row, p[k:])
-		}
-		k += copy(r.b[l], p[k:])
+	r.b = p[copy(r.w, p)]
+}
+
+// z is the pre-activation w·x + b, summed from zero by index.
+func (r *referenceNet) z(x []float64) float64 {
+	var sum float64
+	for j, v := range r.w {
+		sum += v * x[j]
 	}
+	return sum + r.b
+}
+
+// estimate is the forward pass: π = (1 + F(z))/2, unclamped.
+func (r *referenceNet) estimate(x []float64) float64 {
+	return (1 + r.act.F(r.z(x))) / 2
 }
 
 func (r *referenceNet) step(s Sample, rho float64) float64 {
-	L := len(r.w)
-	as := make([][]float64, L+1)
-	zs := make([][]float64, L)
-	as[0] = append([]float64(nil), s.X...)
-	for l := 0; l < L; l++ {
-		z := make([]float64, len(r.w[l]))
-		for i, row := range r.w[l] {
-			var sum float64
-			for j, v := range row {
-				sum += v * as[l][j]
-			}
-			z[i] = sum
-		}
-		for i := range z {
-			z[i] += r.b[l][i]
-		}
-		zs[l] = z
-		a := make([]float64, len(z))
-		for i := range z {
-			a[i] = r.act.F(z[i])
-		}
-		as[l+1] = a
-	}
-	pi := clampProb((1 + as[L][0]) / 2)
+	z := r.z(s.X)
+	pi := clampProb((1 + r.act.F(z)) / 2)
 	loss := -(s.Y*math.Log(pi) + (1-s.Y)*math.Log(1-pi))
 	dLdPi := -(s.Y / pi) + (1-s.Y)/(1-pi)
-	delta := []float64{clipDelta(dLdPi * 0.5 * r.act.DF(zs[L-1][0]))}
-	for l := L - 1; l >= 0; l-- {
-		var next []float64
-		if l > 0 {
-			next = make([]float64, len(as[l]))
-			for j := range next {
-				var sum float64
-				for i := range delta {
-					sum += r.w[l][i][j] * delta[i]
-				}
-				next[j] = sum * r.act.DF(zs[l-1][j])
-			}
-		}
-		for i := range delta {
-			for j := range as[l] {
-				r.w[l][i][j] = r.w[l][i][j] - rho*delta[i]*as[l][j]
-			}
-			r.b[l][i] -= rho * delta[i]
-		}
-		delta = next
+	delta := clipDelta(dLdPi * 0.5 * r.act.DF(z))
+	for j := range r.w {
+		r.w[j] = r.w[j] - rho*delta*s.X[j]
 	}
+	r.b -= rho * delta
 	return loss
 }
 
@@ -166,18 +120,15 @@ func randomSamples(rng *rand.Rand, count, in int, softLabels bool) []Sample {
 	return samples
 }
 
-// TestTrainSGDMatchesReferenceStep pins the in-place kernels — the fused
-// single-layer step and the general one — to the reference bit for bit,
-// parameters and returned loss. Even cases are the single-layer shape at
-// the widths the binaries run (1–32 inputs, every fourth one the traffic
-// application's 16), odd ones have one or two hidden layers; across them
-// the exact sigmoid and the degree 1–3 polynomial fits, binary and soft
-// labels. Two calls per case cover the reused scratch as well as the
-// freshly built one.
+// TestTrainSGDMatchesReferenceStep pins the epoch kernel to the reference
+// bit for bit, parameters and returned loss. Even cases run the widths the
+// binaries run (1–32 inputs, every fourth one the traffic application's
+// 16), odd ones narrow widths (1–6 inputs); across them the exact sigmoid
+// and the degree 1–3 polynomial fits, binary and soft labels. Two calls
+// per case cover the reused scratch as well as the freshly built one.
 func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 	acts := []approx.Activation{approx.SymmetricSigmoid(), lsActivation(t, 1), lsActivation(t, 2), lsActivation(t, 3)}
 	rng := rand.New(rand.NewSource(77))
-	var fused, general int
 	for c := 0; c < 240; c++ {
 		sizes := []int{1 + rng.Intn(32)}
 		if c%8 == 0 {
@@ -185,19 +136,11 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 		}
 		if c%2 == 1 {
 			sizes[0] = 1 + rng.Intn(6)
-			for h := 1 + rng.Intn(2); h > 0; h-- {
-				sizes = append(sizes, 1+rng.Intn(5))
-			}
 		}
 		sizes = append(sizes, 1)
 		n, err := New(Config{LayerSizes: sizes, Activation: acts[(c/2)%len(acts)], Seed: int64(c)})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if n.singleLayer() {
-			fused++
-		} else {
-			general++
 		}
 		samples := randomSamples(rng, 1+rng.Intn(20), sizes[0], c%5 == 0)
 		rho := 0.05 + rng.Float64()
@@ -220,9 +163,6 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 			}
 		}
 	}
-	if fused < 20 || general < 20 {
-		t.Fatalf("cases reached the fused step %d times, the general step %d times: want each >= 20", fused, general)
-	}
 }
 
 // TestTrainSGDEdgeSets runs the epoch kernel and the reference on sets
@@ -232,8 +172,7 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 //   - a one-sample set (Shuffle draws nothing for it);
 //   - no rng (no shuffle at all, the identity order every epoch);
 //   - a row holding a NaN, +Inf, −Inf or −0 feature, labelled 0 and then
-//     1, on the single-layer and the hidden-layer path. Past a NaN or an
-//     infinite z the parameters and the loss are NaN, and their signs and
+//     1. Past a NaN or an infinite z the parameters and the loss are NaN, and their signs and
 //     payloads are compared too. Only the loss shows its NaN's sign: a NaN
 //     π comes with a NaN F′, whose NaN the delta carries instead of
 //     ∂L/∂π's;
@@ -242,28 +181,24 @@ func TestTrainSGDMatchesReferenceStep(t *testing.T) {
 func TestTrainSGDEdgeSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	negZero := math.Copysign(0, -1)
-	single, hidden := []int{16, 1}, []int{16, 3, 1}
 	type edgeCase struct {
 		name    string
-		sizes   []int
 		act     approx.Activation
 		samples []Sample
 		seeded  bool
 	}
 	cases := []edgeCase{
-		{"one sample", single, lsActivation(t, 1), randomSamples(rng, 1, 16, false), true},
-		{"nil rng", single, lsActivation(t, 1), randomSamples(rng, 13, 16, true), false},
+		{"one sample", lsActivation(t, 1), randomSamples(rng, 1, 16, false), true},
+		{"nil rng", lsActivation(t, 1), randomSamples(rng, 13, 16, true), false},
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero} {
 		for _, y := range []float64{0, 1} {
-			for _, sizes := range [][]int{single, hidden} {
-				samples := randomSamples(rng, 9, 16, false)
-				odd := samples[rng.Intn(len(samples))]
-				odd.X[rng.Intn(16)] = v
-				odd.Y = y
-				name := fmt.Sprintf("feature %v labelled %v on %v", v, y, sizes)
-				cases = append(cases, edgeCase{name, sizes, lsActivation(t, 2), samples, true})
-			}
+			samples := randomSamples(rng, 9, 16, false)
+			odd := samples[rng.Intn(len(samples))]
+			odd.X[rng.Intn(16)] = v
+			odd.Y = y
+			name := fmt.Sprintf("feature %v labelled %v", v, y)
+			cases = append(cases, edgeCase{name, lsActivation(t, 2), samples, true})
 		}
 	}
 	allNegZero := randomSamples(rng, 9, 16, false)
@@ -272,12 +207,11 @@ func TestTrainSGDEdgeSets(t *testing.T) {
 	}
 	negTop := approx.FromPolynomial("negzero", poly.Real{negZero, 1, negZero, 0.1, negZero})
 	cases = append(cases,
-		edgeCase{"an all −0 row", single, lsActivation(t, 3), allNegZero, true},
-		edgeCase{"−0 top coefficient", single, negTop, randomSamples(rng, 20, 16, false), true},
-		edgeCase{"−0 top coefficient, hidden layer", hidden, negTop, randomSamples(rng, 20, 16, false), true},
+		edgeCase{"an all −0 row", lsActivation(t, 3), allNegZero, true},
+		edgeCase{"−0 top coefficient", negTop, randomSamples(rng, 20, 16, false), true},
 	)
 	for _, c := range cases {
-		n, err := New(Config{LayerSizes: c.sizes, Activation: c.act, Seed: 4})
+		n, err := New(Config{LayerSizes: []int{16, 1}, Activation: c.act, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,37 +242,36 @@ func TestTrainSGDEdgeSets(t *testing.T) {
 // π and labels must be re-sized with the order they belong to.
 func TestTrainThenLossMatchesTrainSGD(t *testing.T) {
 	data := rand.New(rand.NewSource(14))
-	for _, sizes := range [][]int{{16, 1}, {6, 4, 1}} {
-		n, err := New(Config{LayerSizes: sizes, Activation: lsActivation(t, 2), Seed: 12})
+	sizes := []int{16, 1}
+	n, err := New(Config{LayerSizes: sizes, Activation: lsActivation(t, 2), Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, ref := n.Clone(), newReferenceNet(n)
+	rngs := [3]*rand.Rand{}
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(13))
+	}
+	for call, count := range []int{40, 7, 40, 65, 1, 30} {
+		samples := randomSamples(data, count, sizes[0], call%2 == 1)
+		if err := n.Train(samples, 0.3, 3, rngs[0]); err != nil {
+			t.Fatal(err)
+		}
+		got := n.trainedLoss()
+		viaSGD, err := twin.TrainSGD(samples, 0.3, 3, rngs[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, ref := n.Clone(), newReferenceNet(n)
-		rngs := [3]*rand.Rand{}
-		for i := range rngs {
-			rngs[i] = rand.New(rand.NewSource(13))
+		want := ref.trainSGD(samples, 0.3, 3, rngs[2])
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaSGD) != math.Float64bits(want) {
+			t.Fatalf("%v call %d (%d samples): Train then loss %v, TrainSGD %v, reference %v", sizes, call, count, got, viaSGD, want)
 		}
-		for call, count := range []int{40, 7, 40, 65, 1, 30} {
-			samples := randomSamples(data, count, sizes[0], call%2 == 1)
-			if err := n.Train(samples, 0.3, 3, rngs[0]); err != nil {
-				t.Fatal(err)
-			}
-			got := n.trainedLoss()
-			viaSGD, err := twin.TrainSGD(samples, 0.3, 3, rngs[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ref.trainSGD(samples, 0.3, 3, rngs[2])
-			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaSGD) != math.Float64bits(want) {
-				t.Fatalf("%v call %d (%d samples): Train then loss %v, TrainSGD %v, reference %v", sizes, call, count, got, viaSGD, want)
-			}
-			if !sameFloatBits(n.Params(), ref.params()) || !sameFloatBits(twin.Params(), ref.params()) {
-				t.Fatalf("%v call %d (%d samples): parameters diverged from the reference", sizes, call, count)
-			}
+		if !sameFloatBits(n.Params(), ref.params()) || !sameFloatBits(twin.Params(), ref.params()) {
+			t.Fatalf("%v call %d (%d samples): parameters diverged from the reference", sizes, call, count)
 		}
-		if a, b, c := rngs[0].Int63(), rngs[1].Int63(), rngs[2].Int63(); a != c || b != c {
-			t.Fatalf("%v: rng states differ after training: next draws %d, %d, reference %d", sizes, a, b, c)
-		}
+	}
+	if a, b, c := rngs[0].Int63(), rngs[1].Int63(), rngs[2].Int63(); a != c || b != c {
+		t.Fatalf("%v: rng states differ after training: next draws %d, %d, reference %d", sizes, a, b, c)
 	}
 }
 
@@ -471,10 +404,9 @@ func TestCloneCarriesDerivative(t *testing.T) {
 }
 
 // TestEstimateClampedAppendMatchesPerRow pins the batch estimate to the
-// per-row EstimateClamped bit for bit: single-layer with a degree 1–3
-// polynomial (four-row blocks plus a row-by-row tail), with an activation
-// carrying a −0 coefficient, with the exact sigmoid (row by row), and a
-// hidden layer (row by row); over rows scaled so that some estimates clamp
+// per-row EstimateClamped bit for bit: with a degree 1–3 polynomial
+// (four-row blocks plus a row-by-row tail), with an activation carrying a
+// −0 coefficient, and with the exact sigmoid (row by row); over rows scaled so that some estimates clamp
 // at 0 and some at 1, over 0–9 rows (every remainder of a block), over
 // rows holding NaN, ±Inf and −0 features, appended after existing
 // contents. A short row at any position of a block leaves exactly the
@@ -488,7 +420,6 @@ func TestEstimateClampedAppendMatchesPerRow(t *testing.T) {
 		{LayerSizes: []int{16, 1}, Activation: lsActivation(t, 3), Seed: 2},
 		{LayerSizes: []int{5, 1}, Activation: approx.FromPolynomial("negzero", poly.Real{negZero, 1, negZero, 0.1, negZero}), Seed: 6},
 		{LayerSizes: []int{7, 1}, Activation: approx.SymmetricSigmoid(), Seed: 3},
-		{LayerSizes: []int{16, 4, 1}, Activation: lsActivation(t, 2), Seed: 4},
 	} {
 		n, err := New(cfg)
 		if err != nil {
@@ -643,33 +574,33 @@ func BenchmarkTrainSGDSingle(b *testing.B) {
 	}
 }
 
-// TestEstimateMatchesForward pins the allocation-free single-layer
-// estimate to the general Forward path it short-cuts.
+// TestEstimateMatchesForward pins the allocation-free estimate to the
+// reference's forward pass, bit for bit, under the exact sigmoid and a
+// polynomial activation.
 func TestEstimateMatchesForward(t *testing.T) {
-	n, err := New(testConfig(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		x := make([]float64, 5)
-		for j := range x {
-			x[j] = 4*rng.Float64() - 2
-		}
-		out, err := n.Forward(x)
+	for _, act := range []approx.Activation{approx.SymmetricSigmoid(), lsActivation(t, 3)} {
+		n, err := New(Config{LayerSizes: []int{5, 1}, Activation: act, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := n.Estimate(x)
-		if err != nil {
-			t.Fatal(err)
+		ref := newReferenceNet(n)
+		for i := 0; i < 200; i++ {
+			x := make([]float64, 5)
+			for j := range x {
+				x[j] = 4*rng.Float64() - 2
+			}
+			got, err := n.Estimate(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.estimate(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Estimate = %v, reference forward pass gives %v", act.Name, got, want)
+			}
 		}
-		if want := (1 + out[0]) / 2; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Estimate = %v, Forward gives %v", got, want)
+		if _, err := n.Estimate([]float64{1}); err == nil {
+			t.Error("wrong input length accepted")
 		}
-	}
-	if _, err := n.Estimate([]float64{1}); err == nil {
-		t.Error("wrong input length accepted")
 	}
 }
 

@@ -1,126 +1,87 @@
-// Package nn implements the multi-layer neural network the paper's
-// traffic-slowness application trains (paper §V).
+// Package nn implements the model the paper's traffic-slowness
+// application trains (paper §V): one nonlinear layer with a scalar output,
+// f(x) = F(w·x + b).
 //
-// The network is a fully-connected perceptron whose hidden and output
-// neurons use the symmetric sigmoid F(x) = (1-e^(-x))/(1+e^(-x)) of
-// eq. 10, or — on the L-CoFL path — a polynomial replacement produced by
-// package approx. The scalar output f ∈ (-1, 1) is mapped to the
-// estimation result π = (1 + f)/2 and trained with the cross-entropy loss
-// of eq. 11 by stochastic gradient descent (eq. 1).
+// F is the symmetric sigmoid F(x) = (1-e^(-x))/(1+e^(-x)) of eq. 10, or —
+// on the L-CoFL path — a polynomial replacement produced by package
+// approx. Only this shape keeps a vehicle's estimation a degree-d
+// polynomial of its input, which the resiliency bound of eq. 6 needs
+// (DESIGN.md §1). The output f ∈ (-1, 1) is mapped to the estimation
+// result π = (1 + f)/2 and trained with the cross-entropy loss of eq. 11
+// by stochastic gradient descent (eq. 1).
 //
 // Networks are deterministic given a seed, cloneable, and expose their
-// parameters as a flat vector so the plain-FL baseline can FedAvg them
-// (eq. 2).
+// parameters as one flat vector [w₀ … w_{in−1} b], the vector the fusion
+// centre fits and broadcasts.
 package nn
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/approx"
-	"repro/internal/linalg"
 	"repro/internal/poly"
 )
 
-// Config describes a network. LayerSizes runs input → hidden… → output;
-// the paper's application uses one scalar output.
+// Config describes a network.
 type Config struct {
-	// LayerSizes lists the width of every layer, input first.
+	// LayerSizes is the shape [in, 1]: in input features and the one
+	// output of the single nonlinear layer. New refuses any other shape.
 	LayerSizes []int
-	// Activation applies to every non-input layer.
+	// Activation is the layer's nonlinearity F.
 	Activation approx.Activation
 	// Seed drives the deterministic weight initialisation.
 	Seed int64
 }
 
-// Network is a fully-connected multi-layer perceptron.
+// Network is the single-nonlinear-layer model f(x) = F(w·x + b).
 type Network struct {
-	sizes []int
-	// params is the flat parameter vector in Params layout (layer by
-	// layer: weights row-major, then biases). weights and biases are views
-	// onto it, so whole-vector updates — the full-batch step,
-	// Params/SetParams — are single loops in Params order.
-	params  []float64
-	weights []*linalg.Matrix // weights[l]: sizes[l+1] × sizes[l]
-	biases  [][]float64      // biases[l]: sizes[l+1]
-	act     approx.Activation
+	// params is the flat parameter vector [w₀ … w_{in−1} b] in Params
+	// layout; its length is the input width plus one.
+	params []float64
+	act    approx.Activation
 	// dact is act.Poly's derivative (nil for an exact activation), kept so
-	// the single-layer kernels run both Horner loops inline. Never written
-	// after it is set, so clones share it.
+	// the kernels run both Horner loops inline. Never written after it is
+	// set, so clones share it.
 	dact poly.Real
 	// train is the SGD working set, built by the first Train call and
 	// reused by every later one. Training rewrites the parameters, so it
-	// already needs the network to itself; the read paths (Forward,
-	// Estimate, Loss, Gradient) never touch the scratch and stay legal
+	// already needs the network to itself; the read paths (Estimate,
+	// EstimateClampedAppend, Loss) never touch the scratch and stay legal
 	// for concurrent callers of one Network.
 	train *trainScratch
 }
 
-// newNetwork lays zeroed weights and biases for the given layer sizes
-// over one flat parameter vector.
-func newNetwork(sizes []int, act approx.Activation) *Network {
-	total := 0
-	for l := 0; l+1 < len(sizes); l++ {
-		total += sizes[l+1] * (sizes[l] + 1)
-	}
-	n := &Network{
-		sizes:   append([]int(nil), sizes...),
-		params:  make([]float64, total),
-		weights: make([]*linalg.Matrix, 0, len(sizes)-1),
-		biases:  make([][]float64, 0, len(sizes)-1),
-		act:     act,
-	}
-	rest := n.params
-	for l := 0; l+1 < len(sizes); l++ {
-		in, out := sizes[l], sizes[l+1]
-		n.weights = append(n.weights, linalg.MatrixOver(out, in, rest[:out*in]))
-		n.biases = append(n.biases, rest[out*in:out*in+out:out*in+out])
-		rest = rest[out*in+out:]
-	}
-	return n
-}
-
-// New builds a network with Xavier-style uniform initialisation.
+// New builds a network with Xavier-style uniform initialisation: the
+// weights drawn from one rng seeded by cfg.Seed in index order, uniform
+// on ±√(6/(in+1)), and the bias 0.
 func New(cfg Config) (*Network, error) {
-	if len(cfg.LayerSizes) < 2 {
-		return nil, fmt.Errorf("nn: need at least input and output layers, got %v", cfg.LayerSizes)
+	if len(cfg.LayerSizes) != 2 || cfg.LayerSizes[1] != 1 {
+		return nil, fmt.Errorf("nn: layer sizes %v: the model is one nonlinear layer with one output, [in, 1]", cfg.LayerSizes)
 	}
-	for i, s := range cfg.LayerSizes {
-		if s < 1 {
-			return nil, fmt.Errorf("nn: layer %d has size %d", i, s)
-		}
+	in := cfg.LayerSizes[0]
+	if in < 1 {
+		return nil, fmt.Errorf("nn: input size %d must be >= 1", in)
 	}
 	if cfg.Activation.F == nil || cfg.Activation.DF == nil {
 		return nil, fmt.Errorf("nn: activation with F and DF is required")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := newNetwork(cfg.LayerSizes, cfg.Activation)
-	n.dact = cfg.Activation.Poly.Derivative()
-	for _, w := range n.weights {
-		bound := math.Sqrt(6.0 / float64(w.Cols()+w.Rows()))
-		for i := 0; i < w.Rows(); i++ {
-			for j := 0; j < w.Cols(); j++ {
-				w.Set(i, j, (2*rng.Float64()-1)*bound)
-			}
-		}
+	n := &Network{params: make([]float64, in+1), act: cfg.Activation, dact: cfg.Activation.Poly.Derivative()}
+	bound := math.Sqrt(6.0 / float64(in+1))
+	for j := range n.params[:in] {
+		n.params[j] = (2*rng.Float64() - 1) * bound
 	}
 	return n, nil
 }
 
 // InputSize returns the expected feature-vector length.
-func (n *Network) InputSize() int { return n.sizes[0] }
+func (n *Network) InputSize() int { return len(n.params) - 1 }
 
-// OutputSize returns the output-vector length.
-func (n *Network) OutputSize() int { return n.sizes[len(n.sizes)-1] }
-
-// singleLayer reports the shape [in, 1]: one nonlinear layer, one output.
-// It is the only shape L-CoFL admits (core.Scheme.BeginRound), and the
-// one with its own kernels (trainSingle, EstimateClampedAppend).
-func (n *Network) singleLayer() bool { return len(n.sizes) == 2 && n.sizes[1] == 1 }
-
-// preActivation is a single-layer model's w·x + b in the one order every
-// path computes it: 0 + w₀x₀ + w₁x₁ + … accumulated by index, then + b.
+// preActivation is the model's w·x + b in the one order every path
+// computes it: 0 + w₀x₀ + w₁x₁ + … accumulated by index, then + b.
 // len(x) must be len(w).
 func preActivation(w, x []float64, b float64) float64 {
 	x = x[:len(w)]
@@ -136,56 +97,21 @@ func (n *Network) Activation() approx.Activation { return n.act }
 
 // Clone returns an independent deep copy sharing no state.
 func (n *Network) Clone() *Network {
-	out := newNetwork(n.sizes, n.act)
-	out.dact = n.dact
-	copy(out.params, n.params)
-	return out
+	return &Network{params: slices.Clone(n.params), act: n.act, dact: n.dact}
 }
 
-// Forward runs the network on one feature vector and returns the output
-// activations.
-func (n *Network) Forward(x []float64) ([]float64, error) {
-	if len(x) != n.InputSize() {
-		return nil, fmt.Errorf("nn: input length %d, want %d", len(x), n.InputSize())
-	}
-	a := linalg.Clone(x)
-	for l := range n.weights {
-		z, err := n.weights[l].MulVec(a)
-		if err != nil {
-			return nil, err
-		}
-		linalg.VecAddInPlace(z, n.biases[l])
-		for i := range z {
-			z[i] = n.act.F(z[i])
-		}
-		a = z
-	}
-	return a, nil
-}
-
-// Estimate returns the paper's estimation result π = (1 + f(x))/2 for a
-// single-output network — the traffic-slowness probability. With the
-// exact activation π ∈ (0, 1); polynomial activations can leave that
-// range (use EstimateClamped where a probability is required).
+// Estimate returns the paper's estimation result π = (1 + f(x))/2 — the
+// traffic-slowness probability. With the exact activation π ∈ (0, 1);
+// polynomial activations can leave that range (use EstimateClamped where
+// a probability is required). The dot product, bias add and activation
+// run in locals only — no allocation and no shared scratch, so concurrent
+// estimates on one Network stay legal.
 func (n *Network) Estimate(x []float64) (float64, error) {
-	if n.OutputSize() != 1 {
-		return 0, fmt.Errorf("nn: Estimate requires a single output, network has %d", n.OutputSize())
+	in := n.InputSize()
+	if len(x) != in {
+		return 0, fmt.Errorf("nn: input length %d, want %d", len(x), in)
 	}
-	if len(n.weights) == 1 {
-		// The single-layer shape L-CoFL requires: Forward's dot product,
-		// bias add and activation in locals only — no allocation and no
-		// shared scratch, so concurrent estimates on one Network stay legal.
-		if len(x) != n.InputSize() {
-			return 0, fmt.Errorf("nn: input length %d, want %d", len(x), n.InputSize())
-		}
-		in := n.sizes[0]
-		return (1 + n.act.F(preActivation(n.params[:in], x, n.params[in]))) / 2, nil
-	}
-	out, err := n.Forward(x)
-	if err != nil {
-		return 0, err
-	}
-	return (1 + out[0]) / 2, nil
+	return (1 + n.act.F(preActivation(n.params[:in], x, n.params[in]))) / 2, nil
 }
 
 // EstimateClamped is Estimate restricted to [0, 1] — the estimation
@@ -203,12 +129,11 @@ func (n *Network) EstimateClamped(x []float64) (float64, error) {
 }
 
 // EstimateClampedAppend appends EstimateClamped(x) for every row to dst —
-// the learning channel's whole reference set in one call. On the
-// single-layer shape the weights, bias and activation are loaded once and
-// each row is the same dot product, bias add, activation and clamp as
-// Estimate, in the same order, in locals only (concurrent callers stay
-// legal); other shapes go row by row. If row i has the wrong length, dst
-// comes back holding rows 0..i−1 and the error names row i.
+// the learning channel's whole reference set in one call. The weights,
+// bias and activation are loaded once and each row is the same dot
+// product, bias add, activation and clamp as Estimate, in the same order,
+// in locals only (concurrent callers stay legal). If row i has the wrong
+// length, dst comes back holding rows 0..i−1 and the error names row i.
 //
 // With a polynomial activation the rows go four to a pass. A row's
 // estimate is one dependency chain (len(w) additions, the bias, Horner),
@@ -220,17 +145,7 @@ func (n *Network) EstimateClamped(x []float64) (float64, error) {
 // on amd64: eight rows a pass are no faster, and a pass behind a function
 // call loses half the gain.
 func (n *Network) EstimateClampedAppend(dst []float64, rows [][]float64) ([]float64, error) {
-	if !n.singleLayer() {
-		for i, x := range rows {
-			pi, err := n.EstimateClamped(x)
-			if err != nil {
-				return dst, fmt.Errorf("nn: row %d: %w", i, err)
-			}
-			dst = append(dst, pi)
-		}
-		return dst, nil
-	}
-	in := n.sizes[0]
+	in := n.InputSize()
 	w, b, p, f := n.params[:in], n.params[in], n.act.Poly, n.act.F
 	i := 0
 	if p != nil {
@@ -299,7 +214,7 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// gradClip bounds the output-layer delta. With the exact sigmoid the
+// gradClip bounds the layer's delta. With the exact sigmoid the
 // saturating derivative keeps deltas small automatically, but polynomial
 // activations have non-vanishing derivatives everywhere: a sample whose
 // clamped π opposes its label would otherwise produce a ~1/ε gradient and
@@ -381,37 +296,15 @@ func (n *Network) Train(samples []Sample, rho float64, epochs int, rng *rand.Ran
 	if epochs < 1 {
 		return fmt.Errorf("nn: epochs %d must be >= 1", epochs)
 	}
-	if n.OutputSize() != 1 {
-		// The paper's application trains a scalar estimation head
-		// (eq. 11); vector targets are out of scope.
-		return fmt.Errorf("nn: SGD training requires a single output, network has %d", n.OutputSize())
-	}
-	// Checked once here, so the single-layer kernel below runs without a
-	// per-sample error path (and a bad sample fails the call before any
+	// Checked once here, so the epoch kernel runs without a per-sample
+	// error path (and a bad sample fails the call before any
 	// step has moved the parameters).
 	for i := range samples {
 		if len(samples[i].X) != n.InputSize() {
 			return fmt.Errorf("nn: sample %d length %d, want %d", i, len(samples[i].X), n.InputSize())
 		}
 	}
-	sc := n.scratch(len(samples))
-	if n.singleLayer() {
-		// What every vehicle of a node session runs.
-		n.trainSingle(samples, sc, rho, epochs, rng)
-		return nil
-	}
-	for e := 0; e < epochs; e++ {
-		shuffle(rng, sc.order)
-		// Every epoch writes the slots; the final epoch's stay.
-		for k, idx := range sc.order {
-			s := samples[idx]
-			pi, err := n.step(sc, s, rho)
-			if err != nil {
-				return err
-			}
-			sc.pis[k], sc.ys[k] = pi, s.Y
-		}
-	}
+	n.trainSingle(samples, n.scratch(len(samples)), rho, epochs, rng)
 	return nil
 }
 
@@ -436,11 +329,11 @@ func (n *Network) trainedLoss() float64 {
 	return total / float64(len(sc.pis))
 }
 
-// trainSingle is Train's epochs on the single-layer shape as one kernel
-// over the flat parameter vector [w… b], with no scratch beyond sc's
-// order, pis and ys, and no error path (the caller has checked every
-// len(X)). Every float operation is step's, in step's order, so the two
-// are bit-identical; kernels_test.go pins both to one reference. The
+// trainSingle is Train's epochs as one kernel over the flat parameter
+// vector [w… b], with no scratch beyond sc's order, pis and ys, and no
+// error path (the caller has checked every len(X)). Every float operation
+// is the plain per-sample step's, in that step's order; kernels_test.go
+// pins the two to each other bit for bit. The
 // activation and its derivative are Horner from a zero accumulator
 // (poly.Real.Eval, called directly so it inlines) or the F/DF closures of
 // an exact activation. Every step writes its π and y to its slot, so the
@@ -545,14 +438,11 @@ func redraw(rng *rand.Rand, n uint32, prod uint64) uint64 {
 	return prod
 }
 
-// trainScratch is the working set of one SGD step, sized once per
-// network: per-layer activations, pre-activations and deltas, the epoch's
-// shuffled sample order, and the final epoch's record for its loss.
+// trainScratch is the SGD working set, sized once per network: the
+// epoch's shuffled sample order and the final epoch's record for its
+// loss.
 type trainScratch struct {
-	as     [][]float64 // as[0] aliases the sample's X; as[l+1]: layer l's activations
-	zs     [][]float64 // zs[l]: layer l's pre-activations
-	deltas [][]float64 // deltas[l]: loss gradient at layer l's pre-activations
-	order  []int
+	order []int
 	// pis[k] and ys[k] are the clamped π and the label of the final
 	// epoch's k-th step, π taken before that step's update.
 	pis, ys []float64
@@ -563,22 +453,7 @@ type trainScratch struct {
 func (n *Network) scratch(samples int) *trainScratch {
 	sc := n.train
 	if sc == nil {
-		L := len(n.weights)
-		sc = &trainScratch{
-			as:     make([][]float64, L+1),
-			zs:     make([][]float64, L),
-			deltas: make([][]float64, L),
-		}
-		units := 0
-		for _, width := range n.sizes[1:] {
-			units += width
-		}
-		slab := make([]float64, 3*units)
-		for l := 0; l < L; l++ {
-			width := n.sizes[l+1]
-			sc.as[l+1], sc.zs[l], sc.deltas[l] = slab[:width], slab[width:2*width], slab[2*width:3*width]
-			slab = slab[3*width:]
-		}
+		sc = &trainScratch{}
 		n.train = sc
 	}
 	if cap(sc.order) < samples {
@@ -593,173 +468,15 @@ func (n *Network) scratch(samples int) *trainScratch {
 	return sc
 }
 
-// step backpropagates one sample and applies the gradient in place,
-// returning the clamped π it was taken at. It is the general path: any
-// depth, the caller having checked len(s.X).
-func (n *Network) step(sc *trainScratch, s Sample, rho float64) (float64, error) {
-	L := len(n.weights)
-	// Forward pass caching pre-activations z and activations a. The sample
-	// is read, never written, so as[0] aliases it.
-	as, zs := sc.as, sc.zs
-	as[0] = s.X
-	for l := 0; l < L; l++ {
-		z, a := zs[l], as[l+1]
-		if err := n.weights[l].MulVecInto(z, as[l]); err != nil {
-			return 0, err
-		}
-		linalg.VecAddInPlace(z, n.biases[l])
-		for i := range z {
-			a[i] = n.act.F(z[i])
-		}
-	}
-
-	// Output-layer delta: π = (1+f)/2, so dL/df = dL/dπ · 1/2.
-	pi := clampProb((1 + as[L][0]) / 2)
-	delta := sc.deltas[L-1]
-	delta[0] = clipDelta(dLossDPi(pi, s.Y) * 0.5 * n.act.DF(zs[L-1][0]))
-
-	// Backward pass: propagate each layer's delta with the pre-update
-	// weights, then apply the gradient step to the weight rows in place.
-	for l := L - 1; l >= 0; l-- {
-		w := n.weights[l]
-		var next []float64
-		if l > 0 {
-			next = sc.deltas[l-1]
-			for j := range next {
-				var s float64
-				for i := range delta {
-					s += w.At(i, j) * delta[i]
-				}
-				next[j] = s * n.act.DF(zs[l-1][j])
-			}
-		}
-		prev := as[l]
-		for i, d := range delta {
-			row := w.RowView(i)
-			for j := range prev {
-				row[j] -= rho * d * prev[j]
-			}
-			n.biases[l][i] -= rho * d
-		}
-		delta = next
-	}
-	return pi, nil
-}
-
-// Gradient computes the loss and the flat gradient vector (Params layout)
-// of the cross-entropy loss for one sample, without updating the network.
-func (n *Network) Gradient(s Sample) (float64, []float64, error) {
-	if len(s.X) != n.InputSize() {
-		return 0, nil, fmt.Errorf("nn: sample length %d, want %d", len(s.X), n.InputSize())
-	}
-	if n.OutputSize() != 1 {
-		return 0, nil, fmt.Errorf("nn: Gradient requires a single output, network has %d", n.OutputSize())
-	}
-	L := len(n.weights)
-	as := make([][]float64, L+1)
-	zs := make([][]float64, L)
-	as[0] = linalg.Clone(s.X)
-	for l := 0; l < L; l++ {
-		z, err := n.weights[l].MulVec(as[l])
-		if err != nil {
-			return 0, nil, err
-		}
-		linalg.VecAddInPlace(z, n.biases[l])
-		zs[l] = z
-		a := make([]float64, len(z))
-		for i := range z {
-			a[i] = n.act.F(z[i])
-		}
-		as[l+1] = a
-	}
-	pi := clampProb((1 + as[L][0]) / 2)
-	loss := crossEntropy(pi, s.Y)
-	delta := []float64{clipDelta(dLossDPi(pi, s.Y) * 0.5 * n.act.DF(zs[L-1][0]))}
-
-	// Per-layer gradients, assembled back-to-front then flattened in
-	// Params order (front-to-back).
-	wg := make([][]float64, L) // flattened weight grads per layer
-	bg := make([][]float64, L)
-	for l := L - 1; l >= 0; l-- {
-		prev := as[l]
-		wgl := make([]float64, len(delta)*len(prev))
-		for i := range delta {
-			for j := range prev {
-				wgl[i*len(prev)+j] = delta[i] * prev[j]
-			}
-		}
-		wg[l] = wgl
-		bg[l] = linalg.Clone(delta)
-		if l == 0 {
-			break
-		}
-		next := make([]float64, len(as[l]))
-		for j := range next {
-			var sum float64
-			for i := range delta {
-				sum += n.weights[l].At(i, j) * delta[i]
-			}
-			next[j] = sum * n.act.DF(zs[l-1][j])
-		}
-		delta = next
-	}
-	flat := make([]float64, 0, n.NumParams())
-	for l := 0; l < L; l++ {
-		flat = append(flat, wg[l]...)
-		flat = append(flat, bg[l]...)
-	}
-	return loss, flat, nil
-}
-
-// TrainFullBatch performs epochs of deterministic full-batch gradient
-// descent: each epoch applies the mean gradient over all samples once.
-// The fusion centre's distillation update uses this (package fl) because
-// it is reproducible and free of SGD shuffle noise. Returns the mean loss
-// of the final epoch.
-func (n *Network) TrainFullBatch(samples []Sample, rate float64, epochs int) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("nn: no training samples")
-	}
-	if rate <= 0 {
-		return 0, fmt.Errorf("nn: learning rate %g must be positive", rate)
-	}
-	if epochs < 1 {
-		return 0, fmt.Errorf("nn: epochs %d must be >= 1", epochs)
-	}
-	var lastLoss float64
-	acc := make([]float64, n.NumParams())
-	for e := 0; e < epochs; e++ {
-		for i := range acc {
-			acc[i] = 0
-		}
-		var total float64
-		for _, s := range samples {
-			loss, g, err := n.Gradient(s)
-			if err != nil {
-				return 0, err
-			}
-			total += loss
-			linalg.VecAddInPlace(acc, g)
-		}
-		linalg.AXPYInPlace(n.params, -rate/float64(len(samples)), acc)
-		lastLoss = total / float64(len(samples))
-	}
-	return lastLoss, nil
-}
-
-// Params returns a copy of the flat parameter vector: all weights and
-// biases, layer by layer (weights row-major, then biases). SetParams
-// accepts the same layout.
-func (n *Network) Params() []float64 { return linalg.Clone(n.params) }
+// Params returns a copy of the flat parameter vector [w₀ … w_{in−1} b]:
+// the weights, then the bias. SetParams accepts the same layout.
+func (n *Network) Params() []float64 { return slices.Clone(n.params) }
 
 // ParamsView returns the live flat parameter vector in Params layout
 // without copying it, for callers that only read it before the network
 // next changes: it must not be written, and its contents move with every
-// training call, SetParams and ProjectWeights.
+// training call and SetParams.
 func (n *Network) ParamsView() []float64 { return n.params }
-
-// NumParams returns the flat parameter count.
-func (n *Network) NumParams() int { return len(n.params) }
 
 // SetParams installs a flat parameter vector produced by Params.
 func (n *Network) SetParams(p []float64) error {
@@ -770,5 +487,5 @@ func (n *Network) SetParams(p []float64) error {
 	return nil
 }
 
-// Sizes returns a copy of the layer sizes.
-func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
+// Sizes returns the layer sizes, [in, 1].
+func (n *Network) Sizes() []int { return []int{n.InputSize(), 1} }

@@ -3,21 +3,34 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/approx"
+	"repro/internal/poly"
 )
 
 func testConfig(sizes ...int) Config {
 	return Config{LayerSizes: sizes, Activation: approx.SymmetricSigmoid(), Seed: 42}
 }
 
+// TestNewValidation: New builds only the shape [in, 1] — one nonlinear
+// layer, one output — and refuses every other shape by name.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{LayerSizes: []int{4}, Activation: approx.SymmetricSigmoid()}); err == nil {
-		t.Error("single-layer config accepted")
-	}
-	if _, err := New(Config{LayerSizes: []int{4, 0, 1}, Activation: approx.SymmetricSigmoid()}); err == nil {
-		t.Error("zero-width layer accepted")
+	for _, sizes := range [][]int{
+		{4},        // no output layer
+		{4, 0, 1},  // zero-width layer
+		{16, 3, 1}, // hidden layer
+		{16, 2},    // two outputs
+		{0, 1},     // no input
+		{-1, 1},
+	} {
+		_, err := New(Config{LayerSizes: sizes, Activation: approx.SymmetricSigmoid()})
+		if err == nil {
+			t.Errorf("shape %v accepted", sizes)
+		} else if !strings.Contains(err.Error(), "nn: ") {
+			t.Errorf("shape %v: error %q does not name the package", sizes, err)
+		}
 	}
 	if _, err := New(Config{LayerSizes: []int{4, 1}}); err == nil {
 		t.Error("missing activation accepted")
@@ -25,11 +38,11 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDeterministicInit(t *testing.T) {
-	a, err := New(testConfig(4, 3, 1))
+	a, err := New(testConfig(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(testConfig(4, 3, 1))
+	b, err := New(testConfig(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,30 +54,8 @@ func TestDeterministicInit(t *testing.T) {
 	}
 }
 
-func TestForwardShapeAndRange(t *testing.T) {
-	n, err := New(testConfig(4, 5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := n.Forward([]float64{0.1, -0.2, 0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("output length %d", len(out))
-	}
-	for _, v := range out {
-		if v <= -1 || v >= 1 {
-			t.Errorf("sigmoid output %g outside (-1,1)", v)
-		}
-	}
-	if _, err := n.Forward([]float64{1}); err == nil {
-		t.Error("wrong input length accepted")
-	}
-}
-
 func TestEstimateRange(t *testing.T) {
-	n, err := New(testConfig(3, 4, 1))
+	n, err := New(testConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +66,13 @@ func TestEstimateRange(t *testing.T) {
 	if pi <= 0 || pi >= 1 {
 		t.Errorf("π = %g outside (0,1)", pi)
 	}
-	multi, err := New(testConfig(3, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.Estimate([]float64{1, 2, 3}); err == nil {
-		t.Error("multi-output Estimate accepted")
+	if _, err := n.Estimate([]float64{1}); err == nil {
+		t.Error("wrong input length accepted")
 	}
 }
 
 func TestLossPositiveAndCalibrated(t *testing.T) {
-	n, err := New(testConfig(2, 3, 1))
+	n, err := New(testConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +96,7 @@ func TestLossPositiveAndCalibrated(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	n, err := New(testConfig(3, 3, 1))
+	n, err := New(testConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +120,11 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestParamsRoundTrip(t *testing.T) {
-	a, err := New(testConfig(4, 6, 1))
+	a, err := New(testConfig(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{LayerSizes: []int{4, 6, 1}, Activation: approx.SymmetricSigmoid(), Seed: 99})
+	b, err := New(Config{LayerSizes: []int{4, 1}, Activation: approx.SymmetricSigmoid(), Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,23 +132,20 @@ func TestParamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	ya, _ := a.Forward(x)
-	yb, _ := b.Forward(x)
-	if ya[0] != yb[0] {
-		t.Errorf("outputs differ after parameter transplant: %g vs %g", ya[0], yb[0])
+	ya, _ := a.Estimate(x)
+	yb, _ := b.Estimate(x)
+	if ya != yb {
+		t.Errorf("outputs differ after parameter transplant: %g vs %g", ya, yb)
 	}
 	if err := b.SetParams([]float64{1}); err == nil {
 		t.Error("short parameter vector accepted")
-	}
-	if a.NumParams() != len(a.Params()) {
-		t.Errorf("NumParams %d != len(Params) %d", a.NumParams(), len(a.Params()))
 	}
 }
 
 func TestGradientMatchesFiniteDifferences(t *testing.T) {
 	// One SGD step with tiny rho approximates -rho·∇L; verify the implied
 	// gradient against central finite differences of the loss.
-	n, err := New(testConfig(3, 4, 1))
+	n, err := New(testConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +197,7 @@ func TestTrainSGDLearnsSeparableTask(t *testing.T) {
 		}
 		samples = append(samples, Sample{X: x, Y: y})
 	}
-	n, err := New(testConfig(2, 6, 1))
+	n, err := New(testConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +232,7 @@ func TestTrainWithPolynomialActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(2, 4, 1)
+	cfg := testConfig(2, 1)
 	cfg.Activation = approx.FromPolynomial("ls-3", p)
 	n, err := New(cfg)
 	if err != nil {
@@ -292,26 +276,62 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := n.TrainSGD(bad, 0.1, 1, nil); err == nil {
 		t.Error("wrong sample width accepted")
 	}
-	multi, err := New(testConfig(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.TrainSGD(s, 0.1, 1, nil); err == nil {
-		t.Error("multi-output training accepted")
-	}
 }
 
 func TestSizes(t *testing.T) {
-	n, err := New(testConfig(5, 3, 1))
+	n, err := New(testConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := n.Sizes()
-	if len(s) != 3 || s[0] != 5 || n.InputSize() != 5 || n.OutputSize() != 1 {
+	if len(s) != 2 || s[0] != 5 || s[1] != 1 || n.InputSize() != 5 {
 		t.Errorf("sizes wrong: %v", s)
 	}
 	s[0] = 99
 	if n.InputSize() == 99 {
 		t.Error("Sizes aliases internal state")
+	}
+}
+
+func TestEstimateClamped(t *testing.T) {
+	// A linear "activation" lets the raw estimate leave [0, 1].
+	n, err := New(Config{
+		LayerSizes: []int{1, 1},
+		Activation: approx.FromPolynomial("id", poly.NewReal(0, 1)),
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetParams([]float64{10, 0}); err != nil { // f(x) = 10x
+		t.Fatal(err)
+	}
+	raw, err := n.Estimate([]float64{1}) // π = (1+10)/2 = 5.5
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw != 5.5 {
+		t.Fatalf("raw estimate %g", raw)
+	}
+	cl, err := n.EstimateClamped([]float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl != 1 {
+		t.Errorf("clamped high = %g", cl)
+	}
+	cl, err = n.EstimateClamped([]float64{-1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl != 0 {
+		t.Errorf("clamped low = %g", cl)
+	}
+	cl, err = n.EstimateClamped([]float64{0.02}) // π = 0.6
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(cl-0.6) > 1e-12 {
+		t.Errorf("in-range estimate altered: %g", cl)
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/poly"
 )
 
-// Snapshot is a serialisable image of a network: architecture, flat
+// Snapshot is a serialisable image of a network: its shape, flat
 // parameters, and the activation (as polynomial coefficients, or empty
 // for the exact symmetric sigmoid). It marshals to JSON with
 // encoding/json, giving models a stable wire/disk format.
 type Snapshot struct {
-	// LayerSizes is the architecture, input first.
+	// LayerSizes is the shape, [in, 1]; FromSnapshot refuses any other.
 	LayerSizes []int `json:"layer_sizes"`
 	// Params is the flat parameter vector (Params layout).
 	Params []float64 `json:"params"`
@@ -53,14 +53,9 @@ func FromSnapshot(s Snapshot) (*Network, error) {
 	return n, nil
 }
 
-// MarshalJSON lets a Network serialise directly.
-func (n *Network) MarshalJSON() ([]byte, error) {
-	return json.Marshal(n.Snapshot())
-}
-
-// UnmarshalNetworkJSON parses a network previously marshalled with
-// MarshalJSON (a method form is impossible: a Network must be constructed,
-// not zero-valued).
+// UnmarshalNetworkJSON parses a Snapshot's JSON (as encoding/json writes
+// it) into a network; a Network must be constructed, not zero-valued, so
+// there is no UnmarshalJSON method.
 func UnmarshalNetworkJSON(data []byte) (*Network, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {

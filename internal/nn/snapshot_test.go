@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/approx"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestSnapshotRoundTripExact(t *testing.T) {
-	n, err := New(testConfig(5, 3, 1))
+	n, err := New(testConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +19,10 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, -0.2, 0.3, 0.4, -0.5}
-	a, _ := n.Forward(x)
-	b, _ := got.Forward(x)
-	if a[0] != b[0] {
-		t.Errorf("round-trip changed output: %g vs %g", a[0], b[0])
+	a, _ := n.Estimate(x)
+	b, _ := got.Estimate(x)
+	if a != b {
+		t.Errorf("round-trip changed output: %g vs %g", a, b)
 	}
 	if got.Activation().Poly != nil {
 		t.Error("exact activation became polynomial")
@@ -38,7 +39,7 @@ func TestSnapshotRoundTripPolynomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(n)
+	data, err := json.Marshal(n.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,10 @@ func TestSnapshotRoundTripPolynomial(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, -1, 0.5, 0.25}
-	a, _ := n.Forward(x)
-	b, _ := got.Forward(x)
-	if a[0] != b[0] {
-		t.Errorf("JSON round-trip changed output: %g vs %g", a[0], b[0])
+	a, _ := n.Estimate(x)
+	b, _ := got.Estimate(x)
+	if a != b {
+		t.Errorf("JSON round-trip changed output: %g vs %g", a, b)
 	}
 	if got.Activation().Poly == nil {
 		t.Error("polynomial activation lost")
@@ -66,5 +67,11 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	if _, err := UnmarshalNetworkJSON([]byte("not json")); err == nil {
 		t.Error("garbage JSON accepted")
+	}
+	// A hidden-layer snapshot (the format can still spell one) names the
+	// shape it was refused for.
+	hidden := []byte(`{"layer_sizes":[16,3,1],"params":[` + strings.Repeat("0,", 54) + `0]}`)
+	if _, err := UnmarshalNetworkJSON(hidden); err == nil || !strings.Contains(err.Error(), "[16 3 1]") {
+		t.Errorf("hidden-layer snapshot: error %v, want a refusal naming its shape", err)
 	}
 }

@@ -200,9 +200,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("node: wait budget %d outside {-1, 0, 1, ...}", cfg.WaitBudget)
 	}
 	act := approx.FromPolynomial("wire-poly", poly.NewReal(cfg.ActivationCoeffs...))
-	sizes := append([]int{cfg.FL.InputSize}, cfg.FL.Hidden...)
-	sizes = append(sizes, 1)
-	shared, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: cfg.FL.Seed})
+	shared, err := nn.New(nn.Config{LayerSizes: []int{cfg.FL.InputSize, 1}, Activation: act, Seed: cfg.FL.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("node: shared model: %w", err)
 	}

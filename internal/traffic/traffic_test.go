@@ -82,8 +82,11 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 func TestTaskIsLearnable(t *testing.T) {
-	// The substitution's core promise (DESIGN.md §2): a small NN must be
-	// able to learn the feature→slowness relation.
+	// The substitution's core promise (DESIGN.md §2): the paper's model,
+	// one nonlinear layer, must be able to learn the feature→slowness
+	// relation. A single layer needs a longer schedule than the 30 epochs
+	// a hidden layer of 8 did: here it scores 0.794 at 30 epochs and
+	// 0.88–0.92 from 50 to 100.
 	ds, err := Generate(GenConfig{Rows: 800, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +96,7 @@ func TestTaskIsLearnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	net, err := nn.New(nn.Config{
-		LayerSizes: []int{NumFeatures, 8, 1},
+		LayerSizes: []int{NumFeatures, 1},
 		Activation: approx.SymmetricSigmoid(),
 		Seed:       5,
 	})
@@ -101,7 +104,7 @@ func TestTaskIsLearnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	if _, err := net.TrainSGD(train.Samples, 0.3, 30, rng); err != nil {
+	if _, err := net.TrainSGD(train.Samples, 0.3, 100, rng); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0

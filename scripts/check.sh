@@ -63,6 +63,11 @@ go test -run '^$' -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -ben
 # timings move with it (ROADMAP, "How to measure"). Printed, not gated.
 scripts/kernel-phase.sh
 
+echo "== fused multiply-add sites on arm64, riscv64 and ppc64le (printed, not gated)"
+# Where other ports may fuse x*y + z and so leave amd64's bits (ROADMAP
+# item 18). Cross-compiled offline; the counts are printed, not gated.
+scripts/fma-sites.sh
+
 echo "== lines of Go per package (non-test / test)"
 # Non-test LOC is tracked like a benchmark (ROADMAP, north star); a
 # simplicity PR quotes this table before and after.
