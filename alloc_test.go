@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/approx"
 	"repro/internal/core"
@@ -566,6 +567,67 @@ func TestRoundAllocs(t *testing.T) {
 			t.Errorf("a V=%d pipe round with %d late vehicles allocates %.1f times, want <= 4", roundVehicles, late, perRound)
 		}
 		t.Logf("%d late vehicles: %.1f allocations per round", late, perRound)
+	}
+}
+
+// TestRecordAllocs holds the round records at fleet scale: a V=256 pipe
+// session allocates within TestRoundAllocs' per-round pin however many
+// rounds it runs, because every record's verdicts are a V-byte window on
+// one slab allocated at the handshake — one byte per vehicle-round.
+func TestRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const vehicles, rows = 256, 24
+	_, coeffs := roundModel(t)
+	refX := roundData(t, roundRefRows, 15).Features()
+	parts, err := roundData(t, vehicles*rows, 16).PartitionIID(vehicles, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(rounds int) (uint64, *node.Report) {
+		srv, err := node.NewServer(node.ServerConfig{
+			FL: fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 1, LocalRate: 0.2,
+				DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5, Seed: 18},
+			Scheme:           core.SchemeConfig{NumVehicles: vehicles, NumBatches: roundBatches, Degree: 1, Seed: 19, Workers: 1},
+			RefX:             refX,
+			ActivationCoeffs: coeffs,
+			Rounds:           rounds,
+			RoundTimeout:     30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make([]node.ClientConfig, vehicles)
+		for id := range clients {
+			clients[id] = node.ClientConfig{VehicleID: id, Data: parts[id], Seed: int64(100 + id)}
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		report := runPipeSession(t, srv, clients, 0)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, report
+	}
+	const short, long = 5, 100
+	session(short) // warm pools and lazily built state
+	shortAllocs, _ := session(short)
+	longAllocs, report := session(long)
+	perRound := (float64(longAllocs) - float64(shortAllocs)) / (long - short)
+	if perRound > 4 {
+		t.Errorf("a V=%d pipe round allocates %.1f times, want <= 4", vehicles, perRound)
+	}
+	t.Logf("V=%d: %.1f allocations per round", vehicles, perRound)
+	if len(report.Records) != long {
+		t.Fatalf("%d round records for %d rounds", len(report.Records), long)
+	}
+	slab := unsafe.SliceData(report.Records[0].Verdicts)
+	for r, rec := range report.Records {
+		vs := rec.Verdicts
+		if len(vs) != vehicles || cap(vs) != vehicles || unsafe.SliceData(vs) != (*fl.Verdict)(unsafe.Add(unsafe.Pointer(slab), r*vehicles)) {
+			t.Fatalf("round %d's verdicts are not bytes [%d, %d) of one slab", rec.Round, r*vehicles, (r+1)*vehicles)
+		}
 	}
 }
 

@@ -531,6 +531,20 @@ func deploy(vehicles, rounds int, seed int64, malicious float64, workers int, ob
 	}.Deploy()
 }
 
+// verdictTotals is the line serve and dist end on: the session's verdicts
+// summed by kind, which add up to rounds x vehicles, then the recovery
+// work its round records counted.
+func verdictTotals(rep *node.Report) string {
+	var t fl.Tally
+	vehicles := 0
+	for _, rec := range rep.Records {
+		t.Add(rec.Verdicts)
+		vehicles = len(rec.Verdicts)
+	}
+	return fmt.Sprintf("verdicts over %d rounds x %d vehicles: %v (%d corrupt frames, %d retransmits, %d rejoins, %d recv errors, %d degraded rounds)",
+		rep.Rounds, vehicles, t, rep.CorruptFrames, rep.Retransmits, rep.Rejoins, rep.RecvErrors, rep.DegradedRounds)
+}
+
 func cmdServe(args []string) (retErr error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":9444", "listen address")
@@ -611,10 +625,6 @@ func cmdServe(args []string) (retErr error) {
 	}
 	fmt.Printf("lcofl serve: completed %d rounds, flagged %v, stragglers %d\n",
 		report.Rounds, report.SuspectedMalicious, report.Stragglers)
-	if report.CorruptFrames+report.Retransmits+report.Rejoins+report.DegradedRounds+report.RecvErrors > 0 {
-		fmt.Printf("lcofl serve: recovery: %d corrupt frames, %d retransmits, %d rejoins, %d degraded rounds, %d recv errors\n",
-			report.CorruptFrames, report.Retransmits, report.Rejoins, report.DegradedRounds, report.RecvErrors)
-	}
 	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
 	if err != nil {
 		return err
@@ -630,6 +640,7 @@ func cmdServe(args []string) (retErr error) {
 		}
 		fmt.Printf("lcofl serve: wrote model checkpoint to %s\n", *checkpoint)
 	}
+	fmt.Printf("lcofl serve: %s\n", verdictTotals(report))
 	return nil
 }
 
@@ -862,12 +873,11 @@ func cmdDist(args []string) (retErr error) {
 	}
 	fmt.Printf("lcofl dist: completed %d rounds, flagged %v, stragglers %d\n",
 		report.Rounds, report.SuspectedMalicious, report.Stragglers)
-	fmt.Printf("lcofl dist: recovery: %d corrupt frames, %d retransmits, %d rejoins, %d degraded rounds, %d recv errors\n",
-		report.CorruptFrames, report.Retransmits, report.Rejoins, report.DegradedRounds, report.RecvErrors)
 	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("lcofl dist: final shared-model test accuracy %.3f\n", acc)
+	fmt.Printf("lcofl dist: %s\n", verdictTotals(report))
 	return nil
 }

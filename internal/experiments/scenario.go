@@ -323,7 +323,8 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 	test, testX := b.test, b.test.Features()
 	flagged := make([]bool, len(b.parts))
 	for r := 0; r < sc.Rounds; r++ {
-		if _, err := sys.RunRound(scheme, b.plan, ch); err != nil {
+		stats, err := sys.RunRound(scheme, b.plan, ch)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: %s round %d: %w", v, r, err)
 		}
 		acc, err := sys.Accuracy(test.Samples)
@@ -338,10 +339,12 @@ func (s Scenario) Run(v Variant) (*RunOutput, error) {
 		out.MeanEst.Append(me)
 		if coded != nil {
 			out.DecodeFailures += coded.DecodeFailures
-			suspects := coded.SuspectedMalicious()
-			out.SuspectedMalicious = len(suspects)
-			for _, id := range suspects {
+		}
+		out.SuspectedMalicious = 0
+		for id, verdict := range stats.Verdicts {
+			if verdict == fl.Flagged {
 				flagged[id] = true
+				out.SuspectedMalicious++
 			}
 		}
 	}

@@ -261,8 +261,11 @@ type RoundStats struct {
 	Targets []float64
 	// DistillLoss is the shared model's final distillation loss.
 	DistillLoss float64
+	// Verdicts holds one verdict per vehicle, by ID: Admitted, Flagged
+	// (named by a scheme that reports SuspectedMalicious) or Lost.
+	Verdicts []Verdict
 	// DroppedUploads counts the vehicles whose upload the channel lost
-	// this round.
+	// this round, the Lost verdicts.
 	DroppedUploads int
 }
 
@@ -284,7 +287,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		return nil, fmt.Errorf("fl: scheme begin round: %w", err)
 	}
 
-	stats := &RoundStats{Round: s.round + 1}
+	stats := &RoundStats{Round: s.round + 1, Verdicts: make([]Verdict, len(s.vehicles))}
 	uploads := make([][]float64, len(s.vehicles))
 	// roundCtx is the round's span context; every span this round emits
 	// parents under it, and the scheme's core.aggregate span joins the
@@ -374,7 +377,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 		if ch.Transmit(v.ID, sent) {
 			uploads[v.ID] = sent
 		} else {
-			stats.DroppedUploads++
+			stats.Verdicts[v.ID] = Lost
 		}
 	}
 	stats.MeanLocalLoss = lossSum / float64(len(s.vehicles))
@@ -404,6 +407,14 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	}
 	// The scheme may reuse the targets' memory at its next Aggregate.
 	stats.Targets = slices.Clone(targets)
+	if sm, ok := scheme.(interface{ SuspectedMalicious() []int }); ok {
+		for _, id := range sm.SuspectedMalicious() {
+			stats.Verdicts[id] = Flagged
+		}
+	}
+	var tally Tally
+	tally.Add(stats.Verdicts)
+	stats.DroppedUploads = tally[Lost]
 	s.round++
 	if s.obs.Enabled() {
 		s.cRounds.Inc()

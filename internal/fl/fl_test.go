@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -221,6 +222,39 @@ func TestRunRoundChannelDrops(t *testing.T) {
 	}
 	if len(spy.absent) != 2 || spy.absent[0] != 1 || spy.absent[1] != 4 {
 		t.Errorf("aggregation saw absent rows %v, want [1 4]", spy.absent)
+	}
+}
+
+// suspectSpy is a PlainScheme whose verification names a fixed set of
+// vehicles, as core.Scheme's SuspectedMalicious does.
+type suspectSpy struct {
+	*PlainScheme
+	suspects []int
+}
+
+func (s *suspectSpy) SuspectedMalicious() []int { return s.suspects }
+
+// TestRunRoundVerdicts: a round states one verdict per vehicle — Lost for
+// an upload the channel lost, Flagged for a vehicle the scheme names,
+// Admitted otherwise — and DroppedUploads counts the Lost ones.
+func TestRunRoundVerdicts(t *testing.T) {
+	sys, _ := buildSystem(t, 6, approx.SymmetricSigmoid())
+	plain, err := NewPlainScheme(sys.ReferenceFeatures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sys.RunRound(&suspectSpy{PlainScheme: plain, suspects: []int{2}}, nil, loseUploads{1: true, 4: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Verdict{Admitted, Lost, Flagged, Admitted, Lost, Admitted}
+	if !slices.Equal(stats.Verdicts, want) {
+		t.Errorf("verdicts %v, want %v", stats.Verdicts, want)
+	}
+	var tally Tally
+	tally.Add(stats.Verdicts)
+	if got := tally.String(); got != "3 admitted, 1 flagged, 2 lost" || stats.DroppedUploads != tally[Lost] {
+		t.Errorf("tally %q, DroppedUploads %d", got, stats.DroppedUploads)
 	}
 }
 

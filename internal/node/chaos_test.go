@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -466,5 +467,63 @@ func TestRunVehicleRetryRedialsLinkClosedBeforeSetup(t *testing.T) {
 	}
 	if direct := buildSession(t, vehicles, rounds, 0).run(t); !sameBits(report.FinalParams, direct.FinalParams) {
 		t.Error("FinalParams differ from the session whose links all held")
+	}
+}
+
+// setupFails is a rejoining connection that closes before its Setup can
+// go out.
+type setupFails struct{ transport.Conn }
+
+func (c setupFails) Send(m *protocol.Message) error {
+	if m.Setup != nil {
+		_ = c.Conn.Close()
+		return fmt.Errorf("connection closed before setup")
+	}
+	return c.Conn.Send(m)
+}
+
+// TestFailedRejoinNotCounted: a rejoin whose connection closes before
+// Setup revives nothing. The vehicle it names, which never uploads, ends
+// its first round dead and is Disconnected in every round, and neither
+// the Report, Status nor the node.rejoins counter counts a rejoin.
+func TestFailedRejoinNotCounted(t *testing.T) {
+	const vehicles, rounds, silent = 12, 2, 3
+	reg := obs.NewRegistry()
+	s := buildSessionObs(t, vehicles, rounds, 0, obs.New(reg, nil, nil))
+	serverEnd, vehicleEnd := transport.Pipe()
+	defer vehicleEnd.Close()
+	if err := vehicleEnd.Send(&protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: silent}}); err != nil {
+		t.Fatal(err)
+	}
+	// The silent vehicle owes round 1 its upload for good, so the round
+	// stays open until the rejoin has been tried.
+	s.server.Rejoin(setupFails{serverEnd})
+	var wg sync.WaitGroup
+	for i := range s.clients {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == silent {
+				silentVehicle(t, s.vconns[i], i)
+			} else if err := RunVehicle(s.vconns[i], s.clients[i]); err != nil {
+				t.Errorf("vehicle %d: %v", i, err)
+			}
+		}(i)
+	}
+	rep, err := s.server.Run(s.conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got := reg.Snapshot().Counters["node.rejoins"]; rep.Rejoins != 0 || s.server.Status().Rejoins != 0 || got != 0 {
+		t.Errorf("a failed rejoin counted: Report %d, Status %d, node.rejoins %d", rep.Rejoins, s.server.Status().Rejoins, got)
+	}
+	for _, rec := range rep.Records {
+		checkVerdicts(t, "failed rejoin", rec, vehicles)
+		for id, v := range rec.Verdicts {
+			if want := map[bool]fl.Verdict{false: fl.Admitted, true: fl.Disconnected}[id == silent]; v != want {
+				t.Errorf("round %d: vehicle %d verdict %v, want %v", rec.Round, id, v, want)
+			}
+		}
 	}
 }

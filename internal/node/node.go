@@ -19,8 +19,11 @@
 // without retraining, so recovery is bit-identical to the fault-free
 // run; a crashed vehicle may reconnect through Server.Rejoin and resume
 // the session; and a round left with fewer uploads than the RS recover
-// threshold K degrades gracefully — the model holds still and the round
-// is counted in Report.DegradedRounds — instead of failing the session.
+// threshold K degrades gracefully — the model holds still and its
+// RoundRecord says so — instead of failing the session. The round records
+// are the session's one tally: Report's totals and Status's tallies are
+// summed from them, and the one helper that writes a fact into them also
+// bumps its node.* counter and emits its trace event.
 package node
 
 import (
@@ -81,16 +84,19 @@ const maxRetransmits = 3
 // proves it alive, keeping per-vehicle buffered state flat.
 const pipelineWindow = 2
 
-// Report summarises a completed distributed session.
+// Report summarises a completed distributed session. Its totals are sums
+// over Records, taken once when the session finishes.
 type Report struct {
 	// Rounds is the number of completed rounds (degraded ones included).
 	Rounds int
 	// FinalParams is the shared model's final parameter vector.
 	FinalParams []float64
-	// SuspectedMalicious accumulates every vehicle flagged by the
-	// verification channel in any round.
+	// SuspectedMalicious lists, ascending, every vehicle with a Flagged
+	// verdict in any round.
 	SuspectedMalicious []int
-	// Stragglers counts upload timeouts across all rounds.
+	// Stragglers counts the Late and Withheld verdicts: each round a live
+	// vehicle ended without an admitted upload, whether the deadline or
+	// the wait budget closed the round on it or its broadcast was withheld.
 	Stragglers int
 	// RecvErrors counts per-connection receive failures across all
 	// rounds — a vehicle whose connection broke mid-session shows up here
@@ -102,12 +108,64 @@ type Report struct {
 	CorruptFrames int
 	// Retransmits counts corrupt-upload re-broadcast prompts.
 	Retransmits int
-	// Rejoins counts crashed vehicles revived through Server.Rejoin.
+	// Rejoins counts crashed vehicles revived through Server.Rejoin: Setup,
+	// and the broadcast if an upload was owed, sent on the new connection.
 	Rejoins int
 	// DegradedRounds counts rounds that ran with fewer than K uploads and
 	// therefore skipped aggregation (the model held still).
 	DegradedRounds int
+	// Records holds one RoundRecord per completed round, in order.
+	Records []RoundRecord
 }
+
+// RoundRecord is what one round decided. The engine writes each fact once,
+// where it is decided (engine.note for the per-vehicle ones).
+type RoundRecord struct {
+	Round    int    // 1-based
+	ClosedBy string // what ended the collect: "all" (nothing owed), "budget" or "timeout"
+	Arrived  int    // admitted uploads
+	Degraded bool   // fewer than K arrived: no aggregation, the model held still
+	// Verdicts holds one verdict per vehicle, by ID; they sum to V. A
+	// session's records share one slab, allocated at its handshake.
+	Verdicts []fl.Verdict
+	// The round's corrupt frames, retransmit prompts, receive errors and
+	// completed rejoins.
+	CorruptFrames, Retransmits, RecvErrors, Rejoins int
+}
+
+// sum totals records into a Report's counts.
+func sum(records []RoundRecord) Report {
+	r := Report{Rounds: len(records), Records: records}
+	var t fl.Tally
+	for _, rec := range records {
+		t.Add(rec.Verdicts)
+		r.CorruptFrames += rec.CorruptFrames
+		r.Retransmits += rec.Retransmits
+		r.RecvErrors += rec.RecvErrors
+		r.Rejoins += rec.Rejoins
+		if rec.Degraded {
+			r.DegradedRounds++
+		}
+	}
+	r.Stragglers = t[fl.Late] + t[fl.Withheld]
+	return r
+}
+
+// A fact is what a round's record keeps about one vehicle: its verdict
+// (the fl.Verdict values) or one of the collect-time events it counts.
+type fact uint8
+
+const (
+	corruptFrame = fact(fl.NumVerdicts) + iota
+	retransmit
+	recvError
+	rejoined
+	numFacts
+)
+
+// factEvents names each fact's trace event, its counter's twin.
+var factEvents = [numFacts]string{fl.Late: "node.straggler", fl.Withheld: "node.straggler",
+	corruptFrame: "node.corrupt_frame", retransmit: "node.retransmit", recvError: "node.recv_error", rejoined: "node.rejoin"}
 
 // Server is the fusion centre.
 type Server struct {
@@ -119,21 +177,15 @@ type Server struct {
 	// rejoin carries handshaked reconnections into Run's collect loop.
 	rejoin chan rejoinReq
 
-	mu        sync.Mutex // guards done and finRounds
-	done      bool       // guarded by mu
-	finRounds int        // guarded by mu
+	statusMu sync.Mutex    // guards status and records; Phase "done" ends rejoins
+	status   Status        // guarded by statusMu
+	records  []RoundRecord // guarded by statusMu; one per round, from the handshake on
 
-	statusMu sync.Mutex // guards status
-	status   Status     // guarded by statusMu
-
-	// Observability handles, resolved once in NewServer.
+	// Observability handles, resolved once in NewServer; counters is
+	// indexed by fact.
 	obs         *obs.Obs
-	cRecvErrors *obs.Counter
-	cStragglers *obs.Counter
+	counters    [numFacts]*obs.Counter
 	cRoundsDone *obs.Counter
-	cCorrupt    *obs.Counter
-	cRetransmit *obs.Counter
-	cRejoins    *obs.Counter
 	cDegraded   *obs.Counter
 	cEarlyClose *obs.Counter
 }
@@ -167,7 +219,7 @@ type Status struct {
 	Outstanding int `json:"outstanding"`
 	// Behind lists the vehicles outpaced by a budget close, ascending.
 	Behind []int `json:"behind,omitempty"`
-	// Cumulative recovery tallies, mirroring the Report fields.
+	// Cumulative tallies, summed from the round records as Report's are.
 	Stragglers     int `json:"stragglers"`
 	Rejoins        int `json:"rejoins"`
 	DegradedRounds int `json:"degraded_rounds"`
@@ -182,6 +234,8 @@ func (s *Server) Status() Status {
 	defer s.statusMu.Unlock()
 	st := s.status
 	st.Behind = append([]int(nil), s.status.Behind...)
+	t := sum(s.records[:st.Round])
+	st.Stragglers, st.Rejoins, st.DegradedRounds = t.Stragglers, t.Rejoins, t.DegradedRounds
 	return st
 }
 
@@ -215,19 +269,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
+	stragglers := cfg.Obs.Counter("node.stragglers", obs.CountOf("node.straggler"))
 	return &Server{
-		cfg:         cfg,
-		shared:      shared,
-		scheme:      scheme,
-		distiller:   distiller,
-		rejoin:      make(chan rejoinReq, 64),
-		obs:         cfg.Obs,
-		cRecvErrors: cfg.Obs.Counter("node.recv_errors", obs.CountOf("node.recv_error")),
-		cStragglers: cfg.Obs.Counter("node.stragglers", obs.CountOf("node.straggler")),
+		cfg:       cfg,
+		shared:    shared,
+		scheme:    scheme,
+		distiller: distiller,
+		rejoin:    make(chan rejoinReq, 64),
+		obs:       cfg.Obs,
+		counters: [numFacts]*obs.Counter{
+			fl.Late:      stragglers,
+			fl.Withheld:  stragglers,
+			corruptFrame: cfg.Obs.Counter("node.corrupt_frames", obs.CountOf("node.corrupt_frame")),
+			retransmit:   cfg.Obs.Counter("node.retransmits", obs.CountOf("node.retransmit")),
+			recvError:    cfg.Obs.Counter("node.recv_errors", obs.CountOf("node.recv_error")),
+			rejoined:     cfg.Obs.Counter("node.rejoins", obs.CountOf("node.rejoin")),
+		},
 		cRoundsDone: cfg.Obs.Counter("node.rounds", obs.CountOf("node.round")),
-		cCorrupt:    cfg.Obs.Counter("node.corrupt_frames", obs.CountOf("node.corrupt_frame")),
-		cRetransmit: cfg.Obs.Counter("node.retransmits", obs.CountOf("node.retransmit")),
-		cRejoins:    cfg.Obs.Counter("node.rejoins", obs.CountOf("node.rejoin")),
 		cDegraded:   cfg.Obs.Counter("node.degraded_rounds", obs.CountOf("node.degraded")),
 		cEarlyClose: cfg.Obs.Counter("node.early_closes", obs.CountOf("node.early_close")),
 	}, nil
@@ -251,17 +309,17 @@ func (s *Server) Rejoin(conn transport.Conn) {
 		}
 		helloNs := int64(s.obs.Now())
 		transport.SetWireVersion(conn, protocol.Version)
-		s.mu.Lock()
-		if !s.done {
+		s.statusMu.Lock()
+		if s.status.Phase != "done" {
 			select {
 			case s.rejoin <- rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs}:
-				s.mu.Unlock()
+				s.statusMu.Unlock()
 				return
 			default: // queue full: treat as too-late
 			}
 		}
-		fin := s.finRounds
-		s.mu.Unlock()
+		fin := s.status.Round // every round, once done
+		s.statusMu.Unlock()
 		sendFinished(conn, fin)
 	}()
 }
@@ -345,13 +403,13 @@ type vehicle struct {
 	conn     transport.Conn // nil once the engine dropped a malformed peer
 	helloNs  int64          // server clock when its hello arrived
 	dead     bool           // connection lost; skipped until it rejoins
-	owes     bool           // this round's upload is outstanding
 	behind   bool           // outpaced by a budget close
-	withheld bool           // this round's broadcast is held back
 	lastSeen int            // latest round it uploaded for
 	retrans  int            // corrupt-upload prompts this round
 	upload   result         // this round's admitted upload (values nil = none)
-	flagged  bool           // named by the verification channel in some round
+	// verdict is this round's verdict so far: Late while the upload is
+	// owed, Withheld while the broadcast is held back. The close records it.
+	verdict fl.Verdict
 }
 
 // engine is one Run's state: the per-vehicle table, the session's
@@ -370,7 +428,6 @@ type engine struct {
 	results  chan result
 	done     chan struct{} // closed when Run returns
 	deadline *time.Timer   // one for the session, re-armed every round
-	report   Report
 
 	// The current round. Its broadcast is one message, parameter vector
 	// included, rewritten every round: a send copies what it needs.
@@ -452,7 +509,13 @@ func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
 		e.traceHex = obs.FormatID(e.trace)
 		e.setup.TraceID = e.traceHex
 	}
+	verdicts := make([]fl.Verdict, s.cfg.Rounds*v)
+	records := make([]RoundRecord, s.cfg.Rounds)
+	for r := range records {
+		records[r] = RoundRecord{Round: r + 1, Verdicts: verdicts[r*v : (r+1)*v : (r+1)*v]}
+	}
 	s.statusMu.Lock()
+	s.records = records
 	s.status = Status{Phase: "handshake", Rounds: s.cfg.Rounds, RecoverK: e.k,
 		WaitBudget: s.cfg.WaitBudget, BudgetTarget: e.target, TraceID: e.traceHex}
 	s.statusMu.Unlock()
@@ -595,43 +658,40 @@ func (e *engine) broadcast() error {
 	e.outstanding, e.arrived, e.closedBy, e.overlapNs = 0, 0, "all", 0
 	for id := range e.veh {
 		vh := &e.veh[id]
-		vh.retrans, vh.owes = 0, false
-		if vh.dead {
-			continue
-		}
-		if vh.behind && e.round-vh.lastSeen > pipelineWindow {
-			vh.withheld = true
-			continue
-		}
-		// The flush barrier is where a buffered fabric pays its one write;
-		// a flush failure is a send failure.
-		if err := sendFlush(vh.conn, &e.bc); err != nil {
+		vh.retrans, vh.verdict = 0, fl.Disconnected
+		switch {
+		case vh.dead: // until it rejoins
+		case vh.behind && e.round-vh.lastSeen > pipelineWindow:
+			vh.verdict = fl.Withheld
+		case sendFlush(vh.conn, &e.bc) != nil:
+			// The flush barrier is where a buffered fabric pays its one
+			// write; a flush failure is a send failure.
 			vh.dead = true
-			continue
+		default:
+			e.judge(vh, fl.Late)
 		}
-		e.setOwes(vh, true)
 	}
 	return nil
 }
 
-// setOwes marks whether a vehicle still owes this round's upload,
-// keeping the outstanding count.
-func (e *engine) setOwes(vh *vehicle, owes bool) {
-	if vh.owes == owes {
-		return
-	}
-	vh.owes = owes
-	if owes {
-		e.outstanding++
-	} else {
+// judge sets a vehicle's verdict so far, keeping the count of vehicles
+// that owe an upload (Late).
+func (e *engine) judge(vh *vehicle, v fl.Verdict) {
+	if vh.verdict == fl.Late {
 		e.outstanding--
 	}
+	if v == fl.Late {
+		e.outstanding++
+	}
+	vh.verdict = v
 }
 
 // kill marks a vehicle dead until it rejoins; it owes nothing meanwhile.
 func (e *engine) kill(vh *vehicle) {
 	vh.dead = true
-	e.setOwes(vh, false)
+	if vh.verdict != fl.Admitted {
+		e.judge(vh, fl.Disconnected)
+	}
 }
 
 // collect streams the round's uploads into the scheme's incremental
@@ -691,7 +751,7 @@ func (e *engine) admit(u result) bool {
 			e.alive(vh, u.round)
 		}
 		return false
-	case !vh.owes:
+	case vh.verdict != fl.Late:
 		u.release()
 		return false
 	}
@@ -705,7 +765,7 @@ func (e *engine) admit(u result) bool {
 	}
 	e.alive(vh, u.round)
 	vh.upload = u
-	e.setOwes(vh, false)
+	e.judge(vh, fl.Admitted)
 	e.arrived++
 	if e.traced {
 		// The ingest event parents under the upload span the vehicle
@@ -730,7 +790,7 @@ func (e *engine) admit(u result) bool {
 	early := e.target > 0 && e.arrived >= e.target && e.outstanding > 0
 	if early {
 		for id := range e.veh {
-			if e.veh[id].owes {
+			if e.veh[id].verdict == fl.Late {
 				e.veh[id].behind = true
 			}
 		}
@@ -747,13 +807,12 @@ func (e *engine) admit(u result) bool {
 func (e *engine) alive(vh *vehicle, r int) {
 	vh.lastSeen = max(vh.lastSeen, r)
 	vh.behind = false
-	if vh.withheld {
-		vh.withheld = false
+	if vh.verdict == fl.Withheld {
 		if err := sendFlush(vh.conn, &e.bc); err != nil {
 			e.kill(vh)
 			return
 		}
-		e.setOwes(vh, true)
+		e.judge(vh, fl.Late)
 	}
 }
 
@@ -761,18 +820,13 @@ func (e *engine) alive(vh *vehicle, r int) {
 // a round, re-broadcasts the round so the vehicle resends its cached
 // upload.
 func (e *engine) corrupt(u result) {
-	s := e.s
-	e.report.CorruptFrames++
-	s.cCorrupt.Inc()
-	s.obs.Emit("node.corrupt_frame", obs.F("round", e.round), obs.F("vehicle", u.vehicleID))
+	e.note(corruptFrame, u.vehicleID, obs.Field{})
 	vh := &e.veh[u.vehicleID]
-	if vh.conn != u.conn || vh.dead || !vh.owes || vh.retrans >= maxRetransmits {
+	if vh.conn != u.conn || vh.verdict != fl.Late || vh.retrans >= maxRetransmits {
 		return
 	}
 	vh.retrans++
-	e.report.Retransmits++
-	s.cRetransmit.Inc()
-	s.obs.Emit("node.retransmit", obs.F("round", e.round), obs.F("vehicle", u.vehicleID), obs.F("attempt", vh.retrans))
+	e.note(retransmit, u.vehicleID, obs.F("attempt", vh.retrans))
 	if err := sendFlush(u.conn, &e.bc); err != nil {
 		e.kill(vh)
 	}
@@ -787,9 +841,7 @@ func (e *engine) recvError(u result, err error) bool {
 		return false
 	}
 	e.kill(vh)
-	e.report.RecvErrors++
-	e.s.cRecvErrors.Inc()
-	e.s.obs.Emit("node.recv_error", obs.F("round", e.round), obs.F("vehicle", u.vehicleID), obs.F("error", err.Error()))
+	e.note(recvError, u.vehicleID, obs.F("error", err))
 	return true
 }
 
@@ -797,23 +849,19 @@ func (e *engine) recvError(u result, err error) bool {
 // swapped in (the stale one closed), Setup is resent so a restarted
 // process can rebuild its share, and if the vehicle still owes this
 // round's upload the broadcast is resent too — which makes a withheld
-// one obsolete.
+// one obsolete. The rejoin counts once both are out; if either fails, the
+// vehicle stays dead.
 func (e *engine) rejoin(req rejoinReq) {
-	s := e.s
 	vh := &e.veh[req.id]
 	if vh.conn != nil && vh.conn != req.conn {
 		_ = vh.conn.Close()
 	}
 	vh.conn, vh.helloNs = req.conn, req.helloNs
-	vh.dead, vh.behind, vh.withheld = false, false, false
-	e.report.Rejoins++
-	s.cRejoins.Inc()
-	e.publish("collect", false)
-	s.obs.Emit("node.rejoin", obs.F("round", e.round), obs.F("vehicle", req.id))
+	vh.dead, vh.behind = false, false
 	err := e.configure(req.id)
-	if err == nil && vh.upload.values == nil {
+	if err == nil && vh.verdict != fl.Admitted {
 		if err = req.conn.Send(&e.bc); err == nil {
-			e.setOwes(vh, true)
+			e.judge(vh, fl.Late)
 		}
 	}
 	if err == nil {
@@ -824,18 +872,59 @@ func (e *engine) rejoin(req rejoinReq) {
 		_ = req.conn.Close()
 		return
 	}
+	e.note(rejoined, req.id, obs.Field{})
+	e.publish("collect", false)
 	e.receive(req.id, req.conn)
 }
 
-// close ends the round: a straggler verdict for every live vehicle
-// without an upload, then the scheme's streamed aggregation and
+// note writes fact f about vehicle id into the open round's record, under
+// statusMu since Status reads the records, bumps the fact's counter and,
+// traced, emits its event with detail, if it has a key, as a last field.
+// A receive error's detail is the error, turned into text only then.
+func (e *engine) note(f fact, id int, detail obs.Field) {
+	s := e.s
+	s.statusMu.Lock()
+	rec := &s.records[e.round-1]
+	switch f {
+	case corruptFrame:
+		rec.CorruptFrames++
+	case retransmit:
+		rec.Retransmits++
+	case recvError:
+		rec.RecvErrors++
+	case rejoined:
+		rec.Rejoins++
+	default:
+		rec.Verdicts[id] = fl.Verdict(f)
+	}
+	s.statusMu.Unlock()
+	s.counters[f].Inc()
+	if !e.traced || factEvents[f] == "" {
+		return
+	}
+	fields := []obs.Field{obs.F("round", e.round), obs.F("vehicle", id)}
+	if err, ok := detail.Val.(error); ok {
+		detail.Val = err.Error()
+	}
+	if detail.Key != "" {
+		fields = append(fields, detail)
+	}
+	s.obs.Emit(factEvents[f], fields...)
+}
+
+// close ends the round: the scheme's streamed aggregation and
 // fl.CloseRound — the close fl.System runs too — over exactly the
-// admitted uploads, whose buffers then go back to their receivers. Below
-// K nothing can be verified: the model holds still and the round counts
-// as degraded instead of failing the session (DESIGN.md §11).
+// admitted uploads, then a verdict for every vehicle, whose upload buffer
+// goes back to its receiver. Below K nothing can be verified: the model
+// holds still and the round is degraded instead of failing the session
+// (DESIGN.md §11).
 func (e *engine) close() error {
 	s := e.s
-	defer e.releaseUploads()
+	degraded := e.arrived < e.k
+	s.statusMu.Lock()
+	rec := &s.records[e.round-1]
+	rec.ClosedBy, rec.Arrived, rec.Degraded = e.closedBy, e.arrived, degraded
+	s.statusMu.Unlock()
 	if e.closedBy == "budget" {
 		s.cEarlyClose.Inc()
 		if e.traced {
@@ -850,95 +939,81 @@ func (e *engine) close() error {
 			obs.F("closed_by", e.closedBy),
 			obs.F("overlap_ns", e.overlapNs))
 	}
-	stragglers := 0
-	for id := range e.veh {
-		vh := &e.veh[id]
-		e.rows[id] = vh.upload.values
-		if !vh.dead && vh.upload.values == nil {
-			e.report.Stragglers++
-			stragglers++
-			s.cStragglers.Inc()
-			if e.traced {
-				s.obs.Emit("node.straggler", obs.F("round", e.round), obs.F("vehicle", id))
-			}
-		}
-	}
-	if e.arrived < e.k {
-		e.report.DegradedRounds++
+	e.publish("aggregate", false)
+	if degraded {
 		s.cDegraded.Inc()
-		e.publish("aggregate", false)
 		if e.traced {
 			s.obs.Emit("node.degraded", obs.F("round", e.round), obs.F("present", e.arrived), obs.F("need", e.k))
-			e.span.End(obs.F("stragglers", stragglers), obs.F("degraded", true))
 		}
-		e.report.Rounds = e.round
-		s.cRoundsDone.Inc()
-		return nil
-	}
-	e.publish("aggregate", false)
-	// Finish on the streamed ingest (core/stream.go), the scheme's
-	// core.aggregate span under this round's (detached when untraced).
-	s.scheme.SetSpanParent(e.ctx)
-	targets, err := s.scheme.AggregateStreamed(e.sink, e.rows)
-	if err == nil {
-		err = fl.CloseRound(s.distiller, s.shared, targets)
-	}
-	if err != nil {
-		return fmt.Errorf("node: round %d: %w", e.round, err)
-	}
-	flagged := 0
-	for id, n := range s.scheme.DetectedMalicious {
-		if n > 0 {
-			e.veh[id].flagged = true
-			flagged++
+	} else {
+		for id := range e.veh {
+			e.rows[id] = e.veh[id].upload.values
+		}
+		// Finish on the streamed ingest (core/stream.go), the scheme's
+		// core.aggregate span under this round's (detached when untraced).
+		s.scheme.SetSpanParent(e.ctx)
+		targets, err := s.scheme.AggregateStreamed(e.sink, e.rows)
+		if err == nil {
+			err = fl.CloseRound(s.distiller, s.shared, targets)
+		}
+		if err != nil {
+			return fmt.Errorf("node: round %d: %w", e.round, err)
 		}
 	}
-	e.report.Rounds = e.round
+	var t fl.Tally
+	for id := range e.veh {
+		vh := &e.veh[id]
+		v := vh.verdict
+		if v == fl.Admitted && !degraded && s.scheme.DetectedMalicious[id] > 0 {
+			v = fl.Flagged
+		}
+		vh.upload.release()
+		t[v]++
+		e.note(fact(v), id, obs.Field{})
+	}
 	s.cRoundsDone.Inc()
 	if e.traced {
-		e.span.End(
-			obs.F("stragglers", stragglers),
-			obs.F("decode_failures", s.scheme.DecodeFailures),
-			obs.F("flagged", flagged))
+		stragglers := obs.F("stragglers", t[fl.Late]+t[fl.Withheld])
+		if degraded {
+			e.span.End(stragglers, obs.F("degraded", true))
+		} else {
+			e.span.End(stragglers, obs.F("decode_failures", s.scheme.DecodeFailures), obs.F("flagged", t[fl.Flagged]))
+		}
 	}
 	return nil
 }
 
-// releaseUploads hands the round's admitted uploads back to their
-// receivers once the close is done with them.
-func (e *engine) releaseUploads() {
-	for id := range e.veh {
-		e.veh[id].upload.release()
-	}
-}
-
 // finish sends Finished to every live vehicle, marks the session over
 // — answering rejoins still queued, so late reconnectors terminate
-// instead of hanging — and settles the report.
+// instead of hanging — and sums the report from the round records.
 func (e *engine) finish() *Report {
 	s := e.s
-	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: e.report.Rounds}}
+	rounds := s.cfg.Rounds
+	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: rounds}}
 	for id := range e.veh {
 		if !e.veh[id].dead {
 			_ = sendFlush(e.veh[id].conn, fin) // best effort; the session is over
 		}
 	}
-	s.mu.Lock()
-	s.done, s.finRounds = true, e.report.Rounds
-	s.mu.Unlock()
-	// Nothing enqueues once done is set, so the queue only drains.
-	for len(s.rejoin) > 0 {
-		sendFinished((<-s.rejoin).conn, e.report.Rounds)
-	}
-	e.round, e.arrived, e.outstanding = e.report.Rounds, 0, 0
+	e.round, e.arrived, e.outstanding = rounds, 0, 0
 	e.publish("done", false)
+	// Nothing enqueues once the phase is done, so the queue only drains.
+	for len(s.rejoin) > 0 {
+		sendFinished((<-s.rejoin).conn, rounds)
+	}
+	s.statusMu.Lock()
+	report := sum(s.records)
+	s.statusMu.Unlock()
 	for id := range e.veh {
-		if e.veh[id].flagged {
-			e.report.SuspectedMalicious = append(e.report.SuspectedMalicious, id)
+		for _, rec := range report.Records {
+			if rec.Verdicts[id] == fl.Flagged {
+				report.SuspectedMalicious = append(report.SuspectedMalicious, id)
+				break
+			}
 		}
 	}
-	e.report.FinalParams = s.shared.Params()
-	return &e.report
+	report.FinalParams = s.shared.Params()
+	return &report
 }
 
 // publish refreshes the live Status from the engine; withBehind also
@@ -949,7 +1024,6 @@ func (e *engine) publish(phase string, withBehind bool) {
 	defer e.s.statusMu.Unlock()
 	st := &e.s.status
 	st.Phase, st.Round, st.Arrived, st.Outstanding = phase, e.round, e.arrived, e.outstanding
-	st.Stragglers, st.Rejoins, st.DegradedRounds = e.report.Stragglers, e.report.Rejoins, e.report.DegradedRounds
 	if !withBehind {
 		return
 	}

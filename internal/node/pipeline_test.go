@@ -2,9 +2,9 @@ package node
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -70,7 +70,7 @@ var crashCase = engineCase{name: "crash", spec: "seed=9;corrupt.upload=0.3:max=1
 // round's outcome is CloseRound over the uploads the round admitted, so
 // fl.System, run on the same data, seeds and activation and shown only
 // the admitted uploads, must end every session on bit-identical
-// parameters and the same flagged vehicles — fault-free, with liars, under
+// parameters, admit and flag the same vehicles in every round — fault-free, with liars, under
 // chaos faults, with a budget close excluding two late vehicles, with a
 // vehicle whose malformed uploads drop it from the session, and with two
 // vehicles whose well-formed uploads skip verification or leave [0, 1],
@@ -102,8 +102,8 @@ func TestCrashRejoinBitIdentical(t *testing.T) {
 
 // matchSimulation runs every case on the engine at 1, 2 and 8 scheme
 // workers and requires FinalParams bit-identical to the simulation's, the
-// simulation's flagged set, and recovery counters equal across worker
-// counts.
+// simulation's admitted and flagged sets in every round, and recovery
+// counters equal across worker counts.
 func matchSimulation(t *testing.T, cases []engineCase) {
 	t.Helper()
 	for _, tc := range cases {
@@ -119,13 +119,14 @@ func matchSimulation(t *testing.T, cases []engineCase) {
 				if tc.hostile && !slices.Equal(rep.SuspectedMalicious, hostileVehicles) {
 					t.Errorf("%s: engine flagged %v, want %v", tc.name, rep.SuspectedMalicious, hostileVehicles)
 				}
-				params, flagged := simulate(t, s, admitted, tc.rewrite(s))
+				params, verdicts := simulate(t, s, admitted, tc.rewrite(s))
 				if !sameBits(rep.FinalParams, params) {
 					t.Errorf("%s: engine FinalParams diverged from the simulation's", tc.name)
 				}
-				if !slices.Equal(rep.SuspectedMalicious, flagged) {
+				if flagged := flaggedIn(verdicts); !slices.Equal(rep.SuspectedMalicious, flagged) {
 					t.Errorf("%s: engine flagged %v, simulation %v", tc.name, rep.SuspectedMalicious, flagged)
 				}
+				checkAdmitted(t, tc.name, rep, verdicts)
 				continue
 			}
 			if !sameBits(rep.FinalParams, first.FinalParams) {
@@ -262,11 +263,11 @@ func (tc engineCase) rewrite(s *session) func(id int, values []float64) {
 }
 
 // simulate runs the session's scenario through fl.System — the same
-// vehicle data, seeds, scheme, activation and liars — for engineRounds
+// vehicle data, seeds, scheme, activation and liars — for the session's
 // rounds, each aggregating only the uploads admitted marks, rewritten by
 // rewrite when it is not nil, and returns the final parameters and every
-// vehicle the scheme flagged, sorted.
-func simulate(t *testing.T, s *session, admitted func(round, id int) bool, rewrite func(id int, values []float64)) ([]float64, []int) {
+// round's verdicts.
+func simulate(t *testing.T, s *session, admitted func(round, id int) bool, rewrite func(id int, values []float64)) ([]float64, [][]fl.Verdict) {
 	t.Helper()
 	cfg := s.server.cfg
 	data := make([][]nn.Sample, len(s.clients))
@@ -278,49 +279,102 @@ func simulate(t *testing.T, s *session, admitted func(round, id int) bool, rewri
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := core.NewScheme(cfg.RefX, cfg.Scheme)
+	scheme, err := core.NewScheme(cfg.RefX, cfg.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked := &maskedScheme{Scheme: inner, admitted: admitted, rewrite: rewrite, flagged: map[int]bool{}}
-	for r := 0; r < engineRounds; r++ {
-		if _, err := sys.RunRound(masked, s.plan, nil); err != nil {
+	mask := &admitChannel{admitted: admitted, rewrite: rewrite}
+	var verdicts [][]fl.Verdict
+	for r := 0; r < cfg.Rounds; r++ {
+		stats, err := sys.RunRound(scheme, s.plan, mask)
+		if err != nil {
 			t.Fatal(err)
 		}
+		verdicts = append(verdicts, stats.Verdicts)
 	}
-	var flagged []int
-	for id := range masked.flagged {
-		flagged = append(flagged, id)
-	}
-	sort.Ints(flagged)
-	return sys.Shared().Params(), flagged
+	return sys.Shared().Params(), verdicts
 }
 
-// maskedScheme is the simulation's admission mask: it hands the scheme
-// only the rows the engine admitted in the current round, as the engine's
-// conn wrappers rewrote them, and collects the vehicles the scheme flags.
-type maskedScheme struct {
-	*core.Scheme
+// admitChannel is the simulation's admission mask: a channel that loses
+// every upload the engine did not admit in the current round and delivers
+// the others as the engine's conn wrappers rewrote them.
+type admitChannel struct {
 	round    int
 	admitted func(round, id int) bool
 	rewrite  func(id int, values []float64)
-	flagged  map[int]bool
 }
 
-func (m *maskedScheme) Aggregate(uploads [][]float64) ([]float64, error) {
-	m.round++
-	for id := range uploads {
-		if !m.admitted(m.round, id) {
-			uploads[id] = nil
-		} else if m.rewrite != nil {
-			m.rewrite(id, uploads[id])
+func (c *admitChannel) Name() string { return "admitted" }
+func (c *admitChannel) RoundStart()  { c.round++ }
+
+func (c *admitChannel) Transmit(id int, values []float64) bool {
+	if !c.admitted(c.round, id) {
+		return false
+	}
+	if c.rewrite != nil {
+		c.rewrite(id, values)
+	}
+	return true
+}
+
+// flaggedIn lists, ascending, every vehicle with a Flagged verdict in any
+// round: Report.SuspectedMalicious's rule.
+func flaggedIn(rounds [][]fl.Verdict) []int {
+	var out []int
+	for id := range rounds[0] {
+		for _, vs := range rounds {
+			if vs[id] == fl.Flagged {
+				out = append(out, id)
+				break
+			}
 		}
 	}
-	targets, err := m.Scheme.Aggregate(uploads)
-	for _, id := range m.Scheme.SuspectedMalicious() {
-		m.flagged[id] = true
+	return out
+}
+
+// entered maps a round's verdicts to its admitted set: Admitted and
+// Flagged stay, every other verdict reads Lost.
+func entered(vs []fl.Verdict) []fl.Verdict {
+	out := make([]fl.Verdict, len(vs))
+	for id, v := range vs {
+		out[id] = fl.Lost
+		if v == fl.Admitted || v == fl.Flagged {
+			out[id] = v
+		}
 	}
-	return targets, err
+	return out
+}
+
+// checkAdmitted requires one record per simulated round, each with one
+// known verdict per vehicle, and the engine's admitted set — flagged
+// vehicles marked — equal to the simulation's round for round.
+func checkAdmitted(t *testing.T, name string, rep *Report, sim [][]fl.Verdict) {
+	t.Helper()
+	if len(rep.Records) != len(sim) {
+		t.Fatalf("%s: %d round records, simulation ran %d rounds", name, len(rep.Records), len(sim))
+	}
+	for r, rec := range rep.Records {
+		checkVerdicts(t, name, rec, len(sim[r]))
+		if got, want := entered(rec.Verdicts), entered(sim[r]); !slices.Equal(got, want) {
+			t.Errorf("%s round %d: engine admitted %v, simulation %v", name, rec.Round, got, want)
+		}
+	}
+}
+
+// checkVerdicts requires rec to hold one known verdict per vehicle, so
+// that its verdicts sum to vehicles.
+func checkVerdicts(t *testing.T, name string, rec RoundRecord, vehicles int) {
+	t.Helper()
+	var tally fl.Tally
+	for _, v := range rec.Verdicts {
+		if v >= fl.NumVerdicts {
+			t.Fatalf("%s round %d: verdict %d is no kind", name, rec.Round, v)
+		}
+		tally[v]++
+	}
+	if n := len(rec.Verdicts); n != vehicles {
+		t.Errorf("%s round %d: %d verdicts (%v), want one per vehicle, %d", name, rec.Round, n, tally, vehicles)
+	}
 }
 
 // deferConn holds back every upload until the NEXT broadcast arrives,
@@ -663,4 +717,78 @@ func TestReceiverBlocksOnItsBuffers(t *testing.T) {
 	if third := next(3); &third.values[0] != &buf[0] {
 		t.Fatal("the receiver filled a new buffer instead of the one handed back")
 	}
+}
+
+// TestMixedFaultVerdicts puts four faults in one pipe session: a
+// straggler (a vehicle whose uploads always land a round late, left out
+// by the wait budget), a liar the decoder locates, one corrupt upload
+// frame and a crash-and-rejoin. It checks every vehicle's verdict in
+// every round, the recovery work each record counts, the Report totals
+// summed from them, and — every fault but the straggler being absorbed
+// within its round — the admitted sets against fl.System's. The session
+// is pipelineWindow rounds long, so the straggler is never so far behind
+// that its broadcast is withheld: it is late, by the budget, every round.
+func TestMixedFaultVerdicts(t *testing.T) {
+	const rounds = pipelineWindow
+	s := buildSessionFull(t, engineVehicles, rounds, 0.1, nil, 1)
+	liars := s.plan.IDs()
+	if len(liars) != 1 {
+		t.Fatalf("plan has %d liars, want 1", len(liars))
+	}
+	// The straggler, the crashing vehicle and the one whose upload frame
+	// is corrupted: the highest IDs that are not the liar (vehicle 0 is
+	// chaosRun's rejoin gate).
+	var picks []int
+	for id := engineVehicles - 1; len(picks) < 3; id-- {
+		if id != liars[0] {
+			picks = append(picks, id)
+		}
+	}
+	late, crashed, corrupted := picks[0], picks[1], picks[2]
+	// Close at every vehicle but the straggler: the crashed vehicle's
+	// resend, after its rejoin, is one the round waits for.
+	k := s.server.scheme.RecoverThreshold()
+	s.server.cfg.WaitBudget = engineVehicles - 1 - k
+	s.vconns[late] = &deferConn{Conn: s.vconns[late]}
+	spec := fmt.Sprintf("seed=11;corrupt.upload@%d=1:max=1;crash@%d=before-upload:2", corrupted, crashed)
+	inj := chaos.New(mustChaosSpec(t, spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
+	rep := chaosRun(t, s, inj, map[int]bool{crashed: true})
+
+	for _, rec := range rep.Records {
+		checkVerdicts(t, "mixed", rec, engineVehicles)
+		for id, v := range rec.Verdicts {
+			want := fl.Admitted
+			switch id {
+			case late:
+				want = fl.Late
+			case liars[0]:
+				want = fl.Flagged
+			}
+			if v != want {
+				t.Errorf("round %d: vehicle %d verdict %v, want %v", rec.Round, id, v, want)
+			}
+		}
+		corrupt, rejoins := 0, 0
+		if rec.Round == 1 {
+			corrupt = 1
+		}
+		if rec.Round == 2 {
+			rejoins = 1
+		}
+		if rec.CorruptFrames != corrupt || rec.Retransmits != corrupt || rec.Rejoins != rejoins ||
+			rec.ClosedBy != "budget" || rec.Arrived != engineVehicles-1 || rec.Degraded {
+			t.Errorf("round %d record %+v: want %d corrupt frame and retransmit, %d rejoin, closed by budget on %d uploads",
+				rec.Round, rec, corrupt, rejoins, engineVehicles-1)
+		}
+	}
+	if len(rep.Records) != rounds || rep.Stragglers != rounds || rep.CorruptFrames != 1 || rep.Retransmits != 1 ||
+		rep.Rejoins != 1 || rep.DegradedRounds != 0 || !slices.Equal(rep.SuspectedMalicious, liars) {
+		t.Errorf("report %+v: want %d records and stragglers, one corrupt frame, retransmit and rejoin, liar %v flagged",
+			rep, rounds, liars)
+	}
+	params, verdicts := simulate(t, s, func(_, id int) bool { return id != late }, nil)
+	if !sameBits(rep.FinalParams, params) {
+		t.Error("engine FinalParams diverged from the simulation's")
+	}
+	checkAdmitted(t, "mixed", rep, verdicts)
 }

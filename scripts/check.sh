@@ -37,9 +37,10 @@ echo "== go test -race -count=2 (scheduling-sensitive packages)"
 go test -race -count=2 ./internal/node ./internal/chaos
 # The budget close and the in-flight window depend on arrival order, and
 # so does a flooding vehicle's traffic against the receiver's two upload
-# buffers (transport.Conn's ownership rule); fifty repetitions of the
-# tests that pin them take about half a minute.
-go test -race -count=50 -run 'TestPipelineEarlyClose|TestPipelineWindowWithholding|TestFloodingVehicle|TestReceiverBlocksOnItsBuffers' ./internal/node
+# buffers (transport.Conn's ownership rule), and every verdict of the
+# session that mixes a straggler, a liar, a corrupt frame and a rejoin;
+# fifty repetitions of the tests that pin them take about half a minute.
+go test -race -count=50 -run 'TestPipelineEarlyClose|TestMixedFaultVerdicts|TestPipelineWindowWithholding|TestFloodingVehicle|TestReceiverBlocksOnItsBuffers' ./internal/node
 
 echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin against the simulation)"
 # The crash cell of the engine-versus-simulation matrix once lost a
@@ -63,7 +64,7 @@ go test -run '^$' -bench 'EstimateClampedAppend|ShareUpload|TrainSGDSingle' -ben
 # timings move with it (ROADMAP, "How to measure"). Printed, not gated.
 scripts/kernel-phase.sh
 
-echo "== fused multiply-add sites on arm64, riscv64 and ppc64le (printed, not gated)"
+echo "== fused multiply-add sites on arm64, riscv64, ppc64le and s390x (printed, not gated)"
 # Where other ports may fuse x*y + z and so leave amd64's bits (ROADMAP
 # item 18). Cross-compiled offline; the counts are printed, not gated.
 scripts/fma-sites.sh
