@@ -118,6 +118,7 @@ const allocVehicles = 40
 // with a round begun, and the model it broadcast.
 func allocScheme(t *testing.T) (*core.Scheme, *nn.Network) {
 	t.Helper()
+	oneProc(t)
 	const m, degree, slots = 8, 2, 32
 	act := approx.SymmetricSigmoid()
 	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(act.F, -2, 2, degree)
@@ -137,8 +138,7 @@ func allocScheme(t *testing.T) (*core.Scheme, *nn.Network) {
 		t.Fatal(err)
 	}
 	s, err := core.NewScheme(ds.Features(), core.SchemeConfig{
-		NumVehicles: allocVehicles, NumBatches: m, Degree: degree,
-		Seed: 3, Workers: 1,
+		NumVehicles: allocVehicles, NumBatches: m, Degree: degree, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,6 +381,13 @@ func TestNewShareAllocs(t *testing.T) {
 	}
 }
 
+// oneProc holds GOMAXPROCS at 1 for the rest of the test, construction
+// and measurement alike, so every pool in the program runs inline.
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // mallocsAfterGC is testing.AllocsPerRun with every call starting from a
 // fresh collection and none during it, so allocations that refill a pool
 // a collection emptied count on every call instead of on some. It returns
@@ -507,17 +514,20 @@ func TestFrameAllocs(t *testing.T) {
 // relisting the vehicles left behind reuses the live status's list (it
 // allocated twice a round before). Measured as the Mallocs difference
 // between a long and a short session of the same inputs, so set-up
-// cancels; the difference reads −1.1–1.9 a round, the runtime's own
+// cancels; the difference reads 0.0 a round at GOMAXPROCS 1 and read
+// −1.1–1.9 with the vehicles spread over every P, the runtime's own
 // bookkeeping of two sessions' goroutines spread over 40 rounds, so the
 // bound adds a margin of about 2 to that. Each session starts from a forced
 // collection and runs with the collector off, so a pool a collection
 // empties is refilled in neither (a refill in the short session alone once
-// made the difference negative). The scheme runs one worker, as the
-// benchmark's does, so the pool's goroutines do not count.
+// made the difference negative). The test runs at GOMAXPROCS 1, as the
+// benchmark does on a 2-vCPU host, so the scheme's pools run inline and
+// their goroutines do not count.
 func TestRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	oneProc(t)
 	_, coeffs := roundModel(t)
 	refX := roundData(t, roundRefRows, 15).Features()
 	parts, err := roundData(t, roundVehicles*240, 16).PartitionIID(roundVehicles, 17)
@@ -534,7 +544,7 @@ func TestRoundAllocs(t *testing.T) {
 		srv, err := node.NewServer(node.ServerConfig{
 			FL: fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
 				DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5, Seed: 18},
-			Scheme:           core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 19, Workers: 1},
+			Scheme:           core.SchemeConfig{NumVehicles: roundVehicles, NumBatches: roundBatches, Degree: 1, Seed: 19},
 			RefX:             refX,
 			ActivationCoeffs: coeffs,
 			Rounds:           rounds,
@@ -578,6 +588,7 @@ func TestRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	oneProc(t)
 	const vehicles, rows = 256, 24
 	_, coeffs := roundModel(t)
 	refX := roundData(t, roundRefRows, 15).Features()
@@ -589,7 +600,7 @@ func TestRecordAllocs(t *testing.T) {
 		srv, err := node.NewServer(node.ServerConfig{
 			FL: fl.Config{InputSize: traffic.NumFeatures, LocalEpochs: 1, LocalRate: 0.2,
 				DistillEpochs: 20, DistillRate: 0.2, ServerStep: 0.5, Seed: 18},
-			Scheme:           core.SchemeConfig{NumVehicles: vehicles, NumBatches: roundBatches, Degree: 1, Seed: 19, Workers: 1},
+			Scheme:           core.SchemeConfig{NumVehicles: vehicles, NumBatches: roundBatches, Degree: 1, Seed: 19},
 			RefX:             refX,
 			ActivationCoeffs: coeffs,
 			Rounds:           rounds,

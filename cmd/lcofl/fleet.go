@@ -35,14 +35,14 @@ func fleetSessionSeed(seed int64, j int) int64 { return seed + 1009*int64(j) }
 // session from the master seed — each session's deploy at its own
 // fleetSessionSeed — so a fusion centre and remote vehicles agree without
 // exchanging data files.
-func buildFleetScenario(sessions, vehicles, rounds, workers int, seed int64, timeout time.Duration, ob *obs.Obs) (map[string]node.ServerConfig, map[string][]node.ClientConfig, error) {
+func buildFleetScenario(sessions, vehicles, rounds int, seed int64, timeout time.Duration, ob *obs.Obs) (map[string]node.ServerConfig, map[string][]node.ClientConfig, error) {
 	if vehicles < 4 {
 		return nil, nil, fmt.Errorf("fleet scenario needs at least 4 vehicles per session, got %d", vehicles)
 	}
 	cfgs := make(map[string]node.ServerConfig, sessions)
 	clients := make(map[string][]node.ClientConfig, sessions)
 	for j, id := range fleetSessionIDs(sessions) {
-		d, err := deploy(vehicles, rounds, fleetSessionSeed(seed, j), 0, workers, ob)
+		d, err := deploy(vehicles, rounds, fleetSessionSeed(seed, j), 0, ob)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -109,7 +109,6 @@ func cmdSoak(args []string) (retErr error) {
 	vehicles := fs.Int("vehicles", 12, "vehicles per session")
 	rounds := fs.Int("rounds", 2, "global rounds per session")
 	seed := fs.Int64("seed", 1, "master scenario seed")
-	workers := fs.Int("workers", 0, "worker-pool size for the decode hot paths (0 = all cores)")
 	maxConns := fs.Int("max-conns", 0, "global connection budget, reserved in session-sized chunks (0 = unlimited)")
 	queueDepth := fs.Int("queue-depth", 0, "handshaked connections parked when the budget is exhausted (0 = reject with a retry hint)")
 	useTCP := fs.Bool("tcp", false, "run over TCP loopback sockets instead of in-memory pipes")
@@ -133,7 +132,7 @@ func cmdSoak(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	cfgs, clients, err := buildFleetScenario(*sessions, *vehicles, *rounds, *workers, *seed, *timeout, ob)
+	cfgs, clients, err := buildFleetScenario(*sessions, *vehicles, *rounds, *seed, *timeout, ob)
 	if err != nil {
 		return err
 	}
@@ -207,7 +206,7 @@ func cmdSoak(args []string) (retErr error) {
 // -session sN), one TCP listener, admission control and the global
 // connection budget in front of the per-session engines.
 func serveFleet(addr string, sessions, vehicles, rounds, maxConns, queueDepth int, seed int64, pipeline func(*node.ServerConfig), ob *obs.Obs, dbg *debugz.Server) error {
-	cfgs, _, err := buildFleetScenario(sessions, vehicles, rounds, 0, seed, 0, ob)
+	cfgs, _, err := buildFleetScenario(sessions, vehicles, rounds, seed, 0, ob)
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,6 @@ func addOptionFlags(fs *flag.FlagSet) *experiments.Options {
 	fs.IntVar(&o.Rounds, "rounds", 0, "global rounds per run (0 = default 15)")
 	fs.IntVar(&o.Rows, "rows", 0, "synthetic dataset rows (0 = default 2500)")
 	fs.Int64Var(&o.Seed, "seed", 1, "master seed")
-	fs.IntVar(&o.Workers, "workers", 0, "worker-pool size for the parallel hot paths (0 = all cores, 1 = sequential; results are identical at any value)")
 	return o
 }
 
@@ -231,12 +230,6 @@ func addObsFlags(fs *flag.FlagSet, withDebug bool) func() (*obs.Obs, *debugz.Ser
 		closeObs := func() error {
 			firstErr := dbg.Close()
 			sampler.Stop()
-			ps := parallel.Snapshot()
-			reg.Gauge("parallel.pool_runs").Set(ps.PoolRuns)
-			reg.Gauge("parallel.seq_runs").Set(ps.SeqRuns)
-			reg.Gauge("parallel.tasks").Set(ps.Tasks)
-			reg.Gauge("parallel.workers_spawned").Set(ps.WorkersSpawned)
-			reg.Gauge("parallel.group_tasks").Set(ps.GroupTasks)
 			if traceFile != nil {
 				if err := tr.Flush(); err != nil && firstErr == nil {
 					firstErr = err
@@ -524,10 +517,10 @@ func chooseBatches(vehicles int) int {
 // the engine's form. Both sides of a TCP deployment derive it from the
 // shared seed, and a session in which every upload arrives ends on that
 // Scenario's Run(LCoFL) bit for bit.
-func deploy(vehicles, rounds int, seed int64, malicious float64, workers int, ob *obs.Obs) (*experiments.Deployment, error) {
+func deploy(vehicles, rounds int, seed int64, malicious float64, ob *obs.Obs) (*experiments.Deployment, error) {
 	return experiments.Scenario{
 		Vehicles: vehicles, Rounds: rounds, Rows: 2000, Batches: chooseBatches(vehicles),
-		MaliciousFraction: malicious, Seed: seed, Workers: workers, Obs: ob,
+		MaliciousFraction: malicious, Seed: seed, Obs: ob,
 	}.Deploy()
 }
 
@@ -572,7 +565,7 @@ func cmdServe(args []string) (retErr error) {
 	if *sessionsN > 1 {
 		return serveFleet(*addr, *sessionsN, *vehicles, *rounds, *maxConns, *queueDepth, *seed, pipeline, ob, dbg)
 	}
-	d, err := deploy(*vehicles, *rounds, *seed, 0, 0, ob)
+	d, err := deploy(*vehicles, *rounds, *seed, 0, ob)
 	if err != nil {
 		return err
 	}
@@ -741,7 +734,7 @@ func cmdVehicle(args []string) (retErr error) {
 		}
 		scenarioSeed = fleetSessionSeed(*seed, j)
 	}
-	d, err := deploy(*vehicles, 0, scenarioSeed, 0, 0, nil)
+	d, err := deploy(*vehicles, 0, scenarioSeed, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -792,7 +785,6 @@ func cmdDist(args []string) (retErr error) {
 	rounds := fs.Int("rounds", 3, "global rounds")
 	seed := fs.Int64("seed", 1, "shared scenario seed")
 	malicious := fs.Float64("malicious", 0, "malicious fraction")
-	workers := fs.Int("workers", 0, "worker-pool size for the decode hot paths (0 = all cores)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-round upload deadline (dropped uploads surface as stragglers after this)")
 	retries := fs.Int("retries", 5, "per-vehicle consecutive failed connection attempts before giving up")
 	pipeline := addPipelineFlags(fs)
@@ -814,7 +806,7 @@ func cmdDist(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	d, err := deploy(*vehicles, *rounds, *seed, *malicious, *workers, ob)
+	d, err := deploy(*vehicles, *rounds, *seed, *malicious, ob)
 	if err != nil {
 		return err
 	}

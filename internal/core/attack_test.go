@@ -161,7 +161,8 @@ func FuzzHostileUpload(f *testing.F) {
 	f.Add(uint8(7), bits(0x7ff8000000000000, f64(0x5a5a5a5a), 0x7ff8000000000000, f64(0x5a5a5a5a)))
 	f.Add(uint8(1), []byte{})
 
-	s, err := NewScheme(refFeatures(f, m*2), SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 1, Seed: 4})
+	setProcs(f, 1)
+	s, err := NewScheme(refFeatures(f, m*2), SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 4})
 	if err != nil {
 		f.Fatal(err)
 	}

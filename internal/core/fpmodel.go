@@ -23,8 +23,7 @@ import (
 // every term — and therefore the output — carries (2·deg+1)·frac bits.
 // The padding is a constant factor of c_t, so quantise multiplies it in
 // once and Eval is a plain Horner evaluation. Those (2·deg+1)·frac bits
-// must fit the field's headroom; newEvaluator refuses a codec and degree
-// for which they do not.
+// must fit the field's headroom, which fracBits(deg) leaves them.
 type fpModel struct {
 	codec *fixedpoint.Codec
 	w     []field.Element
@@ -33,11 +32,14 @@ type fpModel struct {
 	deg   int
 }
 
-// maxFracBitsFor returns the largest usable fractional resolution for a
-// given activation degree, leaving ~10 bits of magnitude headroom under
-// the 60-bit symmetric field range.
-func maxFracBitsFor(degree int) uint {
-	return uint(50 / (2*degree + 1))
+// fracBits is the verification channel's fixed-point resolution at an
+// activation degree: the most fractional bits whose (2·deg+1)-fold scale
+// leaves ~10 bits of magnitude headroom under the 60-bit symmetric field
+// range, capped at 16. The fusion centre and every vehicle derive it from
+// the degree alone, so an honest upload is the same field symbol at both.
+// From degree 25 on not one bit fits, and fixedpoint.New refuses 0.
+func fracBits(degree int) uint {
+	return min(uint(50/(2*degree+1)), 16)
 }
 
 // quantise (re)loads the model from real-valued weights, reusing the

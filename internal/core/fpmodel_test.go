@@ -86,8 +86,8 @@ func referenceUpload(t testing.TB, e *evaluator, rows [][]field.Element, shared,
 
 // TestFPModelEvalMatchesReference pins Eval — DotAcc and the pre-padded
 // coefficients — to evalReference on the same quantised weights, bias and
-// coefficients: configured degree 1–3 × the default and an explicit
-// FracBits × every activation degree up to the configured one (a lower
+// coefficients: configured degree 1–3 × the degree's resolution and 6
+// fractional bits × every activation degree up to the configured one (a lower
 // one leaves the top terms zero), over random share elements, rows
 // sprinkled with and made entirely of 0, 1 and p−1, and widths on both
 // sides of DotAcc's lazy chunk and four-lane block.
@@ -95,7 +95,7 @@ func TestFPModelEvalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	edges := []field.Element{field.Zero, field.One, field.New(field.Modulus - 1)}
 	for deg := 1; deg <= 3; deg++ {
-		for _, frac := range []uint{min(maxFracBitsFor(deg), 16), 6} {
+		for _, frac := range []uint{fracBits(deg), 6} {
 			codec, err := fixedpoint.New(frac)
 			if err != nil {
 				t.Fatal(err)

@@ -66,18 +66,8 @@ type SchemeConfig struct {
 	// nonlinear-layer model. It determines the recover threshold
 	// K = d·(M−1) + 1 of eq. 6.
 	Degree int
-	// FracBits is the fixed-point resolution of the verification channel;
-	// zero selects the maximum the field headroom allows at this degree
-	// (capped at 16). See fixedpoint for the scale budget.
-	FracBits uint
 	// Seed drives the random selection of the field encoding elements.
 	Seed int64
-	// Workers bounds the goroutines used for the per-slot encode at
-	// construction and the relocation of rejected slots in Aggregate.
-	// Zero (or negative) selects GOMAXPROCS; 1 runs sequentially. Results
-	// are bit-identical at any worker count: slots are independent and the
-	// per-slot outcomes are merged in slot order.
-	Workers int
 	// Obs attaches the observability layer (metrics + tracing) to the
 	// scheme, its Lagrange coder and its Reed–Solomon decoders. Nil (the
 	// default) disables all instrumentation at near-zero cost.
@@ -92,7 +82,6 @@ type Scheme struct {
 	shares    [][][]field.Element // [V][S][F] encoded verification shares
 	k         int                 // recover threshold K = Degree·(M-1) + 1
 	dec       *reedsolomon.Decoder
-	workers   int // resolved parallelism for slot-level fan-out
 
 	// aggVals is the median fallback's scratch: one sample's present
 	// values, reused round over round.
@@ -143,12 +132,21 @@ type Scheme struct {
 // fields).
 func (s *Scheme) SetSpanParent(ctx obs.SpanContext) { s.spanParent = ctx }
 
-// NewScheme quantises and Lagrange-encodes the reference features and
-// fixes the encoding elements. len(refX) must be a positive multiple of M,
-// and every feature must fit the fixed-point range
-// (features normalised to [-1, 1] always do — the eq. 9 precondition).
+// NewScheme quantises and Lagrange-encodes the reference features at the
+// degree's resolution, fracBits(cfg.Degree), and fixes the encoding
+// elements. len(refX) must be a positive multiple of M, and every feature
+// must fit the fixed-point range (features normalised to [-1, 1] always
+// do — the eq. 9 precondition). The per-slot encode here and the
+// relocation of rejected slots in Aggregate fan out across GOMAXPROCS
+// goroutines; slots are independent and their outcomes merge in slot
+// order, so results are bit-identical at any GOMAXPROCS.
 func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
-	ev, k, err := newEvaluator(refX, cfg)
+	return newScheme(refX, cfg, fracBits(cfg.Degree))
+}
+
+// newScheme is NewScheme at frac fractional bits.
+func newScheme(refX [][]float64, cfg SchemeConfig, frac uint) (*Scheme, error) {
+	ev, k, err := newEvaluator(refX, cfg, frac)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +165,7 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 	// contiguous runs of them fan out across the worker pool, one batch
 	// scratch per run; the coder itself stays sequential inside the scheme
 	// (parallelism lives at the slot level).
-	workers := parallel.Workers(cfg.Workers)
+	workers := parallel.Workers(0)
 	shares := make([][][]field.Element, cfg.NumVehicles)
 	for v := range shares {
 		shares[v] = flatRows(ev.slots, len(refX[0]))
@@ -203,7 +201,6 @@ func NewScheme(refX [][]float64, cfg SchemeConfig) (*Scheme, error) {
 		shares:    shares,
 		k:         k,
 		dec:       dec,
-		workers:   workers,
 		out:       make([]float64, len(refX)),
 	}
 	if cfg.Obs.Enabled() {
@@ -297,7 +294,7 @@ func (s *Scheme) finish(r *RoundIngest, uploads [][]float64, start time.Duration
 	if err := r.flush(); err != nil {
 		return nil, err
 	}
-	results, errs, stats := r.inc.Finalize(s.workers)
+	results, errs, stats := r.inc.Finalize(0) // 0: GOMAXPROCS
 	s.BatchRecovered, s.BatchFallbacks = stats.Recovered, stats.Fallbacks
 	if s.obs.TraceEnabled() {
 		s.obs.Emit("core.batch_group",
@@ -313,7 +310,7 @@ func (s *Scheme) finish(r *RoundIngest, uploads [][]float64, start time.Duration
 	}
 	clear(s.DetectedMalicious)
 	// The merge runs in slot order, so slot_fail events land in the trace
-	// deterministically whatever the worker count.
+	// deterministically whatever GOMAXPROCS is.
 	for j, err := range errs {
 		if err != nil {
 			s.DecodeFailures++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -46,6 +47,13 @@ func refFeatures(t testing.TB, rows int) [][]float64 {
 	return ds.Features()
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n, the width of every
+// pool in the program, and restores the old setting when the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestNewSchemeValidation(t *testing.T) {
 	ref := refFeatures(t, 32)
 	cases := []struct {
@@ -59,8 +67,9 @@ func TestNewSchemeValidation(t *testing.T) {
 		{"ref not multiple", SchemeConfig{NumVehicles: 10, NumBatches: 5, Degree: 1}, ref},
 		{"empty ref", SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1}, nil},
 		{"K exceeds V", SchemeConfig{NumVehicles: 5, NumBatches: 4, Degree: 3}, ref},
-		// Degree 3 carries (2·3+1)·frac fractional bits: frac 8 needs 56 > 50.
-		{"frac beyond headroom", SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8}, ref},
+		// Degree 25 carries (2·25+1)·frac fractional bits: not even frac 1
+		// fits under the field's 50-bit headroom.
+		{"frac beyond headroom", SchemeConfig{NumVehicles: 30, NumBatches: 2, Degree: 25}, ref},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -770,8 +779,9 @@ func TestSchemeBatchEquivalence(t *testing.T) {
 	const v, m, degree = 40, 8, 2
 	model := polyActivationModel(t, degree, 21)
 	rng := rand.New(rand.NewSource(22))
-	for _, workers := range []int{1, 2, 8} {
-		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: workers, Seed: 3}
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 3}
 		batch, err := NewScheme(ref, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -787,11 +797,11 @@ func TestSchemeBatchEquivalence(t *testing.T) {
 			assertAggregateEquivalent(t, batch, ups)
 			if e <= maxE {
 				if batch.DecodeFailures != 0 {
-					t.Fatalf("workers=%d e=%d: %d decode failures within budget", workers, e, batch.DecodeFailures)
+					t.Fatalf("procs=%d e=%d: %d decode failures within budget", procs, e, batch.DecodeFailures)
 				}
 				if batch.BatchRecovered != batch.Slots() {
-					t.Fatalf("workers=%d e=%d: fast path recovered %d of %d slots",
-						workers, e, batch.BatchRecovered, batch.Slots())
+					t.Fatalf("procs=%d e=%d: fast path recovered %d of %d slots",
+						procs, e, batch.BatchRecovered, batch.Slots())
 				}
 			}
 		}
@@ -806,7 +816,8 @@ func TestSchemeBatchEquivalenceWithDrops(t *testing.T) {
 	const v, m, degree = 40, 8, 1 // K=8, generous slack for drops
 	model := polyActivationModel(t, degree, 23)
 	rng := rand.New(rand.NewSource(24))
-	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 2, Seed: 5}
+	setProcs(t, 2)
+	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 5}
 	batch, err := NewScheme(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -849,7 +860,8 @@ func TestPropertyPartialSlotCorruptionFlagged(t *testing.T) {
 	const v, m, degree = 40, 8, 2
 	model := polyActivationModel(t, degree, 31)
 	rng := rand.New(rand.NewSource(32))
-	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 3, Seed: 9}
+	setProcs(t, 3)
+	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 9}
 	batch, err := NewScheme(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -972,7 +984,8 @@ func TestUploadLearningChannelIsPerRowEstimate(t *testing.T) {
 func TestAggregateMeanMatchesColumnMajor(t *testing.T) {
 	const v, m, degree = 24, 4, 1 // K = 4, E = 10
 	ref := refFeatures(t, m*6)
-	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 2, Seed: 6})
+	setProcs(t, 2)
+	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

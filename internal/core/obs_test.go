@@ -149,7 +149,8 @@ func TestObsStreamedAdversarialRounds(t *testing.T) {
 	clk := &obs.ManualClock{}
 	o := obs.New(reg, obs.NewTracer(&buf, clk), clk)
 	const v = 40
-	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: 8, Degree: 2, Seed: 17, Workers: 2, Obs: o})
+	setProcs(t, 2)
+	s, err := NewScheme(ref, SchemeConfig{NumVehicles: v, NumBatches: 8, Degree: 2, Seed: 17, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

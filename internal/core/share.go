@@ -24,9 +24,9 @@ type evaluator struct {
 }
 
 // newEvaluator validates the arguments NewScheme and NewShare have in
-// common, fixes the codec and copies the reference set. It also returns
-// the recover threshold K it checked against V.
-func newEvaluator(refX [][]float64, cfg SchemeConfig) (evaluator, int, error) {
+// common, fixes the codec at frac fractional bits and copies the reference
+// set. It also returns the recover threshold K it checked against V.
+func newEvaluator(refX [][]float64, cfg SchemeConfig, frac uint) (evaluator, int, error) {
 	var none evaluator
 	if cfg.NumVehicles < 1 {
 		return none, 0, fmt.Errorf("core: need at least one vehicle, got %d", cfg.NumVehicles)
@@ -44,22 +44,9 @@ func newEvaluator(refX [][]float64, cfg SchemeConfig) (evaluator, int, error) {
 	if k > cfg.NumVehicles {
 		return none, 0, fmt.Errorf("core: recover threshold K=%d exceeds V=%d (eq. 6 unsatisfiable even with zero errors)", k, cfg.NumVehicles)
 	}
-	frac := cfg.FracBits
-	if frac == 0 {
-		frac = maxFracBitsFor(cfg.Degree)
-		if frac > 16 {
-			frac = 16
-		}
-	}
-	// Every verification value carries (2·deg+1)·frac fractional bits
-	// (fpModel), which must stay under the field's headroom.
-	if bits := (2*uint(cfg.Degree) + 1) * frac; bits > 50 {
-		return none, 0, fmt.Errorf("core: %d fractional bits at degree %d need %d bits, exceeding field headroom (max FracBits %d)",
-			frac, cfg.Degree, bits, maxFracBitsFor(cfg.Degree))
-	}
 	codec, err := fixedpoint.New(frac)
 	if err != nil {
-		return none, 0, fmt.Errorf("core: %w", err)
+		return none, 0, fmt.Errorf("core: degree %d: %w", cfg.Degree, err)
 	}
 	// One row-major block, not a slice per row: every upload streams the
 	// whole reference set through the learning channel.
@@ -187,10 +174,15 @@ type Share struct {
 }
 
 // NewShare builds vehicle vehicleID's share of the scheme NewScheme(refX,
-// cfg) builds, with the same argument checks plus the ID range. cfg.Workers
-// and cfg.Obs are the fusion side's and are not read.
+// cfg) builds, with the same argument checks plus the ID range. cfg.Obs is
+// the fusion side's and is not read.
 func NewShare(refX [][]float64, cfg SchemeConfig, vehicleID int) (*Share, error) {
-	ev, _, err := newEvaluator(refX, cfg)
+	return newShare(refX, cfg, vehicleID, fracBits(cfg.Degree))
+}
+
+// newShare is NewShare at frac fractional bits.
+func newShare(refX [][]float64, cfg SchemeConfig, vehicleID int, frac uint) (*Share, error) {
+	ev, _, err := newEvaluator(refX, cfg, frac)
 	if err != nil {
 		return nil, err
 	}

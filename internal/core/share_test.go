@@ -15,9 +15,12 @@ import (
 // builds it from Setup — uploads exactly what the fusion side's Scheme
 // computes for that vehicle after the same BeginRound, and what
 // referenceUpload computes from the share's rows; a full round of Share
-// uploads verifies at the Scheme with nobody flagged.
+// uploads verifies at the Scheme with nobody flagged. frac 0 stands for the
+// degree's resolution, the one NewScheme and NewShare select; frac 6 is one
+// no degree up to 3 selects.
 func TestShareUploadBitIdentical(t *testing.T) {
 	const slots = 2
+	setProcs(t, 1)
 	for _, v := range []int{8, 33, 256} {
 		for _, m := range []int{2, 8, 16} {
 			for degree := 1; degree <= 3; degree++ {
@@ -26,9 +29,9 @@ func TestShareUploadBitIdentical(t *testing.T) {
 				}
 				for _, frac := range []uint{0, 6} {
 					for _, seed := range []int64{3, 1 << 40} {
-						cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, FracBits: frac, Seed: seed, Workers: 1}
+						cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: seed}
 						t.Run(fmt.Sprintf("V%d/M%d/d%d/frac%d/seed%d", v, m, degree, frac, seed), func(t *testing.T) {
-							checkSharesMatchScheme(t, refFeatures(t, m*slots), cfg)
+							checkSharesMatchScheme(t, refFeatures(t, m*slots), cfg, frac)
 						})
 					}
 				}
@@ -37,8 +40,11 @@ func TestShareUploadBitIdentical(t *testing.T) {
 	}
 }
 
-func checkSharesMatchScheme(t *testing.T, ref [][]float64, cfg SchemeConfig) {
-	scheme, err := NewScheme(ref, cfg)
+func checkSharesMatchScheme(t *testing.T, ref [][]float64, cfg SchemeConfig, frac uint) {
+	if frac == 0 {
+		frac = fracBits(cfg.Degree)
+	}
+	scheme, err := newScheme(ref, cfg, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +55,7 @@ func checkSharesMatchScheme(t *testing.T, ref [][]float64, cfg SchemeConfig) {
 	}
 	uploads := make([][]float64, cfg.NumVehicles)
 	for i := range uploads {
-		share, err := NewShare(ref, cfg, i)
+		share, err := newShare(ref, cfg, i, frac)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +119,7 @@ func TestNewShareValidation(t *testing.T) {
 		{"empty ref", nil, ok},
 		{"ragged rows", ragged, ok},
 		{"feature out of range", outOfRange, ok},
-		{"fraction bits beyond the codec", ref, SchemeConfig{NumVehicles: 10, NumBatches: 4, Degree: 1, FracBits: 63}},
-		{"fraction bits beyond the field headroom", ref, SchemeConfig{NumVehicles: 30, NumBatches: 8, Degree: 3, FracBits: 8}},
+		{"no fraction bit within the field headroom", ref, SchemeConfig{NumVehicles: 30, NumBatches: 2, Degree: 25}},
 	} {
 		_, want := NewScheme(tc.ref, tc.cfg)
 		_, got := NewShare(tc.ref, tc.cfg, 0)
@@ -178,7 +183,8 @@ func TestShareOwnsItsReference(t *testing.T) {
 // each exactly float64(uint32(v)), bit for bit — so an honest vehicle's
 // verification halves all travel as 4-byte words.
 func TestVerificationHalvesAreWords(t *testing.T) {
-	cfg := SchemeConfig{NumVehicles: 20, NumBatches: 8, Degree: 2, Seed: 5, Workers: 1}
+	setProcs(t, 1)
+	cfg := SchemeConfig{NumVehicles: 20, NumBatches: 8, Degree: 2, Seed: 5}
 	ref := refFeatures(t, 8*3)
 	scheme, err := NewScheme(ref, cfg)
 	if err != nil {

@@ -39,8 +39,9 @@ func TestAggregateStreamedBitIdentical(t *testing.T) {
 	const v, m, degree = 40, 8, 2
 	model := polyActivationModel(t, degree, 21)
 	rng := rand.New(rand.NewSource(77))
-	for _, workers := range []int{1, 2, 8} {
-		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: workers, Seed: 3}
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 3}
 		streamed, err := NewScheme(ref, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -68,20 +69,20 @@ func TestAggregateStreamedBitIdentical(t *testing.T) {
 			}
 			for j := range wantT {
 				if math.Float64bits(gotT[j]) != math.Float64bits(wantT[j]) {
-					t.Fatalf("workers=%d e=%d target[%d]: streamed %g, plain %g", workers, e, j, gotT[j], wantT[j])
+					t.Fatalf("procs=%d e=%d target[%d]: streamed %g, plain %g", procs, e, j, gotT[j], wantT[j])
 				}
 			}
 			if streamed.DecodeFailures != plain.DecodeFailures {
-				t.Fatalf("workers=%d e=%d DecodeFailures: streamed %d, plain %d", workers, e, streamed.DecodeFailures, plain.DecodeFailures)
+				t.Fatalf("procs=%d e=%d DecodeFailures: streamed %d, plain %d", procs, e, streamed.DecodeFailures, plain.DecodeFailures)
 			}
 			for i := range plain.DetectedMalicious {
 				if streamed.DetectedMalicious[i] != plain.DetectedMalicious[i] {
-					t.Fatalf("workers=%d e=%d DetectedMalicious[%d]: streamed %d, plain %d",
-						workers, e, i, streamed.DetectedMalicious[i], plain.DetectedMalicious[i])
+					t.Fatalf("procs=%d e=%d DetectedMalicious[%d]: streamed %d, plain %d",
+						procs, e, i, streamed.DetectedMalicious[i], plain.DetectedMalicious[i])
 				}
 			}
 			if streamed.BatchRecovered+streamed.BatchFallbacks != plain.BatchRecovered+plain.BatchFallbacks {
-				t.Fatalf("workers=%d e=%d batch split: streamed %d+%d, plain %d+%d", workers, e,
+				t.Fatalf("procs=%d e=%d batch split: streamed %d+%d, plain %d+%d", procs, e,
 					streamed.BatchRecovered, streamed.BatchFallbacks, plain.BatchRecovered, plain.BatchFallbacks)
 			}
 		}
@@ -97,7 +98,8 @@ func TestAggregateStreamedPartialDrops(t *testing.T) {
 	const v, m, degree = 40, 8, 1
 	model := polyActivationModel(t, degree, 23)
 	rng := rand.New(rand.NewSource(31))
-	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: 2, Seed: 5}
+	setProcs(t, 2)
+	cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 5}
 	streamed, err := NewScheme(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +151,8 @@ func TestAggregateStreamedPartialDrops(t *testing.T) {
 
 func TestRoundIngestValidation(t *testing.T) {
 	ref := refFeatures(t, 8*2)
-	cfg := SchemeConfig{NumVehicles: 12, NumBatches: 8, Degree: 1, Workers: 1, Seed: 9}
+	setProcs(t, 1)
+	cfg := SchemeConfig{NumVehicles: 12, NumBatches: 8, Degree: 1, Seed: 9}
 	s, err := NewScheme(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +211,9 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 	ref := refFeatures(t, 8*4) // S = 4 slots
 	const v, m, degree = 40, 8, 2
 	model := polyActivationModel(t, degree, 29)
-	for _, workers := range []int{1, 8} {
-		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Workers: workers, Seed: 13}
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
+		cfg := SchemeConfig{NumVehicles: v, NumBatches: m, Degree: degree, Seed: 13}
 		streamed, err := NewScheme(ref, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +255,7 @@ func TestAggregateStreamedCleanRecordOrder(t *testing.T) {
 			{"suspects turned honest complete the basis", nil, many, absent, -1, 0},
 		}
 		for _, r := range rounds {
-			label := fmt.Sprintf("workers=%d %q", workers, r.name)
+			label := fmt.Sprintf("procs=%d %q", procs, r.name)
 			ups := roundUploads(t, streamed, model, nil)
 			lieWholesale(ups, r.liars)
 			for _, id := range r.absent {

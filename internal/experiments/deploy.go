@@ -26,8 +26,8 @@ type Deployment struct {
 // Deploy returns the engine form of exactly what Run(LCoFL) builds: the
 // same data, partitions, reference set, activation, rates and seeds, with
 // vehicle i seeded fl.VehicleSeed(FL.Seed, i) as fl.System seeds it and
-// every planted liar corrupting its uploads with Behavior. A node.Server
-// session over these configs in which every upload arrives ends on
+// every planted liar corrupting its uploads with the constant lie. A
+// node.Server session over these configs in which every upload arrives ends on
 // Run(LCoFL)'s final parameters and flags the same vehicles (DESIGN.md
 // §14). The engine has no channel model and no mobility, so a scenario
 // with either is an error; PlainInputNoise concerns PlainFL only and is
@@ -57,7 +57,7 @@ func (s Scenario) Deploy() (*Deployment, error) {
 	for i, data := range b.parts {
 		d.Clients[i] = node.ClientConfig{VehicleID: i, Data: data, Seed: fl.VehicleSeed(b.fl.Seed, i)}
 		if b.plan != nil && b.plan.IsMalicious(i) {
-			d.Clients[i].Corrupt = sc.Behavior
+			d.Clients[i].Corrupt = adversary.ConstantLie{Value: lie}
 		}
 	}
 	return d, nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,9 +17,13 @@ func TestScenarioDefaults(t *testing.T) {
 	if sc.Vehicles != 100 || sc.Batches != 16 || sc.Degree != 1 {
 		t.Errorf("defaults wrong: %+v", sc)
 	}
-	if sc.RefRows%sc.Batches != 0 {
-		t.Errorf("RefRows %d not a multiple of M", sc.RefRows)
-	}
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n, the width of every
+// pool in the program, and restores the old setting when the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestRunUnknownVariant(t *testing.T) {
@@ -356,72 +361,70 @@ func TestRepeatValidation(t *testing.T) {
 
 // TestRunParallelDeterminism is the tentpole acceptance check: a full
 // scenario run — training, adversary, channel, L-CoFL encode/decode —
-// must be byte-identical at workers 1, 2 and 8.
+// must be byte-identical at GOMAXPROCS 1, 2 and 8.
 func TestRunParallelDeterminism(t *testing.T) {
 	base := Scenario{Vehicles: 30, Rounds: 3, Rows: 900, Seed: 2, MaliciousFraction: 0.2}
 
-	run := func(workers int) *RunOutput {
+	run := func(procs int) *RunOutput {
 		t.Helper()
-		sc := base
-		sc.Workers = workers
-		out, err := sc.Run(LCoFL)
+		setProcs(t, procs)
+		out, err := base.Run(LCoFL)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		return out
 	}
 	want := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
+	for _, procs := range []int{2, 8} {
+		got := run(procs)
 		for r := range want.Acc.Values {
 			if got.Acc.Values[r] != want.Acc.Values[r] {
-				t.Fatalf("workers=%d: accuracy trace differs at round %d: %v vs %v",
-					workers, r, got.Acc.Values[r], want.Acc.Values[r])
+				t.Fatalf("procs=%d: accuracy trace differs at round %d: %v vs %v",
+					procs, r, got.Acc.Values[r], want.Acc.Values[r])
 			}
 			if got.MeanEst.Values[r] != want.MeanEst.Values[r] {
-				t.Fatalf("workers=%d: mean-estimate trace differs at round %d", workers, r)
+				t.Fatalf("procs=%d: mean-estimate trace differs at round %d", procs, r)
 			}
 		}
 		if got.DecodeFailures != want.DecodeFailures || got.SuspectedMalicious != want.SuspectedMalicious {
-			t.Fatalf("workers=%d: detection differs: failures %d/%d suspected %d/%d",
-				workers, got.DecodeFailures, want.DecodeFailures,
+			t.Fatalf("procs=%d: detection differs: failures %d/%d suspected %d/%d",
+				procs, got.DecodeFailures, want.DecodeFailures,
 				got.SuspectedMalicious, want.SuspectedMalicious)
 		}
 		for i := range want.TestEstimates {
 			if got.TestEstimates[i] != want.TestEstimates[i] {
-				t.Fatalf("workers=%d: test estimate %d differs", workers, i)
+				t.Fatalf("procs=%d: test estimate %d differs", procs, i)
 			}
 		}
 	}
 }
 
 // TestRepeatParallelDeterminism checks the multi-seed sweep aggregates
-// identically whether seeds run sequentially or concurrently.
+// identically at GOMAXPROCS 1, 2 and 8.
 func TestRepeatParallelDeterminism(t *testing.T) {
 	o := Options{Vehicles: 20, Rounds: 2, Rows: 600, Seed: 3}
 	seeds := []int64{3, 4, 5}
 
-	run := func(workers int) *Figure {
+	run := func(procs int) *Figure {
 		t.Helper()
-		ro := o
-		ro.Workers = workers
-		fig, err := Repeat(Fig9, ro, seeds)
+		setProcs(t, procs)
+		fig, err := Repeat(Fig9, o, seeds)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		return fig
 	}
 	want := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
+	for _, procs := range []int{2, 8} {
+		got := run(procs)
 		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got.Rows), len(want.Rows))
+			t.Fatalf("procs=%d: %d rows, want %d", procs, len(got.Rows), len(want.Rows))
 		}
 		for r := range want.Rows {
 			for c := range want.Rows[r] {
 				if got.Rows[r][c] != want.Rows[r][c] {
-					t.Fatalf("workers=%d: cell (%d,%d) differs: %v vs %v",
-						workers, r, c, got.Rows[r][c], want.Rows[r][c])
+					t.Fatalf("procs=%d: cell (%d,%d) differs: %v vs %v",
+						procs, r, c, got.Rows[r][c], want.Rows[r][c])
 				}
 			}
 		}

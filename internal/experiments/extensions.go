@@ -157,7 +157,7 @@ func ExtLatency(o Options) (*Figure, error) {
 			Vehicles:      v,
 			Batches:       16,
 			Degree:        1,
-			UploadScalars: 2*8 + 128, // the core.Scheme upload at RefRows=128
+			UploadScalars: 2*8 + 128, // the core.Scheme upload at 8·16 reference rows
 			Errors:        v / 10,
 		}
 		coded, err := latency.LCoFL(sc, latency.Params{})

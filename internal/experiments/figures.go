@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Options scales the harness: Full reproduces the paper's configuration;
-// Quick shrinks rounds and fleet for smoke tests and benchmarks.
+// Options scales the harness: the zero value reproduces the paper's
+// configuration; smaller fleets, rounds and datasets make smoke runs.
 type Options struct {
 	// Vehicles is the fleet size V (0 → 100).
 	Vehicles int
@@ -20,11 +20,6 @@ type Options struct {
 	Rows int
 	// Seed shifts every run's randomness.
 	Seed int64
-	// Workers bounds the goroutines each run fans out across its hot
-	// paths (per-vehicle training, per-slot encode/decode, multi-seed
-	// sweeps). 0 selects GOMAXPROCS, 1 runs sequentially; results are
-	// bit-identical at every setting.
-	Workers int
 	// Obs attaches the observability layer to every run launched through
 	// these options. Nil disables instrumentation.
 	Obs *obs.Obs
@@ -36,7 +31,6 @@ func (o Options) scenario() Scenario {
 		Rounds:   o.Rounds,
 		Rows:     o.Rows,
 		Seed:     o.Seed,
-		Workers:  o.Workers,
 		Obs:      o.Obs,
 	}
 }

@@ -54,17 +54,13 @@ type Scenario struct {
 	Rounds int
 	// Rows sizes the synthetic dataset.
 	Rows int
-	// RefRows sizes the fusion centre's reference set (must be a
-	// multiple of Batches).
-	RefRows int
 	// Batches is M (paper: 16).
 	Batches int
 	// Degree is the activation-approximation degree d.
 	Degree int
-	// MaliciousFraction of the fleet lies (0 disables the adversary).
+	// MaliciousFraction of the fleet lies (0 disables the adversary);
+	// every liar uploads the constant lie.
 	MaliciousFraction float64
-	// Behavior is the malicious behaviour (default ConstantLie 5).
-	Behavior adversary.Behavior
 	// Channel models the uplink (nil = perfect).
 	Channel channel.Model
 	// PlainInputNoise adds feature noise to the PlainFL variant's local
@@ -80,24 +76,23 @@ type Scenario struct {
 	NonIIDSkew float64
 	// Seed drives every random choice.
 	Seed int64
-	// Workers bounds the worker-pool goroutines for the run's hot paths
-	// (per-vehicle training, L-CoFL slot encode/decode). 0 selects
-	// GOMAXPROCS, 1 runs sequentially; the trained models, traces and
-	// malicious-detection results are bit-identical at any value.
-	Workers int
-
-	// LocalEpochs, LocalRate, DistillEpochs, DistillRate, ServerStep
-	// override the learning hyperparameters when non-zero.
-	LocalEpochs   int
-	LocalRate     float64
-	DistillEpochs int
-	DistillRate   float64
-	ServerStep    float64
-
 	// Obs attaches the observability layer to the run's FL system and
 	// (for L-CoFL) coding scheme. Nil disables instrumentation.
 	Obs *obs.Obs
 }
+
+// What every scenario shares: the fusion centre's reference set is
+// refRowsPerBatch·M rows, a liar uploads lie (adversary.ConstantLie), and
+// the learning hyperparameters are fixed.
+const (
+	refRowsPerBatch = 8
+	lie             = 5.0
+	localEpochs     = 5
+	localRate       = 0.2
+	distillEpochs   = 30
+	distillRate     = 0.2
+	serverStep      = 0.5
+)
 
 // withDefaults fills unset fields.
 func (s Scenario) withDefaults() Scenario {
@@ -113,29 +108,8 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Batches == 0 {
 		s.Batches = traffic.NumFeatures
 	}
-	if s.RefRows == 0 {
-		s.RefRows = s.Batches * 8
-	}
 	if s.Degree == 0 {
 		s.Degree = 1
-	}
-	if s.Behavior == nil {
-		s.Behavior = adversary.ConstantLie{Value: 5}
-	}
-	if s.LocalEpochs == 0 {
-		s.LocalEpochs = 5
-	}
-	if s.LocalRate == 0 {
-		s.LocalRate = 0.2
-	}
-	if s.DistillEpochs == 0 {
-		s.DistillEpochs = 30
-	}
-	if s.DistillRate == 0 {
-		s.DistillRate = 0.2
-	}
-	if s.ServerStep == 0 {
-		s.ServerStep = 0.5
 	}
 	return s
 }
@@ -191,7 +165,7 @@ func (sc Scenario) build(v Variant) (*setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	refDS, err := traffic.Generate(traffic.GenConfig{Rows: sc.RefRows, Seed: sc.Seed + 2})
+	refDS, err := traffic.Generate(traffic.GenConfig{Rows: refRowsPerBatch * sc.Batches, Seed: sc.Seed + 2})
 	if err != nil {
 		return nil, err
 	}
@@ -234,13 +208,12 @@ func (sc Scenario) build(v Variant) (*setup, error) {
 
 	b.fl = fl.Config{
 		InputSize:     traffic.NumFeatures,
-		LocalEpochs:   sc.LocalEpochs,
-		LocalRate:     sc.LocalRate,
-		DistillEpochs: sc.DistillEpochs,
-		DistillRate:   sc.DistillRate,
-		ServerStep:    sc.ServerStep,
+		LocalEpochs:   localEpochs,
+		LocalRate:     localRate,
+		DistillEpochs: distillEpochs,
+		DistillRate:   distillRate,
+		ServerStep:    serverStep,
 		Seed:          sc.Seed + 5,
-		Workers:       sc.Workers,
 		Obs:           sc.Obs,
 	}
 	if b.act.Poly != nil && sc.Degree > 1 {
@@ -249,18 +222,17 @@ func (sc Scenario) build(v Variant) (*setup, error) {
 		// the stable region (at the default rate the weights diverge
 		// within a few epochs). Scaling by 1/d² keeps training stable
 		// through degree 4 without touching the degree-1 dynamics.
-		b.fl.LocalRate = sc.LocalRate / float64(sc.Degree*sc.Degree)
+		b.fl.LocalRate = localRate / float64(sc.Degree*sc.Degree)
 	}
 	b.scheme = core.SchemeConfig{
 		NumVehicles: vehicles,
 		NumBatches:  sc.Batches,
 		Degree:      sc.Degree,
 		Seed:        sc.Seed + 6,
-		Workers:     sc.Workers,
 		Obs:         sc.Obs,
 	}
 	if sc.MaliciousFraction > 0 && v != Accurate && v != CodedFL24 {
-		b.plan, err = adversary.NewPlan(vehicles, sc.MaliciousFraction, sc.Behavior, sc.Seed+7)
+		b.plan, err = adversary.NewPlan(vehicles, sc.MaliciousFraction, adversary.ConstantLie{Value: lie}, sc.Seed+7)
 		if err != nil {
 			return nil, err
 		}

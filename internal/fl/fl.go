@@ -77,12 +77,6 @@ type Config struct {
 	// between confident shared models and over-corrected local ensembles;
 	// damping is the standard fixed-point remedy.
 	ServerStep float64
-	// Workers bounds the pool the per-vehicle training/upload loop fans
-	// out across each round (package parallel). Zero selects GOMAXPROCS,
-	// 1 runs sequentially. Every vehicle owns its RNG stream and model,
-	// and the adversary/channel phase stays sequential in vehicle order,
-	// so round results are bit-identical at any worker count.
-	Workers int
 	// Seed makes the whole system deterministic.
 	Seed int64
 	// Obs attaches the observability layer: per-round spans, per-vehicle
@@ -302,10 +296,12 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	s.obs.Emit("round.start", obs.F("round", stats.Round), obs.F("vehicles", len(s.vehicles)))
 
 	// Steps 1–3a: broadcast, local training (eq. 1), and honest upload,
-	// fanned out across the pool. Each vehicle mutates only its own model
-	// with its own RNG stream and writes only its own result slot, so the
-	// outcome is independent of scheduling. Schemes are read-only during
-	// Upload (they mutate state in BeginRound/Aggregate only).
+	// fanned out across GOMAXPROCS goroutines. Each vehicle mutates only
+	// its own model with its own RNG stream and writes only its own result
+	// slot, and the adversary/channel phase below stays sequential in
+	// vehicle order, so the outcome is independent of scheduling. Schemes
+	// are read-only during Upload (they mutate state in
+	// BeginRound/Aggregate only).
 	// Per-vehicle durations are recorded into trainNs slots here and
 	// emitted sequentially below, so trace event ORDER never depends on
 	// pool scheduling (only the timing values do).
@@ -315,7 +311,7 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	if s.obs.Enabled() {
 		trainNs = make([]int64, len(s.vehicles))
 	}
-	err := parallel.ForEach(parallel.Workers(s.cfg.Workers), len(s.vehicles), func(i int) error {
+	err := parallel.ForEach(parallel.Workers(0), len(s.vehicles), func(i int) error {
 		v := s.vehicles[i]
 		var t0 time.Duration
 		if trainNs != nil {

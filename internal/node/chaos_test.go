@@ -3,7 +3,9 @@ package node
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,8 +142,8 @@ func sameBits(a, b []float64) bool {
 // pattern the recovery machinery tolerates — corrupted upload frames
 // (detected by checksum, retransmitted from the vehicle's cache) plus a
 // crash-and-rejoin — yields a final model bit-identical to the
-// fault-free run, at every worker count, with identical recovery
-// counters across worker counts.
+// fault-free run, at every GOMAXPROCS, with identical recovery
+// counters across them.
 func TestChaosRecoveryBitIdentical(t *testing.T) {
 	const vehicles, rounds = 20, 3
 	// before-upload crash: the upload reaches the fusion centre through
@@ -152,37 +154,39 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 	// weaker bit-identity-only guarantee, in TestChaosCrashAfterUpload.)
 	const spec = "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2"
 
-	baseline := buildSessionFull(t, vehicles, rounds, 0, nil, 1).run(t)
+	setProcs(t, 1)
+	baseline := buildSession(t, vehicles, rounds, 0).run(t)
 
 	var first *Report
-	for _, workers := range []int{1, 2, 8} {
-		s := buildSessionFull(t, vehicles, rounds, 0, nil, workers)
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		s := buildSession(t, vehicles, rounds, 0)
 		inj := chaos.New(mustChaosSpec(t, spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
 		report := chaosRun(t, s, inj, map[int]bool{4: true})
 
 		if report.Rounds != rounds {
-			t.Fatalf("workers=%d: rounds = %d", workers, report.Rounds)
+			t.Fatalf("procs=%d: rounds = %d", procs, report.Rounds)
 		}
 		if !sameBits(report.FinalParams, baseline.FinalParams) {
-			t.Errorf("workers=%d: recovered run diverged from fault-free params", workers)
+			t.Errorf("procs=%d: recovered run diverged from fault-free params", procs)
 		}
 		if report.CorruptFrames == 0 {
-			t.Errorf("workers=%d: schedule injected no corrupt frames", workers)
+			t.Errorf("procs=%d: schedule injected no corrupt frames", procs)
 		}
 		if report.Retransmits != report.CorruptFrames {
-			t.Errorf("workers=%d: retransmits %d != corrupt frames %d",
-				workers, report.Retransmits, report.CorruptFrames)
+			t.Errorf("procs=%d: retransmits %d != corrupt frames %d",
+				procs, report.Retransmits, report.CorruptFrames)
 		}
 		if report.Rejoins != 1 {
-			t.Errorf("workers=%d: rejoins = %d, want 1", workers, report.Rejoins)
+			t.Errorf("procs=%d: rejoins = %d, want 1", procs, report.Rejoins)
 		}
 		if report.Stragglers != 0 || report.DegradedRounds != 0 {
-			t.Errorf("workers=%d: stragglers=%d degraded=%d, want full recovery",
-				workers, report.Stragglers, report.DegradedRounds)
+			t.Errorf("procs=%d: stragglers=%d degraded=%d, want full recovery",
+				procs, report.Stragglers, report.DegradedRounds)
 		}
 		if len(report.SuspectedMalicious) != 0 {
-			t.Errorf("workers=%d: recovery flagged honest vehicles: %v",
-				workers, report.SuspectedMalicious)
+			t.Errorf("procs=%d: recovery flagged honest vehicles: %v",
+				procs, report.SuspectedMalicious)
 		}
 		if first == nil {
 			first = report
@@ -193,8 +197,8 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 			report.Rejoins != first.Rejoins ||
 			report.Stragglers != first.Stragglers ||
 			report.DegradedRounds != first.DegradedRounds {
-			t.Errorf("workers=%d: recovery counters diverged: %+v vs %+v",
-				workers, report, first)
+			t.Errorf("procs=%d: recovery counters diverged: %+v vs %+v",
+				procs, report, first)
 		}
 	}
 }
@@ -206,9 +210,10 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 // resend carries identical values).
 func TestChaosCrashAfterUpload(t *testing.T) {
 	const vehicles, rounds = 20, 3
-	baseline := buildSessionFull(t, vehicles, rounds, 0, nil, 1).run(t)
+	setProcs(t, 1)
+	baseline := buildSession(t, vehicles, rounds, 0).run(t)
 
-	s := buildSessionFull(t, vehicles, rounds, 0, nil, 1)
+	s := buildSession(t, vehicles, rounds, 0)
 	inj := chaos.New(mustChaosSpec(t, "seed=5;crash@7=after-upload:1"), chaos.Options{})
 	report := chaosRun(t, s, inj, map[int]bool{7: true})
 
@@ -243,7 +248,7 @@ func TestChaosDegradedRound(t *testing.T) {
 	const vehicles, rounds = 10, 2
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil, nil)
-	s := buildSessionFull(t, vehicles, rounds, 0, o, 0)
+	s := buildSessionObs(t, vehicles, rounds, 0, o)
 	s.server.cfg.RoundTimeout = 500 * time.Millisecond
 	initial := append([]float64(nil), s.server.Shared().Params()...)
 
@@ -480,6 +485,64 @@ func (c setupFails) Send(m *protocol.Message) error {
 		return fmt.Errorf("connection closed before setup")
 	}
 	return c.Conn.Send(m)
+}
+
+// TestRejoinBurstReachesEngine: every rejoin made while the session is
+// live reaches the engine, however many queue up. Sixty-five
+// reconnections of one vehicle — one more than the queue once held, whose
+// overflow was told the session had finished — are queued while Run
+// still waits in its handshake. Round 1 revives every one, each replacing
+// the last, so the Report counts them all and only the vehicle on the
+// connection the engine keeps ends cleanly, on Finished.
+func TestRejoinBurstReachesEngine(t *testing.T) {
+	const vehicles, burst = 10, 65
+	const target = vehicles - 1
+	s := buildSession(t, vehicles, 1, 0)
+	before := runtime.NumGoroutine()
+	var rejoiners sync.WaitGroup
+	var clean atomic.Int32
+	for i := 0; i < burst; i++ {
+		serverEnd, vehicleEnd := transport.Pipe()
+		rejoiners.Add(1)
+		go func() {
+			defer rejoiners.Done()
+			if RunVehicle(vehicleEnd, s.clients[target]) == nil {
+				clean.Add(1)
+			}
+		}()
+		s.server.Rejoin(serverEnd)
+	}
+	// Each Rejoin's goroutine ends once the hello is read and the
+	// connection queued, leaving the burst's vehicles waiting for Setup.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before+burst; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), before+burst)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range s.clients {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == target {
+				silentVehicle(t, s.vconns[i], i) // until the first rejoin replaces it
+			} else if err := RunVehicle(s.vconns[i], s.clients[i]); err != nil {
+				t.Errorf("vehicle %d: %v", i, err)
+			}
+		}(i)
+	}
+	rep, err := s.server.Run(s.conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	rejoiners.Wait()
+	if rep.Rejoins != burst {
+		t.Errorf("%d of %d rejoins reached the engine", rep.Rejoins, burst)
+	}
+	if n := clean.Load(); n != 1 {
+		t.Errorf("%d rejoined vehicles ended cleanly, want 1: the one whose connection the engine kept", n)
+	}
 }
 
 // TestFailedRejoinNotCounted: a rejoin whose connection closes before

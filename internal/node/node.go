@@ -174,12 +174,14 @@ type Server struct {
 	scheme    *core.Scheme
 	distiller *fl.Distiller // the update step over cfg.RefX, one per session
 
-	// rejoin carries handshaked reconnections into Run's collect loop.
-	rejoin chan rejoinReq
+	// revive holds a token while rejoins has handshaked
+	// reconnections for Run's collect loop to revive.
+	revive chan struct{}
 
-	statusMu sync.Mutex    // guards status and records; Phase "done" ends rejoins
+	statusMu sync.Mutex    // guards status, records and rejoins; Phase "done" ends rejoins
 	status   Status        // guarded by statusMu
 	records  []RoundRecord // guarded by statusMu; one per round, from the handshake on
+	rejoins  []rejoinReq   // guarded by statusMu; unbounded, so no live rejoin is turned away
 
 	// Observability handles, resolved once in NewServer; counters is
 	// indexed by fact.
@@ -275,7 +277,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		shared:    shared,
 		scheme:    scheme,
 		distiller: distiller,
-		rejoin:    make(chan rejoinReq, 64),
+		revive:    make(chan struct{}, 1),
 		obs:       cfg.Obs,
 		counters: [numFacts]*obs.Counter{
 			fl.Late:      stragglers,
@@ -298,8 +300,9 @@ func (s *Server) Shared() *nn.Network { return s.shared }
 // the running session. It returns immediately; the handshake (hello)
 // happens on a background goroutine and the revival — Setup resent, the
 // current round's broadcast resent if an upload is owed — in Run's
-// collect loop. A rejoin arriving after the session finished is answered
-// with Finished and closed, so a retrying vehicle terminates cleanly.
+// collect loop. Every rejoin before the session finishes reaches the
+// engine; one arriving after is answered with Finished and closed, so a
+// retrying vehicle terminates cleanly.
 func (s *Server) Rejoin(conn transport.Conn) {
 	go func() {
 		h, err := readHello(conn, s.cfg.Scheme.NumVehicles)
@@ -310,18 +313,27 @@ func (s *Server) Rejoin(conn transport.Conn) {
 		helloNs := int64(s.obs.Now())
 		transport.SetWireVersion(conn, protocol.Version)
 		s.statusMu.Lock()
-		if s.status.Phase != "done" {
-			select {
-			case s.rejoin <- rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs}:
-				s.statusMu.Unlock()
-				return
-			default: // queue full: treat as too-late
-			}
+		if s.status.Phase == "done" {
+			s.statusMu.Unlock()
+			sendFinished(conn, s.cfg.Rounds)
+			return
 		}
-		fin := s.status.Round // every round, once done
+		s.rejoins = append(s.rejoins, rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs})
 		s.statusMu.Unlock()
-		sendFinished(conn, fin)
+		select {
+		case s.revive <- struct{}{}:
+		default: // a token is already waiting, and the engine takes every queued rejoin on it
+		}
 	}()
+}
+
+// takeRejoins empties the rejoin queue.
+func (s *Server) takeRejoins() []rejoinReq {
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
+	q := s.rejoins
+	s.rejoins = nil
+	return q
 }
 
 // recvHello consumes and version-checks a peer's opening hello. A peer
@@ -718,8 +730,10 @@ func (e *engine) collect() {
 					return
 				}
 			}
-		case req := <-e.s.rejoin:
-			e.rejoin(req)
+		case <-e.s.revive:
+			for _, req := range e.s.takeRejoins() {
+				e.rejoin(req)
+			}
 		case <-e.deadline.C:
 			e.closedBy = "timeout"
 			return // stragglers: their uploads stay nil
@@ -998,8 +1012,8 @@ func (e *engine) finish() *Report {
 	e.round, e.arrived, e.outstanding = rounds, 0, 0
 	e.publish("done", false)
 	// Nothing enqueues once the phase is done, so the queue only drains.
-	for len(s.rejoin) > 0 {
-		sendFinished((<-s.rejoin).conn, rounds)
+	for _, req := range s.takeRejoins() {
+		sendFinished(req.conn, rounds)
 	}
 	s.statusMu.Lock()
 	report := sum(s.records)
@@ -1170,24 +1184,22 @@ func (s *vehicleSession) emitStage(stage string, hist *obs.Histogram, round int,
 }
 
 // install builds the local model and this vehicle's share from Setup, and
-// fails here rather than in round 1 when Setup contradicts itself (a model
-// width other than the reference set's, an ID the scheme has no point
-// for). On a rejoin the server resends Setup; an already-installed session
+// fails here rather than in round 1 when Setup contradicts itself (fewer
+// than the two activation coefficients NewServer requires, a model width
+// other than the reference set's, an ID the scheme has no point for).
+// On a rejoin the server resends Setup; an already-installed session
 // keeps its trained model and advanced randomness stream and ignores the
 // repeat.
 func (s *vehicleSession) install(setup *protocol.Setup) error {
 	if s.local != nil {
 		return nil
 	}
-	var act approx.Activation
-	if len(setup.ActivationCoeffs) > 0 {
-		act = approx.FromPolynomial("wire-poly", poly.NewReal(setup.ActivationCoeffs...))
-	} else {
-		act = approx.SymmetricSigmoid()
+	if n := len(setup.ActivationCoeffs); n < 2 {
+		return fmt.Errorf("node: setup carries %d activation coefficients, need at least 2", n)
 	}
 	local, err := nn.New(nn.Config{
 		LayerSizes: []int{setup.InputSize, 1},
-		Activation: act,
+		Activation: approx.FromPolynomial("wire-poly", poly.NewReal(setup.ActivationCoeffs...)),
 		Seed:       s.cfg.Seed,
 	})
 	if err != nil {

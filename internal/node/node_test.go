@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -39,16 +40,17 @@ func buildSession(t *testing.T, vehicles, rounds int, maliciousFrac float64) *se
 	return buildSessionObs(t, vehicles, rounds, maliciousFrac, nil)
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n, the width of every
+// pool in the program, and restores the old setting when the test ends.
+// The determinism tests sweep it.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // buildSessionObs is buildSession with an observability handle attached
 // to the server and every fusion-centre connection (nil = plain session).
 func buildSessionObs(t *testing.T, vehicles, rounds int, maliciousFrac float64, o *obs.Obs) *session {
-	t.Helper()
-	return buildSessionFull(t, vehicles, rounds, maliciousFrac, o, 0)
-}
-
-// buildSessionFull additionally pins the scheme's worker count (0 =
-// GOMAXPROCS) — the chaos determinism tests sweep it.
-func buildSessionFull(t *testing.T, vehicles, rounds int, maliciousFrac float64, o *obs.Obs, workers int) *session {
 	t.Helper()
 	ds, err := traffic.Generate(traffic.GenConfig{Rows: 1200, Seed: 21})
 	if err != nil {
@@ -84,7 +86,6 @@ func buildSessionFull(t *testing.T, vehicles, rounds int, maliciousFrac float64,
 		},
 		Scheme: core.SchemeConfig{
 			NumVehicles: vehicles, NumBatches: 8, Degree: 1, Seed: 26,
-			Workers: workers,
 		},
 		RefX:             refX,
 		ActivationCoeffs: p,

@@ -100,19 +100,20 @@ func TestCrashRejoinBitIdentical(t *testing.T) {
 	matchSimulation(t, []engineCase{crashCase})
 }
 
-// matchSimulation runs every case on the engine at 1, 2 and 8 scheme
-// workers and requires FinalParams bit-identical to the simulation's, the
+// matchSimulation runs every case on the engine at GOMAXPROCS 1, 2 and 8
+// and requires FinalParams bit-identical to the simulation's, the
 // simulation's admitted and flagged sets in every round, and recovery
-// counters equal across worker counts.
+// counters equal across them.
 func matchSimulation(t *testing.T, cases []engineCase) {
 	t.Helper()
 	for _, tc := range cases {
 		admitted := tc.admitted(t)
 		var first *Report
-		for _, workers := range []int{1, 2, 8} {
-			s, rep := tc.run(t, workers)
+		for _, procs := range []int{1, 2, 8} {
+			setProcs(t, procs)
+			s, rep := tc.run(t)
 			if rep.Rounds != engineRounds {
-				t.Fatalf("%s workers=%d: rounds = %d", tc.name, workers, rep.Rounds)
+				t.Fatalf("%s procs=%d: rounds = %d", tc.name, procs, rep.Rounds)
 			}
 			if first == nil {
 				first = rep
@@ -130,40 +131,40 @@ func matchSimulation(t *testing.T, cases []engineCase) {
 				continue
 			}
 			if !sameBits(rep.FinalParams, first.FinalParams) {
-				t.Errorf("%s workers=%d: FinalParams differ from workers=1", tc.name, workers)
+				t.Errorf("%s procs=%d: FinalParams differ from procs=1", tc.name, procs)
 			}
 			if !slices.Equal(rep.SuspectedMalicious, first.SuspectedMalicious) {
-				t.Errorf("%s workers=%d: flagged %v, workers=1 %v",
-					tc.name, workers, rep.SuspectedMalicious, first.SuspectedMalicious)
+				t.Errorf("%s procs=%d: flagged %v, procs=1 %v",
+					tc.name, procs, rep.SuspectedMalicious, first.SuspectedMalicious)
 			}
 			// RecvErrors is compared only for crash-free specs: whether the
 			// fusion centre's receiver observes a killed conn's EOF before
 			// the rejoin replaces it is a scheduling race
 			// (TestChaosRecoveryBitIdentical omits it likewise).
 			if tc.retry == nil && rep.RecvErrors != first.RecvErrors {
-				t.Errorf("%s workers=%d: recv errors %d, workers=1 %d",
-					tc.name, workers, rep.RecvErrors, first.RecvErrors)
+				t.Errorf("%s procs=%d: recv errors %d, procs=1 %d",
+					tc.name, procs, rep.RecvErrors, first.RecvErrors)
 			}
 			if rep.Stragglers != first.Stragglers ||
 				rep.CorruptFrames != first.CorruptFrames ||
 				rep.Retransmits != first.Retransmits ||
 				rep.Rejoins != first.Rejoins ||
 				rep.DegradedRounds != first.DegradedRounds {
-				t.Errorf("%s workers=%d: recovery counters diverged:\n%+v\nworkers=1 %+v",
-					tc.name, workers, rep, first)
+				t.Errorf("%s procs=%d: recovery counters diverged:\n%+v\nprocs=1 %+v",
+					tc.name, procs, rep, first)
 			}
 		}
 	}
 }
 
-// run executes the case's session on the engine at the given scheme
-// worker count (buildSessionFull seeds every vehicle as fl.System does).
-func (tc engineCase) run(t *testing.T, workers int) (*session, *Report) {
+// run executes the case's session on the engine (buildSessionObs seeds
+// every vehicle as fl.System does).
+func (tc engineCase) run(t *testing.T) (*session, *Report) {
 	t.Helper()
 	if tc.deferred {
-		return runDeferredSession(t, engineVehicles, engineRounds, workers, 2, nil)
+		return runDeferredSession(t, engineVehicles, engineRounds, 2, nil)
 	}
-	s := buildSessionFull(t, engineVehicles, engineRounds, tc.malicious, nil, workers)
+	s := buildSessionObs(t, engineVehicles, engineRounds, tc.malicious, nil)
 	if tc.flood {
 		// The future-round upload after round engineRounds-1 is refused
 		// as a receive error that closes the hostile vehicle's connection,
@@ -533,9 +534,9 @@ func runWrapped(t *testing.T, s *session, wrap func(i int, c transport.Conn) tra
 
 // runLateSession runs a session with the given wait budget, the last two
 // vehicles' connections wrapped by late.
-func runLateSession(t *testing.T, vehicles, rounds, workers, waitBudget int, late func(transport.Conn) transport.Conn, o *obs.Obs) (*session, *Report) {
+func runLateSession(t *testing.T, vehicles, rounds, waitBudget int, late func(transport.Conn) transport.Conn, o *obs.Obs) (*session, *Report) {
 	t.Helper()
-	s := buildSessionFull(t, vehicles, rounds, 0, o, workers)
+	s := buildSessionObs(t, vehicles, rounds, 0, o)
 	s.server.cfg.WaitBudget = waitBudget
 	return s, runWrapped(t, s, func(i int, c transport.Conn) transport.Conn {
 		if i >= vehicles-2 {
@@ -547,9 +548,9 @@ func runLateSession(t *testing.T, vehicles, rounds, workers, waitBudget int, lat
 
 // runDeferredSession is runLateSession with the last two vehicles
 // deferring every upload one round (deferConn).
-func runDeferredSession(t *testing.T, vehicles, rounds, workers, waitBudget int, o *obs.Obs) (*session, *Report) {
+func runDeferredSession(t *testing.T, vehicles, rounds, waitBudget int, o *obs.Obs) (*session, *Report) {
 	t.Helper()
-	return runLateSession(t, vehicles, rounds, workers, waitBudget,
+	return runLateSession(t, vehicles, rounds, waitBudget,
 		func(c transport.Conn) transport.Conn { return &deferConn{Conn: c} }, o)
 }
 
@@ -573,7 +574,8 @@ func TestPipelineEarlyClose(t *testing.T) {
 		var trace bytes.Buffer
 		clock := &obs.ManualClock{}
 		tr := obs.NewTracer(&trace, clock)
-		_, base := runDeferredSession(t, vehicles, rounds, 1, 2, obs.New(reg, tr, clock))
+		setProcs(t, 1)
+		_, base := runDeferredSession(t, vehicles, rounds, 2, obs.New(reg, tr, clock))
 		got := int(reg.Snapshot().Counters["node.early_closes"])
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
@@ -595,13 +597,14 @@ func TestPipelineEarlyClose(t *testing.T) {
 		if base.DegradedRounds != 0 {
 			t.Errorf("rounds=%d: degraded rounds = %d", rounds, base.DegradedRounds)
 		}
-		for _, workers := range []int{2, 8} {
-			_, rep := runDeferredSession(t, vehicles, rounds, workers, 2, nil)
+		for _, procs := range []int{2, 8} {
+			setProcs(t, procs)
+			_, rep := runDeferredSession(t, vehicles, rounds, 2, nil)
 			if !sameBits(rep.FinalParams, base.FinalParams) {
-				t.Errorf("rounds=%d workers=%d: budget-closed run not deterministic", rounds, workers)
+				t.Errorf("rounds=%d procs=%d: budget-closed run not deterministic", rounds, procs)
 			}
 			if rep.Stragglers != base.Stragglers {
-				t.Errorf("rounds=%d workers=%d: stragglers %d, want %d", rounds, workers, rep.Stragglers, base.Stragglers)
+				t.Errorf("rounds=%d procs=%d: stragglers %d, want %d", rounds, procs, rep.Stragglers, base.Stragglers)
 			}
 		}
 	}
@@ -617,7 +620,8 @@ func TestPipelineWindowWithholding(t *testing.T) {
 	const vehicles, rounds = 12, pipelineWindow + 2
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil, nil)
-	_, rep := runLateSession(t, vehicles, rounds, 1, 2,
+	setProcs(t, 1)
+	_, rep := runLateSession(t, vehicles, rounds, 2,
 		func(c transport.Conn) transport.Conn { return silentConn{c} }, o)
 	if rep.Rounds != rounds {
 		t.Fatalf("rounds = %d, want %d", rep.Rounds, rounds)
@@ -730,7 +734,8 @@ func TestReceiverBlocksOnItsBuffers(t *testing.T) {
 // that its broadcast is withheld: it is late, by the budget, every round.
 func TestMixedFaultVerdicts(t *testing.T) {
 	const rounds = pipelineWindow
-	s := buildSessionFull(t, engineVehicles, rounds, 0.1, nil, 1)
+	setProcs(t, 1)
+	s := buildSessionObs(t, engineVehicles, rounds, 0.1, nil)
 	liars := s.plan.IDs()
 	if len(liars) != 1 {
 		t.Fatalf("plan has %d liars, want 1", len(liars))

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/protocol"
+	"repro/internal/transport"
 )
 
 // shareSetup is a Setup for a V-vehicle scheme with everything else
@@ -63,6 +65,37 @@ func TestInstallRefusesInconsistentSetup(t *testing.T) {
 		}
 		if sess.local != nil || sess.share != nil {
 			t.Errorf("%s: refused Setup left the session installed", name)
+		}
+	}
+}
+
+// TestSetupWithoutActivationRefused: a Setup with fewer than the two
+// activation coefficients NewServer requires comes only from a broken or
+// hostile peer. The vehicle refuses it with a permanent error naming the
+// count, rather than train a model other than the one the verification
+// channel evaluates.
+func TestSetupWithoutActivationRefused(t *testing.T) {
+	for _, coeffs := range [][]float64{nil, {0.25}} {
+		setup := shareSetup(64)
+		setup.ActivationCoeffs = coeffs
+		fusion, vehicle := transport.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer fusion.Close()
+			if m, err := fusion.Recv(); err != nil || m.Hello == nil {
+				t.Errorf("expected hello: %+v, %v", m, err)
+				return
+			}
+			if err := fusion.Send(&protocol.Message{Setup: setup}); err != nil {
+				t.Errorf("send setup: %v", err)
+			}
+		}()
+		err := RunVehicle(vehicle, ClientConfig{VehicleID: 0, Data: []nn.Sample{{X: make([]float64, 16)}}, Seed: 1})
+		<-done
+		want := fmt.Sprintf("%d activation coefficients", len(coeffs))
+		if err == nil || !strings.Contains(err.Error(), want) || IsTransient(err) {
+			t.Errorf("%d coefficients: RunVehicle returned %v, want a permanent error naming %q", len(coeffs), err, want)
 		}
 	}
 }

@@ -37,9 +37,8 @@ func soakInt(t testing.TB, name string, def int) int {
 // to 2 so the recover threshold K stays 2 for any vehicle count (the
 // fleet size no longer has to divide the reference rows), the round
 // timeout is generous enough for hundreds of connections under the race
-// detector, and the worker knob is pinned on both the scheme and the
-// training pools for the determinism sweep.
-func soakScenario(t testing.TB, ids []string, vehicles, rounds, workers int) (map[string]ServerConfig, map[string][]ClientConfig) {
+// detector.
+func soakScenario(t testing.TB, ids []string, vehicles, rounds int) (map[string]ServerConfig, map[string][]ClientConfig) {
 	t.Helper()
 	if vehicles < 2 {
 		t.Fatalf("soak scenario needs >= 2 vehicles, got %d", vehicles)
@@ -79,11 +78,9 @@ func soakScenario(t testing.TB, ids []string, vehicles, rounds, workers int) (ma
 				DistillRate:   0.2,
 				ServerStep:    0.5,
 				Seed:          seed + 2,
-				Workers:       workers,
 			},
 			Scheme: core.SchemeConfig{
 				NumVehicles: vehicles, NumBatches: 2, Degree: 1, Seed: seed + 3,
-				Workers: workers,
 			},
 			RefX:             refX,
 			ActivationCoeffs: p,
@@ -185,19 +182,21 @@ func soakDrive(t testing.TB, dial func() (transport.Conn, error), clients map[st
 // multi-session fleet under chaos churn — delayed uploads on one shard
 // plus a crash-and-rejoin through the fleet's admission path — produces
 // per-session aggregates bit-identical to the single-session
-// baseline, at every worker count in {1, 2, 8}.
+// baseline, at every GOMAXPROCS in {1, 2, 8}.
 func TestFleetSoakWorkersSweep(t *testing.T) {
 	ids := []string{"s0", "s1", "s2"}
 	const vehicles, rounds = 6, 2
 
-	baseCfgs, baseClients := soakScenario(t, ids, vehicles, rounds, 1)
+	setProcs(t, 1)
+	baseCfgs, baseClients := soakScenario(t, ids, vehicles, rounds)
 	baseline := make(map[string]*Report, len(ids))
 	for _, id := range ids {
 		baseline[id] = soloRun(t, baseCfgs[id], baseClients[id])
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		cfgs, clients := soakScenario(t, ids, vehicles, rounds, workers)
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		cfgs, clients := soakScenario(t, ids, vehicles, rounds)
 		fleet, err := NewFleet(FleetConfig{Sessions: cfgs})
 		if err != nil {
 			t.Fatal(err)
@@ -216,27 +215,27 @@ func TestFleetSoakWorkersSweep(t *testing.T) {
 		inj := chaos.New(mustChaosSpec(t, "seed=11;delay.upload@2=1:60ms;delay.upload=0.2:1ms;crash@1=before-upload:2"),
 			chaos.Options{})
 		if err := soakDrive(t, fab.Dial, clients, ids, ids[0], inj); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		if err := <-serveErr; err != nil {
-			t.Fatalf("workers=%d: fleet serve: %v", workers, err)
+			t.Fatalf("procs=%d: fleet serve: %v", procs, err)
 		}
 
 		results := fleet.Results()
 		for _, id := range ids {
 			r := results[id]
 			if r.Err != nil || r.Report == nil || r.Report.Rounds != rounds {
-				t.Fatalf("workers=%d session %s: report=%+v err=%v", workers, id, r.Report, r.Err)
+				t.Fatalf("procs=%d session %s: report=%+v err=%v", procs, id, r.Report, r.Err)
 			}
 			if !sameBits(r.Report.FinalParams, baseline[id].FinalParams) {
-				t.Errorf("workers=%d session %s: fleet aggregate diverged from single-session baseline", workers, id)
+				t.Errorf("procs=%d session %s: fleet aggregate diverged from single-session baseline", procs, id)
 			}
 		}
 		if rj := results[ids[0]].Report.Rejoins; rj < 1 {
-			t.Errorf("workers=%d: chaos shard rejoins = %d, want >= 1", workers, rj)
+			t.Errorf("procs=%d: chaos shard rejoins = %d, want >= 1", procs, rj)
 		}
 		if st := fleet.Status(); st.Live != 0 || st.Committed != 0 {
-			t.Errorf("workers=%d: drained status live=%d committed=%d", workers, st.Live, st.Committed)
+			t.Errorf("procs=%d: drained status live=%d committed=%d", procs, st.Live, st.Committed)
 		}
 	}
 }
@@ -257,7 +256,7 @@ func TestFleetSoakTCP(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s%d", i)
 	}
-	cfgs, clients := soakScenario(t, ids, vehicles, rounds, 0)
+	cfgs, clients := soakScenario(t, ids, vehicles, rounds)
 
 	fcfg := FleetConfig{Sessions: cfgs, HandshakeTimeout: 30 * time.Second}
 	if sessions > 1 {

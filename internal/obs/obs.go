@@ -21,8 +21,8 @@
 //   - Race-clean. Counters, gauges and histograms are lock-free atomics;
 //     the tracer serialises emission behind one mutex, so instrumented
 //     code may emit from worker-pool goroutines freely. Event ORDER in a
-//     trace is only deterministic where emission is sequential (workers=1
-//     or events emitted outside parallel fan-outs).
+//     trace is only deterministic where emission is sequential
+//     (GOMAXPROCS=1, or events emitted outside parallel fan-outs).
 package obs
 
 import (

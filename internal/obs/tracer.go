@@ -19,7 +19,7 @@ import (
 // Emission is serialised behind one mutex, so any goroutine may emit; the
 // nil *Tracer drops everything. Events from concurrent worker-pool tasks
 // are recorded race-free but in scheduling order, so fully deterministic
-// trace FILES additionally require workers=1 (see the package comment).
+// trace FILES additionally require GOMAXPROCS=1 (see the package comment).
 type Tracer struct {
 	mu    sync.Mutex    // guards w and err
 	w     *bufio.Writer // guarded by mu

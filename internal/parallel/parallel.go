@@ -23,49 +23,10 @@ import (
 	"sync/atomic"
 )
 
-// Pool-usage counters, maintained O(1) per pool entry (never per task in
-// the claiming loop) so they cost nothing on the hot paths. Snapshot
-// exposes them for the observability layer (internal/obs consumers
-// publish them as gauges at report time).
-var stats struct {
-	poolRuns       atomic.Int64 // ForEach entries that spawned goroutines
-	seqRuns        atomic.Int64 // ForEach entries that ran inline
-	tasks          atomic.Int64 // total indices scheduled across all entries
-	workersSpawned atomic.Int64 // goroutines started by ForEach (excl. caller)
-	groupTasks     atomic.Int64 // goroutines started via Group.Go
-}
-
-// Stats is a point-in-time copy of the package's pool-usage counters.
-type Stats struct {
-	// PoolRuns counts ForEach entries that fanned out across
-	// goroutines; SeqRuns counts the entries that ran inline (workers<=1
-	// or tiny n).
-	PoolRuns, SeqRuns int64
-	// Tasks is the total number of indices scheduled across all entries.
-	Tasks int64
-	// WorkersSpawned is the total goroutines ForEach started (the caller
-	// participating as worker 0 is not counted). WorkersSpawned/PoolRuns
-	// approximates the mean fan-out width per pooled entry.
-	WorkersSpawned int64
-	// GroupTasks is the total goroutines started through Group.Go.
-	GroupTasks int64
-}
-
-// Snapshot returns the current pool-usage counters.
-func Snapshot() Stats {
-	return Stats{
-		PoolRuns:       stats.poolRuns.Load(),
-		SeqRuns:        stats.seqRuns.Load(),
-		Tasks:          stats.tasks.Load(),
-		WorkersSpawned: stats.workersSpawned.Load(),
-		GroupTasks:     stats.groupTasks.Load(),
-	}
-}
-
-// Workers resolves a worker-count knob: values < 1 select
-// runtime.GOMAXPROCS(0) (the pool's default), everything else passes
-// through. Callers plumb user-facing `-workers` flags through this so 0
-// uniformly means "all cores".
+// Workers resolves a fan-out width: values < 1 select
+// runtime.GOMAXPROCS(0), everything else passes through. Every pool in
+// the program runs at Workers(0), so the runtime's GOMAXPROCS is the one
+// setting of its width.
 func Workers(n int) int {
 	if n < 1 {
 		return runtime.GOMAXPROCS(0)
@@ -93,9 +54,8 @@ func (p *panicError) Error() string {
 // worker's stack trace attached, so a crashing task never kills the
 // process from an anonymous goroutine.
 //
-// workers <= 1 (after Workers resolution the caller performed, if any)
-// runs the plain sequential loop inline — no goroutines, no atomics —
-// so a parallelism knob of 1 costs nothing over the pre-pool code.
+// workers <= 1 runs the plain sequential loop inline — no goroutines, no
+// atomics — so a program at GOMAXPROCS=1 pays nothing for the pool.
 func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -103,9 +63,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	stats.tasks.Add(int64(n))
 	if workers <= 1 {
-		stats.seqRuns.Add(1)
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -113,8 +71,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	stats.poolRuns.Add(1)
-	stats.workersSpawned.Add(int64(workers - 1))
 
 	var (
 		next     atomic.Int64 // next index to claim
@@ -196,7 +152,6 @@ func (g *Group) Go(fn func() error) {
 	idx := g.count
 	g.count++
 	g.mu.Unlock()
-	stats.groupTasks.Add(1)
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
