@@ -17,11 +17,14 @@
 // so no data file needs to be exchanged); "dist" runs the same
 // distributed session in one process over in-memory pipes, optionally
 // under a seeded fault-injection spec (see internal/chaos and DESIGN.md
-// §11) — the CI chaos gate.
+// §11) — the CI chaos gate; "soak" runs many sessions and their vehicles
+// in one process. serve, dist and soak share one runner (fleet.go): every
+// session sits behind a node.Fleet, which admits each connection, reads
+// its hello once, and hands a vehicle that redials back to its session
+// (DESIGN.md §16).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +46,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/debugz"
-	"repro/internal/parallel"
 	"repro/internal/plot"
 	"repro/internal/traffic"
 	"repro/internal/transport"
@@ -92,10 +94,10 @@ commands:
   run      regenerate one figure (fig2..fig9) as TSV
   all      regenerate every figure into a directory
   demo     walk one verified round verbosely
-  serve    run a fusion centre over TCP (-checkpoint saves the model)
+  serve    run a fusion centre's sessions over TCP (-checkpoint saves the model)
   vehicle  run one vehicle over TCP (with bounded reconnect)
-  dist     run the distributed session in-process, optionally under -chaos faults
-  soak     run a multi-session fleet soak in-process (pipes or TCP)
+  dist     run one session and its vehicles in-process over pipes, optionally under -chaos faults
+  soak     run many sessions and their vehicles in-process (pipes or TCP)
   predict  load a model checkpoint and score a dataset
 `)
 }
@@ -524,9 +526,9 @@ func deploy(vehicles, rounds int, seed int64, malicious float64, ob *obs.Obs) (*
 	}.Deploy()
 }
 
-// verdictTotals is the line serve and dist end on: the session's verdicts
-// summed by kind, which add up to rounds x vehicles, then the recovery
-// work its round records counted.
+// verdictTotals is the line serve, dist and soak end a session on: its
+// verdicts summed by kind, which add up to rounds x vehicles, then the
+// recovery work its round records counted.
 func verdictTotals(rep *node.Report) string {
 	var t fl.Tally
 	vehicles := 0
@@ -541,17 +543,20 @@ func verdictTotals(rep *node.Report) string {
 func cmdServe(args []string) (retErr error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":9444", "listen address")
-	vehicles := fs.Int("vehicles", 20, "expected fleet size (per session in fleet mode)")
+	vehicles := fs.Int("vehicles", 20, "vehicles per session")
 	rounds := fs.Int("rounds", 10, "global rounds")
 	seed := fs.Int64("seed", 1, "shared scenario seed")
-	checkpoint := fs.String("checkpoint", "", "write the final shared model as JSON")
-	sessionsN := fs.Int("sessions", 1, "concurrent sessions behind this listener (fleet mode when > 1; session IDs s0..sN-1, vehicles join with -session)")
-	maxConns := fs.Int("max-conns", 0, "fleet mode: global connection budget, reserved in session-sized chunks (0 = unlimited)")
-	queueDepth := fs.Int("queue-depth", 0, "fleet mode: handshaked connections parked when the budget is exhausted (0 = reject with a retry hint)")
+	checkpoint := fs.String("checkpoint", "", "write the final shared model as JSON (one session only)")
+	sessionsN := fs.Int("sessions", 1, "concurrent sessions behind this listener (IDs s0..sN-1; vehicles join with -session, s0 without it)")
+	maxConns := fs.Int("max-conns", 0, "global connection budget, reserved in session-sized chunks (0 = unlimited)")
+	queueDepth := fs.Int("queue-depth", 0, "handshaked connections parked when the budget is exhausted (0 = reject with a retry hint)")
 	pipeline := addPipelineFlags(fs)
 	observe := addObsFlags(fs, true)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *checkpoint != "" && *sessionsN > 1 {
+		return fmt.Errorf("serve: -checkpoint writes one session's model; it cannot be combined with -sessions %d", *sessionsN)
 	}
 	ob, dbg, closeObs, err := observe()
 	if err != nil {
@@ -562,79 +567,11 @@ func cmdServe(args []string) (retErr error) {
 			retErr = cerr
 		}
 	}()
-	if *sessionsN > 1 {
-		return serveFleet(*addr, *sessionsN, *vehicles, *rounds, *maxConns, *queueDepth, *seed, pipeline, ob, dbg)
-	}
-	d, err := deploy(*vehicles, *rounds, *seed, 0, ob)
-	if err != nil {
-		return err
-	}
-	pipeline(&d.Server)
-	srv, err := node.NewServer(d.Server)
-	if err != nil {
-		return err
-	}
-	// /roundz serves the engine's live snapshot once the session starts.
-	dbg.SetRoundz(func() any { return srv.Status() })
-	l, err := transport.ListenTCP(*addr)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	fmt.Printf("lcofl serve: listening on %s for %d vehicles\n", l.Addr(), *vehicles)
-	conns := make([]transport.Conn, 0, *vehicles)
-	for len(conns) < *vehicles {
-		c, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		// Initial label by accept order; the server relabels to the
-		// handshaken vehicle ID once hello arrives.
-		conns = append(conns, transport.Instrument(c, ob, fmt.Sprintf("conn-%d", len(conns))))
-		fmt.Printf("lcofl serve: %d/%d vehicles connected\n", len(conns), *vehicles)
-	}
-	// Keep accepting while the session runs: a vehicle that crashed (or
-	// was faulted by -chaos on its side) redials, and Server.Rejoin
-	// revives it mid-round. Rejoins after the session end are answered
-	// with Finished, so retrying vehicles always terminate.
-	var acceptLoop parallel.Group
-	acceptLoop.Go(func() error {
-		for n := 0; ; n++ {
-			c, err := l.Accept()
-			if err != nil {
-				return nil // listener closed: session over
-			}
-			fmt.Printf("lcofl serve: rejoin connection %d accepted\n", n)
-			srv.Rejoin(transport.Instrument(c, ob, fmt.Sprintf("rejoin-%d", n)))
-		}
-	})
-	report, err := srv.Run(conns)
-	_ = l.Close() // unblock the accept loop; the deferred Close becomes a no-op
-	if werr := acceptLoop.Wait(); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("lcofl serve: completed %d rounds, flagged %v, stragglers %d\n",
-		report.Rounds, report.SuspectedMalicious, report.Stragglers)
-	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("lcofl serve: final shared-model test accuracy %.3f\n", acc)
-	if *checkpoint != "" {
-		data, err := json.MarshalIndent(srv.Shared().Snapshot(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*checkpoint, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("lcofl serve: wrote model checkpoint to %s\n", *checkpoint)
-	}
-	fmt.Printf("lcofl serve: %s\n", verdictTotals(report))
-	return nil
+	_, err = fleetRun{
+		cmd: "serve", addr: *addr, sessions: *sessionsN, vehicles: *vehicles, rounds: *rounds, seed: *seed,
+		maxConns: *maxConns, queueDepth: *queueDepth, pipeline: pipeline, checkpoint: *checkpoint,
+	}.run(ob, dbg)
+	return err
 }
 
 func cmdPredict(args []string) error {
@@ -699,9 +636,9 @@ func cmdVehicle(args []string) (retErr error) {
 	fs := flag.NewFlagSet("vehicle", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9444", "fusion centre address")
 	id := fs.Int("id", 0, "vehicle ID (0..V-1)")
-	vehicles := fs.Int("vehicles", 20, "fleet size (must match the server; per session in fleet mode)")
+	vehicles := fs.Int("vehicles", 20, "vehicles per session (must match the server)")
 	seed := fs.Int64("seed", 1, "shared scenario seed")
-	session := fs.String("session", "", "fleet session to join (s0, s1, … as served by lcofl serve -sessions; empty = single-session)")
+	session := fs.String("session", "", "session to join (s0, s1, … as served by lcofl serve -sessions; empty joins s0)")
 	malicious := fs.Bool("malicious", false, "lie on every upload")
 	retries := fs.Int("retries", 5, "consecutive failed connection attempts before giving up")
 	dialTimeout := fs.Duration("dial-timeout", transport.DefaultDialTimeout, "per-attempt connection timeout")
@@ -723,9 +660,9 @@ func cmdVehicle(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	// In fleet mode both sides derive the session's scenario from the
-	// master seed and the session index, so a vehicle only needs the
-	// session ID to agree with the fusion centre.
+	// Both sides derive the session's scenario from the master seed and
+	// the session index, so a vehicle only needs the session ID to agree
+	// with the fusion centre; s0's seed is the master seed itself.
 	scenarioSeed := *seed
 	if *session != "" {
 		var j int
@@ -774,7 +711,7 @@ func cmdVehicle(args []string) (retErr error) {
 }
 
 // cmdDist runs the whole distributed deployment — fusion centre plus
-// fleet — inside one process over in-memory pipes, with every
+// fleet — inside one process over the in-memory pipe fabric, with every
 // vehicle-side connection optionally wrapped by the -chaos injector and
 // every vehicle running under bounded-reconnect retry. This is what the
 // CI chaos-smoke gate drives: a seeded fault schedule, then
@@ -806,70 +743,9 @@ func cmdDist(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	d, err := deploy(*vehicles, *rounds, *seed, *malicious, ob)
-	if err != nil {
-		return err
-	}
-	d.Server.RoundTimeout = *timeout
-	pipeline(&d.Server)
-	srv, err := node.NewServer(d.Server)
-	if err != nil {
-		return err
-	}
-	dbg.SetRoundz(func() any { return srv.Status() })
-	if d.Plan != nil {
-		fmt.Printf("lcofl dist: %d malicious vehicles: %v\n", d.Plan.Count(), d.Plan.IDs())
-	}
-	if inj != nil {
-		fmt.Printf("lcofl dist: chaos spec %q active on every vehicle-side connection\n", inj.Spec().String())
-	}
-	fmt.Printf("lcofl dist: %d vehicles, %d rounds over in-memory pipes\n", *vehicles, *rounds)
-
-	conns := make([]transport.Conn, *vehicles)
-	var fleet parallel.Group
-	for i := 0; i < *vehicles; i++ {
-		serverEnd, vehicleEnd := transport.Pipe()
-		conns[i] = transport.Instrument(serverEnd, ob, fmt.Sprintf("conn-%d", i))
-		cc := d.Clients[i]
-		first := vehicleEnd
-		dial := func() (transport.Conn, error) {
-			if first != nil {
-				c := first
-				first = nil
-				return chaosWrap(inj, i, c), nil
-			}
-			// Crash recovery: open a fresh pipe and hand the
-			// fusion-centre side to the running session.
-			se, ve := transport.Pipe()
-			srv.Rejoin(transport.Instrument(se, ob, fmt.Sprintf("conn-%d", i)))
-			return chaosWrap(inj, i, ve), nil
-		}
-		fleet.Go(func() error {
-			return node.RunVehicleRetry(cc, node.RetryConfig{
-				Dial:        dial,
-				MaxAttempts: *retries,
-				// Redialing a pipe is instant; keep the backoff short so
-				// a crashed vehicle rejoins within the session instead
-				// of finding it already finished.
-				BaseDelay: time.Millisecond,
-				Obs:       ob,
-			})
-		})
-	}
-	report, err := srv.Run(conns)
-	if werr := fleet.Wait(); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("lcofl dist: completed %d rounds, flagged %v, stragglers %d\n",
-		report.Rounds, report.SuspectedMalicious, report.Stragglers)
-	acc, err := fl.ModelAccuracy(srv.Shared(), d.Test.Samples)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("lcofl dist: final shared-model test accuracy %.3f\n", acc)
-	fmt.Printf("lcofl dist: %s\n", verdictTotals(report))
-	return nil
+	_, err = fleetRun{
+		cmd: "dist", sessions: 1, vehicles: *vehicles, rounds: *rounds, seed: *seed, malicious: *malicious,
+		timeout: *timeout, pipeline: pipeline, local: true, inj: inj, retries: *retries,
+	}.run(ob, dbg)
+	return err
 }

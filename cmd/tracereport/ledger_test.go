@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"sort"
 	"strings"
@@ -19,10 +18,10 @@ import (
 )
 
 // chaosSession runs one traced in-process session — 12 vehicles, 3
-// rounds, over pipes — under the chaos spec CI's chaos-smoke job uses
-// (corrupted uploads, delays, one crash and rejoin), wired as `lcofl
-// dist` wires it. It returns the trace's lines and the path of the
-// metrics snapshot taken after the session.
+// rounds, behind a node.Fleet on the pipe fabric, as `lcofl dist` runs it
+// — under the chaos spec CI's chaos-smoke job uses (corrupted uploads,
+// delays, one crash and rejoin). It returns the trace's lines and the
+// path of the metrics snapshot taken after the session.
 func chaosSession(t *testing.T) ([]string, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -35,42 +34,42 @@ func chaosSession(t *testing.T) ([]string, string) {
 		t.Fatal(err)
 	}
 	inj := chaos.New(spec, chaos.Options{Obs: ob})
-	const vehicles = 12
 	d, err := experiments.Scenario{
-		Vehicles: vehicles, Rounds: 3, Rows: 2000, Batches: 4, Seed: 7, Obs: ob,
+		Vehicles: 12, Rounds: 3, Rows: 2000, Batches: 4, Seed: 7, Obs: ob,
 	}.Deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Server.RoundTimeout = 10 * time.Second
-	srv, err := node.NewServer(d.Server)
+	fleet, err := node.NewFleet(node.FleetConfig{
+		Sessions:       map[string]node.ServerConfig{"s0": d.Server},
+		DefaultSession: "s0",
+		Obs:            ob,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns := make([]transport.Conn, vehicles)
-	var fleet parallel.Group
-	for i := range conns {
-		serverEnd, vehicleEnd := transport.Pipe()
-		conns[i] = transport.Instrument(serverEnd, ob, fmt.Sprintf("conn-%d", i))
-		first := vehicleEnd
+	fab := transport.NewPipeFabric()
+	var serving, vehicles parallel.Group
+	serving.Go(func() error { return fleet.Serve(fab) })
+	for _, cc := range d.Clients {
 		dial := func() (transport.Conn, error) {
-			if first != nil {
-				c := first
-				first = nil
-				return inj.Wrap(i, c), nil
+			c, err := fab.Dial()
+			if err != nil {
+				return nil, err
 			}
-			se, ve := transport.Pipe()
-			srv.Rejoin(transport.Instrument(se, ob, fmt.Sprintf("conn-%d", i)))
-			return inj.Wrap(i, ve), nil
+			return inj.Wrap(cc.VehicleID, c), nil
 		}
-		cc := d.Clients[i]
-		fleet.Go(func() error {
+		vehicles.Go(func() error {
 			return node.RunVehicleRetry(cc, node.RetryConfig{Dial: dial, BaseDelay: time.Millisecond, Obs: ob})
 		})
 	}
-	_, err = srv.Run(conns)
-	if werr := fleet.Wait(); werr != nil && err == nil {
-		err = werr
+	err = vehicles.Wait()
+	if serr := serving.Wait(); err == nil {
+		err = serr
+	}
+	if err == nil {
+		err = fleet.Results()["s0"].Err
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +15,18 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
+
+// rejoin hands srv's session a reconnected vehicle as a Fleet does: it
+// reads and stamps the hello on conn and queues the connection for the
+// engine. A hello that fails the handshake closes conn.
+func rejoin(srv *Server, conn transport.Conn) {
+	h, err := readHello(conn, srv.cfg.Scheme.NumVehicles)
+	if err != nil {
+		_ = conn.Close()
+		return
+	}
+	srv.enqueue(hello{conn: conn, msg: h, ns: int64(srv.obs.Now())})
+}
 
 // chaosRun executes a session with the vehicle side of every connection
 // wrapped by the injector. Vehicles in retry run under RunVehicleRetry
@@ -44,7 +55,7 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 					return inj.Wrap(i, s.vconns[i]), nil
 				}
 				serverEnd, vehicleEnd := transport.Pipe()
-				s.server.Rejoin(serverEnd)
+				go rejoin(s.server, serverEnd) // reads the hello the vehicle is about to send
 				return inj.Wrap(i, vehicleEnd), nil
 			}
 			go func(i int) {
@@ -83,7 +94,7 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 // vehicle crashed so far (Status().Rejoins). Both engines close a round
 // as soon as nobody alive still owes an upload — a dead vehicle is not
 // waited for — so without the gate the crashed vehicle's resend makes its
-// crash round only if Server.Rejoin wins a race against the other
+// crash round only if its rejoin wins a race against the other
 // vehicles' uploads; when it loses, that round averages the learning
 // channel over one vehicle fewer (or the session ends before the rejoin)
 // and the run is no longer comparable bit for bit. With the gate the
@@ -490,15 +501,14 @@ func (c setupFails) Send(m *protocol.Message) error {
 // TestRejoinBurstReachesEngine: every rejoin made while the session is
 // live reaches the engine, however many queue up. Sixty-five
 // reconnections of one vehicle — one more than the queue once held, whose
-// overflow was told the session had finished — are queued while Run
-// still waits in its handshake. Round 1 revives every one, each replacing
-// the last, so the Report counts them all and only the vehicle on the
-// connection the engine keeps ends cleanly, on Finished.
+// overflow was told the session had finished — are queued before Run
+// starts. Round 1 revives every one, each replacing the last, so the
+// Report counts them all and only the vehicle on the connection the
+// engine keeps ends cleanly, on Finished.
 func TestRejoinBurstReachesEngine(t *testing.T) {
 	const vehicles, burst = 10, 65
 	const target = vehicles - 1
 	s := buildSession(t, vehicles, 1, 0)
-	before := runtime.NumGoroutine()
 	var rejoiners sync.WaitGroup
 	var clean atomic.Int32
 	for i := 0; i < burst; i++ {
@@ -510,14 +520,7 @@ func TestRejoinBurstReachesEngine(t *testing.T) {
 				clean.Add(1)
 			}
 		}()
-		s.server.Rejoin(serverEnd)
-	}
-	// Each Rejoin's goroutine ends once the hello is read and the
-	// connection queued, leaving the burst's vehicles waiting for Setup.
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before+burst; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), before+burst)
-		}
+		rejoin(s.server, serverEnd)
 	}
 	var wg sync.WaitGroup
 	for i := range s.clients {
@@ -560,7 +563,7 @@ func TestFailedRejoinNotCounted(t *testing.T) {
 	}
 	// The silent vehicle owes round 1 its upload for good, so the round
 	// stays open until the rejoin has been tried.
-	s.server.Rejoin(setupFails{serverEnd})
+	rejoin(s.server, setupFails{serverEnd})
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)

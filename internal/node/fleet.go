@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/transport"
@@ -38,7 +39,10 @@ type FleetConfig struct {
 	// never speaks cannot pin an accept slot.
 	HandshakeTimeout time.Duration
 	// Obs attaches the observability layer: fleet.* counters, gauges and
-	// events, inherited by every session whose ServerConfig.Obs is nil.
+	// events, and transport.Instrument on every accepted connection. It is
+	// inherited by every session whose ServerConfig.Obs is nil, and its
+	// clock stamps each hello's arrival, so a session with an Obs of its
+	// own must share that clock.
 	Obs *obs.Obs
 }
 
@@ -47,6 +51,8 @@ type SessionResult struct {
 	ID     string
 	Report *Report
 	Err    error
+	// Shared is the session's model, final once Report is set.
+	Shared *nn.Network
 }
 
 // sessionState is the lifecycle of one fleet session.
@@ -80,12 +86,12 @@ type fleetSession struct {
 	srv    *Server
 	expect int // vehicle complement (Scheme.NumVehicles)
 
-	state    sessionState     // mutable only under the owning Fleet's mu
-	reserved bool             // holds a MaxConns chunk; owned by the Fleet's mu
-	conns    []transport.Conn // latest conn per vehicle ID (nil = none yet); owned by the Fleet's mu
-	seated   int              // vehicles with a conn; owned by the Fleet's mu
-	report   *Report          // set at completion under the Fleet's mu
-	err      error            // set at completion under the Fleet's mu
+	state    sessionState // mutable only under the owning Fleet's mu
+	reserved bool         // holds a MaxConns chunk; owned by the Fleet's mu
+	hellos   []hello      // latest connection per vehicle ID (conn nil = none yet); owned by the Fleet's mu
+	seated   int          // vehicles with a connection; owned by the Fleet's mu
+	report   *Report      // set at completion under the Fleet's mu
+	err      error        // set at completion under the Fleet's mu
 }
 
 // pendingConn is a handshaked connection parked in the admission queue.
@@ -95,8 +101,7 @@ type fleetSession struct {
 // Setup once it is seated, or a rejection — can never overtake that
 // answer, while the send itself still happens outside mu.
 type pendingConn struct {
-	conn     transport.Conn
-	hello    *protocol.Hello
+	hello
 	answered chan struct{}
 }
 
@@ -109,11 +114,10 @@ type Fleet struct {
 	cfg FleetConfig
 	ids []string // session IDs, sorted once for deterministic sweeps
 
-	mu        sync.Mutex // guards sessions' mutable fields, listener, committed, live, queue, closed, remaining, and the ledger tallies
+	mu        sync.Mutex // guards sessions' mutable fields, listener, committed, queue, closed, remaining, and the ledger tallies
 	sessions  map[string]*fleetSession
 	listener  transport.Listener // guarded by mu; set by Serve
 	committed int                // guarded by mu — budget slots reserved by sessions
-	live      int                // guarded by mu — open admitted connections
 	queue     []pendingConn      // guarded by mu — bounded admission queue
 	closed    bool               // guarded by mu
 	serving   bool               // guarded by mu — Serve is single-shot
@@ -123,8 +127,7 @@ type Fleet struct {
 	// Status works with observability disabled.
 	admitted, rejected, queuedTotal int
 
-	allDone chan struct{} // closed when the last session completes
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 
 	// Observability handles, resolved once in NewFleet.
 	obs        *obs.Obs
@@ -166,7 +169,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		ids:       ids,
 		sessions:  make(map[string]*fleetSession, len(ids)),
 		remaining: len(ids),
-		allDone:   make(chan struct{}),
 	}
 	for _, id := range ids {
 		scfg := cfg.Sessions[id]
@@ -185,7 +187,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			id:     id,
 			srv:    srv,
 			expect: expect,
-			conns:  make([]transport.Conn, expect),
+			hellos: make([]hello, expect),
 		}
 	}
 	if cfg.Obs.Enabled() {
@@ -205,9 +207,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // Serve accepts and routes connections until every session completes (it
 // then closes the listener itself) or Close is called. Each accepted
-// connection handshakes on its own goroutine under HandshakeTimeout, so
-// a silent dialer never blocks the accept loop. Serve blocks until the
-// fleet is fully drained; it is single-shot.
+// connection is instrumented under Obs and handshakes on its own
+// goroutine under HandshakeTimeout, so a silent dialer never blocks the
+// accept loop. Serve blocks until the fleet is fully drained; it is
+// single-shot.
 func (f *Fleet) Serve(l transport.Listener) error {
 	f.mu.Lock()
 	if f.serving {
@@ -221,17 +224,14 @@ func (f *Fleet) Serve(l transport.Listener) error {
 	f.serving = true
 	f.listener = l
 	f.mu.Unlock()
-	// When the last session completes the fleet shuts its own listener,
-	// unblocking the accept loop below.
-	go func() {
-		<-f.allDone
-		_ = f.Close()
-	}()
-	for {
+	for n := 0; ; n++ {
 		conn, err := l.Accept()
 		if err != nil {
 			break
 		}
+		// Labelled by accept order until the session names it after its
+		// vehicle.
+		conn = transport.Instrument(conn, f.cfg.Obs, fmt.Sprintf("conn-%d", n))
 		f.wg.Add(1)
 		go f.handshake(conn)
 	}
@@ -246,17 +246,19 @@ func (f *Fleet) Serve(l transport.Listener) error {
 	return nil
 }
 
-// handshake reads one connection's hello under the timeout and admits it.
+// handshake reads one connection's hello under the timeout, stamps its
+// arrival, and admits it. The fleet reads each hello once: the session
+// gets it, stamp included, with the connection.
 func (f *Fleet) handshake(conn transport.Conn) {
 	defer f.wg.Done()
 	type helloResult struct {
-		h   *protocol.Hello
+		h   hello
 		err error
 	}
 	ch := make(chan helloResult, 1)
 	go func() {
 		h, err := recvHello(conn)
-		ch <- helloResult{h, err}
+		ch <- helloResult{hello{conn: conn, msg: h, ns: int64(f.cfg.Obs.Now())}, err}
 	}()
 	timeout := time.NewTimer(f.cfg.HandshakeTimeout)
 	defer timeout.Stop()
@@ -267,7 +269,7 @@ func (f *Fleet) handshake(conn transport.Conn) {
 			_ = conn.Close()
 			return
 		}
-		f.admit(conn, r.h)
+		f.admit(r.h)
 	case <-timeout.C:
 		// Closing the conn unblocks the reader goroutine's Recv.
 		f.noteHandshakeFail(fmt.Errorf("node: hello timeout"))
@@ -300,7 +302,8 @@ const (
 // admit routes a handshaked connection: to its session (gathering or as
 // a rejoin), into the admission queue, or to an explicit rejection. It
 // re-runs for queued connections when a completing session frees budget.
-func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
+func (f *Fleet) admit(a hello) {
+	conn, h := a.conn, a.msg
 	f.mu.Lock()
 	id := h.SessionID
 	if id == "" {
@@ -312,24 +315,26 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 	retry := false
 	finRounds := 0
 	var start *fleetSession
-	var rejoinConn, evicted transport.Conn
+	var evicted transport.Conn
 	var answered chan struct{}
 	switch {
-	case f.closed:
-		decision, reason = decideReject, "fleet shutting down"
 	case sess == nil:
 		decision, reason = decideReject, fmt.Sprintf("unknown session %q", id)
 	case sess.state == sessionDone:
+		// Even once the fleet shuts down: a redial into a finished session
+		// is told so, and its vehicle stops.
 		decision = decideFinished
 		if sess.report != nil {
 			finRounds = sess.report.Rounds
 		}
+	case f.closed:
+		decision, reason = decideReject, "fleet shutting down"
 	case h.VehicleID < 0 || h.VehicleID >= sess.expect:
 		decision, reason = decideReject, fmt.Sprintf("vehicle ID %d out of range for session %q", h.VehicleID, id)
 	case sess.state == sessionRunning:
 		decision = decideRejoin
 	default: // gathering
-		if sess.conns[h.VehicleID] != nil {
+		if sess.hellos[h.VehicleID].conn != nil {
 			decision, reason = decideReject, fmt.Sprintf("vehicle %d already connected to session %q", h.VehicleID, id)
 			break
 		}
@@ -341,7 +346,7 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		if !sess.reserved && f.cfg.MaxConns > 0 && f.committed+sess.expect > f.cfg.MaxConns {
 			if len(f.queue) < f.cfg.QueueDepth {
 				answered = make(chan struct{})
-				f.queue = append(f.queue, pendingConn{conn: conn, hello: h, answered: answered})
+				f.queue = append(f.queue, pendingConn{hello: a, answered: answered})
 				f.queuedTotal++
 				decision = decideQueue
 			} else {
@@ -354,10 +359,8 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 			f.committed += sess.expect
 		}
 		decision = decideSeat
-		f.live++
 		f.admitted++
-		wrapped := f.wrap(h, conn)
-		sess.conns[h.VehicleID] = wrapped
+		sess.hellos[h.VehicleID] = a
 		sess.seated++
 		if sess.seated == sess.expect {
 			sess.state = sessionRunning
@@ -365,20 +368,18 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 		}
 	}
 	if decision == decideRejoin {
-		f.live++
 		f.admitted++
-		rejoinConn = f.wrap(h, conn)
 		// Close the replaced conn ourselves: the engine's rejoin handler
 		// also does, but a rejoin that races session completion is answered
-		// Finished without ever reaching it, and the evicted conn would
-		// otherwise hold a live slot forever.
-		evicted = sess.conns[h.VehicleID]
-		sess.conns[h.VehicleID] = rejoinConn
+		// Finished without ever reaching it. The table keeps the new conn,
+		// so the session's completion closes it whatever became of it.
+		evicted = sess.hellos[h.VehicleID].conn
+		sess.hellos[h.VehicleID] = a
 	}
 	if decision == decideReject {
 		f.rejected++
 	}
-	f.updateGauges(f.live, len(f.queue))
+	f.updateGauges(len(f.queue))
 	f.mu.Unlock()
 
 	switch decision {
@@ -413,10 +414,8 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 				obs.F("rejoin", decision == decideRejoin))
 		}
 		if decision == decideRejoin {
-			if evicted != nil {
-				_ = evicted.Close()
-			}
-			sess.srv.Rejoin(rejoinConn)
+			_ = evicted.Close()
+			sess.srv.enqueue(a)
 		}
 		if start != nil {
 			f.startSession(start)
@@ -426,18 +425,6 @@ func (f *Fleet) admit(conn transport.Conn, h *protocol.Hello) {
 	}
 }
 
-// wrap builds the connection the session engine sees: the consumed hello
-// replayed ahead of the live stream, and the fleet's live-connection
-// ledger decremented exactly once on close.
-func (f *Fleet) wrap(h *protocol.Hello, conn transport.Conn) transport.Conn {
-	return transport.Replay(&protocol.Message{Hello: h}, conn, func() {
-		f.mu.Lock()
-		f.live--
-		f.updateGauges(f.live, len(f.queue))
-		f.mu.Unlock()
-	})
-}
-
 // sendReject answers a rejected handshake with an Admission carrying the
 // reason and the retry hint, then closes the connection.
 func (f *Fleet) sendReject(conn transport.Conn, reason string, retry bool) {
@@ -445,11 +432,11 @@ func (f *Fleet) sendReject(conn transport.Conn, reason string, retry bool) {
 	_ = conn.Close()
 }
 
-// startSession launches a full session's Server.Run on its own
-// goroutine and settles the fleet ledger when it returns.
+// startSession runs a full session on its own goroutine, handing it the
+// hellos the fleet read, and settles the fleet ledger when it returns.
 func (f *Fleet) startSession(sess *fleetSession) {
 	f.mu.Lock()
-	conns := slices.Clone(sess.conns)
+	hellos := slices.Clone(sess.hellos)
 	f.mu.Unlock()
 	if f.obs != nil {
 		f.cStarted.Inc()
@@ -460,16 +447,17 @@ func (f *Fleet) startSession(sess *fleetSession) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		report, err := sess.srv.Run(conns)
+		report, err := sess.srv.run(hellos)
 		f.mu.Lock()
 		sess.state = sessionDone
 		sess.report, sess.err = report, err
-		// Close every connection still tracked (rejoins included): slots
-		// release via the wrap hooks, then the session's budget chunk.
-		open := slices.Clone(sess.conns)
+		// Every connection the session was handed, rejoins included, is
+		// closed here, so a rejoin still queued when run fails is not left
+		// waiting for a Setup.
+		open := slices.Clone(sess.hellos)
 		f.mu.Unlock()
-		for _, c := range open {
-			_ = c.Close()
+		for _, h := range open {
+			_ = h.conn.Close()
 		}
 		f.mu.Lock()
 		if sess.reserved {
@@ -478,7 +466,7 @@ func (f *Fleet) startSession(sess *fleetSession) {
 		}
 		f.remaining--
 		last := f.remaining == 0
-		f.updateGauges(f.live, len(f.queue))
+		f.updateGauges(len(f.queue))
 		f.mu.Unlock()
 		if f.obs != nil {
 			f.cDone.Inc()
@@ -493,7 +481,8 @@ func (f *Fleet) startSession(sess *fleetSession) {
 		// Freed budget: give parked connections another pass.
 		f.drainQueue()
 		if last {
-			close(f.allDone)
+			// The fleet shuts its own listener, ending Serve's accept loop.
+			_ = f.Close()
 		}
 	}()
 }
@@ -508,21 +497,33 @@ func (f *Fleet) drainQueue() {
 	f.mu.Lock()
 	parked := f.queue
 	f.queue = nil
-	f.updateGauges(f.live, 0)
+	f.updateGauges(0)
 	f.mu.Unlock()
 	for _, p := range parked {
 		<-p.answered
-		f.admit(p.conn, p.hello)
+		f.admit(p.hello)
 	}
 }
 
-// updateGauges refreshes the fleet gauges from a snapshot the caller
-// took under mu (it also sweeps session states, so callers hold mu).
-func (f *Fleet) updateGauges(live, queued int) {
+// live counts the connections the fleet holds for sessions not yet done;
+// a done session's were closed when it completed. Callers hold mu.
+func (f *Fleet) live() int {
+	n := 0
+	for _, id := range f.ids {
+		if sess := f.sessions[id]; sess.state != sessionDone {
+			n += sess.seated
+		}
+	}
+	return n
+}
+
+// updateGauges refreshes the fleet gauges, queued being the admission
+// queue's length; callers hold mu.
+func (f *Fleet) updateGauges(queued int) {
 	if f.obs == nil {
 		return
 	}
-	f.gLive.Set(int64(live))
+	f.gLive.Set(int64(f.live()))
 	f.gQueue.Set(int64(queued))
 	active := 0
 	for _, id := range f.ids {
@@ -545,7 +546,7 @@ func (f *Fleet) Close() error {
 	l := f.listener
 	parked := f.queue
 	f.queue = nil
-	f.updateGauges(f.live, 0)
+	f.updateGauges(0)
 	f.mu.Unlock()
 	var err error
 	if l != nil {
@@ -566,7 +567,7 @@ func (f *Fleet) Results() map[string]SessionResult {
 	out := make(map[string]SessionResult, len(f.ids))
 	for _, id := range f.ids {
 		sess := f.sessions[id]
-		out[id] = SessionResult{ID: id, Report: sess.report, Err: sess.err}
+		out[id] = SessionResult{ID: id, Report: sess.report, Err: sess.err, Shared: sess.srv.Shared()}
 	}
 	return out
 }
@@ -586,8 +587,8 @@ type FleetSessionStatus struct {
 // FleetStatus is a point-in-time snapshot of the whole fleet, served by
 // the debugz introspection plane (/sessionz).
 type FleetStatus struct {
-	// Live and Committed count open admitted connections and
-	// budget-reserved slots; MaxConns echoes the configured budget.
+	// Live counts the connections held for sessions not yet done,
+	// Committed the budget-reserved slots; MaxConns echoes the budget.
 	Live      int `json:"live_conns"`
 	Committed int `json:"committed_conns"`
 	MaxConns  int `json:"max_conns"`
@@ -607,7 +608,7 @@ type FleetStatus struct {
 func (f *Fleet) Status() FleetStatus {
 	f.mu.Lock()
 	st := FleetStatus{
-		Live:        f.live,
+		Live:        f.live(),
 		Committed:   f.committed,
 		MaxConns:    f.cfg.MaxConns,
 		Queued:      len(f.queue),

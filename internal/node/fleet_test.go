@@ -1,6 +1,9 @@
 package node
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/fl"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/traffic"
 	"repro/internal/transport"
@@ -526,7 +530,7 @@ func TestFleetLateDialerGetsFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The hello may land while the session is still technically running
-	// (Server.Rejoin then answers Finished itself) or after it is marked
+	// (the session's rejoin queue then answers Finished) or after it is marked
 	// done (the fleet answers directly) — both must yield Finished,
 	// possibly after revival frames sent during teardown.
 	for i := 0; m.Finished == nil && i < 8; i++ {
@@ -542,4 +546,176 @@ func TestFleetLateDialerGetsFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-serveErr
+}
+
+// TestFleetClockOffsetExcludesWait: the HelloNs a Setup echoes is when
+// the hello reached the fleet, so a vehicle that waits for its session to
+// fill measures the link, not the wait. Vehicle 0 says hello, the clock
+// then moves on by wait before vehicle 1 completes the session, and
+// vehicle 0's node.clock_offset must report an rtt_ns below wait (a hello
+// stamped at the session start would make it read wait).
+func TestFleetClockOffsetExcludesWait(t *testing.T) {
+	const wait = time.Second
+	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
+	clk := &obs.ManualClock{}
+	fleet, err := NewFleet(FleetConfig{
+		Sessions: cfgs,
+		Obs:      obs.New(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{}, clk), clk),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := transport.NewPipeFabric()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- fleet.Serve(fab) }()
+
+	var trace bytes.Buffer
+	vo := obs.New(obs.NewRegistry(), obs.NewTracer(&trace, clk), clk)
+	first := make(chan error, 1)
+	go func() {
+		sess, err := newVehicleSession(clients["main"][0], vo)
+		if err != nil {
+			first <- err
+			return
+		}
+		conn, err := fab.Dial()
+		if err != nil {
+			first <- err
+			return
+		}
+		defer conn.Close()
+		first <- sess.run(conn)
+	}()
+	waitFleet(fleet, func(st FleetStatus) bool { return st.Sessions[0].Connected == 1 })
+	clk.Advance(wait)
+	if err := startFleetVehicles(fab, clients["main"][1:])(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("vehicle 0: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("fleet serve: %v", err)
+	}
+	if err := vo.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var offsets int
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var ev struct {
+			Ev  string `json:"ev"`
+			RTT int64  `json:"rtt_ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev.Ev == "node.clock_offset" {
+			offsets++
+			if ev.RTT >= int64(wait) {
+				t.Errorf("rtt_ns %d after a %v wait for the session: the wait counted as link time", ev.RTT, wait)
+			}
+		}
+	}
+	if offsets != 1 {
+		t.Fatalf("vehicle 0 emitted %d node.clock_offset events, want 1", offsets)
+	}
+}
+
+// failFirstSetup is a pipe-fabric listener whose connections fail the
+// first Setup any of them sends: stalled closes when that send begins, and
+// it fails, closing its connection, once release closes.
+type failFirstSetup struct {
+	*transport.PipeFabric
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func (l *failFirstSetup) Accept() (transport.Conn, error) {
+	c, err := l.PipeFabric.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &failSetupConn{Conn: c, l: l}, nil
+}
+
+type failSetupConn struct {
+	transport.Conn
+	l *failFirstSetup
+}
+
+func (c *failSetupConn) Send(m *protocol.Message) error {
+	failed := false
+	if m.Setup != nil {
+		c.l.once.Do(func() {
+			close(c.l.stalled)
+			<-c.l.release
+			failed = true
+		})
+	}
+	if failed {
+		_ = c.Conn.Close()
+		return errors.New("connection lost before setup")
+	}
+	return c.Conn.Send(m)
+}
+
+// TestFleetAnswersRejoinOfFailedSession: a rejoin queued for a session
+// whose run then fails is not left waiting for a Setup. Vehicle 1 redials
+// while the session sends vehicle 0 its Setup, and its rejoin is queued;
+// that Setup then fails, so the session ends in error with the rejoin
+// unrevived. The fleet closes every connection it handed the session, so
+// vehicle 1's RunVehicleRetry returns within bounded time.
+func TestFleetAnswersRejoinOfFailedSession(t *testing.T) {
+	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
+	fleet, err := NewFleet(FleetConfig{Sessions: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := transport.NewPipeFabric()
+	ln := &failFirstSetup{PipeFabric: fab, stalled: make(chan struct{}), release: make(chan struct{})}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- fleet.Serve(ln) }()
+
+	firstConn := make(chan transport.Conn, 1)
+	dials := 0
+	retried := make(chan error, 1)
+	go func() {
+		retried <- RunVehicleRetry(clients["main"][1], RetryConfig{
+			Dial: func() (transport.Conn, error) {
+				c, err := fab.Dial()
+				if dials++; dials == 1 && err == nil {
+					firstConn <- c
+				}
+				return c, err
+			},
+			Sleeper: &obs.ManualSleeper{},
+		})
+	}()
+	stopped := startFleetVehicles(fab, clients["main"][:1])
+	<-ln.stalled // vehicle 0's Setup is being sent
+	_ = (<-firstConn).Close()
+	srv := fleet.sessions["main"].srv
+	queued := func() bool {
+		srv.statusMu.Lock()
+		defer srv.statusMu.Unlock()
+		return len(srv.rejoins) == 1
+	}
+	for !queued() {
+		runtime.Gosched()
+	}
+	close(ln.release)
+	select {
+	case <-retried: // Finished, or gave up once the fleet closed: either way not hung
+	case <-time.After(10 * time.Second):
+		t.Fatal("vehicle 1 still waits for a Setup 10 s after its session failed")
+	}
+	if err := stopped(); err == nil {
+		t.Error("vehicle 0 finished a session whose Setup to it failed")
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("fleet serve: %v", err)
+	}
+	if r := fleet.Results()["main"]; r.Err == nil {
+		t.Fatalf("session ended without the Setup failure: %+v", r.Report)
+	}
 }

@@ -17,13 +17,13 @@
 // tolerates; a corrupted upload frame (protocol.ErrCorruptFrame) prompts
 // a bounded re-broadcast and the vehicle resends its cached upload
 // without retraining, so recovery is bit-identical to the fault-free
-// run; a crashed vehicle may reconnect through Server.Rejoin and resume
-// the session; and a round left with fewer uploads than the RS recover
-// threshold K degrades gracefully — the model holds still and its
-// RoundRecord says so — instead of failing the session. The round records
-// are the session's one tally: Report's totals and Status's tallies are
-// summed from them, and the one helper that writes a fact into them also
-// bumps its node.* counter and emits its trace event.
+// run; a crashed vehicle may redial its Fleet, which hands the running
+// session the new connection; and a round left with fewer uploads than
+// the RS recover threshold K degrades gracefully — the model holds still
+// and its RoundRecord says so — instead of failing the session. The
+// round records are the session's one tally: Report's totals and
+// Status's tallies are summed from them, and the one helper that writes a
+// fact into them also bumps its node.* counter and emits its trace event.
 package node
 
 import (
@@ -108,8 +108,8 @@ type Report struct {
 	CorruptFrames int
 	// Retransmits counts corrupt-upload re-broadcast prompts.
 	Retransmits int
-	// Rejoins counts crashed vehicles revived through Server.Rejoin: Setup,
-	// and the broadcast if an upload was owed, sent on the new connection.
+	// Rejoins counts crashed vehicles revived on a new connection: Setup,
+	// and the broadcast if an upload was owed, sent on it.
 	Rejoins int
 	// DegradedRounds counts rounds that ran with fewer than K uploads and
 	// therefore skipped aggregation (the model held still).
@@ -181,7 +181,7 @@ type Server struct {
 	statusMu sync.Mutex    // guards status, records and rejoins; Phase "done" ends rejoins
 	status   Status        // guarded by statusMu
 	records  []RoundRecord // guarded by statusMu; one per round, from the handshake on
-	rejoins  []rejoinReq   // guarded by statusMu; unbounded, so no live rejoin is turned away
+	rejoins  []hello       // guarded by statusMu; unbounded, so no live rejoin is turned away
 
 	// Observability handles, resolved once in NewServer; counters is
 	// indexed by fact.
@@ -192,11 +192,13 @@ type Server struct {
 	cEarlyClose *obs.Counter
 }
 
-// rejoinReq is a reconnected, handshaked vehicle awaiting revival.
-type rejoinReq struct {
-	id      int
-	conn    transport.Conn
-	helloNs int64 // server clock when the hello arrived
+// hello is a handshaked connection on its way into a session: the Hello
+// its vehicle opened with and the server clock when that hello arrived,
+// which anchors the vehicle's clock-offset estimate (DESIGN §15.3).
+type hello struct {
+	conn transport.Conn
+	msg  *protocol.Hello
+	ns   int64
 }
 
 // Status is a point-in-time snapshot of the round engine, served live by
@@ -296,39 +298,28 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Shared exposes the fusion centre's model (for evaluation after Run).
 func (s *Server) Shared() *nn.Network { return s.shared }
 
-// Rejoin hands a reconnected vehicle's fusion-centre-side connection to
-// the running session. It returns immediately; the handshake (hello)
-// happens on a background goroutine and the revival — Setup resent, the
-// current round's broadcast resent if an upload is owed — in Run's
-// collect loop. Every rejoin before the session finishes reaches the
-// engine; one arriving after is answered with Finished and closed, so a
-// retrying vehicle terminates cleanly.
-func (s *Server) Rejoin(conn transport.Conn) {
-	go func() {
-		h, err := readHello(conn, s.cfg.Scheme.NumVehicles)
-		if err != nil {
-			_ = conn.Close()
-			return
-		}
-		helloNs := int64(s.obs.Now())
-		transport.SetWireVersion(conn, protocol.Version)
-		s.statusMu.Lock()
-		if s.status.Phase == "done" {
-			s.statusMu.Unlock()
-			sendFinished(conn, s.cfg.Rounds)
-			return
-		}
-		s.rejoins = append(s.rejoins, rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs})
+// enqueue hands the running session a reconnected vehicle whose hello
+// its Fleet has read; Run's collect loop revives it (Setup resent, and
+// the current round's broadcast if an upload is owed). Every rejoin before
+// the session finishes reaches the engine; one arriving after is answered
+// with Finished and closed, so a retrying vehicle terminates cleanly.
+func (s *Server) enqueue(h hello) {
+	s.statusMu.Lock()
+	if s.status.Phase == "done" {
 		s.statusMu.Unlock()
-		select {
-		case s.revive <- struct{}{}:
-		default: // a token is already waiting, and the engine takes every queued rejoin on it
-		}
-	}()
+		sendFinished(h.conn, s.cfg.Rounds)
+		return
+	}
+	s.rejoins = append(s.rejoins, h)
+	s.statusMu.Unlock()
+	select {
+	case s.revive <- struct{}{}:
+	default: // a token is already waiting, and the engine takes every queued rejoin on it
+	}
 }
 
 // takeRejoins empties the rejoin queue.
-func (s *Server) takeRejoins() []rejoinReq {
+func (s *Server) takeRejoins() []hello {
 	s.statusMu.Lock()
 	defer s.statusMu.Unlock()
 	q := s.rejoins
@@ -366,7 +357,7 @@ func sendFinished(conn transport.Conn, rounds int) {
 	_ = conn.Close()
 }
 
-// readHello is recvHello plus the single-session vehicle-ID range check.
+// readHello is recvHello plus Run's vehicle-ID range check.
 func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, error) {
 	h, err := recvHello(conn)
 	if err != nil {
@@ -456,12 +447,34 @@ type engine struct {
 	overlapNs   int64
 }
 
-// Run drives the session over the given connections (one per vehicle).
-// It handshakes and configures every vehicle, runs each round as a
-// broadcast, a collect and a close (DESIGN §14.5), and sends Finished.
-// Run blocks until the session completes.
+// Run drives the session over the given connections, one per vehicle in
+// any order: it reads every hello, stamping each when it arrives, and
+// then runs the session as a Fleet starts it. Run blocks until the
+// session completes.
 func (s *Server) Run(conns []transport.Conn) (*Report, error) {
-	e, err := s.handshake(conns)
+	v := s.cfg.Scheme.NumVehicles
+	if len(conns) != v {
+		return nil, fmt.Errorf("node: got %d connections, scheme expects %d vehicles", len(conns), v)
+	}
+	hellos := make([]hello, v)
+	for i, conn := range conns {
+		h, err := readHello(conn, v)
+		if err != nil {
+			return nil, fmt.Errorf("node: conn %d: %w", i, err)
+		}
+		if hellos[h.VehicleID].conn != nil {
+			return nil, fmt.Errorf("node: duplicate vehicle ID %d", h.VehicleID)
+		}
+		hellos[h.VehicleID] = hello{conn: conn, msg: h, ns: int64(s.obs.Now())}
+	}
+	return s.run(hellos)
+}
+
+// run is the session over one handshaked connection per vehicle, indexed
+// by vehicle ID: it configures every vehicle, runs each round as a
+// broadcast, a collect and a close (DESIGN §14.5), and sends Finished.
+func (s *Server) run(hellos []hello) (*Report, error) {
+	e, err := s.handshake(hellos)
 	if err != nil {
 		return nil, err
 	}
@@ -479,13 +492,10 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	return e.finish(), nil
 }
 
-// handshake seats every connection in the table by the vehicle ID its
-// hello names, sends each vehicle its Setup and starts its receiver.
-func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
+// handshake seats every vehicle's connection in the table, sends each
+// vehicle its Setup and starts its receiver.
+func (s *Server) handshake(hellos []hello) (*engine, error) {
 	v := s.cfg.Scheme.NumVehicles
-	if len(conns) != v {
-		return nil, fmt.Errorf("node: got %d connections, scheme expects %d vehicles", len(conns), v)
-	}
 	e := &engine{
 		s:      s,
 		traced: s.obs.TraceEnabled(),
@@ -531,25 +541,12 @@ func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
 	s.status = Status{Phase: "handshake", Rounds: s.cfg.Rounds, RecoverK: e.k,
 		WaitBudget: s.cfg.WaitBudget, BudgetTarget: e.target, TraceID: e.traceHex}
 	s.statusMu.Unlock()
-	for i, conn := range conns {
-		h, err := readHello(conn, v)
-		if err != nil {
-			return nil, fmt.Errorf("node: conn %d: %w", i, err)
-		}
-		vh := &e.veh[h.VehicleID]
-		if vh.conn != nil {
-			return nil, fmt.Errorf("node: duplicate vehicle ID %d", h.VehicleID)
-		}
-		vh.conn = conn
-		transport.SetWireVersion(conn, protocol.Version)
+	for id, h := range hellos {
+		e.veh[id].conn, e.veh[id].helloNs = h.conn, h.ns
 		if e.traced {
-			// The hello receive time anchors this connection's clock-offset
-			// estimate: Setup echoes it beside its own send time, and the
-			// vehicle brackets the pair with its clock (DESIGN §15).
-			vh.helloNs = int64(s.obs.Now())
-			fields := []obs.Field{obs.F("vehicle", h.VehicleID), obs.F("version", protocol.Version), obs.F("trace", e.traceHex)}
-			if h.TraceID != "" {
-				fields = append(fields, obs.F("peer_trace", h.TraceID))
+			fields := []obs.Field{obs.F("vehicle", id), obs.F("version", protocol.Version), obs.F("trace", e.traceHex)}
+			if h.msg.TraceID != "" {
+				fields = append(fields, obs.F("peer_trace", h.msg.TraceID))
 			}
 			s.obs.Emit("node.hello", fields...)
 		}
@@ -569,14 +566,16 @@ func (s *Server) handshake(conns []transport.Conn) (*engine, error) {
 }
 
 // configure names an instrumented connection after its vehicle, in place
-// of the accept-order placeholder, and sends the vehicle its Setup,
-// unflushed, stamped with its hello time and the send time for its
-// clock-offset estimate.
+// of the accept-order placeholder, settles its wire revision, and sends
+// the vehicle its Setup, unflushed. Traced, Setup carries the hello's
+// arrival time beside its own send time, and the vehicle brackets the
+// pair with its clock for its clock-offset estimate (DESIGN §15.3).
 func (e *engine) configure(id int) error {
 	vh := &e.veh[id]
 	if sp, ok := vh.conn.(interface{ SetPeer(string) }); ok {
 		sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
 	}
+	transport.SetWireVersion(vh.conn, protocol.Version)
 	su := e.setup
 	if e.traced {
 		su.HelloNs = vh.helloNs
@@ -865,14 +864,15 @@ func (e *engine) recvError(u result, err error) bool {
 // round's upload the broadcast is resent too — which makes a withheld
 // one obsolete. The rejoin counts once both are out; if either fails, the
 // vehicle stays dead.
-func (e *engine) rejoin(req rejoinReq) {
-	vh := &e.veh[req.id]
+func (e *engine) rejoin(req hello) {
+	id := req.msg.VehicleID
+	vh := &e.veh[id]
 	if vh.conn != nil && vh.conn != req.conn {
 		_ = vh.conn.Close()
 	}
-	vh.conn, vh.helloNs = req.conn, req.helloNs
+	vh.conn, vh.helloNs = req.conn, req.ns
 	vh.dead, vh.behind = false, false
-	err := e.configure(req.id)
+	err := e.configure(id)
 	if err == nil && vh.verdict != fl.Admitted {
 		if err = req.conn.Send(&e.bc); err == nil {
 			e.judge(vh, fl.Late)
@@ -886,9 +886,9 @@ func (e *engine) rejoin(req rejoinReq) {
 		_ = req.conn.Close()
 		return
 	}
-	e.note(rejoined, req.id, obs.Field{})
+	e.note(rejoined, id, obs.Field{})
 	e.publish("collect", false)
-	e.receive(req.id, req.conn)
+	e.receive(id, req.conn)
 }
 
 // note writes fact f about vehicle id into the open round's record, under
@@ -1076,8 +1076,8 @@ type ClientConfig struct {
 	// VehicleID is the vehicle's identity (0..V-1).
 	VehicleID int
 	// SessionID names the FL session to join on a multi-session fleet.
-	// Empty joins the fleet's default session; a single-session fusion
-	// centre ignores it either way.
+	// Empty joins the fleet's default session; Server.Run ignores it
+	// either way.
 	SessionID string
 	// Data is the private local dataset.
 	Data []nn.Sample

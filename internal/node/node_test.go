@@ -454,9 +454,9 @@ func (c oldBuild) Send(m *protocol.Message) error {
 }
 
 // TestRefusedHandshakeAnswered: a hello below protocol.Version is answered
-// with an Error frame saying so on all three handshake paths —
-// Server.Run, Server.Rejoin, a Fleet — and a vehicle that gets that
-// answer gives up at once instead of redialling.
+// with an Error frame saying so wherever a hello is read — Server.Run, a
+// rejoin's handshake, a Fleet — and a vehicle that gets that answer gives
+// up at once instead of redialling.
 func TestRefusedHandshakeAnswered(t *testing.T) {
 	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
 	cfg := cfgs["main"]
@@ -492,8 +492,8 @@ func TestRefusedHandshakeAnswered(t *testing.T) {
 
 	fusionEnd, vehicleEnd = transport.Pipe()
 	oldHello(vehicleEnd)
-	srv.Rejoin(fusionEnd)
-	refused("Server.Rejoin", vehicleEnd)
+	rejoin(srv, fusionEnd)
+	refused("rejoin", vehicleEnd)
 
 	fleet, err := NewFleet(FleetConfig{Sessions: map[string]ServerConfig{"main": cfg}})
 	if err != nil {

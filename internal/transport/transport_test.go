@@ -321,3 +321,37 @@ func TestUnbufferedOptionalFaces(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPipeFabric: Dial/Accept hand matched ends across the in-memory
+// fabric, and Close fails both sides cleanly.
+func TestPipeFabric(t *testing.T) {
+	f := NewPipeFabric()
+	client, err := f.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := f.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send(&protocol.Message{Finished: &protocol.Finished{Rounds: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := server.Recv(); err != nil || m.Finished == nil || m.Finished.Rounds != 2 {
+		t.Fatalf("fabric recv = %+v, %v", m, err)
+	}
+	if f.Addr() != "" {
+		t.Fatalf("pipe fabric has addr %q", f.Addr())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Dial(); err == nil {
+		t.Fatal("dial succeeded on closed fabric")
+	}
+	if _, err := f.Accept(); err == nil {
+		t.Fatal("accept succeeded on closed fabric")
+	}
+	_ = client.Close()
+	_ = server.Close()
+}
