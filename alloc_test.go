@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -471,22 +472,7 @@ func TestFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	ln, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	a, err := transport.DialTCP(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	transport.SetWireVersion(a, protocol.Version)
+	a, b := tcpPair(t)
 	msg := &protocol.Message{Upload: &protocol.Upload{Round: 7, VehicleID: 3, Values: make([]float64, 2*roundRefRows/roundBatches+roundRefRows)}}
 	frame := func() {
 		if err := a.Send(msg); err != nil {
@@ -501,6 +487,86 @@ func TestFrameAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, frame); avg != 0 {
 		t.Errorf("an Upload frame's write + read allocate %.1f times, want 0", avg)
 	}
+}
+
+// TestVaryingUploadAllocs: an upload's frame is as long as its
+// learning-channel values pack — a byte of class map per four, and 8
+// bytes for each one that is neither +0 nor 1.0 — so its size moves from
+// round to round. A variable-size upload encoding whose buffers followed
+// the frame in hand once regrew them inside the timed rounds
+// (allocs_per_round 1.004 → 1.16). Both ends of a TCP connection size
+// theirs to the shape's dense bound at its first upload instead: after
+// it, 199 more uploads of the same shape, carrying 0 to all of their 64
+// tail values as literals in a seeded order, each Send and Recv without
+// allocating.
+func TestVaryingUploadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	a, b := tcpPair(t)
+	const words, tail, uploads = 16, 64, 200
+	rng := rand.New(rand.NewSource(50))
+	msgs := make([]*protocol.Message, uploads)
+	for k := range msgs {
+		values := make([]float64, words+tail)
+		for i := range values {
+			values[i] = float64(i % 2) // words, then a tail of +0 and 1.0
+		}
+		lits := rng.Intn(tail + 1)
+		if k == 0 {
+			lits = 0 // the smallest frame of the shape comes first
+		}
+		for _, i := range rng.Perm(tail)[:lits] {
+			values[words+i] = rng.Float64()
+		}
+		msgs[k] = &protocol.Message{Upload: &protocol.Upload{Round: k + 1, VehicleID: 3, Values: values, Words: words}}
+	}
+	k := 0
+	upload := func() {
+		msg := msgs[k]
+		k++
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		sent := msg.Upload
+		m, err := b.Recv()
+		if err != nil || m.Upload == nil || m.Upload.Round != sent.Round || len(m.Upload.Values) != len(sent.Values) {
+			t.Fatalf("upload %d received as %+v, %v", k, m, err)
+		}
+		for i, v := range m.Upload.Values {
+			if math.Float64bits(v) != math.Float64bits(sent.Values[i]) {
+				t.Fatalf("upload %d value %d arrived as %v, sent %v", k, i, v, sent.Values[i])
+			}
+		}
+	}
+	upload()
+	counts, _ := mallocsAfterGC(uploads-1, upload)
+	for i, n := range counts {
+		if n != 0 {
+			t.Errorf("upload %d: Send + Recv allocated %d times, want 0", i+2, n)
+		}
+	}
+}
+
+// tcpPair connects two TCP transport connections over loopback, closed
+// when the test ends.
+func tcpPair(t *testing.T) (a, b transport.Conn) {
+	t.Helper()
+	ln, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	if a, err = transport.DialTCP(ln.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	if b, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	transport.SetWireVersion(a, protocol.Version)
+	return a, b
 }
 
 // TestRoundAllocs pins the whole round: a V = 16 session over pipes —

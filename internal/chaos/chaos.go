@@ -83,10 +83,13 @@ func (in *Injector) Wrap(peer int, c transport.Conn) transport.Conn {
 	}
 }
 
-// peerSeed mixes the master seed with the peer index (splitmix64 golden
-// ratio) so every peer draws from an independent stream.
+// peerSeed mixes the master seed with the peer index so every peer draws
+// from its own stream. The SeededSource steps its state by the golden
+// ratio γ, so states a multiple of γ apart would give shifted copies of
+// one stream (peer p's k-th draw peer 0's (k+p)-th); the state
+// seed + (p+1)·γ is therefore put through splitmix64's output function.
 func peerSeed(seed int64, peer int) int64 {
-	return int64(uint64(seed) + uint64(peer+1)*0x9e3779b97f4a7c15)
+	return int64(field.NewSeededSource(int64(uint64(seed) + uint64(peer)*0x9e3779b97f4a7c15)).Uint64())
 }
 
 // conn applies the schedule on the send side; Recv and Close pass

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/transport"
@@ -253,6 +254,30 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	if same == 64 {
 		t.Error("peers 2 and 3 share an identical schedule")
+	}
+}
+
+// TestPeerStreamsNotShifted: peers' streams are not shifted copies of one
+// another. Seeded seed + (p+1)·γ, peer 1's first draw was peer 0's
+// second, and 20 peers × 5 draws — a 20-vehicle session's five uploads —
+// held 24 distinct draws, not 100.
+func TestPeerStreamsNotShifted(t *testing.T) {
+	const seed, peers, draws = 11, 20, 5
+	stream := func(p int) *field.SeededSource { return field.NewSeededSource(peerSeed(seed, p)) }
+	p0, p1 := stream(0), stream(1)
+	p0.Uint64()
+	if p0.Uint64() == p1.Uint64() {
+		t.Error("peer 1's first draw is peer 0's second")
+	}
+	seen := map[uint64]bool{}
+	for p := 0; p < peers; p++ {
+		src := stream(p)
+		for k := 0; k < draws; k++ {
+			seen[src.Uint64()] = true
+		}
+	}
+	if len(seen) != peers*draws {
+		t.Errorf("%d peers x %d draws hold %d distinct draws, want %d", peers, draws, len(seen), peers*draws)
 	}
 }
 

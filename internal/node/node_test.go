@@ -259,20 +259,29 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
-// wordsRecorder notes, by the vehicle each upload names, the Words every
-// upload received on the fusion side declares — over TCP, the words its
-// frame carried.
+// wordsRecorder notes, for each upload received on the fusion side and by
+// the vehicle it names, the Words it declares — over TCP, the words its
+// frame carried — how many of the values after them are neither +0 nor
+// 1.0, and the bytes the transport accounts it at.
 type wordsRecorder struct {
 	transport.Conn
-	mu    *sync.Mutex
-	words map[int][]int
+	mu      *sync.Mutex
+	uploads map[int][]uploadShape
 }
+
+type uploadShape struct{ words, literals, bytes int }
 
 func (c wordsRecorder) Recv() (*protocol.Message, error) {
 	m, err := c.Conn.Recv()
 	if err == nil && m.Upload != nil {
+		u := uploadShape{words: m.Upload.Words, bytes: protocol.EncodedSizeVersion(m, protocol.Version)}
+		for _, v := range m.Upload.Values[u.words:] {
+			if b := math.Float64bits(v); b != 0 && b != math.Float64bits(1) {
+				u.literals++
+			}
+		}
 		c.mu.Lock()
-		c.words[m.Upload.VehicleID] = append(c.words[m.Upload.VehicleID], m.Upload.Words)
+		c.uploads[m.Upload.VehicleID] = append(c.uploads[m.Upload.VehicleID], u)
 		c.mu.Unlock()
 	}
 	return m, err
@@ -283,12 +292,16 @@ func (c wordsRecorder) SetWireVersion(v int) { transport.SetWireVersion(c.Conn, 
 
 // TestUploadWordsOverTCP runs the upload codec inside a session. The pipe
 // fabric never encodes, so the pipe-based oracle tests never see the
-// words an upload travels as; here honest vehicles share a TCP session
-// with a ConstantLie, a SignFlipScale and a NaN-half vehicle, and the
-// session must end on the FinalParams and flagged set of the same session
-// over pipes. An honest frame carries all 2·S verification halves as
-// words, and so does the constant liar's (5 is a word); the sign-flipped
-// halves (negative or −0) and the NaN half end the run at once.
+// words and class map an upload travels as; here honest vehicles share a
+// TCP session with a ConstantLie, a SignFlipScale and a NaN-half vehicle,
+// and the session must end on the FinalParams and flagged set of the same
+// session over pipes. An honest frame carries all 2·S verification halves
+// as words, and so does the constant liar's (5 is a word); the
+// sign-flipped halves (negative or −0) and the NaN half end the run at
+// once. Every upload is accounted at 4 + 18 + 4·words + ⌈t/4⌉ + 8·L bytes
+// for its t = count − words tail, L of whose values are neither +0 nor
+// 1.0, and an honest one, whose estimates the activation clamps, at less
+// than the 4 + 18 + 4·words + 8·t of revision 6.
 func TestUploadWordsOverTCP(t *testing.T) {
 	const vehicles, rounds = 16, 2 // K = 8: up to four lies corrected
 	const constant, flipped, nanHalf = 3, 7, 10
@@ -307,8 +320,9 @@ func TestUploadWordsOverTCP(t *testing.T) {
 	piped := build()
 	want := runWrapped(t, piped, wrap, -1)
 	words := 2 * piped.server.scheme.Slots()
+	count := piped.server.scheme.UploadLen()
 
-	rec := wordsRecorder{mu: &sync.Mutex{}, words: map[int][]int{}}
+	rec := wordsRecorder{mu: &sync.Mutex{}, uploads: map[int][]uploadShape{}}
 	got := runOverTCP(t, build(), nil, wrap, func(c transport.Conn) transport.Conn {
 		rec.Conn = c
 		return rec
@@ -324,12 +338,19 @@ func TestUploadWordsOverTCP(t *testing.T) {
 		if id == flipped || id == nanHalf {
 			wantWords = 0
 		}
-		if len(rec.words[id]) != rounds {
-			t.Errorf("vehicle %d: %d uploads received, want %d", id, len(rec.words[id]), rounds)
+		if len(rec.uploads[id]) != rounds {
+			t.Errorf("vehicle %d: %d uploads received, want %d", id, len(rec.uploads[id]), rounds)
 		}
-		for r, w := range rec.words[id] {
-			if w != wantWords {
-				t.Errorf("vehicle %d upload %d carried %d words, want %d", id, r+1, w, wantWords)
+		for r, u := range rec.uploads[id] {
+			if u.words != wantWords {
+				t.Errorf("vehicle %d upload %d carried %d words, want %d", id, r+1, u.words, wantWords)
+			}
+			tail := count - u.words
+			if want := 4 + 18 + 4*u.words + (tail+3)/4 + 8*u.literals; u.bytes != want {
+				t.Errorf("vehicle %d upload %d accounted at %d bytes, want %d (%d words, %d of %d tail values literals)", id, r+1, u.bytes, want, u.words, u.literals, tail)
+			}
+			if honest := id != constant && id != flipped && id != nanHalf; honest && u.bytes >= 4+18+4*u.words+8*tail {
+				t.Errorf("honest vehicle %d upload %d: %d bytes, no fewer than revision 6's %d", id, r+1, u.bytes, 4+18+4*u.words+8*tail)
 			}
 		}
 	}

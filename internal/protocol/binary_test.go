@@ -144,26 +144,32 @@ func TestBinaryPreservesNaNBits(t *testing.T) {
 // declares as words, with exactly its leading run of exact uint32 values
 // (at most Words long) sent as 4-byte words: NaN payloads, −0, 2³²,
 // negative and fractional values inside the declared prefix end the run
-// and arrive as float64 bits. The decoded message declares that run, and
-// re-encodes to the same bytes.
+// and arrive as float64 bits. The tail after the run costs its class map,
+// a byte per four values, and 8 bytes for each value that is neither +0
+// nor 1.0. The decoded message declares that run, and re-encodes to the
+// same bytes.
 func TestUploadWordsRoundTrip(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_dead_beef_0001)
 	mixed := []float64{0, 1, math.MaxUint32, 7, nan, math.Copysign(0, -1), 1 << 32, -1, 0.5, 3}
+	clamped := []float64{0, 1, 1, 0, 0, math.Nextafter(1, 0), 1, 0, 0}
 	cases := []struct {
 		values      []float64
 		words, sent int // declared, and carried as words
+		lits        int // tail values carried as 8-byte literals
 	}{
-		{mixed, 0, 0},
-		{mixed, 2, 2},
-		{mixed, 4, 4},
-		{mixed, len(mixed), 4},
-		{[]float64{math.Copysign(0, -1), 5}, 2, 0},
-		{[]float64{5, 1 << 32}, 2, 1},
-		{[]float64{5, -1, 6}, 3, 1},
-		{[]float64{0.5, 1}, 2, 0},
-		{[]float64{nan, 1}, 1, 0},
-		{[]float64{2, 3, 4}, 3, 3},
-		{nil, 0, 0},
+		{mixed, 0, 0, 8},
+		{mixed, 2, 2, 8},
+		{mixed, 4, 4, 6},
+		{mixed, len(mixed), 4, 6},
+		{clamped, 0, 0, 1},
+		{clamped, 3, 3, 1},
+		{[]float64{math.Copysign(0, -1), 5}, 2, 0, 2},
+		{[]float64{5, 1 << 32}, 2, 1, 1},
+		{[]float64{5, -1, 6}, 3, 1, 2},
+		{[]float64{0.5, 1}, 2, 0, 1},
+		{[]float64{nan, 1}, 1, 0, 1},
+		{[]float64{2, 3, 4}, 3, 3, 0},
+		{nil, 0, 0, 0},
 	}
 	for _, c := range cases {
 		for _, ctx := range []bool{false, true} {
@@ -176,7 +182,7 @@ func TestUploadWordsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantLen := headerLen + 18 + 4*c.sent + 8*(len(c.values)-c.sent)
+			wantLen := headerLen + 18 + 4*c.sent + (len(c.values)-c.sent+3)/4 + 8*c.lits
 			if ctx {
 				wantLen += 16
 			}
@@ -206,8 +212,10 @@ func TestUploadWordsRoundTrip(t *testing.T) {
 
 // TestUploadWordsChecked: a words count outside [0, len(Values)] has no
 // encoding, and a frame whose words field exceeds its count, is cut off,
-// or disagrees with the payload length is a frame-local error — the next
-// frame still reads.
+// whose class map is missing, holds class 3 or padding bits, that carries
+// +0 or 1.0 as a literal (each has a class of its own), or whose words,
+// map and literals disagree with the payload length is a frame-local
+// error — the next frame still reads.
 func TestUploadWordsChecked(t *testing.T) {
 	for _, words := range []int{-1, 3, 1 << 20} {
 		m := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{1, 2}, Words: words}}
@@ -216,21 +224,34 @@ func TestUploadWordsChecked(t *testing.T) {
 		}
 	}
 	head := []byte{binaryMagic, binaryKindUpload, 1, 0, 0, 0, 2, 0, 0, 0}
-	body := func(count, words uint32, payload int) []byte {
+	body := func(count, words uint32, payload ...byte) []byte {
 		b := binary.LittleEndian.AppendUint32(append([]byte(nil), head...), count)
 		b = binary.LittleEndian.AppendUint32(b, words)
-		return append(b, make([]byte, payload)...)
+		return append(b, payload...)
 	}
+	zeros := func(n int) []byte { return make([]byte, n) }
+	half := []byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f} // the bits of 0.5
+	// Three values, two of them words and the third a literal: two words,
+	// the map byte 0x02, eight literal bytes.
+	wordsAndLiteral := append(append(zeros(8), 0x02), half...)
 	cases := map[string][]byte{
-		"words over count":      body(1, 2, 8),
-		"words over count, fit": body(2, 3, 12),
-		"words field truncated": body(0, 0, 0)[:len(head)+6],
-		"words field missing":   body(0, 0, 0)[:len(head)+4],
-		"payload short":         body(3, 2, 4*2+8-1),
-		"payload long":          body(3, 2, 4*2+8+1),
-		"words read as floats":  body(2, 2, 16),
-		"floats read as words":  body(2, 0, 8),
-		"count wraps the words": body(math.MaxUint32, math.MaxUint32, 0),
+		"words over count":      body(1, 2, zeros(8)...),
+		"words over count, fit": body(2, 3, zeros(12)...),
+		"words field truncated": body(0, 0)[:len(head)+6],
+		"words field missing":   body(0, 0)[:len(head)+4],
+		"payload short":         body(3, 2, wordsAndLiteral[:16]...),
+		"payload long":          body(3, 2, append(wordsAndLiteral, 0)...),
+		"words read as floats":  body(2, 2, zeros(16)...),
+		"floats read as words":  body(2, 0, zeros(8)...),
+		"count wraps the words": body(math.MaxUint32, math.MaxUint32),
+		"map missing":           body(2, 1, zeros(4)...),
+		"literal missing":       body(1, 0, 0x02),
+		"class 3":               body(1, 0, 0x03),
+		"class 3 in padding":    body(1, 0, 0xc0),
+		"padding bits":          body(3, 0, 0x40),
+		"literal +0":            body(1, 0, append([]byte{0x02}, zeros(8)...)...),
+		"literal 1.0":           body(1, 0, 0x02, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f),
+		"over the value cap":    body(maxBinaryValues+1, 0, zeros(4)...),
 	}
 	next := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{6, 0.5}, Words: 2}}
 	for name, b := range cases {
@@ -249,9 +270,18 @@ func TestUploadWordsChecked(t *testing.T) {
 			t.Errorf("%s: frame after the refused one read as %+v, %v", name, got, err)
 		}
 	}
-	// The same header over exactly the payload it describes is accepted.
-	if m, err := parseBinary(body(3, 2, 4*2+8), &Inbox{}); err != nil || m.Upload.Words != 2 || len(m.Upload.Values) != 3 {
-		t.Errorf("well-counted upload read as %+v, %v", m, err)
+	// The same headers over exactly the payload they describe are accepted.
+	for _, c := range []struct {
+		b    []byte
+		want []float64
+	}{
+		{body(3, 2, wordsAndLiteral...), []float64{0, 0, 0.5}},
+		{body(3, 0, append([]byte{0x24}, half...)...), []float64{0, 1, 0.5}},
+		{body(5, 0, 0x00, 0x00), []float64{0, 0, 0, 0, 0}},
+	} {
+		if m, err := parseBinary(c.b, &Inbox{}); err != nil || !reflect.DeepEqual(m.Upload.Values, c.want) {
+			t.Errorf("well-counted upload %x read as %+v, %v", c.b, m, err)
+		}
 	}
 }
 
@@ -375,7 +405,11 @@ func TestEncodedSizeMatchesFrame(t *testing.T) {
 // same payload as decimal-text JSON. (A >= 3x cut is information-
 // theoretically out of reach: the binary payload is already at the
 // 8-byte-per-float floor, while JSON spends ~20 bytes on a decimal
-// float64 — see DESIGN.md §13.3.)
+// float64 — see DESIGN.md §13.3.) An upload is below that floor: at
+// fanout-v256-tcp's shape — 16 verification halves as words, 64
+// learning-channel estimates of which the clamped activation leaves
+// about 52 % at +0, 35 % at 1.0 and 14 % anything else — it must be at
+// least 3x smaller than revision 6 framed it, every estimate 8 bytes.
 func TestBinaryWireBytesRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	params := make([]float64, 1000)
@@ -390,6 +424,26 @@ func TestBinaryWireBytesRatio(t *testing.T) {
 	binBytes := EncodedSizeVersion(&Message{Broadcast: &Broadcast{Round: 1, Params: params}}, Version)
 	if ratio := float64(jsonBytes) / float64(binBytes); ratio < 2.2 {
 		t.Errorf("wire ratio %.2fx (json %d B / binary %d B), want >= 2.2x", ratio, jsonBytes, binBytes)
+	}
+
+	const words, tail = 16, 64
+	values := make([]float64, words+tail)
+	for i := range values[:words] {
+		values[i] = float64(rng.Uint32())
+	}
+	for i := range values[words:] {
+		switch r := rng.Float64(); {
+		case r < 0.52: // +0
+		case r < 0.87:
+			values[words+i] = 1
+		default:
+			values[words+i] = rng.Float64()
+		}
+	}
+	rev6 := 4 + 18 + 4*words + 8*tail
+	upBytes := EncodedSizeVersion(&Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: values, Words: words}}, Version)
+	if ratio := float64(rev6) / float64(upBytes); ratio < 3 {
+		t.Errorf("upload ratio %.2fx (revision 6 %d B / revision 7 %d B), want >= 3x", ratio, rev6, upBytes)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestAdmissionRoundTrip(t *testing.T) {
 // TestHelloSessionIDWireCompat: the session ID rides Hello as an
 // optional key and survives the codec. (That a hello without one
 // serializes no such key is part of the golden-bytes pin in
-// TestRevision6WireBytes.)
+// TestRevision7WireBytes.)
 func TestHelloSessionIDWireCompat(t *testing.T) {
 	var buf bytes.Buffer
 	routed := &Message{Hello: &Hello{Version: Version, VehicleID: 2, SessionID: "s1"}}

@@ -142,6 +142,28 @@ func FuzzFrameCodec(f *testing.F) {
 	} {
 		f.Add(rawFrame(body))
 	}
+	// An upload's class map: all +0 (a map of zero bytes and nothing
+	// after it), all literals, a mix of the three classes with padding,
+	// then a class-3 byte, non-zero padding bits, a literal of +0 (it has
+	// a class of its own), and a short map under a count past
+	// maxBinaryValues — four must-reject bodies.
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 4, VehicleID: 5, Values: make([]float64, 8)}}))
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 4, VehicleID: 5,
+		Values: []float64{0.5, math.Copysign(0, -1), math.NaN(), 5}}}))
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 4, VehicleID: 5,
+		Values: []float64{3, 1, 0, 0.25, 1, 1, 0}, Words: 1}}))
+	upload := func(count uint32, tail ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{0xB3, 0x02, 4, 0, 0, 0, 5, 0, 0, 0}, count)
+		return append(binary.LittleEndian.AppendUint32(b, 0), tail...)
+	}
+	for _, body := range [][]byte{
+		upload(1, 0x03),
+		upload(3, 0x40),
+		upload(1, 0x02, 0, 0, 0, 0, 0, 0, 0, 0),
+		upload(maxBinaryValues+1, 0, 0, 0, 0),
+	} {
+		f.Add(rawFrame(body))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data))

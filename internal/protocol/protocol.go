@@ -21,8 +21,12 @@
 // fixed-width integers and raw little-endian float64 bits. An Upload's
 // leading values that are exact 32-bit unsigned integers — the halves of
 // its verification symbols — may travel as 4-byte words instead, as many
-// as Upload.Words declares. A bulk message has no JSON form and a control
-// message no binary one, on the write side and on the read side.
+// as Upload.Words declares. The rest of an Upload — its learning-channel
+// estimates, which the clamped activation pins at +0 or 1.0 most of the
+// time — travels as a 2-bit class per value, followed by the 8-byte bits
+// of only those values that are neither. A bulk message has no JSON form
+// and a control message no binary one, on the write side and on the read
+// side.
 //
 // There is one wire revision, Version. The Hello/Setup handshake still
 // carries revision numbers so that a later revision can be introduced: a
@@ -38,12 +42,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // Version is the one protocol revision this build speaks, carried in
 // Hello messages and echoed in Setup.WireVersion.
-const Version = 6
+const Version = 7
 
 // ErrCorruptFrame reports a frame whose body failed its CRC-32 check. The
 // frame has been fully consumed when Read returns it, so the connection
@@ -286,7 +291,8 @@ const headerLen = 8
 //	byte 1: kind
 //	broadcast:     round u32, count u32, count x 8-byte float64 bits
 //	upload:        round u32, vehicle u32, count u32, words u32,
-//	               words x u32, (count - words) x 8-byte float64 bits
+//	               words x u32, class map of the t = count - words tail
+//	               (ceil(t/4) bytes), literals x 8-byte float64 bits
 //	broadcast+ctx: trace u64, span u64, then as broadcast
 //	upload+ctx:    trace u64, span u64, then as upload
 //	setup:         input u32, epochs u32, rate f64, vehicles u32,
@@ -303,6 +309,14 @@ const headerLen = 8
 // to identical bytes: an upload's words decode to float64(u32), which the
 // word rule takes back as words, and its words count is the decoded
 // Upload.Words. Kind 5 was a relay's combined upload and stays refused.
+//
+// An upload's class map holds 2 bits per tail value, value i at bit
+// 2·(i mod 4) of byte i/4: classZero for the bits of +0 (−0 is a
+// literal), classOne for the bits of 1.0, classLiteral for a value whose
+// 8 bytes follow the map, in tail order. Class 3, non-zero padding bits
+// after the last value and a literal of +0 or 1.0 are refused, and so is
+// a body the map and its literals do not fill exactly, so the tail too
+// has one encoding.
 const binaryMagic = 0xB3
 
 const (
@@ -318,8 +332,96 @@ const setupFixedLen = 2 + 76
 
 // maxBinaryValues caps the value count so a broadcast or upload body
 // respects MaxMessageSize even under the largest (upload+ctx) header, 34
-// bytes, with every value a float64.
+// bytes, with every value a float64. (An upload's class map can still
+// push its densest body past the limit; appendFrame refuses that frame.)
 const maxBinaryValues = (MaxMessageSize - 34) / 8
+
+// Classes of an upload's tail value in its class map.
+const (
+	classZero    = 0
+	classOne     = 1
+	classLiteral = 2
+)
+
+// oneBits is math.Float64bits(1), the clamped activation's upper end.
+const oneBits = 0x3ff0_0000_0000_0000
+
+// tailClass returns v's class in an upload's class map.
+func tailClass(v float64) byte {
+	switch math.Float64bits(v) {
+	case 0:
+		return classZero
+	case oneBits:
+		return classOne
+	}
+	return classLiteral
+}
+
+// mapLen is the length of the class map of t tail values.
+func mapLen(t int) int { return (t + 3) / 4 }
+
+// literals counts the tail values that travel as 8-byte bits. It does
+// not branch on a value's class: the classes of clamped estimates follow
+// no pattern a branch predictor learns, and a branch per value cost four
+// times as much. (b | -b) >> 63 is 1 exactly when b != 0.
+func literals(tail []float64) int {
+	n := 0
+	for _, v := range tail {
+		b := math.Float64bits(v)
+		x := b ^ oneBits
+		n += int((b | -b) & (x | -x) >> 63)
+	}
+	return n
+}
+
+// mapLiterals checks a class map of t values — no class 3, zero padding
+// bits after the last value — and counts its literals.
+func mapLiterals(classes []byte, t int) (int, bool) {
+	n := 0
+	for _, b := range classes {
+		if b&(b>>1)&0x55 != 0 { // both bits of some class set: class 3
+			return 0, false
+		}
+		n += bits.OnesCount8(b >> 1 &^ b & 0x55) // high bit alone: a literal
+	}
+	if r := t % 4; r != 0 && classes[len(classes)-1]>>(2*r) != 0 {
+		return 0, false
+	}
+	return n, true
+}
+
+// uploadBodyBound is the largest body an upload of count values can
+// take: trace context, no words, and every value a literal. A buffer sized
+// to it once holds every upload of that shape, however its values pack.
+func uploadBodyBound(count int) int { return 34 + mapLen(count) + 8*count }
+
+// uploadCountEnd is how far into a body an upload's count reaches: magic,
+// kind, trace and span, round, vehicle, count.
+const uploadCountEnd = 30
+
+// bodyBound returns uploadBodyBound for an upload body whose first bytes
+// are head, and 0 for any other body or one too short to say.
+func bodyBound(head []byte) int {
+	if len(head) < 2 || head[0] != binaryMagic {
+		return 0
+	}
+	at := 10
+	switch head[1] {
+	case binaryKindUpload:
+	case binaryKindUploadCtx:
+		at += 16
+	default:
+		return 0
+	}
+	if len(head) < at+4 {
+		return 0
+	}
+	count := binary.LittleEndian.Uint32(head[at:])
+	if count > maxBinaryValues {
+		return 0
+	}
+	return uploadBodyBound(int(count))
+}
 
 // bulkEncodable reports whether a bulk message fits the binary body: its
 // integer fields the fixed-width layout, its payload the frame limit, and
@@ -444,7 +546,8 @@ func binaryBodyLen(m *Message) int {
 	}
 	u := m.Upload
 	w := wordRun(u.Values, u.Words)
-	n := 18 + 4*w + 8*(len(u.Values)-w)
+	tail := u.Values[w:]
+	n := 18 + 4*w + mapLen(len(tail)) + 8*literals(tail)
 	if u.TraceID != "" {
 		n += 16
 	}
@@ -509,7 +612,17 @@ func appendBinary(dst []byte, m *Message) []byte {
 	for _, v := range u.Values[:w] {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	return appendFloats(dst, u.Values[w:])
+	tail := u.Values[w:]
+	classes := len(dst)
+	dst = append(dst, make([]byte, mapLen(len(tail)))...)
+	for i, v := range tail {
+		c := tailClass(v)
+		dst[classes+i/4] |= c << (2 * (i % 4))
+		if c == classLiteral {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
 }
 
 func appendFloats(dst []byte, vals []float64) []byte {
@@ -581,7 +694,8 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		if count > maxBinaryValues || len(c.b) != 8*int(count) {
 			return nil, fmt.Errorf("protocol: binary broadcast declares %d values in %d payload bytes", count, len(c.b))
 		}
-		bc.Params = in.values(c.b, int(count), 0)
+		bc.Params = in.values(int(count))
+		readFloats(bc.Params, c.b)
 		in.bc = bc
 		in.msg = Message{Broadcast: &in.bc}
 		return &in.msg, nil
@@ -603,11 +717,28 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		up.Round = int(c.u32())
 		up.VehicleID = int(c.u32())
 		count, words := c.u32(), c.u32()
-		if words > count || count > maxBinaryValues || len(c.b) != 4*int(words)+8*int(count-words) {
+		// Every length is checked, the class map's included, before a
+		// value is written.
+		t := int(count - words)
+		if words > count || count > maxBinaryValues || len(c.b) < 4*int(words)+mapLen(t) {
 			return nil, fmt.Errorf("protocol: binary upload declares %d values, %d of them words, in %d payload bytes", count, words, len(c.b))
 		}
+		classes := c.b[4*words:][:mapLen(t)]
+		lits, ok := mapLiterals(classes, t)
+		if !ok {
+			return nil, fmt.Errorf("protocol: binary upload's class map of %d values holds class 3 or padding bits", t)
+		}
+		if len(c.b) != 4*int(words)+len(classes)+8*lits {
+			return nil, fmt.Errorf("protocol: binary upload declares %d values, %d of them words and %d literals, in %d payload bytes", count, words, lits, len(c.b))
+		}
+		for b := c.b[4*int(words)+len(classes):]; len(b) > 0; b = b[8:] {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(b)); tailClass(v) != classLiteral {
+				return nil, fmt.Errorf("protocol: binary upload carries %v as a literal, which has a class of its own", v)
+			}
+		}
 		up.Words = int(words)
-		up.Values = in.values(c.b, int(count), up.Words)
+		up.Values = in.values(int(count))
+		readUpload(up.Values, c.b, up.Words)
 		in.up = up
 		in.msg = Message{Upload: &in.up}
 		return &in.msg, nil
@@ -635,8 +766,13 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 		if (rows == 0) != (cols == 0) || len(rest)%8 != 0 || coeffs+rows*cols != uint64(len(rest)/8) {
 			return nil, fmt.Errorf("protocol: binary setup declares %d coefficients and %d x %d reference values in %d payload bytes", coeffs, rows, cols, len(rest))
 		}
-		su.ActivationCoeffs = readValues(nil, rest, int(coeffs), 0)
-		if flat := readValues(nil, rest[8*coeffs:], int(rows*cols), 0); flat != nil {
+		if coeffs > 0 {
+			su.ActivationCoeffs = make([]float64, coeffs)
+			readFloats(su.ActivationCoeffs, rest)
+		}
+		if rows > 0 {
+			flat := make([]float64, rows*cols)
+			readFloats(flat, rest[8*coeffs:])
 			su.RefX = make([][]float64, rows)
 			for i := range su.RefX {
 				su.RefX[i] = flat[i*int(cols) : (i+1)*int(cols) : (i+1)*int(cols)]
@@ -647,26 +783,33 @@ func parseBinary(body []byte, in *Inbox) (*Message, error) {
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
 
-// readValues decodes count values from b into dst's backing array — the
-// first words of them little-endian u32 words, the rest float64 bits —
-// allocating only when dst is too small. It returns nil for count 0, as a
-// fresh decode does.
-func readValues(dst []float64, b []byte, count, words int) []float64 {
-	if count == 0 {
-		return nil
+// readFloats decodes len(out) float64 bit patterns from b.
+func readFloats(out []float64, b []byte) {
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	if cap(dst) < count {
-		dst = make([]float64, count)
-	}
-	out := dst[:count]
+}
+
+// readUpload decodes an upload payload b that parseBinary has checked
+// into out: words 4-byte words, then the tail's class map and literals.
+func readUpload(out []float64, b []byte, words int) {
 	for i := range out[:words] {
 		out[i] = float64(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	b = b[4*words:]
-	for i := range out[words:] {
-		out[words+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	tail := out[words:]
+	classes := b[4*words:]
+	lits := classes[mapLen(len(tail)):]
+	for i := range tail {
+		switch classes[i/4] >> (2 * (i % 4)) & 3 {
+		case classZero:
+			tail[i] = 0
+		case classOne:
+			tail[i] = 1
+		default:
+			tail[i] = math.Float64frombits(binary.LittleEndian.Uint64(lits))
+			lits = lits[8:]
+		}
 	}
-	return out
 }
 
 // Write frames and writes one message at Version.
@@ -707,7 +850,10 @@ func writeWhole(w io.Writer, frame []byte) error {
 
 // AppendFrame appends the complete frame for m — header, then body — to
 // dst and returns the extended slice. A connection that keeps dst between
-// sends frames its steady-state (binary) traffic without allocating. A
+// sends frames its steady-state (binary) traffic without allocating: an
+// upload's frame is given room for the dense bound of its shape
+// (uploadBodyBound, up to maxKept), so a kept dst does not regrow as the
+// upload's packed size moves from round to round. A
 // bulk message that does not fit the binary body (bulkEncodable) is an
 // error: there is no other encoding to fall back to.
 //
@@ -729,7 +875,11 @@ func appendFrame(dst []byte, m *Message, crcFlip uint32) ([]byte, error) {
 		if !bulkEncodable(m) {
 			return dst, fmt.Errorf("protocol: %s does not fit the binary body (an integer outside 32 bits, a body over %d bytes, an upload's words count outside [0, values], a ragged or zero-width reference set, or a trace context that is not canonical nonzero IDs)", m.kind(), MaxMessageSize)
 		}
-		dst = slices.Grow(dst, headerLen+binaryBodyLen(m))
+		n := binaryBodyLen(m)
+		if m.Upload != nil {
+			n = max(n, min(uploadBodyBound(len(m.Upload.Values)), maxKept-headerLen))
+		}
+		dst = slices.Grow(dst, headerLen+n)
 		dst = append(dst, make([]byte, headerLen)...) // filled in below
 		dst = appendBinary(dst, m)
 	} else {
@@ -777,13 +927,16 @@ type Inbox struct {
 	vals  []float64 // backing of bc.Params or up.Values
 }
 
-// values decodes a bulk payload into the inbox's value buffer.
-func (in *Inbox) values(b []byte, count, words int) []float64 {
+// values returns the inbox's value buffer sized to count, allocating only
+// when it is too small.
+func (in *Inbox) values(count int) []float64 {
 	if count == 0 {
 		return nil // as a fresh decode has it; the buffer stays for the next
 	}
-	in.vals = readValues(in.vals, b, count, words)
-	return in.vals
+	if cap(in.vals) < count {
+		in.vals = make([]float64, count)
+	}
+	return in.vals[:count]
 }
 
 // ReadBuffered is Read through a connection's Inbox, and the two halves of
@@ -792,8 +945,11 @@ func (in *Inbox) values(b []byte, count, words int) []float64 {
 // valid until the next ReadBuffered on the same inbox, which overwrites
 // it, so a connection's steady-state reads allocate nothing. A Setup or
 // control message (Hello, Admission, Finished, Error) is allocated fresh
-// and is the caller's to keep. The frame buffer is grown to the largest
-// frame seen and left in the inbox for the next call.
+// and is the caller's to keep. The frame buffer is left in the inbox for
+// the next call. It grows to the largest frame seen, and for an upload at
+// once to the dense bound of its shape (uploadBodyBound): an upload's
+// size moves with how its values pack, and a buffer that followed it
+// would regrow round after round.
 func ReadBuffered(r io.Reader, in *Inbox) (*Message, error) {
 	// What the last read outgrew is dropped now that its message is no
 	// longer valid.
@@ -815,11 +971,19 @@ func ReadBuffered(r io.Reader, in *Inbox) (*Message, error) {
 	if size > MaxMessageSize {
 		return nil, fmt.Errorf("protocol: incoming frame of %d bytes exceeds limit", size)
 	}
-	if int(size) > cap(in.frame) {
-		in.frame = make([]byte, size)
+	// The body's head says whether it is an upload, and of how many values,
+	// before the buffer is sized for the rest.
+	n := min(int(size), uploadCountEnd)
+	if _, err := io.ReadFull(r, in.frame[:n]); err != nil {
+		return nil, fmt.Errorf("protocol: read body: %w", err)
+	}
+	if want := max(int(size), min(bodyBound(in.frame[:n]), maxKept)); want > cap(in.frame) {
+		grown := make([]byte, want)
+		copy(grown, in.frame[:n])
+		in.frame = grown
 	}
 	body := in.frame[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(r, body[n:]); err != nil {
 		return nil, fmt.Errorf("protocol: read body: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(body); got != sum {

@@ -46,30 +46,40 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRevision6WireBytes is the golden-bytes pin of revision 6: a
+// TestRevision7WireBytes is the golden-bytes pin of revision 7: a
 // context-free and a context-bearing Broadcast; a context-free Upload with
-// no words, one whose words run stops at a fraction, and a
-// context-bearing one all words; a Hello without a session ID; and a bare
-// and a fully populated Setup, byte for byte. (Setup's bytes are the
-// binary body's: builds that sent it as JSON are the second
-// incompatibility DESIGN.md §13.3 lists.)
-func TestRevision6WireBytes(t *testing.T) {
+// no words, a context-bearing one whose words run stops at a fraction, and
+// a context-free one all words; a Hello without a session ID; and a bare
+// and a fully populated Setup, byte for byte. The uploads' tails mix +0,
+// −0, 1.0, the float just below 1.0, a NaN payload, a subnormal, 0.5 and
+// 5.0, so every class of the map and its padding show. Every frame but the
+// uploads' is revision 6's, byte for byte. (Setup's bytes are the binary
+// body's: builds that sent it as JSON are the second incompatibility
+// DESIGN.md §13.3 lists.)
+func TestRevision7WireBytes(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_dead_beef_0001)
 	golden := []struct {
 		m     *Message
 		frame string
 	}{
 		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}}},
 			"0000002299cd9084b3010200000003000000000000000000e03f000000000000f03f0000000000000040"},
-		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}}},
-			"0000001a138afc53" + "b302" + "02000000" + "04000000" + "01000000" + "00000000" + "0000000000001c40"},
-		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7, math.MaxUint32, 0.5}, Words: 3}},
-			"00000022e40066db" + "b302" + "02000000" + "04000000" + "03000000" + "02000000" +
-				"07000000" + "ffffffff" + "000000000000e03f"},
+		// Tail classes 0 2 1 2 | 2 2 2 (pad): map 98 2a, then five literals.
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{0, math.Copysign(0, -1), 1,
+			math.Nextafter(1, 0), nan, math.SmallestNonzeroFloat64, 5}}},
+			"0000003c8c5710e3" + "b302" + "02000000" + "04000000" + "07000000" + "00000000" + "982a" +
+				"0000000000000080" + "ffffffffffffef3f" + "0100efbeaddef87f" + "0100000000000000" + "0000000000001440"},
+		// Words run 7, 2³²−1, stopped by 0.5; tail classes 2 1 0 1 | 0 (pad).
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7, math.MaxUint32, 0.5, 1, 0, 1, 0}, Words: 3,
+			TraceID: testTrace, SpanID: testSpan}},
+			"0000003415ae65a1" + "b304" + "efbeadde00000000" + "0df0feca00000000" + "02000000" + "04000000" +
+				"07000000" + "02000000" + "07000000" + "ffffffff" + "4600" + "000000000000e03f"},
+		// All words: an empty tail has an empty map.
+		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7, 0, 1}, Words: 3}},
+			"0000001e023512c6" + "b302" + "02000000" + "04000000" + "03000000" + "03000000" +
+				"07000000" + "00000000" + "01000000"},
 		{&Message{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}, TraceID: testTrace, SpanID: testSpan}},
 			"00000032ce859759b303efbeadde000000000df0feca000000000200000003000000000000000000e03f000000000000f03f0000000000000040"},
-		{&Message{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}, Words: 1, TraceID: testTrace, SpanID: testSpan}},
-			"000000269bb23777" + "b304" + "efbeadde00000000" + "0df0feca00000000" + "02000000" + "04000000" +
-				"01000000" + "01000000" + "07000000"},
 		{&Message{Hello: &Hello{Version: 6, VehicleID: 4}},
 			hex.EncodeToString([]byte("\x00\x00\x00\x26\x8c\xc3\x4e\x56" + `{"hello":{"version":6,"vehicle_id":4}}`))},
 		{&Message{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 6}},
@@ -95,6 +105,16 @@ func TestRevision6WireBytes(t *testing.T) {
 		}
 		if n := EncodedSizeVersion(g.m, Version); n != len(g.frame)/2-4 {
 			t.Errorf("%s accounted at %d bytes, frame less CRC is %d", g.m.Kind(), n, len(g.frame)/2-4)
+		}
+		// The pinned bytes decode to a message that writes them again.
+		raw, _ := hex.DecodeString(g.frame)
+		got, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: pinned frame does not read: %v", g.m.Kind(), err)
+		}
+		var again bytes.Buffer
+		if err := WriteVersion(&again, got, Version); err != nil || !bytes.Equal(again.Bytes(), raw) {
+			t.Errorf("%s: pinned frame reads back as %x, %v", g.m.Kind(), again.Bytes(), err)
 		}
 	}
 }
