@@ -487,7 +487,7 @@ func addChaosFlag(fs *flag.FlagSet) func(ob *obs.Obs) (*chaos.Injector, error) {
 // DESIGN.md §14.
 func addPipelineFlags(fs *flag.FlagSet) func(*node.ServerConfig) {
 	waitBudget := fs.Int("wait-budget", 0,
-		"uploads beyond the recover threshold K to wait for before closing a round (-1 = close at K, 0 = wait for the whole fleet)")
+		"uploads beyond the recover threshold K to wait for before closing a round (0 = wait for the whole fleet)")
 	return func(cfg *node.ServerConfig) {
 		cfg.WaitBudget = *waitBudget
 	}

@@ -17,8 +17,9 @@ import (
 )
 
 // rejoin hands srv's session a reconnected vehicle as a Fleet does: it
-// reads and stamps the hello on conn and queues the connection for the
-// engine. A hello that fails the handshake closes conn.
+// reads and stamps the hello on conn and waits until the engine takes
+// the connection, or answers it Finished once the session is over. A
+// hello that fails the handshake closes conn.
 func rejoin(srv *Server, conn transport.Conn) {
 	h, err := readHello(conn, srv.cfg.Scheme.NumVehicles)
 	if err != nil {
@@ -32,18 +33,8 @@ func rejoin(srv *Server, conn transport.Conn) {
 // wrapped by the injector. Vehicles in retry run under RunVehicleRetry
 // with a redial that rejoins the fusion centre over a fresh pipe — the
 // restart-and-rejoin process fault, end to end.
-//
-// When the spec plants crashes, the first vehicle outside retry sends
-// through a rejoinGate, which makes "the crashed vehicle's upload is in
-// its crash round's aggregate" a property of the run instead of a race
-// (see rejoinGate).
 func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool) *Report {
 	t.Helper()
-	gated := -1
-	if len(inj.Spec().Crashes) > 0 {
-		for gated = 0; retry[gated]; gated++ {
-		}
-	}
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)
@@ -70,16 +61,12 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 			}(i)
 			continue
 		}
-		conn := inj.Wrap(i, s.vconns[i])
-		if i == gated {
-			conn = &rejoinGate{t: t, inner: conn, server: s.server, crashes: inj.Spec().Crashes}
-		}
-		go func(i int) {
+		go func(i int, conn transport.Conn) {
 			defer wg.Done()
 			if err := RunVehicle(conn, s.clients[i]); err != nil {
 				t.Errorf("vehicle %d: %v", i, err)
 			}
-		}(i)
+		}(i, inj.Wrap(i, s.vconns[i]))
 	}
 	report, err := s.server.Run(s.conns)
 	if err != nil {
@@ -88,53 +75,6 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 	wg.Wait()
 	return report
 }
-
-// rejoinGate holds one healthy vehicle's upload for a round in which
-// another vehicle crashes until the fusion centre has revived every
-// vehicle crashed so far (Status().Rejoins). Both engines close a round
-// as soon as nobody alive still owes an upload — a dead vehicle is not
-// waited for — so without the gate the crashed vehicle's resend makes its
-// crash round only if its rejoin wins a race against the other
-// vehicles' uploads; when it loses, that round averages the learning
-// channel over one vehicle fewer (or the session ends before the rejoin)
-// and the run is no longer comparable bit for bit. With the gate the
-// round stays open, the rejoin re-arms the crashed vehicle as
-// outstanding, and the round closes on both uploads.
-type rejoinGate struct {
-	t       *testing.T
-	inner   transport.Conn
-	server  *Server
-	crashes []chaos.Crash
-}
-
-func (g *rejoinGate) Send(m *protocol.Message) error {
-	if m.Upload != nil {
-		crashRound, want := false, 0
-		for _, c := range g.crashes {
-			if c.Round == m.Upload.Round {
-				crashRound = true
-			}
-			if c.Round <= m.Upload.Round {
-				want++
-			}
-		}
-		// Poll: the server exposes no rejoin event. Bounded so a crash that
-		// never rejoins fails the test instead of hanging it.
-		for waited := 0; crashRound && g.server.Status().Rejoins < want; waited++ {
-			if waited == 100000 {
-				g.t.Errorf("round %d: %d of %d rejoins after 20 s", m.Upload.Round, g.server.Status().Rejoins, want)
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	return g.inner.Send(m)
-}
-
-func (g *rejoinGate) Recv() (*protocol.Message, error) { return g.inner.Recv() }
-func (g *rejoinGate) Close() error                     { return g.inner.Close() }
-func (g *rejoinGate) Flush() error                     { return transport.Flush(g.inner) }
-func (g *rejoinGate) SetWireVersion(v int)             { transport.SetWireVersion(g.inner, v) }
 
 // sameBits reports bit-identity of two float64 vectors.
 func sameBits(a, b []float64) bool {
@@ -158,11 +98,12 @@ func sameBits(a, b []float64) bool {
 func TestChaosRecoveryBitIdentical(t *testing.T) {
 	const vehicles, rounds = 20, 3
 	// before-upload crash: the upload reaches the fusion centre through
-	// the rejoin resend, and chaosRun's rejoinGate keeps round 2 open until
-	// that rejoin has happened, so every counter (not just the aggregate)
-	// is a pure function of seed+spec. (after-upload crashes race the
-	// original upload against the rejoin re-broadcast — covered, with the
-	// weaker bit-identity-only guarantee, in TestChaosCrashAfterUpload.)
+	// the rejoin resend, and round 2 stays open until it does (the crashed
+	// vehicle still owes it; engine.step), so every counter (not just the
+	// aggregate) is a pure function of seed+spec. (after-upload crashes
+	// race the original upload against the rejoin re-broadcast — covered,
+	// with the weaker bit-identity-only guarantee, in
+	// TestChaosCrashAfterUpload.)
 	const spec = "seed=9;corrupt.upload=0.3:max=1;crash@4=before-upload:2"
 
 	setProcs(t, 1)
@@ -499,19 +440,35 @@ func (c setupFails) Send(m *protocol.Message) error {
 }
 
 // TestRejoinBurstReachesEngine: every rejoin made while the session is
-// live reaches the engine, however many queue up. Sixty-five
-// reconnections of one vehicle — one more than the queue once held, whose
-// overflow was told the session had finished — are queued before Run
-// starts. Round 1 revives every one, each replacing the last, so the
-// Report counts them all and only the vehicle on the connection the
-// engine keeps ends cleanly, on Finished.
+// live reaches the engine, however many wait at once. Sixty-four
+// reconnections of one vehicle — as many as a bounded queue once held
+// before it told the rest the session had finished — wait together on
+// the rejoin channel while round 1 is held open by the vehicle, which owes
+// it and stays silent on every connection; a sixty-fifth then trains and
+// uploads. Each rejoin replaces the last, so the Report counts them all
+// and only the vehicle on the connection the engine keeps ends cleanly,
+// on Finished.
 func TestRejoinBurstReachesEngine(t *testing.T) {
 	const vehicles, burst = 10, 65
 	const target = vehicles - 1
 	s := buildSession(t, vehicles, 1, 0)
-	var rejoiners sync.WaitGroup
+	var rejoiners, taken sync.WaitGroup
 	var clean atomic.Int32
-	for i := 0; i < burst; i++ {
+	for i := 0; i < burst-1; i++ {
+		serverEnd, vehicleEnd := transport.Pipe()
+		rejoiners.Add(1)
+		taken.Add(1)
+		go func() {
+			defer rejoiners.Done()
+			silentVehicle(t, vehicleEnd, target)
+		}()
+		go func() {
+			defer taken.Done()
+			rejoin(s.server, serverEnd)
+		}()
+	}
+	go func() {
+		taken.Wait()
 		serverEnd, vehicleEnd := transport.Pipe()
 		rejoiners.Add(1)
 		go func() {
@@ -521,7 +478,7 @@ func TestRejoinBurstReachesEngine(t *testing.T) {
 			}
 		}()
 		rejoin(s.server, serverEnd)
-	}
+	}()
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)
@@ -550,12 +507,14 @@ func TestRejoinBurstReachesEngine(t *testing.T) {
 
 // TestFailedRejoinNotCounted: a rejoin whose connection closes before
 // Setup revives nothing. The vehicle it names, which never uploads, ends
-// its first round dead and is Disconnected in every round, and neither
-// the Report, Status nor the node.rejoins counter counts a rejoin.
+// its first round dead, still owing it, so that round closes at the
+// deadline; it is Disconnected in every round, and neither the Report,
+// Status nor the node.rejoins counter counts a rejoin.
 func TestFailedRejoinNotCounted(t *testing.T) {
 	const vehicles, rounds, silent = 12, 2, 3
 	reg := obs.NewRegistry()
 	s := buildSessionObs(t, vehicles, rounds, 0, obs.New(reg, nil, nil))
+	s.server.cfg.RoundTimeout = time.Second
 	serverEnd, vehicleEnd := transport.Pipe()
 	defer vehicleEnd.Close()
 	if err := vehicleEnd.Send(&protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: silent}}); err != nil {
@@ -563,7 +522,7 @@ func TestFailedRejoinNotCounted(t *testing.T) {
 	}
 	// The silent vehicle owes round 1 its upload for good, so the round
 	// stays open until the rejoin has been tried.
-	rejoin(s.server, setupFails{serverEnd})
+	go rejoin(s.server, setupFails{serverEnd})
 	var wg sync.WaitGroup
 	for i := range s.clients {
 		wg.Add(1)

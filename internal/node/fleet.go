@@ -452,8 +452,8 @@ func (f *Fleet) startSession(sess *fleetSession) {
 		sess.state = sessionDone
 		sess.report, sess.err = report, err
 		// Every connection the session was handed, rejoins included, is
-		// closed here, so a rejoin still queued when run fails is not left
-		// waiting for a Setup.
+		// closed here, so no vehicle of a failed run is left waiting for a
+		// Setup.
 		open := slices.Clone(sess.hellos)
 		f.mu.Unlock()
 		for _, h := range open {

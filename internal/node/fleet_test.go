@@ -659,12 +659,12 @@ func (c *failSetupConn) Send(m *protocol.Message) error {
 	return c.Conn.Send(m)
 }
 
-// TestFleetAnswersRejoinOfFailedSession: a rejoin queued for a session
+// TestFleetAnswersRejoinOfFailedSession: a rejoin waiting for a session
 // whose run then fails is not left waiting for a Setup. Vehicle 1 redials
-// while the session sends vehicle 0 its Setup, and its rejoin is queued;
-// that Setup then fails, so the session ends in error with the rejoin
-// unrevived. The fleet closes every connection it handed the session, so
-// vehicle 1's RunVehicleRetry returns within bounded time.
+// while the session sends vehicle 0 its Setup, and its rejoin waits for
+// the engine; that Setup then fails, so the session ends in error with
+// the rejoin unrevived, and the rejoin is answered Finished. Vehicle 1's
+// RunVehicleRetry returns within bounded time.
 func TestFleetAnswersRejoinOfFailedSession(t *testing.T) {
 	cfgs, clients := fleetScenario(t, []string{"main"}, 2, 1)
 	fleet, err := NewFleet(FleetConfig{Sessions: cfgs})
@@ -694,13 +694,12 @@ func TestFleetAnswersRejoinOfFailedSession(t *testing.T) {
 	stopped := startFleetVehicles(fab, clients["main"][:1])
 	<-ln.stalled // vehicle 0's Setup is being sent
 	_ = (<-firstConn).Close()
-	srv := fleet.sessions["main"].srv
-	queued := func() bool {
-		srv.statusMu.Lock()
-		defer srv.statusMu.Unlock()
-		return len(srv.rejoins) == 1
+	rejoined := func() bool { // seated twice, then the rejoin
+		fleet.mu.Lock()
+		defer fleet.mu.Unlock()
+		return fleet.admitted == 3
 	}
-	for !queued() {
+	for !rejoined() {
 		runtime.Gosched()
 	}
 	close(ln.release)

@@ -18,12 +18,14 @@
 // a bounded re-broadcast and the vehicle resends its cached upload
 // without retraining, so recovery is bit-identical to the fault-free
 // run; a crashed vehicle may redial its Fleet, which hands the running
-// session the new connection; and a round left with fewer uploads than
-// the RS recover threshold K degrades gracefully — the model holds still
-// and its RoundRecord says so — instead of failing the session. The
-// round records are the session's one tally: Report's totals and
-// Status's tallies are summed from them, and the one helper that writes a
-// fact into them also bumps its node.* counter and emits its trace event.
+// session the new connection, and the round it crashed in waits for that
+// rejoin up to the wait budget or the deadline (engine.step, where every
+// rule of a round runs); and a round left with fewer uploads than the RS
+// recover threshold K degrades gracefully — the model holds still and its
+// RoundRecord says so — instead of failing the session. The round records
+// are the session's one tally: Report's totals and Status's tallies are
+// summed from them, and the one helper that writes a fact into them also
+// bumps its node.* counter and emits its trace event.
 package node
 
 import (
@@ -65,8 +67,9 @@ type ServerConfig struct {
 	RoundTimeout time.Duration
 	// WaitBudget sets how many uploads beyond the recover threshold K the
 	// engine waits for before closing a round's collection window. 0 (the
-	// default) waits for every live vehicle; -1 closes at exactly K; n > 0
-	// closes at K+n.
+	// default) waits for every vehicle that owes the round; n > 0 closes at
+	// K+n. A negative value is refused: a close at exactly K leaves the
+	// verification channel no redundancy to flag a liar with.
 	WaitBudget int
 	// Obs attaches the observability layer to the fusion centre and (via
 	// Scheme.Obs, unless the caller already set one) to its coding scheme.
@@ -174,14 +177,16 @@ type Server struct {
 	scheme    *core.Scheme
 	distiller *fl.Distiller // the update step over cfg.RefX, one per session
 
-	// revive holds a token while rejoins has handshaked
-	// reconnections for Run's collect loop to revive.
-	revive chan struct{}
+	// rejoins carries each reconnected vehicle's hello to the engine, which
+	// takes one only while a round collects; done closes when the session
+	// is over. The channel is not the receivers' results, so a flood of
+	// hellos cannot use up the room that keeps a receiver from blocking.
+	rejoins chan hello
+	done    chan struct{}
 
-	statusMu sync.Mutex    // guards status, records and rejoins; Phase "done" ends rejoins
+	statusMu sync.Mutex    // guards status and records
 	status   Status        // guarded by statusMu
 	records  []RoundRecord // guarded by statusMu; one per round, from the handshake on
-	rejoins  []hello       // guarded by statusMu; unbounded, so no live rejoin is turned away
 
 	// Observability handles, resolved once in NewServer; counters is
 	// indexed by fact.
@@ -211,9 +216,9 @@ type Status struct {
 	Round  int `json:"round"`
 	Rounds int `json:"rounds"`
 	// RecoverK is the scheme's RS decode threshold K. WaitBudget echoes
-	// ServerConfig.WaitBudget in its encoding (0 = wait for all, -1 =
-	// close at K); BudgetTarget is the upload count that closes a round
-	// early, K + max(WaitBudget, 0), or 0 when waiting for all.
+	// ServerConfig.WaitBudget (0 = wait for all); BudgetTarget is the
+	// upload count that closes a round early, K + WaitBudget, or 0 when
+	// waiting for all.
 	RecoverK     int `json:"recover_k"`
 	WaitBudget   int `json:"wait_budget"`
 	BudgetTarget int `json:"budget_target"`
@@ -254,8 +259,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.RoundTimeout == 0 {
 		cfg.RoundTimeout = 30 * time.Second
 	}
-	if cfg.WaitBudget < -1 {
-		return nil, fmt.Errorf("node: wait budget %d outside {-1, 0, 1, ...}", cfg.WaitBudget)
+	if cfg.WaitBudget < 0 {
+		return nil, fmt.Errorf("node: wait budget %d is negative", cfg.WaitBudget)
 	}
 	act := approx.FromPolynomial("wire-poly", poly.NewReal(cfg.ActivationCoeffs...))
 	shared, err := nn.New(nn.Config{LayerSizes: []int{cfg.FL.InputSize, 1}, Activation: act, Seed: cfg.FL.Seed})
@@ -279,7 +284,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		shared:    shared,
 		scheme:    scheme,
 		distiller: distiller,
-		revive:    make(chan struct{}, 1),
+		rejoins:   make(chan hello),
+		done:      make(chan struct{}),
 		obs:       cfg.Obs,
 		counters: [numFacts]*obs.Counter{
 			fl.Late:      stragglers,
@@ -298,33 +304,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Shared exposes the fusion centre's model (for evaluation after Run).
 func (s *Server) Shared() *nn.Network { return s.shared }
 
-// enqueue hands the running session a reconnected vehicle whose hello
-// its Fleet has read; Run's collect loop revives it (Setup resent, and
-// the current round's broadcast if an upload is owed). Every rejoin before
-// the session finishes reaches the engine; one arriving after is answered
-// with Finished and closed, so a retrying vehicle terminates cleanly.
+// enqueue hands the session a reconnected vehicle whose hello its Fleet
+// has read, and waits until the engine takes it in a round's collect,
+// which revives it (engine.rejoin). A rejoin the session never takes,
+// because it ended first, is answered with Finished and closed, so a
+// retrying vehicle terminates cleanly.
 func (s *Server) enqueue(h hello) {
-	s.statusMu.Lock()
-	if s.status.Phase == "done" {
-		s.statusMu.Unlock()
-		sendFinished(h.conn, s.cfg.Rounds)
-		return
-	}
-	s.rejoins = append(s.rejoins, h)
-	s.statusMu.Unlock()
 	select {
-	case s.revive <- struct{}{}:
-	default: // a token is already waiting, and the engine takes every queued rejoin on it
+	case s.rejoins <- h:
+	case <-s.done:
+		sendFinished(h.conn, s.cfg.Rounds)
 	}
-}
-
-// takeRejoins empties the rejoin queue.
-func (s *Server) takeRejoins() []hello {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
-	q := s.rejoins
-	s.rejoins = nil
-	return q
 }
 
 // recvHello consumes and version-checks a peer's opening hello. A peer
@@ -389,6 +379,14 @@ type result struct {
 	err    error
 }
 
+// event is one input to a round's rules (engine.step): a receiver's
+// result, a rejoining vehicle's hello (conn non-nil), or the deadline.
+type event struct {
+	result
+	rejoin  hello
+	timeout bool
+}
+
 // release hands the upload's buffer back to its connection's receiver.
 // It never blocks: the receiver's channel has room for both its buffers.
 func (u *result) release() {
@@ -417,7 +415,8 @@ type vehicle struct {
 
 // engine is one Run's state: the per-vehicle table, the session's
 // constants, and the current round. Only Run's goroutine touches it; the
-// receivers it starts only send on results, and stop once done closes.
+// receivers it starts only send on results, and stop once the session's
+// done closes.
 type engine struct {
 	s        *Server
 	traced   bool
@@ -429,8 +428,7 @@ type engine struct {
 	veh      []vehicle
 	rows     [][]float64 // the admitted uploads handed to the close, by ID
 	results  chan result
-	done     chan struct{} // closed when Run returns
-	deadline *time.Timer   // one for the session, re-armed every round
+	deadline *time.Timer // one for the session, re-armed every round
 
 	// The current round. Its broadcast is one message, parameter vector
 	// included, rewritten every round: a send copies what it needs.
@@ -450,7 +448,7 @@ type engine struct {
 // Run drives the session over the given connections, one per vehicle in
 // any order: it reads every hello, stamping each when it arrives, and
 // then runs the session as a Fleet starts it. Run blocks until the
-// session completes.
+// session completes; a Server runs one session.
 func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	v := s.cfg.Scheme.NumVehicles
 	if len(conns) != v {
@@ -474,12 +472,12 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 // by vehicle ID: it configures every vehicle, runs each round as a
 // broadcast, a collect and a close (DESIGN §14.5), and sends Finished.
 func (s *Server) run(hellos []hello) (*Report, error) {
+	defer close(s.done)
 	e, err := s.handshake(hellos)
 	if err != nil {
 		return nil, err
 	}
 	defer e.deadline.Stop()
-	defer close(e.done)
 	for e.round = 1; e.round <= s.cfg.Rounds; e.round++ {
 		if err := e.broadcast(); err != nil {
 			return nil, err
@@ -507,7 +505,6 @@ func (s *Server) handshake(hellos []hello) (*engine, error) {
 		// yielding one upload and up to maxRetransmits+1 corrupt frames,
 		// and its one terminal error takes the last slot.
 		results: make(chan result, v*(pipelineWindow+1)*(maxRetransmits+2)),
-		done:    make(chan struct{}),
 		setup: protocol.Setup{
 			WireVersion:      protocol.Version,
 			InputSize:        s.cfg.FL.InputSize,
@@ -521,8 +518,8 @@ func (s *Server) handshake(hellos []hello) (*engine, error) {
 			SchemeSeed:       s.cfg.Scheme.Seed,
 		},
 	}
-	if s.cfg.WaitBudget != 0 {
-		e.target = e.k + max(s.cfg.WaitBudget, 0)
+	if s.cfg.WaitBudget > 0 {
+		e.target = e.k + s.cfg.WaitBudget
 	}
 	if e.traced {
 		// Derived from the scheme seed (DESIGN §15), so fusion centre and
@@ -617,7 +614,7 @@ func (e *engine) receive(id int, conn transport.Conn) {
 				select {
 				case buf := <-free:
 					r.values = append(buf[:0], up.Values...)
-				case <-e.done:
+				case <-e.s.done:
 					return
 				}
 			}
@@ -634,7 +631,7 @@ func (e *engine) deliver(r result) bool {
 	select {
 	case e.results <- r:
 		return true
-	case <-e.done:
+	case <-e.s.done:
 		return false
 	}
 }
@@ -643,7 +640,8 @@ func (e *engine) deliver(r result) bool {
 // vehicle, which then owes the round an upload — except a behind vehicle
 // more than pipelineWindow rounds stale: its broadcast is withheld
 // (latest only) until an upload proves it alive, so a vanished straggler
-// never accumulates frames.
+// never accumulates frames. The round's uploads then stream into the
+// scheme's incremental decoder.
 func (e *engine) broadcast() error {
 	s := e.s
 	// The per-round events are built only when traced: boxing a round
@@ -674,15 +672,23 @@ func (e *engine) broadcast() error {
 		case vh.dead: // until it rejoins
 		case vh.behind && e.round-vh.lastSeen > pipelineWindow:
 			vh.verdict = fl.Withheld
-		case sendFlush(vh.conn, &e.bc) != nil:
-			// The flush barrier is where a buffered fabric pays its one
-			// write; a flush failure is a send failure.
-			vh.dead = true
 		default:
-			e.judge(vh, fl.Late)
+			e.owe(vh)
 		}
 	}
+	e.sink = s.scheme.BeginIngest()
+	e.publish("collect", true)
 	return nil
+}
+
+// owe sends vh the round's broadcast, after which it owes the round an
+// upload. A failed send or flush (the barrier where a buffered fabric
+// pays its one write) leaves it dead until it rejoins, and owing (step).
+func (e *engine) owe(vh *vehicle) {
+	e.judge(vh, fl.Late)
+	if sendFlush(vh.conn, &e.bc) != nil {
+		vh.dead = true
+	}
 }
 
 // judge sets a vehicle's verdict so far, keeping the count of vehicles
@@ -697,59 +703,70 @@ func (e *engine) judge(vh *vehicle, v fl.Verdict) {
 	vh.verdict = v
 }
 
-// kill marks a vehicle dead until it rejoins; it owes nothing meanwhile.
-func (e *engine) kill(vh *vehicle) {
-	vh.dead = true
-	if vh.verdict != fl.Admitted {
-		e.judge(vh, fl.Disconnected)
-	}
-}
-
-// collect streams the round's uploads into the scheme's incremental
-// decoder until nobody alive owes one, the wait budget closes the round
-// early, or the deadline passes. Below K the round stays open to the
-// deadline even with nothing owed: crashed vehicles get the full window
-// to rejoin before the model is held still, so a failure that drops many
-// links at once — a crashed access point — cannot burn through every
-// remaining round degraded in microseconds.
+// collect hands step one event at a time — a receiver's result, a rejoin
+// or the deadline — until step closes the round.
 func (e *engine) collect() {
-	e.sink = e.s.scheme.BeginIngest()
-	e.publish("collect", true)
 	rearm(e.deadline, e.s.cfg.RoundTimeout)
-	for e.outstanding > 0 || e.arrived < e.k {
+	for {
+		var ev event
 		select {
-		case u := <-e.results:
-			switch {
-			case errors.Is(u.err, protocol.ErrCorruptFrame):
-				e.corrupt(u)
-			case u.err != nil:
-				e.recvError(u, u.err)
-			default:
-				if e.admit(u) {
-					return
-				}
-			}
-		case <-e.s.revive:
-			for _, req := range e.s.takeRejoins() {
-				e.rejoin(req)
-			}
+		case ev.result = <-e.results:
+		case ev.rejoin = <-e.s.rejoins:
 		case <-e.deadline.C:
-			e.closedBy = "timeout"
-			return // stragglers: their uploads stay nil
+			ev.timeout = true
+		}
+		if e.step(ev) {
+			return
 		}
 	}
 }
 
+// step applies one event to the open round and reports whether that
+// closed it: it is the one place a round's rules run (DESIGN §11). A
+// vehicle sent the round's broadcast owes the round an upload until the
+// upload is admitted, the engine refuses one (admit), or the round
+// closes. A lost connection does not end the debt and a rejoin inherits
+// it, so a crashed vehicle's round waits for its rejoin. The round closes
+// once nobody owes and K have arrived ("all"), once the arrivals reach
+// the wait budget's target while some still owe ("budget": the live ones
+// are left behind), or at the deadline ("timeout"). Below K it stays open
+// to the deadline even with nothing owed, so a failure that drops many
+// links at once cannot burn through every remaining round degraded.
+func (e *engine) step(ev event) (closed bool) {
+	switch {
+	case ev.timeout:
+		e.closedBy = "timeout"
+		return true // stragglers: their uploads stay nil
+	case ev.rejoin.conn != nil:
+		e.rejoin(ev.rejoin)
+	case errors.Is(ev.err, protocol.ErrCorruptFrame):
+		e.corrupt(ev.result)
+	case ev.err != nil:
+		e.recvError(ev.result, ev.err)
+	default:
+		e.admit(ev.result)
+	}
+	budget := e.target > 0 && e.arrived >= e.target && e.outstanding > 0
+	if budget {
+		for id := range e.veh {
+			if vh := &e.veh[id]; vh.verdict == fl.Late && !vh.dead {
+				vh.behind = true
+			}
+		}
+		e.closedBy = "budget"
+	}
+	e.publish("collect", budget)
+	return budget || e.outstanding == 0 && e.arrived >= e.k
+}
+
 // admit is the one place an upload enters the round. An upload of the
 // wrong length, or for a round not yet broadcast, is refused as a receive
-// error that also closes the connection. A stale upload, from a round a
-// budget close left behind, is proof of life only. An owed upload is
-// admitted and streamed into the decoder, and its buffer held until the
-// round closes; every other upload's buffer goes back at once. Once the
-// arrivals reach the wait budget's target with uploads still owed, admit
-// closes the round early (it returns true) and marks the vehicles still
-// owing behind.
-func (e *engine) admit(u result) bool {
+// error that also closes the connection and ends what the vehicle owes
+// the round. A stale upload, from a round a budget close left behind, is
+// proof of life only. An owed upload is admitted and streamed into the
+// decoder, and its buffer held until the round closes; every other
+// upload's buffer goes back at once.
+func (e *engine) admit(u result) {
 	s := e.s
 	vh := &e.veh[u.vehicleID]
 	var bad error
@@ -763,18 +780,21 @@ func (e *engine) admit(u result) bool {
 		if !vh.dead && vh.conn == u.conn {
 			e.alive(vh, u.round)
 		}
-		return false
+		return
 	case vh.verdict != fl.Late:
 		u.release()
-		return false
+		return
 	}
 	if bad != nil {
 		u.release()
 		if e.recvError(u, bad) {
 			_ = u.conn.Close()
 			vh.conn = nil
+			if vh.verdict != fl.Admitted {
+				e.judge(vh, fl.Disconnected)
+			}
 		}
-		return false
+		return
 	}
 	e.alive(vh, u.round)
 	vh.upload = u
@@ -800,17 +820,6 @@ func (e *engine) admit(u result) bool {
 		e.sink = nil // defensive: the close redoes the streamed work
 	}
 	e.overlapNs += int64(s.obs.Now() - t0)
-	early := e.target > 0 && e.arrived >= e.target && e.outstanding > 0
-	if early {
-		for id := range e.veh {
-			if e.veh[id].verdict == fl.Late {
-				e.veh[id].behind = true
-			}
-		}
-		e.closedBy = "budget"
-	}
-	e.publish("collect", early)
-	return early
 }
 
 // alive takes an upload for round r, admitted or stale, as proof of
@@ -821,11 +830,7 @@ func (e *engine) alive(vh *vehicle, r int) {
 	vh.lastSeen = max(vh.lastSeen, r)
 	vh.behind = false
 	if vh.verdict == fl.Withheld {
-		if err := sendFlush(vh.conn, &e.bc); err != nil {
-			e.kill(vh)
-			return
-		}
-		e.judge(vh, fl.Late)
+		e.owe(vh)
 	}
 }
 
@@ -835,14 +840,12 @@ func (e *engine) alive(vh *vehicle, r int) {
 func (e *engine) corrupt(u result) {
 	e.note(corruptFrame, u.vehicleID, obs.Field{})
 	vh := &e.veh[u.vehicleID]
-	if vh.conn != u.conn || vh.verdict != fl.Late || vh.retrans >= maxRetransmits {
+	if vh.dead || vh.conn != u.conn || vh.verdict != fl.Late || vh.retrans >= maxRetransmits {
 		return
 	}
 	vh.retrans++
 	e.note(retransmit, u.vehicleID, obs.F("attempt", vh.retrans))
-	if err := sendFlush(u.conn, &e.bc); err != nil {
-		e.kill(vh)
-	}
+	e.owe(vh)
 }
 
 // recvError ends a vehicle's connection: the vehicle is dead until it
@@ -853,16 +856,16 @@ func (e *engine) recvError(u result, err error) bool {
 	if vh.conn != u.conn {
 		return false
 	}
-	e.kill(vh)
+	vh.dead = true
 	e.note(recvError, u.vehicleID, obs.F("error", err))
 	return true
 }
 
 // rejoin revives a reconnected vehicle mid-round: the connection is
 // swapped in (the stale one closed), Setup is resent so a restarted
-// process can rebuild its share, and if the vehicle still owes this
-// round's upload the broadcast is resent too — which makes a withheld
-// one obsolete. The rejoin counts once both are out; if either fails, the
+// process can rebuild its share, and unless its upload is already
+// admitted the broadcast is resent too (owe) — which makes a withheld one
+// obsolete. The rejoin counts once both are out; if either fails, the
 // vehicle stays dead.
 func (e *engine) rejoin(req hello) {
 	id := req.msg.VehicleID
@@ -870,24 +873,20 @@ func (e *engine) rejoin(req hello) {
 	if vh.conn != nil && vh.conn != req.conn {
 		_ = vh.conn.Close()
 	}
-	vh.conn, vh.helloNs = req.conn, req.ns
-	vh.dead, vh.behind = false, false
-	err := e.configure(id)
-	if err == nil && vh.verdict != fl.Admitted {
-		if err = req.conn.Send(&e.bc); err == nil {
-			e.judge(vh, fl.Late)
-		}
+	vh.conn, vh.helloNs, vh.dead, vh.behind = req.conn, req.ns, false, false
+	switch {
+	case e.configure(id) != nil:
+		vh.dead = true
+	case vh.verdict != fl.Admitted:
+		e.owe(vh)
+	case transport.Flush(req.conn) != nil:
+		vh.dead = true
 	}
-	if err == nil {
-		err = transport.Flush(req.conn)
-	}
-	if err != nil {
-		e.kill(vh)
+	if vh.dead {
 		_ = req.conn.Close()
 		return
 	}
 	e.note(rejoined, id, obs.Field{})
-	e.publish("collect", false)
 	e.receive(id, req.conn)
 }
 
@@ -929,9 +928,10 @@ func (e *engine) note(f fact, id int, detail obs.Field) {
 // close ends the round: the scheme's streamed aggregation and
 // fl.CloseRound — the close fl.System runs too — over exactly the
 // admitted uploads, then a verdict for every vehicle, whose upload buffer
-// goes back to its receiver. Below K nothing can be verified: the model
-// holds still and the round is degraded instead of failing the session
-// (DESIGN.md §11).
+// goes back to its receiver; a vehicle with no upload admitted and no
+// live connection is Disconnected. Below K nothing can be verified: the
+// model holds still and the round is degraded instead of failing the
+// session (DESIGN.md §11).
 func (e *engine) close() error {
 	s := e.s
 	degraded := e.arrived < e.k
@@ -978,8 +978,11 @@ func (e *engine) close() error {
 	for id := range e.veh {
 		vh := &e.veh[id]
 		v := vh.verdict
-		if v == fl.Admitted && !degraded && s.scheme.DetectedMalicious[id] > 0 {
+		switch {
+		case v == fl.Admitted && !degraded && s.scheme.DetectedMalicious[id] > 0:
 			v = fl.Flagged
+		case v != fl.Admitted && vh.dead:
+			v = fl.Disconnected
 		}
 		vh.upload.release()
 		t[v]++
@@ -998,8 +1001,8 @@ func (e *engine) close() error {
 }
 
 // finish sends Finished to every live vehicle, marks the session over
-// — answering rejoins still queued, so late reconnectors terminate
-// instead of hanging — and sums the report from the round records.
+// and sums the report from the round records. A rejoin arriving from now
+// on is answered by enqueue.
 func (e *engine) finish() *Report {
 	s := e.s
 	rounds := s.cfg.Rounds
@@ -1011,10 +1014,6 @@ func (e *engine) finish() *Report {
 	}
 	e.round, e.arrived, e.outstanding = rounds, 0, 0
 	e.publish("done", false)
-	// Nothing enqueues once the phase is done, so the queue only drains.
-	for _, req := range s.takeRejoins() {
-		sendFinished(req.conn, rounds)
-	}
 	s.statusMu.Lock()
 	report := sum(s.records)
 	s.statusMu.Unlock()
@@ -1534,14 +1533,12 @@ func RunVehicleRetry(cfg ClientConfig, rc RetryConfig) error {
 // base delay doubled per consecutive failure, capped, plus up to 50%
 // drawn from the seeded jitter stream (decorrelates vehicles that failed
 // together without breaking reproducibility).
-func backoffDelay(base, max time.Duration, failures int, jitter *field.SeededSource) time.Duration {
+func backoffDelay(base, ceiling time.Duration, failures int, jitter *field.SeededSource) time.Duration {
 	d := base
-	for i := 1; i < failures && d < max; i++ {
+	for i := 1; i < failures && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, ceiling)
 	span := uint64(d / 2)
 	if span > 0 {
 		d += time.Duration(jitter.Uint64() % (span + 1))

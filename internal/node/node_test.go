@@ -382,6 +382,15 @@ func (c relabelConn) Send(m *protocol.Message) error {
 func TestUploadAttributedToItsConnection(t *testing.T) {
 	const vehicles, rounds = 10, 2
 	fresh := func() *session { return buildSession(t, vehicles, rounds, 0) }
+	// Vehicle 0 still owes round 1 once its connection is lost, so these
+	// sessions wait out a deadline for it, short but long enough for the
+	// nine others' uploads under a loaded -race run. (A wait budget would
+	// close on them before the loss is read about as often as after.)
+	lost := func() *session {
+		s := fresh()
+		s.server.cfg.RoundTimeout = time.Second
+		return s
+	}
 	// playVehicle0 handshakes as vehicle 0 and reads up to round 1's
 	// broadcast; then forged (nil: nothing) is written and the socket
 	// closed.
@@ -413,7 +422,7 @@ func TestUploadAttributedToItsConnection(t *testing.T) {
 		return append(out, body...)
 	}
 
-	crashed := runOverTCP(t, fresh(), playVehicle0(nil), nil, nil)
+	crashed := runOverTCP(t, lost(), playVehicle0(nil), nil, nil)
 	if crashed.RecvErrors != 1 || crashed.Rounds != rounds {
 		t.Fatalf("crashed-vehicle baseline: %+v", crashed)
 	}
@@ -437,7 +446,7 @@ func TestUploadAttributedToItsConnection(t *testing.T) {
 	}
 	envelope := []byte(`{"gather":{"uploads":[` + strings.Join(uploads, ",") + `]}}`)
 	for name, forged := range map[string][]byte{"binary kind 5": frame(kind5), "JSON envelope": frame(envelope)} {
-		got := runOverTCP(t, fresh(), playVehicle0(forged), nil, nil)
+		got := runOverTCP(t, lost(), playVehicle0(forged), nil, nil)
 		if got.RecvErrors != 1 {
 			t.Errorf("%s: RecvErrors = %d, want the forged frame to be the connection's one terminal error", name, got.RecvErrors)
 		}
@@ -583,6 +592,11 @@ func TestServerValidation(t *testing.T) {
 	cfg.ActivationCoeffs = nil
 	if _, err := NewServer(cfg); err == nil {
 		t.Error("missing activation accepted")
+	}
+	cfg = base
+	cfg.WaitBudget = -1
+	if _, err := NewServer(cfg); err == nil {
+		t.Error("a negative wait budget (a close at exactly K) accepted")
 	}
 	srv, err := NewServer(base)
 	if err != nil {

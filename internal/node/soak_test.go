@@ -207,11 +207,9 @@ func TestFleetSoakWorkersSweep(t *testing.T) {
 
 		// Shard s0 is the chaos shard: vehicle 1 crashes before its round-2
 		// upload, so that upload is only ever delivered through the rejoin
-		// resend; vehicle 2's uploads are held 60ms (first matching rule
-		// wins) so the round provably cannot close before the rejoin lands,
-		// keeping the recovery — and therefore the aggregate —
-		// deterministic. The rest of the shard rides probabilistic 1ms
-		// delays.
+		// resend, and round 2, which vehicle 1 still owes, waits for it;
+		// vehicle 2's uploads are held 60ms (first matching rule wins). The
+		// rest of the shard rides probabilistic 1ms delays.
 		inj := chaos.New(mustChaosSpec(t, "seed=11;delay.upload@2=1:60ms;delay.upload=0.2:1ms;crash@1=before-upload:2"),
 			chaos.Options{})
 		if err := soakDrive(t, fab.Dial, clients, ids, ids[0], inj); err != nil {

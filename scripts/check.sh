@@ -43,9 +43,12 @@ go test -race -count=2 ./internal/node ./internal/chaos
 go test -race -count=50 -run 'TestPipelineEarlyClose|TestMixedFaultVerdicts|TestPipelineWindowWithholding|TestFloodingVehicle|TestReceiverBlocksOnItsBuffers' ./internal/node
 
 echo "== go test -race -count=100 TestCrashRejoin (crash-and-rejoin against the simulation)"
-# The crash cell of the engine-versus-simulation matrix once lost a
-# rejoin race about one run in ten (four in ten under -race); a hundred
-# repetitions make a return of that rate certain to show.
+# The crash round waits for the crashed vehicle's rejoin by rule
+# (engine.step, DESIGN §11), with nothing in the test holding it open.
+# Before that rule the crash cell of the engine-versus-simulation matrix
+# lost the rejoin race about one run in ten (four in ten under -race)
+# unless a test gate held the round; a hundred repetitions make a return
+# of that rate certain to show.
 go test -race -count=100 -run 'TestCrashRejoin' ./internal/node
 
 echo "== go test -run 'Allocs|FiguresGolden' (plain build)"
